@@ -271,6 +271,8 @@ def run_verify(n_max: int, checks: set[str], parallel: bool) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {args.nmax}")
     checks = set(args.checks.split(",")) if args.checks else set(ALL_CHECKS)
     unknown = checks - set(ALL_CHECKS)
     if unknown:
@@ -301,13 +303,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shell(args) -> int:
+    if args.grid_points < 0:
+        raise ValueError(f"grid-points must be >= 0, got {args.grid_points}")
     try:
         b_min_s, b_max_s = args.b_range.split(":")
         b_range = (float(b_min_s), float(b_max_s))
     except ValueError as exc:
         raise ValueError(f"b-range must be min:max, got {args.b_range!r}") from exc
     qn = QuantumNumbers(args.n, args.l)
-    config = shellmatch.ShellConfig(qn, args.a, b_range, args.step)
+    config = shellmatch.ShellConfig(qn, args.a, b_range)
     try:
         result = shellmatch.match_shell(config)
     except shellmatch.NoRootInRange as exc:
@@ -383,7 +387,6 @@ def build_parser() -> _Parser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b-range", required=True, metavar="MIN:MAX")
-    p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--grid-points", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -403,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidQuantumNumbers, ValueError) as exc:
         sys.stderr.write(f"coulombwf: error: {exc}\n")
         return EXIT_USAGE
-    except (numeval.OverflowSignal, oracle.QuadratureFailure, shellmatch.StepSizeTooCoarse) as exc:
+    except (OverflowError, OSError, oracle.QuadratureFailure) as exc:
         sys.stderr.write(f"coulombwf: failure: {exc}\n")
         return EXIT_FAIL
 

@@ -5,20 +5,19 @@ vanishes.  The energy is pinned to a hydrogenic level (the closed shell forms
 exist only at quantized kappa), so the outer boundary b becomes the matching
 unknown: the shell solution c1 R1 + c2 R2 is fixed against the regular
 interior solution at a, and b is scanned until its log-derivative meets the
-decaying exterior solution.
+decaying exterior solution.  At energy -kappa^2/2 both force-free solutions
+are modified spherical Bessel functions, i_l and k_l (DLMF §10.49(ii), §10.53).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import numeval
 from .closedform import ExpEiForm, QuantumNumbers, assemble_R1, assemble_R2
-
-
-class StepSizeTooCoarse(ArithmeticError):
-    """Richardson halving disagrees beyond tolerance; shrink grid_step."""
+from .ratpoly import RatPoly, factorial
 
 
 class NoRootInRange(ValueError):
@@ -34,14 +33,52 @@ class ShellConfig:
     qn: QuantumNumbers
     a: float
     b_range: tuple[float, float]
-    grid_step: float = 0.01
 
     def __post_init__(self) -> None:
         b_min, b_max = self.b_range
         if not 0 < self.a < b_min < b_max:
             raise ValueError(f"need 0 < a < b_min < b_max, got a={self.a}, b_range={self.b_range}")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
+
+
+def _exterior_q(qn: QuantumNumbers) -> RatPoly:
+    """q(r) = sum_{j<=l} (l+j)!/(j!(l-j)!) (2 kappa)^{-j} r^{-j-1}, so that
+    k_l(kappa r) is proportional to e^{-kappa r} q(r) (DLMF §10.49.12).  All
+    coefficients are positive: q and q' evaluate without cancellation."""
+    two_kappa = 2 * qn.kappa
+    return RatPoly.from_terms({
+        -j - 1: Fraction(factorial(qn.l + j), factorial(j) * factorial(qn.l - j)) / two_kappa**j
+        for j in range(qn.l + 1)
+    })
+
+
+@dataclass(frozen=True)
+class ShellForms:
+    """R1, R2 and their derivatives for the shell, q and q' for the exterior."""
+
+    kappa: float
+    r1: ExpEiForm
+    r1d: ExpEiForm
+    r2: ExpEiForm
+    r2d: ExpEiForm
+    q: RatPoly
+    qd: RatPoly
+
+    def pair(self, r: float) -> tuple[float, float, float, float]:
+        """(R1, R1', R2, R2') at r."""
+        return tuple(numeval.eval_form(f, r).value for f in (self.r1, self.r1d, self.r2, self.r2d))
+
+    def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
+        """(u, u') of c1 R1 + c2 R2 at r."""
+        v1, d1, v2, d2 = self.pair(r)
+        return c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
+
+    def exterior_logderiv(self, r: float) -> float:
+        return -self.kappa + self.qd.eval_float(r) / self.q.eval_float(r)
+
+
+def shell_forms(qn: QuantumNumbers) -> ShellForms:
+    r1, r2, q = assemble_R1(qn), assemble_R2(qn), _exterior_q(qn)
+    return ShellForms(float(qn.kappa), r1, r1.derivative(), r2, r2.derivative(), q, q.derivative())
 
 
 @dataclass(frozen=True)
@@ -50,115 +87,44 @@ class MatchResult:
     c1: float
     c2: float
     mismatch: float
+    forms: ShellForms = field(repr=False, compare=False)
 
 
-def _rk4(fderiv, r: float, y: tuple[float, float], h: float) -> tuple[float, float]:
-    k1 = fderiv(r, y)
-    k2 = fderiv(r + h / 2, (y[0] + h / 2 * k1[0], y[1] + h / 2 * k1[1]))
-    k3 = fderiv(r + h / 2, (y[0] + h / 2 * k2[0], y[1] + h / 2 * k2[1]))
-    k4 = fderiv(r + h, (y[0] + h * k3[0], y[1] + h * k3[1]))
-    return (
-        y[0] + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        y[1] + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
+def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
+    """(u(a), u'(a)) of the regular zero-potential solution i_l(kappa r), u ~ r^l.
 
-
-def _integrate_fixed(fderiv, r0: float, y0: tuple[float, float], r1: float,
-                     h_target: float) -> tuple[float, float]:
-    """Fixed-step RK4 from r0 to r1 (either direction), step count from h_target."""
-    span = r1 - r0
-    steps = max(1, math.ceil(abs(span) / h_target))
-    h = span / steps
-    y = y0
-    r = r0
-    for i in range(steps):
-        y = _rk4(fderiv, r, y, h)
-        r = r0 + (i + 1) * span / steps
-        # renormalize to dodge under/overflow; only the ray (u, u') matters
-        scale = max(abs(y[0]), abs(y[1]))
-        if scale > 1e200 or (0.0 < scale < 1e-200):
-            y = (y[0] / scale, y[1] / scale)
-    return y
-
-
-def _free_radial_deriv(qn: QuantumNumbers):
-    """u'' = -(2/r) u' + (kappa^2 + l(l+1)/r^2) u for the zero-potential regions."""
-    kappa2 = float(qn.kappa) ** 2
-    ll1 = qn.l * (qn.l + 1)
-
-    def fderiv(r: float, y: tuple[float, float]) -> tuple[float, float]:
-        u, du = y
-        return du, -(2.0 / r) * du + (kappa2 + ll1 / r / r) * u
-
-    return fderiv
-
-
-def integrate_interior(qn: QuantumNumbers, a: float, grid_step: float) -> tuple[float, float]:
-    """Regular zero-potential solution integrated out to r = a.
-
-    Returns (u(a), u'(a)) up to overall scale.  Starts from the r^l series
-    with its leading curvature correction, runs fixed-step RK4, and accepts
-    only if one Richardson halving moves the log-derivative by < 1e-8.
+    u = r^l S, S = sum_k t_k, t_0 = 1, t_k = t_{k-1} (kappa r)^2 / (2k (2l+2k+1))
+    (DLMF §10.53.3): all terms positive, so no cancellation at any kappa a.  The
+    sum stops once a term is below rounding in both S and r S', or raises
+    OverflowSignal once they leave double range, so it ends for every a.
     """
     if a <= 0:
         raise ValueError("inner boundary a must be positive")
-    fderiv = _free_radial_deriv(qn)
-    r0 = a / 64.0
-    kappa2 = float(qn.kappa) ** 2
     l = qn.l
-    c2 = kappa2 / (2.0 * (2 * l + 3))
-    y0 = (r0**l * (1.0 + c2 * r0**2), l * r0 ** (l - 1) if l else 0.0)
-    y0 = (y0[0], y0[1] + (l + 2) * c2 * r0 ** (l + 1))
-    coarse = _integrate_fixed(fderiv, r0, y0, a, grid_step)
-    fine = _integrate_fixed(fderiv, r0, y0, a, grid_step / 2.0)
-    ld_c = coarse[1] / coarse[0]
-    ld_f = fine[1] / fine[0]
-    if abs(ld_c - ld_f) > 1e-8 * max(1.0, abs(ld_f)):
-        raise StepSizeTooCoarse(
-            f"interior log-derivative moved {abs(ld_c - ld_f):.2e} under halving")
-    return fine
+    z2 = (float(qn.kappa) * a) ** 2
+    s, rds, t, k = 1.0, 0.0, 1.0, 0
+    while True:
+        k += 1
+        t *= z2 / (2 * k * (2 * l + 2 * k + 1))
+        s += t
+        rds += 2 * k * t
+        if not math.isfinite(rds):
+            raise numeval.OverflowSignal(f"interior series overflows at kappa*a = {math.sqrt(z2):.3g}")
+        if t <= 1e-17 * s and 2 * k * t <= 1e-17 * rds:
+            return a**l * s, a ** (l - 1) * (l * s + rds)
 
 
-def exterior_logderiv(qn: QuantumNumbers, b: float, grid_step: float = 0.01) -> float:
-    """u'/u at b of the decaying zero-potential solution, by inward RK4.
-
-    Starts at b + 40/kappa from the asymptotic e^{-kappa r}/r ray; growing-mode
-    contamination shrinks by e^{-80} on the way in.
-    """
+def exterior_logderiv(qn: QuantumNumbers, b: float) -> float:
+    """u'/u at b of the decaying zero-potential solution, -kappa + q'(b)/q(b)."""
     if b <= 0:
         raise ValueError("outer boundary b must be positive")
-    kappa = float(qn.kappa)
-    fderiv = _free_radial_deriv(qn)
-    r_start = b + 40.0 / kappa
-    u0 = 1.0
-    du0 = -(kappa + 1.0 / r_start)
-    coarse = _integrate_fixed(fderiv, r_start, (u0, du0), b, grid_step)
-    fine = _integrate_fixed(fderiv, r_start, (u0, du0), b, grid_step / 2.0)
-    ld_c = coarse[1] / coarse[0]
-    ld_f = fine[1] / fine[0]
-    if abs(ld_c - ld_f) > 1e-8 * max(1.0, abs(ld_f)):
-        raise StepSizeTooCoarse(
-            f"exterior log-derivative moved {abs(ld_c - ld_f):.2e} under halving")
-    return ld_f
+    q = _exterior_q(qn)
+    return -float(qn.kappa) + q.derivative().eval_float(b) / q.eval_float(b)
 
 
-def _shell_value_deriv(r1: ExpEiForm, r1d: ExpEiForm, r2: ExpEiForm, r2d: ExpEiForm,
-                       c1: float, c2: float, r: float) -> tuple[float, float]:
-    u = c1 * numeval.eval_form(r1, r).value + c2 * numeval.eval_form(r2, r).value
-    du = c1 * numeval.eval_form(r1d, r).value + c2 * numeval.eval_form(r2d, r).value
-    return u, du
-
-
-def mixing_from_inner_match(qn: QuantumNumbers, a: float, interior_ld: float) -> tuple[float, float]:
+def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> tuple[float, float]:
     """(c1, c2) with c1^2 + c2^2 = 1 matching the interior log-derivative at a."""
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    r1d = r1.derivative()
-    r2d = r2.derivative()
-    v1 = numeval.eval_form(r1, a).value
-    d1 = numeval.eval_form(r1d, a).value
-    v2 = numeval.eval_form(r2, a).value
-    d2 = numeval.eval_form(r2d, a).value
+    v1, d1, v2, d2 = forms.pair(a)
     t = (interior_ld * v1 - d1) / (d2 - interior_ld * v2)
     c1 = 1.0 / math.hypot(1.0, t)
     return c1, t * c1
@@ -171,26 +137,21 @@ def match_shell(config: ShellConfig) -> MatchResult:
     b_star is polished until |mismatch| < 1e-8.  Raises NoRootInRange (with
     the scanned mismatch table attached) when the bracket never changes sign.
     """
-    qn = config.qn
-    u_a, du_a = integrate_interior(qn, config.a, config.grid_step)
-    c1, c2 = mixing_from_inner_match(qn, config.a, du_a / u_a)
-
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    r1d = r1.derivative()
-    r2d = r2.derivative()
+    u_a, du_a = integrate_interior(config.qn, config.a)
+    forms = shell_forms(config.qn)
+    c1, c2 = mixing_from_inner_match(forms, config.a, du_a / u_a)
 
     def mismatch(b: float) -> float:
-        u, du = _shell_value_deriv(r1, r1d, r2, r2d, c1, c2, b)
-        return du / u - exterior_logderiv(qn, b, config.grid_step)
+        u, du = forms.shell(c1, c2, b)
+        return du / u - forms.exterior_logderiv(b)
 
     lo, hi = config.b_range
     f_lo = mismatch(lo)
     f_hi = mismatch(hi)
     if f_lo == 0.0:
-        return MatchResult(lo, c1, c2, f_lo)
+        return MatchResult(lo, c1, c2, f_lo, forms)
     if f_hi == 0.0:
-        return MatchResult(hi, c1, c2, f_hi)
+        return MatchResult(hi, c1, c2, f_hi, forms)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         scan = [(lo + i * (hi - lo) / 16, mismatch(lo + i * (hi - lo) / 16)) for i in range(17)]
         raise NoRootInRange(
@@ -208,24 +169,19 @@ def match_shell(config: ShellConfig) -> MatchResult:
             hi, f_hi = mid, f_mid
         if hi - lo < 1e-13 * max(1.0, abs(mid)):
             break
-    return MatchResult(mid, c1, c2, f_mid)
+    return MatchResult(mid, c1, c2, f_mid, forms)
 
 
 def continuity_residuals(config: ShellConfig, result: MatchResult) -> dict[str, float]:
     """Relative value/derivative jumps of the assembled piecewise solution."""
-    qn = config.qn
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    r1d = r1.derivative()
-    r2d = r2.derivative()
-
-    u_in, du_in = integrate_interior(qn, config.a, config.grid_step)
-    u_sh_a, du_sh_a = _shell_value_deriv(r1, r1d, r2, r2d, result.c1, result.c2, config.a)
+    forms = result.forms
+    u_in, du_in = integrate_interior(config.qn, config.a)
+    u_sh_a, du_sh_a = forms.shell(result.c1, result.c2, config.a)
     scale_in = u_sh_a / u_in
 
     b = result.b_star
-    u_sh_b, du_sh_b = _shell_value_deriv(r1, r1d, r2, r2d, result.c1, result.c2, b)
-    ld_out = exterior_logderiv(qn, b, config.grid_step)
+    u_sh_b, du_sh_b = forms.shell(result.c1, result.c2, b)
+    ld_out = forms.exterior_logderiv(b)
 
     return {
         "value_a": abs(scale_in * u_in - u_sh_a) / max(abs(u_sh_a), 1e-300),
@@ -239,32 +195,25 @@ def continuity_residuals(config: ShellConfig, result: MatchResult) -> dict[str, 
 
 def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale."""
-    qn = config.qn
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    r1d = r1.derivative()
-    r2d = r2.derivative()
-    u_in, _ = integrate_interior(qn, config.a, config.grid_step)
-    u_sh_a, _ = _shell_value_deriv(r1, r1d, r2, r2d, result.c1, result.c2, config.a)
+    forms = result.forms
+    u_in, _ = integrate_interior(config.qn, config.a)
+    u_sh_a, _ = forms.shell(result.c1, result.c2, config.a)
     scale_in = u_sh_a / u_in
     b = result.b_star
-    u_sh_b, _ = _shell_value_deriv(r1, r1d, r2, r2d, result.c1, result.c2, b)
+    u_sh_b, _ = forms.shell(result.c1, result.c2, b)
+    scale_out = u_sh_b / forms.q.eval_float(b)
 
     out: list[tuple[float, float]] = []
     r_max = 1.5 * b
     for i in range(points):
         r = (i + 1) * r_max / points
         if r < config.a:
-            # fresh integrations share the series normalization u ~ r^l, so
-            # the matched interior scale applies directly
-            u, _ = integrate_interior(qn, r, config.grid_step)
-            out.append((r, scale_in * u))
+            # the interior series shares the normalization u ~ r^l at every r,
+            # so the matched interior scale applies directly
+            u = scale_in * integrate_interior(config.qn, r)[0]
         elif r <= b:
-            u, _ = _shell_value_deriv(r1, r1d, r2, r2d, result.c1, result.c2, r)
-            out.append((r, u))
+            u = forms.shell(result.c1, result.c2, r)[0]
         else:
-            kappa = float(qn.kappa)
-            # exterior ray e^{-kappa r}/r scaled to the shell value at b
-            ray_b = math.exp(-kappa * b) / b
-            out.append((r, u_sh_b * (math.exp(-kappa * r) / r) / ray_b))
+            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.q.eval_float(r)
+        out.append((r, u))
     return out

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
-integral with mpmath quadrature, and the free-particle reference sums the
-modified spherical Bessel series directly.
+integral with mpmath quadrature, the free-particle reference sums the
+modified spherical Bessel series directly, and the shell-match reference
+integrates the force-free radial equation with fixed-step RK4.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+from scipy.optimize import brentq
+
+from coulombwf.closedform import assemble_R1, assemble_R2
+from coulombwf.numeval import eval_form
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -75,6 +80,109 @@ def sph_in_series(l: int, z: float, terms: int = 40) -> tuple[float, float]:
     return val, der
 
 
+def sph_in_logderiv_mp(l: int, kappa: float, r: float, dps: int = 50) -> float:
+    """d/dr log i_l(kappa r) from mpmath's Bessel I, i_l(z) = sqrt(pi/(2z)) I_{l+1/2}(z)."""
+    with mp.workdps(dps):
+        z = mp.mpf(kappa) * r
+        nu = l + mp.mpf(1) / 2
+        return float(kappa * (mp.besseli(nu - 1, z) / mp.besseli(nu, z) - nu / z) - 1 / (2 * mp.mpf(r)))
+
+
 def central_diff(fn, x: float, h: float) -> float:
     """Fourth-order central finite difference of fn at x."""
     return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) / (12 * h)
+
+
+# -- fixed-step RK4 for the force-free regions of the Coulomb shell -------------
+
+
+def _rk4(fderiv, r: float, y: tuple[float, float], h: float) -> tuple[float, float]:
+    k1 = fderiv(r, y)
+    k2 = fderiv(r + h / 2, (y[0] + h / 2 * k1[0], y[1] + h / 2 * k1[1]))
+    k3 = fderiv(r + h / 2, (y[0] + h / 2 * k2[0], y[1] + h / 2 * k2[1]))
+    k4 = fderiv(r + h, (y[0] + h * k3[0], y[1] + h * k3[1]))
+    return (
+        y[0] + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        y[1] + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+    )
+
+
+def _integrate_fixed(fderiv, r0: float, y0: tuple[float, float], r1: float,
+                     h_target: float) -> tuple[float, float]:
+    """Fixed-step RK4 from r0 to r1 (either direction), step count from h_target."""
+    span = r1 - r0
+    steps = max(1, math.ceil(abs(span) / h_target))
+    h = span / steps
+    y = y0
+    r = r0
+    for i in range(steps):
+        y = _rk4(fderiv, r, y, h)
+        r = r0 + (i + 1) * span / steps
+        # renormalize to dodge under/overflow; only the ray (u, u') matters
+        scale = max(abs(y[0]), abs(y[1]))
+        if scale > 1e200 or (0.0 < scale < 1e-200):
+            y = (y[0] / scale, y[1] / scale)
+    return y
+
+
+def _free_radial_deriv(qn):
+    """u'' = -(2/r) u' + (kappa^2 + l(l+1)/r^2) u for the zero-potential regions."""
+    kappa2 = float(qn.kappa) ** 2
+    ll1 = qn.l * (qn.l + 1)
+
+    def fderiv(r: float, y: tuple[float, float]) -> tuple[float, float]:
+        u, du = y
+        return du, -(2.0 / r) * du + (kappa2 + ll1 / r / r) * u
+
+    return fderiv
+
+
+def rk4_interior_logderiv(qn, a: float, h: float) -> float:
+    """u'/u at a of the regular free solution, by RK4 at step h from a/64.
+
+    Starts from the r^l series with its leading curvature correction.
+    """
+    r0 = a / 64.0
+    l = qn.l
+    c2 = float(qn.kappa) ** 2 / (2.0 * (2 * l + 3))
+    y0 = (r0**l * (1.0 + c2 * r0**2),
+          (l * r0 ** (l - 1) if l else 0.0) + (l + 2) * c2 * r0 ** (l + 1))
+    u, du = _integrate_fixed(_free_radial_deriv(qn), r0, y0, a, h)
+    return du / u
+
+
+def rk4_exterior_logderiv(qn, b: float, h: float, reach: float = 40.0) -> float:
+    """u'/u at b of the decaying free solution, by inward RK4 at step h.
+
+    Starts at b + reach/kappa from the asymptotic e^{-kappa r}/r ray; the
+    growing-mode contamination shrinks by e^{-2 reach} on the way in.
+    """
+    kappa = float(qn.kappa)
+    r_start = b + reach / kappa
+    u, du = _integrate_fixed(_free_radial_deriv(qn), r_start,
+                             (1.0, -(kappa + 1.0 / r_start)), b, h)
+    return du / u
+
+
+def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
+    """Outer boundary of the Coulomb shell with both free regions from RK4.
+
+    The shell solution R1 + t R2 meets the RK4 interior log-derivative at a;
+    the root of its log-derivative minus the RK4 exterior one is found by
+    Brent's method.
+    """
+    r1, r2 = assemble_R1(qn), assemble_R2(qn)
+    r1d, r2d = r1.derivative(), r2.derivative()
+
+    def pair(r):
+        return [eval_form(f, r).value for f in (r1, r1d, r2, r2d)]
+
+    ld_in = rk4_interior_logderiv(qn, a, h)
+    v1, d1, v2, d2 = pair(a)
+    t = (ld_in * v1 - d1) / (d2 - ld_in * v2)
+
+    def mismatch(b):
+        v1, d1, v2, d2 = pair(b)
+        return (d1 + t * d2) / (v1 + t * v2) - rk4_exterior_logderiv(qn, b, h)
+
+    return brentq(mismatch, *b_range, xtol=1e-12)

@@ -26,7 +26,7 @@ from coulombwf.oracle import (
 )
 from coulombwf.shellmatch import ShellConfig, continuity_residuals, match_shell
 
-from refvals import ei_pv_reference, ei_zero_by_bisection
+from refvals import ei_pv_reference, ei_zero_by_bisection, rk4_b_star
 
 PV_POINTS = [
     (0, 1, 0.5), (0, 1, 1.0), (0, 1, 2.0),
@@ -145,14 +145,15 @@ def test_criterion_7_energy_quantization():
 
 def test_criterion_8_shell_demo_sanity():
     qn = make_quantum_numbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5), 0.01)
+    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     mixing_ok = abs(result.c2) / abs(result.c1) < 1e-6
     residuals = continuity_residuals(config, result)
     continuity_ok = all(v < 1e-7 for v in residuals.values())
-    fine = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5), 0.005))
-    stability_ok = abs(result.b_star - fine.b_star) < 1e-6
+    # the closed-form b* against the same match done with RK4 at two steps
+    db = max(abs(result.b_star - rk4_b_star(qn, 1e-4, (0.5, 1.5), h)) for h in (0.01, 0.005))
+    stability_ok = db < 1e-6
     ok = mixing_ok and continuity_ok and stability_ok
-    _report(8, "shell demo: pure-regular limit, continuity, grid stability", ok,
+    _report(8, "shell demo: pure-regular limit, continuity, RK4 agreement", ok,
             f"|c2/c1| {abs(result.c2 / result.c1):.1e}, b* {result.b_star:.8f}, "
-            f"db* {abs(result.b_star - fine.b_star):.1e}")
+            f"db* {db:.1e}")

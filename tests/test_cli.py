@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,22 @@ def test_verify_all_checks_default_nmax(capsys):
             "pv_closedform", "pole_split", "first_integral"} <= names
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_verify_rejects_nonpositive_nmax(capsys, nmax):
+    code, _, err = run(capsys, "verify", "--nmax", nmax)
+    assert code == 64
+    assert "nmax" in err
+
+
+def test_unwritable_out_is_a_one_line_failure(capsys, tmp_path):
+    code, out, err = run(capsys, "coeffs", "--n", "2", "--l", "0",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coulombwf: failure:")
+    assert err.count("\n") == 1
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "--nmax", "2", "--checks", "wronskian",
                        "--format", "csv")
@@ -209,6 +226,24 @@ def test_shell_no_root_exits_2(capsys):
     assert code == 2
     assert "no root" in err
     assert "b,mismatch" in err
+
+
+def test_shell_rejects_negative_grid_points(capsys):
+    code, out, err = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                         "--b-range", "0.5:1.5", "--grid-points", "-5")
+    assert code == 64
+    assert out == ""
+    assert "grid-points" in err
+
+
+def test_shell_huge_a_fails_fast(capsys):
+    # kappa*a = 1e6: the interior series overflows instead of running on
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "shell", "--n", "1", "--l", "0", "--a", "1e6",
+                       "--b-range", "2e6:3e6")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert err.startswith("coulombwf: failure:")
 
 
 def test_shell_reversed_range_is_usage_error(capsys):

@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
 
-from coulombwf.closedform import assemble_R1, make_quantum_numbers
+from coulombwf.closedform import assemble_R1, assemble_R2, make_quantum_numbers
 from coulombwf.numeval import eval_form
 from coulombwf.shellmatch import (
     NoRootInRange,
@@ -13,9 +14,19 @@ from coulombwf.shellmatch import (
     match_shell,
     mixing_from_inner_match,
     piecewise_grid,
+    shell_forms,
 )
 
-from refvals import sph_in_series
+from refvals import (
+    rk4_b_star,
+    rk4_exterior_logderiv,
+    rk4_interior_logderiv,
+    sph_in_logderiv_mp,
+    sph_in_series,
+)
+
+# the two fixed RK4 steps the closed forms are checked against
+RK4_STEPS = (0.01, 0.005)
 
 
 # -- configuration validation -----------------------------------------------------
@@ -26,36 +37,40 @@ def test_config_ordering_enforced():
         ShellConfig(qn, 1.0, (0.5, 1.5))
     with pytest.raises(ValueError):
         ShellConfig(qn, 0.1, (1.5, 0.5))
-    with pytest.raises(ValueError):
-        ShellConfig(qn, 0.1, (0.5, 1.5), grid_step=0.0)
 
 
-# -- interior integration -----------------------------------------------------------
+# -- interior solution ----------------------------------------------------------------
 
-@pytest.mark.parametrize("n,l,a", [(1, 0, 0.8), (1, 0, 0.05), (2, 0, 0.8), (2, 1, 0.8)])
+# (6, 0, 1e-3): for l = 0 all of u' comes from the terms past the first, so a
+# series stopped on u alone would leave u'/u wrong in the ninth digit
+@pytest.mark.parametrize("n,l,a", [(1, 0, 0.8), (1, 0, 0.05), (2, 0, 0.8), (2, 1, 0.8),
+                                   (6, 0, 1e-3)])
 def test_interior_matches_bessel_series(n, l, a):
     qn = make_quantum_numbers(n, l)
     kappa = float(qn.kappa)
-    u, du = integrate_interior(qn, a, 0.005)
+    u, du = integrate_interior(qn, a)
     ref_val, ref_der = sph_in_series(l, kappa * a)
     got_ld = du / u
     ref_ld = kappa * ref_der / ref_val
     assert got_ld == pytest.approx(ref_ld, rel=1e-6)
+    assert got_ld == pytest.approx(sph_in_logderiv_mp(l, kappa, a), rel=1e-12)
 
 
 def test_interior_leading_power_l1():
     qn = make_quantum_numbers(2, 1)
     h = 1e-3
-    u1, _ = integrate_interior(qn, h, 1e-4)
-    u2, _ = integrate_interior(qn, 2 * h, 1e-4)
+    u1, _ = integrate_interior(qn, h)
+    u2, _ = integrate_interior(qn, 2 * h)
     assert u2 / u1 == pytest.approx(2.0, rel=1e-5)
 
 
 def test_interior_grid_convergence():
+    # the closed form against RK4 at both steps
     qn = make_quantum_numbers(2, 0)
-    u1, du1 = integrate_interior(qn, 0.7, 0.01)
-    u2, du2 = integrate_interior(qn, 0.7, 0.005)
-    assert abs(du1 / u1 - du2 / u2) < 1e-8
+    u, du = integrate_interior(qn, 0.7)
+    for h in RK4_STEPS:
+        assert abs(du / u - rk4_interior_logderiv(qn, 0.7, h)) < 1e-8
+
 
 
 # -- exterior integration --------------------------------------------------------------
@@ -79,17 +94,26 @@ def test_exterior_large_b_asymptote():
 
 
 def test_exterior_start_point_insensitive():
+    # RK4 started at b + 40/kappa and b + 50/kappa agrees with itself, and
+    # with the closed form to within its fourth-order step error
     qn = make_quantum_numbers(2, 1)
     b = 1.2
     base = exterior_logderiv(qn, b)
-    # push the start 10/kappa further out by integrating from there to b
-    from coulombwf.shellmatch import _free_radial_deriv, _integrate_fixed
+    for h in RK4_STEPS:
+        near = rk4_exterior_logderiv(qn, b, h, reach=40.0)
+        far = rk4_exterior_logderiv(qn, b, h, reach=50.0)
+        assert far == pytest.approx(near, abs=1e-12)
+        assert far == pytest.approx(base, abs=2e-9 * (h / 0.01) ** 4)
 
+
+@pytest.mark.parametrize("n,l,b", [(2, 1, 1.2), (4, 1, 3.0), (6, 5, 0.3), (6, 3, 15.0)])
+def test_exterior_matches_besselk(n, l, b):
+    # k_l(z) = sqrt(pi/(2z)) K_{l+1/2}(z); u = k_l(kappa r)
+    qn = make_quantum_numbers(n, l)
     kappa = float(qn.kappa)
-    r_start = b + 50.0 / kappa
-    y = _integrate_fixed(_free_radial_deriv(qn), r_start,
-                         (1.0, -(kappa + 1.0 / r_start)), b, 0.005)
-    assert y[1] / y[0] == pytest.approx(base, abs=1e-9)
+    with mp.workdps(40):
+        ref = mp.diff(lambda r: mp.log(mp.besselk(l + 0.5, kappa * r) / mp.sqrt(r)), b)
+    assert exterior_logderiv(qn, b) == pytest.approx(float(ref), rel=1e-13)
 
 
 # -- matching ---------------------------------------------------------------------------
@@ -97,16 +121,17 @@ def test_exterior_start_point_insensitive():
 def test_inner_mixing_scale_free():
     qn = make_quantum_numbers(2, 0)
     a = 0.5
-    u, du = integrate_interior(qn, a, 0.01)
-    c1, c2 = mixing_from_inner_match(qn, a, du / u)
-    c1s, c2s = mixing_from_inner_match(qn, a, (10 * du) / (10 * u))
+    forms = shell_forms(qn)
+    u, du = integrate_interior(qn, a)
+    c1, c2 = mixing_from_inner_match(forms, a, du / u)
+    c1s, c2s = mixing_from_inner_match(forms, a, (10 * du) / (10 * u))
     assert (c1, c2) == (c1s, c2s)
     assert c1**2 + c2**2 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_match_recovers_regular_solution_in_coulomb_limit():
     qn = make_quantum_numbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5), 0.01)
+    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     assert abs(result.c2 / result.c1) < 1e-6
     assert abs(result.mismatch) < 1e-8
@@ -116,30 +141,31 @@ def test_match_recovers_regular_solution_in_coulomb_limit():
 
 def test_match_continuity_residuals():
     qn = make_quantum_numbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5), 0.01)
+    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     res = continuity_residuals(config, result)
     assert all(v < 1e-7 for v in res.values())
 
 
 def test_match_stable_under_grid_halving():
+    # closed-form b* against the b* of the same match done with RK4 at both steps
     qn = make_quantum_numbers(2, 0)
-    coarse = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5), 0.01))
-    fine = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5), 0.005))
-    assert abs(coarse.b_star - fine.b_star) < 1e-6
+    result = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5)))
+    for h in RK4_STEPS:
+        assert abs(result.b_star - rk4_b_star(qn, 1e-4, (0.5, 1.5), h)) < 1e-6
 
 
 def test_forcing_pure_regular_leaves_inner_mismatch():
     # with a genuinely interior-perturbed problem the irregular part is needed
     qn = make_quantum_numbers(2, 0)
     a = 0.5
-    u, du = integrate_interior(qn, a, 0.005)
+    u, du = integrate_interior(qn, a)
     interior_ld = du / u
     r1 = assemble_R1(qn)
     r1d = r1.derivative()
     regular_ld = eval_form(r1d, a).value / eval_form(r1, a).value
     assert abs(interior_ld - regular_ld) > 1e-3
-    c1, c2 = mixing_from_inner_match(qn, a, interior_ld)
+    c1, c2 = mixing_from_inner_match(shell_forms(qn), a, interior_ld)
     assert abs(c2 / c1) > 1e-4
 
 
@@ -147,7 +173,7 @@ def test_no_root_reports_scan():
     # nodeless ground state: the shell log-derivative stays above the
     # exterior one for every b, so the scan must fail with diagnostics
     qn = make_quantum_numbers(1, 0)
-    config = ShellConfig(qn, 1e-4, (2.0, 3.0), 0.01)
+    config = ShellConfig(qn, 1e-4, (2.0, 3.0))
     with pytest.raises(NoRootInRange) as err:
         match_shell(config)
     assert len(err.value.scan) == 17
@@ -156,10 +182,30 @@ def test_no_root_reports_scan():
 
 def test_piecewise_grid_shape():
     qn = make_quantum_numbers(2, 0)
-    config = ShellConfig(qn, 0.05, (0.5, 1.5), 0.01)
+    config = ShellConfig(qn, 0.05, (0.5, 1.5))
     result = match_shell(config)
     grid = piecewise_grid(config, result, 30)
     assert len(grid) == 30
     rs = [r for r, _ in grid]
     assert rs == sorted(rs)
     assert all(math.isfinite(u) for _, u in grid)
+
+
+@pytest.mark.parametrize("n,l,a,b_range", [(4, 1, 0.0018877, (1.382, 4.146)),
+                                           (4, 2, 0.01, (8.0, 11.0))])
+def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
+    # past b the grid is the decaying free solution k_l(kappa r) scaled to u(b)
+    qn = make_quantum_numbers(n, l)
+    config = ShellConfig(qn, a, b_range)
+    result = match_shell(config)
+    b = result.b_star
+    r1, r2 = assemble_R1(qn), assemble_R2(qn)
+    u_b = result.c1 * eval_form(r1, b).value + result.c2 * eval_form(r2, b).value
+    kappa = float(qn.kappa)
+    outside = [(r, u) for r, u in piecewise_grid(config, result, 60) if r > b]
+    assert len(outside) > 10
+    with mp.workdps(30):
+        for r, u in outside:
+            ratio = mp.sqrt(b / r) * mp.besselk(l + 0.5, kappa * r) / mp.besselk(l + 0.5, kappa * b)
+            assert u == pytest.approx(float(ratio) * u_b, rel=1e-12)
+
