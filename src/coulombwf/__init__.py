@@ -16,11 +16,9 @@ from .closedform import (
     energy,
     hyp1f1_terminating,
     laguerre_L1,
-    make_quantum_numbers,
     p2_doublesum,
     p2_simplified,
     solution_table,
-    symbolic_derivative,
 )
 from .numeval import DomainError, EvalResult, OverflowSignal, ei_one_neg, eval_form, eval_form_extended
 from .ratpoly import BigRational, RatPoly, ZeroDenominator, factorial, pochhammer
@@ -46,11 +44,9 @@ __all__ = [
     "factorial",
     "hyp1f1_terminating",
     "laguerre_L1",
-    "make_quantum_numbers",
     "p2_doublesum",
     "p2_simplified",
     "pochhammer",
     "solution_table",
-    "symbolic_derivative",
     "__version__",
 ]

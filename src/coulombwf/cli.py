@@ -13,6 +13,7 @@ scan, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -222,24 +223,8 @@ def cmd_table(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _symbolic_case(case: tuple[int, int]) -> list[dict]:
-    qn = QuantumNumbers(*case)
-    out = [
-        oracle.ode_residual_symbolic(assemble_R1(qn), qn, "R1").to_dict(),
-        oracle.ode_residual_symbolic(assemble_R2(qn), qn, "R2").to_dict(),
-        oracle.wronskian_symbolic(qn)[1].to_dict(),
-    ]
-    return out
-
-
-def _selected_symbolic(checks: set[str], reports: list[dict]) -> list[dict]:
-    keep = []
-    for rep in reports:
-        if rep["check"].startswith("ode_residual") and "ode" in checks:
-            keep.append(rep)
-        elif rep["check"] == "wronskian" and "wronskian" in checks:
-            keep.append(rep)
-    return keep
+def _symbolic_case(checks: set[str], case: tuple[int, int]) -> list[dict]:
+    return [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(*case), checks)]
 
 
 ALL_CHECKS = ("ode", "wronskian", "golden", "pv", "split", "integral")
@@ -251,13 +236,12 @@ def run_verify(n_max: int, checks: set[str], parallel: bool) -> list[dict]:
         reports += [rep.to_dict() for rep in oracle.golden_table_check()]
     if checks & {"ode", "wronskian"}:
         cases = [(n, l) for n in range(1, n_max + 1) for l in range(n)]
+        run_case = functools.partial(_symbolic_case, checks)
         if parallel:
             with ProcessPoolExecutor() as pool:
-                for case_reports in pool.map(_symbolic_case, cases):
-                    reports += _selected_symbolic(checks, case_reports)
+                reports += [rep for case_reports in pool.map(run_case, cases) for rep in case_reports]
         else:
-            for case in cases:
-                reports += _selected_symbolic(checks, _symbolic_case(case))
+            reports += [rep for case in cases for rep in run_case(case)]
     if "pv" in checks:
         for n_r, m, xs in PV_SAMPLES:
             reports.append(oracle.pv_closedform_check(n_r, m, list(xs)).to_dict())

@@ -61,10 +61,6 @@ class QuantumNumbers:
         return KAPPA0 / self.n
 
 
-def make_quantum_numbers(n: int, l: int) -> QuantumNumbers:
-    return QuantumNumbers(n, l)
-
-
 def energy(qn: QuantumNumbers) -> Fraction:
     """Bound-state energy -1/(2 n^2) in library units."""
     return Fraction(-1, 2 * qn.n * qn.n)
@@ -181,25 +177,22 @@ class ExpEiForm:
     q_minus: RatPoly
     q_ei: RatPoly
     kappa: Fraction
-    variable: str = "r"
 
     def __post_init__(self) -> None:
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.variable not in ("r", "x"):
-            raise ValueError("variable tag must be 'r' or 'x'")
 
     def is_zero(self) -> bool:
         return self.q_plus.is_zero() and self.q_minus.is_zero() and self.q_ei.is_zero()
 
     def _like(self, q_plus: RatPoly, q_minus: RatPoly, q_ei: RatPoly) -> ExpEiForm:
-        return ExpEiForm(q_plus, q_minus, q_ei, self.kappa, self.variable)
+        return ExpEiForm(q_plus, q_minus, q_ei, self.kappa)
 
     def __add__(self, other: ExpEiForm) -> ExpEiForm:
         if not isinstance(other, ExpEiForm):
             return NotImplemented
-        if other.kappa != self.kappa or other.variable != self.variable:
-            raise ValueError("cannot add forms with different kappa or variable conventions")
+        if other.kappa != self.kappa:
+            raise ValueError("cannot add forms with different kappa")
         return self._like(self.q_plus + other.q_plus,
                           self.q_minus + other.q_minus,
                           self.q_ei + other.q_ei)
@@ -211,7 +204,7 @@ class ExpEiForm:
         return self + (-other)
 
     def mul_poly(self, p: RatPoly) -> ExpEiForm:
-        """Multiply by a Laurent polynomial in the same variable."""
+        """Multiply by a Laurent polynomial in r."""
         return self._like(self.q_plus * p, self.q_minus * p, self.q_ei * p)
 
     def scale(self, c: Fraction | int) -> ExpEiForm:
@@ -219,17 +212,11 @@ class ExpEiForm:
 
     def derivative(self) -> ExpEiForm:
         """Exact d/dr; the Ei-derivative contribution lands in the e^{+kr} bucket."""
-        if self.variable != "r":
-            raise ValueError("derivative is defined for the r-variable convention")
         k = self.kappa
         q_plus = self.q_plus.derivative() + self.q_plus * k - self.q_ei.shift(-1)
         q_minus = self.q_minus.derivative() - self.q_minus * k
         q_ei = self.q_ei.derivative() - self.q_ei * k
         return self._like(q_plus, q_minus, q_ei)
-
-
-def symbolic_derivative(f: ExpEiForm) -> ExpEiForm:
-    return f.derivative()
 
 
 def assemble_R1(qn: QuantumNumbers) -> ExpEiForm:
@@ -253,18 +240,32 @@ def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
     return ExpEiForm(q_plus, RatPoly.zero(), q_ei, qn.kappa)
 
 
-def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
-    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly."""
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    r2 = RatPoly.monomial(2)
-    r1 = RatPoly.monomial(1)
+@dataclass(frozen=True)
+class Solutions:
+    """R1 and R2 of one (n, l) with their exact r-derivatives."""
+
+    qn: QuantumNumbers
+    r1: ExpEiForm
+    r1d: ExpEiForm
+    r2: ExpEiForm
+    r2d: ExpEiForm
+
+
+def solutions(qn: QuantumNumbers) -> Solutions:
+    """Assemble R1 and R2 once and differentiate each once."""
+    r1, r2 = assemble_R1(qn), assemble_R2(qn)
+    return Solutions(qn, r1, r1.derivative(), r2, r2.derivative())
+
+
+def apply_radial_operator(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
+    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, as
+    (r^2 fd)' + (...) f with fd = f': one derivative instead of two."""
     potential = RatPoly.from_terms({
         2: -(qn.kappa ** 2),
         1: 2 * KAPPA0,
         0: -Fraction(qn.l * (qn.l + 1)),
     })
-    return d2.mul_poly(r2) + d1.mul_poly(2 * r1) + f.mul_poly(potential)
+    return fd.mul_poly(RatPoly.monomial(2)).derivative() + f.mul_poly(potential)
 
 
 def solution_table(n_max: int) -> list[tuple[QuantumNumbers, ExpEiForm, ExpEiForm]]:

@@ -139,8 +139,6 @@ def eval_form(f: ExpEiForm, r: float) -> EvalResult:
     """
     if not r > 0:
         raise DomainError(f"eval_form requires r > 0, got {r!r}")
-    if f.variable != "r":
-        raise ValueError("eval_form expects an r-variable form")
     kappa = float(f.kappa)
     round_factor = (2 * max(len(f.q_plus.coeffs), len(f.q_minus.coeffs), len(f.q_ei.coeffs))
                     + kappa * r + 6) * _EPS
@@ -176,21 +174,6 @@ def _mp_from_fraction(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
-def _mp_poly(p, r):
-    if p.is_zero():
-        return mpmath.mpf(0)
-    up = mpmath.mpf(0)
-    for k in range(p.degree, -1, -1):
-        up = up * r + _mp_from_fraction(p.coeff(k))
-    down = mpmath.mpf(0)
-    if p.low < 0:
-        y = 1 / r
-        for j in range(-p.low, 0, -1):
-            down = down * y + _mp_from_fraction(p.coeff(-j))
-        down *= y
-    return up + down
-
-
 def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256) -> mpmath.mpf:
     """Ground-truth evaluation in software extended precision.
 
@@ -202,17 +185,15 @@ def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256) -> mpmath.mpf
     r_exact = Fraction(r) if not isinstance(r, Fraction) else r
     if not r_exact > 0:
         raise DomainError(f"eval_form_extended requires r > 0, got {r!r}")
-    if f.variable != "r":
-        raise ValueError("eval_form_extended expects an r-variable form")
     with mpmath.workprec(precision_bits):
         rr = _mp_from_fraction(r_exact)
         kk = _mp_from_fraction(f.kappa)
         total = mpmath.mpf(0)
         if not f.q_plus.is_zero():
-            total += _mp_poly(f.q_plus, rr) * mpmath.exp(kk * rr)
+            total += f.q_plus.horner(rr, _mp_from_fraction) * mpmath.exp(kk * rr)
         if not f.q_minus.is_zero():
-            total += _mp_poly(f.q_minus, rr) * mpmath.exp(-kk * rr)
+            total += f.q_minus.horner(rr, _mp_from_fraction) * mpmath.exp(-kk * rr)
         if not f.q_ei.is_zero():
             ei_val = -mpmath.ei(2 * kk * rr)
-            total += _mp_poly(f.q_ei, rr) * mpmath.exp(-kk * rr) * ei_val
+            total += f.q_ei.horner(rr, _mp_from_fraction) * mpmath.exp(-kk * rr) * ei_val
         return +total

@@ -20,11 +20,12 @@ from . import numeval
 from .closedform import (
     ExpEiForm,
     QuantumNumbers,
+    Solutions,
     apply_radial_operator,
-    assemble_R1,
     assemble_R2,
     hyp1f1_terminating,
     phi2_closedform,
+    solutions,
 )
 from .ratpoly import RatPoly, factorial
 
@@ -65,9 +66,11 @@ def _form_norm(f: ExpEiForm) -> float:
     )
 
 
-def ode_residual_symbolic(f: ExpEiForm, qn: QuantumNumbers, which: str = "") -> VerificationReport:
-    """Apply the radial operator exactly; pass iff every bucket vanishes."""
-    residual = apply_radial_operator(f, qn)
+def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
+                          which: str = "") -> VerificationReport:
+    """Apply the radial operator to f (with fd = f') exactly; pass iff every
+    bucket vanishes."""
+    residual = apply_radial_operator(f, fd, qn)
     ok = residual.is_zero()
     name = f"ode_residual{'_' + which if which else ''}"
     details = "" if ok else (
@@ -76,42 +79,42 @@ def ode_residual_symbolic(f: ExpEiForm, qn: QuantumNumbers, which: str = "") -> 
     return VerificationReport(qn, name, ok, 0.0 if ok else _form_norm(residual), exact=ok, details=details)
 
 
-def wronskian_laurent(r1: ExpEiForm, r2: ExpEiForm) -> RatPoly:
-    """W = r1 r2' - r1' r2 for a pure-decaying r1; a Laurent polynomial.
+def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
+    """r^2 W(R1, R2) must be an exact nonzero constant (linear independence).
 
-    The e^{-2 kappa r} and e^{-2 kappa r} Ei buckets of the product must
-    cancel identically (they do whenever r2's Ei polynomial is proportional
-    to r1's decaying polynomial); a ValueError reports any leftover.
+    R1 is pure e^{-kappa r}, so W = R1 R2' - R1' R2 has an e^{-2 kappa r} and
+    an e^{-2 kappa r} Ei bucket that must cancel identically (they do
+    whenever R2's Ei polynomial is proportional to R1's); any leftover fails
+    the report.  What remains is a Laurent polynomial.
     """
-    if not (r1.q_plus.is_zero() and r1.q_ei.is_zero()):
-        raise ValueError("wronskian_laurent expects a pure e^{-kappa r} first solution")
-    if r1.kappa != r2.kappa:
-        raise ValueError("mismatched kappa")
-    m1 = r1.q_minus
-    m1d = r1.derivative().q_minus
-    d2 = r2.derivative()
-    w_const = m1 * d2.q_plus - m1d * r2.q_plus
-    w_minus = m1 * d2.q_minus - m1d * r2.q_minus
-    w_ei = m1 * d2.q_ei - m1d * r2.q_ei
+    if not (s.r1.q_plus.is_zero() and s.r1.q_ei.is_zero()):
+        raise ValueError("wronskian_symbolic expects a pure e^{-kappa r} R1")
+    qn = s.qn
+    m1, m1d = s.r1.q_minus, s.r1d.q_minus
+    w_minus = m1 * s.r2d.q_minus - m1d * s.r2.q_minus
+    w_ei = m1 * s.r2d.q_ei - m1d * s.r2.q_ei
     if not (w_minus.is_zero() and w_ei.is_zero()):
-        raise ValueError(f"non-cancelling Wronskian buckets: minus={w_minus}, ei={w_ei}")
-    return w_const
-
-
-def wronskian_symbolic(qn: QuantumNumbers) -> tuple[RatPoly, VerificationReport]:
-    """r^2 W(R1, R2) must be an exact nonzero constant (linear independence)."""
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    try:
-        w = wronskian_laurent(r1, r2)
-    except ValueError as exc:
         return RatPoly.zero(), VerificationReport(
-            qn, "wronskian", False, math.inf, details=str(exc))
-    r2w = w.shift(2)
+            qn, "wronskian", False, math.inf,
+            details=f"non-cancelling Wronskian buckets: minus={w_minus}, ei={w_ei}")
+    r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
     is_const = (not r2w.is_zero()) and r2w.low == 0 and r2w.degree == 0
     details = f"r^2 W = {r2w}" if is_const else f"r^2 W not constant: {r2w}"
     return r2w, VerificationReport(qn, "wronskian", is_const, 0.0 if is_const else _form_norm(
         ExpEiForm(r2w, RatPoly.zero(), RatPoly.zero(), qn.kappa)), exact=is_const, details=details)
+
+
+def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationReport]:
+    """The exact checks named in ``checks`` ("ode", "wronskian") for one
+    (n, l), in the order R1 ODE, R2 ODE, Wronskian, on one build of the forms."""
+    s = solutions(qn)
+    reports = []
+    if "ode" in checks:
+        reports.append(ode_residual_symbolic(s.r1, s.r1d, qn, "R1"))
+        reports.append(ode_residual_symbolic(s.r2, s.r2d, qn, "R2"))
+    if "wronskian" in checks:
+        reports.append(wronskian_symbolic(s)[1])
+    return reports
 
 
 # -- principal-value integral oracle ----------------------------------------

@@ -204,40 +204,35 @@ class RatPoly:
             raise ZeroDenominator("argument scale must be nonzero")
         return RatPoly.from_terms({k: a * c**k for k, a in self.terms()})
 
-    def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact evaluation, Horner on the nonnegative- and negative-power parts."""
-        x = _fraction(x)
+    def horner(self, x, conv):
+        """Laurent Horner at x on the nonnegative- and negative-power parts, with
+        every coefficient of powers min(low, 0)..max(degree, -1) converted by
+        ``conv`` (to a float, an exact or an extended-precision scalar)."""
+        zero = conv(0)
         if self.is_zero():
-            return Fraction(0)
+            return zero
         if self.low < 0 and x == 0:
             raise ZeroDenominator("negative powers evaluated at x = 0")
-        up = Fraction(0)
-        for k in range(self.degree, -1, -1):
-            up = up * x + self.coeff(k)
-        down = Fraction(0)
-        if self.low < 0:
+        lo, hi = min(self.low, 0), max(self.degree, -1)
+        cs = [zero] * (self.low - lo) + [conv(c) for c in self.coeffs] + [zero] * (hi - self.degree)
+        up = zero
+        for c in reversed(cs[-lo:]):
+            up = up * x + c
+        down = zero
+        if lo < 0:
             y = 1 / x
-            for j in range(-self.low, 0, -1):
-                down = down * y + self.coeff(-j)
+            for c in cs[:-lo]:
+                down = down * y + c
             down = down * y
         return up + down
 
+    def eval_rational(self, x: RationalLike) -> Fraction:
+        """Exact evaluation."""
+        return self.horner(_fraction(x), _fraction)
+
     def eval_float(self, x: float) -> float:
         """Double-precision evaluation (float image of the exact coefficients)."""
-        if self.is_zero():
-            return 0.0
-        if self.low < 0 and x == 0.0:
-            raise ZeroDenominator("negative powers evaluated at x = 0")
-        up = 0.0
-        for k in range(self.degree, -1, -1):
-            up = up * x + float(self.coeff(k))
-        down = 0.0
-        if self.low < 0:
-            y = 1.0 / x
-            for j in range(-self.low, 0, -1):
-                down = down * y + float(self.coeff(-j))
-            down *= y
-        return up + down
+        return self.horner(x, float)
 
     # -- display -----------------------------------------------------------
 
@@ -260,25 +255,6 @@ class RatPoly:
 
     def __repr__(self) -> str:
         return f"RatPoly('{self}')"
-
-
-# -- module-level operation surface ---------------------------------------
-
-
-def poly_add(p: RatPoly, q: RatPoly) -> RatPoly:
-    return p + q
-
-
-def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
-    return p * q
-
-
-def poly_derivative(p: RatPoly) -> RatPoly:
-    return p.derivative()
-
-
-def poly_eval_rational(p: RatPoly, x: RationalLike) -> Fraction:
-    return p.eval_rational(x)
 
 
 def factorial(k: int) -> int:

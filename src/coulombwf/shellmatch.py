@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numeval
-from .closedform import ExpEiForm, QuantumNumbers, assemble_R1, assemble_R2
+from .closedform import ExpEiForm, QuantumNumbers, solutions
 from .ratpoly import RatPoly, factorial
 
 
@@ -77,8 +77,8 @@ class ShellForms:
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
-    r1, r2, q = assemble_R1(qn), assemble_R2(qn), _exterior_q(qn)
-    return ShellForms(float(qn.kappa), r1, r1.derivative(), r2, r2.derivative(), q, q.derivative())
+    s, q = solutions(qn), _exterior_q(qn)
+    return ShellForms(float(qn.kappa), s.r1, s.r1d, s.r2, s.r2d, q, q.derivative())
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,17 @@ def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
             return a**l * s, a ** (l - 1) * (l * s + rds)
 
 
-def exterior_logderiv(qn: QuantumNumbers, b: float) -> float:
-    """u'/u at b of the decaying zero-potential solution, -kappa + q'(b)/q(b)."""
-    if b <= 0:
-        raise ValueError("outer boundary b must be positive")
-    q = _exterior_q(qn)
-    return -float(qn.kappa) + q.derivative().eval_float(b) / q.eval_float(b)
+def _require_in_range(what: str, r: float, *values: float) -> None:
+    """A value that is 0 or not finite at r has left double range there (R2 ~
+    r^{-l-1} overflows and u ~ r^l underflows as r -> 0), so no mixing exists."""
+    if not all(math.isfinite(v) and v != 0.0 for v in values):
+        raise numeval.OverflowSignal(f"{what} at r = {r!r} is 0 or not finite in double precision")
 
 
 def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> tuple[float, float]:
     """(c1, c2) with c1^2 + c2^2 = 1 matching the interior log-derivative at a."""
     v1, d1, v2, d2 = forms.pair(a)
+    _require_in_range("R1, R1', R2, R2'", a, v1, d1, v2, d2)
     t = (interior_ld * v1 - d1) / (d2 - interior_ld * v2)
     c1 = 1.0 / math.hypot(1.0, t)
     return c1, t * c1
@@ -138,6 +138,7 @@ def match_shell(config: ShellConfig) -> MatchResult:
     the scanned mismatch table attached) when the bracket never changes sign.
     """
     u_a, du_a = integrate_interior(config.qn, config.a)
+    _require_in_range("interior u, u'", config.a, u_a, du_a)
     forms = shell_forms(config.qn)
     c1, c2 = mixing_from_inner_match(forms, config.a, du_a / u_a)
 

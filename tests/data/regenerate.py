@@ -6,7 +6,7 @@ Run from the repository root:  python3 tests/data/regenerate.py
 import json
 from pathlib import Path
 
-from coulombwf.closedform import make_quantum_numbers
+from coulombwf.closedform import QuantumNumbers, solutions
 from coulombwf.oracle import wronskian_symbolic
 
 N_MAX = 8
@@ -16,7 +16,7 @@ def main() -> None:
     out = {}
     for n in range(1, N_MAX + 1):
         for l in range(n):
-            r2w, rep = wronskian_symbolic(make_quantum_numbers(n, l))
+            r2w, rep = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
             assert rep.passed
             out[f"{n},{l}"] = str(r2w.coeff(0))
     path = Path(__file__).parent / "wronskian_r2w.json"

@@ -8,13 +8,12 @@ import time
 from fractions import Fraction
 
 from coulombwf.closedform import (
+    QuantumNumbers,
     apply_radial_operator,
-    assemble_R1,
-    assemble_R2,
     energy,
-    make_quantum_numbers,
     p2_doublesum,
     p2_simplified,
+    solutions,
 )
 from coulombwf.numeval import ei_one_neg
 from coulombwf.oracle import (
@@ -62,9 +61,10 @@ def test_criterion_2_symbolic_ode_annihilation():
     cases = 0
     for n in range(1, 21):
         for l in range(n):
-            qn = make_quantum_numbers(n, l)
-            for form in (assemble_R1(qn), assemble_R2(qn)):
-                if not apply_radial_operator(form, qn).is_zero():
+            qn = QuantumNumbers(n, l)
+            s = solutions(qn)
+            for form, deriv in ((s.r1, s.r1d), (s.r2, s.r2d)):
+                if not apply_radial_operator(form, deriv, qn).is_zero():
                     ok = False
                 cases += 1
     elapsed = time.perf_counter() - t0
@@ -93,7 +93,7 @@ def test_criterion_4_wronskian_constant():
     ok = True
     for n in range(1, 21):
         for l in range(n):
-            r2w, rep = wronskian_symbolic(make_quantum_numbers(n, l))
+            r2w, rep = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
             if not (rep.passed and rep.exact and r2w.coeff(0) != 0):
                 ok = False
     _report(4, "r^2 W(R1, R2) exactly constant and nonzero, n <= 20", ok, "210 pairs")
@@ -137,14 +137,14 @@ def test_criterion_6_exponential_integral_accuracy():
 
 def test_criterion_7_energy_quantization():
     ok = all(
-        energy(make_quantum_numbers(n, 0)) == Fraction(-1, 2 * n * n)
+        energy(QuantumNumbers(n, 0)) == Fraction(-1, 2 * n * n)
         for n in range(1, 51)
     )
     _report(7, "energy levels -1/(2 n^2) exact, n <= 50", ok)
 
 
 def test_criterion_8_shell_demo_sanity():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     mixing_ok = abs(result.c2) / abs(result.c1) < 1e-6

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from coulombwf import cli
-from coulombwf.closedform import assemble_R2, make_quantum_numbers
+from coulombwf import cli, closedform, oracle, shellmatch
+from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
 
 
@@ -56,7 +56,7 @@ def test_coeffs_json_round_trip(capsys):
     for n, l in GOLDEN_R2:
         _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
         doc = json.loads(out)
-        form = assemble_R2(make_quantum_numbers(n, l))
+        form = assemble_R2(QuantumNumbers(n, l))
         assert cli._poly_from_rat_dict(doc["q_plus"]) == form.q_plus
         assert cli._poly_from_rat_dict(doc["q_ei"]) == form.q_ei
         assert Fraction(doc["ei_arg_scale"]) == -2 * form.kappa
@@ -137,6 +137,41 @@ def test_verify_parallel_matches_serial(capsys):
     _, serial, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
     _, parallel, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian", "--parallel")
     assert serial == parallel
+
+
+def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
+    # nmax 3 has 6 cases; the ODE and Wronskian checks share one build
+    calls = {"assemble_R1": 0, "assemble_R2": 0}
+    for name in calls:
+        original = getattr(closedform, name)
+
+        def counted(qn, name=name, original=original):
+            calls[name] += 1
+            return original(qn)
+
+        for module in (closedform, oracle, cli, shellmatch):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
+    assert code == 0
+    assert calls == {"assemble_R1": 6, "assemble_R2": 6}
+
+
+def test_verify_runs_only_the_selected_checks(capsys, monkeypatch):
+    _, both, _ = run(capsys, "verify", "--nmax", "4", "--checks", "ode,wronskian")
+    _, wronskian, _ = run(capsys, "verify", "--nmax", "4", "--checks", "wronskian")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("wronskian_symbolic ran under --checks ode")
+
+    monkeypatch.setattr(oracle, "wronskian_symbolic", forbidden)
+    code, ode, _ = run(capsys, "verify", "--nmax", "4", "--checks", "ode")
+    assert code == 0
+    lines = both.splitlines()
+    assert len(lines) == 30
+    assert ode.splitlines() == [ln for ln in lines if '"ode_residual_' in ln]
+    assert wronskian.splitlines() == [ln for ln in lines if '"wronskian"' in ln]
+    assert len(ode.splitlines()) == 20 and len(wronskian.splitlines()) == 10
 
 
 def test_verify_fails_on_corrupt_golden(capsys, monkeypatch):
@@ -244,6 +279,16 @@ def test_shell_huge_a_fails_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert err.startswith("coulombwf: failure:")
+
+
+def test_shell_underflowing_a_is_a_one_line_failure(capsys):
+    # u(a) ~ a^4 underflows to 0 and R2 ~ a^-5 overflows: no finite mixing
+    code, out, err = run(capsys, "shell", "--n", "5", "--l", "4", "--a", "1e-90",
+                         "--b-range", "1:3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coulombwf: failure:")
+    assert err.count("\n") == 1
 
 
 def test_shell_reversed_range_is_usage_error(capsys):

@@ -5,17 +5,16 @@ import pytest
 from coulombwf.closedform import (
     ExpEiForm,
     InvalidQuantumNumbers,
+    QuantumNumbers,
     assemble_R1,
     assemble_R2,
     energy,
     hyp1f1_terminating,
     laguerre_L1,
-    make_quantum_numbers,
     p2_doublesum,
     p2_simplified,
     phi2_closedform,
     solution_table,
-    symbolic_derivative,
 )
 from coulombwf.numeval import eval_form_extended
 from coulombwf.ratpoly import RatPoly, factorial, pochhammer
@@ -32,25 +31,25 @@ def P(terms):
 # -- quantum numbers -----------------------------------------------------------
 
 def test_quantum_numbers_ground_state():
-    qn = make_quantum_numbers(1, 0)
+    qn = QuantumNumbers(1, 0)
     assert (qn.n_r, qn.m, qn.kappa) == (0, 1, F(1))
 
 
 def test_quantum_numbers_derived_fields():
-    qn = make_quantum_numbers(3, 1)
+    qn = QuantumNumbers(3, 1)
     assert (qn.n_r, qn.m, qn.kappa) == (1, 3, F(1, 3))
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (0, 0), (1, -1), (3, 5)])
 def test_quantum_numbers_rejects_bad_pairs(n, l):
     with pytest.raises(InvalidQuantumNumbers):
-        make_quantum_numbers(n, l)
+        QuantumNumbers(n, l)
 
 
 def test_energy_levels():
-    assert energy(make_quantum_numbers(1, 0)) == F(-1, 2)
-    assert energy(make_quantum_numbers(2, 1)) == F(-1, 8)
-    assert energy(make_quantum_numbers(10, 4)) == F(-1, 200)
+    assert energy(QuantumNumbers(1, 0)) == F(-1, 2)
+    assert energy(QuantumNumbers(2, 1)) == F(-1, 8)
+    assert energy(QuantumNumbers(10, 4)) == F(-1, 200)
 
 
 # -- Laguerre / confluent polynomial factors -------------------------------------
@@ -139,29 +138,29 @@ def test_p2_low_coefficients_positive():
 # -- assembled radial solutions ---------------------------------------------------
 
 def test_assemble_R1_examples():
-    f = assemble_R1(make_quantum_numbers(1, 0))
+    f = assemble_R1(QuantumNumbers(1, 0))
     assert f.q_minus == RatPoly.one() and f.q_plus.is_zero() and f.q_ei.is_zero()
     assert f.kappa == F(1)
 
-    f = assemble_R1(make_quantum_numbers(2, 1))
+    f = assemble_R1(QuantumNumbers(2, 1))
     assert f.q_minus == P({1: 1})
     assert f.kappa == F(1, 2)
 
-    f = assemble_R1(make_quantum_numbers(3, 1))
+    f = assemble_R1(QuantumNumbers(3, 1))
     assert f.q_minus == P({1: F(8, 3), 2: F(-4, 9)})
 
 
 def test_assemble_R2_examples():
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     assert f.q_plus == P({-1: F(1, 2)})
     assert f.q_ei == RatPoly.one()
     assert f.q_minus.is_zero()
 
-    f = assemble_R2(make_quantum_numbers(3, 2))
+    f = assemble_R2(QuantumNumbers(3, 2))
     assert f.q_plus == P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)})
     assert f.q_ei == P({2: F(4, 9)})
 
-    f = assemble_R2(make_quantum_numbers(4, 0))
+    f = assemble_R2(QuantumNumbers(4, 0))
     assert f.q_plus == P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)})
     assert f.q_ei == P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)})
 
@@ -169,21 +168,21 @@ def test_assemble_R2_examples():
 def test_R2_ei_polynomial_matches_R1():
     for n in range(1, 7):
         for l in range(n):
-            qn = make_quantum_numbers(n, l)
+            qn = QuantumNumbers(n, l)
             assert assemble_R2(qn).q_ei == assemble_R1(qn).q_minus
 
 
 # -- symbolic differentiation ------------------------------------------------------
 
 def test_derivative_of_pure_decaying_exponential():
-    d = symbolic_derivative(assemble_R1(make_quantum_numbers(1, 0)))
+    d = assemble_R1(QuantumNumbers(1, 0)).derivative()
     assert d.q_minus == RatPoly.constant(-1)
     assert d.q_plus.is_zero() and d.q_ei.is_zero()
 
 
 def test_derivative_moves_ei_term_to_growing_bucket():
     f = ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.one(), F(1))
-    d = symbolic_derivative(f)
+    d = f.derivative()
     assert d.q_ei == RatPoly.constant(-1)
     assert d.q_plus == P({-1: -1})
     assert d.q_minus.is_zero()
@@ -191,9 +190,9 @@ def test_derivative_moves_ei_term_to_growing_bucket():
 
 @pytest.mark.parametrize("n,l,r", [(1, 0, 0.7), (2, 1, 1.3), (3, 0, 2.5), (4, 2, 3.1)])
 def test_symbolic_derivative_matches_finite_differences(n, l, r):
-    qn = make_quantum_numbers(n, l)
+    qn = QuantumNumbers(n, l)
     for form in (assemble_R1(qn), assemble_R2(qn)):
-        d = symbolic_derivative(form)
+        d = form.derivative()
 
         def value(t):
             return float(eval_form_extended(form, t, 128))
@@ -201,12 +200,6 @@ def test_symbolic_derivative_matches_finite_differences(n, l, r):
         fd = central_diff(value, r, 1e-4)
         sym = float(eval_form_extended(d, r, 128))
         assert sym == pytest.approx(fd, rel=1e-10)
-
-
-def test_derivative_requires_r_convention():
-    f = ExpEiForm(RatPoly.zero(), RatPoly.one(), RatPoly.zero(), F(1), variable="x")
-    with pytest.raises(ValueError):
-        symbolic_derivative(f)
 
 
 def test_form_addition_guards_conventions():

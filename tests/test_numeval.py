@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coulombwf.closedform import assemble_R1, assemble_R2, make_quantum_numbers
+from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
@@ -89,26 +89,26 @@ def test_ei_method_tags():
 # -- form evaluation ----------------------------------------------------------------
 
 def test_eval_regular_ground_state():
-    f = assemble_R1(make_quantum_numbers(1, 0))
+    f = assemble_R1(QuantumNumbers(1, 0))
     assert eval_form(f, 2.0).value == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
 def test_eval_irregular_ground_state_frozen():
     # blessed value from eval_form_extended at 256 bits
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     assert eval_form(f, 1.0).value == pytest.approx(-0.4634200520888131703, rel=1e-13)
 
 
 def test_eval_irregular_large_r_sign_and_growth():
     # the e^r/(2r) part cancels against the Ei tail, leaving ~ -e^r/(4r^2)
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     got = eval_form(f, 30.0).value
     assert got < 0
     assert got == pytest.approx(-math.exp(30.0) / (4 * 30.0**2), rel=0.1)
 
 
 def test_eval_domain_error():
-    f = assemble_R1(make_quantum_numbers(1, 0))
+    f = assemble_R1(QuantumNumbers(1, 0))
     with pytest.raises(DomainError):
         eval_form(f, 0.0)
     with pytest.raises(DomainError):
@@ -117,21 +117,21 @@ def test_eval_domain_error():
 
 def test_eval_regular_decays_and_is_finite_at_origin():
     for n, l in [(1, 0), (2, 1), (3, 0), (4, 3)]:
-        f = assemble_R1(make_quantum_numbers(n, l))
+        f = assemble_R1(QuantumNumbers(n, l))
         assert abs(eval_form(f, 400.0).value) < 1e-12
         assert abs(eval_form(f, 1e-9).value) < 10.0
 
 
 def test_eval_irregular_diverges_at_origin():
     for n, l in [(1, 0), (2, 1), (3, 2)]:
-        f = assemble_R2(make_quantum_numbers(n, l))
+        f = assemble_R2(QuantumNumbers(n, l))
         small = abs(eval_form(f, 1e-4).value)
         smaller = abs(eval_form(f, 1e-6).value)
         assert smaller > small > 1e2
 
 
 def test_eval_propagates_overflow():
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     with pytest.raises(OverflowSignal):
         eval_form(f, 500.0)  # Ei argument 1000 overflows
 
@@ -141,7 +141,7 @@ def test_extended_consistency_sweep():
     cases = []
     for n in range(1, 7):
         for l in range(n):
-            qn = make_quantum_numbers(n, l)
+            qn = QuantumNumbers(n, l)
             cases.append(assemble_R1(qn))
             cases.append(assemble_R2(qn))
     checked = 0
@@ -156,7 +156,7 @@ def test_extended_consistency_sweep():
 
 
 def test_extended_precision_monotonicity():
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     v256 = eval_form_extended(f, 20.0, 256)
     v512 = eval_form_extended(f, 20.0, 512)
     assert abs((v256 - v512) / v512) < 1e-60
@@ -164,7 +164,7 @@ def test_extended_precision_monotonicity():
 
 def test_extended_matches_series_branch_point():
     # Ei argument 2*kappa*r = 1 lands on the series branch
-    f = assemble_R2(make_quantum_numbers(2, 1))
+    f = assemble_R2(QuantumNumbers(2, 1))
     d = eval_form(f, 1.0)
     assert d.method == "series"
     e = float(eval_form_extended(f, 1.0, 256))
@@ -172,11 +172,11 @@ def test_extended_matches_series_branch_point():
 
 
 def test_extended_accepts_exact_rationals():
-    f = assemble_R2(make_quantum_numbers(1, 0))
+    f = assemble_R2(QuantumNumbers(1, 0))
     assert eval_form_extended(f, Fraction(1, 2), 128) == eval_form_extended(f, 0.5, 128)
 
 
 def test_extended_validates_precision():
-    f = assemble_R1(make_quantum_numbers(1, 0))
+    f = assemble_R1(QuantumNumbers(1, 0))
     with pytest.raises(ValueError):
         eval_form_extended(f, 1.0, 32)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,9 +8,9 @@ import pytest
 
 from coulombwf.closedform import (
     ExpEiForm,
-    assemble_R1,
+    QuantumNumbers,
     assemble_R2,
-    make_quantum_numbers,
+    solutions,
 )
 from coulombwf.numeval import eval_form
 from coulombwf.oracle import (
@@ -21,7 +22,7 @@ from coulombwf.oracle import (
     phi2_pv_oracle,
     pole_split_identity_check,
     pv_closedform_check,
-    wronskian_laurent,
+    symbolic_checks,
     wronskian_symbolic,
 )
 from coulombwf.ratpoly import RatPoly
@@ -32,31 +33,32 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def all_qn(n_max):
-    return [make_quantum_numbers(n, l) for n in range(1, n_max + 1) for l in range(n)]
+    return [QuantumNumbers(n, l) for n in range(1, n_max + 1) for l in range(n)]
 
 
 # -- symbolic radial-operator residual ----------------------------------------------
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_ode_residual_exactly_zero(qn):
-    rep1 = ode_residual_symbolic(assemble_R1(qn), qn, "R1")
-    rep2 = ode_residual_symbolic(assemble_R2(qn), qn, "R2")
+    s = solutions(qn)
+    rep1 = ode_residual_symbolic(s.r1, s.r1d, qn, "R1")
+    rep2 = ode_residual_symbolic(s.r2, s.r2d, qn, "R2")
     assert rep1.passed and rep1.exact and rep1.residual_norm == 0.0
     assert rep2.passed and rep2.exact and rep2.residual_norm == 0.0
 
 
 def test_ode_residual_detects_mutation():
-    qn = make_quantum_numbers(3, 1)
+    qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
     mutated = ExpEiForm(f.q_plus + RatPoly.monomial(0, 1), f.q_minus, f.q_ei, f.kappa)
-    rep = ode_residual_symbolic(mutated, qn)
+    rep = ode_residual_symbolic(mutated, mutated.derivative(), qn)
     assert not rep.passed
     assert rep.residual_norm > 0
 
 
 def test_residual_also_vanishes_numerically():
     # cross-check the symbolic engine itself: apply the operator with floats
-    qn = make_quantum_numbers(3, 1)
+    qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
     d1 = f.derivative()
     d2 = d1.derivative()
@@ -76,7 +78,7 @@ def test_residual_also_vanishes_numerically():
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_wronskian_constant_and_nonzero(qn):
-    r2w, rep = wronskian_symbolic(qn)
+    r2w, rep = wronskian_symbolic(solutions(qn))
     assert rep.passed and rep.exact
     assert r2w.low == 0 and r2w.degree == 0
     assert r2w.coeff(0) != 0
@@ -84,17 +86,33 @@ def test_wronskian_constant_and_nonzero(qn):
 
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
-    r2w, _ = wronskian_symbolic(make_quantum_numbers(1, 0))
+    r2w, _ = wronskian_symbolic(solutions(QuantumNumbers(1, 0)))
     assert r2w == RatPoly.constant(F(-1, 2))
 
 
 def test_wronskian_scales_bilinearly():
-    qn = make_quantum_numbers(2, 1)
-    r1 = assemble_R1(qn)
-    r2 = assemble_R2(qn)
-    w = wronskian_laurent(r1, r2)
-    w2 = wronskian_laurent(r1, r2.scale(2))
+    s = solutions(QuantumNumbers(2, 1))
+    w, _ = wronskian_symbolic(s)
+    w2, _ = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.scale(2), r2d=s.r2d.scale(2)))
     assert w2 == w * 2
+
+
+def test_wronskian_reports_non_cancelling_buckets():
+    s = solutions(QuantumNumbers(3, 1))
+    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.one(), s.r2.kappa)
+    r2w, rep = wronskian_symbolic(dataclasses.replace(s, r2=r2, r2d=r2.derivative()))
+    assert r2w.is_zero()
+    assert not rep.passed and not rep.exact
+    assert rep.residual_norm == float("inf")
+    assert rep.details.startswith("non-cancelling Wronskian buckets: minus=0, ei=")
+
+
+def test_symbolic_checks_select_in_order():
+    qn = QuantumNumbers(3, 1)
+    names = [rep.check_name for rep in symbolic_checks(qn, {"wronskian", "ode"})]
+    assert names == ["ode_residual_R1", "ode_residual_R2", "wronskian"]
+    assert [rep.check_name for rep in symbolic_checks(qn, {"ode"})] == names[:2]
+    assert [rep.check_name for rep in symbolic_checks(qn, {"wronskian"})] == names[2:]
 
 
 def test_wronskian_constants_match_recorded_artifact():
@@ -102,7 +120,7 @@ def test_wronskian_constants_match_recorded_artifact():
     recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
     for key, value in recorded.items():
         n, l = (int(s) for s in key.split(","))
-        r2w, _ = wronskian_symbolic(make_quantum_numbers(n, l))
+        r2w, _ = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
         assert str(r2w.coeff(0)) == value
 
 

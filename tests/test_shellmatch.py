@@ -3,13 +3,12 @@ import math
 import mpmath as mp
 import pytest
 
-from coulombwf.closedform import assemble_R1, assemble_R2, make_quantum_numbers
+from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.numeval import eval_form
 from coulombwf.shellmatch import (
     NoRootInRange,
     ShellConfig,
     continuity_residuals,
-    exterior_logderiv,
     integrate_interior,
     match_shell,
     mixing_from_inner_match,
@@ -32,7 +31,7 @@ RK4_STEPS = (0.01, 0.005)
 # -- configuration validation -----------------------------------------------------
 
 def test_config_ordering_enforced():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     with pytest.raises(ValueError):
         ShellConfig(qn, 1.0, (0.5, 1.5))
     with pytest.raises(ValueError):
@@ -46,7 +45,7 @@ def test_config_ordering_enforced():
 @pytest.mark.parametrize("n,l,a", [(1, 0, 0.8), (1, 0, 0.05), (2, 0, 0.8), (2, 1, 0.8),
                                    (6, 0, 1e-3)])
 def test_interior_matches_bessel_series(n, l, a):
-    qn = make_quantum_numbers(n, l)
+    qn = QuantumNumbers(n, l)
     kappa = float(qn.kappa)
     u, du = integrate_interior(qn, a)
     ref_val, ref_der = sph_in_series(l, kappa * a)
@@ -57,7 +56,7 @@ def test_interior_matches_bessel_series(n, l, a):
 
 
 def test_interior_leading_power_l1():
-    qn = make_quantum_numbers(2, 1)
+    qn = QuantumNumbers(2, 1)
     h = 1e-3
     u1, _ = integrate_interior(qn, h)
     u2, _ = integrate_interior(qn, 2 * h)
@@ -66,7 +65,7 @@ def test_interior_leading_power_l1():
 
 def test_interior_grid_convergence():
     # the closed form against RK4 at both steps
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     u, du = integrate_interior(qn, 0.7)
     for h in RK4_STEPS:
         assert abs(du / u - rk4_interior_logderiv(qn, 0.7, h)) < 1e-8
@@ -77,18 +76,18 @@ def test_interior_grid_convergence():
 
 def test_exterior_l0_is_analytic():
     # decaying l=0 solution is e^{-kappa r}/r, so u'/u = -kappa - 1/b
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     for b in (0.8, 1.0, 2.5):
-        got = exterior_logderiv(qn, b)
+        got = shell_forms(qn).exterior_logderiv(b)
         assert got == pytest.approx(-0.5 - 1.0 / b, abs=1e-8)
 
 
 def test_exterior_large_b_asymptote():
     # u'/u -> -kappa with an O(1/b) tail (the -1/b of the spherical ray
     # plus the centrifugal correction)
-    qn = make_quantum_numbers(3, 2)
+    qn = QuantumNumbers(3, 2)
     b = 60.0
-    got = exterior_logderiv(qn, b)
+    got = shell_forms(qn).exterior_logderiv(b)
     assert abs(got - (-float(qn.kappa))) < 1.5 / b
     assert got == pytest.approx(-float(qn.kappa) - 1.0 / b, abs=0.01)
 
@@ -96,9 +95,9 @@ def test_exterior_large_b_asymptote():
 def test_exterior_start_point_insensitive():
     # RK4 started at b + 40/kappa and b + 50/kappa agrees with itself, and
     # with the closed form to within its fourth-order step error
-    qn = make_quantum_numbers(2, 1)
+    qn = QuantumNumbers(2, 1)
     b = 1.2
-    base = exterior_logderiv(qn, b)
+    base = shell_forms(qn).exterior_logderiv(b)
     for h in RK4_STEPS:
         near = rk4_exterior_logderiv(qn, b, h, reach=40.0)
         far = rk4_exterior_logderiv(qn, b, h, reach=50.0)
@@ -109,17 +108,17 @@ def test_exterior_start_point_insensitive():
 @pytest.mark.parametrize("n,l,b", [(2, 1, 1.2), (4, 1, 3.0), (6, 5, 0.3), (6, 3, 15.0)])
 def test_exterior_matches_besselk(n, l, b):
     # k_l(z) = sqrt(pi/(2z)) K_{l+1/2}(z); u = k_l(kappa r)
-    qn = make_quantum_numbers(n, l)
+    qn = QuantumNumbers(n, l)
     kappa = float(qn.kappa)
     with mp.workdps(40):
         ref = mp.diff(lambda r: mp.log(mp.besselk(l + 0.5, kappa * r) / mp.sqrt(r)), b)
-    assert exterior_logderiv(qn, b) == pytest.approx(float(ref), rel=1e-13)
+    assert shell_forms(qn).exterior_logderiv(b) == pytest.approx(float(ref), rel=1e-13)
 
 
 # -- matching ---------------------------------------------------------------------------
 
 def test_inner_mixing_scale_free():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     a = 0.5
     forms = shell_forms(qn)
     u, du = integrate_interior(qn, a)
@@ -130,7 +129,7 @@ def test_inner_mixing_scale_free():
 
 
 def test_match_recovers_regular_solution_in_coulomb_limit():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     assert abs(result.c2 / result.c1) < 1e-6
@@ -140,7 +139,7 @@ def test_match_recovers_regular_solution_in_coulomb_limit():
 
 
 def test_match_continuity_residuals():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     config = ShellConfig(qn, 1e-4, (0.5, 1.5))
     result = match_shell(config)
     res = continuity_residuals(config, result)
@@ -149,7 +148,7 @@ def test_match_continuity_residuals():
 
 def test_match_stable_under_grid_halving():
     # closed-form b* against the b* of the same match done with RK4 at both steps
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     result = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5)))
     for h in RK4_STEPS:
         assert abs(result.b_star - rk4_b_star(qn, 1e-4, (0.5, 1.5), h)) < 1e-6
@@ -157,7 +156,7 @@ def test_match_stable_under_grid_halving():
 
 def test_forcing_pure_regular_leaves_inner_mismatch():
     # with a genuinely interior-perturbed problem the irregular part is needed
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     a = 0.5
     u, du = integrate_interior(qn, a)
     interior_ld = du / u
@@ -172,7 +171,7 @@ def test_forcing_pure_regular_leaves_inner_mismatch():
 def test_no_root_reports_scan():
     # nodeless ground state: the shell log-derivative stays above the
     # exterior one for every b, so the scan must fail with diagnostics
-    qn = make_quantum_numbers(1, 0)
+    qn = QuantumNumbers(1, 0)
     config = ShellConfig(qn, 1e-4, (2.0, 3.0))
     with pytest.raises(NoRootInRange) as err:
         match_shell(config)
@@ -181,7 +180,7 @@ def test_no_root_reports_scan():
 
 
 def test_piecewise_grid_shape():
-    qn = make_quantum_numbers(2, 0)
+    qn = QuantumNumbers(2, 0)
     config = ShellConfig(qn, 0.05, (0.5, 1.5))
     result = match_shell(config)
     grid = piecewise_grid(config, result, 30)
@@ -195,7 +194,7 @@ def test_piecewise_grid_shape():
                                            (4, 2, 0.01, (8.0, 11.0))])
 def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
     # past b the grid is the decaying free solution k_l(kappa r) scaled to u(b)
-    qn = make_quantum_numbers(n, l)
+    qn = QuantumNumbers(n, l)
     config = ShellConfig(qn, a, b_range)
     result = match_shell(config)
     b = result.b_star
