@@ -13,10 +13,8 @@ scan, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__, numeval, oracle, shellmatch
@@ -223,25 +221,17 @@ def cmd_table(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _symbolic_case(checks: set[str], case: tuple[int, int]) -> list[dict]:
-    return [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(*case), checks)]
-
-
 ALL_CHECKS = ("ode", "wronskian", "golden", "pv", "split", "integral")
 
 
-def run_verify(n_max: int, checks: set[str], parallel: bool) -> list[dict]:
+def run_verify(n_max: int, checks: set[str]) -> list[dict]:
     reports: list[dict] = []
     if "golden" in checks:
         reports += [rep.to_dict() for rep in oracle.golden_table_check()]
     if checks & {"ode", "wronskian"}:
-        cases = [(n, l) for n in range(1, n_max + 1) for l in range(n)]
-        run_case = functools.partial(_symbolic_case, checks)
-        if parallel:
-            with ProcessPoolExecutor() as pool:
-                reports += [rep for case_reports in pool.map(run_case, cases) for rep in case_reports]
-        else:
-            reports += [rep for case in cases for rep in run_case(case)]
+        for n in range(1, n_max + 1):
+            for l in range(n):
+                reports += [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(n, l), checks)]
     if "pv" in checks:
         for n_r, m, xs in PV_SAMPLES:
             reports.append(oracle.pv_closedform_check(n_r, m, list(xs)).to_dict())
@@ -261,7 +251,7 @@ def cmd_verify(args) -> int:
     unknown = checks - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; choose from {ALL_CHECKS}")
-    reports = run_verify(args.nmax, checks, args.parallel)
+    reports = run_verify(args.nmax, checks)
     if args.format == "json":
         text = "".join(json.dumps(rep) + "\n" for rep in reports)
     else:
@@ -362,7 +352,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--checks", default=None, help=f"comma list from {ALL_CHECKS}")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -18,6 +18,7 @@ derivative into the e^{+kappa r} bucket exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,15 +112,15 @@ def p2_doublesum(n_r: int, m: int) -> RatPoly:
         raise ValueError("p2_doublesum needs n_r >= 0")
     if m < 1:
         raise ValueError("p2_doublesum needs m >= 1")
-    prefactor = Fraction(factorial(n_r + m), factorial(m))
-    acc = [Fraction(0)] * (n_r + m)
+    # the prefactor times the k-th 1F1 coefficient is the integer
+    # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
+    facts = [factorial(i) for i in range(n_r + m + 1)]
+    acc = [0] * (n_r + m)
     for k in range(n_r + 1):
-        c_k = Fraction(pochhammer(-n_r, k), pochhammer(m + 1, k) * factorial(k))
-        if c_k == 0:
-            continue
+        c_k = (-1) ** k * math.comb(n_r, k) * (facts[n_r + m] // facts[m + k])
         for j in range(m + k):
-            acc[j] += c_k * factorial(m + k - 1 - j)
-    return RatPoly(0, tuple(prefactor * c for c in acc))
+            acc[j] += c_k * facts[m + k - 1 - j]
+    return RatPoly(0, acc)
 
 
 def p2_simplified(n_r: int, m: int) -> RatPoly:
@@ -207,6 +208,11 @@ class ExpEiForm:
         """Multiply by a Laurent polynomial in r."""
         return self._like(self.q_plus * p, self.q_minus * p, self.q_ei * p)
 
+    def shift(self, offset: int) -> ExpEiForm:
+        """Multiply by r**offset."""
+        return self._like(self.q_plus.shift(offset), self.q_minus.shift(offset),
+                          self.q_ei.shift(offset))
+
     def scale(self, c: Fraction | int) -> ExpEiForm:
         return self._like(self.q_plus * c, self.q_minus * c, self.q_ei * c)
 
@@ -265,7 +271,7 @@ def apply_radial_operator(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers) -> Ex
         1: 2 * KAPPA0,
         0: -Fraction(qn.l * (qn.l + 1)),
     })
-    return fd.mul_poly(RatPoly.monomial(2)).derivative() + f.mul_poly(potential)
+    return fd.shift(2).derivative() + f.mul_poly(potential)
 
 
 def solution_table(n_max: int) -> list[tuple[QuantumNumbers, ExpEiForm, ExpEiForm]]:

@@ -126,7 +126,12 @@ def _float_exp(t: float) -> float:
 
 def _poly_abs_eval(p, r: float) -> float:
     """sum |c_k| r^k, the conditioning envelope of the float evaluation."""
-    return sum(abs(float(c)) * r**k for k, c in p.terms())
+    den = p.den
+    try:
+        return sum(abs(x) / den * r**k for k, x in enumerate(p.nums, p.low) if x)
+    except OverflowError as exc:
+        raise OverflowSignal(
+            f"conditioning envelope overflows double precision at r = {r!r}") from exc
 
 
 def eval_form(f: ExpEiForm, r: float) -> EvalResult:
@@ -140,7 +145,7 @@ def eval_form(f: ExpEiForm, r: float) -> EvalResult:
     if not r > 0:
         raise DomainError(f"eval_form requires r > 0, got {r!r}")
     kappa = float(f.kappa)
-    round_factor = (2 * max(len(f.q_plus.coeffs), len(f.q_minus.coeffs), len(f.q_ei.coeffs))
+    round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
                     + kappa * r + 6) * _EPS
     a = b = c = 0.0
     abs_err = 0.0

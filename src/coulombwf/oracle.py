@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from . import numeval
 from .closedform import (
     ExpEiForm,
@@ -133,6 +131,10 @@ def _tail_bound(p: RatPoly, cutoff: float, x: float) -> float:
 
 
 def _quad_or_fail(fn, lo, hi) -> tuple[float, float]:
+    # imported here: only the pv, split and integral checks need scipy, and
+    # importing it costs more than the rest of the package together
+    from scipy.integrate import quad
+
     value, err = quad(fn, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11)
     return value, err
 

@@ -1,15 +1,17 @@
 """Exact Laurent-polynomial arithmetic over arbitrary-precision rationals.
 
-A polynomial is stored densely: a lowest power (possibly negative) plus the
-coefficient run from there upward, every coefficient a ``fractions.Fraction``.
-All arithmetic is exact; nothing in this module touches floating point except
-the explicit ``eval_float`` helper.
+A polynomial is stored densely over one common denominator: a lowest power
+(possibly negative), the run of integer numerators from there upward, and a
+positive denominator ``den``, so the coefficient of x^(low+i) is
+nums[i]/den.  Every operation works on Python ints and reduces its result by
+one gcd, instead of paying a ``fractions.Fraction`` normalisation per
+coefficient product.  All arithmetic is exact; nothing in this module
+touches floating point except the explicit ``eval_float`` helper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Arbitrary-precision rational scalar used throughout the package.  Fraction
@@ -32,7 +34,43 @@ def _fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational scalar."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _raw(low: int, nums: tuple[int, ...], den: int) -> RatPoly:
+    """A RatPoly from parts that are already canonical."""
+    p = _new(RatPoly)
+    _set(p, "low", low)
+    _set(p, "nums", nums)
+    _set(p, "den", den)
+    return p
+
+
+def _make(low: int, nums, den: int) -> RatPoly:
+    """A canonical RatPoly from integer numerators over den > 0: zeros trimmed
+    from both ends, and numerators and den divided by their gcd."""
+    start, end = 0, len(nums)
+    while start < end and not nums[start]:
+        start += 1
+    while end > start and not nums[end - 1]:
+        end -= 1
+    if start == end:
+        return _raw(0, (), 1)
+    nums = nums[start:end]
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return _raw(low + start, tuple(x // g for x in nums), den // g)
+    return _raw(low + start, tuple(nums), den)
+
+
 class RatPoly:
     """Dense Laurent polynomial with exact rational coefficients.
 
@@ -41,34 +79,49 @@ class RatPoly:
     >>> RatPoly(-1, (Fraction(1, 2), Fraction(0), Fraction(3)))
     RatPoly('1/2*x^-1 + 3*x')
 
-    is x^-1/2 + 3x.  Construction normalizes: zero coefficients are trimmed
-    from both ends and the zero polynomial is canonically ``RatPoly(0, ())``.
+    is x^-1/2 + 3x, stored as ``nums == (1, 0, 6)`` over ``den == 2``.
+    Construction normalizes: zero coefficients are trimmed from both ends,
+    gcd(den, *nums) == 1, and the zero polynomial is canonically
+    ``RatPoly(0, ())`` with ``den == 1``, so equal polynomials are equal
+    records.  Instances are immutable.
     """
 
-    low: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("low", "nums", "den")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(_fraction(c) for c in self.coeffs)
-        low = self.low
-        start = 0
-        while start < len(coeffs) and coeffs[start] == 0:
-            start += 1
-        end = len(coeffs)
-        while end > start and coeffs[end - 1] == 0:
-            end -= 1
-        if start == end:
-            low, coeffs = 0, ()
-        else:
-            low, coeffs = low + start, coeffs[start:end]
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "coeffs", coeffs)
+    low: int
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, low: int, coeffs) -> None:
+        ratios = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        canon = _make(low, [n * (den // d) for n, d in ratios], den)
+        _set(self, "low", canon.low)
+        _set(self, "nums", canon.nums)
+        _set(self, "den", canon.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RatPoly is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RatPoly is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _make, (self.low, self.nums, self.den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RatPoly:
+            return NotImplemented
+        return self.low == other.low and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.nums, self.den))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> RatPoly:
-        return cls(0, ())
+        return _raw(0, (), 1)
 
     @classmethod
     def one(cls) -> RatPoly:
@@ -76,11 +129,11 @@ class RatPoly:
 
     @classmethod
     def constant(cls, c: RationalLike) -> RatPoly:
-        return cls(0, (_fraction(c),))
+        return cls(0, (c,))
 
     @classmethod
     def monomial(cls, power: int, c: RationalLike = 1) -> RatPoly:
-        return cls(power, (_fraction(c),))
+        return cls(power, (c,))
 
     @classmethod
     def from_terms(cls, terms: dict[int, RationalLike]) -> RatPoly:
@@ -91,55 +144,75 @@ class RatPoly:
         coeffs = [Fraction(0)] * (high - low + 1)
         for power, c in terms.items():
             coeffs[power - low] += _fraction(c)
-        return cls(low, tuple(coeffs))
+        return cls(low, coeffs)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The stored coefficient run as reduced Fractions (a fresh view)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Highest power present; the zero polynomial reports ``low - 1``."""
-        return self.low + len(self.coeffs) - 1
+        return self.low + len(self.nums) - 1
 
     def coeff(self, power: int) -> Fraction:
         if self.low <= power <= self.degree:
-            return self.coeffs[power - self.low]
+            return Fraction(self.nums[power - self.low], self.den)
         return Fraction(0)
 
     def terms(self):
         """Yield (power, coefficient) pairs in ascending power order."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.low + i, c
+        den = self.den
+        for i, x in enumerate(self.nums):
+            if x:
+                yield self.low + i, Fraction(x, den)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.terms())
 
     def max_abs_coeff_float(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs), default=0.0)
+        # int / int rounds correctly, and rounding is monotone, so this is the
+        # largest |float(c)| over the coefficients
+        return max(map(abs, self.nums)) / self.den if self.nums else 0.0
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: RatPoly | RationalLike) -> RatPoly:
         if isinstance(other, (int, Fraction)):
             other = RatPoly.constant(other)
-        if not isinstance(other, RatPoly):
+        elif not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
+        if not other.nums:
             return self
+        if not self.nums:
+            return other
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            g = math.gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            a = [x * fa for x in a]
+            b = [x * fb for x in b]
+            den *= fa
         low = min(self.low, other.low)
-        high = max(self.degree, other.degree)
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(low, high + 1)]
-        return RatPoly(low, tuple(coeffs))
+        out = [0] * (max(self.degree, other.degree) - low + 1)
+        off = self.low - low
+        out[off:off + len(a)] = a
+        off = other.low - low
+        for i, x in enumerate(b, off):
+            out[i] += x
+        return _make(low, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> RatPoly:
-        return RatPoly(self.low, tuple(-c for c in self.coeffs))
+        return _raw(self.low, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other: RatPoly | RationalLike) -> RatPoly:
         if isinstance(other, (int, Fraction)):
@@ -153,22 +226,23 @@ class RatPoly:
 
     def __mul__(self, other: RatPoly | RationalLike) -> RatPoly:
         if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            if c == 0:
+            p, q = other.numerator, other.denominator
+            if p == 0 or not self.nums:
                 return RatPoly.zero()
-            return RatPoly(self.low, tuple(c * a for a in self.coeffs))
+            return _make(self.low, [x * p for x in self.nums], self.den * q)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.nums or not other.nums:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return RatPoly(self.low + other.low, tuple(out))
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        return _make(self.low + other.low, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -188,33 +262,49 @@ class RatPoly:
 
     def derivative(self) -> RatPoly:
         """Term-wise d/dx, valid for negative powers too."""
-        terms = {k - 1: k * c for k, c in self.terms() if k != 0}
-        return RatPoly.from_terms(terms)
+        low = self.low
+        return _make(low - 1, [k * x for k, x in enumerate(self.nums, low)], self.den)
 
     def shift(self, offset: int) -> RatPoly:
         """Multiply by x**offset (offset may be negative)."""
-        if self.is_zero():
+        if not self.nums:
             return self
-        return RatPoly(self.low + offset, self.coeffs)
+        return _raw(self.low + offset, self.nums, self.den)
 
     def scale_arg(self, c: RationalLike) -> RatPoly:
         """Substitute x -> c*x exactly (c nonzero if negative powers exist)."""
-        c = _fraction(c)
-        if c == 0:
+        p, q = _ratio(c)
+        if p == 0:
             raise ZeroDenominator("argument scale must be nonzero")
-        return RatPoly.from_terms({k: a * c**k for k, a in self.terms()})
+        if not self.nums:
+            return self
+        low, high = self.low, self.degree
+        # nums[i]/den * c^k with k = low + i equals
+        # nums[i] p^(k-low) q^(high-k) * p^low q^-high / den; the powers of p
+        # and q with negative exponents in the last factor go to the denominator
+        q_pows = [1] * len(self.nums)
+        for i in range(len(q_pows) - 2, -1, -1):
+            q_pows[i] = q_pows[i + 1] * q
+        pk = p ** max(low, 0) * q ** max(-high, 0)
+        out = []
+        for x, qk in zip(self.nums, q_pows):
+            out.append(x * pk * qk)
+            pk *= p
+        den = self.den * p ** max(-low, 0) * q ** max(high, 0)
+        if den < 0:
+            den, out = -den, [-x for x in out]
+        return _make(low, out, den)
 
-    def horner(self, x, conv):
-        """Laurent Horner at x on the nonnegative- and negative-power parts, with
-        every coefficient of powers min(low, 0)..max(degree, -1) converted by
-        ``conv`` (to a float, an exact or an extended-precision scalar)."""
-        zero = conv(0)
-        if self.is_zero():
+    def _horner(self, x, cs: list, zero):
+        """Laurent Horner at x on the nonnegative- and negative-power parts,
+        given the stored coefficients already converted to the scalar type of
+        x; powers min(low, 0)..max(degree, -1) are padded with ``zero``."""
+        if not cs:
             return zero
         if self.low < 0 and x == 0:
             raise ZeroDenominator("negative powers evaluated at x = 0")
         lo, hi = min(self.low, 0), max(self.degree, -1)
-        cs = [zero] * (self.low - lo) + [conv(c) for c in self.coeffs] + [zero] * (hi - self.degree)
+        cs = [zero] * (self.low - lo) + cs + [zero] * (hi - self.degree)
         up = zero
         for c in reversed(cs[-lo:]):
             up = up * x + c
@@ -226,13 +316,22 @@ class RatPoly:
             down = down * y
         return up + down
 
+    def horner(self, x, conv):
+        """Laurent Horner at x with every coefficient converted by ``conv`` (to
+        a float, an exact or an extended-precision scalar)."""
+        return self._horner(x, [conv(c) for c in self.coeffs], conv(0))
+
     def eval_rational(self, x: RationalLike) -> Fraction:
         """Exact evaluation."""
         return self.horner(_fraction(x), _fraction)
 
     def eval_float(self, x: float) -> float:
-        """Double-precision evaluation (float image of the exact coefficients)."""
-        return self.horner(x, float)
+        """Double-precision evaluation (float image of the exact coefficients).
+
+        num / den is correctly rounded int division, the same double as
+        ``float`` of the reduced Fraction."""
+        den = self.den
+        return self._horner(x, [n / den for n in self.nums], 0.0)
 
     # -- display -----------------------------------------------------------
 

@@ -3,19 +3,24 @@
 These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
 integral with mpmath quadrature, the free-particle reference sums the
-modified spherical Bessel series directly, and the shell-match reference
-integrates the force-free radial equation with fixed-step RK4.
+modified spherical Bessel series directly, the shell-match reference
+integrates the force-free radial equation with fixed-step RK4, and the
+polynomial references multiply, substitute and evaluate coefficient by
+coefficient on ``fractions.Fraction``, not on the common-denominator
+integers ``RatPoly`` stores.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 from scipy.optimize import brentq
 
 from coulombwf.closedform import assemble_R1, assemble_R2
 from coulombwf.numeval import eval_form
+from coulombwf.ratpoly import RatPoly
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -186,3 +191,45 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
         return (d1 + t * d2) / (v1 + t * v2) - rk4_exterior_logderiv(qn, b, h)
 
     return brentq(mismatch, *b_range, xtol=1e-12)
+
+
+# -- RatPoly arithmetic, one Fraction per coefficient -----------------------------
+
+
+def fraction_mul(p: RatPoly, q: RatPoly) -> RatPoly:
+    """p * q by the schoolbook convolution of Fraction coefficients."""
+    if p.is_zero() or q.is_zero():
+        return RatPoly.zero()
+    a, b = p.coeffs, q.coeffs
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                out[i + j] += x * y
+    return RatPoly(p.low + q.low, tuple(out))
+
+
+def fraction_scale_arg(p: RatPoly, c: Fraction) -> RatPoly:
+    """p(c x), term by term: the coefficient of x^k times c^k."""
+    return RatPoly.from_terms({k: a * Fraction(c) ** k for k, a in p.terms()})
+
+
+def float_horner(p: RatPoly, x: float) -> float:
+    """Laurent Horner at x on float(c) of each Fraction coefficient, in the
+    order the double-precision evaluator must reproduce bit for bit."""
+    if p.is_zero():
+        return 0.0
+    lo, hi = min(p.low, 0), max(p.degree, -1)
+    cs = [float(p.coeff(k)) for k in range(lo, hi + 1)]
+    up = 0.0
+    for c in reversed(cs[-lo:]):
+        up = up * x + c
+    down = 0.0
+    if lo < 0:
+        y = 1 / x
+        for c in cs[:-lo]:
+            down = down * y + c
+        down = down * y
+    return up + down

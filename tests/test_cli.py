@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import coulombwf
 from coulombwf import cli, closedform, oracle, shellmatch
 from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
@@ -131,12 +135,6 @@ def test_verify_passes(capsys):
     reports = [json.loads(ln) for ln in out.splitlines()]
     assert all(rep["passed"] for rep in reports)
     assert "passed" in err
-
-
-def test_verify_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
-    _, parallel, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian", "--parallel")
-    assert serial == parallel
 
 
 def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
@@ -289,6 +287,27 @@ def test_shell_underflowing_a_is_a_one_line_failure(capsys):
     assert out == ""
     assert err.startswith("coulombwf: failure:")
     assert err.count("\n") == 1
+
+
+def test_shell_envelope_overflow_is_a_one_line_failure(capsys):
+    # u(a) stays finite, but the r^-6 term of R2' has |c| r^-6 beyond double
+    # range at r = 1e-60, so the error envelope cannot be formed
+    code, out, err = run(capsys, "shell", "--n", "5", "--l", "4", "--a", "1e-60",
+                         "--b-range", "1:3")
+    assert code == 1
+    assert out == ""
+    assert err == "coulombwf: failure: conditioning envelope overflows double precision at r = 1e-60\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by the pv, split and integral checks
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, coulombwf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_shell_reversed_range_is_usage_error(capsys):

@@ -1,14 +1,19 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.ratpoly import (
     RatPoly,
     ZeroDenominator,
     factorial,
     pochhammer,
 )
+from refvals import float_horner, fraction_mul, fraction_scale_arg
 
 F = Fraction
 
@@ -27,6 +32,19 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 def polys(draw):
     low = draw(st.integers(-4, 4))
     coeffs = draw(st.lists(rationals, min_size=0, max_size=5))
+    return RatPoly(low, tuple(coeffs))
+
+
+# numerators and denominators far beyond one machine word, with zeros inside
+big_rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**25)))
+
+
+@st.composite
+def big_polys(draw):
+    low = draw(st.integers(-6, 6))
+    coeffs = draw(st.lists(big_rationals, min_size=0, max_size=8))
     return RatPoly(low, tuple(coeffs))
 
 
@@ -152,7 +170,6 @@ def test_eval_is_ring_homomorphism(p, q, x):
 def test_results_stay_reduced(p, q):
     for poly in (p + q, p * q, p.derivative()):
         for _, c in poly.terms():
-            import math
             assert math.gcd(abs(c.numerator), c.denominator) == 1
             assert c.denominator >= 1
 
@@ -165,3 +182,108 @@ def test_normalized_representation(p):
         assert p.degree - p.low + 1 == len(p.coeffs)
     else:
         assert p.low == 0 and p.coeffs == ()
+
+
+# -- the common-denominator representation ----------------------------------------
+
+def _assert_canonical(p):
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(x, int) for x in p.nums)
+    if p.is_zero():
+        assert (p.low, p.nums, p.den) == (0, (), 1)
+    else:
+        assert p.nums[0] != 0 and p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+
+
+def test_representation_example():
+    p = RatPoly(-1, (F(1, 2), F(0), F(3)))
+    assert (p.low, p.nums, p.den) == (-1, (1, 0, 6), 2)
+    assert p.coeffs == (F(1, 2), F(0), F(3))
+
+
+@given(big_polys(), big_polys(), nonzero_rationals)
+def test_every_result_is_canonical(p, q, c):
+    for poly in (p, q, p + q, p - q, -p, p * q, p * c, p.derivative(), p.shift(-3),
+                 p.scale_arg(c), p + c, c - p, p - p, p * 0):
+        _assert_canonical(poly)
+
+
+@given(big_polys(), big_polys())
+def test_equal_polynomials_compare_and_hash_equal(p, q):
+    built = [p * q, q * p, fraction_mul(p, q),
+             RatPoly.from_terms((p * q).as_dict()),
+             RatPoly((p * q).low, (p * q).coeffs),
+             (p * q + p) - p]
+    assert all(b == built[0] for b in built)
+    assert len({hash(b) for b in built}) == 1
+    assert len(set(built)) == 1
+
+
+def test_zero_is_unique():
+    zeros = [RatPoly.zero(), RatPoly(5, (F(0), 0)), RatPoly(-2, ()), RatPoly.from_terms({}),
+             RatPoly.from_terms({3: F(0)}), RatPoly.monomial(4, 0), RatPoly.constant(7).derivative(),
+             P({1: F(1, 3)}) - P({1: F(2, 6)}), P({-1: 5}) * 0]
+    for z in zeros:
+        assert (z.low, z.nums, z.den) == (0, (), 1)
+    assert len(set(zeros)) == 1
+
+
+@given(big_polys(), big_polys())
+def test_mul_matches_fraction_reference(p, q):
+    assert p * q == fraction_mul(p, q)
+
+
+@given(big_polys(), st.one_of(nonzero_rationals, big_rationals.filter(lambda c: c != 0)))
+def test_scale_arg_matches_fraction_reference(p, c):
+    assert p.scale_arg(c) == fraction_scale_arg(p, c)
+    assert p.scale_arg(-c) == fraction_scale_arg(p, -c)
+
+
+def test_scale_arg_negative_c_and_negative_powers():
+    p = P({-3: F(2, 5), -1: -7, 0: F(1, 3), 2: F(9, 4)})
+    for c in (F(-2, 3), F(-5), F(3, -7), F(1, 2), -1):
+        assert p.scale_arg(c) == fraction_scale_arg(p, F(c))
+    assert P({-1: 1}).scale_arg(F(-1, 2)) == P({-1: -2})
+
+
+def _same_float(a: float, b: float) -> bool:
+    return repr(a) == repr(b)
+
+
+@given(big_polys(), st.floats(-60.0, 60.0, allow_nan=False).filter(lambda x: x != 0.0))
+def test_eval_float_bit_identical_to_fraction_horner(p, x):
+    assert _same_float(p.eval_float(x), float_horner(p, x))
+
+
+def test_eval_float_bit_identical_on_large_forms():
+    form = assemble_R2(QuantumNumbers(30, 7))
+    for poly in (form.q_plus, form.q_ei, form.derivative().q_plus):
+        assert poly.den > 1
+        for r in (1e-3, 0.37, 1.0, 17.25, 300.0, 2500.0):
+            assert _same_float(poly.eval_float(r), float_horner(poly, r))
+        assert poly.max_abs_coeff_float() == max(abs(float(c)) for c in poly.coeffs)
+
+
+@given(big_polys())
+def test_pickle_and_copy_round_trip(p):
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(clone) is RatPoly
+        assert clone == p and hash(clone) == hash(p)
+        assert (clone.low, clone.nums, clone.den) == (p.low, p.nums, p.den)
+
+
+def test_instances_are_immutable():
+    p = P({0: 1, 2: F(1, 3)})
+    with pytest.raises(AttributeError):
+        p.den = 1
+    with pytest.raises(AttributeError):
+        del p.nums
+    assert p == P({0: 1, 2: F(1, 3)})
+
+
+def test_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        RatPoly(0, (0.5,))
+    with pytest.raises(TypeError):
+        P({0: 1}) * 0.5
