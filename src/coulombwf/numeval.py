@@ -124,41 +124,82 @@ def _float_exp(t: float) -> float:
         raise OverflowSignal(f"exp({t}) overflows double precision") from exc
 
 
-def _poly_abs_eval(p, r: float) -> float:
-    """sum |c_k| r^k, the conditioning envelope of the float evaluation."""
+def _bucket(p) -> tuple | None:
+    """(Horner run, envelope pairs (k, |c_k|)) of one RatPoly bucket, or None
+    for the zero polynomial."""
+    if p.is_zero():
+        return None
     den = p.den
     try:
-        return sum(abs(x) / den * r**k for k, x in enumerate(p.nums, p.low) if x)
+        return p.float_run(), tuple((k, abs(x) / den) for k, x in enumerate(p.nums, p.low) if x)
+    except OverflowError:
+        # a coefficient beyond double range: each evaluation converts again
+        # and raises that error where an unprepared evaluation raises it
+        return p.eval_float, ()
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedForm:
+    """An ExpEiForm converted to floats once, for evaluation at many points.
+
+    Each bucket (q_plus, q_minus, q_ei) is None when its polynomial is zero,
+    else its float Horner run and the envelope pairs (k, |c_k|) of its
+    nonzero coefficients; ``width`` is the longest stored coefficient run.
+    """
+
+    kappa: float
+    width: int
+    plus: tuple | None
+    minus: tuple | None
+    ei: tuple | None
+
+
+def prepare_form(f: ExpEiForm) -> PreparedForm:
+    """Convert every coefficient of f to a float once (see eval_form)."""
+    return PreparedForm(float(f.kappa),
+                        max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums)),
+                        _bucket(f.q_plus), _bucket(f.q_minus), _bucket(f.q_ei))
+
+
+def _envelope(pairs: tuple, r: float) -> float:
+    """sum |c_k| r^k, the conditioning envelope of the float evaluation."""
+    try:
+        return sum([c * r**k for k, c in pairs])
     except OverflowError as exc:
         raise OverflowSignal(
             f"conditioning envelope overflows double precision at r = {r!r}") from exc
 
 
-def eval_form(f: ExpEiForm, r: float) -> EvalResult:
+def eval_form(f: ExpEiForm | PreparedForm, r: float) -> EvalResult:
     """Evaluate a symbolic radial form at r > 0 in double precision.
 
     The error estimate is built from the absolute-coefficient envelope of
     each bucket (which dominates the plain |A| + |C| cancellation penalty
     between the growing-exponential and Ei buckets), the rounding of the
-    exponential arguments, and the Ei evaluation error.
+    exponential arguments, and the Ei evaluation error.  A form evaluated at
+    many points is passed through prepare_form once; the result is the same.
     """
     if not r > 0:
         raise DomainError(f"eval_form requires r > 0, got {r!r}")
-    kappa = float(f.kappa)
-    round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
-                    + kappa * r + 6) * _EPS
+    if not isinstance(f, PreparedForm):
+        f = prepare_form(f)
+    kappa = f.kappa
+    round_factor = (2 * f.width + kappa * r + 6) * _EPS
     a = b = c = 0.0
     abs_err = 0.0
     method = "series"
-    if not f.q_plus.is_zero():
+    if f.plus is not None:
+        run, env = f.plus
         grow = _float_exp(kappa * r)
-        a = f.q_plus.eval_float(r) * grow
-        abs_err += _poly_abs_eval(f.q_plus, r) * grow * round_factor
-    if not f.q_minus.is_zero():
+        a = run(r) * grow
+        abs_err += _envelope(env, r) * grow * round_factor
+    if f.minus is not None:
+        run, env = f.minus
         decay = _float_exp(-kappa * r)
-        b = f.q_minus.eval_float(r) * decay
-        abs_err += _poly_abs_eval(f.q_minus, r) * decay * round_factor
-    if not f.q_ei.is_zero():
+        b = run(r) * decay
+        abs_err += _envelope(env, r) * decay * round_factor
+    if f.ei is not None:
+        run, env = f.ei
         x = 2.0 * kappa * r
         ei = ei_one_neg(x)
         # x*eps covers the argument-rounding sensitivity; the log term floors
@@ -167,8 +208,8 @@ def eval_form(f: ExpEiForm, r: float) -> EvalResult:
                       + _EPS * (1.0 + abs(math.log(x))))
         method = ei.method
         decay = _float_exp(-kappa * r)
-        c = f.q_ei.eval_float(r) * decay * ei.value
-        poly_env = _poly_abs_eval(f.q_ei, r) * decay
+        c = run(r) * decay * ei.value
+        poly_env = _envelope(env, r) * decay
         abs_err += poly_env * (abs(ei.value) * round_factor + ei_abs_err)
     value = a + b + c
     est = abs_err / abs(value) if value != 0.0 else math.inf

@@ -147,9 +147,10 @@ def _pv_weighted_integral(h: RatPoly, x: float, delta: float) -> tuple[float, fl
     from exact polynomial derivatives of h.
     """
     cutoff = _upper_cutoff(0, h.degree, x)
+    h_run = h.float_run()
 
     def integrand(s: float) -> float:
-        return math.exp(-s) * h.eval_float(s) / (s - x)
+        return math.exp(-s) * h_run(s) / (s - x)
 
     left, err_l = _quad_or_fail(integrand, 0.0, x - delta)
     right, err_r = _quad_or_fail(integrand, x + delta, cutoff)

@@ -71,6 +71,38 @@ def _make(low: int, nums, den: int) -> RatPoly:
     return _raw(low + start, tuple(nums), den)
 
 
+class HornerRun:
+    """A Laurent polynomial ready for Horner evaluation: the coefficients of
+    the powers lo..hi, lo = min(low, 0) and hi = max(degree, -1), converted
+    to one scalar type and padded with ``zero``.  Built once, it evaluates at
+    many points without converting a coefficient again."""
+
+    __slots__ = ("lo", "cs", "zero")
+
+    def __init__(self, lo: int, cs: tuple, zero) -> None:
+        self.lo = lo
+        self.cs = cs
+        self.zero = zero
+
+    def __call__(self, x):
+        """Laurent Horner at x on the nonnegative- and negative-power parts."""
+        cs, lo, zero = self.cs, self.lo, self.zero
+        if not cs:
+            return zero
+        if lo < 0 and x == 0:
+            raise ZeroDenominator("negative powers evaluated at x = 0")
+        up = zero
+        for c in reversed(cs[-lo:]):
+            up = up * x + c
+        down = zero
+        if lo < 0:
+            y = 1 / x
+            for c in cs[:-lo]:
+                down = down * y + c
+            down = down * y
+        return up + down
+
+
 class RatPoly:
     """Dense Laurent polynomial with exact rational coefficients.
 
@@ -295,43 +327,33 @@ class RatPoly:
             den, out = -den, [-x for x in out]
         return _make(low, out, den)
 
-    def _horner(self, x, cs: list, zero):
-        """Laurent Horner at x on the nonnegative- and negative-power parts,
-        given the stored coefficients already converted to the scalar type of
-        x; powers min(low, 0)..max(degree, -1) are padded with ``zero``."""
-        if not cs:
-            return zero
-        if self.low < 0 and x == 0:
-            raise ZeroDenominator("negative powers evaluated at x = 0")
+    def _pad(self, cs: list, zero) -> HornerRun:
+        """The Horner run of the stored coefficients, already converted to one
+        scalar type in ``cs``: padded with ``zero`` to cover the powers
+        min(low, 0)..max(degree, -1)."""
         lo, hi = min(self.low, 0), max(self.degree, -1)
-        cs = [zero] * (self.low - lo) + cs + [zero] * (hi - self.degree)
-        up = zero
-        for c in reversed(cs[-lo:]):
-            up = up * x + c
-        down = zero
-        if lo < 0:
-            y = 1 / x
-            for c in cs[:-lo]:
-                down = down * y + c
-            down = down * y
-        return up + down
+        return HornerRun(lo, tuple([zero] * (self.low - lo) + cs + [zero] * (hi - self.degree)), zero)
 
     def horner(self, x, conv):
         """Laurent Horner at x with every coefficient converted by ``conv`` (to
         a float, an exact or an extended-precision scalar)."""
-        return self._horner(x, [conv(c) for c in self.coeffs], conv(0))
+        return self._pad([conv(c) for c in self.coeffs], conv(0))(x)
 
     def eval_rational(self, x: RationalLike) -> Fraction:
         """Exact evaluation."""
         return self.horner(_fraction(x), _fraction)
 
-    def eval_float(self, x: float) -> float:
-        """Double-precision evaluation (float image of the exact coefficients).
+    def float_run(self) -> HornerRun:
+        """The double-precision Horner run, converted once for many points.
 
         num / den is correctly rounded int division, the same double as
         ``float`` of the reduced Fraction."""
         den = self.den
-        return self._horner(x, [n / den for n in self.nums], 0.0)
+        return self._pad([n / den for n in self.nums], 0.0)
+
+    def eval_float(self, x: float) -> float:
+        """Double-precision evaluation (float image of the exact coefficients)."""
+        return self.float_run()(x)
 
     # -- display -----------------------------------------------------------
 

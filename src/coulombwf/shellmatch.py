@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numeval
-from .closedform import ExpEiForm, QuantumNumbers, solutions
-from .ratpoly import RatPoly, factorial
+from .closedform import QuantumNumbers, solutions
+from .ratpoly import HornerRun, RatPoly, factorial
 
 
 class NoRootInRange(ValueError):
@@ -36,6 +36,8 @@ class ShellConfig:
 
     def __post_init__(self) -> None:
         b_min, b_max = self.b_range
+        if not all(map(math.isfinite, (self.a, b_min, b_max))):
+            raise ValueError(f"a and b_range must be finite, got a={self.a}, b_range={self.b_range}")
         if not 0 < self.a < b_min < b_max:
             raise ValueError(f"need 0 < a < b_min < b_max, got a={self.a}, b_range={self.b_range}")
 
@@ -53,15 +55,16 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 
 @dataclass(frozen=True)
 class ShellForms:
-    """R1, R2 and their derivatives for the shell, q and q' for the exterior."""
+    """R1, R2 and their derivatives for the shell, q and q' for the exterior,
+    all converted to floats once, so no bisection step converts a coefficient."""
 
     kappa: float
-    r1: ExpEiForm
-    r1d: ExpEiForm
-    r2: ExpEiForm
-    r2d: ExpEiForm
-    q: RatPoly
-    qd: RatPoly
+    r1: numeval.PreparedForm
+    r1d: numeval.PreparedForm
+    r2: numeval.PreparedForm
+    r2d: numeval.PreparedForm
+    q: HornerRun
+    qd: HornerRun
 
     def pair(self, r: float) -> tuple[float, float, float, float]:
         """(R1, R1', R2, R2') at r."""
@@ -73,12 +76,13 @@ class ShellForms:
         return c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
 
     def exterior_logderiv(self, r: float) -> float:
-        return -self.kappa + self.qd.eval_float(r) / self.q.eval_float(r)
+        return -self.kappa + self.qd(r) / self.q(r)
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
     s, q = solutions(qn), _exterior_q(qn)
-    return ShellForms(float(qn.kappa), s.r1, s.r1d, s.r2, s.r2d, q, q.derivative())
+    prepared = [numeval.prepare_form(f) for f in (s.r1, s.r1d, s.r2, s.r2d)]
+    return ShellForms(float(qn.kappa), *prepared, q.float_run(), q.derivative().float_run())
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> lis
     scale_in = u_sh_a / u_in
     b = result.b_star
     u_sh_b, _ = forms.shell(result.c1, result.c2, b)
-    scale_out = u_sh_b / forms.q.eval_float(b)
+    scale_out = u_sh_b / forms.q(b)
 
     out: list[tuple[float, float]] = []
     r_max = 1.5 * b
@@ -215,6 +219,6 @@ def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> lis
         elif r <= b:
             u = forms.shell(result.c1, result.c2, r)[0]
         else:
-            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.q.eval_float(r)
+            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.q(r)
         out.append((r, u))
     return out

@@ -4,10 +4,12 @@ These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
 integral with mpmath quadrature, the free-particle reference sums the
 modified spherical Bessel series directly, the shell-match reference
-integrates the force-free radial equation with fixed-step RK4, and the
+integrates the force-free radial equation with fixed-step RK4, the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
-integers ``RatPoly`` stores.
+integers ``RatPoly`` stores, and the double-precision form evaluator
+converts every coefficient again at every point, the way the prepared
+evaluator must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +20,15 @@ from fractions import Fraction
 import mpmath as mp
 from scipy.optimize import brentq
 
-from coulombwf.closedform import assemble_R1, assemble_R2
-from coulombwf.numeval import eval_form
+from coulombwf.closedform import ExpEiForm, assemble_R1, assemble_R2
+from coulombwf.numeval import (
+    _EPS,
+    DomainError,
+    EvalResult,
+    OverflowSignal,
+    _float_exp,
+    ei_one_neg,
+)
 from coulombwf.ratpoly import RatPoly
 
 
@@ -233,3 +242,57 @@ def float_horner(p: RatPoly, x: float) -> float:
             down = down * y + c
         down = down * y
     return up + down
+
+
+# -- double-precision form evaluation, converting coefficients at every point -----
+
+
+def _poly_abs_eval(p, r: float) -> float:
+    """sum |c_k| r^k, the conditioning envelope of the float evaluation."""
+    den = p.den
+    try:
+        return sum(abs(x) / den * r**k for k, x in enumerate(p.nums, p.low) if x)
+    except OverflowError as exc:
+        raise OverflowSignal(
+            f"conditioning envelope overflows double precision at r = {r!r}") from exc
+
+
+def eval_form(f: ExpEiForm, r: float) -> EvalResult:
+    """Evaluate a symbolic radial form at r > 0 in double precision.
+
+    The error estimate is built from the absolute-coefficient envelope of
+    each bucket (which dominates the plain |A| + |C| cancellation penalty
+    between the growing-exponential and Ei buckets), the rounding of the
+    exponential arguments, and the Ei evaluation error.
+    """
+    if not r > 0:
+        raise DomainError(f"eval_form requires r > 0, got {r!r}")
+    kappa = float(f.kappa)
+    round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
+                    + kappa * r + 6) * _EPS
+    a = b = c = 0.0
+    abs_err = 0.0
+    method = "series"
+    if not f.q_plus.is_zero():
+        grow = _float_exp(kappa * r)
+        a = f.q_plus.eval_float(r) * grow
+        abs_err += _poly_abs_eval(f.q_plus, r) * grow * round_factor
+    if not f.q_minus.is_zero():
+        decay = _float_exp(-kappa * r)
+        b = f.q_minus.eval_float(r) * decay
+        abs_err += _poly_abs_eval(f.q_minus, r) * decay * round_factor
+    if not f.q_ei.is_zero():
+        x = 2.0 * kappa * r
+        ei = ei_one_neg(x)
+        # x*eps covers the argument-rounding sensitivity; the log term floors
+        # the error where the series cancels through Ei's zero near x ~ 0.37
+        ei_abs_err = (abs(ei.value) * (ei.est_rel_error + x * _EPS)
+                      + _EPS * (1.0 + abs(math.log(x))))
+        method = ei.method
+        decay = _float_exp(-kappa * r)
+        c = f.q_ei.eval_float(r) * decay * ei.value
+        poly_env = _poly_abs_eval(f.q_ei, r) * decay
+        abs_err += poly_env * (abs(ei.value) * round_factor + ei_abs_err)
+    value = a + b + c
+    est = abs_err / abs(value) if value != 0.0 else math.inf
+    return EvalResult(value, est, method)

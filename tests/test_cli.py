@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 import coulombwf
-from coulombwf import cli, closedform, oracle, shellmatch
+from coulombwf import cli, closedform, numeval, oracle, shellmatch
 from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
+from coulombwf.ratpoly import RatPoly
+
+import refvals
 
 
 def run(capsys, *argv):
@@ -108,6 +111,63 @@ def test_eval_rejects_nonpositive_grid(capsys):
 def test_eval_rejects_malformed_grid(capsys):
     code, _, _ = run(capsys, "eval", "--n", "1", "--l", "0", "--grid", "nope")
     assert code == 64
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("1:1e308:3", "grid points overflow double precision"),  # the last point is inf
+    ("1:inf:3", "grid start and stop must be finite"),
+    ("nan:2:3", "grid start and stop must be finite"),
+])
+def test_eval_rejects_nonfinite_grid(capsys, grid, reason):
+    code, out, err = run(capsys, "eval", "--n", "2", "--l", "0", "--which", "R1",
+                         "--grid", grid)
+    assert code == 64
+    assert out == ""
+    assert err == f"coulombwf: error: {reason}, got {grid!r}\n"
+
+
+@pytest.mark.parametrize("n, l, which, grid", [
+    (6, 0, "R2", "200:240:161"),  # R2 cancels to 0.0 at r = 218.25: an infinite estimate
+    (3, 1, "R1", "0.5:2:0"),
+    (3, 1, "R2", "0.5:2:1"),
+])
+def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
+    code, out, _ = run(capsys, "eval", "--n", str(n), "--l", str(l), "--which", which,
+                       "--grid", grid, "--format", "json")
+    assert code == 0
+    qn = QuantumNumbers(n, l)
+    form = closedform.assemble_R1(qn) if which == "R1" else assemble_R2(qn)
+    rows = []
+    for r in cli._parse_grid(grid):
+        res = refvals.eval_form(form, r)
+        rows.append({"r": r, "value": res.value, "est_rel_error": res.est_rel_error})
+    doc = {"n": n, "l": l, "which": which, "rows": rows}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if grid == "200:240:161":
+        assert '"est_rel_error": Infinity' in out
+
+
+def test_eval_prepares_its_form_once(capsys, monkeypatch):
+    # every coefficient is converted to a float once per request, not per point
+    calls = {"prepare_form": 0, "float_run": 0, "eval_form": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(numeval, "prepare_form")
+    counted(numeval, "eval_form")
+    counted(RatPoly, "float_run")
+    code, _, _ = run(capsys, "eval", "--n", "7", "--l", "2", "--which", "R2",
+                     "--grid", "0.5:60:2000", "--format", "csv")
+    assert code == 0
+    # R2 has a q_plus and a q_ei bucket
+    assert calls == {"prepare_form": 1, "float_run": 2, "eval_form": 2000}
 
 
 # -- table ------------------------------------------------------------------------
@@ -259,6 +319,16 @@ def test_shell_no_root_exits_2(capsys):
     assert code == 2
     assert "no root" in err
     assert "b,mismatch" in err
+
+
+@pytest.mark.parametrize("a, b_range", [("0.1", "1:inf"), ("inf", "1:2"), ("nan", "1:2")])
+def test_shell_rejects_nonfinite_bounds(capsys, a, b_range):
+    code, out, err = run(capsys, "shell", "--n", "2", "--l", "0", "--a", a,
+                         "--b-range", b_range)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("coulombwf: error: a and b_range must be finite")
+    assert err.count("\n") == 1
 
 
 def test_shell_rejects_negative_grid_points(capsys):

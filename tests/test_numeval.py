@@ -1,10 +1,12 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
+from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2, solutions
 from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
@@ -14,8 +16,10 @@ from coulombwf.numeval import (
     ei_one_neg,
     eval_form,
     eval_form_extended,
+    prepare_form,
 )
 
+import refvals
 from refvals import ei_pv_reference, ei_zero_by_bisection
 
 
@@ -134,6 +138,78 @@ def test_eval_propagates_overflow():
     f = assemble_R2(QuantumNumbers(1, 0))
     with pytest.raises(OverflowSignal):
         eval_form(f, 500.0)  # Ei argument 1000 overflows
+
+
+# -- prepared evaluation against the per-point reference -----------------------------
+
+_WHICH = ("r1", "r1d", "r2", "r2d")
+
+
+@functools.lru_cache(maxsize=None)
+def _forms(n: int, l: int):
+    s = solutions(QuantumNumbers(n, l))
+    return {w: getattr(s, w) for w in _WHICH}
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared(n: int, l: int, which: str):
+    return prepare_form(_forms(n, l)[which])
+
+
+def _outcome(fn, f, r):
+    """(repr(value), repr(est_rel_error), method), or the exception raised."""
+    try:
+        res = fn(f, r)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(res.value), repr(res.est_rel_error), res.method
+
+
+def _assert_same_as_reference(n: int, l: int, which: str, r: float) -> None:
+    form = _forms(n, l)[which]
+    want = _outcome(refvals.eval_form, form, r)
+    assert _outcome(eval_form, _prepared(n, l, which), r) == want
+    assert _outcome(eval_form, form, r) == want
+
+
+_states = st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
+# 2 kappa r: the series branch up to 40, the asymptotic branch past it, a band
+# around Ei's zero near 0.3725 and kappa r beyond 708 (2 kappa r > 1416)
+_ei_args = st.one_of(st.floats(1e-6, 40.0), st.floats(40.0, 1416.0), st.floats(0.36, 0.39),
+                     st.floats(1416.0, 4000.0))
+# r <= 0 and nan are domain errors, 1e-320 overflows the envelope of every
+# form with a negative power
+_special_r = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.nan, math.inf, 1e-320])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_states, st.sampled_from(_WHICH), st.one_of(_ei_args.map(lambda x: ("x", x)),
+                                                  _special_r.map(lambda r: ("r", r))))
+def test_prepared_eval_bit_identical_to_reference(state, which, point):
+    n, l = state
+    kind, v = point
+    # 2 kappa r = x with kappa = 1/n
+    r = v * n / 2 if kind == "x" else v
+    _assert_same_as_reference(n, l, which, r)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-320, 1.0, 37.5, 2000.0 * 30])
+def test_prepared_eval_same_outcome_at_the_edges(r):
+    # r <= 0, the envelope overflow, both Ei branches and kappa r >= 2000 for
+    # the largest states
+    for n, l in [(30, 0), (30, 29), (17, 16)]:
+        for which in _WHICH:
+            _assert_same_as_reference(n, l, which, r)
+
+
+def test_prepared_eval_with_coefficients_beyond_double_range():
+    # R2's leading coefficient for n = 70, l = 69 does not fit a double: the
+    # form still prepares, and each evaluation raises what the reference raises
+    with pytest.raises(OverflowError):
+        _forms(70, 69)["r2"].q_plus.float_run()
+    for which in _WHICH:
+        for r in (1.0, 1e-320, 0.0, 1e5):
+            _assert_same_as_reference(70, 69, which, r)
 
 
 def test_extended_consistency_sweep():

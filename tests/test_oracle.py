@@ -218,3 +218,20 @@ def test_golden_table_detects_corruption():
     assert len(failed) == 1
     assert (failed[0].subject.n, failed[0].subject.l) == (2, 0)
     assert "q_plus" in failed[0].details
+
+
+def test_pv_integral_converts_h_once(monkeypatch):
+    # the quadrature integrand evaluates a float run built once per integral
+    # (two integrals per phi2_pv_oracle call), never eval_float per node
+    calls = {"float_run": 0, "eval_float": 0}
+    for name in calls:
+        original = getattr(RatPoly, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(RatPoly, name, counted)
+    phi2_pv_oracle(1, 3, 1.0)
+    # per integral: h's run, and d1 and d3 at x (eval_float calls float_run)
+    assert calls == {"float_run": 6, "eval_float": 4}
