@@ -53,12 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _rat_text(num: int, den: int) -> str:
+    """A reduced rational as ``str(Fraction)`` writes it: "num" or "num/den"."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _rat_texts(p: RatPoly) -> dict[int, str]:
+    return {k: _rat_text(num, den) for k, num, den in p.ratio_terms()}
+
+
 def _rat_dict(p: RatPoly) -> dict[str, str]:
-    return {str(k): str(c) for k, c in p.terms()}
-
-
-def _poly_from_rat_dict(d: dict[str, str]) -> RatPoly:
-    return RatPoly.from_terms({int(k): Fraction(v) for k, v in d.items()})
+    return {str(k): text for k, text in _rat_texts(p).items()}
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -76,8 +81,9 @@ def _header() -> str:
 # -- latex rendering ---------------------------------------------------------
 
 
-def _latex_coeff_times_power(c: Fraction, k: int) -> str:
-    num, den = abs(c.numerator), c.denominator
+def _latex_coeff_times_power(num: int, den: int, k: int) -> str:
+    """|num|/den r^k; the caller writes the sign."""
+    num = abs(num)
     if k == 0:
         return str(num) if den == 1 else rf"\frac{{{num}}}{{{den}}}"
     r_pow = "r" if abs(k) == 1 else rf"r^{{{abs(k)}}}"
@@ -94,12 +100,12 @@ def _latex_poly(p: RatPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for k, c in p.terms():
-        term = _latex_coeff_times_power(c, k)
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
+    for k, num, den in p.ratio_terms():
+        term = _latex_coeff_times_power(num, den, k)
+        if num < 0:
+            parts.append(f"-{term}")
         else:
-            parts.append(f"+{term}" if c > 0 else f"-{term}")
+            parts.append(f"+{term}" if parts else term)
     return "".join(parts)
 
 
@@ -125,8 +131,7 @@ def _latex_R2(qn: QuantumNumbers, form) -> str:
 # -- coeffs ------------------------------------------------------------------
 
 
-def _coeffs_doc(qn: QuantumNumbers) -> dict:
-    form = assemble_R2(qn)
+def _coeffs_doc(qn: QuantumNumbers, form) -> dict:
     return {
         "n": qn.n,
         "l": qn.l,
@@ -136,19 +141,21 @@ def _coeffs_doc(qn: QuantumNumbers) -> dict:
     }
 
 
+def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
+    """One "power,q_plus,q_ei" row per power where either coefficient is
+    nonzero; a zero coefficient is an empty field."""
+    plus, ei = _rat_texts(q_plus), _rat_texts(q_ei)
+    return "".join([f"{k},{plus.get(k, '')},{ei.get(k, '')}\n"
+                    for k in sorted(plus.keys() | ei.keys())])
+
+
 def cmd_coeffs(args) -> int:
     qn = QuantumNumbers(args.n, args.l)
     form = assemble_R2(qn)
     if args.format == "json":
-        _write(args.out, json.dumps(_coeffs_doc(qn), indent=2) + "\n")
+        _write(args.out, json.dumps(_coeffs_doc(qn, form), indent=2) + "\n")
     elif args.format == "csv":
-        lines = [_header(), "power,q_plus,q_ei\n"]
-        powers = sorted(set(form.q_plus.as_dict()) | set(form.q_ei.as_dict()))
-        for k in powers:
-            qp = form.q_plus.coeff(k)
-            qe = form.q_ei.coeff(k)
-            lines.append(f"{k},{qp if qp else ''},{qe if qe else ''}\n")
-        _write(args.out, "".join(lines))
+        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(form.q_plus, form.q_ei))
     else:
         _write(args.out, _header() + _latex_R2(qn, form) + "\n")
     return EXIT_OK
@@ -216,7 +223,7 @@ def cmd_table(args) -> int:
     if args.format == "json":
         docs = []
         for qn, r1, r2 in entries:
-            doc = _coeffs_doc(qn)
+            doc = _coeffs_doc(qn, r2)
             doc["r1_q_minus"] = _rat_dict(r1.q_minus)
             docs.append(doc)
         _write(args.out, json.dumps(docs, indent=2) + "\n")
@@ -224,8 +231,8 @@ def cmd_table(args) -> int:
         lines = [_header(), "n,l,part,power,coeff\n"]
         for qn, r1, r2 in entries:
             for part, poly in (("r1_q_minus", r1.q_minus), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)):
-                for k, c in poly.terms():
-                    lines.append(f"{qn.n},{qn.l},{part},{k},{c}\n")
+                for k, num, den in poly.ratio_terms():
+                    lines.append(f"{qn.n},{qn.l},{part},{k},{_rat_text(num, den)}\n")
         _write(args.out, "".join(lines))
     else:
         lines = [_header()]
@@ -384,10 +391,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parse_args keeps no state in the parser, and
+# rebuilding the subcommand tree on every call cost more than a small
+# request itself.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatPoly, factorial, pochhammer
+from .ratpoly import RatPoly, factorial
 
 # Coulomb strength in library units; kappa_n = KAPPA0 / n.
 KAPPA0 = Fraction(1)
@@ -78,23 +78,23 @@ def laguerre_L1(n_r: int, m: int) -> RatPoly:
     """
     if n_r < 0 or m < 0:
         raise ValueError("laguerre_L1 needs n_r >= 0 and m >= 0")
-    top = factorial(n_r + m)
-    coeffs = tuple(
-        Fraction((-1) ** j * top, factorial(n_r - j) * factorial(m + j) * factorial(j))
-        for j in range(n_r + 1)
-    )
-    return RatPoly(0, coeffs)
+    # over the common denominator n_r!, the x^j numerator is the integer
+    # (-1)^j C(n_r+m, n_r-j) n_r!/j!
+    nums = [(-1) ** j * math.comb(n_r + m, n_r - j) * math.perm(n_r, n_r - j)
+            for j in range(n_r + 1)]
+    return RatPoly.from_nums(0, nums, factorial(n_r))
 
 
 def hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
     """The degree-n_r polynomial 1F1(-n_r, m+1, x)."""
     if n_r < 0 or m < 0:
         raise ValueError("hyp1f1_terminating needs n_r >= 0 and m >= 0")
-    coeffs = tuple(
-        Fraction(pochhammer(-n_r, k), pochhammer(m + 1, k) * factorial(k))
-        for k in range(n_r + 1)
-    )
-    return RatPoly(0, coeffs)
+    # (-n_r)_k / ((m+1)_k k!) = (-1)^k C(n_r, k) m!/(m+k)!; over the common
+    # denominator (n_r+m)!/m!, the x^k numerator is the integer
+    # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
+    nums = [(-1) ** k * math.comb(n_r, k) * math.perm(n_r + m, n_r - k)
+            for k in range(n_r + 1)]
+    return RatPoly.from_nums(0, nums, math.perm(n_r + m, n_r))
 
 
 def p2_doublesum(n_r: int, m: int) -> RatPoly:
@@ -120,7 +120,7 @@ def p2_doublesum(n_r: int, m: int) -> RatPoly:
         c_k = (-1) ** k * math.comb(n_r, k) * (facts[n_r + m] // facts[m + k])
         for j in range(m + k):
             acc[j] += c_k * facts[m + k - 1 - j]
-    return RatPoly(0, acc)
+    return RatPoly.from_nums(0, acc)
 
 
 def p2_simplified(n_r: int, m: int) -> RatPoly:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .closedform import ExpEiForm
 
 # Euler-Mascheroni constant, 30 significant digits.
@@ -216,30 +214,33 @@ def eval_form(f: ExpEiForm | PreparedForm, r: float) -> EvalResult:
     return EvalResult(value, est, method)
 
 
-def _mp_from_fraction(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-
-
-def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256) -> mpmath.mpf:
-    """Ground-truth evaluation in software extended precision.
+def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):
+    """Ground-truth evaluation in software extended precision, as an
+    ``mpmath.mpf``.
 
     ``r`` may be a float, int, Fraction, or decimal string; it is converted
-    exactly before use.
+    exactly before use.  mpmath is imported here, so that only this evaluator
+    pays for loading it.
     """
+    import mpmath
+
+    def mp_from_fraction(q: Fraction) -> mpmath.mpf:
+        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     r_exact = Fraction(r) if not isinstance(r, Fraction) else r
     if not r_exact > 0:
         raise DomainError(f"eval_form_extended requires r > 0, got {r!r}")
     with mpmath.workprec(precision_bits):
-        rr = _mp_from_fraction(r_exact)
-        kk = _mp_from_fraction(f.kappa)
+        rr = mp_from_fraction(r_exact)
+        kk = mp_from_fraction(f.kappa)
         total = mpmath.mpf(0)
         if not f.q_plus.is_zero():
-            total += f.q_plus.horner(rr, _mp_from_fraction) * mpmath.exp(kk * rr)
+            total += f.q_plus.horner(rr, mp_from_fraction) * mpmath.exp(kk * rr)
         if not f.q_minus.is_zero():
-            total += f.q_minus.horner(rr, _mp_from_fraction) * mpmath.exp(-kk * rr)
+            total += f.q_minus.horner(rr, mp_from_fraction) * mpmath.exp(-kk * rr)
         if not f.q_ei.is_zero():
             ei_val = -mpmath.ei(2 * kk * rr)
-            total += f.q_ei.horner(rr, _mp_from_fraction) * mpmath.exp(-kk * rr) * ei_val
+            total += f.q_ei.horner(rr, mp_from_fraction) * mpmath.exp(-kk * rr) * ei_val
         return +total

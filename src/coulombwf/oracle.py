@@ -78,7 +78,8 @@ def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
 
 
 def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
-    """r^2 W(R1, R2) must be an exact nonzero constant (linear independence).
+    """r^2 W(R1, R2) must equal the constant -n (n+l)! / (2 (n-l-1)!), which
+    shows linear independence and pins R2's normalisation.
 
     R1 is pure e^{-kappa r}, so W = R1 R2' - R1' R2 has an e^{-2 kappa r} and
     an e^{-2 kappa r} Ei bucket that must cancel identically (they do
@@ -96,10 +97,11 @@ def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
             qn, "wronskian", False, math.inf,
             details=f"non-cancelling Wronskian buckets: minus={w_minus}, ei={w_ei}")
     r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
-    is_const = (not r2w.is_zero()) and r2w.low == 0 and r2w.degree == 0
-    details = f"r^2 W = {r2w}" if is_const else f"r^2 W not constant: {r2w}"
-    return r2w, VerificationReport(qn, "wronskian", is_const, 0.0 if is_const else _form_norm(
-        ExpEiForm(r2w, RatPoly.zero(), RatPoly.zero(), qn.kappa)), exact=is_const, details=details)
+    expected = RatPoly.constant(Fraction(-qn.n * factorial(qn.n + qn.l), 2 * factorial(qn.n_r)))
+    if r2w == expected:
+        return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
+    return r2w, VerificationReport(qn, "wronskian", False, (r2w - expected).max_abs_coeff_float(),
+                                   details=f"r^2 W = {r2w}, expected {expected}")
 
 
 def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationReport]:

@@ -168,6 +168,17 @@ class RatPoly:
         return cls(power, (c,))
 
     @classmethod
+    def from_nums(cls, low: int, nums, den: int = 1) -> RatPoly:
+        """The polynomial whose x^(low+i) coefficient is nums[i]/den, from
+        integer numerators over one positive integer denominator."""
+        nums = list(nums)
+        if not all(isinstance(x, int) for x in nums) or not isinstance(den, int):
+            raise TypeError("from_nums needs integer numerators and denominator")
+        if den <= 0:
+            raise ValueError(f"from_nums needs a positive denominator, got {den}")
+        return _make(low, nums, den)
+
+    @classmethod
     def from_terms(cls, terms: dict[int, RationalLike]) -> RatPoly:
         if not terms:
             return cls.zero()
@@ -199,12 +210,19 @@ class RatPoly:
             return Fraction(self.nums[power - self.low], self.den)
         return Fraction(0)
 
+    def ratio_terms(self):
+        """Yield (power, numerator, denominator) of each nonzero coefficient in
+        ascending power order, reduced, with a positive denominator."""
+        den = self.den
+        for k, x in enumerate(self.nums, self.low):
+            if x:
+                g = math.gcd(x, den)
+                yield k, x // g, den // g
+
     def terms(self):
         """Yield (power, coefficient) pairs in ascending power order."""
-        den = self.den
-        for i, x in enumerate(self.nums):
-            if x:
-                yield self.low + i, Fraction(x, den)
+        for k, num, den in self.ratio_terms():
+            yield k, Fraction(num, den)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.terms())

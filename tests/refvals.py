@@ -7,9 +7,10 @@ modified spherical Bessel series directly, the shell-match reference
 integrates the force-free radial equation with fixed-step RK4, the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
-integers ``RatPoly`` stores, and the double-precision form evaluator
-converts every coefficient again at every point, the way the prepared
-evaluator must reproduce bit for bit.
+integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
+coefficient writers of the CLI documents), and the double-precision form
+evaluator converts every coefficient again at every point, the way the
+prepared evaluator must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from coulombwf.numeval import (
     _float_exp,
     ei_one_neg,
 )
-from coulombwf.ratpoly import RatPoly
+from coulombwf.ratpoly import RatPoly, factorial, pochhammer
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -242,6 +243,83 @@ def float_horner(p: RatPoly, x: float) -> float:
             down = down * y + c
         down = down * y
     return up + down
+
+
+# -- closed-form factors, one Fraction per coefficient ------------------------------
+
+
+def fraction_laguerre_L1(n_r: int, m: int) -> RatPoly:
+    """L(n_r, m) from the factorial formula of each Fraction coefficient."""
+    top = factorial(n_r + m)
+    coeffs = tuple(
+        Fraction((-1) ** j * top, factorial(n_r - j) * factorial(m + j) * factorial(j))
+        for j in range(n_r + 1)
+    )
+    return RatPoly(0, coeffs)
+
+
+def fraction_hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
+    """1F1(-n_r, m+1, x) from the Pochhammer ratio of each Fraction coefficient."""
+    coeffs = tuple(
+        Fraction(pochhammer(-n_r, k), pochhammer(m + 1, k) * factorial(k))
+        for k in range(n_r + 1)
+    )
+    return RatPoly(0, coeffs)
+
+
+# -- coefficient documents written through one Fraction per coefficient -----------
+
+
+def rat_dict(p: RatPoly) -> dict[str, str]:
+    return {str(k): str(c) for k, c in p.terms()}
+
+
+def poly_from_rat_dict(d: dict[str, str]) -> RatPoly:
+    """The polynomial a "power": "num/den" document describes."""
+    return RatPoly.from_terms({int(k): Fraction(v) for k, v in d.items()})
+
+
+def coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
+    """The rows of ``coeffs --format csv`` after its header."""
+    lines = []
+    powers = sorted(set(q_plus.as_dict()) | set(q_ei.as_dict()))
+    for k in powers:
+        qp = q_plus.coeff(k)
+        qe = q_ei.coeff(k)
+        lines.append(f"{k},{qp if qp else ''},{qe if qe else ''}\n")
+    return "".join(lines)
+
+
+def table_csv_rows(n: int, l: int, part: str, poly: RatPoly) -> str:
+    """The rows of ``table --format csv`` for one polynomial."""
+    return "".join(f"{n},{l},{part},{k},{c}\n" for k, c in poly.terms())
+
+
+def _latex_coeff_times_power(c: Fraction, k: int) -> str:
+    num, den = abs(c.numerator), c.denominator
+    if k == 0:
+        return str(num) if den == 1 else rf"\frac{{{num}}}{{{den}}}"
+    r_pow = "r" if abs(k) == 1 else rf"r^{{{abs(k)}}}"
+    if k < 0:
+        top = str(num)
+        bottom = r_pow if den == 1 else f"{den}{r_pow}"
+        return rf"\frac{{{top}}}{{{bottom}}}"
+    if den == 1:
+        return r_pow if num == 1 else f"{num}{r_pow}"
+    return rf"\frac{{{num}}}{{{den}}}{r_pow}"
+
+
+def latex_poly(p: RatPoly) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k, c in p.terms():
+        term = _latex_coeff_times_power(c, k)
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+{term}" if c > 0 else f"-{term}")
+    return "".join(parts)
 
 
 # -- double-precision form evaluation, converting coefficients at every point -----

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coulombwf
 from coulombwf import cli, closedform, numeval, oracle, shellmatch
@@ -64,8 +65,8 @@ def test_coeffs_json_round_trip(capsys):
         _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
         doc = json.loads(out)
         form = assemble_R2(QuantumNumbers(n, l))
-        assert cli._poly_from_rat_dict(doc["q_plus"]) == form.q_plus
-        assert cli._poly_from_rat_dict(doc["q_ei"]) == form.q_ei
+        assert refvals.poly_from_rat_dict(doc["q_plus"]) == form.q_plus
+        assert refvals.poly_from_rat_dict(doc["q_ei"]) == form.q_ei
         assert Fraction(doc["ei_arg_scale"]) == -2 * form.kappa
 
 
@@ -73,6 +74,67 @@ def test_coeffs_output_deterministic(capsys):
     _, first, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
     _, second, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
     assert first == second
+
+
+# numerators and denominators from 1 to far beyond one machine word, so that
+# every branch of the writers runs: integer and fractional coefficients, unit
+# numerators, negative powers and zero gaps inside the run
+_writer_nums = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-10**80, 10**80))
+_writer_dens = st.one_of(st.just(1), st.integers(1, 4), st.integers(1, 10**80))
+
+
+@st.composite
+def writer_polys(draw):
+    low = draw(st.integers(-40, 40))
+    coeffs = draw(st.lists(st.builds(Fraction, _writer_nums, _writer_dens), max_size=12))
+    return RatPoly(low, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_polys(), writer_polys())
+def test_integer_writers_match_fraction_writers(p, q):
+    assert list(cli._rat_dict(p).items()) == list(refvals.rat_dict(p).items())
+    assert cli._latex_poly(p) == refvals.latex_poly(p)
+    assert cli._coeffs_csv_rows(p, q) == refvals.coeffs_csv_rows(p, q)
+
+
+def test_table_csv_matches_fraction_writer(capsys):
+    code, out, _ = run(capsys, "table", "--nmax", "6", "--format", "csv")
+    assert code == 0
+    rows = "".join(
+        refvals.table_csv_rows(qn.n, qn.l, part, poly)
+        for qn, r1, r2 in closedform.solution_table(6)
+        for part, poly in (("r1_q_minus", r1.q_minus), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)))
+    assert out == cli._header() + "n,l,part,power,coeff\n" + rows
+
+
+def _count_assemble_R2(monkeypatch) -> dict:
+    calls = {"assemble_R2": 0}
+    original = closedform.assemble_R2
+
+    def counted(qn):
+        calls["assemble_R2"] += 1
+        return original(qn)
+
+    for module in (closedform, oracle, cli, shellmatch):
+        if getattr(module, "assemble_R2", None) is original:
+            monkeypatch.setattr(module, "assemble_R2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,states", [
+    (["coeffs", "--n", "6", "--l", "2", "--format", "json"], 1),
+    (["coeffs", "--n", "6", "--l", "2", "--format", "csv"], 1),
+    (["coeffs", "--n", "6", "--l", "2", "--format", "latex"], 1),
+    (["table", "--nmax", "4", "--format", "json"], 10),
+    (["table", "--nmax", "4", "--format", "csv"], 10),
+    (["table", "--nmax", "4", "--format", "latex"], 10),
+])
+def test_coefficient_documents_assemble_each_R2_once(capsys, monkeypatch, argv, states):
+    calls = _count_assemble_R2(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"assemble_R2": states}
 
 
 # -- eval -------------------------------------------------------------------------
@@ -378,6 +440,63 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_leaves_mpmath_unloaded():
+    # mpmath is imported only by the extended-precision evaluator
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import coulombwf.cli as cli",
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')",
+        "print(loaded())",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "    for argv in (['coeffs', '--n', '4', '--l', '1'], ['table', '--nmax', '3'],",
+        "                 ['eval', '--n', '3', '--l', '1', '--grid', '0.5:60:50'],",
+        "                 ['shell', '--n', '2', '--l', '0', '--a', '1e-4', '--b-range', '0.5:1.5',",
+        "                  '--grid-points', '20']):",
+        "        assert cli.main(argv) == 0, argv",
+        "print(loaded())",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n[]\n"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def forbidden():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", forbidden)
+    for argv in (["coeffs", "--n", "2", "--l", "1"], ["table", "--nmax", "2", "--format", "csv"],
+                 ["verify", "--nmax", "1", "--checks", "ode"], ["coeffs", "--n", "x"], ["--help"]):
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 64)
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    # a usage error, then valid calls that rely on defaults, then help: each
+    # gives what it gives from a parser that has parsed nothing before
+    sequence = [
+        ["verify", "--nmax", "1", "--checks", "golden", "--format"],
+        ["verify", "--nmax", "1", "--checks", "ode"],
+        ["coeffs", "--n", "3", "--l", "1", "--format", "csv"],
+        ["coeffs", "--n", "3", "--l", "1"],
+        ["--help"],
+        ["--help"],
+        ["coeffs", "--help"],
+    ]
+    shared = cli._PARSER
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(run(capsys, *argv))
+    monkeypatch.setattr(cli, "_PARSER", shared)
+    assert [run(capsys, *argv) for argv in sequence] == fresh
+    assert [code for code, _, _ in fresh] == [64, 0, 0, 0, 0, 0, 0]
+    assert fresh[1][1].startswith('{"n": 1, "l": 0, "check": "ode_residual_R1"')
+    assert fresh[3][1].startswith("{\n")
 
 
 def test_shell_reversed_range_is_usage_error(capsys):

@@ -19,7 +19,7 @@ from coulombwf.closedform import (
 from coulombwf.numeval import eval_form_extended
 from coulombwf.ratpoly import RatPoly, factorial, pochhammer
 
-from refvals import central_diff
+from refvals import central_diff, fraction_hyp1f1_terminating, fraction_laguerre_L1
 
 F = Fraction
 
@@ -80,6 +80,14 @@ def test_laguerre_degree_and_value_at_zero():
 def test_hyp1f1_trivial_and_hand_values():
     assert hyp1f1_terminating(0, 3) == RatPoly.one()
     assert hyp1f1_terminating(1, 1) == P({0: 1, 1: F(-1, 2)})
+
+
+def test_integer_factors_match_fraction_construction():
+    for total in range(121):
+        for n_r in range(total + 1):
+            m = total - n_r
+            assert laguerre_L1(n_r, m) == fraction_laguerre_L1(n_r, m)
+            assert hyp1f1_terminating(n_r, m) == fraction_hyp1f1_terminating(n_r, m)
 
 
 @pytest.mark.parametrize("n_r,m", [(2, 3)] + [(a, b) for a in range(13) for b in range(13)])

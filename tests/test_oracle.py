@@ -97,6 +97,17 @@ def test_wronskian_scales_bilinearly():
     assert w2 == w * 2
 
 
+def test_wronskian_rejects_wrong_normalisation():
+    # 2 R2 is still an independent solution, but its r^2 W is twice
+    # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
+    s = solutions(QuantumNumbers(2, 1))
+    w2, rep = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.scale(2), r2d=s.r2d.scale(2)))
+    assert w2 == RatPoly.constant(-12)
+    assert not rep.passed and not rep.exact
+    assert rep.residual_norm == 6.0
+    assert rep.details == "r^2 W = -12, expected -6"
+
+
 def test_wronskian_reports_non_cancelling_buckets():
     s = solutions(QuantumNumbers(3, 1))
     r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.one(), s.r2.kappa)

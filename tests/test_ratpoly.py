@@ -174,6 +174,33 @@ def test_results_stay_reduced(p, q):
             assert c.denominator >= 1
 
 
+@given(big_polys())
+def test_ratio_terms_are_the_reduced_nonzero_coefficients(p):
+    expected = [(p.low + i, c.numerator, c.denominator) for i, c in enumerate(p.coeffs) if c]
+    assert list(p.ratio_terms()) == expected
+    assert list(p.terms()) == [(k, F(num, den)) for k, num, den in expected]
+    assert all(math.gcd(num, den) == 1 and den > 0 for _, num, den in p.ratio_terms())
+
+
+@given(big_polys(), st.integers(1, 10**30))
+def test_from_nums_is_the_canonical_polynomial(p, den):
+    # numerators with a common factor and zeros at both ends
+    q = RatPoly.from_nums(p.low - 1, [0] + [x * 6 for x in p.nums] + [0, 0], p.den * den * 6)
+    assert q == RatPoly(p.low, tuple(c / den for c in p.coeffs))
+    assert math.gcd(q.den, *q.nums) == 1
+
+
+def test_from_nums_rejects_inexact_or_nonpositive_denominators():
+    with pytest.raises(TypeError):
+        RatPoly.from_nums(0, [1, 0.5])
+    with pytest.raises(TypeError):
+        RatPoly.from_nums(0, [1, 2], F(1, 2))
+    with pytest.raises(ValueError):
+        RatPoly.from_nums(0, [1, 2], 0)
+    with pytest.raises(ValueError):
+        RatPoly.from_nums(0, [1, 2], -3)
+
+
 @given(polys())
 def test_normalized_representation(p):
     if not p.is_zero():
