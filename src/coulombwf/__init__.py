@@ -17,16 +17,14 @@ from .closedform import (
     hyp1f1_terminating,
     laguerre_L1,
     p2_doublesum,
-    p2_simplified,
     solution_table,
 )
 from .numeval import DomainError, EvalResult, OverflowSignal, ei_one_neg, eval_form, eval_form_extended
-from .ratpoly import BigRational, RatPoly, ZeroDenominator, factorial, pochhammer
+from .ratpoly import RatPoly, ZeroDenominator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "DomainError",
     "EvalResult",
     "ExpEiForm",
@@ -41,12 +39,9 @@ __all__ = [
     "energy",
     "eval_form",
     "eval_form_extended",
-    "factorial",
     "hyp1f1_terminating",
     "laguerre_L1",
     "p2_doublesum",
-    "p2_simplified",
-    "pochhammer",
     "solution_table",
     "__version__",
 ]

@@ -195,8 +195,8 @@ _JSON_ROW = '    {\n      "r": %r,\n      "value": %r,\n      "est_rel_error": %
 
 def cmd_eval(args) -> int:
     qn = QuantumNumbers(args.n, args.l)
-    form = numeval.prepare_form(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn))
     grid = _parse_grid(args.grid)
+    form = numeval.prepare_form(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn))
     rows = []
     for r in grid:
         res = numeval.eval_form(form, r)
@@ -407,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidQuantumNumbers, ValueError) as exc:
         sys.stderr.write(f"coulombwf: error: {exc}\n")
         return EXIT_USAGE
-    except (OverflowError, OSError, oracle.QuadratureFailure) as exc:
+    except (OverflowError, OSError, oracle.QuadratureFailure, shellmatch.MatchNotResolved) as exc:
         sys.stderr.write(f"coulombwf: failure: {exc}\n")
         return EXIT_FAIL
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatPoly, factorial
+from .ratpoly import RatPoly
 
 # Coulomb strength in library units; kappa_n = KAPPA0 / n.
 KAPPA0 = Fraction(1)
@@ -82,19 +82,15 @@ def laguerre_L1(n_r: int, m: int) -> RatPoly:
     # (-1)^j C(n_r+m, n_r-j) n_r!/j!
     nums = [(-1) ** j * math.comb(n_r + m, n_r - j) * math.perm(n_r, n_r - j)
             for j in range(n_r + 1)]
-    return RatPoly.from_nums(0, nums, factorial(n_r))
+    return RatPoly.from_nums(0, nums, math.factorial(n_r))
 
 
 def hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
-    """The degree-n_r polynomial 1F1(-n_r, m+1, x)."""
+    """The degree-n_r polynomial 1F1(-n_r, m+1, x) = n_r! m!/(n_r+m)! L(n_r, m, x)."""
     if n_r < 0 or m < 0:
         raise ValueError("hyp1f1_terminating needs n_r >= 0 and m >= 0")
-    # (-n_r)_k / ((m+1)_k k!) = (-1)^k C(n_r, k) m!/(m+k)!; over the common
-    # denominator (n_r+m)!/m!, the x^k numerator is the integer
-    # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
-    nums = [(-1) ** k * math.comb(n_r, k) * math.perm(n_r + m, n_r - k)
-            for k in range(n_r + 1)]
-    return RatPoly.from_nums(0, nums, math.perm(n_r + m, n_r))
+    return laguerre_L1(n_r, m) * Fraction(math.factorial(n_r) * math.factorial(m),
+                                          math.factorial(n_r + m))
 
 
 def p2_doublesum(n_r: int, m: int) -> RatPoly:
@@ -114,44 +110,13 @@ def p2_doublesum(n_r: int, m: int) -> RatPoly:
         raise ValueError("p2_doublesum needs m >= 1")
     # the prefactor times the k-th 1F1 coefficient is the integer
     # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
-    facts = [factorial(i) for i in range(n_r + m + 1)]
+    facts = [math.factorial(i) for i in range(n_r + m + 1)]
     acc = [0] * (n_r + m)
     for k in range(n_r + 1):
         c_k = (-1) ** k * math.comb(n_r, k) * (facts[n_r + m] // facts[m + k])
         for j in range(m + k):
             acc[j] += c_k * facts[m + k - 1 - j]
     return RatPoly.from_nums(0, acc)
-
-
-def p2_simplified(n_r: int, m: int) -> RatPoly:
-    """Same polynomial as :func:`p2_doublesum`, built from the split form.
-
-    The positive part sum_{p<m} (n_r+p)!(m-p-1)!/p! x^p is followed by an
-    x^m-prefixed oscillating part whose coefficients combine harmonic tails
-    sum 1/k with the products prod_{j=1..p} (n_r+m+j-k).  Empty sums are 0
-    and empty products 1, which makes n_r = 0 collapse to the positive part.
-    """
-    if n_r < 0:
-        raise ValueError("p2_simplified needs n_r >= 0")
-    if m < 1:
-        raise ValueError("p2_simplified needs m >= 1")
-    terms: dict[int, Fraction] = {}
-    for p in range(m):
-        terms[p] = Fraction(factorial(n_r + p) * factorial(m - p - 1), factorial(p))
-    lead = Fraction(factorial(n_r + m), factorial(m))
-    if n_r >= 1:
-        harmonic_tail = sum(Fraction(1, k) for k in range(m + 1, n_r + m + 1))
-        terms[m] = -lead * harmonic_tail
-        for p in range(1, n_r):
-            inner = Fraction(0)
-            for k in range(m + p + 1, n_r + m + 1):
-                prod = 1
-                for j in range(1, p + 1):
-                    prod *= n_r + m + j - k
-                inner += Fraction(prod, k)
-            coeff = -lead * Fraction(factorial(m), factorial(m + p)) * Fraction((-1) ** p, factorial(p)) * inner
-            terms[m + p] = coeff
-    return RatPoly.from_terms(terms)
 
 
 def phi2_closedform(n_r: int, m: int) -> tuple[RatPoly, RatPoly]:
@@ -162,7 +127,7 @@ def phi2_closedform(n_r: int, m: int) -> tuple[RatPoly, RatPoly]:
     m!/(n_r+m)! normalization and the x^{-m} prefactor, g_ei is the
     terminating 1F1.
     """
-    g_exp = p2_doublesum(n_r, m).shift(-m) * Fraction(factorial(m), factorial(n_r + m))
+    g_exp = p2_doublesum(n_r, m).shift(-m) * Fraction(math.factorial(m), math.factorial(n_r + m))
     g_ei = hyp1f1_terminating(n_r, m)
     return g_exp, g_ei
 
@@ -198,12 +163,6 @@ class ExpEiForm:
                           self.q_minus + other.q_minus,
                           self.q_ei + other.q_ei)
 
-    def __neg__(self) -> ExpEiForm:
-        return self._like(-self.q_plus, -self.q_minus, -self.q_ei)
-
-    def __sub__(self, other: ExpEiForm) -> ExpEiForm:
-        return self + (-other)
-
     def mul_poly(self, p: RatPoly) -> ExpEiForm:
         """Multiply by a Laurent polynomial in r."""
         return self._like(self.q_plus * p, self.q_minus * p, self.q_ei * p)
@@ -212,9 +171,6 @@ class ExpEiForm:
         """Multiply by r**offset."""
         return self._like(self.q_plus.shift(offset), self.q_minus.shift(offset),
                           self.q_ei.shift(offset))
-
-    def scale(self, c: Fraction | int) -> ExpEiForm:
-        return self._like(self.q_plus * c, self.q_minus * c, self.q_ei * c)
 
     def derivative(self) -> ExpEiForm:
         """Exact d/dr; the Ei-derivative contribution lands in the e^{+kr} bucket."""
@@ -241,7 +197,7 @@ def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
     """
     two_kappa = 2 * qn.kappa
     q_plus = p2_doublesum(qn.n_r, qn.m).shift(-qn.l - 1).scale_arg(two_kappa)
-    q_plus = q_plus * Fraction(1, factorial(qn.n_r))
+    q_plus = q_plus * Fraction(1, math.factorial(qn.n_r))
     q_ei = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(two_kappa)
     return ExpEiForm(q_plus, RatPoly.zero(), q_ei, qn.kappa)
 
@@ -266,11 +222,8 @@ def solutions(qn: QuantumNumbers) -> Solutions:
 def apply_radial_operator(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
     """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, as
     (r^2 fd)' + (...) f with fd = f': one derivative instead of two."""
-    potential = RatPoly.from_terms({
-        2: -(qn.kappa ** 2),
-        1: 2 * KAPPA0,
-        0: -Fraction(qn.l * (qn.l + 1)),
-    })
+    # -l(l+1) + 2 kappa0 r - kappa^2 r^2
+    potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
     return fd.shift(2).derivative() + f.mul_poly(potential)
 
 

@@ -32,7 +32,7 @@ class DomainError(ValueError):
 
 
 class OverflowSignal(OverflowError):
-    """The unscaled result exceeds double-precision range."""
+    """A value or a coefficient exceeds double-precision range."""
 
 
 @dataclass(frozen=True)
@@ -73,46 +73,24 @@ def _asymptotic_sum(x: float) -> tuple[float, float, int]:
     return total, term, k
 
 
-def _ei_asymptotic(x: float) -> tuple[float, float]:
-    """-(e^x/x) sum_k k!/x^k truncated at the smallest term."""
-    total, last_term, k = _asymptotic_sum(x)
-    est = last_term / abs(total) + (k + 4) * _EPS
-    return -math.exp(x) / x * total, est
-
-
-def ei_one_neg(x: float, scaled: bool = False) -> EvalResult:
+def ei_one_neg(x: float) -> EvalResult:
     """Principal value of integral_{-x}^{infinity} e^{-s}/s ds for x > 0.
 
-    Parameters
-    ----------
-    x : float
-        Positive argument (bound-state evaluations use x = 2 kappa r).
-    scaled : bool
-        If true, return e^{-x} times the integral, which stays in range for
-        arbitrarily large x.
-
-    Returns
-    -------
-    EvalResult
-        Value (equal to -Ei(x) in the classical convention), an estimated
-        relative error, and the branch used.
+    Returns the value (equal to -Ei(x) in the classical convention), an
+    estimated relative error, and the branch used.  Past x = 708 the value,
+    about -e^x/x, leaves double range and OverflowSignal is raised.
     """
     if not x > 0:
         raise DomainError(f"ei_one_neg requires x > 0, got {x!r}")
     if x <= _BRANCH_SPLIT:
         value, est = _ei_series(x)
-        if scaled:
-            value *= math.exp(-x)
         return EvalResult(value, est, "series")
-    if x > _OVERFLOW_X and not scaled:
-        raise OverflowSignal(
-            f"e^x overflows double precision at x={x!r}; request scaled=True")
-    if scaled:
-        total, last_term, k = _asymptotic_sum(x)
-        est = last_term / abs(total) + (k + 4) * _EPS
-        return EvalResult(-total / x, est, "asymptotic")
-    value, est = _ei_asymptotic(x)
-    return EvalResult(value, est, "asymptotic")
+    if x > _OVERFLOW_X:
+        raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
+    # -(e^x/x) sum_k k!/x^k truncated at the smallest term
+    total, last_term, k = _asymptotic_sum(x)
+    est = last_term / abs(total) + (k + 4) * _EPS
+    return EvalResult(-math.exp(x) / x * total, est, "asymptotic")
 
 
 def _float_exp(t: float) -> float:
@@ -122,7 +100,7 @@ def _float_exp(t: float) -> float:
         raise OverflowSignal(f"exp({t}) overflows double precision") from exc
 
 
-def _bucket(p) -> tuple | None:
+def _bucket(name: str, p) -> tuple | None:
     """(Horner run, envelope pairs (k, |c_k|)) of one RatPoly bucket, or None
     for the zero polynomial."""
     if p.is_zero():
@@ -130,10 +108,8 @@ def _bucket(p) -> tuple | None:
     den = p.den
     try:
         return p.float_run(), tuple((k, abs(x) / den) for k, x in enumerate(p.nums, p.low) if x)
-    except OverflowError:
-        # a coefficient beyond double range: each evaluation converts again
-        # and raises that error where an unprepared evaluation raises it
-        return p.eval_float, ()
+    except OverflowError as exc:
+        raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,10 +129,12 @@ class PreparedForm:
 
 
 def prepare_form(f: ExpEiForm) -> PreparedForm:
-    """Convert every coefficient of f to a float once (see eval_form)."""
+    """Convert every coefficient of f to a float once (see eval_form); raises
+    OverflowSignal when a coefficient is beyond double range."""
     return PreparedForm(float(f.kappa),
                         max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums)),
-                        _bucket(f.q_plus), _bucket(f.q_minus), _bucket(f.q_ei))
+                        _bucket("q_plus", f.q_plus), _bucket("q_minus", f.q_minus),
+                        _bucket("q_ei", f.q_ei))
 
 
 def _envelope(pairs: tuple, r: float) -> float:

@@ -25,7 +25,7 @@ from .closedform import (
     phi2_closedform,
     solutions,
 )
-from .ratpoly import RatPoly, factorial
+from .ratpoly import HornerRun, RatPoly
 
 
 class QuadratureFailure(ArithmeticError):
@@ -97,7 +97,7 @@ def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
             qn, "wronskian", False, math.inf,
             details=f"non-cancelling Wronskian buckets: minus={w_minus}, ei={w_ei}")
     r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
-    expected = RatPoly.constant(Fraction(-qn.n * factorial(qn.n + qn.l), 2 * factorial(qn.n_r)))
+    expected = RatPoly(0, (Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r)),))
     if r2w == expected:
         return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
     return r2w, VerificationReport(qn, "wronskian", False, (r2w - expected).max_abs_coeff_float(),
@@ -191,20 +191,24 @@ def phi2_pv_oracle(n_r: int, m: int, x: float) -> float:
     return value
 
 
+def _phi2_value(g_exp: HornerRun, g_ei: HornerRun, x: float) -> float:
+    return g_exp(x) * math.exp(x) + g_ei(x) * numeval.ei_one_neg(x).value
+
+
 def phi2_closed_value(n_r: int, m: int, x: float) -> float:
     """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
     g_exp, g_ei = phi2_closedform(n_r, m)
-    ei = numeval.ei_one_neg(x)
-    return g_exp.eval_float(x) * math.exp(x) + g_ei.eval_float(x) * ei.value
+    return _phi2_value(g_exp.float_run(), g_ei.float_run(), x)
 
 
 def pv_closedform_check(n_r: int, m: int, x_samples: list[float],
                         rel_tol: float = 1e-6) -> VerificationReport:
     """Closed form against the PV quadrature, pointwise relative comparison."""
+    g_exp, g_ei = (g.float_run() for g in phi2_closedform(n_r, m))
     worst = 0.0
     for x in x_samples:
         pv = phi2_pv_oracle(n_r, m, x)
-        cf = phi2_closed_value(n_r, m, x)
+        cf = _phi2_value(g_exp, g_ei, x)
         worst = max(worst, abs(pv - cf) / max(abs(pv), abs(cf)))
     ok = worst <= rel_tol
     return VerificationReport(None, f"pv_closedform[{n_r},{m}]", ok, worst,
@@ -231,18 +235,15 @@ def pole_split_identity_check(n_r: int, m: int, x_samples: list[float],
     plus F(x) Ei(1,-x); the difference quotient is a genuine polynomial, so
     its quadrature has no pole at all.
     """
-    h = hyp1f1_terminating(n_r, m).shift(m)
     f1 = hyp1f1_terminating(n_r, m)
+    h = f1.shift(m)
     worst = 0.0
     for x in x_samples:
         lhs = phi2_pv_oracle(n_r, m, x)
-        q_coeffs = _synthetic_quotient(h, x)
+        quotient = HornerRun(0, tuple(_synthetic_quotient(h, x)), 0.0)
 
         def smooth(s: float) -> float:
-            acc = 0.0
-            for c in reversed(q_coeffs):
-                acc = acc * s + c
-            return math.exp(-s) * acc
+            return math.exp(-s) * quotient(s)
 
         cutoff = _upper_cutoff(n_r, m, x)
         integral, err = _quad_or_fail(smooth, 0.0, cutoff)
@@ -280,7 +281,7 @@ def first_integral_closed_form_check(n_r: int, m: int,
 
             cutoff = 60.0 + 10.0 * power
             integral, err = _quad_or_fail(integrand, 0.0, cutoff)
-            expected = sum(factorial(power - 1 - j) * x**j for j in range(power))
+            expected = sum(math.factorial(power - 1 - j) * x**j for j in range(power))
             worst = max(worst, abs(integral - expected) / abs(expected))
             if err > 1e-9 * abs(expected):
                 raise QuadratureFailure(f"first-integral quadrature error {err:.2e} too large")
@@ -322,8 +323,8 @@ def golden_table_check(table: dict | None = None) -> list[VerificationReport]:
     for (n, l), expected in sorted(table.items()):
         qn = QuantumNumbers(n, l)
         form = assemble_R2(qn)
-        ok_plus = form.q_plus.as_dict() == expected["q_plus"]
-        ok_ei = form.q_ei.as_dict() == expected["q_ei"]
+        ok_plus = dict(form.q_plus.terms()) == expected["q_plus"]
+        ok_ei = dict(form.q_ei.terms()) == expected["q_ei"]
         ok_minus = form.q_minus.is_zero()
         ok_arg = 2 * form.kappa == F(2, n)
         ok = ok_plus and ok_ei and ok_minus and ok_arg

@@ -14,24 +14,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Arbitrary-precision rational scalar used throughout the package.  Fraction
-# is always stored reduced with a positive denominator, which is exactly the
-# invariant the exact checks rely on.
-BigRational = Fraction
-
 RationalLike = Fraction | int
 
 
 class ZeroDenominator(ZeroDivisionError):
     """Raised when negative powers are evaluated at zero."""
-
-
-def _fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -156,18 +143,6 @@ class RatPoly:
         return _raw(0, (), 1)
 
     @classmethod
-    def one(cls) -> RatPoly:
-        return cls.constant(1)
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> RatPoly:
-        return cls(0, (c,))
-
-    @classmethod
-    def monomial(cls, power: int, c: RationalLike = 1) -> RatPoly:
-        return cls(power, (c,))
-
-    @classmethod
     def from_nums(cls, low: int, nums, den: int = 1) -> RatPoly:
         """The polynomial whose x^(low+i) coefficient is nums[i]/den, from
         integer numerators over one positive integer denominator."""
@@ -177,17 +152,6 @@ class RatPoly:
         if den <= 0:
             raise ValueError(f"from_nums needs a positive denominator, got {den}")
         return _make(low, nums, den)
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, RationalLike]) -> RatPoly:
-        if not terms:
-            return cls.zero()
-        low = min(terms)
-        high = max(terms)
-        coeffs = [Fraction(0)] * (high - low + 1)
-        for power, c in terms.items():
-            coeffs[power - low] += _fraction(c)
-        return cls(low, coeffs)
 
     # -- inspection --------------------------------------------------------
 
@@ -224,9 +188,6 @@ class RatPoly:
         for k, num, den in self.ratio_terms():
             yield k, Fraction(num, den)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms())
-
     def max_abs_coeff_float(self) -> float:
         # int / int rounds correctly, and rounding is monotone, so this is the
         # largest |float(c)| over the coefficients
@@ -234,10 +195,8 @@ class RatPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: RatPoly | RationalLike) -> RatPoly:
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.constant(other)
-        elif not isinstance(other, RatPoly):
+    def __add__(self, other: RatPoly) -> RatPoly:
+        if other.__class__ is not RatPoly:
             return NotImplemented
         if not other.nums:
             return self
@@ -259,20 +218,13 @@ class RatPoly:
             out[i] += x
         return _make(low, out, den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> RatPoly:
         return _raw(self.low, tuple(-x for x in self.nums), self.den)
 
-    def __sub__(self, other: RatPoly | RationalLike) -> RatPoly:
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.constant(other)
-        if not isinstance(other, RatPoly):
+    def __sub__(self, other: RatPoly) -> RatPoly:
+        if other.__class__ is not RatPoly:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> RatPoly:
-        return (-self) + other
 
     def __mul__(self, other: RatPoly | RationalLike) -> RatPoly:
         if isinstance(other, (int, Fraction)):
@@ -295,18 +247,6 @@ class RatPoly:
         return _make(self.low + other.low, out, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> RatPoly:
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- calculus and substitution -----------------------------------------
 
@@ -357,10 +297,6 @@ class RatPoly:
         a float, an exact or an extended-precision scalar)."""
         return self._pad([conv(c) for c in self.coeffs], conv(0))(x)
 
-    def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact evaluation."""
-        return self.horner(_fraction(x), _fraction)
-
     def float_run(self) -> HornerRun:
         """The double-precision Horner run, converted once for many points.
 
@@ -395,19 +331,3 @@ class RatPoly:
     def __repr__(self) -> str:
         return f"RatPoly('{self}')"
 
-
-def factorial(k: int) -> int:
-    """Exact k! for k >= 0."""
-    if k < 0:
-        raise ValueError("factorial of a negative integer")
-    return math.factorial(k)
-
-
-def pochhammer(a: int, k: int) -> int:
-    """Rising factorial a (a+1) ... (a+k-1), with the empty product equal to 1."""
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    out = 1
-    for i in range(k):
-        out *= a + i
-    return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import numeval
 from .closedform import QuantumNumbers, solutions
-from .ratpoly import HornerRun, RatPoly, factorial
+from .ratpoly import HornerRun, RatPoly
 
 
 class NoRootInRange(ValueError):
@@ -26,6 +26,11 @@ class NoRootInRange(ValueError):
     def __init__(self, message: str, scan: list[tuple[float, float]]):
         super().__init__(message)
         self.scan = scan
+
+
+class MatchNotResolved(ArithmeticError):
+    """The bisection closed its bracket with |mismatch| still above 1e-8:
+    double precision cannot resolve the shell solution there."""
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,10 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
     """q(r) = sum_{j<=l} (l+j)!/(j!(l-j)!) (2 kappa)^{-j} r^{-j-1}, so that
     k_l(kappa r) is proportional to e^{-kappa r} q(r) (DLMF §10.49.12).  All
     coefficients are positive: q and q' evaluate without cancellation."""
-    two_kappa = 2 * qn.kappa
-    return RatPoly.from_terms({
-        -j - 1: Fraction(factorial(qn.l + j), factorial(j) * factorial(qn.l - j)) / two_kappa**j
-        for j in range(qn.l + 1)
-    })
+    l, two_kappa = qn.l, 2 * qn.kappa
+    # from r^{-l-1} (j = l) up to r^{-1} (j = 0)
+    return RatPoly(-l - 1, [Fraction(math.factorial(l + j), math.factorial(j) * math.factorial(l - j))
+                            / two_kappa**j for j in range(l, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -137,43 +141,59 @@ def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> 
 def match_shell(config: ShellConfig) -> MatchResult:
     """Fix (c1, c2) at the inner boundary, then bisect the outer boundary.
 
-    mismatch(b) is the shell log-derivative minus the exterior one; the root
-    b_star is polished until |mismatch| < 1e-8.  Raises NoRootInRange (with
-    the scanned mismatch table attached) when the bracket never changes sign.
+    mismatch(b) is the shell log-derivative minus the exterior one.  It has a
+    pole at every node of the shell solution u, so the bisection takes its
+    signs from the Wronskian of u with the exterior solution e^{-kappa r} q,
+    normalised as M(b) = (u' q - u (q' - kappa q)) / (|u' q| + |u (q' - kappa q)|).
+    M has no poles (q > 0) and vanishes exactly where mismatch does.  The
+    root b_star is polished until |mismatch| < 1e-8.  Raises NoRootInRange
+    (with the scanned mismatch table attached) when M keeps its sign over the
+    bracket, and MatchNotResolved when the bracket closes before the
+    mismatch falls below 1e-8.
     """
     u_a, du_a = integrate_interior(config.qn, config.a)
     _require_in_range("interior u, u'", config.a, u_a, du_a)
     forms = shell_forms(config.qn)
     c1, c2 = mixing_from_inner_match(forms, config.a, du_a / u_a)
+    kappa = forms.kappa
 
-    def mismatch(b: float) -> float:
+    def mismatch_and_wronskian(b: float) -> tuple[float, float]:
         u, du = forms.shell(c1, c2, b)
-        return du / u - forms.exterior_logderiv(b)
+        q, qd = forms.q(b), forms.qd(b)
+        outer = du * q
+        inner = u * (qd - kappa * q)
+        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
 
     lo, hi = config.b_range
-    f_lo = mismatch(lo)
-    f_hi = mismatch(hi)
+    f_lo, w_lo = mismatch_and_wronskian(lo)
+    f_hi, w_hi = mismatch_and_wronskian(hi)
     if f_lo == 0.0:
         return MatchResult(lo, c1, c2, f_lo, forms)
     if f_hi == 0.0:
         return MatchResult(hi, c1, c2, f_hi, forms)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        scan = [(lo + i * (hi - lo) / 16, mismatch(lo + i * (hi - lo) / 16)) for i in range(17)]
-        raise NoRootInRange(
-            f"mismatch has no sign change on [{lo}, {hi}] "
-            f"(endpoints {f_lo:.3e}, {f_hi:.3e})", scan)
+    if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
+        scan = [(b, mismatch_and_wronskian(b)[0]) for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
+        if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+            why = "mismatch has no sign change"
+        else:
+            why = "mismatch changes sign only through a pole (a node of u)"
+        raise NoRootInRange(f"{why} on [{lo}, {hi}] (endpoints {f_lo:.3e}, {f_hi:.3e})", scan)
     mid, f_mid = lo, f_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = mismatch(mid)
+        f_mid, w_mid = mismatch_and_wronskian(mid)
         if abs(f_mid) < 1e-8:
             break
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+        if math.copysign(1.0, w_mid) == math.copysign(1.0, w_lo):
+            lo, w_lo = mid, w_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
         if hi - lo < 1e-13 * max(1.0, abs(mid)):
             break
+    if not abs(f_mid) < 1e-8:
+        raise MatchNotResolved(
+            f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e} above 1e-8: double "
+            "precision cannot resolve the shell solution there")
     return MatchResult(mid, c1, c2, f_mid, forms)
 
 

@@ -8,15 +8,17 @@ integrates the force-free radial equation with fixed-step RK4, the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
-coefficient writers of the CLI documents), and the double-precision form
-evaluator converts every coefficient again at every point, the way the
-prepared evaluator must reproduce bit for bit.
+coefficient writers of the CLI documents), the split form of the polynomial
+P is built independently of the double sum the package uses, and the
+double-precision form evaluator converts every coefficient again at every
+point, the way the prepared evaluator must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 from scipy.optimize import brentq
@@ -30,7 +32,7 @@ from coulombwf.numeval import (
     _float_exp,
     ei_one_neg,
 )
-from coulombwf.ratpoly import RatPoly, factorial, pochhammer
+from coulombwf.ratpoly import RatPoly
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -206,6 +208,14 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
 # -- RatPoly arithmetic, one Fraction per coefficient -----------------------------
 
 
+def poly_from_terms(terms: dict) -> RatPoly:
+    """The polynomial with the given {power: coefficient} terms."""
+    if not terms:
+        return RatPoly.zero()
+    low = min(terms)
+    return RatPoly(low, [terms.get(k, 0) for k in range(low, max(terms) + 1)])
+
+
 def fraction_mul(p: RatPoly, q: RatPoly) -> RatPoly:
     """p * q by the schoolbook convolution of Fraction coefficients."""
     if p.is_zero() or q.is_zero():
@@ -223,7 +233,7 @@ def fraction_mul(p: RatPoly, q: RatPoly) -> RatPoly:
 
 def fraction_scale_arg(p: RatPoly, c: Fraction) -> RatPoly:
     """p(c x), term by term: the coefficient of x^k times c^k."""
-    return RatPoly.from_terms({k: a * Fraction(c) ** k for k, a in p.terms()})
+    return poly_from_terms({k: a * Fraction(c) ** k for k, a in p.terms()})
 
 
 def float_horner(p: RatPoly, x: float) -> float:
@@ -258,6 +268,14 @@ def fraction_laguerre_L1(n_r: int, m: int) -> RatPoly:
     return RatPoly(0, coeffs)
 
 
+def pochhammer(a: int, k: int) -> int:
+    """Rising factorial a (a+1) ... (a+k-1), with the empty product equal to 1."""
+    out = 1
+    for i in range(k):
+        out *= a + i
+    return out
+
+
 def fraction_hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
     """1F1(-n_r, m+1, x) from the Pochhammer ratio of each Fraction coefficient."""
     coeffs = tuple(
@@ -265,6 +283,40 @@ def fraction_hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
         for k in range(n_r + 1)
     )
     return RatPoly(0, coeffs)
+
+
+# -- the split-form construction of P, checked against the double sum -------------
+
+
+def p2_simplified(n_r: int, m: int) -> RatPoly:
+    """Same polynomial as :func:`p2_doublesum`, built from the split form.
+
+    The positive part sum_{p<m} (n_r+p)!(m-p-1)!/p! x^p is followed by an
+    x^m-prefixed oscillating part whose coefficients combine harmonic tails
+    sum 1/k with the products prod_{j=1..p} (n_r+m+j-k).  Empty sums are 0
+    and empty products 1, which makes n_r = 0 collapse to the positive part.
+    """
+    if n_r < 0:
+        raise ValueError("p2_simplified needs n_r >= 0")
+    if m < 1:
+        raise ValueError("p2_simplified needs m >= 1")
+    terms: dict[int, Fraction] = {}
+    for p in range(m):
+        terms[p] = Fraction(factorial(n_r + p) * factorial(m - p - 1), factorial(p))
+    lead = Fraction(factorial(n_r + m), factorial(m))
+    if n_r >= 1:
+        harmonic_tail = sum(Fraction(1, k) for k in range(m + 1, n_r + m + 1))
+        terms[m] = -lead * harmonic_tail
+        for p in range(1, n_r):
+            inner = Fraction(0)
+            for k in range(m + p + 1, n_r + m + 1):
+                prod = 1
+                for j in range(1, p + 1):
+                    prod *= n_r + m + j - k
+                inner += Fraction(prod, k)
+            coeff = -lead * Fraction(factorial(m), factorial(m + p)) * Fraction((-1) ** p, factorial(p)) * inner
+            terms[m + p] = coeff
+    return poly_from_terms(terms)
 
 
 # -- coefficient documents written through one Fraction per coefficient -----------
@@ -276,13 +328,13 @@ def rat_dict(p: RatPoly) -> dict[str, str]:
 
 def poly_from_rat_dict(d: dict[str, str]) -> RatPoly:
     """The polynomial a "power": "num/den" document describes."""
-    return RatPoly.from_terms({int(k): Fraction(v) for k, v in d.items()})
+    return poly_from_terms({int(k): Fraction(v) for k, v in d.items()})
 
 
 def coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
     """The rows of ``coeffs --format csv`` after its header."""
     lines = []
-    powers = sorted(set(q_plus.as_dict()) | set(q_ei.as_dict()))
+    powers = sorted({k for k, _ in q_plus.terms()} | {k for k, _ in q_ei.terms()})
     for k in powers:
         qp = q_plus.coeff(k)
         qe = q_ei.coeff(k)

@@ -12,7 +12,6 @@ from coulombwf.closedform import (
     apply_radial_operator,
     energy,
     p2_doublesum,
-    p2_simplified,
     solutions,
 )
 from coulombwf.numeval import ei_one_neg
@@ -25,7 +24,7 @@ from coulombwf.oracle import (
 )
 from coulombwf.shellmatch import ShellConfig, continuity_residuals, match_shell
 
-from refvals import ei_pv_reference, ei_zero_by_bisection, rk4_b_star
+from refvals import ei_pv_reference, ei_zero_by_bisection, p2_simplified, rk4_b_star
 
 PV_POINTS = [
     (0, 1, 0.5), (0, 1, 1.0), (0, 1, 2.0),

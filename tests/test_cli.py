@@ -232,6 +232,29 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
     assert calls == {"prepare_form": 1, "float_run": 2, "eval_form": 2000}
 
 
+def test_eval_ei_overflow_is_a_one_line_failure(capsys):
+    # 2 kappa r = 711.02 at the grid point r = 355.5: Ei(1, -x) ~ -e^x/x is
+    # beyond double range
+    code, out, err = run(capsys, "eval", "--n", "1", "--l", "0", "--which", "R2",
+                         "--grid", "1:600:50")
+    assert code == 1
+    assert out == ""
+    assert err == "coulombwf: failure: Ei(1, -x) overflows double precision at x=711.0204081632653\n"
+
+
+def test_eval_coefficients_beyond_double_range_is_a_one_line_failure(capsys):
+    code, out, err = run(capsys, "eval", "--n", "70", "--l", "69", "--which", "R2",
+                         "--grid", "1:2:3")
+    assert code == 1
+    assert out == ""
+    assert err == "coulombwf: failure: the q_plus coefficients exceed double precision\n"
+    # the grid is checked before the form is prepared
+    code, out, err = run(capsys, "eval", "--n", "70", "--l", "69", "--which", "R2",
+                         "--grid", "nope")
+    assert code == 64
+    assert err.startswith("coulombwf: error: grid must be start:stop:count")
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_json_enumerates(capsys):
@@ -381,6 +404,28 @@ def test_shell_no_root_exits_2(capsys):
     assert code == 2
     assert "no root" in err
     assert "b,mismatch" in err
+
+
+@pytest.mark.parametrize("b_range", ["1.5:3", "6:8"])
+def test_shell_node_bracket_exits_2(capsys, b_range):
+    # each bracket holds a node of u (1.90, 7.10) and no root
+    code, out, err = run(capsys, "shell", "--n", "3", "--l", "0", "--a", "1e-3",
+                         "--b-range", b_range)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("no root: mismatch changes sign only through a pole")
+    assert lines[1] == "b,mismatch"
+    assert len(lines) == 2 + 17
+
+
+def test_shell_unresolved_match_is_a_one_line_failure(capsys):
+    code, out, err = run(capsys, "shell", "--n", "8", "--l", "2", "--a", "0.031218547948655875",
+                         "--b-range", "197.2183249463177:279.3309622590942")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coulombwf: failure: bisection closed at b = ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("a, b_range", [("0.1", "1:inf"), ("inf", "1:2"), ("nan", "1:2")])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,20 +13,22 @@ from coulombwf.closedform import (
     hyp1f1_terminating,
     laguerre_L1,
     p2_doublesum,
-    p2_simplified,
     phi2_closedform,
     solution_table,
 )
 from coulombwf.numeval import eval_form_extended
-from coulombwf.ratpoly import RatPoly, factorial, pochhammer
+from coulombwf.ratpoly import RatPoly
 
-from refvals import central_diff, fraction_hyp1f1_terminating, fraction_laguerre_L1
+from refvals import (
+    central_diff,
+    fraction_hyp1f1_terminating,
+    fraction_laguerre_L1,
+    p2_simplified,
+    poly_from_terms as P,
+)
 
 F = Fraction
-
-
-def P(terms):
-    return RatPoly.from_terms(terms)
+ONE = RatPoly(0, (1,))
 
 
 # -- quantum numbers -----------------------------------------------------------
@@ -56,7 +59,7 @@ def test_energy_levels():
 
 def test_laguerre_degenerate_is_one():
     for m in range(6):
-        assert laguerre_L1(0, m) == RatPoly.one()
+        assert laguerre_L1(0, m) == ONE
 
 
 def test_laguerre_hand_values():
@@ -74,11 +77,11 @@ def test_laguerre_degree_and_value_at_zero():
         for m in range(8):
             poly = laguerre_L1(n_r, m)
             assert poly.degree == n_r
-            assert poly.coeff(0) == F(factorial(n_r + m), factorial(n_r) * factorial(m))
+            assert poly.coeff(0) == F(math.factorial(n_r + m), math.factorial(n_r) * math.factorial(m))
 
 
 def test_hyp1f1_trivial_and_hand_values():
-    assert hyp1f1_terminating(0, 3) == RatPoly.one()
+    assert hyp1f1_terminating(0, 3) == ONE
     assert hyp1f1_terminating(1, 1) == P({0: 1, 1: F(-1, 2)})
 
 
@@ -92,14 +95,14 @@ def test_integer_factors_match_fraction_construction():
 
 @pytest.mark.parametrize("n_r,m", [(2, 3)] + [(a, b) for a in range(13) for b in range(13)])
 def test_laguerre_vs_hyp1f1_relation(n_r, m):
-    scale = F(pochhammer(m + 1, n_r), factorial(n_r))
+    scale = F(math.perm(m + n_r, n_r), math.factorial(n_r))
     assert laguerre_L1(n_r, m) == hyp1f1_terminating(n_r, m) * scale
 
 
 # -- irregular-solution polynomial family ----------------------------------------
 
 def test_p2_hand_values():
-    assert p2_doublesum(0, 1) == RatPoly.one()
+    assert p2_doublesum(0, 1) == ONE
     assert p2_doublesum(1, 1) == P({0: 1, 1: -1})
     assert p2_doublesum(1, 3) == P({0: 2, 1: 2, 2: 3, 3: -1})
 
@@ -147,7 +150,7 @@ def test_p2_low_coefficients_positive():
 
 def test_assemble_R1_examples():
     f = assemble_R1(QuantumNumbers(1, 0))
-    assert f.q_minus == RatPoly.one() and f.q_plus.is_zero() and f.q_ei.is_zero()
+    assert f.q_minus == ONE and f.q_plus.is_zero() and f.q_ei.is_zero()
     assert f.kappa == F(1)
 
     f = assemble_R1(QuantumNumbers(2, 1))
@@ -161,7 +164,7 @@ def test_assemble_R1_examples():
 def test_assemble_R2_examples():
     f = assemble_R2(QuantumNumbers(1, 0))
     assert f.q_plus == P({-1: F(1, 2)})
-    assert f.q_ei == RatPoly.one()
+    assert f.q_ei == ONE
     assert f.q_minus.is_zero()
 
     f = assemble_R2(QuantumNumbers(3, 2))
@@ -184,14 +187,14 @@ def test_R2_ei_polynomial_matches_R1():
 
 def test_derivative_of_pure_decaying_exponential():
     d = assemble_R1(QuantumNumbers(1, 0)).derivative()
-    assert d.q_minus == RatPoly.constant(-1)
+    assert d.q_minus == RatPoly(0, (-1,))
     assert d.q_plus.is_zero() and d.q_ei.is_zero()
 
 
 def test_derivative_moves_ei_term_to_growing_bucket():
-    f = ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.one(), F(1))
+    f = ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1))
     d = f.derivative()
-    assert d.q_ei == RatPoly.constant(-1)
+    assert d.q_ei == RatPoly(0, (-1,))
     assert d.q_plus == P({-1: -1})
     assert d.q_minus.is_zero()
 
@@ -211,8 +214,8 @@ def test_symbolic_derivative_matches_finite_differences(n, l, r):
 
 
 def test_form_addition_guards_conventions():
-    a = ExpEiForm(RatPoly.zero(), RatPoly.one(), RatPoly.zero(), F(1))
-    b = ExpEiForm(RatPoly.zero(), RatPoly.one(), RatPoly.zero(), F(1, 2))
+    a = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1))
+    b = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1, 2))
     with pytest.raises(ValueError):
         a + b
 
@@ -234,7 +237,7 @@ def test_solution_table_rejects_bad_nmax():
 def test_phi2_closedform_split():
     g_exp, g_ei = phi2_closedform(0, 1)
     assert g_exp == P({-1: 1})
-    assert g_ei == RatPoly.one()
+    assert g_ei == ONE
     g_exp, g_ei = phi2_closedform(1, 1)
     assert g_exp == P({-1: F(1, 2), 0: F(-1, 2)})
     assert g_ei == P({0: 1, 1: F(-1, 2)})

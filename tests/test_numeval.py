@@ -11,7 +11,7 @@ from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
     OverflowSignal,
-    _ei_asymptotic,
+    _asymptotic_sum,
     _ei_series,
     ei_one_neg,
     eval_form,
@@ -51,8 +51,9 @@ def test_ei_small_x_log_divergence():
 def test_ei_branch_agreement_on_crossover_band():
     for x in [35.0 + k for k in range(11)]:
         s, _ = _ei_series(x)
-        a, _ = _ei_asymptotic(x)
+        a = -math.exp(x) / x * _asymptotic_sum(x)[0]
         assert abs(s - a) / abs(a) < 1e-11
+        assert ei_one_neg(x).value == (s if x <= 40.0 else a)
 
 
 def test_ei_zero_bracketed():
@@ -72,17 +73,8 @@ def test_ei_domain_and_overflow():
         ei_one_neg(0.0)
     with pytest.raises(DomainError):
         ei_one_neg(-3.0)
-    with pytest.raises(OverflowSignal):
+    with pytest.raises(OverflowSignal, match=r"^Ei\(1, -x\) overflows double precision at x=720\.0$"):
         ei_one_neg(720.0)
-
-
-def test_ei_scaled_survives_overflow():
-    import mpmath as mp
-
-    got = ei_one_neg(900.0, scaled=True)
-    with mp.workdps(60):
-        ref = float(mp.exp(-900) * (-mp.ei(900)))
-    assert got.value == pytest.approx(ref, rel=1e-12)
 
 
 def test_ei_method_tags():
@@ -203,11 +195,21 @@ def test_prepared_eval_same_outcome_at_the_edges(r):
 
 
 def test_prepared_eval_with_coefficients_beyond_double_range():
-    # R2's leading coefficient for n = 70, l = 69 does not fit a double: the
-    # form still prepares, and each evaluation raises what the reference raises
+    # R2's leading coefficient for n = 70, l = 69 does not fit a double, so
+    # preparing R2 or R2' raises one OverflowSignal that names the bucket, and
+    # so does every evaluation at r > 0; R1 and R1' evaluate as the reference
+    forms = _forms(70, 69)
     with pytest.raises(OverflowError):
-        _forms(70, 69)["r2"].q_plus.float_run()
-    for which in _WHICH:
+        forms["r2"].q_plus.float_run()
+    for which in ("r2", "r2d"):
+        with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
+            prepare_form(forms[which])
+        for r in (1.0, 1e-320, 1e5):
+            assert _outcome(eval_form, forms[which], r) == (
+                OverflowSignal, "the q_plus coefficients exceed double precision")
+        with pytest.raises(DomainError):
+            eval_form(forms[which], 0.0)
+    for which in ("r1", "r1d"):
         for r in (1.0, 1e-320, 0.0, 1e5):
             _assert_same_as_reference(70, 69, which, r)
 

@@ -28,6 +28,7 @@ from coulombwf.oracle import (
 from coulombwf.ratpoly import RatPoly
 
 F = Fraction
+TWO = RatPoly(0, (2,))
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,7 +51,7 @@ def test_ode_residual_exactly_zero(qn):
 def test_ode_residual_detects_mutation():
     qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
-    mutated = ExpEiForm(f.q_plus + RatPoly.monomial(0, 1), f.q_minus, f.q_ei, f.kappa)
+    mutated = ExpEiForm(f.q_plus + RatPoly(0, (1,)), f.q_minus, f.q_ei, f.kappa)
     rep = ode_residual_symbolic(mutated, mutated.derivative(), qn)
     assert not rep.passed
     assert rep.residual_norm > 0
@@ -87,13 +88,13 @@ def test_wronskian_constant_and_nonzero(qn):
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
     r2w, _ = wronskian_symbolic(solutions(QuantumNumbers(1, 0)))
-    assert r2w == RatPoly.constant(F(-1, 2))
+    assert r2w == RatPoly(0, (F(-1, 2),))
 
 
 def test_wronskian_scales_bilinearly():
     s = solutions(QuantumNumbers(2, 1))
     w, _ = wronskian_symbolic(s)
-    w2, _ = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.scale(2), r2d=s.r2d.scale(2)))
+    w2, _ = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
     assert w2 == w * 2
 
 
@@ -101,8 +102,8 @@ def test_wronskian_rejects_wrong_normalisation():
     # 2 R2 is still an independent solution, but its r^2 W is twice
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
     s = solutions(QuantumNumbers(2, 1))
-    w2, rep = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.scale(2), r2d=s.r2d.scale(2)))
-    assert w2 == RatPoly.constant(-12)
+    w2, rep = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
+    assert w2 == RatPoly(0, (-12,))
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == 6.0
     assert rep.details == "r^2 W = -12, expected -6"
@@ -110,7 +111,7 @@ def test_wronskian_rejects_wrong_normalisation():
 
 def test_wronskian_reports_non_cancelling_buckets():
     s = solutions(QuantumNumbers(3, 1))
-    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.one(), s.r2.kappa)
+    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
     r2w, rep = wronskian_symbolic(dataclasses.replace(s, r2=r2, r2d=r2.derivative()))
     assert r2w.is_zero()
     assert not rep.passed and not rep.exact
@@ -183,7 +184,7 @@ def test_pole_split_difference_quotient_is_smooth():
     h = hyp1f1_terminating(n_r, m).shift(m)
     q = _synthetic_quotient(h, x)
     at_pole = sum(c * x**i for i, c in enumerate(q))
-    slope = float(h.derivative().eval_rational(F(3, 2)))
+    slope = float(h.derivative().horner(F(3, 2), F))
     assert at_pole == pytest.approx(slope, rel=1e-12)
     # and the raw difference quotient approaches the same limit
     eps = 1e-6
@@ -246,3 +247,24 @@ def test_pv_integral_converts_h_once(monkeypatch):
     phi2_pv_oracle(1, 3, 1.0)
     # per integral: h's run, and d1 and d3 at x (eval_float calls float_run)
     assert calls == {"float_run": 6, "eval_float": 4}
+
+
+def test_pv_checks_build_their_polynomials_once(monkeypatch):
+    # the closed form once per pv check and F once per split check; each
+    # phi2_pv_oracle call still builds its own h
+    import coulombwf.oracle as oracle_mod
+
+    calls = {"phi2_closedform": 0, "hyp1f1_terminating": 0}
+    for name in calls:
+        original = getattr(oracle_mod, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    xs = [0.5, 1.0, 2.0]
+    assert pv_closedform_check(1, 1, xs).passed
+    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 3}
+    assert pole_split_identity_check(1, 1, xs).passed
+    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 3 + 1 + 3}

@@ -2,10 +2,12 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.numeval import eval_form
 from coulombwf.shellmatch import (
+    MatchNotResolved,
     NoRootInRange,
     ShellConfig,
     continuity_residuals,
@@ -177,6 +179,76 @@ def test_no_root_reports_scan():
         match_shell(config)
     assert len(err.value.scan) == 17
     assert all(f > 0 for _, f in err.value.scan)
+
+
+@pytest.mark.parametrize("b_range, node", [((1.5, 3.0), 1.9019), ((6.0, 8.0), 7.0980)])
+def test_node_of_u_is_never_a_match(b_range, node):
+    # u is R1 up to |c2/c1| ~ 2e-6 here, with nodes near 1.90 and 7.10: the
+    # mismatch changes sign across each one through a pole, the Wronskian
+    # with the exterior solution does not, and no root lies in either bracket
+    qn = QuantumNumbers(3, 0)
+    config = ShellConfig(qn, 1e-3, b_range)
+    forms = shell_forms(qn)
+    assert eval_form(forms.r1, node - 1e-3).value * eval_form(forms.r1, node + 1e-3).value < 0
+    with pytest.raises(NoRootInRange, match="only through a pole") as err:
+        match_shell(config)
+    scan = err.value.scan
+    assert len(scan) == 17
+    assert scan[0][1] < 0 < scan[-1][1]
+
+
+@pytest.mark.parametrize("n,l,a,b_range", [(3, 0, 1e-3, (0.5, 1.5)), (3, 0, 1e-3, (4.0, 6.0)),
+                                           (4, 2, 0.5, (8.0, 11.0)), (2, 0, 0.5, (1.0, 2.5))])
+def test_match_agrees_with_rk4_reference(n, l, a, b_range):
+    # brackets that hold one true root and no node of u
+    qn = QuantumNumbers(n, l)
+    result = match_shell(ShellConfig(qn, a, b_range))
+    assert abs(result.mismatch) < 1e-8
+    for h in RK4_STEPS:
+        assert abs(result.b_star - rk4_b_star(qn, a, b_range, h)) < 1e-6
+
+
+def test_bracket_with_a_root_and_a_node_finds_the_root():
+    # [1, 3] holds the root near 1.514 and a node of u near 2.67, so the
+    # mismatch has the same sign at both ends; the Wronskian still brackets
+    # the root
+    qn = QuantumNumbers(2, 0)
+    result = match_shell(ShellConfig(qn, 0.5, (1.0, 3.0)))
+    u_lo, u_hi = (result.forms.shell(result.c1, result.c2, b)[0] for b in (1.0, 3.0))
+    assert u_lo > 0 > u_hi
+    assert abs(result.mismatch) < 1e-8
+    # both stop once |mismatch| < 1e-8, which pins b_star to about 1e-8 here
+    assert result.b_star == pytest.approx(match_shell(ShellConfig(qn, 0.5, (1.0, 2.5))).b_star, abs=1e-7)
+
+
+_shell_states = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shell_states, st.floats(math.log(1e-4), math.log(1.5)), st.floats(0.01, 1.0),
+       st.floats(0.01, 1.0))
+def test_every_reported_match_is_continuous(state, log_a, start, width):
+    # brackets anywhere in b <= a + 8 n^2: whatever nodes and roots they hold,
+    # a returned match meets the exterior solution with a continuous derivative
+    n, l = state
+    a = math.exp(log_a)
+    b_min = a + start * 4 * n * n
+    config = ShellConfig(QuantumNumbers(n, l), a, (b_min, b_min + width * 4 * n * n))
+    try:
+        result = match_shell(config)
+    except (NoRootInRange, MatchNotResolved):
+        return
+    assert abs(result.mismatch) < 1e-8
+    assert continuity_residuals(config, result)["deriv_b"] < 1e-6
+
+
+def test_unresolved_bisection_is_not_a_match():
+    # at kappa b ~ 25 the shell solution cancels below double precision, so
+    # the bracket closes with the mismatch far above 1e-8
+    config = ShellConfig(QuantumNumbers(8, 2), 0.031218547948655875,
+                         (197.2183249463177, 279.3309622590942))
+    with pytest.raises(MatchNotResolved, match="double precision cannot resolve"):
+        match_shell(config)
 
 
 def test_piecewise_grid_shape():
