@@ -19,7 +19,15 @@ from .closedform import (
     p2_doublesum,
     solution_table,
 )
-from .numeval import DomainError, EvalResult, OverflowSignal, ei_one_neg, eval_form, eval_form_extended
+from .numeval import (
+    DomainError,
+    EvalResult,
+    OverflowSignal,
+    ei_one_neg,
+    eval_form,
+    eval_form_extended,
+    eval_grid,
+)
 from .ratpoly import RatPoly, ZeroDenominator
 
 __version__ = "0.1.0"
@@ -39,6 +47,7 @@ __all__ = [
     "energy",
     "eval_form",
     "eval_form_extended",
+    "eval_grid",
     "hyp1f1_terminating",
     "laguerre_L1",
     "p2_doublesum",

@@ -197,10 +197,7 @@ def cmd_eval(args) -> int:
     qn = QuantumNumbers(args.n, args.l)
     grid = _parse_grid(args.grid)
     form = numeval.prepare_form(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn))
-    rows = []
-    for r in grid:
-        res = numeval.eval_form(form, r)
-        rows.append((r, res.value, res.est_rel_error))
+    rows = numeval.eval_grid(form, grid)
     if args.format == "json":
         body = ",\n".join([_JSON_ROW % row for row in rows])
         # no other token of a row holds the letters "inf" or "nan"

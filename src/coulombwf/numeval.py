@@ -59,18 +59,32 @@ def _ei_series(x: float) -> tuple[float, float]:
 
 
 def _asymptotic_sum(x: float) -> tuple[float, float, int]:
-    """sum_k k!/x^k truncated at the smallest term, with that term and count."""
+    """sum_k k!/x^k truncated at the smallest term, with that term and count.
+    Every term is positive, so the partial sum is at least 1."""
     total = 1.0
     term = 1.0
     k = 0
     while True:
         nxt = term * (k + 1) / x
-        if nxt >= term or nxt < abs(total) * 1e-18:
+        if nxt >= term or nxt < total * 1e-18:
             break
         k += 1
         term = nxt
         total += term
     return total, term, k
+
+
+def _ei(x: float) -> tuple[float, float]:
+    """(value, estimated relative error) of Ei(1, -x); see ei_one_neg."""
+    if not x > 0:
+        raise DomainError(f"ei_one_neg requires x > 0, got {x!r}")
+    if x <= _BRANCH_SPLIT:
+        return _ei_series(x)
+    if x > _OVERFLOW_X:
+        raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
+    # -(e^x/x) sum_k k!/x^k truncated at the smallest term
+    total, last_term, k = _asymptotic_sum(x)
+    return -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
 
 
 def ei_one_neg(x: float) -> EvalResult:
@@ -80,36 +94,22 @@ def ei_one_neg(x: float) -> EvalResult:
     estimated relative error, and the branch used.  Past x = 708 the value,
     about -e^x/x, leaves double range and OverflowSignal is raised.
     """
-    if not x > 0:
-        raise DomainError(f"ei_one_neg requires x > 0, got {x!r}")
-    if x <= _BRANCH_SPLIT:
-        value, est = _ei_series(x)
-        return EvalResult(value, est, "series")
-    if x > _OVERFLOW_X:
-        raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
-    # -(e^x/x) sum_k k!/x^k truncated at the smallest term
-    total, last_term, k = _asymptotic_sum(x)
-    est = last_term / abs(total) + (k + 4) * _EPS
-    return EvalResult(-math.exp(x) / x * total, est, "asymptotic")
-
-
-def _float_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError as exc:
-        raise OverflowSignal(f"exp({t}) overflows double precision") from exc
+    value, est = _ei(x)
+    return EvalResult(value, est, "series" if x <= _BRANCH_SPLIT else "asymptotic")
 
 
 def _bucket(name: str, p) -> tuple | None:
-    """(Horner run, envelope pairs (k, |c_k|)) of one RatPoly bucket, or None
-    for the zero polynomial."""
+    """The fused run of one RatPoly bucket (see PreparedForm), or None for the
+    zero polynomial."""
     if p.is_zero():
         return None
-    den = p.den
     try:
-        return p.float_run(), tuple((k, abs(x) / den) for k, x in enumerate(p.nums, p.low) if x)
+        run = p.float_run()
     except OverflowError as exc:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
+    pairs = [(c, abs(c)) for c in run.cs]
+    split = -run.lo
+    return tuple(reversed(pairs[split:])), tuple(pairs[:split]), max(p.degree, 0), min(p.low, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +117,14 @@ class PreparedForm:
     """An ExpEiForm converted to floats once, for evaluation at many points.
 
     Each bucket (q_plus, q_minus, q_ei) is None when its polynomial is zero,
-    else its float Horner run and the envelope pairs (k, |c_k|) of its
-    nonzero coefficients; ``width`` is the longest stored coefficient run.
+    else one fused run ``(up, down, top, bottom)`` of (c_k, |c_k|) pairs,
+    padded with zeros the way ``RatPoly.float_run`` pads: ``up`` holds the
+    powers max(degree, 0) down to 0, ``down`` the powers min(low, 0) up to
+    -1, so that one Horner pass yields the value and the envelope
+    sum |c_k| r^k together.  ``top`` and ``bottom`` are the highest and the
+    lowest nonzero power, clipped at 0: the only powers whose r^k can
+    overflow, for r > 1 and for r < 1.  ``width`` is the longest stored
+    coefficient run.
     """
 
     kappa: float
@@ -129,7 +135,7 @@ class PreparedForm:
 
 
 def prepare_form(f: ExpEiForm) -> PreparedForm:
-    """Convert every coefficient of f to a float once (see eval_form); raises
+    """Convert every coefficient of f to a float once (see eval_grid); raises
     OverflowSignal when a coefficient is beyond double range."""
     return PreparedForm(float(f.kappa),
                         max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums)),
@@ -137,58 +143,96 @@ def prepare_form(f: ExpEiForm) -> PreparedForm:
                         _bucket("q_ei", f.q_ei))
 
 
-def _envelope(pairs: tuple, r: float) -> float:
-    """sum |c_k| r^k, the conditioning envelope of the float evaluation."""
+def _fused(bucket: tuple, r: float) -> tuple[float, float]:
+    """(value, envelope sum |c_k| r^k) of one bucket at r > 0, from one
+    Laurent Horner pass over its (c, |c|) pairs.
+
+    The value takes the operations of ``HornerRun`` in its order, so it is
+    the same double.  Raises OverflowSignal exactly when r^k overflows for
+    the power k of some nonzero coefficient.
+    """
+    up, down, top, bottom = bucket
     try:
-        return sum([c * r**k for k, c in pairs])
+        r ** (top if r > 1.0 else bottom)
     except OverflowError as exc:
         raise OverflowSignal(
             f"conditioning envelope overflows double precision at r = {r!r}") from exc
+    value = env = 0.0
+    for c, a in up:
+        value = value * r + c
+        env = env * r + a
+    if not down:
+        return value + 0.0, env
+    y = 1 / r
+    dvalue = denv = 0.0
+    for c, a in down:
+        dvalue = dvalue * y + c
+        denv = denv * y + a
+    return value + dvalue * y, env + denv * y
 
 
-def eval_form(f: ExpEiForm | PreparedForm, r: float) -> EvalResult:
-    """Evaluate a symbolic radial form at r > 0 in double precision.
+def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float]]:
+    """Evaluate a symbolic radial form in double precision at every r of rs,
+    as one (r, value, est_rel_error) row per point.
 
     The error estimate is built from the absolute-coefficient envelope of
     each bucket (which dominates the plain |A| + |C| cancellation penalty
     between the growing-exponential and Ei buckets), the rounding of the
-    exponential arguments, and the Ei evaluation error.  A form evaluated at
-    many points is passed through prepare_form once; the result is the same.
+    exponential arguments, and the Ei evaluation error.  The first point
+    that cannot be evaluated raises: DomainError for r <= 0 or nan, and
+    OverflowSignal when e^{kappa r}, Ei(1, -2 kappa r) or an envelope term
+    leaves double range.
     """
+    if not isinstance(f, PreparedForm):
+        f = prepare_form(f)
+    kappa, two_width, plus, minus, ei = f.kappa, 2 * f.width, f.plus, f.minus, f.ei
+    rows = []
+    for r in rs:
+        if not r > 0:
+            raise DomainError(f"eval_form requires r > 0, got {r!r}")
+        round_factor = (two_width + kappa * r + 6) * _EPS
+        a = b = c = abs_err = 0.0
+        if plus is not None:
+            try:
+                grow = math.exp(kappa * r)
+            except OverflowError as exc:
+                raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
+            value, env = _fused(plus, r)
+            a = value * grow
+            abs_err += env * grow * round_factor
+        if minus is not None:
+            decay = math.exp(-kappa * r)
+            value, env = _fused(minus, r)
+            b = value * decay
+            abs_err += env * decay * round_factor
+        if ei is not None:
+            x = 2.0 * kappa * r
+            ei_value, ei_est = _ei(x)
+            # x*eps covers the argument-rounding sensitivity; the log term floors
+            # the error where the series cancels through Ei's zero near x ~ 0.37
+            ei_abs_err = (abs(ei_value) * (ei_est + x * _EPS)
+                          + _EPS * (1.0 + abs(math.log(x))))
+            decay = math.exp(-kappa * r)
+            value, env = _fused(ei, r)
+            c = value * decay * ei_value
+            abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
+        value = a + b + c
+        rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
+    return rows
+
+
+def eval_form(f: ExpEiForm | PreparedForm, r: float) -> EvalResult:
+    """eval_grid at the one point r, with the Ei branch as ``method``
+    ("series" for a form without an Ei bucket).  A form evaluated at many
+    points is passed through prepare_form once, or to eval_grid."""
+    # checked before preparing, so that r <= 0 is a DomainError even for a
+    # form whose coefficients leave double range
     if not r > 0:
         raise DomainError(f"eval_form requires r > 0, got {r!r}")
     if not isinstance(f, PreparedForm):
         f = prepare_form(f)
-    kappa = f.kappa
-    round_factor = (2 * f.width + kappa * r + 6) * _EPS
-    a = b = c = 0.0
-    abs_err = 0.0
-    method = "series"
-    if f.plus is not None:
-        run, env = f.plus
-        grow = _float_exp(kappa * r)
-        a = run(r) * grow
-        abs_err += _envelope(env, r) * grow * round_factor
-    if f.minus is not None:
-        run, env = f.minus
-        decay = _float_exp(-kappa * r)
-        b = run(r) * decay
-        abs_err += _envelope(env, r) * decay * round_factor
-    if f.ei is not None:
-        run, env = f.ei
-        x = 2.0 * kappa * r
-        ei = ei_one_neg(x)
-        # x*eps covers the argument-rounding sensitivity; the log term floors
-        # the error where the series cancels through Ei's zero near x ~ 0.37
-        ei_abs_err = (abs(ei.value) * (ei.est_rel_error + x * _EPS)
-                      + _EPS * (1.0 + abs(math.log(x))))
-        method = ei.method
-        decay = _float_exp(-kappa * r)
-        c = run(r) * decay * ei.value
-        poly_env = _envelope(env, r) * decay
-        abs_err += poly_env * (abs(ei.value) * round_factor + ei_abs_err)
-    value = a + b + c
-    est = abs_err / abs(value) if value != 0.0 else math.inf
+    ((_, value, est),) = eval_grid(f, (r,))
+    method = "asymptotic" if f.ei is not None and 2.0 * f.kappa * r > _BRANCH_SPLIT else "series"
     return EvalResult(value, est, method)
 
 

@@ -141,13 +141,24 @@ def _quad_or_fail(fn, lo, hi) -> tuple[float, float]:
     return value, err
 
 
-def _pv_weighted_integral(h: RatPoly, x: float, delta: float) -> tuple[float, float]:
+def _pv_polys(f1: RatPoly, m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """h(s) = s^m F(s) for the terminating regular solution F = f1, and D h
+    and D^3 h with D: p -> p' - p, so that g = e^{-s} h has g^{(k)} = e^{-s} D^k h."""
+    h = f1.shift(m)
+    d1 = h.derivative() - h
+    d3 = (d1.derivative() - d1).derivative() - (d1.derivative() - d1)
+    return h, d1, d3
+
+
+def _pv_weighted_integral(polys: tuple[RatPoly, RatPoly, RatPoly], x: float,
+                          delta: float) -> tuple[float, float]:
     """PV integral_0^inf e^{-s} h(s)/(s-x) ds by symmetric pole excision.
 
     The excised window contributes 2 delta g'(x) + delta^3 g'''(x)/9 +
     O(delta^5) where g(s) = e^{-s} h(s); both derivative terms are evaluated
-    from exact polynomial derivatives of h.
+    from the exact polynomial derivatives D h and D^3 h in ``polys``.
     """
+    h, d1, d3 = polys
     cutoff = _upper_cutoff(0, h.degree, x)
     h_run = h.float_run()
 
@@ -156,9 +167,6 @@ def _pv_weighted_integral(h: RatPoly, x: float, delta: float) -> tuple[float, fl
 
     left, err_l = _quad_or_fail(integrand, 0.0, x - delta)
     right, err_r = _quad_or_fail(integrand, x + delta, cutoff)
-    # g = e^{-s} h(s) has g^{(k)} = e^{-s} D^k h with D: p -> p' - p.
-    d1 = h.derivative() - h
-    d3 = (d1.derivative() - d1).derivative() - (d1.derivative() - d1)
     g1 = math.exp(-x) * d1.eval_float(x)
     g3 = math.exp(-x) * d3.eval_float(x)
     window = 2.0 * delta * g1 + delta**3 * g3 / 9.0
@@ -173,14 +181,18 @@ def phi2_pv_oracle(n_r: int, m: int, x: float) -> float:
     F the terminating regular solution, using symmetric pole excision at
     delta = 1e-3 max(1, x) plus a Richardson check at delta/2.
     """
+    return _pv_oracle(n_r, m, _pv_polys(hyp1f1_terminating(n_r, m), m), x)
+
+
+def _pv_oracle(n_r: int, m: int, polys: tuple[RatPoly, RatPoly, RatPoly], x: float) -> float:
+    """phi2_pv_oracle(n_r, m, x) on the polynomials _pv_polys built once per check."""
     if not x > 0:
         raise numeval.DomainError(f"phi2_pv_oracle requires x > 0, got {x!r}")
     if n_r + m > 12:
         raise ValueError("quadrature oracle is rated for n_r + m <= 12")
-    h = hyp1f1_terminating(n_r, m).shift(m)
     delta = 1e-3 * max(1.0, x)
-    coarse, err_c = _pv_weighted_integral(h, x, delta)
-    fine, err_f = _pv_weighted_integral(h, x, delta / 2.0)
+    coarse, err_c = _pv_weighted_integral(polys, x, delta)
+    fine, err_f = _pv_weighted_integral(polys, x, delta / 2.0)
     scale = math.exp(x) / x**m
     value = scale * fine
     err = scale * (abs(coarse - fine) + err_c + err_f)
@@ -205,9 +217,10 @@ def pv_closedform_check(n_r: int, m: int, x_samples: list[float],
                         rel_tol: float = 1e-6) -> VerificationReport:
     """Closed form against the PV quadrature, pointwise relative comparison."""
     g_exp, g_ei = (g.float_run() for g in phi2_closedform(n_r, m))
+    polys = _pv_polys(hyp1f1_terminating(n_r, m), m)
     worst = 0.0
     for x in x_samples:
-        pv = phi2_pv_oracle(n_r, m, x)
+        pv = _pv_oracle(n_r, m, polys, x)
         cf = _phi2_value(g_exp, g_ei, x)
         worst = max(worst, abs(pv - cf) / max(abs(pv), abs(cf)))
     ok = worst <= rel_tol
@@ -236,10 +249,11 @@ def pole_split_identity_check(n_r: int, m: int, x_samples: list[float],
     its quadrature has no pole at all.
     """
     f1 = hyp1f1_terminating(n_r, m)
-    h = f1.shift(m)
+    polys = _pv_polys(f1, m)
+    h = polys[0]
     worst = 0.0
     for x in x_samples:
-        lhs = phi2_pv_oracle(n_r, m, x)
+        lhs = _pv_oracle(n_r, m, polys, x)
         quotient = HornerRun(0, tuple(_synthetic_quotient(h, x)), 0.0)
 
         def smooth(s: float) -> float:

@@ -72,7 +72,7 @@ class ShellForms:
 
     def pair(self, r: float) -> tuple[float, float, float, float]:
         """(R1, R1', R2, R2') at r."""
-        return tuple(numeval.eval_form(f, r).value for f in (self.r1, self.r1d, self.r2, self.r2d))
+        return tuple(numeval.eval_grid(f, (r,))[0][1] for f in (self.r1, self.r1d, self.r2, self.r2d))
 
     def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
         """(u, u') of c1 R1 + c2 R2 at r."""
@@ -122,18 +122,23 @@ def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
             return a**l * s, a ** (l - 1) * (l * s + rds)
 
 
-def _require_in_range(what: str, r: float, *values: float) -> None:
-    """A value that is 0 or not finite at r has left double range there (R2 ~
-    r^{-l-1} overflows and u ~ r^l underflows as r -> 0), so no mixing exists."""
-    if not all(math.isfinite(v) and v != 0.0 for v in values):
+def _require_in_range(what: str, r: float, values: tuple[float, ...],
+                      nonzero: tuple[float, ...]) -> None:
+    """Raise OverflowSignal unless every value is finite and nothing in
+    ``nonzero`` is 0 at r: as r -> 0, R2 ~ r^{-l-1} overflows and u ~ r^l
+    underflows, and then no mixing exists."""
+    if not (all(map(math.isfinite, values)) and all(nonzero)):
         raise numeval.OverflowSignal(f"{what} at r = {r!r} is 0 or not finite in double precision")
 
 
 def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> tuple[float, float]:
     """(c1, c2) with c1^2 + c2^2 = 1 matching the interior log-derivative at a."""
     v1, d1, v2, d2 = forms.pair(a)
-    _require_in_range("R1, R1', R2, R2'", a, v1, d1, v2, d2)
-    t = (interior_ld * v1 - d1) / (d2 - interior_ld * v2)
+    den = d2 - interior_ld * v2
+    # R1 = 0 alone is a node of R1 and mixes fine; R1 = R1' = 0 (or R2 = R2'
+    # = 0) is underflow
+    _require_in_range("R1, R1', R2, R2'", a, (v1, d1, v2, d2, den), (v1 or d1, v2 or d2, den))
+    t = (interior_ld * v1 - d1) / den
     c1 = 1.0 / math.hypot(1.0, t)
     return c1, t * c1
 
@@ -152,7 +157,7 @@ def match_shell(config: ShellConfig) -> MatchResult:
     mismatch falls below 1e-8.
     """
     u_a, du_a = integrate_interior(config.qn, config.a)
-    _require_in_range("interior u, u'", config.a, u_a, du_a)
+    _require_in_range("interior u, u'", config.a, (u_a, du_a), (u_a, du_a))
     forms = shell_forms(config.qn)
     c1, c2 = mixing_from_inner_match(forms, config.a, du_a / u_a)
     kappa = forms.kappa

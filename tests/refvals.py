@@ -11,7 +11,8 @@ integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the split form of the polynomial
 P is built independently of the double sum the package uses, and the
 double-precision form evaluator converts every coefficient again at every
-point, the way the prepared evaluator must reproduce bit for bit.
+point and sums the envelope term by term: the grid kernel must reproduce its
+values bit for bit and its estimates within the rounding of the envelope.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from coulombwf.numeval import (
     DomainError,
     EvalResult,
     OverflowSignal,
-    _float_exp,
     ei_one_neg,
 )
 from coulombwf.ratpoly import RatPoly
@@ -375,6 +375,13 @@ def latex_poly(p: RatPoly) -> str:
 
 
 # -- double-precision form evaluation, converting coefficients at every point -----
+
+
+def _float_exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError as exc:
+        raise OverflowSignal(f"exp({t}) overflows double precision") from exc
 
 
 def _poly_abs_eval(p, r: float) -> float:

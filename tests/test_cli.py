@@ -199,19 +199,21 @@ def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
     assert code == 0
     qn = QuantumNumbers(n, l)
     form = closedform.assemble_R1(qn) if which == "R1" else assemble_R2(qn)
-    rows = []
-    for r in cli._parse_grid(grid):
-        res = refvals.eval_form(form, r)
-        rows.append({"r": r, "value": res.value, "est_rel_error": res.est_rel_error})
-    doc = {"n": n, "l": l, "which": which, "rows": rows}
+    rs = cli._parse_grid(grid)
+    rows = numeval.eval_grid(form, rs)
+    # the values are the per-point reference's, bit for bit
+    assert [repr(v) for _, v, _ in rows] == [repr(refvals.eval_form(form, r).value) for r in rs]
+    doc = {"n": n, "l": l, "which": which,
+           "rows": [{"r": r, "value": v, "est_rel_error": e} for r, v, e in rows]}
     assert out == json.dumps(doc, indent=2) + "\n"
     if grid == "200:240:161":
         assert '"est_rel_error": Infinity' in out
 
 
 def test_eval_prepares_its_form_once(capsys, monkeypatch):
-    # every coefficient is converted to a float once per request, not per point
-    calls = {"prepare_form": 0, "float_run": 0, "eval_form": 0}
+    # every coefficient is converted to a float once per request, and the
+    # whole grid is one kernel call
+    calls = {"prepare_form": 0, "float_run": 0, "eval_grid": 0, "eval_form": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -223,13 +225,14 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(numeval, "prepare_form")
+    counted(numeval, "eval_grid")
     counted(numeval, "eval_form")
     counted(RatPoly, "float_run")
     code, _, _ = run(capsys, "eval", "--n", "7", "--l", "2", "--which", "R2",
                      "--grid", "0.5:60:2000", "--format", "csv")
     assert code == 0
     # R2 has a q_plus and a q_ei bucket
-    assert calls == {"prepare_form": 1, "float_run": 2, "eval_form": 2000}
+    assert calls == {"prepare_form": 1, "float_run": 2, "eval_grid": 1, "eval_form": 0}
 
 
 def test_eval_ei_overflow_is_a_one_line_failure(capsys):
@@ -417,6 +420,17 @@ def test_shell_node_bracket_exits_2(capsys, b_range):
     assert lines[0].startswith("no root: mismatch changes sign only through a pole")
     assert lines[1] == "b,mismatch"
     assert len(lines) == 2 + 17
+
+
+def test_shell_inner_radius_at_a_node_of_R1_matches(capsys):
+    # a = 2 is an exact zero of R1 for n = 2, l = 0; the mixing still exists
+    code, out, err = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "2",
+                         "--b-range", "3:5")
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["b_star"] == pytest.approx(4.2642, abs=1e-3)
+    assert abs(doc["mismatch"]) < 1e-8
 
 
 def test_shell_unresolved_match_is_a_one_line_failure(capsys):

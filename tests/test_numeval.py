@@ -11,11 +11,14 @@ from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
     OverflowSignal,
+    _EPS,
     _asymptotic_sum,
     _ei_series,
+    _fused,
     ei_one_neg,
     eval_form,
     eval_form_extended,
+    eval_grid,
     prepare_form,
 )
 
@@ -149,19 +152,41 @@ def _prepared(n: int, l: int, which: str):
 
 
 def _outcome(fn, f, r):
-    """(repr(value), repr(est_rel_error), method), or the exception raised."""
+    """(repr(value), est_rel_error, method), or the exception raised."""
     try:
         res = fn(f, r)
     except Exception as exc:
         return type(exc), str(exc)
-    return repr(res.value), repr(res.est_rel_error), res.method
+    return repr(res.value), res.est_rel_error, res.method
+
+
+def _run_width(bucket) -> int:
+    """Horner steps of one fused run: its powers min(low, 0)..max(degree, 0)."""
+    return len(bucket[0]) + len(bucket[1])
+
+
+def _envelope_bound(prepared) -> float:
+    """Relative rounding bound (2 w + 2) eps of the fused envelope, w the
+    longest run of the form."""
+    width = max(_run_width(b) for b in (prepared.plus, prepared.minus, prepared.ei) if b)
+    return (2 * width + 2) * _EPS
 
 
 def _assert_same_as_reference(n: int, l: int, which: str, r: float) -> None:
+    # the value, the method and any exception are exactly the reference's; the
+    # estimate moves only by the rounding of the envelope
     form = _forms(n, l)[which]
     want = _outcome(refvals.eval_form, form, r)
-    assert _outcome(eval_form, _prepared(n, l, which), r) == want
-    assert _outcome(eval_form, form, r) == want
+    bound = _envelope_bound(_prepared(n, l, which))
+    for got in (_outcome(eval_form, _prepared(n, l, which), r), _outcome(eval_form, form, r)):
+        if len(want) == 2:
+            assert got == want
+            continue
+        assert (got[0], got[2]) == (want[0], want[2])
+        if math.isfinite(want[1]):
+            assert abs(got[1] - want[1]) <= bound * want[1]
+        else:
+            assert repr(got[1]) == repr(want[1])
 
 
 _states = st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
@@ -212,6 +237,99 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     for which in ("r1", "r1d"):
         for r in (1.0, 1e-320, 0.0, 1e5):
             _assert_same_as_reference(70, 69, which, r)
+
+
+# -- the grid kernel ------------------------------------------------------------------
+
+def _r_of(n: int, point) -> float:
+    kind, v = point
+    # 2 kappa r = x with kappa = 1/n
+    return v * n / 2 if kind == "x" else v
+
+
+# grids that hold both Ei branches and Ei's zero band, and sometimes one point
+# that fails (r <= 0, nan, 1e-320, Ei or e^{kappa r} beyond double range)
+_grid_x = st.one_of(st.floats(1e-6, 40.0), st.floats(40.0, 708.0), st.floats(0.36, 0.39))
+_failing_point = st.one_of(st.floats(708.0, 4000.0).map(lambda x: ("x", x)),
+                           _special_r.map(lambda r: ("r", r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states, st.sampled_from(_WHICH),
+       st.lists(_grid_x.map(lambda x: ("x", x)), min_size=1, max_size=12),
+       st.none() | st.tuples(st.integers(0, 12), _failing_point))
+def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, failing):
+    n, l = state
+    if failing is not None:
+        points.insert(failing[0], failing[1])
+    rs = [_r_of(n, p) for p in points]
+    prepared = _prepared(n, l, which)
+    rows = []
+    for r in rs:
+        try:
+            res = eval_form(prepared, r)
+        except (DomainError, OverflowSignal) as exc:
+            # the grid raises what its first failing point raises
+            with pytest.raises(type(exc)) as err:
+                eval_grid(prepared, rs)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            return
+        assert repr(res.value) == repr(refvals.eval_form(_forms(n, l)[which], r).value)
+        rows.append((r, res.value, res.est_rel_error))
+    assert [tuple(map(repr, row)) for row in eval_grid(prepared, rs)] == \
+        [tuple(map(repr, row)) for row in rows]
+    assert [tuple(map(repr, row)) for row in eval_grid(_forms(n, l)[which], rs)] == \
+        [tuple(map(repr, row)) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states, st.sampled_from(_WHICH), st.floats(math.log(1e-3), math.log(1e3)))
+def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
+    # the envelope sum |c_k| r^k of one Horner pass, against exact rationals
+    n, l = state
+    r = math.exp(log_r)
+    form, prepared = _forms(n, l)[which], _prepared(n, l, which)
+    for p, bucket in ((form.q_plus, prepared.plus), (form.q_minus, prepared.minus),
+                      (form.q_ei, prepared.ei)):
+        if bucket is None:
+            assert p.is_zero()
+            continue
+        value, env = _fused(bucket, r)
+        assert repr(value) == repr(p.eval_float(r))
+        exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
+        assert abs(Fraction(env) - exact) <= (2 * _run_width(bucket) + 2) * Fraction(_EPS) * exact
+
+
+@pytest.mark.parametrize("state, which, bad_r, message", [
+    # R2 for n = 1 (kappa = 1): its r^-1 term at r = 1e-320
+    ((1, 0), "r2", 1e-320, "conditioning envelope overflows double precision at r = 1e-320"),
+    # 2 kappa r = 720 > 708
+    ((1, 0), "r2", 360.0, "Ei(1, -x) overflows double precision at x=720.0"),
+    # kappa r = 710 > 709
+    ((1, 0), "r2", 710.0, "exp(710.0) overflows double precision"),
+    # R1 for n = 30 has no growing bucket, but its r^29 term overflows at 1e12
+    ((30, 0), "r1", 1e12, "conditioning envelope overflows double precision at r = 1000000000000.0"),
+])
+@pytest.mark.parametrize("k", [0, 3])
+def test_grid_raises_at_its_first_failing_point(state, which, bad_r, message, k):
+    # every point but the k-th evaluates, and the points after it fail
+    # differently, so only the first failure is raised
+    form = _forms(*state)[which]
+    good = [0.5, 1.0, 30.0, 200.0]
+    rs = good[:k] + [bad_r] + good[k:] + [-1.0, 1e-320]
+    for r in good:
+        refvals.eval_form(form, r)
+    with pytest.raises(OverflowSignal) as want:
+        refvals.eval_form(form, bad_r)
+    assert str(want.value) == message
+    for f in (form, prepare_form(form)):
+        with pytest.raises(OverflowSignal) as got:
+            eval_grid(f, rs)
+        assert str(got.value) == message
+
+
+def test_eval_grid_of_no_points_is_empty():
+    assert eval_grid(assemble_R1(QuantumNumbers(2, 1)), []) == []
 
 
 def test_extended_consistency_sweep():

@@ -250,8 +250,8 @@ def test_pv_integral_converts_h_once(monkeypatch):
 
 
 def test_pv_checks_build_their_polynomials_once(monkeypatch):
-    # the closed form once per pv check and F once per split check; each
-    # phi2_pv_oracle call still builds its own h
+    # the closed form and F once per pv check, and F once per split check,
+    # however many samples each check takes
     import coulombwf.oracle as oracle_mod
 
     calls = {"phi2_closedform": 0, "hyp1f1_terminating": 0}
@@ -265,6 +265,6 @@ def test_pv_checks_build_their_polynomials_once(monkeypatch):
         monkeypatch.setattr(oracle_mod, name, counted)
     xs = [0.5, 1.0, 2.0]
     assert pv_closedform_check(1, 1, xs).passed
-    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 3}
+    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 1}
     assert pole_split_identity_check(1, 1, xs).passed
-    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 3 + 1 + 3}
+    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 1 + 1}

@@ -221,6 +221,44 @@ def test_bracket_with_a_root_and_a_node_finds_the_root():
     assert result.b_star == pytest.approx(match_shell(ShellConfig(qn, 0.5, (1.0, 2.5))).b_star, abs=1e-7)
 
 
+def test_inner_radius_at_a_node_of_R1_matches():
+    # R1(2, 0) = (1 - r/2) e^{-r/2} vanishes exactly at a = 2; the mixing
+    # needs only R2' - ld R2 != 0, so the match goes through and lands where
+    # a slightly larger inner radius does
+    qn = QuantumNumbers(2, 0)
+    assert shell_forms(qn).pair(2.0)[0] == 0.0
+    config = ShellConfig(qn, 2.0, (3.0, 5.0))
+    result = match_shell(config)
+    assert abs(result.mismatch) < 1e-8
+    assert continuity_residuals(config, result)["deriv_b"] < 1e-6
+    near = match_shell(ShellConfig(qn, 2.0000001, (3.0, 5.0)))
+    assert result.b_star == pytest.approx(near.b_star, abs=1e-6)
+
+
+class _FixedPair:
+    def __init__(self, values):
+        self.values = values
+
+    def pair(self, r):
+        return self.values
+
+
+@pytest.mark.parametrize("values, ld", [
+    ((0.0, 0.0, 1.0, -1.0), 0.5),      # R1 and R1' underflowed
+    ((1.0, -1.0, 0.0, 0.0), 0.5),      # R2 and R2' underflowed
+    ((1.0, -1.0, 2.0, 1.0), 0.5),      # R2' - ld R2 = 0
+    ((1.0, math.inf, 2.0, 1.0), 0.5),  # a value out of range
+])
+def test_mixing_rejects_only_what_leaves_it_undefined(values, ld):
+    with pytest.raises(OverflowError, match=r"^R1, R1', R2, R2' at r = 1\.0 is 0 or not finite"):
+        mixing_from_inner_match(_FixedPair(values), 1.0, ld)
+    # a lone zero of R1 or of R2 mixes
+    for v in ((0.0, -1.0, 2.0, 3.0), (1.0, -1.0, 0.0, 3.0)):
+        c1, c2 = mixing_from_inner_match(_FixedPair(v), 1.0, ld)
+        assert math.hypot(c1, c2) == pytest.approx(1.0)
+        assert ld * (c1 * v[0] + c2 * v[2]) == pytest.approx(c1 * v[1] + c2 * v[3])
+
+
 _shell_states = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
 
 
