@@ -267,7 +267,7 @@ def run_verify(n_max: int, checks: set[str]) -> list[dict]:
 def cmd_verify(args) -> int:
     if args.nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {args.nmax}")
-    checks = set(args.checks.split(",")) if args.checks else set(ALL_CHECKS)
+    checks = set(args.checks.split(",")) if args.checks is not None else set(ALL_CHECKS)
     unknown = checks - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; choose from {ALL_CHECKS}")

@@ -1,4 +1,8 @@
-"""Floating-point evaluation of Ei(1, -x) and of symbolic radial forms.
+"""Point evaluation: Ei(1, -x), Laurent polynomials and symbolic radial forms.
+
+Every polynomial is evaluated through one run format (``laurent_run``, its
+coefficients converted once) and one Laurent Horner loop (``horner``), on
+float, exact and extended-precision scalars alike.
 
 Double precision genuinely loses digits where the growing exponential bucket
 cancels against the Ei bucket, so every evaluation carries an error estimate
@@ -9,10 +13,12 @@ extended-precision evaluator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import ExpEiForm
+from .ratpoly import RatPoly, ZeroDenominator
 
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -75,41 +81,89 @@ def _asymptotic_sum(x: float) -> tuple[float, float, int]:
 
 
 def _ei(x: float) -> tuple[float, float]:
-    """(value, estimated relative error) of Ei(1, -x); see ei_one_neg."""
+    """(value, estimated absolute error) of Ei(1, -x); see ei_one_neg."""
     if not x > 0:
         raise DomainError(f"ei_one_neg requires x > 0, got {x!r}")
     if x <= _BRANCH_SPLIT:
-        return _ei_series(x)
-    if x > _OVERFLOW_X:
+        value, est = _ei_series(x)
+    elif x > _OVERFLOW_X:
         raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
-    # -(e^x/x) sum_k k!/x^k truncated at the smallest term
-    total, last_term, k = _asymptotic_sum(x)
-    return -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
+    else:
+        # -(e^x/x) sum_k k!/x^k truncated at the smallest term
+        total, last_term, k = _asymptotic_sum(x)
+        value, est = -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
+    # the log term floors the error where the series cancels through Ei's
+    # zero near x ~ 0.37: the sum reaches -(gamma + ln x) in size there
+    return value, abs(value) * est + _EPS * (1.0 + abs(math.log(x)))
 
 
 def ei_one_neg(x: float) -> EvalResult:
     """Principal value of integral_{-x}^{infinity} e^{-s}/s ds for x > 0.
 
     Returns the value (equal to -Ei(x) in the classical convention), an
-    estimated relative error, and the branch used.  Past x = 708 the value,
-    about -e^x/x, leaves double range and OverflowSignal is raised.
+    estimated relative error, and the branch used.  The estimate includes an
+    absolute floor eps (1 + |ln x|), the size of the terms that cancel near
+    Ei's zero at x ~ 0.3725, so it bounds the error there too.  Past x = 708
+    the value, about -e^x/x, leaves double range and OverflowSignal is raised.
     """
-    value, est = _ei(x)
-    return EvalResult(value, est, "series" if x <= _BRANCH_SPLIT else "asymptotic")
+    value, abs_err = _ei(x)
+    return EvalResult(value, abs_err / abs(value) if value != 0.0 else math.inf,
+                      "series" if x <= _BRANCH_SPLIT else "asymptotic")
 
 
-def _bucket(name: str, p) -> tuple | None:
-    """The fused run of one RatPoly bucket (see PreparedForm), or None for the
-    zero polynomial."""
+def laurent_run(p: RatPoly, conv=operator.truediv) -> tuple:
+    """p ready for Laurent Horner evaluation at many points, each coefficient
+    converted once as ``conv(numerator, p.den)``: to a correctly rounded
+    float by default, to a Fraction with ``conv=Fraction``, or to an
+    extended-precision scalar.
+
+    The run is ``(up, down, top, bottom, zero)``.  ``up`` holds (c_k, |c_k|)
+    for the powers max(degree, -1) down to 0 and ``down`` for the powers
+    min(low, 0) up to -1, padded with the run's own ``zero`` = conv(0, 1).
+    ``top`` and ``bottom`` are the highest and the lowest power of p clipped
+    at 0: the only powers whose r^k can overflow, for r > 1 and for r < 1.
+    Raises OverflowError when a float coefficient is beyond double range.
+    """
+    zero = conv(0, 1)
+    lo, hi, den = min(p.low, 0), max(p.degree, -1), p.den
+    cs = [zero] * (p.low - lo) + [conv(x, den) for x in p.nums] + [zero] * (hi - p.degree)
+    pairs = [(c, abs(c)) for c in cs]
+    return tuple(reversed(pairs[-lo:])), tuple(pairs[:-lo]), max(p.degree, 0), lo, zero
+
+
+def horner(run: tuple, r) -> tuple:
+    """(value, envelope sum |c_k| r^k) of a laurent_run at r, from one Laurent
+    Horner pass: nonnegative powers from the top, then negative powers from
+    the bottom through y = 1/r.  Works on float, Fraction and mpmath scalars
+    alike; every sum starts from the run's own zero, so an exact run stays
+    exact.  Raises ZeroDenominator for negative powers at r = 0.
+    """
+    up, down, _, _, zero = run
+    value = env = zero
+    for c, a in up:
+        value = value * r + c
+        env = env * r + a
+    if not down:
+        return value + zero, env
+    try:
+        y = 1 / r
+    except ZeroDivisionError as exc:
+        raise ZeroDenominator("negative powers evaluated at x = 0") from exc
+    dvalue = denv = zero
+    for c, a in down:
+        dvalue = dvalue * y + c
+        denv = denv * y + a
+    return value + dvalue * y, env + denv * y
+
+
+def _bucket(name: str, p: RatPoly) -> tuple | None:
+    """The float run of one bucket of a form, or None for the zero polynomial."""
     if p.is_zero():
         return None
     try:
-        run = p.float_run()
+        return laurent_run(p)
     except OverflowError as exc:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
-    pairs = [(c, abs(c)) for c in run.cs]
-    split = -run.lo
-    return tuple(reversed(pairs[split:])), tuple(pairs[:split]), max(p.degree, 0), min(p.low, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,13 +171,8 @@ class PreparedForm:
     """An ExpEiForm converted to floats once, for evaluation at many points.
 
     Each bucket (q_plus, q_minus, q_ei) is None when its polynomial is zero,
-    else one fused run ``(up, down, top, bottom)`` of (c_k, |c_k|) pairs,
-    padded with zeros the way ``RatPoly.float_run`` pads: ``up`` holds the
-    powers max(degree, 0) down to 0, ``down`` the powers min(low, 0) up to
-    -1, so that one Horner pass yields the value and the envelope
-    sum |c_k| r^k together.  ``top`` and ``bottom`` are the highest and the
-    lowest nonzero power, clipped at 0: the only powers whose r^k can
-    overflow, for r > 1 and for r < 1.  ``width`` is the longest stored
+    else its float laurent_run, so that one Horner pass yields the value and
+    the envelope sum |c_k| r^k together.  ``width`` is the longest stored
     coefficient run.
     """
 
@@ -141,34 +190,6 @@ def prepare_form(f: ExpEiForm) -> PreparedForm:
                         max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums)),
                         _bucket("q_plus", f.q_plus), _bucket("q_minus", f.q_minus),
                         _bucket("q_ei", f.q_ei))
-
-
-def _fused(bucket: tuple, r: float) -> tuple[float, float]:
-    """(value, envelope sum |c_k| r^k) of one bucket at r > 0, from one
-    Laurent Horner pass over its (c, |c|) pairs.
-
-    The value takes the operations of ``HornerRun`` in its order, so it is
-    the same double.  Raises OverflowSignal exactly when r^k overflows for
-    the power k of some nonzero coefficient.
-    """
-    up, down, top, bottom = bucket
-    try:
-        r ** (top if r > 1.0 else bottom)
-    except OverflowError as exc:
-        raise OverflowSignal(
-            f"conditioning envelope overflows double precision at r = {r!r}") from exc
-    value = env = 0.0
-    for c, a in up:
-        value = value * r + c
-        env = env * r + a
-    if not down:
-        return value + 0.0, env
-    y = 1 / r
-    dvalue = denv = 0.0
-    for c, a in down:
-        dvalue = dvalue * y + c
-        denv = denv * y + a
-    return value + dvalue * y, env + denv * y
 
 
 def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float]]:
@@ -192,30 +213,42 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
             raise DomainError(f"eval_form requires r > 0, got {r!r}")
         round_factor = (two_width + kappa * r + 6) * _EPS
         a = b = c = abs_err = 0.0
-        if plus is not None:
-            try:
-                grow = math.exp(kappa * r)
-            except OverflowError as exc:
-                raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
-            value, env = _fused(plus, r)
-            a = value * grow
-            abs_err += env * grow * round_factor
-        if minus is not None:
-            decay = math.exp(-kappa * r)
-            value, env = _fused(minus, r)
-            b = value * decay
-            abs_err += env * decay * round_factor
-        if ei is not None:
-            x = 2.0 * kappa * r
-            ei_value, ei_est = _ei(x)
-            # x*eps covers the argument-rounding sensitivity; the log term floors
-            # the error where the series cancels through Ei's zero near x ~ 0.37
-            ei_abs_err = (abs(ei_value) * (ei_est + x * _EPS)
-                          + _EPS * (1.0 + abs(math.log(x))))
-            decay = math.exp(-kappa * r)
-            value, env = _fused(ei, r)
-            c = value * decay * ei_value
-            abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
+        # each bucket's r ** top (r > 1) or r ** bottom (r < 1) raises a bare
+        # OverflowError exactly when r^k overflows for some nonzero
+        # coefficient's power k, before its Horner pass; every other failure
+        # below is already an OverflowSignal
+        k = 2 if r > 1.0 else 3
+        try:
+            if plus is not None:
+                try:
+                    grow = math.exp(kappa * r)
+                except OverflowError as exc:
+                    raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
+                r ** plus[k]
+                value, env = horner(plus, r)
+                a = value * grow
+                abs_err += env * grow * round_factor
+            if minus is not None:
+                decay = math.exp(-kappa * r)
+                r ** minus[k]
+                value, env = horner(minus, r)
+                b = value * decay
+                abs_err += env * decay * round_factor
+            if ei is not None:
+                x = 2.0 * kappa * r
+                ei_value, ei_abs_err = _ei(x)
+                # x*eps covers the argument-rounding sensitivity
+                ei_abs_err += abs(ei_value) * x * _EPS
+                decay = math.exp(-kappa * r)
+                r ** ei[k]
+                value, env = horner(ei, r)
+                c = value * decay * ei_value
+                abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
+        except OverflowSignal:
+            raise
+        except OverflowError as exc:
+            raise OverflowSignal(
+                f"conditioning envelope overflows double precision at r = {r!r}") from exc
         value = a + b + c
         rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
     return rows
@@ -246,8 +279,11 @@ def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):
     """
     import mpmath
 
-    def mp_from_fraction(q: Fraction) -> mpmath.mpf:
-        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    def mp_ratio(num: int, den: int) -> mpmath.mpf:
+        return mpmath.mpf(num) / mpmath.mpf(den)
+
+    def value(p: RatPoly) -> mpmath.mpf:
+        return horner(laurent_run(p, mp_ratio), rr)[0]
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -255,14 +291,14 @@ def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):
     if not r_exact > 0:
         raise DomainError(f"eval_form_extended requires r > 0, got {r!r}")
     with mpmath.workprec(precision_bits):
-        rr = mp_from_fraction(r_exact)
-        kk = mp_from_fraction(f.kappa)
+        rr = mp_ratio(r_exact.numerator, r_exact.denominator)
+        kk = mp_ratio(f.kappa.numerator, f.kappa.denominator)
         total = mpmath.mpf(0)
         if not f.q_plus.is_zero():
-            total += f.q_plus.horner(rr, mp_from_fraction) * mpmath.exp(kk * rr)
+            total += value(f.q_plus) * mpmath.exp(kk * rr)
         if not f.q_minus.is_zero():
-            total += f.q_minus.horner(rr, mp_from_fraction) * mpmath.exp(-kk * rr)
+            total += value(f.q_minus) * mpmath.exp(-kk * rr)
         if not f.q_ei.is_zero():
             ei_val = -mpmath.ei(2 * kk * rr)
-            total += f.q_ei.horner(rr, mp_from_fraction) * mpmath.exp(-kk * rr) * ei_val
+            total += value(f.q_ei) * mpmath.exp(-kk * rr) * ei_val
         return +total

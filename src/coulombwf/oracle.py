@@ -25,7 +25,7 @@ from .closedform import (
     phi2_closedform,
     solutions,
 )
-from .ratpoly import HornerRun, RatPoly
+from .ratpoly import RatPoly
 
 
 class QuadratureFailure(ArithmeticError):
@@ -125,10 +125,10 @@ def _upper_cutoff(n_r: int, m: int, x: float) -> float:
     return x + 60.0 + 10.0 * (m + n_r)
 
 
-def _tail_bound(p: RatPoly, cutoff: float, x: float) -> float:
+def _tail_bound(run: tuple, cutoff: float, x: float) -> float:
     # integral_X^inf s^k e^{-s} ds <= 2 X^k e^{-X} once X >= 2k; cutoff
-    # construction guarantees that margin.
-    bound = sum(abs(float(c)) * cutoff**k for k, c in p.terms())
+    # construction guarantees that margin.  The envelope is sum |c_k| X^k.
+    bound = numeval.horner(run, cutoff)[1]
     return 2.0 * bound * math.exp(-cutoff) / max(cutoff - x, 1.0)
 
 
@@ -141,34 +141,36 @@ def _quad_or_fail(fn, lo, hi) -> tuple[float, float]:
     return value, err
 
 
-def _pv_polys(f1: RatPoly, m: int) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """h(s) = s^m F(s) for the terminating regular solution F = f1, and D h
-    and D^3 h with D: p -> p' - p, so that g = e^{-s} h has g^{(k)} = e^{-s} D^k h."""
-    h = f1.shift(m)
+def _pv_runs(h: RatPoly) -> tuple[tuple, tuple, tuple]:
+    """Float runs of h(s) = s^m F(s) for the terminating regular solution F,
+    and of D h and D^3 h with D: p -> p' - p, so that g = e^{-s} h has
+    g^{(k)} = e^{-s} D^k h."""
     d1 = h.derivative() - h
     d3 = (d1.derivative() - d1).derivative() - (d1.derivative() - d1)
-    return h, d1, d3
+    return numeval.laurent_run(h), numeval.laurent_run(d1), numeval.laurent_run(d3)
 
 
-def _pv_weighted_integral(polys: tuple[RatPoly, RatPoly, RatPoly], x: float,
+def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float,
                           delta: float) -> tuple[float, float]:
     """PV integral_0^inf e^{-s} h(s)/(s-x) ds by symmetric pole excision.
 
     The excised window contributes 2 delta g'(x) + delta^3 g'''(x)/9 +
     O(delta^5) where g(s) = e^{-s} h(s); both derivative terms are evaluated
-    from the exact polynomial derivatives D h and D^3 h in ``polys``.
+    from the exact polynomial derivatives D h and D^3 h, whose runs follow
+    h's in ``runs``.
     """
-    h, d1, d3 = polys
-    cutoff = _upper_cutoff(0, h.degree, x)
-    h_run = h.float_run()
+    h, d1, d3 = runs
+    horner = numeval.horner
+    # the top power of h's run is its degree
+    cutoff = _upper_cutoff(0, h[2], x)
 
     def integrand(s: float) -> float:
-        return math.exp(-s) * h_run(s) / (s - x)
+        return math.exp(-s) * horner(h, s)[0] / (s - x)
 
     left, err_l = _quad_or_fail(integrand, 0.0, x - delta)
     right, err_r = _quad_or_fail(integrand, x + delta, cutoff)
-    g1 = math.exp(-x) * d1.eval_float(x)
-    g3 = math.exp(-x) * d3.eval_float(x)
+    g1 = math.exp(-x) * horner(d1, x)[0]
+    g3 = math.exp(-x) * horner(d3, x)[0]
     window = 2.0 * delta * g1 + delta**3 * g3 / 9.0
     tail = _tail_bound(h, cutoff, x)
     return left + right + window, err_l + err_r + tail
@@ -181,18 +183,18 @@ def phi2_pv_oracle(n_r: int, m: int, x: float) -> float:
     F the terminating regular solution, using symmetric pole excision at
     delta = 1e-3 max(1, x) plus a Richardson check at delta/2.
     """
-    return _pv_oracle(n_r, m, _pv_polys(hyp1f1_terminating(n_r, m), m), x)
+    return _pv_oracle(n_r, m, _pv_runs(hyp1f1_terminating(n_r, m).shift(m)), x)
 
 
-def _pv_oracle(n_r: int, m: int, polys: tuple[RatPoly, RatPoly, RatPoly], x: float) -> float:
-    """phi2_pv_oracle(n_r, m, x) on the polynomials _pv_polys built once per check."""
+def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
+    """phi2_pv_oracle(n_r, m, x) on the runs _pv_runs built once per check."""
     if not x > 0:
         raise numeval.DomainError(f"phi2_pv_oracle requires x > 0, got {x!r}")
     if n_r + m > 12:
         raise ValueError("quadrature oracle is rated for n_r + m <= 12")
     delta = 1e-3 * max(1.0, x)
-    coarse, err_c = _pv_weighted_integral(polys, x, delta)
-    fine, err_f = _pv_weighted_integral(polys, x, delta / 2.0)
+    coarse, err_c = _pv_weighted_integral(runs, x, delta)
+    fine, err_f = _pv_weighted_integral(runs, x, delta / 2.0)
     scale = math.exp(x) / x**m
     value = scale * fine
     err = scale * (abs(coarse - fine) + err_c + err_f)
@@ -203,41 +205,30 @@ def _pv_oracle(n_r: int, m: int, polys: tuple[RatPoly, RatPoly, RatPoly], x: flo
     return value
 
 
-def _phi2_value(g_exp: HornerRun, g_ei: HornerRun, x: float) -> float:
-    return g_exp(x) * math.exp(x) + g_ei(x) * numeval.ei_one_neg(x).value
+def _phi2_value(g_exp: tuple, g_ei: tuple, x: float) -> float:
+    return (numeval.horner(g_exp, x)[0] * math.exp(x)
+            + numeval.horner(g_ei, x)[0] * numeval.ei_one_neg(x).value)
 
 
 def phi2_closed_value(n_r: int, m: int, x: float) -> float:
     """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
     g_exp, g_ei = phi2_closedform(n_r, m)
-    return _phi2_value(g_exp.float_run(), g_ei.float_run(), x)
+    return _phi2_value(numeval.laurent_run(g_exp), numeval.laurent_run(g_ei), x)
 
 
 def pv_closedform_check(n_r: int, m: int, x_samples: list[float],
                         rel_tol: float = 1e-6) -> VerificationReport:
     """Closed form against the PV quadrature, pointwise relative comparison."""
-    g_exp, g_ei = (g.float_run() for g in phi2_closedform(n_r, m))
-    polys = _pv_polys(hyp1f1_terminating(n_r, m), m)
+    g_exp, g_ei = (numeval.laurent_run(g) for g in phi2_closedform(n_r, m))
+    runs = _pv_runs(hyp1f1_terminating(n_r, m).shift(m))
     worst = 0.0
     for x in x_samples:
-        pv = _pv_oracle(n_r, m, polys, x)
+        pv = _pv_oracle(n_r, m, runs, x)
         cf = _phi2_value(g_exp, g_ei, x)
         worst = max(worst, abs(pv - cf) / max(abs(pv), abs(cf)))
     ok = worst <= rel_tol
     return VerificationReport(None, f"pv_closedform[{n_r},{m}]", ok, worst,
                               details=f"max relative deviation over {len(x_samples)} points")
-
-
-def _synthetic_quotient(h: RatPoly, x: float) -> list[float]:
-    """Float coefficients of (h(s) - h(x)) / (s - x), ascending powers."""
-    top = h.degree
-    a = [float(h.coeff(k)) for k in range(0, top + 1)]
-    b = [0.0] * top
-    carry = a[top]
-    for i in range(top - 1, -1, -1):
-        b[i] = carry
-        carry = a[i] + x * carry
-    return b
 
 
 def pole_split_identity_check(n_r: int, m: int, x_samples: list[float],
@@ -246,24 +237,29 @@ def pole_split_identity_check(n_r: int, m: int, x_samples: list[float],
 
     The smooth side is e^x x^{-m} integral_0^inf e^{-s} (h(s)-h(x))/(s-x) ds
     plus F(x) Ei(1,-x); the difference quotient is a genuine polynomial, so
-    its quadrature has no pole at all.
+    its quadrature has no pole at all.  Its coefficients, highest power
+    first, are the partial sums of Horner's rule for h at x.
     """
+    horner = numeval.horner
     f1 = hyp1f1_terminating(n_r, m)
-    polys = _pv_polys(f1, m)
-    h = polys[0]
+    runs = _pv_runs(f1.shift(m))
+    f1_run = numeval.laurent_run(f1)
+    # h = s^m F has no negative powers, so its whole run is ``up``
+    h_up = runs[0][0]
     worst = 0.0
     for x in x_samples:
-        lhs = _pv_oracle(n_r, m, polys, x)
-        quotient = HornerRun(0, tuple(_synthetic_quotient(h, x)), 0.0)
+        lhs = _pv_oracle(n_r, m, runs, x)
+        sums = [horner((h_up[:k], (), 0, 0, 0.0), x)[0] for k in range(1, len(h_up))]
+        quotient = (tuple((b, abs(b)) for b in sums), (), 0, 0, 0.0)
 
         def smooth(s: float) -> float:
-            return math.exp(-s) * quotient(s)
+            return math.exp(-s) * horner(quotient, s)[0]
 
         cutoff = _upper_cutoff(n_r, m, x)
         integral, err = _quad_or_fail(smooth, 0.0, cutoff)
         if err > 1e-9 * max(1.0, abs(integral)):
             raise QuadratureFailure(f"smooth-part quadrature error {err:.2e} too large")
-        rhs = math.exp(x) / x**m * integral + f1.eval_float(x) * numeval.ei_one_neg(x).value
+        rhs = math.exp(x) / x**m * integral + horner(f1_run, x)[0] * numeval.ei_one_neg(x).value
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     ok = worst <= rel_tol
     return VerificationReport(None, f"pole_split[{n_r},{m}]", ok, worst,

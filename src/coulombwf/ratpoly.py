@@ -5,8 +5,9 @@ A polynomial is stored densely over one common denominator: a lowest power
 positive denominator ``den``, so the coefficient of x^(low+i) is
 nums[i]/den.  Every operation works on Python ints and reduces its result by
 one gcd, instead of paying a ``fractions.Fraction`` normalisation per
-coefficient product.  All arithmetic is exact; nothing in this module
-touches floating point except the explicit ``eval_float`` helper.
+coefficient product.  All arithmetic is exact, and this module evaluates
+nothing: every point evaluation, exact or floating, goes through
+``numeval.laurent_run`` and ``numeval.horner``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ RationalLike = Fraction | int
 
 
 class ZeroDenominator(ZeroDivisionError):
-    """Raised when negative powers are evaluated at zero."""
+    """Raised when negative powers are evaluated at zero, or an argument is
+    scaled by zero."""
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -56,38 +58,6 @@ def _make(low: int, nums, den: int) -> RatPoly:
     if g != 1:
         return _raw(low + start, tuple(x // g for x in nums), den // g)
     return _raw(low + start, tuple(nums), den)
-
-
-class HornerRun:
-    """A Laurent polynomial ready for Horner evaluation: the coefficients of
-    the powers lo..hi, lo = min(low, 0) and hi = max(degree, -1), converted
-    to one scalar type and padded with ``zero``.  Built once, it evaluates at
-    many points without converting a coefficient again."""
-
-    __slots__ = ("lo", "cs", "zero")
-
-    def __init__(self, lo: int, cs: tuple, zero) -> None:
-        self.lo = lo
-        self.cs = cs
-        self.zero = zero
-
-    def __call__(self, x):
-        """Laurent Horner at x on the nonnegative- and negative-power parts."""
-        cs, lo, zero = self.cs, self.lo, self.zero
-        if not cs:
-            return zero
-        if lo < 0 and x == 0:
-            raise ZeroDenominator("negative powers evaluated at x = 0")
-        up = zero
-        for c in reversed(cs[-lo:]):
-            up = up * x + c
-        down = zero
-        if lo < 0:
-            y = 1 / x
-            for c in cs[:-lo]:
-                down = down * y + c
-            down = down * y
-        return up + down
 
 
 class RatPoly:
@@ -284,30 +254,6 @@ class RatPoly:
         if den < 0:
             den, out = -den, [-x for x in out]
         return _make(low, out, den)
-
-    def _pad(self, cs: list, zero) -> HornerRun:
-        """The Horner run of the stored coefficients, already converted to one
-        scalar type in ``cs``: padded with ``zero`` to cover the powers
-        min(low, 0)..max(degree, -1)."""
-        lo, hi = min(self.low, 0), max(self.degree, -1)
-        return HornerRun(lo, tuple([zero] * (self.low - lo) + cs + [zero] * (hi - self.degree)), zero)
-
-    def horner(self, x, conv):
-        """Laurent Horner at x with every coefficient converted by ``conv`` (to
-        a float, an exact or an extended-precision scalar)."""
-        return self._pad([conv(c) for c in self.coeffs], conv(0))(x)
-
-    def float_run(self) -> HornerRun:
-        """The double-precision Horner run, converted once for many points.
-
-        num / den is correctly rounded int division, the same double as
-        ``float`` of the reduced Fraction."""
-        den = self.den
-        return self._pad([n / den for n in self.nums], 0.0)
-
-    def eval_float(self, x: float) -> float:
-        """Double-precision evaluation (float image of the exact coefficients)."""
-        return self.float_run()(x)
 
     # -- display -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import numeval
 from .closedform import QuantumNumbers, solutions
-from .ratpoly import HornerRun, RatPoly
+from .ratpoly import RatPoly
 
 
 class NoRootInRange(ValueError):
@@ -59,16 +59,17 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 
 @dataclass(frozen=True)
 class ShellForms:
-    """R1, R2 and their derivatives for the shell, q and q' for the exterior,
-    all converted to floats once, so no bisection step converts a coefficient."""
+    """R1, R2 and their derivatives for the shell, and the float runs of q and
+    q' for the exterior, all converted to floats once, so no bisection step
+    converts a coefficient."""
 
     kappa: float
     r1: numeval.PreparedForm
     r1d: numeval.PreparedForm
     r2: numeval.PreparedForm
     r2d: numeval.PreparedForm
-    q: HornerRun
-    qd: HornerRun
+    q: tuple
+    qd: tuple
 
     def pair(self, r: float) -> tuple[float, float, float, float]:
         """(R1, R1', R2, R2') at r."""
@@ -79,14 +80,20 @@ class ShellForms:
         v1, d1, v2, d2 = self.pair(r)
         return c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
 
+    def exterior(self, r: float) -> tuple[float, float]:
+        """(q, q') at r."""
+        return numeval.horner(self.q, r)[0], numeval.horner(self.qd, r)[0]
+
     def exterior_logderiv(self, r: float) -> float:
-        return -self.kappa + self.qd(r) / self.q(r)
+        q, qd = self.exterior(r)
+        return -self.kappa + qd / q
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
     s, q = solutions(qn), _exterior_q(qn)
     prepared = [numeval.prepare_form(f) for f in (s.r1, s.r1d, s.r2, s.r2d)]
-    return ShellForms(float(qn.kappa), *prepared, q.float_run(), q.derivative().float_run())
+    return ShellForms(float(qn.kappa), *prepared, numeval.laurent_run(q),
+                      numeval.laurent_run(q.derivative()))
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,7 @@ def match_shell(config: ShellConfig) -> MatchResult:
 
     def mismatch_and_wronskian(b: float) -> tuple[float, float]:
         u, du = forms.shell(c1, c2, b)
-        q, qd = forms.q(b), forms.qd(b)
+        q, qd = forms.exterior(b)
         outer = du * q
         inner = u * (qd - kappa * q)
         return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
@@ -231,7 +238,7 @@ def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> lis
     scale_in = u_sh_a / u_in
     b = result.b_star
     u_sh_b, _ = forms.shell(result.c1, result.c2, b)
-    scale_out = u_sh_b / forms.q(b)
+    scale_out = u_sh_b / forms.exterior(b)[0]
 
     out: list[tuple[float, float]] = []
     r_max = 1.5 * b
@@ -244,6 +251,6 @@ def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> lis
         elif r <= b:
             u = forms.shell(result.c1, result.c2, r)[0]
         else:
-            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.q(r)
+            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0]
         out.append((r, u))
     return out

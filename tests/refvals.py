@@ -412,22 +412,21 @@ def eval_form(f: ExpEiForm, r: float) -> EvalResult:
     method = "series"
     if not f.q_plus.is_zero():
         grow = _float_exp(kappa * r)
-        a = f.q_plus.eval_float(r) * grow
+        a = float_horner(f.q_plus, r) * grow
         abs_err += _poly_abs_eval(f.q_plus, r) * grow * round_factor
     if not f.q_minus.is_zero():
         decay = _float_exp(-kappa * r)
-        b = f.q_minus.eval_float(r) * decay
+        b = float_horner(f.q_minus, r) * decay
         abs_err += _poly_abs_eval(f.q_minus, r) * decay * round_factor
     if not f.q_ei.is_zero():
         x = 2.0 * kappa * r
         ei = ei_one_neg(x)
-        # x*eps covers the argument-rounding sensitivity; the log term floors
-        # the error where the series cancels through Ei's zero near x ~ 0.37
-        ei_abs_err = (abs(ei.value) * (ei.est_rel_error + x * _EPS)
-                      + _EPS * (1.0 + abs(math.log(x))))
+        # x*eps covers the argument-rounding sensitivity; ei_one_neg's own
+        # estimate already holds the floor for the cancellation near its zero
+        ei_abs_err = abs(ei.value) * (ei.est_rel_error + x * _EPS)
         method = ei.method
         decay = _float_exp(-kappa * r)
-        c = f.q_ei.eval_float(r) * decay * ei.value
+        c = float_horner(f.q_ei, r) * decay * ei.value
         poly_env = _poly_abs_eval(f.q_ei, r) * decay
         abs_err += poly_env * (abs(ei.value) * round_factor + ei_abs_err)
     value = a + b + c

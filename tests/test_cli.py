@@ -213,7 +213,7 @@ def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
 def test_eval_prepares_its_form_once(capsys, monkeypatch):
     # every coefficient is converted to a float once per request, and the
     # whole grid is one kernel call
-    calls = {"prepare_form": 0, "float_run": 0, "eval_grid": 0, "eval_form": 0}
+    calls = {"prepare_form": 0, "laurent_run": 0, "eval_grid": 0, "eval_form": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -227,12 +227,12 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
     counted(numeval, "prepare_form")
     counted(numeval, "eval_grid")
     counted(numeval, "eval_form")
-    counted(RatPoly, "float_run")
+    counted(numeval, "laurent_run")
     code, _, _ = run(capsys, "eval", "--n", "7", "--l", "2", "--which", "R2",
                      "--grid", "0.5:60:2000", "--format", "csv")
     assert code == 0
     # R2 has a q_plus and a q_ei bucket
-    assert calls == {"prepare_form": 1, "float_run": 2, "eval_grid": 1, "eval_form": 0}
+    assert calls == {"prepare_form": 1, "laurent_run": 2, "eval_grid": 1, "eval_form": 0}
 
 
 def test_eval_ei_overflow_is_a_one_line_failure(capsys):
@@ -339,6 +339,15 @@ def test_verify_rejects_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--checks", "bogus")
     assert code == 64
     assert "unknown checks" in err
+
+
+def test_verify_rejects_an_empty_check_list(capsys):
+    # "--checks=" names the one check "", not every check
+    for argv in (["--checks="], ["--checks", ""], ["--checks", "ode,"]):
+        code, out, err = run(capsys, "verify", "--nmax", "1", *argv)
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1 and "unknown checks: ['']" in err
 
 
 def test_verify_all_checks_default_nmax(capsys):

@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2, solutions
+from coulombwf.ratpoly import RatPoly
 from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
@@ -14,11 +16,12 @@ from coulombwf.numeval import (
     _EPS,
     _asymptotic_sum,
     _ei_series,
-    _fused,
     ei_one_neg,
     eval_form,
     eval_form_extended,
     eval_grid,
+    horner,
+    laurent_run,
     prepare_form,
 )
 
@@ -83,6 +86,60 @@ def test_ei_domain_and_overflow():
 def test_ei_method_tags():
     assert ei_one_neg(1.0).method == "series"
     assert ei_one_neg(100.0).method == "asymptotic"
+
+
+def test_ei_estimate_bounds_the_error_through_its_zero():
+    # near the zero at x ~ 0.3725 the series sums terms of size |ln x| to a
+    # value near 0, so a relative estimate alone underestimates there; the
+    # absolute floor keeps every point of the sweep covered
+    with mpmath.workprec(200):
+        for i in range(7001):
+            x = 0.30 + 0.15 * i / 7000
+            got = ei_one_neg(x)
+            err = abs(mpmath.mpf(got.value) + mpmath.ei(x))
+            assert err <= got.est_rel_error * abs(got.value), x
+
+
+# -- the one Laurent Horner evaluator --------------------------------------------------
+
+_big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25)))
+_laurent_polys = st.builds(RatPoly, st.integers(-6, 6), st.lists(_big_rationals, max_size=8))
+# moderate points, and points where a power of x or of 1/x overflows a double
+_horner_points = st.one_of(
+    st.floats(-60.0, 60.0).filter(lambda x: x != 0.0),
+    st.sampled_from([1e300, -1e300, 1e200, 1e-300, -1e-300, 3.6e-194]))
+
+
+def _mp_ratio(num: int, den: int):
+    return mpmath.mpf(num) / den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_polys, _horner_points)
+# x^-2 at 3.6e-194 and x^2 at 1e200 overflow to inf: the loop returns inf as
+# the reference does, and only eval_grid turns that into an error
+@example(RatPoly(-2, (Fraction(1),)), 3.6e-194)
+@example(RatPoly(0, (Fraction(1), Fraction(0), Fraction(-3, 7))), 1e200)
+def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
+    exact_x = Fraction(x)
+    terms = list(p.terms())
+    want = sum((c * exact_x**k for k, c in terms), Fraction(0))
+    want_env = sum((abs(c) * exact_x**k for k, c in terms), Fraction(0))
+    # an exact run stays exact: value and envelope are the Fraction sums
+    value, env = horner(laurent_run(p, Fraction), exact_x)
+    assert type(value) is Fraction and type(env) is Fraction
+    assert (value, env) == (want, want_env)
+    # a float run is the reference Horner bit for bit, inf and nan included
+    assert repr(horner(laurent_run(p), x)[0]) == repr(refvals.float_horner(p, x))
+    # an mpmath run stays in extended precision
+    with mpmath.workprec(300):
+        value, env = horner(laurent_run(p, _mp_ratio), mpmath.mpf(x))
+        assert type(value) is mpmath.mpf and type(env) is mpmath.mpf
+        bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
+        error = abs(value - _mp_ratio(want.numerator, want.denominator))
+        assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
 
 
 # -- form evaluation ----------------------------------------------------------------
@@ -161,12 +218,12 @@ def _outcome(fn, f, r):
 
 
 def _run_width(bucket) -> int:
-    """Horner steps of one fused run: its powers min(low, 0)..max(degree, 0)."""
+    """Horner steps of one float run: its powers min(low, 0)..max(degree, -1)."""
     return len(bucket[0]) + len(bucket[1])
 
 
 def _envelope_bound(prepared) -> float:
-    """Relative rounding bound (2 w + 2) eps of the fused envelope, w the
+    """Relative rounding bound (2 w + 2) eps of the Horner envelope, w the
     longest run of the form."""
     width = max(_run_width(b) for b in (prepared.plus, prepared.minus, prepared.ei) if b)
     return (2 * width + 2) * _EPS
@@ -225,7 +282,7 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     # so does every evaluation at r > 0; R1 and R1' evaluate as the reference
     forms = _forms(70, 69)
     with pytest.raises(OverflowError):
-        forms["r2"].q_plus.float_run()
+        laurent_run(forms["r2"].q_plus)
     for which in ("r2", "r2d"):
         with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
             prepare_form(forms[which])
@@ -294,8 +351,8 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
         if bucket is None:
             assert p.is_zero()
             continue
-        value, env = _fused(bucket, r)
-        assert repr(value) == repr(p.eval_float(r))
+        value, env = horner(bucket, r)
+        assert repr(value) == repr(refvals.float_horner(p, r))
         exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
         assert abs(Fraction(env) - exact) <= (2 * _run_width(bucket) + 2) * Fraction(_EPS) * exact
 

@@ -12,7 +12,8 @@ from coulombwf.closedform import (
     assemble_R2,
     solutions,
 )
-from coulombwf.numeval import eval_form
+from coulombwf import numeval
+from coulombwf.numeval import eval_form, horner, laurent_run
 from coulombwf.oracle import (
     GOLDEN_R2,
     first_integral_closed_form_check,
@@ -177,18 +178,21 @@ def test_pole_split_identity(n_r, m, xs):
 def test_pole_split_difference_quotient_is_smooth():
     # the bracketed difference has a removable singularity at s = x with
     # limit e^{-x} d/ds [s^m F(s)] at s = x
+    # limit e^{-x} d/ds [s^m F(s)] at s = x; the quotient's coefficients,
+    # highest power first, are the partial sums of Horner's rule for h at x
     from coulombwf.closedform import hyp1f1_terminating
-    from coulombwf.oracle import _synthetic_quotient
 
     n_r, m, x = 1, 1, 1.5
     h = hyp1f1_terminating(n_r, m).shift(m)
-    q = _synthetic_quotient(h, x)
+    run = laurent_run(h)
+    up = run[0]
+    q = [horner((up[:k], (), 0, 0, 0.0), x)[0] for k in range(len(up) - 1, 0, -1)]
     at_pole = sum(c * x**i for i, c in enumerate(q))
-    slope = float(h.derivative().horner(F(3, 2), F))
+    slope = float(horner(laurent_run(h.derivative(), F), F(3, 2))[0])
     assert at_pole == pytest.approx(slope, rel=1e-12)
     # and the raw difference quotient approaches the same limit
     eps = 1e-6
-    raw = (h.eval_float(x + eps) - h.eval_float(x)) / eps
+    raw = (horner(run, x + eps)[0] - horner(run, x)[0]) / eps
     assert raw == pytest.approx(slope, rel=1e-5)
 
 
@@ -233,20 +237,18 @@ def test_golden_table_detects_corruption():
 
 
 def test_pv_integral_converts_h_once(monkeypatch):
-    # the quadrature integrand evaluates a float run built once per integral
-    # (two integrals per phi2_pv_oracle call), never eval_float per node
-    calls = {"float_run": 0, "eval_float": 0}
-    for name in calls:
-        original = getattr(RatPoly, name)
+    # h, D h and D^3 h are converted to float runs once per phi2_pv_oracle
+    # call, and both integrals and every quadrature node reuse them
+    calls = []
+    original = numeval.laurent_run
 
-        def counted(self, *args, name=name, original=original):
-            calls[name] += 1
-            return original(self, *args)
+    def counted(p, *args):
+        calls.append(p)
+        return original(p, *args)
 
-        monkeypatch.setattr(RatPoly, name, counted)
+    monkeypatch.setattr(numeval, "laurent_run", counted)
     phi2_pv_oracle(1, 3, 1.0)
-    # per integral: h's run, and d1 and d3 at x (eval_float calls float_run)
-    assert calls == {"float_run": 6, "eval_float": 4}
+    assert len(calls) == 3
 
 
 def test_pv_checks_build_their_polynomials_once(monkeypatch):

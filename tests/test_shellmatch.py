@@ -2,7 +2,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.numeval import eval_form
@@ -263,11 +263,14 @@ _shell_states = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.int
 
 
 @settings(max_examples=200, deadline=None)
-@given(_shell_states, st.floats(math.log(1e-4), math.log(1.5)), st.floats(0.01, 1.0),
+@given(_shell_states, st.floats(math.log(1e-4), math.log(2.5)), st.floats(0.01, 1.0),
        st.floats(0.01, 1.0))
+# a = 2 is a node of R1 for n = 2, l = 0
+@example((2, 0), math.log(2.0), 0.1, 0.1)
 def test_every_reported_match_is_continuous(state, log_a, start, width):
     # brackets anywhere in b <= a + 8 n^2: whatever nodes and roots they hold,
-    # a returned match meets the exterior solution with a continuous derivative
+    # a returned match meets the exterior solution with a continuous derivative,
+    # also when a is a node of R1
     n, l = state
     a = math.exp(log_a)
     b_min = a + start * 4 * n * n
