@@ -16,7 +16,7 @@ from .closedform import (
     energy,
     hyp1f1_terminating,
     laguerre_L1,
-    p2_doublesum,
+    p2_recurrence,
     solution_table,
 )
 from .numeval import (
@@ -50,7 +50,7 @@ __all__ = [
     "eval_grid",
     "hyp1f1_terminating",
     "laguerre_L1",
-    "p2_doublesum",
+    "p2_recurrence",
     "solution_table",
     "__version__",
 ]

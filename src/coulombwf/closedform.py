@@ -93,30 +93,39 @@ def hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
                                           math.factorial(n_r + m))
 
 
-def p2_doublesum(n_r: int, m: int) -> RatPoly:
-    """Polynomial factor of the e^{x}/x^m part of the irregular solution.
+def p2_recurrence(n_r: int, m: int) -> RatPoly:
+    """Polynomial factor P of the e^{x}/x^m part of the irregular solution.
 
-    Double-sum construction:
+    With g = 1F1(-n_r; m+1; x) and h = m!/(n_r+m)! x^{-m} P, the function
+    h e^{x} + g Ei(1, -x) solves Kummer's equation x y'' + (m+1-x) y' + n_r y
+    = 0 (DLMF 13.2.1), so h solves the inhomogeneous equation
 
-        (n_r+m)!/m! * sum_{k=0}^{n_r} sum_{j=0}^{m+k-1}
-            (-n_r)_k (m+k-1-j)! / ((m+1)_k k!) * x^j
+        x h'' + (x+m+1) h' + (n_r+m+1) h = 2 g' + m g/x.
 
-    Degree n_r + m - 1, all coefficients integers, leading coefficient
-    (-1)^{n_r}.
+    In P's integer coefficients, with k = j-m+1 and
+    G_k = (-1)^k C(n_r, k) (n_r+m)!/(m+k)! (zero for k < 0), that is the
+    one-term recurrence
+
+        P_j (j+n_r+1) = (m+2k) G_k - (j+1) k P_{j+1},
+
+    run downwards from P_{n_r+m} = 0.  Degree n_r + m - 1, all coefficients
+    integers, leading coefficient (-1)^{n_r}.
     """
     if n_r < 0:
-        raise ValueError("p2_doublesum needs n_r >= 0")
+        raise ValueError("p2_recurrence needs n_r >= 0")
     if m < 1:
-        raise ValueError("p2_doublesum needs m >= 1")
-    # the prefactor times the k-th 1F1 coefficient is the integer
-    # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
-    facts = [math.factorial(i) for i in range(n_r + m + 1)]
-    acc = [0] * (n_r + m)
-    for k in range(n_r + 1):
-        c_k = (-1) ** k * math.comb(n_r, k) * (facts[n_r + m] // facts[m + k])
-        for j in range(m + k):
-            acc[j] += c_k * facts[m + k - 1 - j]
-    return RatPoly.from_nums(0, acc)
+        raise ValueError("p2_recurrence needs m >= 1")
+    nums = [0] * (n_r + m)
+    g, p = (-1) ** n_r, 0  # G_{n_r} and P_{n_r+m}
+    for j in range(n_r + m - 1, -1, -1):
+        k = j - m + 1
+        p, rem = divmod((m + 2 * k) * g - (j + 1) * k * p, j + n_r + 1)
+        # G_{k-1} = -G_k k (m+k)/(n_r-k+1), which is 0 from k = 0 down
+        g, g_rem = divmod(-g * k * (m + k), n_r - k + 1)
+        if rem or g_rem:
+            raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
+        nums[j] = p
+    return RatPoly.from_nums(0, nums)
 
 
 def phi2_closedform(n_r: int, m: int) -> tuple[RatPoly, RatPoly]:
@@ -127,7 +136,7 @@ def phi2_closedform(n_r: int, m: int) -> tuple[RatPoly, RatPoly]:
     m!/(n_r+m)! normalization and the x^{-m} prefactor, g_ei is the
     terminating 1F1.
     """
-    g_exp = p2_doublesum(n_r, m).shift(-m) * Fraction(math.factorial(m), math.factorial(n_r + m))
+    g_exp = RatPoly.from_nums(-m, p2_recurrence(n_r, m).nums, math.perm(n_r + m, n_r))
     g_ei = hyp1f1_terminating(n_r, m)
     return g_exp, g_ei
 
@@ -196,8 +205,10 @@ def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
         + (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) Ei(1, -2 kr).
     """
     two_kappa = 2 * qn.kappa
-    q_plus = p2_doublesum(qn.n_r, qn.m).shift(-qn.l - 1).scale_arg(two_kappa)
-    q_plus = q_plus * Fraction(1, math.factorial(qn.n_r))
+    # P has integer coefficients from x^0 up, so its numerators over n_r! are
+    # the 1/n_r! scaled P in one normalisation
+    q_plus = RatPoly.from_nums(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
+    q_plus = q_plus.scale_arg(two_kappa)
     q_ei = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(two_kappa)
     return ExpEiForm(q_plus, RatPoly.zero(), q_ei, qn.kappa)
 

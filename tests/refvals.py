@@ -8,11 +8,12 @@ integrates the force-free radial equation with fixed-step RK4, the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
-coefficient writers of the CLI documents), the split form of the polynomial
-P is built independently of the double sum the package uses, and the
-double-precision form evaluator converts every coefficient again at every
-point and sums the envelope term by term: the grid kernel must reproduce its
-values bit for bit and its estimates within the rounding of the envelope.
+coefficient writers of the CLI documents), the polynomial P is built from
+its double sum and from its split form, independently of the package's
+recurrence and of each other, and the double-precision form evaluator
+converts every coefficient again at every point and sums the envelope term
+by term: the grid kernel must reproduce its values bit for bit and its
+estimates within the rounding of the envelope.
 """
 
 from __future__ import annotations
@@ -285,7 +286,30 @@ def fraction_hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
     return RatPoly(0, coeffs)
 
 
-# -- the split-form construction of P, checked against the double sum -------------
+# -- two constructions of P, checked against the package's recurrence -------------
+
+
+def p2_doublesum(n_r: int, m: int) -> RatPoly:
+    """The polynomial ``closedform.p2_recurrence`` builds, from the double sum
+
+        (n_r+m)!/m! * sum_{k=0}^{n_r} sum_{j=0}^{m+k-1}
+            (-n_r)_k (m+k-1-j)! / ((m+1)_k k!) * x^j
+
+    in O((n_r+m)^2) integer products.
+    """
+    if n_r < 0:
+        raise ValueError("p2_doublesum needs n_r >= 0")
+    if m < 1:
+        raise ValueError("p2_doublesum needs m >= 1")
+    # the prefactor times the k-th 1F1 coefficient is the integer
+    # (-1)^k C(n_r, k) (n_r+m)!/(m+k)!
+    facts = [factorial(i) for i in range(n_r + m + 1)]
+    acc = [0] * (n_r + m)
+    for k in range(n_r + 1):
+        c_k = (-1) ** k * math.comb(n_r, k) * (facts[n_r + m] // facts[m + k])
+        for j in range(m + k):
+            acc[j] += c_k * facts[m + k - 1 - j]
+    return RatPoly.from_nums(0, acc)
 
 
 def p2_simplified(n_r: int, m: int) -> RatPoly:

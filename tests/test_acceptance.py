@@ -11,7 +11,7 @@ from coulombwf.closedform import (
     QuantumNumbers,
     apply_radial_operator,
     energy,
-    p2_doublesum,
+    p2_recurrence,
     solutions,
 )
 from coulombwf.numeval import ei_one_neg
@@ -24,7 +24,13 @@ from coulombwf.oracle import (
 )
 from coulombwf.shellmatch import ShellConfig, continuity_residuals, match_shell
 
-from refvals import ei_pv_reference, ei_zero_by_bisection, p2_simplified, rk4_b_star
+from refvals import (
+    ei_pv_reference,
+    ei_zero_by_bisection,
+    p2_doublesum,
+    p2_simplified,
+    rk4_b_star,
+)
 
 PV_POINTS = [
     (0, 1, 0.5), (0, 1, 1.0), (0, 1, 2.0),
@@ -77,15 +83,15 @@ def test_criterion_3_p2_equivalence_and_integrality():
     for n_r in range(31):
         for l in range(31):
             m = 2 * l + 1
-            a = p2_doublesum(n_r, m)
-            if a != p2_simplified(n_r, m):
+            a = p2_recurrence(n_r, m)
+            if a != p2_doublesum(n_r, m) or a != p2_simplified(n_r, m):
                 ok = False
             if any(c.denominator != 1 for _, c in a.terms()):
                 ok = False
             if a.coeff(n_r + m - 1) != (-1) ** n_r:
                 ok = False
-    _report(3, "polynomial family: two constructions agree, integer, unit leading", ok,
-            "n_r <= 30, m odd <= 61")
+    _report(3, "polynomial family: recurrence agrees with both references, integer, unit leading",
+            ok, "n_r <= 30, m odd <= 61")
 
 
 def test_criterion_4_wronskian_constant():

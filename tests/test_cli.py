@@ -93,9 +93,36 @@ def writer_polys(draw):
 @settings(max_examples=300, deadline=None)
 @given(writer_polys(), writer_polys())
 def test_integer_writers_match_fraction_writers(p, q):
-    assert list(cli._rat_dict(p).items()) == list(refvals.rat_dict(p).items())
+    for pad in ("", "    "):
+        want = json.dumps(refvals.rat_dict(p), indent=2).replace("\n", "\n" + pad)
+        assert cli._json_rats(p, pad) == want
     assert cli._latex_poly(p) == refvals.latex_poly(p)
     assert cli._coeffs_csv_rows(p, q) == refvals.coeffs_csv_rows(p, q)
+
+
+def _coeffs_doc(qn, r2, r1=None) -> dict:
+    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(r2.q_plus),
+           "q_ei": refvals.rat_dict(r2.q_ei), "ei_arg_scale": str(-2 * r2.kappa)}
+    if r1 is not None:
+        doc["r1_q_minus"] = refvals.rat_dict(r1.q_minus)
+    return doc
+
+
+def test_coeffs_json_bytes_match_json_dumps(capsys):
+    for n in range(1, 13):
+        for l in range(n):
+            code, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l), "--format", "json")
+            assert code == 0
+            qn = QuantumNumbers(n, l)
+            assert out == json.dumps(_coeffs_doc(qn, assemble_R2(qn)), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("nmax", range(1, 7))
+def test_table_json_bytes_match_json_dumps(capsys, nmax):
+    code, out, _ = run(capsys, "table", "--nmax", str(nmax), "--format", "json")
+    assert code == 0
+    docs = [_coeffs_doc(qn, r2, r1) for qn, r1, r2 in closedform.solution_table(nmax)]
+    assert out == json.dumps(docs, indent=2) + "\n"
 
 
 def test_table_csv_matches_fraction_writer(capsys):

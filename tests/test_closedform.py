@@ -12,7 +12,7 @@ from coulombwf.closedform import (
     energy,
     hyp1f1_terminating,
     laguerre_L1,
-    p2_doublesum,
+    p2_recurrence,
     phi2_closedform,
     solution_table,
 )
@@ -23,6 +23,7 @@ from refvals import (
     central_diff,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
+    p2_doublesum,
     p2_simplified,
     poly_from_terms as P,
 )
@@ -102,9 +103,9 @@ def test_laguerre_vs_hyp1f1_relation(n_r, m):
 # -- irregular-solution polynomial family ----------------------------------------
 
 def test_p2_hand_values():
-    assert p2_doublesum(0, 1) == ONE
-    assert p2_doublesum(1, 1) == P({0: 1, 1: -1})
-    assert p2_doublesum(1, 3) == P({0: 2, 1: 2, 2: 3, 3: -1})
+    assert p2_recurrence(0, 1) == ONE
+    assert p2_recurrence(1, 1) == P({0: 1, 1: -1})
+    assert p2_recurrence(1, 3) == P({0: 2, 1: 2, 2: 3, 3: -1})
 
 
 def test_p2_simplified_hand_values():
@@ -118,20 +119,35 @@ def test_p2_empty_sum_convention():
     for m in (1, 3, 5, 7):
         poly = p2_simplified(0, m)
         assert poly.degree == m - 1
-        assert poly == p2_doublesum(0, m)
+        assert poly == p2_doublesum(0, m) == p2_recurrence(0, m)
 
 
 def test_p2_forms_agree_exactly():
     for n_r in range(9):
         for l in range(9):
-            assert p2_doublesum(n_r, 2 * l + 1) == p2_simplified(n_r, 2 * l + 1)
+            m = 2 * l + 1
+            assert p2_recurrence(n_r, m) == p2_doublesum(n_r, m) == p2_simplified(n_r, m)
+
+
+def test_p2_recurrence_matches_doublesum_every_state_to_n60():
+    for n in range(1, 61):
+        for l in range(n):
+            assert p2_recurrence(n - l - 1, 2 * l + 1) == p2_doublesum(n - l - 1, 2 * l + 1)
+    assert p2_recurrence(150, 301) == p2_doublesum(150, 301)
+
+
+@pytest.mark.parametrize("build", [p2_recurrence, p2_doublesum, p2_simplified])
+@pytest.mark.parametrize("n_r,m", [(-1, 1), (0, 0), (2, -1)])
+def test_p2_rejects_bad_indices(build, n_r, m):
+    with pytest.raises(ValueError):
+        build(n_r, m)
 
 
 def test_p2_integer_coefficients_and_leading():
     for n_r in range(9):
         for l in range(9):
             m = 2 * l + 1
-            poly = p2_doublesum(n_r, m)
+            poly = p2_recurrence(n_r, m)
             assert poly.degree == n_r + m - 1
             assert all(c.denominator == 1 for _, c in poly.terms())
             assert poly.coeff(n_r + m - 1) == (-1) ** n_r
@@ -141,7 +157,7 @@ def test_p2_low_coefficients_positive():
     for n_r in range(7):
         for l in range(7):
             m = 2 * l + 1
-            poly = p2_doublesum(n_r, m)
+            poly = p2_recurrence(n_r, m)
             for p in range(m):
                 assert poly.coeff(p) > 0
 
@@ -241,3 +257,15 @@ def test_phi2_closedform_split():
     g_exp, g_ei = phi2_closedform(1, 1)
     assert g_exp == P({-1: F(1, 2), 0: F(-1, 2)})
     assert g_ei == P({0: 1, 1: F(-1, 2)})
+
+
+def test_phi2_exp_part_solves_inhomogeneous_kummer():
+    # y = h e^x + g Ei(1, -x) solves x y'' + (m+1-x) y' + n_r y = 0 with
+    # h = g_exp and g = g_ei, so x h'' + (x+m+1) h' + (n_r+m+1) h = 2 g' + m g/x
+    for n in range(1, 31):
+        for l in range(n):
+            n_r, m = n - l - 1, 2 * l + 1
+            h, g = phi2_closedform(n_r, m)
+            hd = h.derivative()
+            lhs = hd.derivative().shift(1) + hd * P({0: m + 1, 1: 1}) + h * (n_r + m + 1)
+            assert lhs == g.derivative() * 2 + g.shift(-1) * m
