@@ -258,12 +258,11 @@ def run_verify(n_max: int, checks: set[str]) -> list[dict]:
         for n in range(1, n_max + 1):
             for l in range(n):
                 reports += [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(n, l), checks)]
-    if "pv" in checks:
-        for n_r, m, xs in PV_SAMPLES:
-            reports.append(oracle.pv_closedform_check(n_r, m, list(xs)).to_dict())
-    if "split" in checks:
-        for n_r, m, xs in PV_SAMPLES:
-            reports.append(oracle.pole_split_identity_check(n_r, m, list(xs)).to_dict())
+    if checks & {"pv", "split"}:
+        # one pass per sample; every pv row is written before any split row
+        per_sample = [oracle.pv_checks(n_r, m, xs, checks) for n_r, m, xs in PV_SAMPLES]
+        for column in zip(*per_sample):
+            reports += [rep.to_dict() for rep in column]
     if "integral" in checks:
         for n_r, m in ((0, 1), (1, 1), (0, 3), (2, 1), (1, 3)):
             reports.append(oracle.first_integral_closed_form_check(n_r, m).to_dict())

@@ -2,15 +2,19 @@
 
 Two kinds of checks live here.  The symbolic ones (radial-operator residual,
 Wronskian) run entirely in exact rational arithmetic and must come out
-identically zero or identically constant.  The numeric ones rebuild the
-irregular confluent solution from its defining principal-value integral by
-adaptive quadrature and compare against the closed form, and pin the
-generated solutions to a hard-coded table of known coefficient sets.
+identically zero or identically constant; symbolic_checks runs them on one
+build of the forms per (n, l).  The numeric ones rebuild the irregular
+confluent solution from its defining principal-value integral by adaptive
+quadrature and compare the closed form and the pole-removing split against
+it; pv_checks runs both on one build of the closed form per (n_r, m) and
+one PV quadrature per point.  A hard-coded table of known coefficient sets
+pins the generated solutions exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,13 +150,15 @@ def _pv_runs(h: RatPoly) -> tuple[tuple, tuple, tuple]:
     and of D h and D^3 h with D: p -> p' - p, so that g = e^{-s} h has
     g^{(k)} = e^{-s} D^k h."""
     d1 = h.derivative() - h
-    d3 = (d1.derivative() - d1).derivative() - (d1.derivative() - d1)
+    d2 = d1.derivative() - d1
+    d3 = d2.derivative() - d2
     return numeval.laurent_run(h), numeval.laurent_run(d1), numeval.laurent_run(d3)
 
 
-def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float,
-                          delta: float) -> tuple[float, float]:
-    """PV integral_0^inf e^{-s} h(s)/(s-x) ds by symmetric pole excision.
+def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: float,
+                          cutoff: float) -> tuple[float, float]:
+    """PV integral_0^inf e^{-s} h(s)/(s-x) ds by symmetric pole excision,
+    with the range past cutoff covered by the tail bound.
 
     The excised window contributes 2 delta g'(x) + delta^3 g'''(x)/9 +
     O(delta^5) where g(s) = e^{-s} h(s); both derivative terms are evaluated
@@ -161,8 +167,6 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float,
     """
     h, d1, d3 = runs
     horner = numeval.horner
-    # the top power of h's run is its degree
-    cutoff = _upper_cutoff(0, h[2], x)
 
     def integrand(s: float) -> float:
         return math.exp(-s) * horner(h, s)[0] / (s - x)
@@ -187,14 +191,15 @@ def phi2_pv_oracle(n_r: int, m: int, x: float) -> float:
 
 
 def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
-    """phi2_pv_oracle(n_r, m, x) on the runs _pv_runs built once per check."""
+    """phi2_pv_oracle(n_r, m, x) on the runs _pv_runs built once per (n_r, m)."""
     if not x > 0:
         raise numeval.DomainError(f"phi2_pv_oracle requires x > 0, got {x!r}")
     if n_r + m > 12:
         raise ValueError("quadrature oracle is rated for n_r + m <= 12")
     delta = 1e-3 * max(1.0, x)
-    coarse, err_c = _pv_weighted_integral(runs, x, delta)
-    fine, err_f = _pv_weighted_integral(runs, x, delta / 2.0)
+    cutoff = _upper_cutoff(n_r, m, x)
+    coarse, err_c = _pv_weighted_integral(runs, x, delta, cutoff)
+    fine, err_f = _pv_weighted_integral(runs, x, delta / 2.0, cutoff)
     scale = math.exp(x) / x**m
     value = scale * fine
     err = scale * (abs(coarse - fine) + err_c + err_f)
@@ -205,73 +210,66 @@ def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> 
     return value
 
 
-def _phi2_value(g_exp: tuple, g_ei: tuple, x: float) -> float:
+def phi2_closed_value(n_r: int, m: int, x: float) -> float:
+    """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
+    g_exp, g_ei = (numeval.laurent_run(g) for g in phi2_closedform(n_r, m))
     return (numeval.horner(g_exp, x)[0] * math.exp(x)
             + numeval.horner(g_ei, x)[0] * numeval.ei_one_neg(x).value)
 
 
-def phi2_closed_value(n_r: int, m: int, x: float) -> float:
-    """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
-    g_exp, g_ei = phi2_closedform(n_r, m)
-    return _phi2_value(numeval.laurent_run(g_exp), numeval.laurent_run(g_ei), x)
+def pv_checks(n_r: int, m: int, xs: Sequence[float], checks: set[str]) -> list[VerificationReport]:
+    """The principal-value checks named in ``checks`` ("pv", "split") for one
+    (n_r, m), in that order, from one build of the closed form and one PV
+    quadrature per point of ``xs``, each as the worst relative deviation.
 
-
-def pv_closedform_check(n_r: int, m: int, x_samples: list[float],
-                        rel_tol: float = 1e-6) -> VerificationReport:
-    """Closed form against the PV quadrature, pointwise relative comparison."""
-    g_exp, g_ei = (numeval.laurent_run(g) for g in phi2_closedform(n_r, m))
-    runs = _pv_runs(hyp1f1_terminating(n_r, m).shift(m))
-    worst = 0.0
-    for x in x_samples:
-        pv = _pv_oracle(n_r, m, runs, x)
-        cf = _phi2_value(g_exp, g_ei, x)
-        worst = max(worst, abs(pv - cf) / max(abs(pv), abs(cf)))
-    ok = worst <= rel_tol
-    return VerificationReport(None, f"pv_closedform[{n_r},{m}]", ok, worst,
-                              details=f"max relative deviation over {len(x_samples)} points")
-
-
-def pole_split_identity_check(n_r: int, m: int, x_samples: list[float],
-                              rel_tol: float = 1e-8) -> VerificationReport:
-    """The pole-removing split must reproduce the PV integral pointwise.
-
-    The smooth side is e^x x^{-m} integral_0^inf e^{-s} (h(s)-h(x))/(s-x) ds
-    plus F(x) Ei(1,-x); the difference quotient is a genuine polynomial, so
-    its quadrature has no pole at all.  Its coefficients, highest power
-    first, are the partial sums of Horner's rule for h at x.
+    pv compares the closed form g_exp e^x + g_ei Ei(1,-x) (to 1e-6), split
+    the pole-removing split (to 1e-8): with F = g_ei and h = s^m F, that is
+    e^x x^{-m} integral_0^inf e^{-s} (h(s)-h(x))/(s-x) ds + F(x) Ei(1,-x).
+    The difference quotient is a genuine polynomial, so its quadrature has
+    no pole; its coefficients, highest power first, are the partial sums of
+    Horner's rule for h at x.
     """
     horner = numeval.horner
-    f1 = hyp1f1_terminating(n_r, m)
-    runs = _pv_runs(f1.shift(m))
-    f1_run = numeval.laurent_run(f1)
-    # h = s^m F has no negative powers, so its whole run is ``up``
-    h_up = runs[0][0]
-    worst = 0.0
-    for x in x_samples:
-        lhs = _pv_oracle(n_r, m, runs, x)
-        sums = [horner((h_up[:k], (), 0, 0, 0.0), x)[0] for k in range(1, len(h_up))]
-        quotient = (tuple((b, abs(b)) for b in sums), (), 0, 0, 0.0)
+    g_exp, g_ei = phi2_closedform(n_r, m)
+    runs = _pv_runs(g_ei.shift(m))
+    g_exp, g_ei = numeval.laurent_run(g_exp), numeval.laurent_run(g_ei)
+    # h = s^m F has no negative powers, so its whole run is ``up``; the
+    # Horner sums before its last step are the quotient's coefficients
+    h_head = runs[0][0][:-1]
+    worst = {"pv": 0.0, "split": 0.0}
+    for x in xs:
+        pv = _pv_oracle(n_r, m, runs, x)
+        ei_part = horner(g_ei, x)[0] * numeval.ei_one_neg(x).value
+        if "pv" in checks:
+            cf = horner(g_exp, x)[0] * math.exp(x) + ei_part
+            worst["pv"] = max(worst["pv"], abs(pv - cf) / max(abs(pv), abs(cf)))
+        if "split" in checks:
+            b, sums = 0.0, []
+            for c, _ in h_head:
+                b = b * x + c
+                sums.append((b, abs(b)))
+            quotient = (tuple(sums), (), 0, 0, 0.0)
 
-        def smooth(s: float) -> float:
-            return math.exp(-s) * horner(quotient, s)[0]
+            def smooth(s: float) -> float:
+                return math.exp(-s) * horner(quotient, s)[0]
 
-        cutoff = _upper_cutoff(n_r, m, x)
-        integral, err = _quad_or_fail(smooth, 0.0, cutoff)
-        if err > 1e-9 * max(1.0, abs(integral)):
-            raise QuadratureFailure(f"smooth-part quadrature error {err:.2e} too large")
-        rhs = math.exp(x) / x**m * integral + horner(f1_run, x)[0] * numeval.ei_one_neg(x).value
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    ok = worst <= rel_tol
-    return VerificationReport(None, f"pole_split[{n_r},{m}]", ok, worst,
-                              details=f"max relative deviation over {len(x_samples)} points")
+            integral, err = _quad_or_fail(smooth, 0.0, _upper_cutoff(n_r, m, x))
+            if err > 1e-9 * max(1.0, abs(integral)):
+                raise QuadratureFailure(f"smooth-part quadrature error {err:.2e} too large")
+            rhs = math.exp(x) / x**m * integral + ei_part
+            worst["split"] = max(worst["split"], abs(pv - rhs) / max(abs(pv), abs(rhs)))
+    details = f"max relative deviation over {len(xs)} points"
+    return [VerificationReport(None, f"{name}[{n_r},{m}]", worst[key] <= tol, worst[key], details=details)
+            for key, name, tol in (("pv", "pv_closedform", 1e-6), ("split", "pole_split", 1e-8))
+            if key in checks]
 
 
-def first_integral_closed_form_check(n_r: int, m: int,
-                                     x_samples: tuple[float, ...] = (0.5, 1.0, 2.0),
-                                     rel_tol: float = 1e-8) -> VerificationReport:
+def first_integral_closed_form_check(
+        n_r: int, m: int, x_samples: tuple[float, ...] = (0.5, 1.0, 2.0)) -> VerificationReport:
     """integral_0^inf e^{-s} (s^N - x^N)/(s-x) ds == sum_{j<N} (N-1-j)! x^j.
 
-    Checked by quadrature for every N = m + k with k <= n_r.
+    Checked by quadrature for every N = m + k with k <= n_r, to a relative
+    1e-8.
     """
     if n_r + m > 10:
         raise ValueError("rated for m + n_r <= 10")
@@ -295,7 +293,7 @@ def first_integral_closed_form_check(n_r: int, m: int,
             worst = max(worst, abs(integral - expected) / abs(expected))
             if err > 1e-9 * abs(expected):
                 raise QuadratureFailure(f"first-integral quadrature error {err:.2e} too large")
-    ok = worst <= rel_tol
+    ok = worst <= 1e-8
     return VerificationReport(None, f"first_integral[{n_r},{m}]", ok, worst,
                               details=f"powers {m}..{m + n_r} at x in {list(x_samples)}")
 

@@ -19,7 +19,7 @@ from coulombwf.oracle import (
     golden_table_check,
     phi2_closed_value,
     phi2_pv_oracle,
-    pole_split_identity_check,
+    pv_checks,
     wronskian_symbolic,
 )
 from coulombwf.shellmatch import ShellConfig, continuity_residuals, match_shell
@@ -119,7 +119,7 @@ def test_criterion_5_pv_integral_oracle():
             continue
         seen.add((n_r, m))
         xs = [x for a, b, x in PV_POINTS if (a, b) == (n_r, m)]
-        rep = pole_split_identity_check(n_r, m, xs)
+        rep, = pv_checks(n_r, m, xs, {"split"})
         worst_split = max(worst_split, rep.residual_norm)
         ok = ok and rep.passed
     elapsed = time.perf_counter() - t0

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -385,6 +387,77 @@ def test_verify_all_checks_default_nmax(capsys):
     names = {rep["check"].split("[")[0].split("_R")[0] for rep in reports}
     assert {"golden_table", "ode_residual", "wronskian",
             "pv_closedform", "pole_split", "first_integral"} <= names
+
+
+# the check family of a verify row, from its check name
+_ROW_FAMILY = {"golden_table": "golden", "ode_residual": "ode", "wronskian": "wronskian",
+               "pv_closedform": "pv", "pole_split": "split", "first_integral": "integral"}
+
+
+def _row_family(line: str, fmt: str) -> str:
+    name = json.loads(line)["check"] if fmt == "json" else line.split(",")[2]
+    return _ROW_FAMILY[name.split("[")[0].split("_R")[0]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_check_subsets_are_rows_of_the_default_run(capsys, fmt):
+    # pv and split share one pass per sample, yet each subset writes exactly
+    # its rows of the default run, in the default run's order
+    code, full, _ = run(capsys, "verify", "--format", fmt)
+    assert code == 0
+    lines = full.splitlines(keepends=True)
+    head = lines[:2] if fmt == "csv" else []
+    rows = lines[len(head):]
+    # blocks in a fixed order, every pv row before any split row
+    blocks = [_row_family(ln, fmt).replace("ode", "symbolic").replace("wronskian", "symbolic")
+              for ln in rows]
+    blocks = [b for i, b in enumerate(blocks) if i == 0 or b != blocks[i - 1]]
+    assert blocks == ["golden", "symbolic", "pv", "split", "integral"]
+    for subset in ("pv", "split", "pv,split", "split,pv", "golden,split", "integral,pv"):
+        code, out, _ = run(capsys, "verify", "--checks", subset, "--format", fmt)
+        assert code == 0
+        wanted = set(subset.split(","))
+        expected = head + [ln for ln in rows if _row_family(ln, fmt) in wanted]
+        assert out.splitlines(keepends=True) == expected, subset
+
+
+def test_verify_runs_one_pv_quadrature_per_sample_point(capsys, monkeypatch):
+    # 14 points in PV_SAMPLES: each takes one PV oracle value (four quad
+    # calls), split adds one smooth-part quad per point and integral 27 more;
+    # F is built once per (n_r, m), as the Ei part of the closed form
+    import scipy.integrate
+
+    calls = {"quad": 0, "_pv_oracle": 0, "hyp1f1_terminating": 0}
+    for module, name in ((scipy.integrate, "quad"), (oracle, "_pv_oracle"),
+                         (closedform, "hyp1f1_terminating"), (oracle, "hyp1f1_terminating")):
+        def counted(*args, name=name, original=getattr(module, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "verify")
+    assert code == 0
+    assert sum(len(xs) for _, _, xs in cli.PV_SAMPLES) == 14
+    assert calls == {"quad": 97, "_pv_oracle": 14, "hyp1f1_terminating": 8}
+    for key in calls:
+        calls[key] = 0
+    code, _, _ = run(capsys, "verify", "--checks", "pv")
+    assert code == 0
+    # no smooth-part quadrature under pv alone
+    assert calls == {"quad": 56, "_pv_oracle": 14, "hyp1f1_terminating": 8}
+
+
+# written by data/regenerate.py: sha256 of stdout of integer-only commands
+EXACT_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "exact_outputs.json").read_text())
+
+
+def test_exact_outputs_match_recorded_digests(capsys):
+    assert len(EXACT_OUTPUTS) == 2 + 6 * 3 + 36 * 3
+    for command, digest in EXACT_OUTPUTS.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -21,8 +21,7 @@ from coulombwf.oracle import (
     ode_residual_symbolic,
     phi2_closed_value,
     phi2_pv_oracle,
-    pole_split_identity_check,
-    pv_closedform_check,
+    pv_checks,
     symbolic_checks,
     wronskian_symbolic,
 )
@@ -154,7 +153,7 @@ def test_pv_oracle_matches_closed_form(n_r, m, x):
 
 
 def test_pv_closedform_check_report():
-    rep = pv_closedform_check(1, 1, [0.5, 1.0, 2.0])
+    rep, = pv_checks(1, 1, [0.5, 1.0, 2.0], {"pv"})
     assert rep.passed
     assert rep.residual_norm <= 1e-6
 
@@ -170,7 +169,7 @@ def test_pv_oracle_rejects_out_of_range():
 
 @pytest.mark.parametrize("n_r,m,xs", [(0, 1, (0.5, 1.0, 2.0)), (1, 1, (1.0,)), (1, 3, (0.5, 2.0))])
 def test_pole_split_identity(n_r, m, xs):
-    rep = pole_split_identity_check(n_r, m, list(xs))
+    rep, = pv_checks(n_r, m, list(xs), {"split"})
     assert rep.passed
     assert rep.residual_norm <= 1e-8
 
@@ -252,21 +251,22 @@ def test_pv_integral_converts_h_once(monkeypatch):
 
 
 def test_pv_checks_build_their_polynomials_once(monkeypatch):
-    # the closed form and F once per pv check, and F once per split check,
-    # however many samples each check takes
+    # pv and split together make one build of the closed form, whose Ei
+    # polynomial is F, however many samples they take
+    import coulombwf.closedform as closedform_mod
     import coulombwf.oracle as oracle_mod
 
     calls = {"phi2_closedform": 0, "hyp1f1_terminating": 0}
     for name in calls:
-        original = getattr(oracle_mod, name)
+        original = getattr(closedform_mod, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(oracle_mod, name, counted)
-    xs = [0.5, 1.0, 2.0]
-    assert pv_closedform_check(1, 1, xs).passed
+        for module in (closedform_mod, oracle_mod):
+            monkeypatch.setattr(module, name, counted)
+    pv, split = pv_checks(1, 1, [0.5, 1.0, 2.0], {"pv", "split"})
+    assert pv.passed and split.passed
     assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 1}
-    assert pole_split_identity_check(1, 1, xs).passed
-    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 1 + 1}
+
