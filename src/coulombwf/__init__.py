@@ -21,10 +21,8 @@ from .closedform import (
 )
 from .numeval import (
     DomainError,
-    EvalResult,
     OverflowSignal,
-    ei_one_neg,
-    eval_form,
+    ei_with_error,
     eval_form_extended,
     eval_grid,
 )
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "EvalResult",
     "ExpEiForm",
     "InvalidQuantumNumbers",
     "OverflowSignal",
@@ -43,9 +40,8 @@ __all__ = [
     "ZeroDenominator",
     "assemble_R1",
     "assemble_R2",
-    "ei_one_neg",
+    "ei_with_error",
     "energy",
-    "eval_form",
     "eval_form_extended",
     "eval_grid",
     "hyp1f1_terminating",

@@ -2,7 +2,8 @@
 
 Every polynomial is evaluated through one run format (``laurent_run``, its
 coefficients converted once) and one Laurent Horner loop (``horner``), on
-float, exact and extended-precision scalars alike.
+float, exact and extended-precision scalars alike; ``eval_grid`` is the one
+double-precision form evaluator, and ``ei_with_error`` the one Ei(1, -x).
 
 Double precision genuinely loses digits where the growing exponential bucket
 cancels against the Ei bucket, so every evaluation carries an error estimate
@@ -41,18 +42,10 @@ class OverflowSignal(OverflowError):
     """A value or a coefficient exceeds double-precision range."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    est_rel_error: float
-    method: str
-
-
 def _ei_series(x: float) -> tuple[float, float]:
     """-(gamma + ln x + sum_k x^k/(k k!)) with a rounding-accumulation estimate."""
     total = EULER_GAMMA + math.log(x)
-    term = 1.0
-    k = 0
+    term, k = 1.0, 0
     while k < 1000:
         k += 1
         term *= x / k
@@ -60,15 +53,13 @@ def _ei_series(x: float) -> tuple[float, float]:
         total += contribution
         if contribution < abs(total) * 1e-18 and k > 3:
             break
-    est = (k + 4) * _EPS
-    return -total, est
+    return -total, (k + 4) * _EPS
 
 
 def _asymptotic_sum(x: float) -> tuple[float, float, int]:
     """sum_k k!/x^k truncated at the smallest term, with that term and count.
     Every term is positive, so the partial sum is at least 1."""
-    total = 1.0
-    term = 1.0
+    total = term = 1.0
     k = 0
     while True:
         nxt = term * (k + 1) / x
@@ -80,10 +71,16 @@ def _asymptotic_sum(x: float) -> tuple[float, float, int]:
     return total, term, k
 
 
-def _ei(x: float) -> tuple[float, float]:
-    """(value, estimated absolute error) of Ei(1, -x); see ei_one_neg."""
+def ei_with_error(x: float) -> tuple[float, float]:
+    """(value, estimated absolute error) of Ei(1, -x) = PV integral_{-x}^inf
+    e^{-s}/s ds for x > 0, which is -Ei(x) in the classical convention.
+
+    The estimate has the absolute floor eps (1 + |ln x|), the size of the
+    terms that cancel through Ei's zero at x ~ 0.3725, so it bounds the error
+    there too.  Past x = 708 the value, about -e^x/x, leaves double range and
+    OverflowSignal is raised."""
     if not x > 0:
-        raise DomainError(f"ei_one_neg requires x > 0, got {x!r}")
+        raise DomainError(f"ei_with_error requires x > 0, got {x!r}")
     if x <= _BRANCH_SPLIT:
         value, est = _ei_series(x)
     elif x > _OVERFLOW_X:
@@ -92,23 +89,7 @@ def _ei(x: float) -> tuple[float, float]:
         # -(e^x/x) sum_k k!/x^k truncated at the smallest term
         total, last_term, k = _asymptotic_sum(x)
         value, est = -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
-    # the log term floors the error where the series cancels through Ei's
-    # zero near x ~ 0.37: the sum reaches -(gamma + ln x) in size there
     return value, abs(value) * est + _EPS * (1.0 + abs(math.log(x)))
-
-
-def ei_one_neg(x: float) -> EvalResult:
-    """Principal value of integral_{-x}^{infinity} e^{-s}/s ds for x > 0.
-
-    Returns the value (equal to -Ei(x) in the classical convention), an
-    estimated relative error, and the branch used.  The estimate includes an
-    absolute floor eps (1 + |ln x|), the size of the terms that cancel near
-    Ei's zero at x ~ 0.3725, so it bounds the error there too.  Past x = 708
-    the value, about -e^x/x, leaves double range and OverflowSignal is raised.
-    """
-    value, abs_err = _ei(x)
-    return EvalResult(value, abs_err / abs(value) if value != 0.0 else math.inf,
-                      "series" if x <= _BRANCH_SPLIT else "asymptotic")
 
 
 def laurent_run(p: RatPoly, conv=operator.truediv) -> tuple:
@@ -210,7 +191,7 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
     rows = []
     for r in rs:
         if not r > 0:
-            raise DomainError(f"eval_form requires r > 0, got {r!r}")
+            raise DomainError(f"eval_grid requires r > 0, got {r!r}")
         round_factor = (two_width + kappa * r + 6) * _EPS
         a = b = c = abs_err = 0.0
         # each bucket's r ** top (r > 1) or r ** bottom (r < 1) raises a bare
@@ -236,7 +217,7 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
                 abs_err += env * decay * round_factor
             if ei is not None:
                 x = 2.0 * kappa * r
-                ei_value, ei_abs_err = _ei(x)
+                ei_value, ei_abs_err = ei_with_error(x)
                 # x*eps covers the argument-rounding sensitivity
                 ei_abs_err += abs(ei_value) * x * _EPS
                 decay = math.exp(-kappa * r)
@@ -252,21 +233,6 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
         value = a + b + c
         rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
     return rows
-
-
-def eval_form(f: ExpEiForm | PreparedForm, r: float) -> EvalResult:
-    """eval_grid at the one point r, with the Ei branch as ``method``
-    ("series" for a form without an Ei bucket).  A form evaluated at many
-    points is passed through prepare_form once, or to eval_grid."""
-    # checked before preparing, so that r <= 0 is a DomainError even for a
-    # form whose coefficients leave double range
-    if not r > 0:
-        raise DomainError(f"eval_form requires r > 0, got {r!r}")
-    if not isinstance(f, PreparedForm):
-        f = prepare_form(f)
-    ((_, value, est),) = eval_grid(f, (r,))
-    method = "asymptotic" if f.ei is not None and 2.0 * f.kappa * r > _BRANCH_SPLIT else "series"
-    return EvalResult(value, est, method)
 
 
 def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):

@@ -214,7 +214,7 @@ def phi2_closed_value(n_r: int, m: int, x: float) -> float:
     """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
     g_exp, g_ei = (numeval.laurent_run(g) for g in phi2_closedform(n_r, m))
     return (numeval.horner(g_exp, x)[0] * math.exp(x)
-            + numeval.horner(g_ei, x)[0] * numeval.ei_one_neg(x).value)
+            + numeval.horner(g_ei, x)[0] * numeval.ei_with_error(x)[0])
 
 
 def pv_checks(n_r: int, m: int, xs: Sequence[float], checks: set[str]) -> list[VerificationReport]:
@@ -239,7 +239,7 @@ def pv_checks(n_r: int, m: int, xs: Sequence[float], checks: set[str]) -> list[V
     worst = {"pv": 0.0, "split": 0.0}
     for x in xs:
         pv = _pv_oracle(n_r, m, runs, x)
-        ei_part = horner(g_ei, x)[0] * numeval.ei_one_neg(x).value
+        ei_part = horner(g_ei, x)[0] * numeval.ei_with_error(x)[0]
         if "pv" in checks:
             cf = horner(g_exp, x)[0] * math.exp(x) + ei_part
             worst["pv"] = max(worst["pv"], abs(pv - cf) / max(abs(pv), abs(cf)))

@@ -111,12 +111,17 @@ def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
     u = r^l S, S = sum_k t_k, t_0 = 1, t_k = t_{k-1} (kappa r)^2 / (2k (2l+2k+1))
     (DLMF §10.53.3): all terms positive, so no cancellation at any kappa a.  The
     sum stops once a term is below rounding in both S and r S', or raises
-    OverflowSignal once they leave double range, so it ends for every a.
+    OverflowSignal once anything leaves double range, so it ends for every a.
     """
     if a <= 0:
         raise ValueError("inner boundary a must be positive")
     l = qn.l
-    z2 = (float(qn.kappa) * a) ** 2
+    try:
+        z2 = (float(qn.kappa) * a) ** 2
+        scale, dscale = a**l, a ** (l - 1)
+    except OverflowError as exc:
+        raise numeval.OverflowSignal(
+            f"interior solution overflows double precision at a = {a!r}") from exc
     s, rds, t, k = 1.0, 0.0, 1.0, 0
     while True:
         k += 1
@@ -126,7 +131,7 @@ def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
         if not math.isfinite(rds):
             raise numeval.OverflowSignal(f"interior series overflows at kappa*a = {math.sqrt(z2):.3g}")
         if t <= 1e-17 * s and 2 * k * t <= 1e-17 * rds:
-            return a**l * s, a ** (l - 1) * (l * s + rds)
+            return scale * s, dscale * (l * s + rds)
 
 
 def _require_in_range(what: str, r: float, values: tuple[float, ...],

@@ -29,9 +29,8 @@ from coulombwf.closedform import ExpEiForm, assemble_R1, assemble_R2
 from coulombwf.numeval import (
     _EPS,
     DomainError,
-    EvalResult,
     OverflowSignal,
-    ei_one_neg,
+    ei_with_error,
 )
 from coulombwf.ratpoly import RatPoly
 
@@ -193,7 +192,7 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
     r1d, r2d = r1.derivative(), r2.derivative()
 
     def pair(r):
-        return [eval_form(f, r).value for f in (r1, r1d, r2, r2d)]
+        return [eval_form(f, r)[0] for f in (r1, r1d, r2, r2d)]
 
     ld_in = rk4_interior_logderiv(qn, a, h)
     v1, d1, v2, d2 = pair(a)
@@ -418,22 +417,22 @@ def _poly_abs_eval(p, r: float) -> float:
             f"conditioning envelope overflows double precision at r = {r!r}") from exc
 
 
-def eval_form(f: ExpEiForm, r: float) -> EvalResult:
+def eval_form(f: ExpEiForm, r: float) -> tuple[float, float]:
     """Evaluate a symbolic radial form at r > 0 in double precision.
 
     The error estimate is built from the absolute-coefficient envelope of
     each bucket (which dominates the plain |A| + |C| cancellation penalty
     between the growing-exponential and Ei buckets), the rounding of the
-    exponential arguments, and the Ei evaluation error.
+    exponential arguments, and the Ei evaluation error.  Returns (value,
+    est_rel_error).
     """
     if not r > 0:
-        raise DomainError(f"eval_form requires r > 0, got {r!r}")
+        raise DomainError(f"eval_grid requires r > 0, got {r!r}")
     kappa = float(f.kappa)
     round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
                     + kappa * r + 6) * _EPS
     a = b = c = 0.0
     abs_err = 0.0
-    method = "series"
     if not f.q_plus.is_zero():
         grow = _float_exp(kappa * r)
         a = float_horner(f.q_plus, r) * grow
@@ -444,15 +443,15 @@ def eval_form(f: ExpEiForm, r: float) -> EvalResult:
         abs_err += _poly_abs_eval(f.q_minus, r) * decay * round_factor
     if not f.q_ei.is_zero():
         x = 2.0 * kappa * r
-        ei = ei_one_neg(x)
-        # x*eps covers the argument-rounding sensitivity; ei_one_neg's own
+        ei_value, ei_err = ei_with_error(x)
+        # through Ei's relative error, as this reference has always rounded it
+        ei_rel = ei_err / abs(ei_value) if ei_value != 0.0 else math.inf
+        # x*eps covers the argument-rounding sensitivity; ei_with_error's own
         # estimate already holds the floor for the cancellation near its zero
-        ei_abs_err = abs(ei.value) * (ei.est_rel_error + x * _EPS)
-        method = ei.method
+        ei_abs_err = abs(ei_value) * (ei_rel + x * _EPS)
         decay = _float_exp(-kappa * r)
-        c = float_horner(f.q_ei, r) * decay * ei.value
+        c = float_horner(f.q_ei, r) * decay * ei_value
         poly_env = _poly_abs_eval(f.q_ei, r) * decay
-        abs_err += poly_env * (abs(ei.value) * round_factor + ei_abs_err)
+        abs_err += poly_env * (abs(ei_value) * round_factor + ei_abs_err)
     value = a + b + c
-    est = abs_err / abs(value) if value != 0.0 else math.inf
-    return EvalResult(value, est, method)
+    return value, abs_err / abs(value) if value != 0.0 else math.inf

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -231,7 +232,7 @@ def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
     rs = cli._parse_grid(grid)
     rows = numeval.eval_grid(form, rs)
     # the values are the per-point reference's, bit for bit
-    assert [repr(v) for _, v, _ in rows] == [repr(refvals.eval_form(form, r).value) for r in rs]
+    assert [repr(v) for _, v, _ in rows] == [repr(refvals.eval_form(form, r)[0]) for r in rs]
     doc = {"n": n, "l": l, "which": which,
            "rows": [{"r": r, "value": v, "est_rel_error": e} for r, v, e in rows]}
     assert out == json.dumps(doc, indent=2) + "\n"
@@ -242,7 +243,7 @@ def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
 def test_eval_prepares_its_form_once(capsys, monkeypatch):
     # every coefficient is converted to a float once per request, and the
     # whole grid is one kernel call
-    calls = {"prepare_form": 0, "laurent_run": 0, "eval_grid": 0, "eval_form": 0}
+    calls = {"prepare_form": 0, "laurent_run": 0, "eval_grid": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -255,13 +256,12 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
 
     counted(numeval, "prepare_form")
     counted(numeval, "eval_grid")
-    counted(numeval, "eval_form")
     counted(numeval, "laurent_run")
     code, _, _ = run(capsys, "eval", "--n", "7", "--l", "2", "--which", "R2",
                      "--grid", "0.5:60:2000", "--format", "csv")
     assert code == 0
     # R2 has a q_plus and a q_ei bucket
-    assert calls == {"prepare_form": 1, "laurent_run": 2, "eval_grid": 1, "eval_form": 0}
+    assert calls == {"prepare_form": 1, "laurent_run": 2, "eval_grid": 1}
 
 
 def test_eval_ei_overflow_is_a_one_line_failure(capsys):
@@ -570,13 +570,22 @@ def test_shell_rejects_negative_grid_points(capsys):
 
 
 def test_shell_huge_a_fails_fast(capsys):
-    # kappa*a = 1e6: the interior series overflows instead of running on
-    t0 = time.perf_counter()
-    code, _, err = run(capsys, "shell", "--n", "1", "--l", "0", "--a", "1e6",
-                       "--b-range", "2e6:3e6")
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 1
-    assert err.startswith("coulombwf: failure:")
+    for argv in (
+        # kappa*a = 1e6: the interior series overflows instead of running on
+        ["--n", "1", "--l", "0", "--a", "1e6", "--b-range", "2e6:3e6"],
+        # (kappa*a)^2 is beyond double range
+        ["--n", "3", "--l", "2", "--a", "1e200", "--b-range", "1e201:1e202"],
+        # a^(l-1) = 1/a is beyond double range
+        ["--n", "1", "--l", "0", "--a", "1e-320", "--b-range", "1:2"],
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shell", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        # one line that names the interior solution
+        assert err.startswith("coulombwf: failure: interior ")
+        assert err.count("\n") == 1
 
 
 def test_shell_underflowing_a_is_a_one_line_failure(capsys):
@@ -676,3 +685,29 @@ def test_shell_reversed_range_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 64
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of every ``coulombwf …`` line of the sh block under README's
+    ``## CLI`` heading, comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("coulombwf ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    # a renamed option or subcommand fails here instead of leaving the docs stale
+    examples = _readme_cli_examples()
+    assert len(examples) >= 5
+    for argv in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out
+
+
+def test_package_exports_resolve():
+    # a deleted name that is still exported would fail ``from coulombwf import *``
+    missing = [name for name in coulombwf.__all__ if not hasattr(coulombwf, name)]
+    assert missing == []

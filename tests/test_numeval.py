@@ -16,8 +16,7 @@ from coulombwf.numeval import (
     _EPS,
     _asymptotic_sum,
     _ei_series,
-    ei_one_neg,
-    eval_form,
+    ei_with_error,
     eval_form_extended,
     eval_grid,
     horner,
@@ -33,23 +32,22 @@ from refvals import ei_pv_reference, ei_zero_by_bisection
 
 def test_ei_frozen_value():
     # blessed value from the defining-integral quadrature (refvals.ei_pv_reference)
-    assert ei_one_neg(1.0).value == pytest.approx(-1.8951178163559368, rel=1e-14)
+    assert ei_with_error(1.0)[0] == pytest.approx(-1.8951178163559368, rel=1e-14)
 
 
 @pytest.mark.parametrize("x", [1e-4, 0.1, 1.0, 5.0, 39.0, 41.0, 100.0, 500.0])
 def test_ei_against_defining_integral(x):
     ref = float(ei_pv_reference(x))
-    got = ei_one_neg(x)
-    assert got.value == pytest.approx(ref, rel=1e-12)
-    assert got.method in ("series", "asymptotic")
-    assert got.est_rel_error >= 0.0
+    value, abs_err = ei_with_error(x)
+    assert value == pytest.approx(ref, rel=1e-12)
+    assert abs_err >= 0.0
 
 
 def test_ei_small_x_log_divergence():
     # diverges as -(gamma + ln x); at x = 1e-8 the series' own linear term
     # is exactly the 1e-8 gap, and everything past it is < 1e-16
     x = 1e-8
-    got = ei_one_neg(x).value
+    got = ei_with_error(x)[0]
     assert got == pytest.approx(-(EULER_GAMMA + math.log(x)), abs=2e-8)
     assert got == pytest.approx(-(EULER_GAMMA + math.log(x) + x), abs=1e-10)
 
@@ -59,33 +57,28 @@ def test_ei_branch_agreement_on_crossover_band():
         s, _ = _ei_series(x)
         a = -math.exp(x) / x * _asymptotic_sum(x)[0]
         assert abs(s - a) / abs(a) < 1e-11
-        assert ei_one_neg(x).value == (s if x <= 40.0 else a)
+        assert ei_with_error(x)[0] == (s if x <= 40.0 else a)
 
 
 def test_ei_zero_bracketed():
     zero = ei_zero_by_bisection(0.37, 0.38, tol=1e-10)
     assert 0.37 < zero < 0.38
-    assert ei_one_neg(0.37).value > 0 > ei_one_neg(0.38).value
-    assert ei_one_neg(zero).value == pytest.approx(0.0, abs=1e-9)
+    assert ei_with_error(0.37)[0] > 0 > ei_with_error(0.38)[0]
+    assert ei_with_error(zero)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ei_negative_beyond_zero():
     for x in [0.4, 1.0, 7.0, 50.0, 300.0, 700.0]:
-        assert ei_one_neg(x).value < 0
+        assert ei_with_error(x)[0] < 0
 
 
 def test_ei_domain_and_overflow():
     with pytest.raises(DomainError):
-        ei_one_neg(0.0)
+        ei_with_error(0.0)
     with pytest.raises(DomainError):
-        ei_one_neg(-3.0)
+        ei_with_error(-3.0)
     with pytest.raises(OverflowSignal, match=r"^Ei\(1, -x\) overflows double precision at x=720\.0$"):
-        ei_one_neg(720.0)
-
-
-def test_ei_method_tags():
-    assert ei_one_neg(1.0).method == "series"
-    assert ei_one_neg(100.0).method == "asymptotic"
+        ei_with_error(720.0)
 
 
 def test_ei_estimate_bounds_the_error_through_its_zero():
@@ -95,9 +88,9 @@ def test_ei_estimate_bounds_the_error_through_its_zero():
     with mpmath.workprec(200):
         for i in range(7001):
             x = 0.30 + 0.15 * i / 7000
-            got = ei_one_neg(x)
-            err = abs(mpmath.mpf(got.value) + mpmath.ei(x))
-            assert err <= got.est_rel_error * abs(got.value), x
+            value, abs_err = ei_with_error(x)
+            err = abs(mpmath.mpf(value) + mpmath.ei(x))
+            assert err <= abs_err, x
 
 
 # -- the one Laurent Horner evaluator --------------------------------------------------
@@ -146,19 +139,19 @@ def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
 
 def test_eval_regular_ground_state():
     f = assemble_R1(QuantumNumbers(1, 0))
-    assert eval_form(f, 2.0).value == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert eval_grid(f, (2.0,))[0][1] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
 def test_eval_irregular_ground_state_frozen():
     # blessed value from eval_form_extended at 256 bits
     f = assemble_R2(QuantumNumbers(1, 0))
-    assert eval_form(f, 1.0).value == pytest.approx(-0.4634200520888131703, rel=1e-13)
+    assert eval_grid(f, (1.0,))[0][1] == pytest.approx(-0.4634200520888131703, rel=1e-13)
 
 
 def test_eval_irregular_large_r_sign_and_growth():
     # the e^r/(2r) part cancels against the Ei tail, leaving ~ -e^r/(4r^2)
     f = assemble_R2(QuantumNumbers(1, 0))
-    got = eval_form(f, 30.0).value
+    got = eval_grid(f, (30.0,))[0][1]
     assert got < 0
     assert got == pytest.approx(-math.exp(30.0) / (4 * 30.0**2), rel=0.1)
 
@@ -166,30 +159,30 @@ def test_eval_irregular_large_r_sign_and_growth():
 def test_eval_domain_error():
     f = assemble_R1(QuantumNumbers(1, 0))
     with pytest.raises(DomainError):
-        eval_form(f, 0.0)
+        eval_grid(f, (0.0,))
     with pytest.raises(DomainError):
-        eval_form(f, -1.0)
+        eval_grid(f, (-1.0,))
 
 
 def test_eval_regular_decays_and_is_finite_at_origin():
     for n, l in [(1, 0), (2, 1), (3, 0), (4, 3)]:
         f = assemble_R1(QuantumNumbers(n, l))
-        assert abs(eval_form(f, 400.0).value) < 1e-12
-        assert abs(eval_form(f, 1e-9).value) < 10.0
+        assert abs(eval_grid(f, (400.0,))[0][1]) < 1e-12
+        assert abs(eval_grid(f, (1e-9,))[0][1]) < 10.0
 
 
 def test_eval_irregular_diverges_at_origin():
     for n, l in [(1, 0), (2, 1), (3, 2)]:
         f = assemble_R2(QuantumNumbers(n, l))
-        small = abs(eval_form(f, 1e-4).value)
-        smaller = abs(eval_form(f, 1e-6).value)
+        small = abs(eval_grid(f, (1e-4,))[0][1])
+        smaller = abs(eval_grid(f, (1e-6,))[0][1])
         assert smaller > small > 1e2
 
 
 def test_eval_propagates_overflow():
     f = assemble_R2(QuantumNumbers(1, 0))
     with pytest.raises(OverflowSignal):
-        eval_form(f, 500.0)  # Ei argument 1000 overflows
+        eval_grid(f, (500.0,))  # Ei argument 1000 overflows
 
 
 # -- prepared evaluation against the per-point reference -----------------------------
@@ -208,13 +201,18 @@ def _prepared(n: int, l: int, which: str):
     return prepare_form(_forms(n, l)[which])
 
 
+def _one_point(f, r) -> tuple[float, float]:
+    """(value, est_rel_error) of eval_grid at the one point r."""
+    return eval_grid(f, (r,))[0][1:]
+
+
 def _outcome(fn, f, r):
-    """(repr(value), est_rel_error, method), or the exception raised."""
+    """(repr(value), est_rel_error), or the type and text of the exception raised."""
     try:
-        res = fn(f, r)
+        value, est = fn(f, r)
     except Exception as exc:
         return type(exc), str(exc)
-    return repr(res.value), res.est_rel_error, res.method
+    return repr(value), est
 
 
 def _run_width(bucket) -> int:
@@ -230,16 +228,16 @@ def _envelope_bound(prepared) -> float:
 
 
 def _assert_same_as_reference(n: int, l: int, which: str, r: float) -> None:
-    # the value, the method and any exception are exactly the reference's; the
-    # estimate moves only by the rounding of the envelope
+    # the value and any exception are exactly the reference's; the estimate
+    # moves only by the rounding of the envelope
     form = _forms(n, l)[which]
     want = _outcome(refvals.eval_form, form, r)
     bound = _envelope_bound(_prepared(n, l, which))
-    for got in (_outcome(eval_form, _prepared(n, l, which), r), _outcome(eval_form, form, r)):
-        if len(want) == 2:
+    for got in (_outcome(_one_point, _prepared(n, l, which), r), _outcome(_one_point, form, r)):
+        if isinstance(want[0], type):
             assert got == want
             continue
-        assert (got[0], got[2]) == (want[0], want[2])
+        assert got[0] == want[0]
         if math.isfinite(want[1]):
             assert abs(got[1] - want[1]) <= bound * want[1]
         else:
@@ -279,18 +277,17 @@ def test_prepared_eval_same_outcome_at_the_edges(r):
 def test_prepared_eval_with_coefficients_beyond_double_range():
     # R2's leading coefficient for n = 70, l = 69 does not fit a double, so
     # preparing R2 or R2' raises one OverflowSignal that names the bucket, and
-    # so does every evaluation at r > 0; R1 and R1' evaluate as the reference
+    # so does every evaluation, which prepares the form before it reads a
+    # point; R1 and R1' evaluate as the reference
     forms = _forms(70, 69)
     with pytest.raises(OverflowError):
         laurent_run(forms["r2"].q_plus)
     for which in ("r2", "r2d"):
         with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
             prepare_form(forms[which])
-        for r in (1.0, 1e-320, 1e5):
-            assert _outcome(eval_form, forms[which], r) == (
+        for r in (1.0, 1e-320, 0.0, 1e5):
+            assert _outcome(_one_point, forms[which], r) == (
                 OverflowSignal, "the q_plus coefficients exceed double precision")
-        with pytest.raises(DomainError):
-            eval_form(forms[which], 0.0)
     for which in ("r1", "r1d"):
         for r in (1.0, 1e-320, 0.0, 1e5):
             _assert_same_as_reference(70, 69, which, r)
@@ -324,15 +321,15 @@ def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, failin
     rows = []
     for r in rs:
         try:
-            res = eval_form(prepared, r)
+            value, est = _one_point(prepared, r)
         except (DomainError, OverflowSignal) as exc:
             # the grid raises what its first failing point raises
             with pytest.raises(type(exc)) as err:
                 eval_grid(prepared, rs)
             assert type(err.value) is type(exc) and str(err.value) == str(exc)
             return
-        assert repr(res.value) == repr(refvals.eval_form(_forms(n, l)[which], r).value)
-        rows.append((r, res.value, res.est_rel_error))
+        assert repr(value) == repr(refvals.eval_form(_forms(n, l)[which], r)[0])
+        rows.append((r, value, est))
     assert [tuple(map(repr, row)) for row in eval_grid(prepared, rs)] == \
         [tuple(map(repr, row)) for row in rows]
     assert [tuple(map(repr, row)) for row in eval_grid(_forms(n, l)[which], rs)] == \
@@ -401,10 +398,10 @@ def test_extended_consistency_sweep():
     while checked < 1000:
         f = rng.choice(cases)
         r = math.exp(rng.uniform(math.log(0.01), math.log(50.0)))
-        d = eval_form(f, r)
+        value, est = _one_point(f, r)
         e = float(eval_form_extended(f, r, 256))
         # the estimate must cover the actual double-precision defect
-        assert abs(d.value - e) <= max(d.est_rel_error * abs(e), 1e-300)
+        assert abs(value - e) <= max(est * abs(e), 1e-300)
         checked += 1
 
 
@@ -418,10 +415,9 @@ def test_extended_precision_monotonicity():
 def test_extended_matches_series_branch_point():
     # Ei argument 2*kappa*r = 1 lands on the series branch
     f = assemble_R2(QuantumNumbers(2, 1))
-    d = eval_form(f, 1.0)
-    assert d.method == "series"
+    value = eval_grid(f, (1.0,))[0][1]
     e = float(eval_form_extended(f, 1.0, 256))
-    assert abs(d.value - e) / abs(e) < 1e-15
+    assert abs(value - e) / abs(e) < 1e-15
 
 
 def test_extended_accepts_exact_rationals():

@@ -13,7 +13,7 @@ from coulombwf.closedform import (
     solutions,
 )
 from coulombwf import numeval
-from coulombwf.numeval import eval_form, horner, laurent_run
+from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
     GOLDEN_R2,
     first_integral_closed_form_check,
@@ -68,9 +68,9 @@ def test_residual_also_vanishes_numerically():
     for _ in range(20):
         r = rng.uniform(0.1, 20.0)
         terms = (
-            r * r * eval_form(d2, r).value,
-            2 * r * eval_form(d1, r).value,
-            (-(kappa * r) ** 2 + 2 * r - qn.l * (qn.l + 1)) * eval_form(f, r).value,
+            r * r * eval_grid(d2, (r,))[0][1],
+            2 * r * eval_grid(d1, (r,))[0][1],
+            (-(kappa * r) ** 2 + 2 * r - qn.l * (qn.l + 1)) * eval_grid(f, (r,))[0][1],
         )
         assert abs(sum(terms)) <= 1e-9 * max(abs(t) for t in terms)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
-from coulombwf.numeval import eval_form
+from coulombwf.numeval import eval_grid
 from coulombwf.shellmatch import (
     MatchNotResolved,
     NoRootInRange,
@@ -164,7 +164,7 @@ def test_forcing_pure_regular_leaves_inner_mismatch():
     interior_ld = du / u
     r1 = assemble_R1(qn)
     r1d = r1.derivative()
-    regular_ld = eval_form(r1d, a).value / eval_form(r1, a).value
+    regular_ld = eval_grid(r1d, (a,))[0][1] / eval_grid(r1, (a,))[0][1]
     assert abs(interior_ld - regular_ld) > 1e-3
     c1, c2 = mixing_from_inner_match(shell_forms(qn), a, interior_ld)
     assert abs(c2 / c1) > 1e-4
@@ -189,7 +189,7 @@ def test_node_of_u_is_never_a_match(b_range, node):
     qn = QuantumNumbers(3, 0)
     config = ShellConfig(qn, 1e-3, b_range)
     forms = shell_forms(qn)
-    assert eval_form(forms.r1, node - 1e-3).value * eval_form(forms.r1, node + 1e-3).value < 0
+    assert eval_grid(forms.r1, (node - 1e-3,))[0][1] * eval_grid(forms.r1, (node + 1e-3,))[0][1] < 0
     with pytest.raises(NoRootInRange, match="only through a pole") as err:
         match_shell(config)
     scan = err.value.scan
@@ -312,7 +312,7 @@ def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
     result = match_shell(config)
     b = result.b_star
     r1, r2 = assemble_R1(qn), assemble_R2(qn)
-    u_b = result.c1 * eval_form(r1, b).value + result.c2 * eval_form(r2, b).value
+    u_b = result.c1 * eval_grid(r1, (b,))[0][1] + result.c2 * eval_grid(r2, (b,))[0][1]
     kappa = float(qn.kappa)
     outside = [(r, u) for r, u in piecewise_grid(config, result, 60) if r > b]
     assert len(outside) > 10
