@@ -184,10 +184,10 @@ def _parse_grid(grid_arg: str) -> list[float]:
         raise ValueError(f"grid start and stop must be finite, got {grid_arg!r}")
     if count < 0:
         raise ValueError("grid count must be >= 0")
-    if count == 0:
-        return []
     if start <= 0 or stop < start:
         raise ValueError("grid must be positive and increasing")
+    if count == 0:
+        return []
     if count == 1:
         return [start]
     grid = [start + i * (stop - start) / (count - 1) for i in range(count)]
@@ -310,9 +310,8 @@ def cmd_shell(args) -> int:
     except ValueError as exc:
         raise ValueError(f"b-range must be min:max, got {args.b_range!r}") from exc
     qn = QuantumNumbers(args.n, args.l)
-    config = shellmatch.ShellConfig(qn, args.a, b_range)
     try:
-        result = shellmatch.match_shell(config)
+        result = shellmatch.match_shell(qn, args.a, b_range)
     except shellmatch.NoRootInRange as exc:
         sys.stderr.write(f"no root: {exc}\n")
         sys.stderr.write("b,mismatch\n")
@@ -320,14 +319,14 @@ def cmd_shell(args) -> int:
             sys.stderr.write(f"{b!r},{f!r}\n")
         return EXIT_NO_ROOT
     doc = {
-        "n": qn.n, "l": qn.l, "a": config.a,
+        "n": qn.n, "l": qn.l, "a": result.a,
         "b_star": result.b_star, "c1": result.c1, "c2": result.c2,
         "mismatch": result.mismatch,
-        "continuity": shellmatch.continuity_residuals(config, result),
+        "continuity": result.continuity,
     }
     if args.grid_points:
         doc["grid"] = [[r, u] for r, u in
-                       shellmatch.piecewise_grid(config, result, args.grid_points)]
+                       shellmatch.piecewise_grid(result, args.grid_points)]
     if args.format == "json":
         _write(args.out, json.dumps(doc, indent=2) + "\n")
     else:

@@ -33,20 +33,6 @@ class MatchNotResolved(ArithmeticError):
     double precision cannot resolve the shell solution there."""
 
 
-@dataclass(frozen=True)
-class ShellConfig:
-    qn: QuantumNumbers
-    a: float
-    b_range: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        b_min, b_max = self.b_range
-        if not all(map(math.isfinite, (self.a, b_min, b_max))):
-            raise ValueError(f"a and b_range must be finite, got a={self.a}, b_range={self.b_range}")
-        if not 0 < self.a < b_min < b_max:
-            raise ValueError(f"need 0 < a < b_min < b_max, got a={self.a}, b_range={self.b_range}")
-
-
 def _exterior_q(qn: QuantumNumbers) -> RatPoly:
     """q(r) = sum_{j<=l} (l+j)!/(j!(l-j)!) (2 kappa)^{-j} r^{-j-1}, so that
     k_l(kappa r) is proportional to e^{-kappa r} q(r) (DLMF §10.49.12).  All
@@ -84,10 +70,6 @@ class ShellForms:
         """(q, q') at r."""
         return numeval.horner(self.q, r)[0], numeval.horner(self.qd, r)[0]
 
-    def exterior_logderiv(self, r: float) -> float:
-        q, qd = self.exterior(r)
-        return -self.kappa + qd / q
-
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
     s, q = solutions(qn), _exterior_q(qn)
@@ -98,10 +80,19 @@ def shell_forms(qn: QuantumNumbers) -> ShellForms:
 
 @dataclass(frozen=True)
 class MatchResult:
+    """The matched piecewise solution: the shell is c1 R1 + c2 R2 on [a, b_star],
+    the interior and exterior solutions times their scales outside it."""
+
+    qn: QuantumNumbers
+    a: float
     b_star: float
     c1: float
     c2: float
     mismatch: float
+    # relative value/derivative jumps at a and b_star
+    continuity: dict[str, float]
+    interior_scale: float
+    exterior_scale: float
     forms: ShellForms = field(repr=False, compare=False)
 
 
@@ -143,9 +134,11 @@ def _require_in_range(what: str, r: float, values: tuple[float, ...],
         raise numeval.OverflowSignal(f"{what} at r = {r!r} is 0 or not finite in double precision")
 
 
-def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> tuple[float, float]:
-    """(c1, c2) with c1^2 + c2^2 = 1 matching the interior log-derivative at a."""
-    v1, d1, v2, d2 = forms.pair(a)
+def mixing_from_inner_match(pair: tuple[float, float, float, float], a: float,
+                            interior_ld: float) -> tuple[float, float]:
+    """(c1, c2) with c1^2 + c2^2 = 1 matching the interior log-derivative at a,
+    from pair = (R1, R1', R2, R2') at a."""
+    v1, d1, v2, d2 = pair
     den = d2 - interior_ld * v2
     # R1 = 0 alone is a node of R1 and mixes fine; R1 = R1' = 0 (or R2 = R2'
     # = 0) is underflow
@@ -155,8 +148,8 @@ def mixing_from_inner_match(forms: ShellForms, a: float, interior_ld: float) -> 
     return c1, t * c1
 
 
-def match_shell(config: ShellConfig) -> MatchResult:
-    """Fix (c1, c2) at the inner boundary, then bisect the outer boundary.
+def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> MatchResult:
+    """Fix (c1, c2) at the inner boundary a, then bisect b over b_range.
 
     mismatch(b) is the shell log-derivative minus the exterior one.  It has a
     pole at every node of the shell solution u, so the bisection takes its
@@ -166,13 +159,34 @@ def match_shell(config: ShellConfig) -> MatchResult:
     root b_star is polished until |mismatch| < 1e-8.  Raises NoRootInRange
     (with the scanned mismatch table attached) when M keeps its sign over the
     bracket, and MatchNotResolved when the bracket closes before the
-    mismatch falls below 1e-8.
+    mismatch falls below 1e-8.  Each value at a and at b_star is computed once.
     """
-    u_a, du_a = integrate_interior(config.qn, config.a)
-    _require_in_range("interior u, u'", config.a, (u_a, du_a), (u_a, du_a))
-    forms = shell_forms(config.qn)
-    c1, c2 = mixing_from_inner_match(forms, config.a, du_a / u_a)
+    b_min, b_max = b_range
+    if not all(map(math.isfinite, (a, b_min, b_max))):
+        raise ValueError(f"a and b_range must be finite, got a={a}, b_range={b_range}")
+    if not 0 < a < b_min < b_max:
+        raise ValueError(f"need 0 < a < b_min < b_max, got a={a}, b_range={b_range}")
+    u_a, du_a = integrate_interior(qn, a)
+    _require_in_range("interior u, u'", a, (u_a, du_a), (u_a, du_a))
+    forms = shell_forms(qn)
+    v1, d1, v2, d2 = pair = forms.pair(a)
+    c1, c2 = mixing_from_inner_match(pair, a, du_a / u_a)
     kappa = forms.kappa
+    u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
+    scale_in = u_sh_a / u_a
+
+    def matched(b: float, mismatch: float) -> MatchResult:
+        u_sh_b, du_sh_b = forms.shell(c1, c2, b)
+        q, qd = forms.exterior(b)
+        continuity = {
+            "value_a": abs(scale_in * u_a - u_sh_a) / max(abs(u_sh_a), 1e-300),
+            "deriv_a": abs(scale_in * du_a - du_sh_a) / max(abs(du_sh_a), 1e-300),
+            # exterior is scaled to match the value at b exactly, so the jump is
+            # carried entirely by the derivative via the log-derivative gap
+            "value_b": 0.0,
+            "deriv_b": abs((-kappa + qd / q) * u_sh_b - du_sh_b) / max(abs(du_sh_b), 1e-300),
+        }
+        return MatchResult(qn, a, b, c1, c2, mismatch, continuity, scale_in, u_sh_b / q, forms)
 
     def mismatch_and_wronskian(b: float) -> tuple[float, float]:
         u, du = forms.shell(c1, c2, b)
@@ -181,13 +195,13 @@ def match_shell(config: ShellConfig) -> MatchResult:
         inner = u * (qd - kappa * q)
         return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
 
-    lo, hi = config.b_range
+    lo, hi = b_range
     f_lo, w_lo = mismatch_and_wronskian(lo)
     f_hi, w_hi = mismatch_and_wronskian(hi)
     if f_lo == 0.0:
-        return MatchResult(lo, c1, c2, f_lo, forms)
+        return matched(lo, f_lo)
     if f_hi == 0.0:
-        return MatchResult(hi, c1, c2, f_hi, forms)
+        return matched(hi, f_hi)
     if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
         scan = [(b, mismatch_and_wronskian(b)[0]) for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
         if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
@@ -211,51 +225,23 @@ def match_shell(config: ShellConfig) -> MatchResult:
         raise MatchNotResolved(
             f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e} above 1e-8: double "
             "precision cannot resolve the shell solution there")
-    return MatchResult(mid, c1, c2, f_mid, forms)
+    return matched(mid, f_mid)
 
 
-def continuity_residuals(config: ShellConfig, result: MatchResult) -> dict[str, float]:
-    """Relative value/derivative jumps of the assembled piecewise solution."""
-    forms = result.forms
-    u_in, du_in = integrate_interior(config.qn, config.a)
-    u_sh_a, du_sh_a = forms.shell(result.c1, result.c2, config.a)
-    scale_in = u_sh_a / u_in
-
-    b = result.b_star
-    u_sh_b, du_sh_b = forms.shell(result.c1, result.c2, b)
-    ld_out = forms.exterior_logderiv(b)
-
-    return {
-        "value_a": abs(scale_in * u_in - u_sh_a) / max(abs(u_sh_a), 1e-300),
-        "deriv_a": abs(scale_in * du_in - du_sh_a) / max(abs(du_sh_a), 1e-300),
-        # exterior is scaled to match the value at b exactly, so the jump is
-        # carried entirely by the derivative via the log-derivative gap
-        "value_b": 0.0,
-        "deriv_b": abs(ld_out * u_sh_b - du_sh_b) / max(abs(du_sh_b), 1e-300),
-    }
-
-
-def piecewise_grid(config: ShellConfig, result: MatchResult, points: int) -> list[tuple[float, float]]:
+def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale."""
-    forms = result.forms
-    u_in, _ = integrate_interior(config.qn, config.a)
-    u_sh_a, _ = forms.shell(result.c1, result.c2, config.a)
-    scale_in = u_sh_a / u_in
-    b = result.b_star
-    u_sh_b, _ = forms.shell(result.c1, result.c2, b)
-    scale_out = u_sh_b / forms.exterior(b)[0]
-
+    forms, a, b = result.forms, result.a, result.b_star
     out: list[tuple[float, float]] = []
     r_max = 1.5 * b
     for i in range(points):
         r = (i + 1) * r_max / points
-        if r < config.a:
+        if r < a:
             # the interior series shares the normalization u ~ r^l at every r,
             # so the matched interior scale applies directly
-            u = scale_in * integrate_interior(config.qn, r)[0]
+            u = result.interior_scale * integrate_interior(result.qn, r)[0]
         elif r <= b:
             u = forms.shell(result.c1, result.c2, r)[0]
         else:
-            u = scale_out * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0]
+            u = result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0]
         out.append((r, u))
     return out

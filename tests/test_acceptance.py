@@ -22,7 +22,7 @@ from coulombwf.oracle import (
     pv_checks,
     wronskian_symbolic,
 )
-from coulombwf.shellmatch import ShellConfig, continuity_residuals, match_shell
+from coulombwf.shellmatch import match_shell
 
 from refvals import (
     ei_pv_reference,
@@ -150,10 +150,9 @@ def test_criterion_7_energy_quantization():
 
 def test_criterion_8_shell_demo_sanity():
     qn = QuantumNumbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
-    result = match_shell(config)
+    result = match_shell(qn, 1e-4, (0.5, 1.5))
     mixing_ok = abs(result.c2) / abs(result.c1) < 1e-6
-    residuals = continuity_residuals(config, result)
+    residuals = result.continuity
     continuity_ok = all(v < 1e-7 for v in residuals.values())
     # the closed-form b* against the same match done with RK4 at two steps
     db = max(abs(result.b_star - rk4_b_star(qn, 1e-4, (0.5, 1.5), h)) for h in (0.01, 0.005))

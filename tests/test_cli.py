@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -194,8 +196,10 @@ def test_eval_empty_grid(capsys):
     assert lines == ["r,value,est_rel_error"]
 
 
-def test_eval_rejects_nonpositive_grid(capsys):
-    code, _, err = run(capsys, "eval", "--n", "1", "--l", "0", "--grid", "0:2:5")
+# an empty grid (count 0) is checked too: 1:2:0 and 0.5:2:0 are valid
+@pytest.mark.parametrize("grid", ["0:2:5", "-1:-5:0", "5:1:0"])
+def test_eval_rejects_nonpositive_grid(capsys, grid):
+    code, _, err = run(capsys, "eval", "--n", "1", "--l", "0", f"--grid={grid}")
     assert code == 64
     assert "positive" in err
 
@@ -569,6 +573,28 @@ def test_shell_rejects_negative_grid_points(capsys):
     assert "grid-points" in err
 
 
+def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
+    # the match, its continuity residuals and the grid share the interior
+    # solution and (R1, R1', R2, R2') at a; no grid point lies below a here
+    calls = {"interior": 0, "pair_at_a": 0}
+    interior, pair = shellmatch.integrate_interior, shellmatch.ShellForms.pair
+
+    def counting_interior(qn, a):
+        calls["interior"] += 1
+        return interior(qn, a)
+
+    def counting_pair(self, r):
+        calls["pair_at_a"] += r == 1e-4
+        return pair(self, r)
+
+    monkeypatch.setattr(shellmatch, "integrate_interior", counting_interior)
+    monkeypatch.setattr(shellmatch.ShellForms, "pair", counting_pair)
+    code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                     "--b-range", "0.5:1.5", "--grid-points", "50")
+    assert code == 0
+    assert calls == {"interior": 1, "pair_at_a": 1}
+
+
 def test_shell_huge_a_fails_fast(capsys):
     for argv in (
         # kappa*a = 1e6: the interior series overflows instead of running on
@@ -711,3 +737,21 @@ def test_package_exports_resolve():
     # a deleted name that is still exported would fail ``from coulombwf import *``
     missing = [name for name in coulombwf.__all__ if not hasattr(coulombwf, name)]
     assert missing == []
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # a runtime dependency that is never imported, or an import that is not
+    # declared, fails here
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "coulombwf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"coulombwf"}
+    assert declared == third_party

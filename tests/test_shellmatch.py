@@ -9,8 +9,6 @@ from coulombwf.numeval import eval_grid
 from coulombwf.shellmatch import (
     MatchNotResolved,
     NoRootInRange,
-    ShellConfig,
-    continuity_residuals,
     integrate_interior,
     match_shell,
     mixing_from_inner_match,
@@ -35,9 +33,9 @@ RK4_STEPS = (0.01, 0.005)
 def test_config_ordering_enforced():
     qn = QuantumNumbers(2, 0)
     with pytest.raises(ValueError):
-        ShellConfig(qn, 1.0, (0.5, 1.5))
+        match_shell(qn, 1.0, (0.5, 1.5))
     with pytest.raises(ValueError):
-        ShellConfig(qn, 0.1, (1.5, 0.5))
+        match_shell(qn, 0.1, (1.5, 0.5))
 
 
 # -- interior solution ----------------------------------------------------------------
@@ -76,11 +74,17 @@ def test_interior_grid_convergence():
 
 # -- exterior integration --------------------------------------------------------------
 
+def exterior_logderiv(qn, b):
+    """-kappa + q'/q at b: the log-derivative of e^{-kappa r} q(r)."""
+    q, qd = shell_forms(qn).exterior(b)
+    return -float(qn.kappa) + qd / q
+
+
 def test_exterior_l0_is_analytic():
     # decaying l=0 solution is e^{-kappa r}/r, so u'/u = -kappa - 1/b
     qn = QuantumNumbers(2, 0)
     for b in (0.8, 1.0, 2.5):
-        got = shell_forms(qn).exterior_logderiv(b)
+        got = exterior_logderiv(qn, b)
         assert got == pytest.approx(-0.5 - 1.0 / b, abs=1e-8)
 
 
@@ -89,7 +93,7 @@ def test_exterior_large_b_asymptote():
     # plus the centrifugal correction)
     qn = QuantumNumbers(3, 2)
     b = 60.0
-    got = shell_forms(qn).exterior_logderiv(b)
+    got = exterior_logderiv(qn, b)
     assert abs(got - (-float(qn.kappa))) < 1.5 / b
     assert got == pytest.approx(-float(qn.kappa) - 1.0 / b, abs=0.01)
 
@@ -99,7 +103,7 @@ def test_exterior_start_point_insensitive():
     # with the closed form to within its fourth-order step error
     qn = QuantumNumbers(2, 1)
     b = 1.2
-    base = shell_forms(qn).exterior_logderiv(b)
+    base = exterior_logderiv(qn, b)
     for h in RK4_STEPS:
         near = rk4_exterior_logderiv(qn, b, h, reach=40.0)
         far = rk4_exterior_logderiv(qn, b, h, reach=50.0)
@@ -114,7 +118,7 @@ def test_exterior_matches_besselk(n, l, b):
     kappa = float(qn.kappa)
     with mp.workdps(40):
         ref = mp.diff(lambda r: mp.log(mp.besselk(l + 0.5, kappa * r) / mp.sqrt(r)), b)
-    assert shell_forms(qn).exterior_logderiv(b) == pytest.approx(float(ref), rel=1e-13)
+    assert exterior_logderiv(qn, b) == pytest.approx(float(ref), rel=1e-13)
 
 
 # -- matching ---------------------------------------------------------------------------
@@ -124,16 +128,15 @@ def test_inner_mixing_scale_free():
     a = 0.5
     forms = shell_forms(qn)
     u, du = integrate_interior(qn, a)
-    c1, c2 = mixing_from_inner_match(forms, a, du / u)
-    c1s, c2s = mixing_from_inner_match(forms, a, (10 * du) / (10 * u))
+    c1, c2 = mixing_from_inner_match(forms.pair(a), a, du / u)
+    c1s, c2s = mixing_from_inner_match(forms.pair(a), a, (10 * du) / (10 * u))
     assert (c1, c2) == (c1s, c2s)
     assert c1**2 + c2**2 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_match_recovers_regular_solution_in_coulomb_limit():
     qn = QuantumNumbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
-    result = match_shell(config)
+    result = match_shell(qn, 1e-4, (0.5, 1.5))
     assert abs(result.c2 / result.c1) < 1e-6
     assert abs(result.mismatch) < 1e-8
     # the regular 2s solution osculates the free decaying exterior at b = 1
@@ -142,16 +145,15 @@ def test_match_recovers_regular_solution_in_coulomb_limit():
 
 def test_match_continuity_residuals():
     qn = QuantumNumbers(2, 0)
-    config = ShellConfig(qn, 1e-4, (0.5, 1.5))
-    result = match_shell(config)
-    res = continuity_residuals(config, result)
+    result = match_shell(qn, 1e-4, (0.5, 1.5))
+    res = result.continuity
     assert all(v < 1e-7 for v in res.values())
 
 
 def test_match_stable_under_grid_halving():
     # closed-form b* against the b* of the same match done with RK4 at both steps
     qn = QuantumNumbers(2, 0)
-    result = match_shell(ShellConfig(qn, 1e-4, (0.5, 1.5)))
+    result = match_shell(qn, 1e-4, (0.5, 1.5))
     for h in RK4_STEPS:
         assert abs(result.b_star - rk4_b_star(qn, 1e-4, (0.5, 1.5), h)) < 1e-6
 
@@ -166,7 +168,7 @@ def test_forcing_pure_regular_leaves_inner_mismatch():
     r1d = r1.derivative()
     regular_ld = eval_grid(r1d, (a,))[0][1] / eval_grid(r1, (a,))[0][1]
     assert abs(interior_ld - regular_ld) > 1e-3
-    c1, c2 = mixing_from_inner_match(shell_forms(qn), a, interior_ld)
+    c1, c2 = mixing_from_inner_match(shell_forms(qn).pair(a), a, interior_ld)
     assert abs(c2 / c1) > 1e-4
 
 
@@ -174,9 +176,8 @@ def test_no_root_reports_scan():
     # nodeless ground state: the shell log-derivative stays above the
     # exterior one for every b, so the scan must fail with diagnostics
     qn = QuantumNumbers(1, 0)
-    config = ShellConfig(qn, 1e-4, (2.0, 3.0))
     with pytest.raises(NoRootInRange) as err:
-        match_shell(config)
+        match_shell(qn, 1e-4, (2.0, 3.0))
     assert len(err.value.scan) == 17
     assert all(f > 0 for _, f in err.value.scan)
 
@@ -187,11 +188,10 @@ def test_node_of_u_is_never_a_match(b_range, node):
     # mismatch changes sign across each one through a pole, the Wronskian
     # with the exterior solution does not, and no root lies in either bracket
     qn = QuantumNumbers(3, 0)
-    config = ShellConfig(qn, 1e-3, b_range)
     forms = shell_forms(qn)
     assert eval_grid(forms.r1, (node - 1e-3,))[0][1] * eval_grid(forms.r1, (node + 1e-3,))[0][1] < 0
     with pytest.raises(NoRootInRange, match="only through a pole") as err:
-        match_shell(config)
+        match_shell(qn, 1e-3, b_range)
     scan = err.value.scan
     assert len(scan) == 17
     assert scan[0][1] < 0 < scan[-1][1]
@@ -202,7 +202,7 @@ def test_node_of_u_is_never_a_match(b_range, node):
 def test_match_agrees_with_rk4_reference(n, l, a, b_range):
     # brackets that hold one true root and no node of u
     qn = QuantumNumbers(n, l)
-    result = match_shell(ShellConfig(qn, a, b_range))
+    result = match_shell(qn, a, b_range)
     assert abs(result.mismatch) < 1e-8
     for h in RK4_STEPS:
         assert abs(result.b_star - rk4_b_star(qn, a, b_range, h)) < 1e-6
@@ -213,12 +213,12 @@ def test_bracket_with_a_root_and_a_node_finds_the_root():
     # mismatch has the same sign at both ends; the Wronskian still brackets
     # the root
     qn = QuantumNumbers(2, 0)
-    result = match_shell(ShellConfig(qn, 0.5, (1.0, 3.0)))
+    result = match_shell(qn, 0.5, (1.0, 3.0))
     u_lo, u_hi = (result.forms.shell(result.c1, result.c2, b)[0] for b in (1.0, 3.0))
     assert u_lo > 0 > u_hi
     assert abs(result.mismatch) < 1e-8
     # both stop once |mismatch| < 1e-8, which pins b_star to about 1e-8 here
-    assert result.b_star == pytest.approx(match_shell(ShellConfig(qn, 0.5, (1.0, 2.5))).b_star, abs=1e-7)
+    assert result.b_star == pytest.approx(match_shell(qn, 0.5, (1.0, 2.5)).b_star, abs=1e-7)
 
 
 def test_inner_radius_at_a_node_of_R1_matches():
@@ -227,20 +227,11 @@ def test_inner_radius_at_a_node_of_R1_matches():
     # a slightly larger inner radius does
     qn = QuantumNumbers(2, 0)
     assert shell_forms(qn).pair(2.0)[0] == 0.0
-    config = ShellConfig(qn, 2.0, (3.0, 5.0))
-    result = match_shell(config)
+    result = match_shell(qn, 2.0, (3.0, 5.0))
     assert abs(result.mismatch) < 1e-8
-    assert continuity_residuals(config, result)["deriv_b"] < 1e-6
-    near = match_shell(ShellConfig(qn, 2.0000001, (3.0, 5.0)))
+    assert result.continuity["deriv_b"] < 1e-6
+    near = match_shell(qn, 2.0000001, (3.0, 5.0))
     assert result.b_star == pytest.approx(near.b_star, abs=1e-6)
-
-
-class _FixedPair:
-    def __init__(self, values):
-        self.values = values
-
-    def pair(self, r):
-        return self.values
 
 
 @pytest.mark.parametrize("values, ld", [
@@ -251,10 +242,10 @@ class _FixedPair:
 ])
 def test_mixing_rejects_only_what_leaves_it_undefined(values, ld):
     with pytest.raises(OverflowError, match=r"^R1, R1', R2, R2' at r = 1\.0 is 0 or not finite"):
-        mixing_from_inner_match(_FixedPair(values), 1.0, ld)
+        mixing_from_inner_match(values, 1.0, ld)
     # a lone zero of R1 or of R2 mixes
     for v in ((0.0, -1.0, 2.0, 3.0), (1.0, -1.0, 0.0, 3.0)):
-        c1, c2 = mixing_from_inner_match(_FixedPair(v), 1.0, ld)
+        c1, c2 = mixing_from_inner_match(v, 1.0, ld)
         assert math.hypot(c1, c2) == pytest.approx(1.0)
         assert ld * (c1 * v[0] + c2 * v[2]) == pytest.approx(c1 * v[1] + c2 * v[3])
 
@@ -274,29 +265,26 @@ def test_every_reported_match_is_continuous(state, log_a, start, width):
     n, l = state
     a = math.exp(log_a)
     b_min = a + start * 4 * n * n
-    config = ShellConfig(QuantumNumbers(n, l), a, (b_min, b_min + width * 4 * n * n))
     try:
-        result = match_shell(config)
+        result = match_shell(QuantumNumbers(n, l), a, (b_min, b_min + width * 4 * n * n))
     except (NoRootInRange, MatchNotResolved):
         return
     assert abs(result.mismatch) < 1e-8
-    assert continuity_residuals(config, result)["deriv_b"] < 1e-6
+    assert result.continuity["deriv_b"] < 1e-6
 
 
 def test_unresolved_bisection_is_not_a_match():
     # at kappa b ~ 25 the shell solution cancels below double precision, so
     # the bracket closes with the mismatch far above 1e-8
-    config = ShellConfig(QuantumNumbers(8, 2), 0.031218547948655875,
-                         (197.2183249463177, 279.3309622590942))
     with pytest.raises(MatchNotResolved, match="double precision cannot resolve"):
-        match_shell(config)
+        match_shell(QuantumNumbers(8, 2), 0.031218547948655875,
+                    (197.2183249463177, 279.3309622590942))
 
 
 def test_piecewise_grid_shape():
     qn = QuantumNumbers(2, 0)
-    config = ShellConfig(qn, 0.05, (0.5, 1.5))
-    result = match_shell(config)
-    grid = piecewise_grid(config, result, 30)
+    result = match_shell(qn, 0.05, (0.5, 1.5))
+    grid = piecewise_grid(result, 30)
     assert len(grid) == 30
     rs = [r for r, _ in grid]
     assert rs == sorted(rs)
@@ -308,13 +296,12 @@ def test_piecewise_grid_shape():
 def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
     # past b the grid is the decaying free solution k_l(kappa r) scaled to u(b)
     qn = QuantumNumbers(n, l)
-    config = ShellConfig(qn, a, b_range)
-    result = match_shell(config)
+    result = match_shell(qn, a, b_range)
     b = result.b_star
     r1, r2 = assemble_R1(qn), assemble_R2(qn)
     u_b = result.c1 * eval_grid(r1, (b,))[0][1] + result.c2 * eval_grid(r2, (b,))[0][1]
     kappa = float(qn.kappa)
-    outside = [(r, u) for r, u in piecewise_grid(config, result, 60) if r > b]
+    outside = [(r, u) for r, u in piecewise_grid(result, 60) if r > b]
     assert len(outside) > 10
     with mp.workdps(30):
         for r, u in outside:
