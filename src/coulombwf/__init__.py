@@ -14,7 +14,6 @@ from .closedform import (
     assemble_R1,
     assemble_R2,
     energy,
-    hyp1f1_terminating,
     laguerre_L1,
     p2_recurrence,
     solution_table,
@@ -44,7 +43,6 @@ __all__ = [
     "energy",
     "eval_form_extended",
     "eval_grid",
-    "hyp1f1_terminating",
     "laguerre_L1",
     "p2_recurrence",
     "solution_table",

@@ -33,17 +33,19 @@ EXIT_FAIL = 1
 EXIT_NO_ROOT = 2
 EXIT_USAGE = 64
 
-# Sample set for the principal-value cross-checks: small (n_r, m) pairs with
-# several abscissas each, all within the quadrature oracle's rated range.
+# Sample set for the principal-value cross-checks, run per state on R2's own
+# buckets: small (n, l), i.e. (n_r, m) = (0, 1), (1, 1), (2, 1), (0, 3),
+# (1, 3), (0, 5), (2, 3), (1, 5), with several abscissas x = 2 kappa r each,
+# all within the quadrature oracle's rated range.
 PV_SAMPLES: list[tuple[int, int, tuple[float, ...]]] = [
-    (0, 1, (0.5, 1.0, 2.0)),
-    (1, 1, (0.5, 1.0, 2.0)),
-    (2, 1, (1.0, 2.0)),
-    (0, 3, (0.5, 2.0)),
-    (1, 3, (1.0,)),
-    (0, 5, (1.0,)),
-    (2, 3, (2.0,)),
-    (1, 5, (0.5,)),
+    (1, 0, (0.5, 1.0, 2.0)),
+    (2, 0, (0.5, 1.0, 2.0)),
+    (3, 0, (1.0, 2.0)),
+    (2, 1, (0.5, 2.0)),
+    (3, 1, (1.0,)),
+    (3, 2, (1.0,)),
+    (4, 1, (2.0,)),
+    (4, 2, (0.5,)),
 ]
 
 
@@ -260,7 +262,7 @@ def run_verify(n_max: int, checks: set[str]) -> list[dict]:
                 reports += [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(n, l), checks)]
     if checks & {"pv", "split"}:
         # one pass per sample; every pv row is written before any split row
-        per_sample = [oracle.pv_checks(n_r, m, xs, checks) for n_r, m, xs in PV_SAMPLES]
+        per_sample = [oracle.pv_checks(QuantumNumbers(n, l), xs, checks) for n, l, xs in PV_SAMPLES]
         for column in zip(*per_sample):
             reports += [rep.to_dict() for rep in column]
     if "integral" in checks:

@@ -85,14 +85,6 @@ def laguerre_L1(n_r: int, m: int) -> RatPoly:
     return RatPoly.from_nums(0, nums, math.factorial(n_r))
 
 
-def hyp1f1_terminating(n_r: int, m: int) -> RatPoly:
-    """The degree-n_r polynomial 1F1(-n_r, m+1, x) = n_r! m!/(n_r+m)! L(n_r, m, x)."""
-    if n_r < 0 or m < 0:
-        raise ValueError("hyp1f1_terminating needs n_r >= 0 and m >= 0")
-    return laguerre_L1(n_r, m) * Fraction(math.factorial(n_r) * math.factorial(m),
-                                          math.factorial(n_r + m))
-
-
 def p2_recurrence(n_r: int, m: int) -> RatPoly:
     """Polynomial factor P of the e^{x}/x^m part of the irregular solution.
 
@@ -126,19 +118,6 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
             raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
         nums[j] = p
     return RatPoly.from_nums(0, nums)
-
-
-def phi2_closedform(n_r: int, m: int) -> tuple[RatPoly, RatPoly]:
-    """Closed form of the irregular confluent solution, split by carrier.
-
-    Returns Laurent polynomials (g_exp, g_ei) in x such that the irregular
-    solution is g_exp(x) e^{x} + g_ei(x) Ei(1, -x); g_exp carries the
-    m!/(n_r+m)! normalization and the x^{-m} prefactor, g_ei is the
-    terminating 1F1.
-    """
-    g_exp = RatPoly.from_nums(-m, p2_recurrence(n_r, m).nums, math.perm(n_r + m, n_r))
-    g_ei = hyp1f1_terminating(n_r, m)
-    return g_exp, g_ei
 
 
 # -- symbolic radial solutions ----------------------------------------------

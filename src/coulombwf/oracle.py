@@ -3,11 +3,11 @@
 Two kinds of checks live here.  The symbolic ones (radial-operator residual,
 Wronskian) run entirely in exact rational arithmetic and must come out
 identically zero or identically constant; symbolic_checks runs them on one
-build of the forms per (n, l).  The numeric ones rebuild the irregular
-confluent solution from its defining principal-value integral by adaptive
-quadrature and compare the closed form and the pole-removing split against
-it; pv_checks runs both on one build of the closed form per (n_r, m) and
-one PV quadrature per point.  A hard-coded table of known coefficient sets
+build of the forms per (n, l).  The numeric ones rebuild R2's confluent
+parts from its defining principal-value integral by adaptive quadrature and
+compare R2's own buckets, read back in x = 2 kappa r, and the pole-removing
+split against it; pv_checks runs both on one build of R2 per state and one
+PV quadrature per point.  A hard-coded table of known coefficient sets
 pins the generated solutions exactly.
 """
 
@@ -25,8 +25,6 @@ from .closedform import (
     Solutions,
     apply_radial_operator,
     assemble_R2,
-    hyp1f1_terminating,
-    phi2_closedform,
     solutions,
 )
 from .ratpoly import RatPoly
@@ -180,18 +178,32 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
     return left + right + window, err_l + err_r + tail
 
 
-def phi2_pv_oracle(n_r: int, m: int, x: float) -> float:
+def _confluent_parts(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
+    """R2's e^{+kappa r} and Ei buckets as the Laurent polynomials (g_exp,
+    g_ei) in x = 2 kappa r of the irregular confluent solution
+    g_exp(x) e^{x} + g_ei(x) Ei(1, -x), with g_ei = 1F1(-n_r; m+1; x).
+
+    R2 = (2 kappa r)^l e^{-kappa r} times that solution, scaled by
+    (n_r+m)!/(n_r! m!)."""
+    r2 = assemble_R2(qn)
+    norm = Fraction(math.factorial(qn.n_r) * math.factorial(qn.m), math.factorial(qn.n_r + qn.m))
+    to_x = Fraction(qn.n, 2)
+    return tuple(q.scale_arg(to_x).shift(-qn.l) * norm for q in (r2.q_plus, r2.q_ei))
+
+
+def phi2_pv_oracle(qn: QuantumNumbers, x: float) -> float:
     """Numeric irregular confluent solution from its principal-value integral.
 
     Evaluates e^{x} x^{-m} PV integral_0^inf e^{-s} s^m F(s) / (s - x) ds with
-    F the terminating regular solution, using symmetric pole excision at
-    delta = 1e-3 max(1, x) plus a Richardson check at delta/2.
+    F the terminating regular solution, taken from R2's Ei bucket, using
+    symmetric pole excision at delta = 1e-3 max(1, x) plus a Richardson check
+    at delta/2.
     """
-    return _pv_oracle(n_r, m, _pv_runs(hyp1f1_terminating(n_r, m).shift(m)), x)
+    return _pv_oracle(qn.n_r, qn.m, _pv_runs(_confluent_parts(qn)[1].shift(qn.m)), x)
 
 
 def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
-    """phi2_pv_oracle(n_r, m, x) on the runs _pv_runs built once per (n_r, m)."""
+    """phi2_pv_oracle at x on the runs _pv_runs built once per state."""
     if not x > 0:
         raise numeval.DomainError(f"phi2_pv_oracle requires x > 0, got {x!r}")
     if n_r + m > 12:
@@ -210,17 +222,11 @@ def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> 
     return value
 
 
-def phi2_closed_value(n_r: int, m: int, x: float) -> float:
-    """Closed-form irregular confluent solution g_exp(x) e^x + g_ei(x) Ei(1,-x)."""
-    g_exp, g_ei = (numeval.laurent_run(g) for g in phi2_closedform(n_r, m))
-    return (numeval.horner(g_exp, x)[0] * math.exp(x)
-            + numeval.horner(g_ei, x)[0] * numeval.ei_with_error(x)[0])
-
-
-def pv_checks(n_r: int, m: int, xs: Sequence[float], checks: set[str]) -> list[VerificationReport]:
+def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list[VerificationReport]:
     """The principal-value checks named in ``checks`` ("pv", "split") for one
-    (n_r, m), in that order, from one build of the closed form and one PV
-    quadrature per point of ``xs``, each as the worst relative deviation.
+    state, in that order, from one build of R2 and one PV quadrature per
+    point of ``xs``, each as the worst relative deviation; rows are named by
+    the state's (n_r, m).
 
     pv compares the closed form g_exp e^x + g_ei Ei(1,-x) (to 1e-6), split
     the pole-removing split (to 1e-8): with F = g_ei and h = s^m F, that is
@@ -230,7 +236,8 @@ def pv_checks(n_r: int, m: int, xs: Sequence[float], checks: set[str]) -> list[V
     Horner's rule for h at x.
     """
     horner = numeval.horner
-    g_exp, g_ei = phi2_closedform(n_r, m)
+    n_r, m = qn.n_r, qn.m
+    g_exp, g_ei = _confluent_parts(qn)
     runs = _pv_runs(g_ei.shift(m))
     g_exp, g_ei = numeval.laurent_run(g_exp), numeval.laurent_run(g_ei)
     # h = s^m F has no negative powers, so its whole run is ``up``; the

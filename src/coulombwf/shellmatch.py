@@ -21,7 +21,9 @@ from .ratpoly import RatPoly
 
 
 class NoRootInRange(ValueError):
-    """Outer-boundary mismatch does not change sign over the scan interval."""
+    """The normalised Wronskian M of match_shell keeps its sign over the
+    bracket: the mismatch has no sign change there, or changes sign only
+    through a pole at a node of u."""
 
     def __init__(self, message: str, scan: list[tuple[float, float]]):
         super().__init__(message)

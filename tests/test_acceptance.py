@@ -17,8 +17,6 @@ from coulombwf.closedform import (
 from coulombwf.numeval import ei_with_error
 from coulombwf.oracle import (
     golden_table_check,
-    phi2_closed_value,
-    phi2_pv_oracle,
     pv_checks,
     wronskian_symbolic,
 )
@@ -32,13 +30,15 @@ from refvals import (
     rk4_b_star,
 )
 
+# (n, l, x): (n_r, m) = (0, 1), (1, 1), (2, 1), (0, 3), (1, 3), (0, 5),
+# (2, 3), (1, 5), at x = 2 kappa r
 PV_POINTS = [
-    (0, 1, 0.5), (0, 1, 1.0), (0, 1, 2.0),
-    (1, 1, 0.5), (1, 1, 1.0), (1, 1, 2.0),
-    (2, 1, 1.0), (2, 1, 2.0),
-    (0, 3, 0.5), (0, 3, 2.0),
-    (1, 3, 1.0), (0, 5, 1.0),
-    (2, 3, 2.0), (1, 5, 0.5),
+    (1, 0, 0.5), (1, 0, 1.0), (1, 0, 2.0),
+    (2, 0, 0.5), (2, 0, 1.0), (2, 0, 2.0),
+    (3, 0, 1.0), (3, 0, 2.0),
+    (2, 1, 0.5), (2, 1, 2.0),
+    (3, 1, 1.0), (3, 2, 1.0),
+    (4, 1, 2.0), (4, 2, 0.5),
 ]
 
 
@@ -107,19 +107,18 @@ def test_criterion_4_wronskian_constant():
 def test_criterion_5_pv_integral_oracle():
     t0 = time.perf_counter()
     worst_cf = 0.0
-    for n_r, m, x in PV_POINTS:
-        pv = phi2_pv_oracle(n_r, m, x)
-        cf = phi2_closed_value(n_r, m, x)
-        worst_cf = max(worst_cf, abs(pv - cf) / max(abs(pv), abs(cf)))
+    for n, l, x in PV_POINTS:
+        rep, = pv_checks(QuantumNumbers(n, l), [x], {"pv"})
+        worst_cf = max(worst_cf, rep.residual_norm)
     ok = worst_cf <= 1e-6
     worst_split = 0.0
     seen = set()
-    for n_r, m, _ in PV_POINTS:
-        if (n_r, m) in seen:
+    for n, l, _ in PV_POINTS:
+        if (n, l) in seen:
             continue
-        seen.add((n_r, m))
-        xs = [x for a, b, x in PV_POINTS if (a, b) == (n_r, m)]
-        rep, = pv_checks(n_r, m, xs, {"split"})
+        seen.add((n, l))
+        xs = [x for a, b, x in PV_POINTS if (a, b) == (n, l)]
+        rep, = pv_checks(QuantumNumbers(n, l), xs, {"split"})
         worst_split = max(worst_split, rep.residual_norm)
         ok = ok and rep.passed
     elapsed = time.perf_counter() - t0

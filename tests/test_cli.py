@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -428,27 +429,81 @@ def test_verify_check_subsets_are_rows_of_the_default_run(capsys, fmt):
 def test_verify_runs_one_pv_quadrature_per_sample_point(capsys, monkeypatch):
     # 14 points in PV_SAMPLES: each takes one PV oracle value (four quad
     # calls), split adds one smooth-part quad per point and integral 27 more;
-    # F is built once per (n_r, m), as the Ei part of the closed form
+    # R2, whose Ei bucket gives F, is built once per state inside pv_checks
     import scipy.integrate
 
-    calls = {"quad": 0, "_pv_oracle": 0, "hyp1f1_terminating": 0}
-    for module, name in ((scipy.integrate, "quad"), (oracle, "_pv_oracle"),
-                         (closedform, "hyp1f1_terminating"), (oracle, "hyp1f1_terminating")):
+    calls = {"quad": 0, "_pv_oracle": 0, "assemble_R2": 0}
+    in_pv_checks = []
+    for module, name in ((scipy.integrate, "quad"), (oracle, "_pv_oracle")):
         def counted(*args, name=name, original=getattr(module, name), **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+
+    def pv_checks(*args, original=oracle.pv_checks):
+        in_pv_checks.append(True)
+        try:
+            return original(*args)
+        finally:
+            in_pv_checks.pop()
+
+    def assemble_R2(qn, original=oracle.assemble_R2):
+        calls["assemble_R2"] += bool(in_pv_checks)
+        return original(qn)
+
+    monkeypatch.setattr(oracle, "pv_checks", pv_checks)
+    monkeypatch.setattr(oracle, "assemble_R2", assemble_R2)
     code, _, _ = run(capsys, "verify")
     assert code == 0
     assert sum(len(xs) for _, _, xs in cli.PV_SAMPLES) == 14
-    assert calls == {"quad": 97, "_pv_oracle": 14, "hyp1f1_terminating": 8}
+    assert calls == {"quad": 97, "_pv_oracle": 14, "assemble_R2": 8}
     for key in calls:
         calls[key] = 0
     code, _, _ = run(capsys, "verify", "--checks", "pv")
     assert code == 0
     # no smooth-part quadrature under pv alone
-    assert calls == {"quad": 56, "_pv_oracle": 14, "hyp1f1_terminating": 8}
+    assert calls == {"quad": 56, "_pv_oracle": 14, "assemble_R2": 8}
+
+
+def test_verify_pv_checks_the_forms_that_coeffs_prints(capsys, monkeypatch):
+    # pv reads R2's own buckets, so a wrong q_plus coefficient in the form
+    # that coeffs, eval and shell use fails it: here the lowest one, off by
+    # 1e-6 relative
+    original = oracle.assemble_R2
+
+    def perturbed(qn):
+        r2 = original(qn)
+        q = r2.q_plus
+        nums = [q.nums[0] * 1_000_001] + [x * 1_000_000 for x in q.nums[1:]]
+        return dataclasses.replace(r2, q_plus=RatPoly.from_nums(q.low, nums, q.den * 1_000_000))
+
+    monkeypatch.setattr(oracle, "assemble_R2", perturbed)
+    code, out, err = run(capsys, "verify", "--checks", "pv")
+    assert code == 1
+    failed = [json.loads(ln)["check"] for ln in out.splitlines() if not json.loads(ln)["passed"]]
+    assert any(name.startswith("pv_closedform[") for name in failed)
+    assert "FAILED" in err
+
+
+def test_verify_default_row_sequence_is_pinned(capsys):
+    # (n, l, check, passed, exact) of every default row, which hold no
+    # floats; the pv and split rows keep their (n_r, m) names and order
+    states = [(n, l) for n in range(1, 5) for l in range(n)]
+    pv_pairs = ["0,1", "1,1", "2,1", "0,3", "1,3", "0,5", "2,3", "1,5"]
+    expected = (
+        [(n, l, "golden_table", True, True) for n, l in states]
+        + [(n, l, check, True, True) for n, l in states
+           for check in ("ode_residual_R1", "ode_residual_R2", "wronskian")]
+        + [(None, None, f"pv_closedform[{p}]", True, False) for p in pv_pairs]
+        + [(None, None, f"pole_split[{p}]", True, False) for p in pv_pairs]
+        + [(None, None, f"first_integral[{p}]", True, False)
+           for p in ("0,1", "1,1", "0,3", "2,1", "1,3")])
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["n"], r["l"], r["check"], r["passed"], r["exact"]) for r in rows] == expected
+    assert len(expected) == 61
 
 
 # written by data/regenerate.py: sha256 of stdout of integer-only commands

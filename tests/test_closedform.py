@@ -10,13 +10,12 @@ from coulombwf.closedform import (
     assemble_R1,
     assemble_R2,
     energy,
-    hyp1f1_terminating,
     laguerre_L1,
     p2_recurrence,
-    phi2_closedform,
     solution_table,
 )
 from coulombwf.numeval import eval_form_extended
+from coulombwf.oracle import _confluent_parts
 from coulombwf.ratpoly import RatPoly
 
 from refvals import (
@@ -82,8 +81,10 @@ def test_laguerre_degree_and_value_at_zero():
 
 
 def test_hyp1f1_trivial_and_hand_values():
-    assert hyp1f1_terminating(0, 3) == ONE
-    assert hyp1f1_terminating(1, 1) == P({0: 1, 1: F(-1, 2)})
+    # 1F1(-n_r; m+1; x) is the Ei part of R2's confluent parts; (n_r, m) =
+    # (0, 3) is (n, l) = (2, 1) and (1, 1) is (2, 0)
+    assert _confluent_parts(QuantumNumbers(2, 1))[1] == ONE
+    assert _confluent_parts(QuantumNumbers(2, 0))[1] == P({0: 1, 1: F(-1, 2)})
 
 
 def test_integer_factors_match_fraction_construction():
@@ -91,13 +92,14 @@ def test_integer_factors_match_fraction_construction():
         for n_r in range(total + 1):
             m = total - n_r
             assert laguerre_L1(n_r, m) == fraction_laguerre_L1(n_r, m)
-            assert hyp1f1_terminating(n_r, m) == fraction_hyp1f1_terminating(n_r, m)
+            scale = F(math.factorial(n_r) * math.factorial(m), math.factorial(n_r + m))
+            assert laguerre_L1(n_r, m) * scale == fraction_hyp1f1_terminating(n_r, m)
 
 
 @pytest.mark.parametrize("n_r,m", [(2, 3)] + [(a, b) for a in range(13) for b in range(13)])
 def test_laguerre_vs_hyp1f1_relation(n_r, m):
     scale = F(math.perm(m + n_r, n_r), math.factorial(n_r))
-    assert laguerre_L1(n_r, m) == hyp1f1_terminating(n_r, m) * scale
+    assert laguerre_L1(n_r, m) == fraction_hyp1f1_terminating(n_r, m) * scale
 
 
 # -- irregular-solution polynomial family ----------------------------------------
@@ -251,21 +253,23 @@ def test_solution_table_rejects_bad_nmax():
 
 
 def test_phi2_closedform_split():
-    g_exp, g_ei = phi2_closedform(0, 1)
+    # R2's buckets read back in x = 2 kappa r: (n_r, m) = (0, 1), then (1, 1)
+    g_exp, g_ei = _confluent_parts(QuantumNumbers(1, 0))
     assert g_exp == P({-1: 1})
     assert g_ei == ONE
-    g_exp, g_ei = phi2_closedform(1, 1)
+    g_exp, g_ei = _confluent_parts(QuantumNumbers(2, 0))
     assert g_exp == P({-1: F(1, 2), 0: F(-1, 2)})
     assert g_ei == P({0: 1, 1: F(-1, 2)})
 
 
 def test_phi2_exp_part_solves_inhomogeneous_kummer():
     # y = h e^x + g Ei(1, -x) solves x y'' + (m+1-x) y' + n_r y = 0 with
-    # h = g_exp and g = g_ei, so x h'' + (x+m+1) h' + (n_r+m+1) h = 2 g' + m g/x
+    # h = g_exp and g = g_ei, so x h'' + (x+m+1) h' + (n_r+m+1) h = 2 g' + m g/x;
+    # h and g are R2's e^{+kappa r} and Ei buckets read back in x = 2 kappa r
     for n in range(1, 31):
         for l in range(n):
             n_r, m = n - l - 1, 2 * l + 1
-            h, g = phi2_closedform(n_r, m)
+            h, g = _confluent_parts(QuantumNumbers(n, l))
             hd = h.derivative()
             lhs = hd.derivative().shift(1) + hd * P({0: m + 1, 1: 1}) + h * (n_r + m + 1)
             assert lhs == g.derivative() * 2 + g.shift(-1) * m

@@ -16,10 +16,10 @@ from coulombwf import numeval
 from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
     GOLDEN_R2,
+    _confluent_parts,
     first_integral_closed_form_check,
     golden_table_check,
     ode_residual_symbolic,
-    phi2_closed_value,
     phi2_pv_oracle,
     pv_checks,
     symbolic_checks,
@@ -35,6 +35,19 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def all_qn(n_max):
     return [QuantumNumbers(n, l) for n in range(1, n_max + 1) for l in range(n)]
+
+
+def qn_of(n_r, m):
+    """The state whose confluent indices are (n_r, m = 2l + 1)."""
+    l = (m - 1) // 2
+    return QuantumNumbers(n_r + l + 1, l)
+
+
+def closed_form_deviation(qn, x):
+    """|PV - closed form| / max(|PV|, |closed form|) at one x, as pv_checks
+    reports it."""
+    rep, = pv_checks(qn, [x], {"pv"})
+    return rep.residual_norm
 
 
 # -- symbolic radial-operator residual ----------------------------------------------
@@ -139,37 +152,74 @@ def test_wronskian_constants_match_recorded_artifact():
 # -- principal-value integral oracle ---------------------------------------------------
 
 def test_pv_oracle_degenerate_case():
-    # for (0, 1) the closed form is e^x/x + Ei(1, -x)
-    got = phi2_pv_oracle(0, 1, 2.0)
-    expected = phi2_closed_value(0, 1, 2.0)
-    assert got == pytest.approx(expected, rel=1e-8)
+    # for (n_r, m) = (0, 1), i.e. (n, l) = (1, 0), the closed form is
+    # e^x/x + Ei(1, -x)
+    got = phi2_pv_oracle(QuantumNumbers(1, 0), 2.0)
+    assert closed_form_deviation(QuantumNumbers(1, 0), 2.0) <= 1e-8
     # blessed value: e^2/2 - Ei(2) from extended-precision arithmetic
     assert got == pytest.approx(-1.2597063065365650, rel=1e-8)
 
 
 @pytest.mark.parametrize("n_r,m,x", [(1, 1, 1.0), (1, 3, 0.5), (2, 1, 2.0), (0, 5, 1.0)])
 def test_pv_oracle_matches_closed_form(n_r, m, x):
-    assert phi2_pv_oracle(n_r, m, x) == pytest.approx(phi2_closed_value(n_r, m, x), rel=1e-8)
+    assert closed_form_deviation(qn_of(n_r, m), x) <= 1e-8
 
 
 def test_pv_closedform_check_report():
-    rep, = pv_checks(1, 1, [0.5, 1.0, 2.0], {"pv"})
+    rep, = pv_checks(QuantumNumbers(2, 0), [0.5, 1.0, 2.0], {"pv"})
     assert rep.passed
     assert rep.residual_norm <= 1e-6
 
 
 def test_pv_oracle_rejects_out_of_range():
     with pytest.raises(ValueError):
-        phi2_pv_oracle(10, 5, 1.0)
+        phi2_pv_oracle(qn_of(10, 5), 1.0)
     with pytest.raises(Exception):
-        phi2_pv_oracle(0, 1, -1.0)
+        phi2_pv_oracle(QuantumNumbers(1, 0), -1.0)
+
+
+def pv_sum_identity_holds(qn, r2):
+    """x^{l+1} q_plus(x) == S[x^{l+1} q_ei(x)] exactly, in x = 2 kappa r,
+    with S[h](x) = sum_k h_k sum_{j<k} j! x^{k-1-j}.
+
+    That is R2's defining PV integral split at the pole: the smooth part
+    integrates term by term with integral_0^inf e^{-s} s^j ds = j!, and
+    PV integral_0^inf e^{-s}/(s-x) ds = e^{-x} Ei(1, -x) carries the rest.
+    Both sides are compared as integer numerators over one denominator.
+    """
+    to_x = Fraction(qn.n, 2)
+    lhs = r2.q_plus.scale_arg(to_x).shift(qn.l + 1)
+    h = r2.q_ei.scale_arg(to_x).shift(qn.l + 1)
+    assert h.low >= 1
+    out = [0] * h.degree
+    for k, num in enumerate(h.nums, h.low):
+        j_factorial = 1
+        for j in range(k):
+            out[k - 1 - j] += num * j_factorial
+            j_factorial *= j + 1
+    return RatPoly.from_nums(0, out, h.den) == lhs
+
+
+def test_pv_sum_identity_on_R2_buckets():
+    # independent of the Kummer recurrence that builds P
+    for qn in all_qn(60):
+        assert pv_sum_identity_holds(qn, assemble_R2(qn)), qn
+    # and it catches a wrong q_plus coefficient, wherever it sits
+    for qn in all_qn(8):
+        r2 = assemble_R2(qn)
+        q = r2.q_plus
+        for i in range(len(q.nums)):
+            nums = list(q.nums)
+            nums[i] += 1
+            wrong = dataclasses.replace(r2, q_plus=RatPoly.from_nums(q.low, nums, q.den))
+            assert not pv_sum_identity_holds(qn, wrong), (qn, i)
 
 
 # -- pole-removing split ------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_r,m,xs", [(0, 1, (0.5, 1.0, 2.0)), (1, 1, (1.0,)), (1, 3, (0.5, 2.0))])
 def test_pole_split_identity(n_r, m, xs):
-    rep, = pv_checks(n_r, m, list(xs), {"split"})
+    rep, = pv_checks(qn_of(n_r, m), list(xs), {"split"})
     assert rep.passed
     assert rep.residual_norm <= 1e-8
 
@@ -179,10 +229,8 @@ def test_pole_split_difference_quotient_is_smooth():
     # limit e^{-x} d/ds [s^m F(s)] at s = x
     # limit e^{-x} d/ds [s^m F(s)] at s = x; the quotient's coefficients,
     # highest power first, are the partial sums of Horner's rule for h at x
-    from coulombwf.closedform import hyp1f1_terminating
-
     n_r, m, x = 1, 1, 1.5
-    h = hyp1f1_terminating(n_r, m).shift(m)
+    h = _confluent_parts(qn_of(n_r, m))[1].shift(m)
     run = laurent_run(h)
     up = run[0]
     q = [horner((up[:k], (), 0, 0, 0.0), x)[0] for k in range(len(up) - 1, 0, -1)]
@@ -246,27 +294,24 @@ def test_pv_integral_converts_h_once(monkeypatch):
         return original(p, *args)
 
     monkeypatch.setattr(numeval, "laurent_run", counted)
-    phi2_pv_oracle(1, 3, 1.0)
+    phi2_pv_oracle(qn_of(1, 3), 1.0)
     assert len(calls) == 3
 
 
 def test_pv_checks_build_their_polynomials_once(monkeypatch):
-    # pv and split together make one build of the closed form, whose Ei
-    # polynomial is F, however many samples they take
-    import coulombwf.closedform as closedform_mod
+    # pv and split together make one build of R2, whose Ei bucket is F,
+    # however many samples they take
     import coulombwf.oracle as oracle_mod
 
-    calls = {"phi2_closedform": 0, "hyp1f1_terminating": 0}
-    for name in calls:
-        original = getattr(closedform_mod, name)
+    calls = []
+    original = oracle_mod.assemble_R2
 
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counted(qn):
+        calls.append(qn)
+        return original(qn)
 
-        for module in (closedform_mod, oracle_mod):
-            monkeypatch.setattr(module, name, counted)
-    pv, split = pv_checks(1, 1, [0.5, 1.0, 2.0], {"pv", "split"})
+    monkeypatch.setattr(oracle_mod, "assemble_R2", counted)
+    pv, split = pv_checks(QuantumNumbers(2, 0), [0.5, 1.0, 2.0], {"pv", "split"})
     assert pv.passed and split.passed
-    assert calls == {"phi2_closedform": 1, "hyp1f1_terminating": 1}
+    assert calls == [QuantumNumbers(2, 0)]
 
