@@ -16,7 +16,6 @@ from .closedform import (
     energy,
     laguerre_L1,
     p2_recurrence,
-    solution_table,
 )
 from .numeval import (
     DomainError,
@@ -45,6 +44,5 @@ __all__ = [
     "eval_grid",
     "laguerre_L1",
     "p2_recurrence",
-    "solution_table",
     "__version__",
 ]

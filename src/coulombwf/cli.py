@@ -24,7 +24,6 @@ from .closedform import (
     QuantumNumbers,
     assemble_R1,
     assemble_R2,
-    solution_table,
 )
 from .ratpoly import RatPoly
 
@@ -140,7 +139,7 @@ def _latex_R2(qn: QuantumNumbers, form) -> str:
 # The coefficient documents are written as json.dumps(doc, indent=2) would
 # write them, from templates: indent selects json's pure-Python encoder, and
 # building the dict and encoding it took 1.5 to 2.5 times as long per document.
-def _coeffs_json(qn: QuantumNumbers, form, pad: str, r1=None) -> str:
+def _coeffs_json(qn: QuantumNumbers, form, pad: str, r1_q_minus=None) -> str:
     """The coeffs document of R2 (with R1's q_minus for the table), nested at
     indent pad."""
     inner = pad + "  "
@@ -148,8 +147,8 @@ def _coeffs_json(qn: QuantumNumbers, form, pad: str, r1=None) -> str:
               f'"q_plus": {_json_rats(form.q_plus, inner)}',
               f'"q_ei": {_json_rats(form.q_ei, inner)}',
               f'"ei_arg_scale": "{-2 * form.kappa}"']
-    if r1 is not None:
-        fields.append(f'"r1_q_minus": {_json_rats(r1.q_minus, inner)}')
+    if r1_q_minus is not None:
+        fields.append(f'"r1_q_minus": {_json_rats(r1_q_minus, inner)}')
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"
 
 
@@ -228,20 +227,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    entries = solution_table(args.nmax)
+    if args.nmax < 1:
+        raise InvalidQuantumNumbers("n_max must be >= 1")
+    qns = [QuantumNumbers(n, l) for n in range(1, args.nmax + 1) for l in range(n)]
+    # R2's Ei bucket is R1's polynomial, so it is written as r1_q_minus too
+    entries = [(qn, assemble_R2(qn)) for qn in qns]
     if args.format == "json":
-        docs = ",\n".join(["  " + _coeffs_json(qn, r2, "  ", r1) for qn, r1, r2 in entries])
+        docs = ",\n".join(["  " + _coeffs_json(qn, r2, "  ", r2.q_ei) for qn, r2 in entries])
         _write(args.out, f"[\n{docs}\n]\n")
     elif args.format == "csv":
         lines = [_header(), "n,l,part,power,coeff\n"]
-        for qn, r1, r2 in entries:
-            for part, poly in (("r1_q_minus", r1.q_minus), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)):
+        for qn, r2 in entries:
+            for part, poly in (("r1_q_minus", r2.q_ei), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)):
                 for k, num, den in poly.ratio_terms():
                     lines.append(f"{qn.n},{qn.l},{part},{k},{_rat_text(num, den)}\n")
         _write(args.out, "".join(lines))
     else:
         lines = [_header()]
-        lines += [_latex_R2(qn, r2) + "\n" for qn, _, r2 in entries]
+        lines += [_latex_R2(qn, r2) + "\n" for qn, r2 in entries]
         _write(args.out, "".join(lines))
     return EXIT_OK
 

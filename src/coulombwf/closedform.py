@@ -171,9 +171,17 @@ class ExpEiForm:
 
 def assemble_R1(qn: QuantumNumbers) -> ExpEiForm:
     """Regular solution (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) as an exact form in r."""
-    two_kappa = 2 * qn.kappa
-    q_minus = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(two_kappa)
+    q_minus = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(2 * qn.kappa)
     return ExpEiForm(RatPoly.zero(), q_minus, RatPoly.zero(), qn.kappa)
+
+
+def _irregular(qn: QuantumNumbers, r1: ExpEiForm) -> ExpEiForm:
+    """R2 of the state whose regular solution is r1; its Ei bucket is r1's
+    polynomial itself."""
+    # P has integer coefficients from x^0 up, so its numerators over n_r! are
+    # the 1/n_r! scaled P in one normalisation
+    q_plus = RatPoly.from_nums(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
+    return ExpEiForm(q_plus.scale_arg(2 * qn.kappa), RatPoly.zero(), r1.q_minus, qn.kappa)
 
 
 def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
@@ -183,13 +191,7 @@ def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
         1/n_r! (2 kr)^{-l-1} e^{+kr} P(n_r, 2l+1, 2 kr)
         + (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) Ei(1, -2 kr).
     """
-    two_kappa = 2 * qn.kappa
-    # P has integer coefficients from x^0 up, so its numerators over n_r! are
-    # the 1/n_r! scaled P in one normalisation
-    q_plus = RatPoly.from_nums(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
-    q_plus = q_plus.scale_arg(two_kappa)
-    q_ei = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(two_kappa)
-    return ExpEiForm(q_plus, RatPoly.zero(), q_ei, qn.kappa)
+    return _irregular(qn, assemble_R1(qn))
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,9 @@ class Solutions:
 
 
 def solutions(qn: QuantumNumbers) -> Solutions:
-    """Assemble R1 and R2 once and differentiate each once."""
-    r1, r2 = assemble_R1(qn), assemble_R2(qn)
+    """Assemble R1 once, R2 from it, and differentiate each once."""
+    r1 = assemble_R1(qn)
+    r2 = _irregular(qn, r1)
     return Solutions(qn, r1, r1.derivative(), r2, r2.derivative())
 
 
@@ -216,14 +219,3 @@ def apply_radial_operator(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers) -> Ex
     potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
     return fd.shift(2).derivative() + f.mul_poly(potential)
 
-
-def solution_table(n_max: int) -> list[tuple[QuantumNumbers, ExpEiForm, ExpEiForm]]:
-    """All (n, l) with n <= n_max, each with its regular and irregular forms."""
-    if n_max < 1:
-        raise InvalidQuantumNumbers("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        for l in range(n):
-            qn = QuantumNumbers(n, l)
-            out.append((qn, assemble_R1(qn), assemble_R2(qn)))
-    return out

@@ -67,16 +67,16 @@ def _form_norm(f: ExpEiForm) -> float:
 
 
 def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
-                          which: str = "") -> VerificationReport:
+                          which: str) -> VerificationReport:
     """Apply the radial operator to f (with fd = f') exactly; pass iff every
     bucket vanishes."""
     residual = apply_radial_operator(f, fd, qn)
     ok = residual.is_zero()
-    name = f"ode_residual{'_' + which if which else ''}"
     details = "" if ok else (
         f"nonzero residual buckets: plus={residual.q_plus}, "
         f"minus={residual.q_minus}, ei={residual.q_ei}")
-    return VerificationReport(qn, name, ok, 0.0 if ok else _form_norm(residual), exact=ok, details=details)
+    return VerificationReport(qn, f"ode_residual_{which}", ok, 0.0 if ok else _form_norm(residual),
+                              exact=ok, details=details)
 
 
 def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
@@ -84,9 +84,10 @@ def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
     shows linear independence and pins R2's normalisation.
 
     R1 is pure e^{-kappa r}, so W = R1 R2' - R1' R2 has an e^{-2 kappa r} and
-    an e^{-2 kappa r} Ei bucket that must cancel identically (they do
-    whenever R2's Ei polynomial is proportional to R1's); any leftover fails
-    the report.  What remains is a Laurent polynomial.
+    an e^{-2 kappa r} Ei bucket that must cancel identically.  They cancel
+    by construction, since R2's Ei polynomial is R1's own, but the check
+    still runs; any leftover fails the report.  What remains is a Laurent
+    polynomial.
     """
     if not (s.r1.q_plus.is_zero() and s.r1.q_ei.is_zero()):
         raise ValueError("wronskian_symbolic expects a pure e^{-kappa r} R1")
@@ -134,7 +135,7 @@ def _tail_bound(run: tuple, cutoff: float, x: float) -> float:
     return 2.0 * bound * math.exp(-cutoff) / max(cutoff - x, 1.0)
 
 
-def _quad_or_fail(fn, lo, hi) -> tuple[float, float]:
+def _quad(fn, lo, hi) -> tuple[float, float]:
     # imported here: only the pv, split and integral checks need scipy, and
     # importing it costs more than the rest of the package together
     from scipy.integrate import quad
@@ -169,8 +170,8 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
     def integrand(s: float) -> float:
         return math.exp(-s) * horner(h, s)[0] / (s - x)
 
-    left, err_l = _quad_or_fail(integrand, 0.0, x - delta)
-    right, err_r = _quad_or_fail(integrand, x + delta, cutoff)
+    left, err_l = _quad(integrand, 0.0, x - delta)
+    right, err_r = _quad(integrand, x + delta, cutoff)
     g1 = math.exp(-x) * horner(d1, x)[0]
     g3 = math.exp(-x) * horner(d3, x)[0]
     window = 2.0 * delta * g1 + delta**3 * g3 / 9.0
@@ -260,7 +261,7 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             def smooth(s: float) -> float:
                 return math.exp(-s) * horner(quotient, s)[0]
 
-            integral, err = _quad_or_fail(smooth, 0.0, _upper_cutoff(n_r, m, x))
+            integral, err = _quad(smooth, 0.0, _upper_cutoff(n_r, m, x))
             if err > 1e-9 * max(1.0, abs(integral)):
                 raise QuadratureFailure(f"smooth-part quadrature error {err:.2e} too large")
             rhs = math.exp(x) / x**m * integral + ei_part
@@ -271,19 +272,21 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             if key in checks]
 
 
-def first_integral_closed_form_check(
-        n_r: int, m: int, x_samples: tuple[float, ...] = (0.5, 1.0, 2.0)) -> VerificationReport:
+FIRST_INTEGRAL_XS = (0.5, 1.0, 2.0)
+
+
+def first_integral_closed_form_check(n_r: int, m: int) -> VerificationReport:
     """integral_0^inf e^{-s} (s^N - x^N)/(s-x) ds == sum_{j<N} (N-1-j)! x^j.
 
-    Checked by quadrature for every N = m + k with k <= n_r, to a relative
-    1e-8.
+    Checked by quadrature for every N = m + k with k <= n_r at each x of
+    FIRST_INTEGRAL_XS, to a relative 1e-8.
     """
     if n_r + m > 10:
         raise ValueError("rated for m + n_r <= 10")
     worst = 0.0
     for k in range(n_r + 1):
         power = m + k
-        for x in x_samples:
+        for x in FIRST_INTEGRAL_XS:
 
             def integrand(s: float) -> float:
                 # (s^N - x^N)/(s - x) = sum_j x^{N-1-j} s^j
@@ -295,14 +298,14 @@ def first_integral_closed_form_check(
                 return math.exp(-s) * total
 
             cutoff = 60.0 + 10.0 * power
-            integral, err = _quad_or_fail(integrand, 0.0, cutoff)
+            integral, err = _quad(integrand, 0.0, cutoff)
             expected = sum(math.factorial(power - 1 - j) * x**j for j in range(power))
             worst = max(worst, abs(integral - expected) / abs(expected))
             if err > 1e-9 * abs(expected):
                 raise QuadratureFailure(f"first-integral quadrature error {err:.2e} too large")
     ok = worst <= 1e-8
     return VerificationReport(None, f"first_integral[{n_r},{m}]", ok, worst,
-                              details=f"powers {m}..{m + n_r} at x in {list(x_samples)}")
+                              details=f"powers {m}..{m + n_r} at x in {list(FIRST_INTEGRAL_XS)}")
 
 
 # -- golden coefficient table -------------------------------------------------
@@ -331,11 +334,10 @@ GOLDEN_R2: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
 }
 
 
-def golden_table_check(table: dict | None = None) -> list[VerificationReport]:
-    """Exact rational comparison of every generated R2 against the known table."""
-    table = GOLDEN_R2 if table is None else table
+def golden_table_check() -> list[VerificationReport]:
+    """Exact rational comparison of every generated R2 against GOLDEN_R2."""
     reports = []
-    for (n, l), expected in sorted(table.items()):
+    for (n, l), expected in sorted(GOLDEN_R2.items()):
         qn = QuantumNumbers(n, l)
         form = assemble_R2(qn)
         ok_plus = dict(form.q_plus.terms()) == expected["q_plus"]

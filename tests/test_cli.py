@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import coulombwf
 from coulombwf import cli, closedform, numeval, oracle, shellmatch
-from coulombwf.closedform import QuantumNumbers, assemble_R2
+from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
 from coulombwf.ratpoly import RatPoly
 
@@ -106,6 +106,10 @@ def test_integer_writers_match_fraction_writers(p, q):
     assert cli._coeffs_csv_rows(p, q) == refvals.coeffs_csv_rows(p, q)
 
 
+def _states(nmax: int) -> list[QuantumNumbers]:
+    return [QuantumNumbers(n, l) for n in range(1, nmax + 1) for l in range(n)]
+
+
 def _coeffs_doc(qn, r2, r1=None) -> dict:
     doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(r2.q_plus),
            "q_ei": refvals.rat_dict(r2.q_ei), "ei_arg_scale": str(-2 * r2.kappa)}
@@ -127,7 +131,7 @@ def test_coeffs_json_bytes_match_json_dumps(capsys):
 def test_table_json_bytes_match_json_dumps(capsys, nmax):
     code, out, _ = run(capsys, "table", "--nmax", str(nmax), "--format", "json")
     assert code == 0
-    docs = [_coeffs_doc(qn, r2, r1) for qn, r1, r2 in closedform.solution_table(nmax)]
+    docs = [_coeffs_doc(qn, assemble_R2(qn), assemble_R1(qn)) for qn in _states(nmax)]
     assert out == json.dumps(docs, indent=2) + "\n"
 
 
@@ -136,7 +140,8 @@ def test_table_csv_matches_fraction_writer(capsys):
     assert code == 0
     rows = "".join(
         refvals.table_csv_rows(qn.n, qn.l, part, poly)
-        for qn, r1, r2 in closedform.solution_table(6)
+        for qn in _states(6)
+        for r1, r2 in [(assemble_R1(qn), assemble_R2(qn))]
         for part, poly in (("r1_q_minus", r1.q_minus), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)))
     assert out == cli._header() + "n,l,part,power,coeff\n" + rows
 
@@ -302,6 +307,14 @@ def test_table_json_enumerates(capsys):
     assert all("r1_q_minus" in d for d in docs)
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_table_rejects_bad_nmax(capsys, nmax):
+    code, out, err = run(capsys, "table", "--nmax", nmax)
+    assert code == 64
+    assert out == ""
+    assert err == "coulombwf: error: n_max must be >= 1\n"
+
+
 def test_table_latex_lists_all(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "4", "--format", "latex")
     assert code == 0
@@ -320,21 +333,47 @@ def test_verify_passes(capsys):
 
 
 def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
-    # nmax 3 has 6 cases; the ODE and Wronskian checks share one build
-    calls = {"assemble_R1": 0, "assemble_R2": 0}
+    # nmax 3 has 6 cases; the ODE and Wronskian checks share one build of R1,
+    # R2 is built around it, and R1's polynomial is built once
+    calls = {"assemble_R1": 0, "assemble_R2": 0, "laguerre_L1": 0}
     for name in calls:
         original = getattr(closedform, name)
 
-        def counted(qn, name=name, original=original):
+        def counted(*args, name=name, original=original):
             calls[name] += 1
-            return original(qn)
+            return original(*args)
 
         for module in (closedform, oracle, cli, shellmatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
     assert code == 0
-    assert calls == {"assemble_R1": 6, "assemble_R2": 6}
+    assert calls == {"assemble_R1": 6, "assemble_R2": 0, "laguerre_L1": 6}
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["verify", "--nmax", "30", "--checks", "ode,wronskian"], 465),
+    (["table", "--nmax", "6"], 21),
+    # golden (10 states), ode and wronskian (10) and pv (8 samples)
+    (["verify"], 28),
+    (["shell", "--n", "2", "--l", "0", "--a", "1e-4", "--b-range", "0.5:1.5", "--grid-points", "50"], 1),
+    (["coeffs", "--n", "6", "--l", "2"], 1),
+    (["eval", "--n", "6", "--l", "2", "--which", "R1", "--grid", "1:2:3"], 1),
+    (["eval", "--n", "6", "--l", "2", "--which", "R2", "--grid", "1:2:3"], 1),
+])
+def test_commands_build_the_regular_polynomial_once_per_state(capsys, monkeypatch, argv, builds):
+    # R2's Ei bucket is R1's polynomial, so a state that needs both builds it once
+    calls = []
+    original = closedform.laguerre_L1
+
+    def counted(n_r, m):
+        calls.append((n_r, m))
+        return original(n_r, m)
+
+    monkeypatch.setattr(closedform, "laguerre_L1", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == builds
 
 
 def test_verify_runs_only_the_selected_checks(capsys, monkeypatch):

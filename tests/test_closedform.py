@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from coulombwf import cli
 from coulombwf.closedform import (
     ExpEiForm,
     InvalidQuantumNumbers,
@@ -12,7 +14,7 @@ from coulombwf.closedform import (
     energy,
     laguerre_L1,
     p2_recurrence,
-    solution_table,
+    solutions,
 )
 from coulombwf.numeval import eval_form_extended
 from coulombwf.oracle import _confluent_parts
@@ -195,10 +197,14 @@ def test_assemble_R2_examples():
 
 
 def test_R2_ei_polynomial_matches_R1():
-    for n in range(1, 7):
+    # R2 is built around R1: solutions shares the one polynomial object, and
+    # assemble_R2 on its own builds the same polynomial
+    for n in range(1, 41):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            assert assemble_R2(qn).q_ei == assemble_R1(qn).q_minus
+            s = solutions(qn)
+            assert s.r2.q_ei is s.r1.q_minus, qn
+            assert assemble_R2(qn).q_ei == assemble_R1(qn).q_minus, qn
 
 
 # -- symbolic differentiation ------------------------------------------------------
@@ -240,16 +246,17 @@ def test_form_addition_guards_conventions():
 
 # -- enumeration and the closed-form irregular confluent solution -------------------
 
-def test_solution_table_counts():
-    assert len(solution_table(1)) == 1
-    assert len(solution_table(2)) == 3
-    assert len(solution_table(4)) == 10
-    assert [(qn.n, qn.l) for qn, _, _ in solution_table(2)] == [(1, 0), (2, 0), (2, 1)]
+def _table_states(capsys, n_max):
+    assert cli.main(["table", "--nmax", str(n_max)]) == 0
+    return [(d["n"], d["l"]) for d in json.loads(capsys.readouterr().out)]
 
 
-def test_solution_table_rejects_bad_nmax():
-    with pytest.raises(InvalidQuantumNumbers):
-        solution_table(0)
+def test_solution_table_counts(capsys):
+    # the state enumeration now lives in the table command
+    assert len(_table_states(capsys, 1)) == 1
+    assert len(_table_states(capsys, 2)) == 3
+    assert len(_table_states(capsys, 4)) == 10
+    assert _table_states(capsys, 2) == [(1, 0), (2, 0), (2, 1)]
 
 
 def test_phi2_closedform_split():

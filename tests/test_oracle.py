@@ -12,7 +12,7 @@ from coulombwf.closedform import (
     assemble_R2,
     solutions,
 )
-from coulombwf import numeval
+from coulombwf import numeval, oracle as oracle_mod
 from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
     GOLDEN_R2,
@@ -65,7 +65,7 @@ def test_ode_residual_detects_mutation():
     qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
     mutated = ExpEiForm(f.q_plus + RatPoly(0, (1,)), f.q_minus, f.q_ei, f.kappa)
-    rep = ode_residual_symbolic(mutated, mutated.derivative(), qn)
+    rep = ode_residual_symbolic(mutated, mutated.derivative(), qn, "R2")
     assert not rep.passed
     assert rep.residual_norm > 0
 
@@ -251,11 +251,13 @@ def test_first_integral_lowest_power():
     assert rep.passed
 
 
-def test_first_integral_hand_sums():
+def test_first_integral_hand_sums(monkeypatch):
     # N = 2 at x = 1: 1! + 0! x = 2; N = 3 at x = 2: 2 + 2 + 4 = 8
-    rep = first_integral_closed_form_check(1, 1, x_samples=(1.0,))
+    monkeypatch.setattr(oracle_mod, "FIRST_INTEGRAL_XS", (1.0,))
+    rep = first_integral_closed_form_check(1, 1)
     assert rep.passed
-    rep = first_integral_closed_form_check(0, 3, x_samples=(2.0,))
+    monkeypatch.setattr(oracle_mod, "FIRST_INTEGRAL_XS", (2.0,))
+    rep = first_integral_closed_form_check(0, 3)
     assert rep.passed
 
 
@@ -272,11 +274,12 @@ def test_golden_table_all_match():
     assert all(rep.passed and rep.exact for rep in reports)
 
 
-def test_golden_table_detects_corruption():
+def test_golden_table_detects_corruption(monkeypatch):
     corrupt = {k: {"q_plus": dict(v["q_plus"]), "q_ei": dict(v["q_ei"])}
                for k, v in GOLDEN_R2.items()}
     corrupt[(2, 0)]["q_plus"][0] = F(999)
-    reports = golden_table_check(corrupt)
+    monkeypatch.setattr(oracle_mod, "GOLDEN_R2", corrupt)
+    reports = golden_table_check()
     failed = [rep for rep in reports if not rep.passed]
     assert len(failed) == 1
     assert (failed[0].subject.n, failed[0].subject.l) == (2, 0)
@@ -301,8 +304,6 @@ def test_pv_integral_converts_h_once(monkeypatch):
 def test_pv_checks_build_their_polynomials_once(monkeypatch):
     # pv and split together make one build of R2, whose Ei bucket is F,
     # however many samples they take
-    import coulombwf.oracle as oracle_mod
-
     calls = []
     original = oracle_mod.assemble_R2
 
