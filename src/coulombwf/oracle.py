@@ -4,11 +4,12 @@ Two kinds of checks live here.  The symbolic ones (radial-operator residual,
 Wronskian) run entirely in exact rational arithmetic and must come out
 identically zero or identically constant; symbolic_checks runs them on one
 build of the forms per (n, l).  The numeric ones rebuild R2's confluent
-parts from its defining principal-value integral by adaptive quadrature and
-compare R2's own buckets, read back in x = 2 kappa r, and the pole-removing
-split against it; pv_checks runs both on one build of R2 per state and one
-PV quadrature per point.  A hard-coded table of known coefficient sets
-pins the generated solutions exactly.
+parts from its defining principal-value integral by adaptive quadrature
+(QUADPACK's QAGS, quadpack.qags; any nonzero QUADPACK code raises
+QuadratureFailure) and compare R2's own buckets, read back in x = 2 kappa r,
+and the pole-removing split against it; pv_checks runs both on one build of
+R2 per state and one PV quadrature per point.  A hard-coded table of known
+coefficient sets pins the generated solutions exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .ratpoly import RatPoly
 
 
 class QuadratureFailure(ArithmeticError):
-    """Quadrature error estimate above the acceptable bound."""
+    """Quadrature that did not converge, or whose error estimate is above
+    the acceptable bound."""
 
 
 @dataclass
@@ -136,11 +138,15 @@ def _tail_bound(run: tuple, cutoff: float, x: float) -> float:
 
 
 def _quad(fn, lo, hi) -> tuple[float, float]:
-    # imported here: only the pv, split and integral checks need scipy, and
-    # importing it costs more than the rest of the package together
-    from scipy.integrate import quad
+    # QUADPACK's QAGS to 1e-13 absolute or 1e-11 relative on at most 400
+    # subintervals; imported here, since only the pv, split and integral
+    # checks integrate.  Any nonzero QUADPACK code fails loudly: its error
+    # estimate is then no bound
+    from .quadpack import IER, qags
 
-    value, err = quad(fn, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11)
+    value, err, ier = qags(fn, lo, hi, 1e-13, 1e-11, 400)
+    if ier:
+        raise QuadratureFailure(f"quadrature over [{lo}, {hi}] ended with QUADPACK code {ier}: {IER[ier]}")
     return value, err
 
 

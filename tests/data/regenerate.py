@@ -5,7 +5,8 @@ Run from the repository root:  PYTHONPATH=src python3 tests/data/regenerate.py
 Writes wronskian_r2w.json (the constant r^2 W for every n <= 8) and
 exact_outputs.json (sha256 of the stdout of CLI commands whose output comes
 from integer arithmetic only, so it is the same on every machine; the pv,
-split and integral checks of verify depend on scipy and are left out).
+split and integral checks of verify depend on floating-point quadrature and
+are left out).
 """
 
 import contextlib

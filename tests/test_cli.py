@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coulombwf
-from coulombwf import cli, closedform, numeval, oracle, shellmatch
+from coulombwf import cli, closedform, numeval, oracle, quadpack, shellmatch
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
 from coulombwf.ratpoly import RatPoly
@@ -466,14 +466,12 @@ def test_verify_check_subsets_are_rows_of_the_default_run(capsys, fmt):
 
 
 def test_verify_runs_one_pv_quadrature_per_sample_point(capsys, monkeypatch):
-    # 14 points in PV_SAMPLES: each takes one PV oracle value (four quad
-    # calls), split adds one smooth-part quad per point and integral 27 more;
+    # 14 points in PV_SAMPLES: each takes one PV oracle value (four qags
+    # calls), split adds one smooth-part qags per point and integral 27 more;
     # R2, whose Ei bucket gives F, is built once per state inside pv_checks
-    import scipy.integrate
-
-    calls = {"quad": 0, "_pv_oracle": 0, "assemble_R2": 0}
+    calls = {"qags": 0, "_pv_oracle": 0, "assemble_R2": 0}
     in_pv_checks = []
-    for module, name in ((scipy.integrate, "quad"), (oracle, "_pv_oracle")):
+    for module, name in ((quadpack, "qags"), (oracle, "_pv_oracle")):
         def counted(*args, name=name, original=getattr(module, name), **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
@@ -496,13 +494,13 @@ def test_verify_runs_one_pv_quadrature_per_sample_point(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify")
     assert code == 0
     assert sum(len(xs) for _, _, xs in cli.PV_SAMPLES) == 14
-    assert calls == {"quad": 97, "_pv_oracle": 14, "assemble_R2": 8}
+    assert calls == {"qags": 97, "_pv_oracle": 14, "assemble_R2": 8}
     for key in calls:
         calls[key] = 0
     code, _, _ = run(capsys, "verify", "--checks", "pv")
     assert code == 0
     # no smooth-part quadrature under pv alone
-    assert calls == {"quad": 56, "_pv_oracle": 14, "assemble_R2": 8}
+    assert calls == {"qags": 56, "_pv_oracle": 14, "assemble_R2": 8}
 
 
 def test_verify_pv_checks_the_forms_that_coeffs_prints(capsys, monkeypatch):
@@ -729,11 +727,28 @@ def test_shell_envelope_overflow_is_a_one_line_failure(capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only by the pv, split and integral checks
+    # no command imports scipy; the pv, split and integral checks import
+    # coulombwf.quadpack when one of them first runs
     src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import sys, coulombwf.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_verify_leaves_scipy_and_numpy_unloaded():
+    # the pv, split and integral checks integrate with coulombwf.quadpack
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import coulombwf.cli as cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "    assert cli.main(['verify']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
