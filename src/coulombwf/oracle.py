@@ -1,15 +1,15 @@
 """Independent verification of the closed-form solutions.
 
-Two kinds of checks live here.  The symbolic ones (radial-operator residual,
-Wronskian) run entirely in exact rational arithmetic and must come out
-identically zero or identically constant; symbolic_checks runs them on one
-build of the forms per (n, l).  The numeric ones rebuild R2's confluent
-parts from its defining principal-value integral by adaptive quadrature
-(QUADPACK's QAGS, quadpack.qags; any nonzero QUADPACK code raises
-QuadratureFailure) and compare R2's own buckets, read back in x = 2 kappa r,
-and the pole-removing split against it; pv_checks runs both on one build of
-R2 per state and one PV quadrature per point.  A hard-coded table of known
-coefficient sets pins the generated solutions exactly.
+Two kinds of checks live here.  The symbolic ones run in exact rational
+arithmetic on one build of the forms per (n, l) (symbolic_checks): the
+radial-operator residuals must vanish identically, and then, by Abel's
+identity, one coefficient proves r^2 W(R1, R2) constant.  The numeric ones
+rebuild R2's confluent parts from its defining principal-value integral by
+adaptive quadrature (QUADPACK's QAGS, quadpack.qags; any nonzero QUADPACK
+code raises QuadratureFailure) and compare R2's own buckets, read back in
+x = 2 kappa r, and the pole-removing split against it; pv_checks runs both
+on one build of R2 per state and one PV quadrature per point.  A hard-coded
+table of known coefficient sets pins the generated solutions exactly.
 """
 
 from __future__ import annotations
@@ -81,44 +81,44 @@ def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
                               exact=ok, details=details)
 
 
-def wronskian_symbolic(s: Solutions) -> tuple[RatPoly, VerificationReport]:
+def _product_coeff(p: RatPoly, q: RatPoly, power: int) -> Fraction:
+    """The r^power coefficient of p q: one index of the numerators' convolution."""
+    k, b = power - p.low - q.low, q.nums
+    return Fraction(sum(x * b[k - i] for i, x in enumerate(p.nums) if 0 <= k - i < len(b)), p.den * q.den)
+
+
+def wronskian_symbolic(s: Solutions, solves: bool) -> tuple[Fraction, VerificationReport]:
     """r^2 W(R1, R2) must equal the constant -n (n+l)! / (2 (n-l-1)!), which
     shows linear independence and pins R2's normalisation.
 
-    R1 is pure e^{-kappa r}, so W = R1 R2' - R1' R2 has an e^{-2 kappa r} and
-    an e^{-2 kappa r} Ei bucket that must cancel identically.  They cancel
-    by construction, since R2's Ei polynomial is R1's own, but the check
-    still runs; any leftover fails the report.  What remains is a Laurent
-    polynomial.
+    ``solves`` says that both exact ODE residuals vanish; then r^2 W is
+    constant by Abel's identity (DLMF 1.13(i)), W's exponential buckets
+    vanish, and with R1 = m1 e^{-kappa r} the constant is the r^-2
+    coefficient of m1 R2'.q_plus - m1' R2.q_plus, so no product is formed.
     """
     if not (s.r1.q_plus.is_zero() and s.r1.q_ei.is_zero()):
         raise ValueError("wronskian_symbolic expects a pure e^{-kappa r} R1")
     qn = s.qn
-    m1, m1d = s.r1.q_minus, s.r1d.q_minus
-    w_minus = m1 * s.r2d.q_minus - m1d * s.r2.q_minus
-    w_ei = m1 * s.r2d.q_ei - m1d * s.r2.q_ei
-    if not (w_minus.is_zero() and w_ei.is_zero()):
-        return RatPoly.zero(), VerificationReport(
-            qn, "wronskian", False, math.inf,
-            details=f"non-cancelling Wronskian buckets: minus={w_minus}, ei={w_ei}")
-    r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
-    expected = RatPoly(0, (Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r)),))
+    if not solves:
+        return Fraction(0), VerificationReport(qn, "wronskian", False, math.inf,
+                                               details="a form does not solve the radial equation")
+    r2w = _product_coeff(s.r1.q_minus, s.r2d.q_plus, -2) - _product_coeff(s.r1d.q_minus, s.r2.q_plus, -2)
+    expected = Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
     if r2w == expected:
         return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
-    return r2w, VerificationReport(qn, "wronskian", False, (r2w - expected).max_abs_coeff_float(),
+    return r2w, VerificationReport(qn, "wronskian", False, float(abs(r2w - expected)),
                                    details=f"r^2 W = {r2w}, expected {expected}")
 
 
 def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationReport]:
     """The exact checks named in ``checks`` ("ode", "wronskian") for one
-    (n, l), in the order R1 ODE, R2 ODE, Wronskian, on one build of the forms."""
+    (n, l) on one build of the forms: R1 ODE, R2 ODE (both computed for either
+    check, reported under "ode"), then the Wronskian, which rests on them."""
     s = solutions(qn)
-    reports = []
-    if "ode" in checks:
-        reports.append(ode_residual_symbolic(s.r1, s.r1d, qn, "R1"))
-        reports.append(ode_residual_symbolic(s.r2, s.r2d, qn, "R2"))
+    odes = [ode_residual_symbolic(s.r1, s.r1d, qn, "R1"), ode_residual_symbolic(s.r2, s.r2d, qn, "R2")]
+    reports = odes if "ode" in checks else []
     if "wronskian" in checks:
-        reports.append(wronskian_symbolic(s)[1])
+        reports.append(wronskian_symbolic(s, all(rep.passed for rep in odes))[1])
     return reports
 
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from coulombwf import cli
-from coulombwf.closedform import QuantumNumbers, solutions
+from coulombwf.closedform import QuantumNumbers, apply_radial_operator, solutions
 from coulombwf.oracle import wronskian_symbolic
 
 N_MAX = 8
@@ -26,6 +26,8 @@ DATA_DIR = Path(__file__).parent
 def exact_commands() -> list[list[str]]:
     cmds = [["verify", "--nmax", "6", "--checks", "ode,wronskian,golden", "--format", fmt]
             for fmt in ("json", "csv")]
+    cmds += [["verify", "--nmax", "8", "--checks", "wronskian", "--format", fmt]
+             for fmt in ("json", "csv")]
     cmds += [["table", "--nmax", str(nmax), "--format", fmt]
              for nmax in range(1, 7) for fmt in ("json", "csv", "latex")]
     cmds += [["coeffs", "--n", str(n), "--l", str(l), "--format", fmt]
@@ -51,9 +53,12 @@ def main() -> None:
     out = {}
     for n in range(1, N_MAX + 1):
         for l in range(n):
-            r2w, rep = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
+            s = solutions(QuantumNumbers(n, l))
+            solves = all(apply_radial_operator(f, fd, s.qn).is_zero()
+                         for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
+            r2w, rep = wronskian_symbolic(s, solves)
             assert rep.passed
-            out[f"{n},{l}"] = str(r2w.coeff(0))
+            out[f"{n},{l}"] = str(r2w)
     write_json("wronskian_r2w.json", out)
     write_json("exact_outputs.json", {" ".join(argv): stdout_digest(argv) for argv in exact_commands()})
 

@@ -10,10 +10,12 @@ coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the polynomial P is built from
 its double sum and from its split form, independently of the package's
-recurrence and of each other, and the double-precision form evaluator
-converts every coefficient again at every point and sums the envelope term
-by term: the grid kernel must reproduce its values bit for bit and its
-estimates within the rounding of the envelope.
+recurrence and of each other, the Wronskian of R1 and R2 is formed from the
+full Laurent products of their buckets, not read from one coefficient by
+Abel's identity, and the double-precision form evaluator converts every
+coefficient again at every point and sums the envelope term by term: the
+grid kernel must reproduce its values bit for bit and its estimates within
+the rounding of the envelope.
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def sph_in_logderiv_mp(l: int, kappa: float, r: float, dps: int = 50) -> float:
 def central_diff(fn, x: float, h: float) -> float:
     """Fourth-order central finite difference of fn at x."""
     return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) / (12 * h)
+
+
+# -- the Wronskian from full Laurent products -------------------------------------
+
+
+def wronskian_full_product(s) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """W(R1, R2) of the Solutions ``s`` (R1 pure e^{-kappa r}) from the full
+    Laurent products of its buckets: its e^{-2 kappa r} part, its
+    e^{-2 kappa r} Ei(1, -2 kappa r) part, and r^2 times its exponential-free
+    part, which must come out 0, 0 and the constant r^2 W."""
+    m1, m1d = s.r1.q_minus, s.r1d.q_minus
+    w_minus = m1 * s.r2d.q_minus - m1d * s.r2.q_minus
+    w_ei = m1 * s.r2d.q_ei - m1d * s.r2.q_ei
+    r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
+    return w_minus, w_ei, r2w
 
 
 # -- fixed-step RK4 for the force-free regions of the Coulomb shell -------------

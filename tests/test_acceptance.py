@@ -98,8 +98,11 @@ def test_criterion_4_wronskian_constant():
     ok = True
     for n in range(1, 21):
         for l in range(n):
-            r2w, rep = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
-            if not (rep.passed and rep.exact and r2w.coeff(0) != 0):
+            s = solutions(QuantumNumbers(n, l))
+            solves = all(apply_radial_operator(f, fd, s.qn).is_zero()
+                         for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
+            r2w, rep = wronskian_symbolic(s, solves)
+            if not (rep.passed and rep.exact and r2w != 0):
                 ok = False
     _report(4, "r^2 W(R1, R2) exactly constant and nonzero, n <= 20", ok, "210 pairs")
 

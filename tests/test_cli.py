@@ -393,6 +393,27 @@ def test_verify_runs_only_the_selected_checks(capsys, monkeypatch):
     assert len(ode.splitlines()) == 20 and len(wronskian.splitlines()) == 10
 
 
+def test_verify_wronskian_only_fails_on_a_corrupt_r2(capsys, monkeypatch):
+    # --checks wronskian computes the ODE residuals without printing them; an
+    # R2 that does not solve the radial equation fails its Wronskian row
+    original = oracle.solutions
+
+    def corrupted(qn):
+        s = original(qn)
+        if qn.l != 1:
+            return s
+        r2 = s.r2 + closedform.ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
+        return dataclasses.replace(s, r2=r2, r2d=r2.derivative())
+
+    monkeypatch.setattr(oracle, "solutions", corrupted)
+    code, out, _ = run(capsys, "verify", "--nmax", "3", "--checks", "wronskian")
+    assert code == 1
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    assert [(row["n"], row["l"], row["check"]) for row in rows] == [
+        (n, l, "wronskian") for n in range(1, 4) for l in range(n)]
+    assert [row["passed"] for row in rows] == [row["l"] != 1 for row in rows]
+
+
 def test_verify_fails_on_corrupt_golden(capsys, monkeypatch):
     from coulombwf import oracle as oracle_mod
 
@@ -549,7 +570,7 @@ EXACT_OUTPUTS = json.loads(
 
 
 def test_exact_outputs_match_recorded_digests(capsys):
-    assert len(EXACT_OUTPUTS) == 2 + 6 * 3 + 36 * 3
+    assert len(EXACT_OUTPUTS) == 2 + 2 + 6 * 3 + 36 * 3
     for command, digest in EXACT_OUTPUTS.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from coulombwf.closedform import (
     ExpEiForm,
     QuantumNumbers,
+    apply_radial_operator,
     assemble_R2,
     solutions,
 )
@@ -26,6 +27,8 @@ from coulombwf.oracle import (
     wronskian_symbolic,
 )
 from coulombwf.ratpoly import RatPoly
+
+from refvals import wronskian_full_product
 
 F = Fraction
 TWO = RatPoly(0, (2,))
@@ -90,24 +93,62 @@ def test_residual_also_vanishes_numerically():
 
 # -- Wronskian -------------------------------------------------------------------------
 
+def wronskian(s):
+    """wronskian_symbolic on the verdict of the forms' own exact ODE residuals."""
+    solves = all(apply_radial_operator(f, fd, s.qn).is_zero() for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
+    return wronskian_symbolic(s, solves)
+
+
+def corrupt_r2(s):
+    """s with 1 added to R2's Ei bucket, so that R2 no longer solves the radial equation."""
+    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
+    return dataclasses.replace(s, r2=r2, r2d=r2.derivative())
+
+
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_wronskian_constant_and_nonzero(qn):
-    r2w, rep = wronskian_symbolic(solutions(qn))
+    r2w, rep = wronskian(solutions(qn))
     assert rep.passed and rep.exact
-    assert r2w.low == 0 and r2w.degree == 0
-    assert r2w.coeff(0) != 0
+    assert r2w != 0
 
 
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
-    r2w, _ = wronskian_symbolic(solutions(QuantumNumbers(1, 0)))
-    assert r2w == RatPoly(0, (F(-1, 2),))
+    r2w, _ = wronskian(solutions(QuantumNumbers(1, 0)))
+    assert r2w == F(-1, 2)
+
+
+def test_wronskian_agrees_with_full_product_reference():
+    # W from its full Laurent products, without Abel's identity: both
+    # exponential buckets vanish and r^2 W is the constant read from one
+    # coefficient
+    for qn in all_qn(40):
+        s = solutions(qn)
+        w_minus, w_ei, r2w = wronskian_full_product(s)
+        assert w_minus.is_zero() and w_ei.is_zero(), qn
+        assert r2w == RatPoly(0, (wronskian_symbolic(s, True)[0],)), qn
+
+
+def test_wronskian_forms_no_product(monkeypatch):
+    sols = [solutions(qn) for qn in all_qn(8)]
+    calls = []
+    mul = RatPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatPoly, "__mul__", counted)
+    monkeypatch.setattr(RatPoly, "__rmul__", counted)
+    for s in sols:
+        assert wronskian_symbolic(s, True)[1].passed
+    assert calls == []
 
 
 def test_wronskian_scales_bilinearly():
     s = solutions(QuantumNumbers(2, 1))
-    w, _ = wronskian_symbolic(s)
-    w2, _ = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
+    w, _ = wronskian(s)
+    w2, _ = wronskian(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
     assert w2 == w * 2
 
 
@@ -115,21 +156,28 @@ def test_wronskian_rejects_wrong_normalisation():
     # 2 R2 is still an independent solution, but its r^2 W is twice
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
     s = solutions(QuantumNumbers(2, 1))
-    w2, rep = wronskian_symbolic(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
-    assert w2 == RatPoly(0, (-12,))
+    w2, rep = wronskian(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
+    assert w2 == -12
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == 6.0
     assert rep.details == "r^2 W = -12, expected -6"
 
 
-def test_wronskian_reports_non_cancelling_buckets():
-    s = solutions(QuantumNumbers(3, 1))
-    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
-    r2w, rep = wronskian_symbolic(dataclasses.replace(s, r2=r2, r2d=r2.derivative()))
-    assert r2w.is_zero()
+@pytest.mark.parametrize("checks", [{"wronskian"}, {"ode", "wronskian"}],
+                         ids=["wronskian", "ode,wronskian"])
+def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
+    qn = QuantumNumbers(3, 1)
+    r2w, rep = wronskian(corrupt_r2(solutions(qn)))
+    assert r2w == 0
+    assert not rep.passed and not rep.exact
+    monkeypatch.setattr(oracle_mod, "solutions", lambda q: corrupt_r2(solutions(q)))
+    *odes, rep = symbolic_checks(qn, checks)
+    assert [(o.check_name, o.passed) for o in odes] == (
+        [("ode_residual_R1", True), ("ode_residual_R2", False)] if "ode" in checks else [])
+    assert rep.check_name == "wronskian"
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == float("inf")
-    assert rep.details.startswith("non-cancelling Wronskian buckets: minus=0, ei=")
+    assert rep.details == "a form does not solve the radial equation"
 
 
 def test_symbolic_checks_select_in_order():
@@ -145,8 +193,8 @@ def test_wronskian_constants_match_recorded_artifact():
     recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
     for key, value in recorded.items():
         n, l = (int(s) for s in key.split(","))
-        r2w, _ = wronskian_symbolic(solutions(QuantumNumbers(n, l)))
-        assert str(r2w.coeff(0)) == value
+        r2w, _ = wronskian(solutions(QuantumNumbers(n, l)))
+        assert str(r2w) == value
 
 
 # -- principal-value integral oracle ---------------------------------------------------
