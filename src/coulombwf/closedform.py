@@ -13,7 +13,9 @@ E_n = -1/(2 n^2).  Every solution handled here is a sum of three buckets
 with Laurent-polynomial q's, where Ei(1, -x) is the principal value of
 integral_{-x}^{infinity} e^{-s}/s ds.  That family is closed under d/dr
 because d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r, which moves the Ei
-derivative into the e^{+kappa r} bucket exactly.
+derivative into the e^{+kappa r} bucket exactly.  The radial operator maps
+the family into itself too, so apply_radial_operator writes a residual's
+coefficients straight from the form's, differentiating nothing.
 """
 
 from __future__ import annotations
@@ -151,15 +153,6 @@ class ExpEiForm:
                           self.q_minus + other.q_minus,
                           self.q_ei + other.q_ei)
 
-    def mul_poly(self, p: RatPoly) -> ExpEiForm:
-        """Multiply by a Laurent polynomial in r."""
-        return self._like(self.q_plus * p, self.q_minus * p, self.q_ei * p)
-
-    def shift(self, offset: int) -> ExpEiForm:
-        """Multiply by r**offset."""
-        return self._like(self.q_plus.shift(offset), self.q_minus.shift(offset),
-                          self.q_ei.shift(offset))
-
     def derivative(self) -> ExpEiForm:
         """Exact d/dr; the Ei-derivative contribution lands in the e^{+kr} bucket."""
         k = self.kappa
@@ -205,17 +198,47 @@ class Solutions:
     r2d: ExpEiForm
 
 
-def solutions(qn: QuantumNumbers) -> Solutions:
-    """Assemble R1 once, R2 from it, and differentiate each once."""
+def assemble_pair(qn: QuantumNumbers) -> tuple[ExpEiForm, ExpEiForm]:
+    """R1 and R2 of one (n, l), with R2 built around R1."""
     r1 = assemble_R1(qn)
-    r2 = _irregular(qn, r1)
+    return r1, _irregular(qn, r1)
+
+
+def solutions(qn: QuantumNumbers) -> Solutions:
+    """Assemble R1 and R2 once and differentiate each once."""
+    r1, r2 = assemble_pair(qn)
     return Solutions(qn, r1, r1.derivative(), r2, r2.derivative())
 
 
-def apply_radial_operator(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
-    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, as
-    (r^2 fd)' + (...) f with fd = f': one derivative instead of two."""
-    # -l(l+1) + 2 kappa0 r - kappa^2 r^2
-    potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
-    return fd.shift(2).derivative() + f.mul_poly(potential)
+def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
+    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly,
+    from the buckets' coefficients, with no derivative or product formed.
 
+    On a bucket q e^{s kappa r} (s = +-1) the operator leaves
+    (k-l)(k+l+1) q_k + 2 (s kappa k + 1) q_{k-1} as the r^k coefficient; the
+    Ei bucket e also adds -(2k+1) e_k to the e^{+kappa r} bucket, since
+    d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r.  With kappa0 = 1 and
+    kappa = 1/n, each bucket is one pass over integer numerators over n times
+    its denominators, reduced by one gcd.
+    """
+    n, l = qn.n, qn.l
+    if (f.kappa.numerator, f.kappa.denominator) != (1, n):
+        raise ValueError(f"apply_radial_operator needs f.kappa == 1/n = 1/{n}, got {f.kappa}")
+
+    def run(q: RatPoly, s: int) -> list[int]:
+        # n q.den times the r^k coefficients, k from q.low to q.degree + 1
+        x = q.nums
+        return [n * (k - l) * (k + l + 1) * a + 2 * (s * k + n) * b
+                for k, a, b in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
+
+    p, m, e = f.q_plus, f.q_minus, f.q_ei
+    # the e^{+kappa r} bucket over n p.den e.den: p's own run and e's -(2k+1) e_k
+    low = min(p.low, e.low)
+    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
+    for i, a in enumerate(run(p, 1), p.low - low):
+        plus[i] = a * e.den
+    for k, a in enumerate(e.nums, e.low):
+        plus[k - low] -= n * p.den * (2 * k + 1) * a
+    return ExpEiForm(RatPoly.from_nums(low, plus, n * p.den * e.den),
+                     RatPoly.from_nums(m.low, run(m, -1), n * m.den),
+                     RatPoly.from_nums(e.low, run(e, -1), n * e.den), f.kappa)

@@ -1,9 +1,10 @@
 """Independent verification of the closed-form solutions.
 
 Two kinds of checks live here.  The symbolic ones run in exact rational
-arithmetic on one build of the forms per (n, l) (symbolic_checks): the
-radial-operator residuals must vanish identically, and then, by Abel's
-identity, one coefficient proves r^2 W(R1, R2) constant.  The numeric ones
+arithmetic on one build of R1 and R2 per (n, l) (symbolic_checks), straight
+from the buckets' coefficients, differentiating nothing: the radial-operator
+residuals must vanish identically, and then, by Abel's identity, one integer
+sum over R1's coefficients proves r^2 W(R1, R2) constant.  The numeric ones
 rebuild R2's confluent parts from its defining principal-value integral by
 adaptive quadrature (QUADPACK's QAGS, quadpack.qags; any nonzero QUADPACK
 code raises QuadratureFailure) and compare R2's own buckets, read back in
@@ -23,10 +24,9 @@ from . import numeval
 from .closedform import (
     ExpEiForm,
     QuantumNumbers,
-    Solutions,
     apply_radial_operator,
+    assemble_pair,
     assemble_R2,
-    solutions,
 )
 from .ratpoly import RatPoly
 
@@ -68,11 +68,9 @@ def _form_norm(f: ExpEiForm) -> float:
     )
 
 
-def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
-                          which: str) -> VerificationReport:
-    """Apply the radial operator to f (with fd = f') exactly; pass iff every
-    bucket vanishes."""
-    residual = apply_radial_operator(f, fd, qn)
+def ode_residual_symbolic(f: ExpEiForm, qn: QuantumNumbers, which: str) -> VerificationReport:
+    """Apply the radial operator to f exactly; pass iff every bucket vanishes."""
+    residual = apply_radial_operator(f, qn)
     ok = residual.is_zero()
     details = "" if ok else (
         f"nonzero residual buckets: plus={residual.q_plus}, "
@@ -81,28 +79,36 @@ def ode_residual_symbolic(f: ExpEiForm, fd: ExpEiForm, qn: QuantumNumbers,
                               exact=ok, details=details)
 
 
-def _product_coeff(p: RatPoly, q: RatPoly, power: int) -> Fraction:
-    """The r^power coefficient of p q: one index of the numerators' convolution."""
-    k, b = power - p.low - q.low, q.nums
-    return Fraction(sum(x * b[k - i] for i, x in enumerate(p.nums) if 0 <= k - i < len(b)), p.den * q.den)
+def _num(q: RatPoly, power: int) -> int:
+    """The numerator of q's r^power coefficient, over q.den."""
+    i = power - q.low
+    return q.nums[i] if 0 <= i < len(q.nums) else 0
 
 
-def wronskian_symbolic(s: Solutions, solves: bool) -> tuple[Fraction, VerificationReport]:
+def wronskian_symbolic(r1: ExpEiForm, r2: ExpEiForm, qn: QuantumNumbers,
+                       solves: bool) -> tuple[Fraction, VerificationReport]:
     """r^2 W(R1, R2) must equal the constant -n (n+l)! / (2 (n-l-1)!), which
     shows linear independence and pins R2's normalisation.
 
     ``solves`` says that both exact ODE residuals vanish; then r^2 W is
     constant by Abel's identity (DLMF 1.13(i)), W's exponential buckets
-    vanish, and with R1 = m1 e^{-kappa r} the constant is the r^-2
-    coefficient of m1 R2'.q_plus - m1' R2.q_plus, so no product is formed.
+    vanish, and with R1 = m1 e^{-kappa r}, p = R2.q_plus and e = R2.q_ei the
+    constant is the r^-2 coefficient of
+    m1 p' - m1' p + 2 kappa m1 p - m1 e r^-1: for m1's r^a term that is
+    -(2a+1) p_{-1-a} + 2 kappa p_{-2-a} - e_{-1-a}, so r^2 W is one integer
+    sum over m1's numerators and one Fraction, with no product formed.
     """
-    if not (s.r1.q_plus.is_zero() and s.r1.q_ei.is_zero()):
+    if not (r1.q_plus.is_zero() and r1.q_ei.is_zero()):
         raise ValueError("wronskian_symbolic expects a pure e^{-kappa r} R1")
-    qn = s.qn
     if not solves:
         return Fraction(0), VerificationReport(qn, "wronskian", False, math.inf,
                                                details="a form does not solve the radial equation")
-    r2w = _product_coeff(s.r1.q_minus, s.r2d.q_plus, -2) - _product_coeff(s.r1d.q_minus, s.r2.q_plus, -2)
+    n, m1, p, e = qn.n, r1.q_minus, r2.q_plus, r2.q_ei
+    total = sum(x * (e.den * (2 * _num(p, -2 - a) - n * (2 * a + 1) * _num(p, -1 - a))
+                     - n * p.den * _num(e, -1 - a))
+                # each term reads p or e at -1-a or -2-a, zero below min(p.low, e.low)
+                for a, x in zip(range(m1.low, -min(p.low, e.low)), m1.nums))
+    r2w = Fraction(total, n * m1.den * p.den * e.den)
     expected = Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
     if r2w == expected:
         return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
@@ -113,12 +119,13 @@ def wronskian_symbolic(s: Solutions, solves: bool) -> tuple[Fraction, Verificati
 def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationReport]:
     """The exact checks named in ``checks`` ("ode", "wronskian") for one
     (n, l) on one build of the forms: R1 ODE, R2 ODE (both computed for either
-    check, reported under "ode"), then the Wronskian, which rests on them."""
-    s = solutions(qn)
-    odes = [ode_residual_symbolic(s.r1, s.r1d, qn, "R1"), ode_residual_symbolic(s.r2, s.r2d, qn, "R2")]
+    check, reported under "ode"), then the Wronskian, which rests on them.
+    Nothing is differentiated and no Laurent product is formed."""
+    r1, r2 = assemble_pair(qn)
+    odes = [ode_residual_symbolic(r1, qn, "R1"), ode_residual_symbolic(r2, qn, "R2")]
     reports = odes if "ode" in checks else []
     if "wronskian" in checks:
-        reports.append(wronskian_symbolic(s, all(rep.passed for rep in odes))[1])
+        reports.append(wronskian_symbolic(r1, r2, qn, all(rep.passed for rep in odes))[1])
     return reports
 
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from coulombwf import cli
-from coulombwf.closedform import QuantumNumbers, apply_radial_operator, solutions
+from coulombwf.closedform import QuantumNumbers, apply_radial_operator, assemble_pair
 from coulombwf.oracle import wronskian_symbolic
 
 N_MAX = 8
@@ -53,10 +53,10 @@ def main() -> None:
     out = {}
     for n in range(1, N_MAX + 1):
         for l in range(n):
-            s = solutions(QuantumNumbers(n, l))
-            solves = all(apply_radial_operator(f, fd, s.qn).is_zero()
-                         for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
-            r2w, rep = wronskian_symbolic(s, solves)
+            qn = QuantumNumbers(n, l)
+            r1, r2 = assemble_pair(qn)
+            solves = all(apply_radial_operator(f, qn).is_zero() for f in (r1, r2))
+            r2w, rep = wronskian_symbolic(r1, r2, qn, solves)
             assert rep.passed
             out[f"{n},{l}"] = str(r2w)
     write_json("wronskian_r2w.json", out)

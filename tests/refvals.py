@@ -10,12 +10,13 @@ coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the polynomial P is built from
 its double sum and from its split form, independently of the package's
-recurrence and of each other, the Wronskian of R1 and R2 is formed from the
-full Laurent products of their buckets, not read from one coefficient by
-Abel's identity, and the double-precision form evaluator converts every
-coefficient again at every point and sums the envelope term by term: the
-grid kernel must reproduce its values bit for bit and its estimates within
-the rounding of the envelope.
+recurrence and of each other, the radial operator is composed from
+ExpEiForm.derivative and Laurent products, not written from the coefficient
+formula, the Wronskian of R1 and R2 is formed from the full Laurent products
+of their buckets, not read from one coefficient by Abel's identity, and the
+double-precision form evaluator converts every coefficient again at every
+point and sums the envelope term by term: the grid kernel must reproduce its
+values bit for bit and its estimates within the rounding of the envelope.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial
 import mpmath as mp
 from scipy.optimize import brentq
 
-from coulombwf.closedform import ExpEiForm, assemble_R1, assemble_R2
+from coulombwf.closedform import KAPPA0, ExpEiForm, assemble_R1, assemble_R2
 from coulombwf.numeval import (
     _EPS,
     DomainError,
@@ -112,7 +113,17 @@ def central_diff(fn, x: float, h: float) -> float:
     return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) / (12 * h)
 
 
-# -- the Wronskian from full Laurent products -------------------------------------
+# -- the radial operator and the Wronskian from derivatives and products ----------
+
+
+def radial_operator_reference(f: ExpEiForm, qn) -> ExpEiForm:
+    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 r - l(l+1)) f composed as
+    (r^2 f')' + V f from ExpEiForm.derivative and Laurent products."""
+    potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
+    d = f.derivative()
+    r2d = ExpEiForm(d.q_plus.shift(2), d.q_minus.shift(2), d.q_ei.shift(2), f.kappa)
+    return r2d.derivative() + ExpEiForm(f.q_plus * potential, f.q_minus * potential,
+                                        f.q_ei * potential, f.kappa)
 
 
 def wronskian_full_product(s) -> tuple[RatPoly, RatPoly, RatPoly]:

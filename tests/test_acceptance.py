@@ -10,9 +10,9 @@ from fractions import Fraction
 from coulombwf.closedform import (
     QuantumNumbers,
     apply_radial_operator,
+    assemble_pair,
     energy,
     p2_recurrence,
-    solutions,
 )
 from coulombwf.numeval import ei_with_error
 from coulombwf.oracle import (
@@ -67,9 +67,8 @@ def test_criterion_2_symbolic_ode_annihilation():
     for n in range(1, 21):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            s = solutions(qn)
-            for form, deriv in ((s.r1, s.r1d), (s.r2, s.r2d)):
-                if not apply_radial_operator(form, deriv, qn).is_zero():
+            for form in assemble_pair(qn):
+                if not apply_radial_operator(form, qn).is_zero():
                     ok = False
                 cases += 1
     elapsed = time.perf_counter() - t0
@@ -98,10 +97,10 @@ def test_criterion_4_wronskian_constant():
     ok = True
     for n in range(1, 21):
         for l in range(n):
-            s = solutions(QuantumNumbers(n, l))
-            solves = all(apply_radial_operator(f, fd, s.qn).is_zero()
-                         for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
-            r2w, rep = wronskian_symbolic(s, solves)
+            qn = QuantumNumbers(n, l)
+            r1, r2 = assemble_pair(qn)
+            solves = all(apply_radial_operator(f, qn).is_zero() for f in (r1, r2))
+            r2w, rep = wronskian_symbolic(r1, r2, qn, solves)
             if not (rep.passed and rep.exact and r2w != 0):
                 ok = False
     _report(4, "r^2 W(R1, R2) exactly constant and nonzero, n <= 20", ok, "210 pairs")

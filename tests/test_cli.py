@@ -351,6 +351,27 @@ def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
     assert calls == {"assemble_R1": 6, "assemble_R2": 0, "laguerre_L1": 6}
 
 
+def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypatch):
+    # the residuals and r^2 W are written from the buckets' coefficients
+    calls = {"derivative": 0, "mul": 0}
+    derivative, mul = closedform.ExpEiForm.derivative, RatPoly.__mul__
+
+    def counted_derivative(self):
+        calls["derivative"] += 1
+        return derivative(self)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(closedform.ExpEiForm, "derivative", counted_derivative)
+    monkeypatch.setattr(RatPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(RatPoly, "__rmul__", counted_mul)
+    code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
+    assert code == 0
+    assert calls == {"derivative": 0, "mul": 0}
+
+
 @pytest.mark.parametrize("argv,builds", [
     (["verify", "--nmax", "30", "--checks", "ode,wronskian"], 465),
     (["table", "--nmax", "6"], 21),
@@ -396,16 +417,15 @@ def test_verify_runs_only_the_selected_checks(capsys, monkeypatch):
 def test_verify_wronskian_only_fails_on_a_corrupt_r2(capsys, monkeypatch):
     # --checks wronskian computes the ODE residuals without printing them; an
     # R2 that does not solve the radial equation fails its Wronskian row
-    original = oracle.solutions
+    original = oracle.assemble_pair
 
     def corrupted(qn):
-        s = original(qn)
+        r1, r2 = original(qn)
         if qn.l != 1:
-            return s
-        r2 = s.r2 + closedform.ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
-        return dataclasses.replace(s, r2=r2, r2d=r2.derivative())
+            return r1, r2
+        return r1, r2 + closedform.ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa)
 
-    monkeypatch.setattr(oracle, "solutions", corrupted)
+    monkeypatch.setattr(oracle, "assemble_pair", corrupted)
     code, out, _ = run(capsys, "verify", "--nmax", "3", "--checks", "wronskian")
     assert code == 1
     rows = [json.loads(ln) for ln in out.splitlines()]

@@ -3,12 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coulombwf import cli
 from coulombwf.closedform import (
     ExpEiForm,
     InvalidQuantumNumbers,
     QuantumNumbers,
+    apply_radial_operator,
+    assemble_pair,
     assemble_R1,
     assemble_R2,
     energy,
@@ -27,6 +30,7 @@ from refvals import (
     p2_doublesum,
     p2_simplified,
     poly_from_terms as P,
+    radial_operator_reference,
 )
 
 F = Fraction
@@ -235,6 +239,41 @@ def test_symbolic_derivative_matches_finite_differences(n, l, r):
         fd = central_diff(value, r, 1e-4)
         sym = float(eval_form_extended(d, r, 128))
         assert sym == pytest.approx(fd, rel=1e-10)
+
+
+# -- the radial operator from the buckets' coefficients ------------------------------
+
+_polys = st.builds(RatPoly.from_nums, st.integers(-6, 6),
+                   st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**4))
+
+
+@st.composite
+def _states_and_forms(draw):
+    n = draw(st.integers(1, 12))
+    qn = QuantumNumbers(n, draw(st.integers(0, n - 1)))
+    return qn, ExpEiForm(draw(_polys), draw(_polys), draw(_polys), qn.kappa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states_and_forms())
+@example((QuantumNumbers(5, 2), ExpEiForm(RatPoly.zero(), RatPoly.zero(), P({-2: F(3, 7), 1: 1}), F(1, 5))))
+@example((QuantumNumbers(1, 0), ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.zero(), F(1))))
+def test_operator_matches_derivative_composition(case):
+    qn, f = case
+    assert apply_radial_operator(f, qn) == radial_operator_reference(f, qn)
+
+
+def test_operator_matches_derivative_composition_every_state_to_n40():
+    for n in range(1, 41):
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            for form in assemble_pair(qn):
+                assert apply_radial_operator(form, qn) == radial_operator_reference(form, qn), qn
+
+
+def test_operator_rejects_a_form_of_another_state():
+    with pytest.raises(ValueError):
+        apply_radial_operator(assemble_R1(QuantumNumbers(2, 0)), QuantumNumbers(3, 0))
 
 
 def test_form_addition_guards_conventions():

@@ -10,6 +10,7 @@ from coulombwf.closedform import (
     ExpEiForm,
     QuantumNumbers,
     apply_radial_operator,
+    assemble_pair,
     assemble_R2,
     solutions,
 )
@@ -28,10 +29,9 @@ from coulombwf.oracle import (
 )
 from coulombwf.ratpoly import RatPoly
 
-from refvals import wronskian_full_product
+from refvals import radial_operator_reference, wronskian_full_product
 
 F = Fraction
-TWO = RatPoly(0, (2,))
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -57,9 +57,9 @@ def closed_form_deviation(qn, x):
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_ode_residual_exactly_zero(qn):
-    s = solutions(qn)
-    rep1 = ode_residual_symbolic(s.r1, s.r1d, qn, "R1")
-    rep2 = ode_residual_symbolic(s.r2, s.r2d, qn, "R2")
+    r1, r2 = assemble_pair(qn)
+    rep1 = ode_residual_symbolic(r1, qn, "R1")
+    rep2 = ode_residual_symbolic(r2, qn, "R2")
     assert rep1.passed and rep1.exact and rep1.residual_norm == 0.0
     assert rep2.passed and rep2.exact and rep2.residual_norm == 0.0
 
@@ -67,10 +67,16 @@ def test_ode_residual_exactly_zero(qn):
 def test_ode_residual_detects_mutation():
     qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
-    mutated = ExpEiForm(f.q_plus + RatPoly(0, (1,)), f.q_minus, f.q_ei, f.kappa)
-    rep = ode_residual_symbolic(mutated, mutated.derivative(), qn, "R2")
-    assert not rep.passed
-    assert rep.residual_norm > 0
+    for bucket in ("q_plus", "q_minus", "q_ei"):
+        mutated = dataclasses.replace(f, **{bucket: getattr(f, bucket) + RatPoly(0, (1,))})
+        rep = ode_residual_symbolic(mutated, qn, "R2")
+        assert not rep.passed
+        assert rep.residual_norm > 0
+        # the failing row reads exactly as the residual composed from derivatives
+        ref = radial_operator_reference(mutated, qn)
+        assert rep.details == (f"nonzero residual buckets: plus={ref.q_plus}, "
+                               f"minus={ref.q_minus}, ei={ref.q_ei}"), bucket
+        assert rep.residual_norm == max(q.max_abs_coeff_float() for q in (ref.q_plus, ref.q_minus, ref.q_ei))
 
 
 def test_residual_also_vanishes_numerically():
@@ -93,28 +99,28 @@ def test_residual_also_vanishes_numerically():
 
 # -- Wronskian -------------------------------------------------------------------------
 
-def wronskian(s):
+def wronskian(qn, r1, r2):
     """wronskian_symbolic on the verdict of the forms' own exact ODE residuals."""
-    solves = all(apply_radial_operator(f, fd, s.qn).is_zero() for f, fd in ((s.r1, s.r1d), (s.r2, s.r2d)))
-    return wronskian_symbolic(s, solves)
+    solves = all(apply_radial_operator(f, qn).is_zero() for f in (r1, r2))
+    return wronskian_symbolic(r1, r2, qn, solves)
 
 
-def corrupt_r2(s):
-    """s with 1 added to R2's Ei bucket, so that R2 no longer solves the radial equation."""
-    r2 = s.r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), s.r2.kappa)
-    return dataclasses.replace(s, r2=r2, r2d=r2.derivative())
+def corrupt_r2(r1, r2):
+    """R1 and R2 with 1 added to R2's Ei bucket, so that R2 no longer solves the radial equation."""
+    return r1, r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa)
 
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_wronskian_constant_and_nonzero(qn):
-    r2w, rep = wronskian(solutions(qn))
+    r2w, rep = wronskian(qn, *assemble_pair(qn))
     assert rep.passed and rep.exact
     assert r2w != 0
 
 
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
-    r2w, _ = wronskian(solutions(QuantumNumbers(1, 0)))
+    qn = QuantumNumbers(1, 0)
+    r2w, _ = wronskian(qn, *assemble_pair(qn))
     assert r2w == F(-1, 2)
 
 
@@ -126,11 +132,11 @@ def test_wronskian_agrees_with_full_product_reference():
         s = solutions(qn)
         w_minus, w_ei, r2w = wronskian_full_product(s)
         assert w_minus.is_zero() and w_ei.is_zero(), qn
-        assert r2w == RatPoly(0, (wronskian_symbolic(s, True)[0],)), qn
+        assert r2w == RatPoly(0, (wronskian_symbolic(s.r1, s.r2, qn, True)[0],)), qn
 
 
 def test_wronskian_forms_no_product(monkeypatch):
-    sols = [solutions(qn) for qn in all_qn(8)]
+    pairs = [(qn, *assemble_pair(qn)) for qn in all_qn(8)]
     calls = []
     mul = RatPoly.__mul__
 
@@ -140,23 +146,25 @@ def test_wronskian_forms_no_product(monkeypatch):
 
     monkeypatch.setattr(RatPoly, "__mul__", counted)
     monkeypatch.setattr(RatPoly, "__rmul__", counted)
-    for s in sols:
-        assert wronskian_symbolic(s, True)[1].passed
+    for qn, r1, r2 in pairs:
+        assert wronskian_symbolic(r1, r2, qn, True)[1].passed
     assert calls == []
 
 
 def test_wronskian_scales_bilinearly():
-    s = solutions(QuantumNumbers(2, 1))
-    w, _ = wronskian(s)
-    w2, _ = wronskian(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
+    qn = QuantumNumbers(2, 1)
+    r1, r2 = assemble_pair(qn)
+    w, _ = wronskian(qn, r1, r2)
+    w2, _ = wronskian(qn, r1, r2 + r2)
     assert w2 == w * 2
 
 
 def test_wronskian_rejects_wrong_normalisation():
     # 2 R2 is still an independent solution, but its r^2 W is twice
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
-    s = solutions(QuantumNumbers(2, 1))
-    w2, rep = wronskian(dataclasses.replace(s, r2=s.r2.mul_poly(TWO), r2d=s.r2d.mul_poly(TWO)))
+    qn = QuantumNumbers(2, 1)
+    r1, r2 = assemble_pair(qn)
+    w2, rep = wronskian(qn, r1, r2 + r2)
     assert w2 == -12
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == 6.0
@@ -167,10 +175,10 @@ def test_wronskian_rejects_wrong_normalisation():
                          ids=["wronskian", "ode,wronskian"])
 def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
     qn = QuantumNumbers(3, 1)
-    r2w, rep = wronskian(corrupt_r2(solutions(qn)))
+    r2w, rep = wronskian(qn, *corrupt_r2(*assemble_pair(qn)))
     assert r2w == 0
     assert not rep.passed and not rep.exact
-    monkeypatch.setattr(oracle_mod, "solutions", lambda q: corrupt_r2(solutions(q)))
+    monkeypatch.setattr(oracle_mod, "assemble_pair", lambda q: corrupt_r2(*assemble_pair(q)))
     *odes, rep = symbolic_checks(qn, checks)
     assert [(o.check_name, o.passed) for o in odes] == (
         [("ode_residual_R1", True), ("ode_residual_R2", False)] if "ode" in checks else [])
@@ -193,7 +201,8 @@ def test_wronskian_constants_match_recorded_artifact():
     recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
     for key, value in recorded.items():
         n, l = (int(s) for s in key.split(","))
-        r2w, _ = wronskian(solutions(QuantumNumbers(n, l)))
+        qn = QuantumNumbers(n, l)
+        r2w, _ = wronskian(qn, *assemble_pair(qn))
         assert str(r2w) == value
 
 
