@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, _make
 
 # Coulomb strength in library units; kappa_n = KAPPA0 / n.
 KAPPA0 = Fraction(1)
@@ -84,7 +84,7 @@ def laguerre_L1(n_r: int, m: int) -> RatPoly:
     # (-1)^j C(n_r+m, n_r-j) n_r!/j!
     nums = [(-1) ** j * math.comb(n_r + m, n_r - j) * math.perm(n_r, n_r - j)
             for j in range(n_r + 1)]
-    return RatPoly.from_nums(0, nums, math.factorial(n_r))
+    return _make(0, nums, math.factorial(n_r))
 
 
 def p2_recurrence(n_r: int, m: int) -> RatPoly:
@@ -119,7 +119,7 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
         if rem or g_rem:
             raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
         nums[j] = p
-    return RatPoly.from_nums(0, nums)
+    return _make(0, nums, 1)
 
 
 # -- symbolic radial solutions ----------------------------------------------
@@ -141,25 +141,13 @@ class ExpEiForm:
     def is_zero(self) -> bool:
         return self.q_plus.is_zero() and self.q_minus.is_zero() and self.q_ei.is_zero()
 
-    def _like(self, q_plus: RatPoly, q_minus: RatPoly, q_ei: RatPoly) -> ExpEiForm:
-        return ExpEiForm(q_plus, q_minus, q_ei, self.kappa)
-
-    def __add__(self, other: ExpEiForm) -> ExpEiForm:
-        if not isinstance(other, ExpEiForm):
-            return NotImplemented
-        if other.kappa != self.kappa:
-            raise ValueError("cannot add forms with different kappa")
-        return self._like(self.q_plus + other.q_plus,
-                          self.q_minus + other.q_minus,
-                          self.q_ei + other.q_ei)
-
     def derivative(self) -> ExpEiForm:
         """Exact d/dr; the Ei-derivative contribution lands in the e^{+kr} bucket."""
         k = self.kappa
         q_plus = self.q_plus.derivative() + self.q_plus * k - self.q_ei.shift(-1)
         q_minus = self.q_minus.derivative() - self.q_minus * k
         q_ei = self.q_ei.derivative() - self.q_ei * k
-        return self._like(q_plus, q_minus, q_ei)
+        return ExpEiForm(q_plus, q_minus, q_ei, k)
 
 
 def assemble_R1(qn: QuantumNumbers) -> ExpEiForm:
@@ -168,46 +156,23 @@ def assemble_R1(qn: QuantumNumbers) -> ExpEiForm:
     return ExpEiForm(RatPoly.zero(), q_minus, RatPoly.zero(), qn.kappa)
 
 
-def _irregular(qn: QuantumNumbers, r1: ExpEiForm) -> ExpEiForm:
-    """R2 of the state whose regular solution is r1; its Ei bucket is r1's
-    polynomial itself."""
-    # P has integer coefficients from x^0 up, so its numerators over n_r! are
-    # the 1/n_r! scaled P in one normalisation
-    q_plus = RatPoly.from_nums(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
-    return ExpEiForm(q_plus.scale_arg(2 * qn.kappa), RatPoly.zero(), r1.q_minus, qn.kappa)
-
-
-def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
-    """Irregular solution in the normalization that makes the Ei factor the
-    plain regular polynomial part:
+def assemble_pair(qn: QuantumNumbers) -> tuple[ExpEiForm, ExpEiForm]:
+    """R1 and the irregular solution R2 of one (n, l), in the normalization
+    that makes R2's Ei factor R1's own polynomial:
 
         1/n_r! (2 kr)^{-l-1} e^{+kr} P(n_r, 2l+1, 2 kr)
         + (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) Ei(1, -2 kr).
     """
-    return _irregular(qn, assemble_R1(qn))
-
-
-@dataclass(frozen=True)
-class Solutions:
-    """R1 and R2 of one (n, l) with their exact r-derivatives."""
-
-    qn: QuantumNumbers
-    r1: ExpEiForm
-    r1d: ExpEiForm
-    r2: ExpEiForm
-    r2d: ExpEiForm
-
-
-def assemble_pair(qn: QuantumNumbers) -> tuple[ExpEiForm, ExpEiForm]:
-    """R1 and R2 of one (n, l), with R2 built around R1."""
     r1 = assemble_R1(qn)
-    return r1, _irregular(qn, r1)
+    # P has integer coefficients from x^0 up, so its numerators over n_r! are
+    # the 1/n_r! scaled P in one normalisation
+    q_plus = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
+    return r1, ExpEiForm(q_plus.scale_arg(2 * qn.kappa), RatPoly.zero(), r1.q_minus, qn.kappa)
 
 
-def solutions(qn: QuantumNumbers) -> Solutions:
-    """Assemble R1 and R2 once and differentiate each once."""
-    r1, r2 = assemble_pair(qn)
-    return Solutions(qn, r1, r1.derivative(), r2, r2.derivative())
+def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
+    """The irregular solution R2 of assemble_pair on its own."""
+    return assemble_pair(qn)[1]
 
 
 def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
@@ -239,6 +204,6 @@ def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
         plus[i] = a * e.den
     for k, a in enumerate(e.nums, e.low):
         plus[k - low] -= n * p.den * (2 * k + 1) * a
-    return ExpEiForm(RatPoly.from_nums(low, plus, n * p.den * e.den),
-                     RatPoly.from_nums(m.low, run(m, -1), n * m.den),
-                     RatPoly.from_nums(e.low, run(e, -1), n * e.den), f.kappa)
+    return ExpEiForm(_make(low, plus, n * p.den * e.den),
+                     _make(m.low, run(m, -1), n * m.den),
+                     _make(e.low, run(e, -1), n * e.den), f.kappa)

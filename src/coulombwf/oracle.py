@@ -2,15 +2,16 @@
 
 Two kinds of checks live here.  The symbolic ones run in exact rational
 arithmetic on one build of R1 and R2 per (n, l) (symbolic_checks), straight
-from the buckets' coefficients, differentiating nothing: the radial-operator
-residuals must vanish identically, and then, by Abel's identity, one integer
-sum over R1's coefficients proves r^2 W(R1, R2) constant.  The numeric ones
-rebuild R2's confluent parts from its defining principal-value integral by
-adaptive quadrature (QUADPACK's QAGS, quadpack.qags; any nonzero QUADPACK
-code raises QuadratureFailure) and compare R2's own buckets, read back in
-x = 2 kappa r, and the pole-removing split against it; pv_checks runs both
-on one build of R2 per state and one PV quadrature per point.  A hard-coded
-table of known coefficient sets pins the generated solutions exactly.
+from the buckets' coefficients, differentiating and multiplying nothing: the
+radial-operator residuals must vanish identically, and then, by Abel's
+identity, one integer sum over R1's coefficients proves r^2 W(R1, R2)
+constant.  The numeric ones rebuild R2's confluent parts from its defining
+principal-value integral (_pv_oracle) by adaptive quadrature (QUADPACK's
+QAGS, quadpack.qags; any nonzero QUADPACK code raises QuadratureFailure) and
+compare R2's own buckets, read back in x = 2 kappa r, and the pole-removing
+split against it; pv_checks runs both on one build of R2 per state and one
+PV quadrature per point.  A hard-coded table of known coefficient sets pins
+the generated solutions exactly.
 """
 
 from __future__ import annotations
@@ -205,21 +206,14 @@ def _confluent_parts(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
     return tuple(q.scale_arg(to_x).shift(-qn.l) * norm for q in (r2.q_plus, r2.q_ei))
 
 
-def phi2_pv_oracle(qn: QuantumNumbers, x: float) -> float:
-    """Numeric irregular confluent solution from its principal-value integral.
-
-    Evaluates e^{x} x^{-m} PV integral_0^inf e^{-s} s^m F(s) / (s - x) ds with
-    F the terminating regular solution, taken from R2's Ei bucket, using
-    symmetric pole excision at delta = 1e-3 max(1, x) plus a Richardson check
-    at delta/2.
-    """
-    return _pv_oracle(qn.n_r, qn.m, _pv_runs(_confluent_parts(qn)[1].shift(qn.m)), x)
-
-
 def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
-    """phi2_pv_oracle at x on the runs _pv_runs built once per state."""
+    """Numeric irregular confluent solution from its principal-value integral:
+    e^{x} x^{-m} PV integral_0^inf e^{-s} s^m F(s) / (s - x) ds with F the
+    terminating regular solution, on the runs _pv_runs built once per state,
+    by symmetric pole excision at delta = 1e-3 max(1, x) plus a Richardson
+    check at delta/2."""
     if not x > 0:
-        raise numeval.DomainError(f"phi2_pv_oracle requires x > 0, got {x!r}")
+        raise numeval.DomainError(f"the PV oracle requires x > 0, got {x!r}")
     if n_r + m > 12:
         raise ValueError("quadrature oracle is rated for n_r + m <= 12")
     delta = 1e-3 * max(1.0, x)

@@ -1,12 +1,12 @@
-"""Exact Laurent-polynomial arithmetic over arbitrary-precision rationals.
+"""Exact Laurent polynomials over arbitrary-precision rationals.
 
 A polynomial is stored densely over one common denominator: a lowest power
 (possibly negative), the run of integer numerators from there upward, and a
 positive denominator ``den``, so the coefficient of x^(low+i) is
-nums[i]/den.  Every operation works on Python ints and reduces its result by
-one gcd, instead of paying a ``fractions.Fraction`` normalisation per
-coefficient product.  All arithmetic is exact, and this module evaluates
-nothing: every point evaluation, exact or floating, goes through
+nums[i]/den.  Sums, scalar multiples, derivatives and argument scaling work
+on Python ints and reduce their result by one gcd; two polynomials are never
+multiplied.  All arithmetic is exact, and this module evaluates nothing:
+every point evaluation, exact or floating, goes through
 ``numeval.laurent_run`` and ``numeval.horner``.
 """
 
@@ -44,8 +44,8 @@ def _raw(low: int, nums: tuple[int, ...], den: int) -> RatPoly:
 
 
 def _make(low: int, nums, den: int) -> RatPoly:
-    """A canonical RatPoly from integer numerators over den > 0: zeros trimmed
-    from both ends, and numerators and den divided by their gcd."""
+    """A canonical RatPoly from integer numerators over den > 0, unchecked:
+    zeros trimmed from both ends, and numerators and den divided by their gcd."""
     start, end = 0, len(nums)
     while start < end and not nums[start]:
         start += 1
@@ -115,7 +115,7 @@ class RatPoly:
     @classmethod
     def from_nums(cls, low: int, nums, den: int = 1) -> RatPoly:
         """The polynomial whose x^(low+i) coefficient is nums[i]/den, from
-        integer numerators over one positive integer denominator."""
+        integer numerators over one positive integer denominator, both checked."""
         nums = list(nums)
         if not all(isinstance(x, int) for x in nums) or not isinstance(den, int):
             raise TypeError("from_nums needs integer numerators and denominator")
@@ -163,7 +163,7 @@ class RatPoly:
         # largest |float(c)| over the coefficients
         return max(map(abs, self.nums)) / self.den if self.nums else 0.0
 
-    # -- ring operations ---------------------------------------------------
+    # -- sums and scalar multiples -----------------------------------------
 
     def __add__(self, other: RatPoly) -> RatPoly:
         if other.__class__ is not RatPoly:
@@ -196,25 +196,13 @@ class RatPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: RatPoly | RationalLike) -> RatPoly:
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            if p == 0 or not self.nums:
-                return RatPoly.zero()
-            return _make(self.low, [x * p for x in self.nums], self.den * q)
-        if not isinstance(other, RatPoly):
+    def __mul__(self, other: RationalLike) -> RatPoly:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not self.nums or not other.nums:
+        p, q = other.numerator, other.denominator
+        if p == 0 or not self.nums:
             return RatPoly.zero()
-        a, b = self.nums, other.nums
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a, j):
-                    out[i] += x * y
-        return _make(self.low + other.low, out, self.den * other.den)
+        return _make(self.low, [x * p for x in self.nums], self.den * q)
 
     __rmul__ = __mul__
 

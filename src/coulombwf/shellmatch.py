@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numeval
-from .closedform import QuantumNumbers, solutions
+from .closedform import QuantumNumbers, assemble_pair
 from .ratpoly import RatPoly
 
 
@@ -74,8 +74,8 @@ class ShellForms:
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
-    s, q = solutions(qn), _exterior_q(qn)
-    prepared = [numeval.prepare_form(f) for f in (s.r1, s.r1d, s.r2, s.r2d)]
+    (r1, r2), q = assemble_pair(qn), _exterior_q(qn)
+    prepared = [numeval.prepare_form(f) for f in (r1, r1.derivative(), r2, r2.derivative())]
     return ShellForms(float(qn.kappa), *prepared, numeval.laurent_run(q),
                       numeval.laurent_run(q.derivative()))
 
@@ -177,9 +177,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
 
-    def matched(b: float, mismatch: float) -> MatchResult:
-        u_sh_b, du_sh_b = forms.shell(c1, c2, b)
-        q, qd = forms.exterior(b)
+    def matched(b: float, mismatch: float, values: tuple[float, float, float, float]) -> MatchResult:
+        u_sh_b, du_sh_b, q, qd = values
         continuity = {
             "value_a": abs(scale_in * u_a - u_sh_a) / max(abs(u_sh_a), 1e-300),
             "deriv_a": abs(scale_in * du_a - du_sh_a) / max(abs(du_sh_a), 1e-300),
@@ -190,20 +189,21 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         }
         return MatchResult(qn, a, b, c1, c2, mismatch, continuity, scale_in, u_sh_b / q, forms)
 
-    def mismatch_and_wronskian(b: float) -> tuple[float, float]:
+    def mismatch_and_wronskian(b: float) -> tuple[float, float, tuple[float, float, float, float]]:
+        """mismatch(b), M(b) and the (u, u', q, q') at b they come from."""
         u, du = forms.shell(c1, c2, b)
         q, qd = forms.exterior(b)
         outer = du * q
         inner = u * (qd - kappa * q)
-        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
+        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner)), (u, du, q, qd)
 
     lo, hi = b_range
-    f_lo, w_lo = mismatch_and_wronskian(lo)
-    f_hi, w_hi = mismatch_and_wronskian(hi)
+    f_lo, w_lo, v_lo = mismatch_and_wronskian(lo)
+    f_hi, w_hi, v_hi = mismatch_and_wronskian(hi)
     if f_lo == 0.0:
-        return matched(lo, f_lo)
+        return matched(lo, f_lo, v_lo)
     if f_hi == 0.0:
-        return matched(hi, f_hi)
+        return matched(hi, f_hi, v_hi)
     if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
         scan = [(b, mismatch_and_wronskian(b)[0]) for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
         if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
@@ -211,10 +211,10 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         else:
             why = "mismatch changes sign only through a pole (a node of u)"
         raise NoRootInRange(f"{why} on [{lo}, {hi}] (endpoints {f_lo:.3e}, {f_hi:.3e})", scan)
-    mid, f_mid = lo, f_lo
+    mid, f_mid, v_mid = lo, f_lo, v_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid, w_mid = mismatch_and_wronskian(mid)
+        f_mid, w_mid, v_mid = mismatch_and_wronskian(mid)
         if abs(f_mid) < 1e-8:
             break
         if math.copysign(1.0, w_mid) == math.copysign(1.0, w_lo):
@@ -227,23 +227,21 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         raise MatchNotResolved(
             f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e} above 1e-8: double "
             "precision cannot resolve the shell solution there")
-    return matched(mid, f_mid)
+    return matched(mid, f_mid, v_mid)
 
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
-    """Sampled (r, u) values of the matched piecewise solution, shell scale."""
+    """Sampled (r, u) values of the matched piecewise solution, shell scale;
+    R1 and R2 are evaluated in one pass each over the shell samples."""
     forms, a, b = result.forms, result.a, result.b_star
-    out: list[tuple[float, float]] = []
     r_max = 1.5 * b
-    for i in range(points):
-        r = (i + 1) * r_max / points
-        if r < a:
-            # the interior series shares the normalization u ~ r^l at every r,
-            # so the matched interior scale applies directly
-            u = result.interior_scale * integrate_interior(result.qn, r)[0]
-        elif r <= b:
-            u = forms.shell(result.c1, result.c2, r)[0]
-        else:
-            u = result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0]
-        out.append((r, u))
+    rs = [(i + 1) * r_max / points for i in range(points)]
+    # the interior series shares the normalization u ~ r^l at every r, so the
+    # matched interior scale applies directly
+    out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
+    shell_rs = [r for r in rs if a <= r <= b]
+    rows1, rows2 = numeval.eval_grid(forms.r1, shell_rs), numeval.eval_grid(forms.r2, shell_rs)
+    out += [(r, result.c1 * v1 + result.c2 * v2) for (r, v1, _), (_, v2, _) in zip(rows1, rows2)]
+    out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0])
+            for r in rs if r > b]
     return out

@@ -11,9 +11,10 @@ integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the polynomial P is built from
 its double sum and from its split form, independently of the package's
 recurrence and of each other, the radial operator is composed from
-ExpEiForm.derivative and Laurent products, not written from the coefficient
-formula, the Wronskian of R1 and R2 is formed from the full Laurent products
-of their buckets, not read from one coefficient by Abel's identity, and the
+ExpEiForm.derivative, Laurent products and a bucket-wise form sum, which the
+package does not have, not written from the coefficient formula, the
+Wronskian of R1 and R2 is formed from the full Laurent products of their
+buckets, not read from one coefficient by Abel's identity, and the
 double-precision form evaluator converts every coefficient again at every
 point and sums the envelope term by term: the grid kernel must reproduce its
 values bit for bit and its estimates within the rounding of the envelope.
@@ -116,25 +117,51 @@ def central_diff(fn, x: float, h: float) -> float:
 # -- the radial operator and the Wronskian from derivatives and products ----------
 
 
+def laurent_mul(p: RatPoly, q: RatPoly) -> RatPoly:
+    """p * q by the schoolbook convolution of the integer numerators over
+    p.den q.den, reduced by one gcd; the package never multiplies two
+    polynomials."""
+    if p.is_zero() or q.is_zero():
+        return RatPoly.zero()
+    a, b = p.nums, q.nums
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return RatPoly.from_nums(p.low + q.low, out, p.den * q.den)
+
+
+def form_sum(f: ExpEiForm, g: ExpEiForm) -> ExpEiForm:
+    """f + g bucket by bucket; both forms must share kappa."""
+    if f.kappa != g.kappa:
+        raise ValueError("cannot add forms with different kappa")
+    return ExpEiForm(f.q_plus + g.q_plus, f.q_minus + g.q_minus, f.q_ei + g.q_ei, f.kappa)
+
+
 def radial_operator_reference(f: ExpEiForm, qn) -> ExpEiForm:
     """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 r - l(l+1)) f composed as
     (r^2 f')' + V f from ExpEiForm.derivative and Laurent products."""
     potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
     d = f.derivative()
     r2d = ExpEiForm(d.q_plus.shift(2), d.q_minus.shift(2), d.q_ei.shift(2), f.kappa)
-    return r2d.derivative() + ExpEiForm(f.q_plus * potential, f.q_minus * potential,
-                                        f.q_ei * potential, f.kappa)
+    return form_sum(r2d.derivative(), ExpEiForm(laurent_mul(f.q_plus, potential),
+                                                laurent_mul(f.q_minus, potential),
+                                                laurent_mul(f.q_ei, potential), f.kappa))
 
 
-def wronskian_full_product(s) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """W(R1, R2) of the Solutions ``s`` (R1 pure e^{-kappa r}) from the full
-    Laurent products of its buckets: its e^{-2 kappa r} part, its
+def wronskian_full_product(r1: ExpEiForm, r2: ExpEiForm) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """W(R1, R2) (R1 pure e^{-kappa r}) from the full Laurent products of the
+    buckets of the forms and their derivatives: its e^{-2 kappa r} part, its
     e^{-2 kappa r} Ei(1, -2 kappa r) part, and r^2 times its exponential-free
     part, which must come out 0, 0 and the constant r^2 W."""
-    m1, m1d = s.r1.q_minus, s.r1d.q_minus
-    w_minus = m1 * s.r2d.q_minus - m1d * s.r2.q_minus
-    w_ei = m1 * s.r2d.q_ei - m1d * s.r2.q_ei
-    r2w = (m1 * s.r2d.q_plus - m1d * s.r2.q_plus).shift(2)
+    r2d = r2.derivative()
+    m1, m1d = r1.q_minus, r1.derivative().q_minus
+    w_minus = laurent_mul(m1, r2d.q_minus) - laurent_mul(m1d, r2.q_minus)
+    w_ei = laurent_mul(m1, r2d.q_ei) - laurent_mul(m1d, r2.q_ei)
+    r2w = (laurent_mul(m1, r2d.q_plus) - laurent_mul(m1d, r2.q_plus)).shift(2)
     return w_minus, w_ei, r2w
 
 

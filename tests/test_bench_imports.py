@@ -1,0 +1,41 @@
+"""The bench scripts use the package from outside it.  A simplification that
+removes a name they use must fail here, not only when the bench runs."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+from coulombwf.ratpoly import RatPoly
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _package_imports() -> list[tuple[str, str, str | None]]:
+    """(script, module, name) of every ``from coulombwf… import name`` in
+    bench/*.py, and (script, module, None) of every ``import coulombwf…``,
+    at any depth of the script."""
+    out = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "coulombwf":
+                out += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                out += [(path.name, alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "coulombwf"]
+    return out
+
+
+def test_bench_package_imports_resolve():
+    imports = _package_imports()
+    assert ("worker.py", "coulombwf.closedform", "assemble_R2") in imports
+    for script, module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            # a submodule imported by name, or an error naming the script
+            assert importlib.util.find_spec(f"{module}.{name}"), f"{script}: {module}.{name} is gone"
+
+
+def test_ratpoly_keeps_the_coefficient_view_the_bench_reads():
+    # bench/tracing.py sizes products and coefficients from RatPoly.coeffs
+    p = RatPoly(-1, (1, 0, 6))
+    assert p.coeffs == (1, 0, 6)

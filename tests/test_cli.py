@@ -423,7 +423,7 @@ def test_verify_wronskian_only_fails_on_a_corrupt_r2(capsys, monkeypatch):
         r1, r2 = original(qn)
         if qn.l != 1:
             return r1, r2
-        return r1, r2 + closedform.ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa)
+        return r1, dataclasses.replace(r2, q_ei=r2.q_ei + RatPoly(0, (1,)))
 
     monkeypatch.setattr(oracle, "assemble_pair", corrupted)
     code, out, _ = run(capsys, "verify", "--nmax", "3", "--checks", "wronskian")
@@ -726,6 +726,30 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
                      "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
     assert calls == {"interior": 1, "pair_at_a": 1}
+
+
+def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
+    # R1, R1', R2 and R2' once at a and once per mismatch evaluation; b* reuses
+    # its last evaluation, and the grid takes R1 and R2 in one pass each over
+    # its 33 shell samples
+    grids, mismatches = [], []
+    eval_grid, shell = numeval.eval_grid, shellmatch.ShellForms.shell
+
+    def counting_eval_grid(f, rs):
+        grids.append(len(rs))
+        return eval_grid(f, rs)
+
+    def counting_shell(self, c1, c2, r):
+        mismatches.append(r)
+        return shell(self, c1, c2, r)
+
+    monkeypatch.setattr(numeval, "eval_grid", counting_eval_grid)
+    monkeypatch.setattr(shellmatch.ShellForms, "shell", counting_shell)
+    code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                     "--b-range", "0.5:1.5", "--grid-points", "50")
+    assert code == 0
+    assert grids == [1] * (4 + 4 * len(mismatches)) + [33, 33]
+    assert len(grids) == 122
 
 
 def test_shell_huge_a_fails_fast(capsys):

@@ -17,7 +17,6 @@ from coulombwf.closedform import (
     energy,
     laguerre_L1,
     p2_recurrence,
-    solutions,
 )
 from coulombwf.numeval import eval_form_extended
 from coulombwf.oracle import _confluent_parts
@@ -25,8 +24,10 @@ from coulombwf.ratpoly import RatPoly
 
 from refvals import (
     central_diff,
+    form_sum,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
+    laurent_mul,
     p2_doublesum,
     p2_simplified,
     poly_from_terms as P,
@@ -201,13 +202,13 @@ def test_assemble_R2_examples():
 
 
 def test_R2_ei_polynomial_matches_R1():
-    # R2 is built around R1: solutions shares the one polynomial object, and
-    # assemble_R2 on its own builds the same polynomial
+    # R2 is built around R1: assemble_pair shares the one polynomial object,
+    # and assemble_R2 on its own builds the same polynomial
     for n in range(1, 41):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            s = solutions(qn)
-            assert s.r2.q_ei is s.r1.q_minus, qn
+            r1, r2 = assemble_pair(qn)
+            assert r2.q_ei is r1.q_minus, qn
             assert assemble_R2(qn).q_ei == assemble_R1(qn).q_minus, qn
 
 
@@ -276,11 +277,15 @@ def test_operator_rejects_a_form_of_another_state():
         apply_radial_operator(assemble_R1(QuantumNumbers(2, 0)), QuantumNumbers(3, 0))
 
 
-def test_form_addition_guards_conventions():
+def test_forms_add_only_in_the_reference_sum():
+    # the package never sums two forms; the tests' reference sum guards kappa
     a = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1))
     b = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1, 2))
+    with pytest.raises(TypeError):
+        a + a
     with pytest.raises(ValueError):
-        a + b
+        form_sum(a, b)
+    assert form_sum(a, a) == ExpEiForm(RatPoly.zero(), ONE * 2, RatPoly.zero(), F(1))
 
 
 # -- enumeration and the closed-form irregular confluent solution -------------------
@@ -317,5 +322,5 @@ def test_phi2_exp_part_solves_inhomogeneous_kummer():
             n_r, m = n - l - 1, 2 * l + 1
             h, g = _confluent_parts(QuantumNumbers(n, l))
             hd = h.derivative()
-            lhs = hd.derivative().shift(1) + hd * P({0: m + 1, 1: 1}) + h * (n_r + m + 1)
+            lhs = hd.derivative().shift(1) + laurent_mul(hd, P({0: m + 1, 1: 1})) + h * (n_r + m + 1)
             assert lhs == g.derivative() * 2 + g.shift(-1) * m

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2, solutions
+from coulombwf.closedform import QuantumNumbers, assemble_pair, assemble_R1, assemble_R2
 from coulombwf.ratpoly import RatPoly
 from coulombwf.numeval import (
     EULER_GAMMA,
@@ -192,8 +192,8 @@ _WHICH = ("r1", "r1d", "r2", "r2d")
 
 @functools.lru_cache(maxsize=None)
 def _forms(n: int, l: int):
-    s = solutions(QuantumNumbers(n, l))
-    return {w: getattr(s, w) for w in _WHICH}
+    r1, r2 = assemble_pair(QuantumNumbers(n, l))
+    return dict(zip(_WHICH, (r1, r1.derivative(), r2, r2.derivative())))
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from coulombwf.closedform import (
     apply_radial_operator,
     assemble_pair,
     assemble_R2,
-    solutions,
 )
 from coulombwf import numeval, oracle as oracle_mod
 from coulombwf.numeval import eval_grid, horner, laurent_run
@@ -21,15 +20,16 @@ from coulombwf.oracle import (
     _confluent_parts,
     first_integral_closed_form_check,
     golden_table_check,
+    _pv_oracle,
+    _pv_runs,
     ode_residual_symbolic,
-    phi2_pv_oracle,
     pv_checks,
     symbolic_checks,
     wronskian_symbolic,
 )
 from coulombwf.ratpoly import RatPoly
 
-from refvals import radial_operator_reference, wronskian_full_product
+from refvals import form_sum, radial_operator_reference, wronskian_full_product
 
 F = Fraction
 
@@ -44,6 +44,11 @@ def qn_of(n_r, m):
     """The state whose confluent indices are (n_r, m = 2l + 1)."""
     l = (m - 1) // 2
     return QuantumNumbers(n_r + l + 1, l)
+
+
+def pv_oracle(qn, x):
+    """The PV oracle at x on the runs of qn's Ei bucket, read back in x."""
+    return _pv_oracle(qn.n_r, qn.m, _pv_runs(_confluent_parts(qn)[1].shift(qn.m)), x)
 
 
 def closed_form_deviation(qn, x):
@@ -107,7 +112,7 @@ def wronskian(qn, r1, r2):
 
 def corrupt_r2(r1, r2):
     """R1 and R2 with 1 added to R2's Ei bucket, so that R2 no longer solves the radial equation."""
-    return r1, r2 + ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa)
+    return r1, form_sum(r2, ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa))
 
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
@@ -129,10 +134,10 @@ def test_wronskian_agrees_with_full_product_reference():
     # exponential buckets vanish and r^2 W is the constant read from one
     # coefficient
     for qn in all_qn(40):
-        s = solutions(qn)
-        w_minus, w_ei, r2w = wronskian_full_product(s)
+        r1, r2 = assemble_pair(qn)
+        w_minus, w_ei, r2w = wronskian_full_product(r1, r2)
         assert w_minus.is_zero() and w_ei.is_zero(), qn
-        assert r2w == RatPoly(0, (wronskian_symbolic(s.r1, s.r2, qn, True)[0],)), qn
+        assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, qn, True)[0],)), qn
 
 
 def test_wronskian_forms_no_product(monkeypatch):
@@ -155,7 +160,7 @@ def test_wronskian_scales_bilinearly():
     qn = QuantumNumbers(2, 1)
     r1, r2 = assemble_pair(qn)
     w, _ = wronskian(qn, r1, r2)
-    w2, _ = wronskian(qn, r1, r2 + r2)
+    w2, _ = wronskian(qn, r1, form_sum(r2, r2))
     assert w2 == w * 2
 
 
@@ -164,7 +169,7 @@ def test_wronskian_rejects_wrong_normalisation():
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
     qn = QuantumNumbers(2, 1)
     r1, r2 = assemble_pair(qn)
-    w2, rep = wronskian(qn, r1, r2 + r2)
+    w2, rep = wronskian(qn, r1, form_sum(r2, r2))
     assert w2 == -12
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == 6.0
@@ -211,7 +216,7 @@ def test_wronskian_constants_match_recorded_artifact():
 def test_pv_oracle_degenerate_case():
     # for (n_r, m) = (0, 1), i.e. (n, l) = (1, 0), the closed form is
     # e^x/x + Ei(1, -x)
-    got = phi2_pv_oracle(QuantumNumbers(1, 0), 2.0)
+    got = pv_oracle(QuantumNumbers(1, 0), 2.0)
     assert closed_form_deviation(QuantumNumbers(1, 0), 2.0) <= 1e-8
     # blessed value: e^2/2 - Ei(2) from extended-precision arithmetic
     assert got == pytest.approx(-1.2597063065365650, rel=1e-8)
@@ -230,9 +235,9 @@ def test_pv_closedform_check_report():
 
 def test_pv_oracle_rejects_out_of_range():
     with pytest.raises(ValueError):
-        phi2_pv_oracle(qn_of(10, 5), 1.0)
+        pv_oracle(qn_of(10, 5), 1.0)
     with pytest.raises(Exception):
-        phi2_pv_oracle(QuantumNumbers(1, 0), -1.0)
+        pv_oracle(QuantumNumbers(1, 0), -1.0)
 
 
 def pv_sum_identity_holds(qn, r2):
@@ -344,8 +349,8 @@ def test_golden_table_detects_corruption(monkeypatch):
 
 
 def test_pv_integral_converts_h_once(monkeypatch):
-    # h, D h and D^3 h are converted to float runs once per phi2_pv_oracle
-    # call, and both integrals and every quadrature node reuse them
+    # h, D h and D^3 h are converted to float runs once per state, and
+    # both integrals and every quadrature node reuse them
     calls = []
     original = numeval.laurent_run
 
@@ -354,7 +359,7 @@ def test_pv_integral_converts_h_once(monkeypatch):
         return original(p, *args)
 
     monkeypatch.setattr(numeval, "laurent_run", counted)
-    phi2_pv_oracle(qn_of(1, 3), 1.0)
+    pv_oracle(qn_of(1, 3), 1.0)
     assert len(calls) == 3
 
 
