@@ -3,12 +3,14 @@
 Every polynomial is evaluated through one run format (``laurent_run``, its
 coefficients converted once) and one Laurent Horner loop (``horner``), on
 float, exact and extended-precision scalars alike; ``eval_grid`` is the one
-double-precision form evaluator, and ``ei_with_error`` the one Ei(1, -x).
+double-precision form evaluator, ``eval_pair`` its one-point pass over R1,
+R1', R2 and R2' together (same guards, same raise texts, same values), and
+``ei_with_error`` the one Ei(1, -x).
 
 Double precision genuinely loses digits where the growing exponential bucket
-cancels against the Ei bucket, so every evaluation carries an error estimate
-instead of hiding the loss; callers that need more digits use the
-extended-precision evaluator.
+cancels against the Ei bucket, so every eval_grid row carries an error
+estimate instead of hiding the loss (eval_pair's callers take values only);
+callers that need more digits use the extended-precision evaluator.
 """
 
 from __future__ import annotations
@@ -137,14 +139,33 @@ def horner(run: tuple, r) -> tuple:
     return value + dvalue * y, env + denv * y
 
 
-def _bucket(name: str, p: RatPoly) -> tuple | None:
-    """The float run of one bucket of a form, or None for the zero polynomial."""
-    if p.is_zero():
-        return None
+def _float_run(name: str, p: RatPoly) -> tuple:
+    """The float laurent_run of the polynomial of bucket ``name``; raises
+    OverflowSignal, naming the bucket, when a coefficient is beyond double range."""
     try:
         return laurent_run(p)
     except OverflowError as exc:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
+
+
+def _bucket(name: str, p: RatPoly) -> tuple | None:
+    """The float run of one bucket of a form, or None for the zero polynomial."""
+    return None if p.is_zero() else _float_run(name, p)
+
+
+# The raise texts of eval_grid and eval_pair, written once.
+
+
+def _not_positive(r) -> DomainError:
+    return DomainError(f"eval_grid requires r > 0, got {r!r}")
+
+
+def _exp_overflow(kr: float) -> OverflowSignal:
+    return OverflowSignal(f"exp({kr}) overflows double precision")
+
+
+def _envelope_overflow(r) -> OverflowSignal:
+    return OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +212,7 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
     rows = []
     for r in rs:
         if not r > 0:
-            raise DomainError(f"eval_grid requires r > 0, got {r!r}")
+            raise _not_positive(r)
         round_factor = (two_width + kappa * r + 6) * _EPS
         a = b = c = abs_err = 0.0
         # each bucket's r ** top (r > 1) or r ** bottom (r < 1) raises a bare
@@ -204,7 +225,7 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
                 try:
                     grow = math.exp(kappa * r)
                 except OverflowError as exc:
-                    raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
+                    raise _exp_overflow(kappa * r) from exc
                 r ** plus[k]
                 value, env = horner(plus, r)
                 a = value * grow
@@ -228,11 +249,63 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
         except OverflowSignal:
             raise
         except OverflowError as exc:
-            raise OverflowSignal(
-                f"conditioning envelope overflows double precision at r = {r!r}") from exc
+            raise _envelope_overflow(r) from exc
         value = a + b + c
         rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
     return rows
+
+
+def pair_runs(r2: ExpEiForm) -> tuple[tuple, tuple, tuple, tuple]:
+    """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
+    R2 and R2', given the R2 of closedform.assemble_pair.
+
+    R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} as its Ei
+    bucket, and d/dr maps that bucket to L' = dL/dr - kL, which is R1''s own
+    (R1' = L' e^{-kr}); so R2' = P' e^{kr} + L' e^{-kr} Ei(1, -2kr) is the one
+    derivative formed.  The coefficients are converted, and an overflow named
+    after its bucket, as prepare_form does over R1, R1', R2 and R2' in turn.
+    """
+    d = r2.derivative()
+    return (_float_run("q_minus", r2.q_ei), _float_run("q_minus", d.q_ei),
+            _float_run("q_plus", r2.q_plus), _float_run("q_plus", d.q_plus))
+
+
+def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
+    """(R1, R1', R2, R2') at r from the runs of pair_runs in one pass: four
+    Horner passes, one e^{kr}, one e^{-kr} and one Ei(1, -2kr), and no error
+    estimate.
+
+    Each value is eval_grid's value of that form at r, from the same float
+    operations, and the pass raises what eval_grid raises first on R1, R1',
+    R2 and R2' in turn: DomainError for r <= 0 or nan, then OverflowSignal
+    from the envelope probes of L and L', e^{kr}, the probe of P, Ei and the
+    probe of P', in that order.
+    """
+    if not r > 0:
+        raise _not_positive(r)
+    ell, ell_d, p, p_d = runs
+    k = 2 if r > 1.0 else 3
+    try:
+        r ** ell[k]
+        r ** ell_d[k]
+        try:
+            grow = math.exp(kappa * r)
+        except OverflowError as exc:
+            raise _exp_overflow(kappa * r) from exc
+        r ** p[k]
+        ei_value = ei_with_error(2.0 * kappa * r)[0]
+        r ** p_d[k]
+    except OverflowSignal:
+        raise
+    except OverflowError as exc:
+        raise _envelope_overflow(r) from exc
+    decay = math.exp(-kappa * r)
+    v1 = horner(ell, r)[0] * decay
+    d1 = horner(ell_d, r)[0] * decay
+    # eval_grid sums the three buckets as a + b + c; each + 0.0 is an empty
+    # bucket there, kept so that a zero comes out with the same sign
+    return (v1 + 0.0, d1 + 0.0, horner(p, r)[0] * grow + 0.0 + v1 * ei_value,
+            horner(p_d, r)[0] * grow + 0.0 + d1 * ei_value)
 
 
 def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):

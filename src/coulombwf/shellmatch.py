@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import numeval
 from .closedform import QuantumNumbers, assemble_pair
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, _make
 
 
 class NoRootInRange(ValueError):
@@ -39,29 +38,28 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
     """q(r) = sum_{j<=l} (l+j)!/(j!(l-j)!) (2 kappa)^{-j} r^{-j-1}, so that
     k_l(kappa r) is proportional to e^{-kappa r} q(r) (DLMF §10.49.12).  All
     coefficients are positive: q and q' evaluate without cancellation."""
-    l, two_kappa = qn.l, 2 * qn.kappa
-    # from r^{-l-1} (j = l) up to r^{-1} (j = 0)
-    return RatPoly(-l - 1, [Fraction(math.factorial(l + j), math.factorial(j) * math.factorial(l - j))
-                            / two_kappa**j for j in range(l, -1, -1)])
+    l, n = qn.l, qn.n
+    # with kappa = 1/n, (2 kappa)^{-j} = n^j 2^{l-j} / 2^l; from r^{-l-1}
+    # (j = l) up to r^{-1} (j = 0)
+    return _make(-l - 1, [math.comb(l + j, j) * math.perm(l, j) * n**j << (l - j)
+                          for j in range(l, -1, -1)], 1 << l)
 
 
 @dataclass(frozen=True)
 class ShellForms:
-    """R1, R2 and their derivatives for the shell, and the float runs of q and
-    q' for the exterior, all converted to floats once, so no bisection step
-    converts a coefficient."""
+    """The shell's R1, R1', R2 and R2' as the four float runs (L, L', P, P')
+    of numeval.pair_runs, evaluated together in one numeval.eval_pair pass,
+    and the float runs of q and q' for the exterior; every coefficient is
+    converted to a float once, so no bisection step converts one."""
 
     kappa: float
-    r1: numeval.PreparedForm
-    r1d: numeval.PreparedForm
-    r2: numeval.PreparedForm
-    r2d: numeval.PreparedForm
+    runs: tuple
     q: tuple
     qd: tuple
 
     def pair(self, r: float) -> tuple[float, float, float, float]:
         """(R1, R1', R2, R2') at r."""
-        return tuple(numeval.eval_grid(f, (r,))[0][1] for f in (self.r1, self.r1d, self.r2, self.r2d))
+        return numeval.eval_pair(self.kappa, self.runs, r)
 
     def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
         """(u, u') of c1 R1 + c2 R2 at r."""
@@ -74,9 +72,8 @@ class ShellForms:
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
-    (r1, r2), q = assemble_pair(qn), _exterior_q(qn)
-    prepared = [numeval.prepare_form(f) for f in (r1, r1.derivative(), r2, r2.derivative())]
-    return ShellForms(float(qn.kappa), *prepared, numeval.laurent_run(q),
+    r2, q = assemble_pair(qn)[1], _exterior_q(qn)
+    return ShellForms(float(qn.kappa), numeval.pair_runs(r2), numeval.laurent_run(q),
                       numeval.laurent_run(q.derivative()))
 
 
@@ -205,7 +202,10 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     if f_hi == 0.0:
         return matched(hi, f_hi, v_hi)
     if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
-        scan = [(b, mismatch_and_wronskian(b)[0]) for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
+        # the first sample is lo and the last is hi unless it rounds off it:
+        # their mismatches are known
+        scan = [(b, f_lo if b == lo else f_hi if b == hi else mismatch_and_wronskian(b)[0])
+                for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
         if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
             why = "mismatch has no sign change"
         else:
@@ -232,16 +232,17 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    R1 and R2 are evaluated in one pass each over the shell samples."""
-    forms, a, b = result.forms, result.a, result.b_star
+    each shell sample takes R1 and R2 from one eval_pair pass."""
+    forms, a, b, c1, c2 = result.forms, result.a, result.b_star, result.c1, result.c2
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
-    shell_rs = [r for r in rs if a <= r <= b]
-    rows1, rows2 = numeval.eval_grid(forms.r1, shell_rs), numeval.eval_grid(forms.r2, shell_rs)
-    out += [(r, result.c1 * v1 + result.c2 * v2) for (r, v1, _), (_, v2, _) in zip(rows1, rows2)]
+    for r in rs:
+        if a <= r <= b:
+            v1, _, v2, _ = forms.pair(r)
+            out.append((r, c1 * v1 + c2 * v2))
     out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0])
             for r in rs if r > b]
     return out

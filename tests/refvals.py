@@ -4,7 +4,9 @@ These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
 integral with mpmath quadrature, the free-particle reference sums the
 modified spherical Bessel series directly, the shell-match reference
-integrates the force-free radial equation with fixed-step RK4, the
+integrates the force-free radial equation with fixed-step RK4 (and the
+shell's one-point pass is checked against four one-point grid evaluations,
+and its exterior polynomial against the DLMF coefficients in Fractions), the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
@@ -35,6 +37,8 @@ from coulombwf.numeval import (
     DomainError,
     OverflowSignal,
     ei_with_error,
+    eval_grid,
+    prepare_form,
 )
 from coulombwf.ratpoly import RatPoly
 
@@ -258,6 +262,25 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
         return (d1 + t * d2) / (v1 + t * v2) - rk4_exterior_logderiv(qn, b, h)
 
     return brentq(mismatch, *b_range, xtol=1e-12)
+
+
+def four_grid_forms(r1: ExpEiForm, r2: ExpEiForm) -> tuple:
+    """R1, R1', R2 and R2', each differentiated and converted to floats on its
+    own (prepare_form), as the shell held them before its one-point pass."""
+    return tuple(prepare_form(f) for f in (r1, r1.derivative(), r2, r2.derivative()))
+
+
+def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, float, float, float]:
+    """(R1, R1', R2, R2') at r from four one-point eval_grid calls in that
+    order, so the first form that cannot be evaluated raises."""
+    return tuple(eval_grid(f, (r,))[0][1] for f in forms)
+
+
+def exterior_q_reference(l: int, kappa: Fraction) -> RatPoly:
+    """sum_{j<=l} (l+j)!/(j!(l-j)!) (2 kappa)^{-j} r^{-j-1} (DLMF §10.49.12),
+    one Fraction per coefficient."""
+    return RatPoly(-l - 1, [Fraction(factorial(l + j), factorial(j) * factorial(l - j))
+                            / (2 * kappa) ** j for j in range(l, -1, -1)])
 
 
 # -- RatPoly arithmetic, one Fraction per coefficient -----------------------------

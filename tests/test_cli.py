@@ -729,27 +729,41 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
 
 
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
-    # R1, R1', R2 and R2' once at a and once per mismatch evaluation; b* reuses
-    # its last evaluation, and the grid takes R1 and R2 in one pass each over
-    # its 33 shell samples
-    grids, mismatches = [], []
-    eval_grid, shell = numeval.eval_grid, shellmatch.ShellForms.shell
+    # one eval_pair pass, with one Ei, at a, at each mismatch evaluation and
+    # at each of the grid's 33 shell samples; b* reuses its last evaluation,
+    # and no form goes through eval_grid
+    passes, mismatches, counts = [], [], {"eval_grid": 0, "ei_with_error": 0}
+    eval_pair, shell = numeval.eval_pair, shellmatch.ShellForms.shell
 
-    def counting_eval_grid(f, rs):
-        grids.append(len(rs))
-        return eval_grid(f, rs)
+    def counting_eval_pair(kappa, runs, r):
+        passes.append(r)
+        return eval_pair(kappa, runs, r)
 
     def counting_shell(self, c1, c2, r):
         mismatches.append(r)
         return shell(self, c1, c2, r)
 
-    monkeypatch.setattr(numeval, "eval_grid", counting_eval_grid)
+    def counted(name):
+        original = getattr(numeval, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(numeval, name, wrapper)
+
+    monkeypatch.setattr(numeval, "eval_pair", counting_eval_pair)
     monkeypatch.setattr(shellmatch.ShellForms, "shell", counting_shell)
-    code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
-                     "--b-range", "0.5:1.5", "--grid-points", "50")
+    counted("eval_grid")
+    counted("ei_with_error")
+    code, out, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                       "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
-    assert grids == [1] * (4 + 4 * len(mismatches)) + [33, 33]
-    assert len(grids) == 122
+    doc = json.loads(out)
+    shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
+    assert len(shell_samples) == 33
+    assert passes == [1e-4] + mismatches + shell_samples
+    assert counts == {"eval_grid": 0, "ei_with_error": len(passes)}
+    assert len(passes) == 63
 
 
 def test_shell_huge_a_fails_fast(capsys):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, assemble_pair, assemble_R1, assemble_R2
+from coulombwf.closedform import ExpEiForm, QuantumNumbers, assemble_pair, assemble_R1, assemble_R2
 from coulombwf.ratpoly import RatPoly
 from coulombwf.numeval import (
     EULER_GAMMA,
@@ -19,8 +19,10 @@ from coulombwf.numeval import (
     ei_with_error,
     eval_form_extended,
     eval_grid,
+    eval_pair,
     horner,
     laurent_run,
+    pair_runs,
     prepare_form,
 )
 
@@ -291,6 +293,62 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     for which in ("r1", "r1d"):
         for r in (1.0, 1e-320, 0.0, 1e5):
             _assert_same_as_reference(70, 69, which, r)
+
+
+# -- the shell's one-point pass against four one-point grids --------------------------
+
+def _pair_outcome(fn, *args):
+    """The repr of each of the four values, or the type and text of the exception raised."""
+    try:
+        return tuple(map(repr, fn(*args)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# r log-spaced over 1e-300..1e6 for the envelope probes at small r and the
+# exp overflow at large r, and kappa r log-spaced over 1e-3..1e3 for both Ei
+# branches, the cancellations to 0.0 and the Ei overflow past 2 kappa r = 708
+_WIDE_R = [10 ** (-300 + 306 * i / 199) for i in range(200)]
+_KAPPA_R = [10 ** (-3 + 6 * i / 99) for i in range(100)]
+# r = 1e300 overflows e^{kappa r} and, for every top power past 1, the envelope
+_EDGE_R = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
+
+
+def test_eval_pair_matches_four_grid_calls():
+    # every state n <= 12: the same values by repr, and the same first exception
+    kinds = set()
+    for n in range(1, 13):
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            r1, r2 = assemble_pair(qn)
+            forms, kappa, runs = refvals.four_grid_forms(r1, r2), float(qn.kappa), pair_runs(r2)
+            for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
+                want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
+                assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
+                if isinstance(want[0], type):
+                    kinds.add((want[0], want[1].split(" ")[0][:4]))
+                elif "0.0" in want:
+                    kinds.add("zero")
+    assert kinds == {(DomainError, "eval"), (OverflowSignal, "cond"), (OverflowSignal, "exp("),
+                     (OverflowSignal, "Ei(1"), "zero"}
+
+
+def test_eval_pair_gives_a_zero_eval_grids_sign():
+    # no state reaches it, but a negative L e^{-kr} that underflows is -0.0,
+    # which eval_grid's sum 0.0 + b + 0.0 of R1's three buckets turns into 0.0
+    ell = RatPoly(0, [Fraction(-1, 10**300)])
+    r1 = ExpEiForm(RatPoly.zero(), ell, RatPoly.zero(), Fraction(1))
+    r2 = ExpEiForm(RatPoly(0, [1]), RatPoly.zero(), ell, Fraction(1))
+    want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
+    assert want[0] == "0.0"
+    assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
+
+
+def test_pair_runs_names_an_overflowing_bucket_as_prepare_form_does():
+    # n = 70, l = 69: P does not fit a double, so the runs cannot be prepared
+    r2 = assemble_R2(QuantumNumbers(70, 69))
+    with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
+        pair_runs(r2)
 
 
 # -- the grid kernel ------------------------------------------------------------------

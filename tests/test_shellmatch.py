@@ -9,6 +9,8 @@ from coulombwf.numeval import eval_grid
 from coulombwf.shellmatch import (
     MatchNotResolved,
     NoRootInRange,
+    ShellForms,
+    _exterior_q,
     integrate_interior,
     match_shell,
     mixing_from_inner_match,
@@ -17,6 +19,7 @@ from coulombwf.shellmatch import (
 )
 
 from refvals import (
+    exterior_q_reference,
     rk4_b_star,
     rk4_exterior_logderiv,
     rk4_interior_logderiv,
@@ -182,6 +185,45 @@ def test_no_root_reports_scan():
     assert all(f > 0 for _, f in err.value.scan)
 
 
+@pytest.mark.parametrize("b_range, evals", [
+    # 2 + 16/16 lands on hi: the scan reuses both endpoint values
+    ((2.0, 3.0), 2 + 15),
+    # 0.2 + 16 (0.7 / 16) rounds to 0.8999999999999999, so the last sample
+    # is evaluated
+    ((0.2, 0.9), 2 + 16),
+])
+def test_no_root_scan_reuses_the_endpoint_values(monkeypatch, b_range, evals):
+    lo, hi = b_range
+    assert (lo + 16 * (hi - lo) / 16 == hi) == (evals == 17)
+    seen = []
+    shell = ShellForms.shell
+
+    def counting_shell(self, c1, c2, r):
+        seen.append(r)
+        return shell(self, c1, c2, r)
+
+    monkeypatch.setattr(ShellForms, "shell", counting_shell)
+    with pytest.raises(NoRootInRange) as err:
+        match_shell(QuantumNumbers(1, 0), 1e-4, b_range)
+    assert len(seen) == evals
+    # every sample's mismatch is the one a fresh evaluation gives
+    forms = shell_forms(QuantumNumbers(1, 0))
+    u_a, du_a = integrate_interior(QuantumNumbers(1, 0), 1e-4)
+    c1, c2 = mixing_from_inner_match(forms.pair(1e-4), 1e-4, du_a / u_a)
+    for b, f in err.value.scan:
+        u, du = shell(forms, c1, c2, b)
+        q, qd = forms.exterior(b)
+        assert repr(f) == repr(du / u - (-forms.kappa + qd / q))
+
+
+def test_exterior_q_has_the_dlmf_coefficients():
+    # integer numerators over 2^l against (l+j)!/(j!(l-j)!) (2 kappa)^{-j} in Fractions
+    for l in range(41):
+        for n in (l + 1, l + 2, 2 * l + 3, 3 * l + 7):
+            qn = QuantumNumbers(n, l)
+            assert _exterior_q(qn) == exterior_q_reference(l, qn.kappa), (n, l)
+
+
 @pytest.mark.parametrize("b_range, node", [((1.5, 3.0), 1.9019), ((6.0, 8.0), 7.0980)])
 def test_node_of_u_is_never_a_match(b_range, node):
     # u is R1 up to |c2/c1| ~ 2e-6 here, with nodes near 1.90 and 7.10: the
@@ -189,7 +231,7 @@ def test_node_of_u_is_never_a_match(b_range, node):
     # with the exterior solution does not, and no root lies in either bracket
     qn = QuantumNumbers(3, 0)
     forms = shell_forms(qn)
-    assert eval_grid(forms.r1, (node - 1e-3,))[0][1] * eval_grid(forms.r1, (node + 1e-3,))[0][1] < 0
+    assert forms.pair(node - 1e-3)[0] * forms.pair(node + 1e-3)[0] < 0
     with pytest.raises(NoRootInRange, match="only through a pole") as err:
         match_shell(qn, 1e-3, b_range)
     scan = err.value.scan
