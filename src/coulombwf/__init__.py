@@ -8,9 +8,9 @@ principal-value quadrature, and evaluated numerically with error estimates.
 """
 
 from .closedform import (
-    ExpEiForm,
     InvalidQuantumNumbers,
     QuantumNumbers,
+    Radial,
     assemble_R1,
     assemble_R2,
     energy,
@@ -30,11 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "ExpEiForm",
     "InvalidQuantumNumbers",
     "OverflowSignal",
     "QuantumNumbers",
     "RatPoly",
+    "Radial",
     "ZeroDenominator",
     "assemble_R1",
     "assemble_R2",

@@ -124,10 +124,11 @@ def _latex_ei_lower(n: int) -> str:
     return f"-{body}" if den == 1 else f"-{body}/{den}"
 
 
-def _latex_R2(qn: QuantumNumbers, form) -> str:
+def _latex_R2(r2) -> str:
+    qn = r2.qn
     return (
-        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(form.q_plus)}\right) "
-        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(form.q_ei)}\right) "
+        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P)}\right) "
+        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L)}\right) "
         rf"{_latex_exponent(qn.n, '-')} "
         rf"\int_{{{_latex_ei_lower(qn.n)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
     )
@@ -139,16 +140,16 @@ def _latex_R2(qn: QuantumNumbers, form) -> str:
 # The coefficient documents are written as json.dumps(doc, indent=2) would
 # write them, from templates: indent selects json's pure-Python encoder, and
 # building the dict and encoding it took 1.5 to 2.5 times as long per document.
-def _coeffs_json(qn: QuantumNumbers, form, pad: str, r1_q_minus=None) -> str:
-    """The coeffs document of R2 (with R1's q_minus for the table), nested at
-    indent pad."""
-    inner = pad + "  "
+def _coeffs_json(r2, pad: str, table: bool = False) -> str:
+    """The coeffs document of R2, nested at indent pad: P as q_plus and L as
+    q_ei, and for the table L again as R1's r1_q_minus."""
+    qn, inner = r2.qn, pad + "  "
     fields = [f'"n": {qn.n}', f'"l": {qn.l}',
-              f'"q_plus": {_json_rats(form.q_plus, inner)}',
-              f'"q_ei": {_json_rats(form.q_ei, inner)}',
-              f'"ei_arg_scale": "{-2 * form.kappa}"']
-    if r1_q_minus is not None:
-        fields.append(f'"r1_q_minus": {_json_rats(r1_q_minus, inner)}')
+              f'"q_plus": {_json_rats(r2.P, inner)}',
+              f'"q_ei": {_json_rats(r2.L, inner)}',
+              f'"ei_arg_scale": "{-2 * qn.kappa}"']
+    if table:
+        fields.append(f'"r1_q_minus": {_json_rats(r2.L, inner)}')
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"
 
 
@@ -161,14 +162,13 @@ def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
 
 
 def cmd_coeffs(args) -> int:
-    qn = QuantumNumbers(args.n, args.l)
-    form = assemble_R2(qn)
+    r2 = assemble_R2(QuantumNumbers(args.n, args.l))
     if args.format == "json":
-        _write(args.out, _coeffs_json(qn, form, "") + "\n")
+        _write(args.out, _coeffs_json(r2, "") + "\n")
     elif args.format == "csv":
-        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(form.q_plus, form.q_ei))
+        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L))
     else:
-        _write(args.out, _header() + _latex_R2(qn, form) + "\n")
+        _write(args.out, _header() + _latex_R2(r2) + "\n")
     return EXIT_OK
 
 
@@ -207,8 +207,7 @@ _JSON_ROW = '    {\n      "r": %r,\n      "value": %r,\n      "est_rel_error": %
 def cmd_eval(args) -> int:
     qn = QuantumNumbers(args.n, args.l)
     grid = _parse_grid(args.grid)
-    form = numeval.prepare_form(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn))
-    rows = numeval.eval_grid(form, grid)
+    rows = numeval.eval_grid(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn), grid)
     if args.format == "json":
         body = ",\n".join([_JSON_ROW % row for row in rows])
         # no other token of a row holds the letters "inf" or "nan"
@@ -229,22 +228,22 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     if args.nmax < 1:
         raise InvalidQuantumNumbers("n_max must be >= 1")
-    qns = [QuantumNumbers(n, l) for n in range(1, args.nmax + 1) for l in range(n)]
-    # R2's Ei bucket is R1's polynomial, so it is written as r1_q_minus too
-    entries = [(qn, assemble_R2(qn)) for qn in qns]
+    # R2's L is R1's polynomial, so it is written as r1_q_minus too
+    forms = [assemble_R2(QuantumNumbers(n, l)) for n in range(1, args.nmax + 1) for l in range(n)]
     if args.format == "json":
-        docs = ",\n".join(["  " + _coeffs_json(qn, r2, "  ", r2.q_ei) for qn, r2 in entries])
+        docs = ",\n".join(["  " + _coeffs_json(r2, "  ", table=True) for r2 in forms])
         _write(args.out, f"[\n{docs}\n]\n")
     elif args.format == "csv":
         lines = [_header(), "n,l,part,power,coeff\n"]
-        for qn, r2 in entries:
-            for part, poly in (("r1_q_minus", r2.q_ei), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)):
+        for r2 in forms:
+            n, l = r2.qn.n, r2.qn.l
+            for part, poly in (("r1_q_minus", r2.L), ("q_plus", r2.P), ("q_ei", r2.L)):
                 for k, num, den in poly.ratio_terms():
-                    lines.append(f"{qn.n},{qn.l},{part},{k},{_rat_text(num, den)}\n")
+                    lines.append(f"{n},{l},{part},{k},{_rat_text(num, den)}\n")
         _write(args.out, "".join(lines))
     else:
         lines = [_header()]
-        lines += [_latex_R2(qn, r2) + "\n" for qn, r2 in entries]
+        lines += [_latex_R2(r2) + "\n" for r2 in forms]
         _write(args.out, "".join(lines))
     return EXIT_OK
 

@@ -5,17 +5,19 @@ Library units fix the Coulomb strength at 1, so the bound radial equation is
     r^2 R'' + 2 r R' + (-kappa^2 r^2 + 2 r - l(l+1)) R = 0,
 
 lengths are reduced-mass-corrected Bohr radii divided by Z, kappa_n = 1/n, and
-E_n = -1/(2 n^2).  Every solution handled here is a sum of three buckets
+E_n = -1/(2 n^2).  The paper builds the irregular solution around the regular
+one, and this module builds exactly those two shapes, held by one record
+Radial(qn, L, P) of Laurent polynomials in r:
 
-    q_plus(r) e^{+kappa r}  +  q_minus(r) e^{-kappa r}
-                            +  q_ei(r) e^{-kappa r} Ei(1, -2 kappa r),
+    R1 = L(r) e^{-kappa r}                                    (P is None),
+    R2 = P(r) e^{+kappa r} + L(r) e^{-kappa r} Ei(1, -2 kappa r),
 
-with Laurent-polynomial q's, where Ei(1, -x) is the principal value of
-integral_{-x}^{infinity} e^{-s}/s ds.  That family is closed under d/dr
-because d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r, which moves the Ei
-derivative into the e^{+kappa r} bucket exactly.  The radial operator maps
-the family into itself too, so apply_radial_operator writes a residual's
-coefficients straight from the form's, differentiating nothing.
+where Ei(1, -x) is the principal value of integral_{-x}^{infinity} e^{-s}/s ds
+and R2's L is R1's own polynomial.  Each shape is closed under d/dr, because
+d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r moves the Ei derivative into the
+e^{+kappa r} part exactly, and under the radial operator, so derivative and
+apply_radial_operator each write the new coefficients from the record's in
+one integer pass.
 """
 
 from __future__ import annotations
@@ -125,40 +127,54 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
 # -- symbolic radial solutions ----------------------------------------------
 
 
+def decay_derivative(q: RatPoly, n: int) -> RatPoly:
+    """q' - q/n, so that d/dr [q e^{-r/n}] = (q' - q/n) e^{-r/n}, in one pass
+    over q's numerators: the r^(k-1) numerator over n q.den is
+    n k q_k - q_{k-1}."""
+    x = q.nums
+    return _make(q.low - 1, [n * k * a - b for k, a, b in
+                             zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)], n * q.den)
+
+
 @dataclass(frozen=True)
-class ExpEiForm:
-    """Symbolic radial function q_plus e^{+kr} + q_minus e^{-kr} + q_ei e^{-kr} Ei(1,-2kr)."""
+class Radial:
+    """R1 = L e^{-kr} when P is None, else R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr),
+    with k = qn.kappa."""
 
-    q_plus: RatPoly
-    q_minus: RatPoly
-    q_ei: RatPoly
-    kappa: Fraction
-
-    def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+    qn: QuantumNumbers
+    L: RatPoly
+    P: RatPoly | None = None
 
     def is_zero(self) -> bool:
-        return self.q_plus.is_zero() and self.q_minus.is_zero() and self.q_ei.is_zero()
+        return self.L.is_zero() and (self.P is None or self.P.is_zero())
 
-    def derivative(self) -> ExpEiForm:
-        """Exact d/dr; the Ei-derivative contribution lands in the e^{+kr} bucket."""
-        k = self.kappa
-        q_plus = self.q_plus.derivative() + self.q_plus * k - self.q_ei.shift(-1)
-        q_minus = self.q_minus.derivative() - self.q_minus * k
-        q_ei = self.q_ei.derivative() - self.q_ei * k
-        return ExpEiForm(q_plus, q_minus, q_ei, k)
+    def derivative(self) -> Radial:
+        """Exact d/dr in the same shape: L -> L' - kL and P -> P' + kP - L/r,
+        each one pass over integer numerators over n times its denominators
+        (k = 1/n), reduced by one gcd."""
+        n, ell, p = self.qn.n, self.L, self.P
+        d_ell = decay_derivative(ell, n)
+        if p is None:
+            return Radial(self.qn, d_ell)
+        # P' + kP over n p.den, then -L/r, over n p.den ell.den
+        y, low = p.nums, min(p.low, ell.low)
+        plus = [0] * (max(p.degree + 2, ell.degree + 1) - low)
+        for i, (k, a, b) in enumerate(zip(range(p.low, p.low + len(y) + 1), y + (0,), (0,) + y),
+                                      p.low - low):
+            plus[i] = (n * k * a + b) * ell.den
+        for k, a in enumerate(ell.nums, ell.low):
+            plus[k - low] -= n * p.den * a
+        return Radial(self.qn, d_ell, _make(low - 1, plus, n * p.den * ell.den))
 
 
-def assemble_R1(qn: QuantumNumbers) -> ExpEiForm:
+def assemble_R1(qn: QuantumNumbers) -> Radial:
     """Regular solution (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) as an exact form in r."""
-    q_minus = laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(2 * qn.kappa)
-    return ExpEiForm(RatPoly.zero(), q_minus, RatPoly.zero(), qn.kappa)
+    return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(2 * qn.kappa))
 
 
-def assemble_pair(qn: QuantumNumbers) -> tuple[ExpEiForm, ExpEiForm]:
-    """R1 and the irregular solution R2 of one (n, l), in the normalization
-    that makes R2's Ei factor R1's own polynomial:
+def assemble_pair(qn: QuantumNumbers) -> tuple[Radial, Radial]:
+    """R1 and the irregular solution R2 of one (n, l), sharing one L, in the
+    normalization that makes R2's Ei factor R1's own polynomial:
 
         1/n_r! (2 kr)^{-l-1} e^{+kr} P(n_r, 2l+1, 2 kr)
         + (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) Ei(1, -2 kr).
@@ -166,29 +182,27 @@ def assemble_pair(qn: QuantumNumbers) -> tuple[ExpEiForm, ExpEiForm]:
     r1 = assemble_R1(qn)
     # P has integer coefficients from x^0 up, so its numerators over n_r! are
     # the 1/n_r! scaled P in one normalisation
-    q_plus = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
-    return r1, ExpEiForm(q_plus.scale_arg(2 * qn.kappa), RatPoly.zero(), r1.q_minus, qn.kappa)
+    p = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
+    return r1, Radial(qn, r1.L, p.scale_arg(2 * qn.kappa))
 
 
-def assemble_R2(qn: QuantumNumbers) -> ExpEiForm:
+def assemble_R2(qn: QuantumNumbers) -> Radial:
     """The irregular solution R2 of assemble_pair on its own."""
     return assemble_pair(qn)[1]
 
 
-def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
-    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly,
-    from the buckets' coefficients, with no derivative or product formed.
+def apply_radial_operator(f: Radial) -> Radial:
+    """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, in
+    f's shape, from its coefficients, with no derivative or product formed.
 
-    On a bucket q e^{s kappa r} (s = +-1) the operator leaves
-    (k-l)(k+l+1) q_k + 2 (s kappa k + 1) q_{k-1} as the r^k coefficient; the
-    Ei bucket e also adds -(2k+1) e_k to the e^{+kappa r} bucket, since
+    On a polynomial q times e^{s kappa r} (s = +-1) the operator leaves
+    (k-l)(k+l+1) q_k + 2 (s kappa k + 1) q_{k-1} as the r^k coefficient; R2's
+    L also adds -(2k+1) L_k to the e^{+kappa r} part, since
     d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r.  With kappa0 = 1 and
-    kappa = 1/n, each bucket is one pass over integer numerators over n times
-    its denominators, reduced by one gcd.
+    kappa = 1/n, each polynomial is one pass over integer numerators over n
+    times its denominators, reduced by one gcd.
     """
-    n, l = qn.n, qn.l
-    if (f.kappa.numerator, f.kappa.denominator) != (1, n):
-        raise ValueError(f"apply_radial_operator needs f.kappa == 1/n = 1/{n}, got {f.kappa}")
+    n, l = f.qn.n, f.qn.l
 
     def run(q: RatPoly, s: int) -> list[int]:
         # n q.den times the r^k coefficients, k from q.low to q.degree + 1
@@ -196,14 +210,15 @@ def apply_radial_operator(f: ExpEiForm, qn: QuantumNumbers) -> ExpEiForm:
         return [n * (k - l) * (k + l + 1) * a + 2 * (s * k + n) * b
                 for k, a, b in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
 
-    p, m, e = f.q_plus, f.q_minus, f.q_ei
-    # the e^{+kappa r} bucket over n p.den e.den: p's own run and e's -(2k+1) e_k
+    p, e = f.P, f.L
+    decay = _make(e.low, run(e, -1), n * e.den)
+    if p is None:
+        return Radial(f.qn, decay)
+    # the e^{+kappa r} part over n p.den e.den: P's own run and -(2k+1) L_k
     low = min(p.low, e.low)
     plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
     for i, a in enumerate(run(p, 1), p.low - low):
         plus[i] = a * e.den
     for k, a in enumerate(e.nums, e.low):
         plus[k - low] -= n * p.den * (2 * k + 1) * a
-    return ExpEiForm(_make(low, plus, n * p.den * e.den),
-                     _make(m.low, run(m, -1), n * m.den),
-                     _make(e.low, run(e, -1), n * e.den), f.kappa)
+    return Radial(f.qn, decay, _make(low, plus, n * p.den * e.den))

@@ -7,20 +7,22 @@ double-precision form evaluator, ``eval_pair`` its one-point pass over R1,
 R1', R2 and R2' together (same guards, same raise texts, same values), and
 ``ei_with_error`` the one Ei(1, -x).
 
-Double precision genuinely loses digits where the growing exponential bucket
-cancels against the Ei bucket, so every eval_grid row carries an error
-estimate instead of hiding the loss (eval_pair's callers take values only);
-callers that need more digits use the extended-precision evaluator.
+The forms are closedform.Radial records, R1 = L e^{-kr} and
+R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr), and eval_grid converts their one or
+two polynomials itself.  Double precision genuinely loses digits where R2's
+growing exponential part cancels against its Ei part, so every eval_grid row
+carries an error estimate instead of hiding the loss (eval_pair's callers
+take values only); callers that need more digits use the extended-precision
+evaluator.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import ExpEiForm
+from .closedform import Radial
 from .ratpoly import RatPoly, ZeroDenominator
 
 # Euler-Mascheroni constant, 30 significant digits.
@@ -148,11 +150,6 @@ def _float_run(name: str, p: RatPoly) -> tuple:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
 
 
-def _bucket(name: str, p: RatPoly) -> tuple | None:
-    """The float run of one bucket of a form, or None for the zero polynomial."""
-    return None if p.is_zero() else _float_run(name, p)
-
-
 # The raise texts of eval_grid and eval_pair, written once.
 
 
@@ -168,47 +165,27 @@ def _envelope_overflow(r) -> OverflowSignal:
     return OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PreparedForm:
-    """An ExpEiForm converted to floats once, for evaluation at many points.
+def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
+    """Evaluate R1 or R2 (or a derivative) in double precision at every r of
+    rs, as one (r, value, est_rel_error) row per point.
 
-    Each bucket (q_plus, q_minus, q_ei) is None when its polynomial is zero,
-    else its float laurent_run, so that one Horner pass yields the value and
-    the envelope sum |c_k| r^k together.  ``width`` is the longest stored
-    coefficient run.
+    Each polynomial of f is converted to a float laurent_run once, P before
+    L, so that one Horner pass yields its value and its envelope sum
+    |c_k| r^k together; a coefficient beyond double range raises
+    OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
+    for R2's).  The error estimate is built from those envelopes (which
+    dominate the plain |A| + |C| cancellation penalty between the
+    growing-exponential and Ei parts), the rounding of the exponential
+    arguments, and the Ei evaluation error.  The first point that cannot be
+    evaluated raises: DomainError for r <= 0 or nan, and OverflowSignal when
+    e^{kappa r}, Ei(1, -2 kappa r) or an envelope term leaves double range.
     """
-
-    kappa: float
-    width: int
-    plus: tuple | None
-    minus: tuple | None
-    ei: tuple | None
-
-
-def prepare_form(f: ExpEiForm) -> PreparedForm:
-    """Convert every coefficient of f to a float once (see eval_grid); raises
-    OverflowSignal when a coefficient is beyond double range."""
-    return PreparedForm(float(f.kappa),
-                        max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums)),
-                        _bucket("q_plus", f.q_plus), _bucket("q_minus", f.q_minus),
-                        _bucket("q_ei", f.q_ei))
-
-
-def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float]]:
-    """Evaluate a symbolic radial form in double precision at every r of rs,
-    as one (r, value, est_rel_error) row per point.
-
-    The error estimate is built from the absolute-coefficient envelope of
-    each bucket (which dominates the plain |A| + |C| cancellation penalty
-    between the growing-exponential and Ei buckets), the rounding of the
-    exponential arguments, and the Ei evaluation error.  The first point
-    that cannot be evaluated raises: DomainError for r <= 0 or nan, and
-    OverflowSignal when e^{kappa r}, Ei(1, -2 kappa r) or an envelope term
-    leaves double range.
-    """
-    if not isinstance(f, PreparedForm):
-        f = prepare_form(f)
-    kappa, two_width, plus, minus, ei = f.kappa, 2 * f.width, f.plus, f.minus, f.ei
+    if f.P is None:
+        plus, minus, ei = None, _float_run("q_minus", f.L), None
+    else:
+        plus, minus, ei = _float_run("q_plus", f.P), None, _float_run("q_ei", f.L)
+    kappa = float(f.qn.kappa)
+    two_width = 2 * max(len(q.nums) for q in (f.L, f.P) if q is not None)
     rows = []
     for r in rs:
         if not r > 0:
@@ -255,19 +232,19 @@ def eval_grid(f: ExpEiForm | PreparedForm, rs) -> list[tuple[float, float, float
     return rows
 
 
-def pair_runs(r2: ExpEiForm) -> tuple[tuple, tuple, tuple, tuple]:
+def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
     R2 and R2', given the R2 of closedform.assemble_pair.
 
-    R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} as its Ei
-    bucket, and d/dr maps that bucket to L' = dL/dr - kL, which is R1''s own
+    R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} in its Ei
+    part, and d/dr maps that L to L' = dL/dr - kL, which is R1''s own
     (R1' = L' e^{-kr}); so R2' = P' e^{kr} + L' e^{-kr} Ei(1, -2kr) is the one
     derivative formed.  The coefficients are converted, and an overflow named
-    after its bucket, as prepare_form does over R1, R1', R2 and R2' in turn.
+    after its bucket, as eval_grid does over R1, R1', R2 and R2' in turn.
     """
     d = r2.derivative()
-    return (_float_run("q_minus", r2.q_ei), _float_run("q_minus", d.q_ei),
-            _float_run("q_plus", r2.q_plus), _float_run("q_plus", d.q_plus))
+    return (_float_run("q_minus", r2.L), _float_run("q_minus", d.L),
+            _float_run("q_plus", r2.P), _float_run("q_plus", d.P))
 
 
 def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
@@ -302,13 +279,13 @@ def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float,
     decay = math.exp(-kappa * r)
     v1 = horner(ell, r)[0] * decay
     d1 = horner(ell_d, r)[0] * decay
-    # eval_grid sums the three buckets as a + b + c; each + 0.0 is an empty
-    # bucket there, kept so that a zero comes out with the same sign
+    # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
+    # form lacks there, kept so that a zero comes out with the same sign
     return (v1 + 0.0, d1 + 0.0, horner(p, r)[0] * grow + 0.0 + v1 * ei_value,
             horner(p_d, r)[0] * grow + 0.0 + d1 * ei_value)
 
 
-def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):
+def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     """Ground-truth evaluation in software extended precision, as an
     ``mpmath.mpf``.
 
@@ -331,13 +308,8 @@ def eval_form_extended(f: ExpEiForm, r, precision_bits: int = 256):
         raise DomainError(f"eval_form_extended requires r > 0, got {r!r}")
     with mpmath.workprec(precision_bits):
         rr = mp_ratio(r_exact.numerator, r_exact.denominator)
-        kk = mp_ratio(f.kappa.numerator, f.kappa.denominator)
-        total = mpmath.mpf(0)
-        if not f.q_plus.is_zero():
-            total += value(f.q_plus) * mpmath.exp(kk * rr)
-        if not f.q_minus.is_zero():
-            total += value(f.q_minus) * mpmath.exp(-kk * rr)
-        if not f.q_ei.is_zero():
-            ei_val = -mpmath.ei(2 * kk * rr)
-            total += value(f.q_ei) * mpmath.exp(-kk * rr) * ei_val
+        kk = mp_ratio(*f.qn.kappa.as_integer_ratio())
+        total = value(f.L) * mpmath.exp(-kk * rr)
+        if f.P is not None:
+            total = value(f.P) * mpmath.exp(kk * rr) + total * -mpmath.ei(2 * kk * rr)
         return +total

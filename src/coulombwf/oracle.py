@@ -2,13 +2,13 @@
 
 Two kinds of checks live here.  The symbolic ones run in exact rational
 arithmetic on one build of R1 and R2 per (n, l) (symbolic_checks), straight
-from the buckets' coefficients, differentiating and multiplying nothing: the
-radial-operator residuals must vanish identically, and then, by Abel's
+from the coefficients of L and P, differentiating and multiplying nothing:
+the radial-operator residuals must vanish identically, and then, by Abel's
 identity, one integer sum over R1's coefficients proves r^2 W(R1, R2)
 constant.  The numeric ones rebuild R2's confluent parts from its defining
 principal-value integral (_pv_oracle) by adaptive quadrature (QUADPACK's
 QAGS, quadpack.qags; any nonzero QUADPACK code raises QuadratureFailure) and
-compare R2's own buckets, read back in x = 2 kappa r, and the pole-removing
+compare R2's own P and L, read back in x = 2 kappa r, and the pole-removing
 split against it; pv_checks runs both on one build of R2 per state and one
 PV quadrature per point.  A hard-coded table of known coefficient sets pins
 the generated solutions exactly.
@@ -23,11 +23,12 @@ from fractions import Fraction
 
 from . import numeval
 from .closedform import (
-    ExpEiForm,
     QuantumNumbers,
+    Radial,
     apply_radial_operator,
     assemble_pair,
     assemble_R2,
+    decay_derivative,
 )
 from .ratpoly import RatPoly
 
@@ -61,23 +62,18 @@ class VerificationReport:
 # -- symbolic checks ---------------------------------------------------------
 
 
-def _form_norm(f: ExpEiForm) -> float:
-    return max(
-        f.q_plus.max_abs_coeff_float(),
-        f.q_minus.max_abs_coeff_float(),
-        f.q_ei.max_abs_coeff_float(),
-    )
-
-
-def ode_residual_symbolic(f: ExpEiForm, qn: QuantumNumbers, which: str) -> VerificationReport:
-    """Apply the radial operator to f exactly; pass iff every bucket vanishes."""
-    residual = apply_radial_operator(f, qn)
-    ok = residual.is_zero()
-    details = "" if ok else (
-        f"nonzero residual buckets: plus={residual.q_plus}, "
-        f"minus={residual.q_minus}, ei={residual.q_ei}")
-    return VerificationReport(qn, f"ode_residual_{which}", ok, 0.0 if ok else _form_norm(residual),
-                              exact=ok, details=details)
+def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
+    """Apply the radial operator to f exactly; pass iff the residual vanishes.
+    A failure names the residual's e^{+kappa r}, e^{-kappa r} and Ei parts, and
+    its norm is the largest |coefficient|."""
+    residual = apply_radial_operator(f)
+    if residual.is_zero():
+        return VerificationReport(f.qn, f"ode_residual_{which}", True, 0.0, exact=True)
+    ell, p = residual.L, residual.P
+    plus, minus, ei = ("0", ell, "0") if p is None else (p, "0", ell)
+    norm = max(q.max_abs_coeff_float() for q in (ell, p) if q is not None)
+    return VerificationReport(f.qn, f"ode_residual_{which}", False, norm,
+                              details=f"nonzero residual buckets: plus={plus}, minus={minus}, ei={ei}")
 
 
 def _num(q: RatPoly, power: int) -> int:
@@ -86,25 +82,23 @@ def _num(q: RatPoly, power: int) -> int:
     return q.nums[i] if 0 <= i < len(q.nums) else 0
 
 
-def wronskian_symbolic(r1: ExpEiForm, r2: ExpEiForm, qn: QuantumNumbers,
-                       solves: bool) -> tuple[Fraction, VerificationReport]:
+def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, VerificationReport]:
     """r^2 W(R1, R2) must equal the constant -n (n+l)! / (2 (n-l-1)!), which
     shows linear independence and pins R2's normalisation.
 
     ``solves`` says that both exact ODE residuals vanish; then r^2 W is
     constant by Abel's identity (DLMF 1.13(i)), W's exponential buckets
-    vanish, and with R1 = m1 e^{-kappa r}, p = R2.q_plus and e = R2.q_ei the
+    vanish, and with R1 = m1 e^{-kappa r}, p = R2.P and e = R2.L the
     constant is the r^-2 coefficient of
     m1 p' - m1' p + 2 kappa m1 p - m1 e r^-1: for m1's r^a term that is
     -(2a+1) p_{-1-a} + 2 kappa p_{-2-a} - e_{-1-a}, so r^2 W is one integer
     sum over m1's numerators and one Fraction, with no product formed.
     """
-    if not (r1.q_plus.is_zero() and r1.q_ei.is_zero()):
-        raise ValueError("wronskian_symbolic expects a pure e^{-kappa r} R1")
+    qn = r2.qn
     if not solves:
         return Fraction(0), VerificationReport(qn, "wronskian", False, math.inf,
                                                details="a form does not solve the radial equation")
-    n, m1, p, e = qn.n, r1.q_minus, r2.q_plus, r2.q_ei
+    n, m1, p, e = qn.n, r1.L, r2.P, r2.L
     total = sum(x * (e.den * (2 * _num(p, -2 - a) - n * (2 * a + 1) * _num(p, -1 - a))
                      - n * p.den * _num(e, -1 - a))
                 # each term reads p or e at -1-a or -2-a, zero below min(p.low, e.low)
@@ -123,10 +117,10 @@ def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationRe
     check, reported under "ode"), then the Wronskian, which rests on them.
     Nothing is differentiated and no Laurent product is formed."""
     r1, r2 = assemble_pair(qn)
-    odes = [ode_residual_symbolic(r1, qn, "R1"), ode_residual_symbolic(r2, qn, "R2")]
+    odes = [ode_residual_symbolic(r1, "R1"), ode_residual_symbolic(r2, "R2")]
     reports = odes if "ode" in checks else []
     if "wronskian" in checks:
-        reports.append(wronskian_symbolic(r1, r2, qn, all(rep.passed for rep in odes))[1])
+        reports.append(wronskian_symbolic(r1, r2, all(rep.passed for rep in odes))[1])
     return reports
 
 
@@ -161,10 +155,9 @@ def _quad(fn, lo, hi) -> tuple[float, float]:
 def _pv_runs(h: RatPoly) -> tuple[tuple, tuple, tuple]:
     """Float runs of h(s) = s^m F(s) for the terminating regular solution F,
     and of D h and D^3 h with D: p -> p' - p, so that g = e^{-s} h has
-    g^{(k)} = e^{-s} D^k h."""
-    d1 = h.derivative() - h
-    d2 = d1.derivative() - d1
-    d3 = d2.derivative() - d2
+    g^{(k)} = e^{-s} D^k h; D is closedform.decay_derivative at n = 1."""
+    d1 = decay_derivative(h, 1)
+    d3 = decay_derivative(decay_derivative(d1, 1), 1)
     return numeval.laurent_run(h), numeval.laurent_run(d1), numeval.laurent_run(d3)
 
 
@@ -194,16 +187,16 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
 
 
 def _confluent_parts(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
-    """R2's e^{+kappa r} and Ei buckets as the Laurent polynomials (g_exp,
-    g_ei) in x = 2 kappa r of the irregular confluent solution
-    g_exp(x) e^{x} + g_ei(x) Ei(1, -x), with g_ei = 1F1(-n_r; m+1; x).
+    """R2's P and L as the Laurent polynomials (g_exp, g_ei) in x = 2 kappa r
+    of the irregular confluent solution g_exp(x) e^{x} + g_ei(x) Ei(1, -x),
+    with g_ei = 1F1(-n_r; m+1; x).
 
     R2 = (2 kappa r)^l e^{-kappa r} times that solution, scaled by
     (n_r+m)!/(n_r! m!)."""
     r2 = assemble_R2(qn)
     norm = Fraction(math.factorial(qn.n_r) * math.factorial(qn.m), math.factorial(qn.n_r + qn.m))
     to_x = Fraction(qn.n, 2)
-    return tuple(q.scale_arg(to_x).shift(-qn.l) * norm for q in (r2.q_plus, r2.q_ei))
+    return tuple(q.scale_arg(to_x).shift(-qn.l) * norm for q in (r2.P, r2.L))
 
 
 def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
@@ -347,14 +340,10 @@ def golden_table_check() -> list[VerificationReport]:
     for (n, l), expected in sorted(GOLDEN_R2.items()):
         qn = QuantumNumbers(n, l)
         form = assemble_R2(qn)
-        ok_plus = dict(form.q_plus.terms()) == expected["q_plus"]
-        ok_ei = dict(form.q_ei.terms()) == expected["q_ei"]
-        ok_minus = form.q_minus.is_zero()
-        ok_arg = 2 * form.kappa == F(2, n)
-        ok = ok_plus and ok_ei and ok_minus and ok_arg
-        bad = [name for name, good in
-               [("q_plus", ok_plus), ("q_ei", ok_ei), ("q_minus", ok_minus), ("ei_arg", ok_arg)]
-               if not good]
+        # the coeffs document prints P as q_plus and L as q_ei
+        bad = [name for name, q in (("q_plus", form.P), ("q_ei", form.L))
+               if dict(q.terms()) != expected[name]]
+        ok = not bad
         reports.append(VerificationReport(
             qn, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,
             details="exact match" if ok else f"mismatch in {', '.join(bad)}"))

@@ -3,10 +3,10 @@
 A polynomial is stored densely over one common denominator: a lowest power
 (possibly negative), the run of integer numerators from there upward, and a
 positive denominator ``den``, so the coefficient of x^(low+i) is
-nums[i]/den.  Sums, scalar multiples, derivatives and argument scaling work
-on Python ints and reduce their result by one gcd; two polynomials are never
-multiplied.  All arithmetic is exact, and this module evaluates nothing:
-every point evaluation, exact or floating, goes through
+nums[i]/den.  Scalar multiples, derivatives, shifts and argument scaling
+work on Python ints and reduce their result by one gcd; two polynomials are
+never added or multiplied.  All arithmetic is exact, and this module
+evaluates nothing: every point evaluation, exact or floating, goes through
 ``numeval.laurent_run`` and ``numeval.horner``.
 """
 
@@ -139,11 +139,6 @@ class RatPoly:
         """Highest power present; the zero polynomial reports ``low - 1``."""
         return self.low + len(self.nums) - 1
 
-    def coeff(self, power: int) -> Fraction:
-        if self.low <= power <= self.degree:
-            return Fraction(self.nums[power - self.low], self.den)
-        return Fraction(0)
-
     def ratio_terms(self):
         """Yield (power, numerator, denominator) of each nonzero coefficient in
         ascending power order, reduced, with a positive denominator."""
@@ -163,38 +158,7 @@ class RatPoly:
         # largest |float(c)| over the coefficients
         return max(map(abs, self.nums)) / self.den if self.nums else 0.0
 
-    # -- sums and scalar multiples -----------------------------------------
-
-    def __add__(self, other: RatPoly) -> RatPoly:
-        if other.__class__ is not RatPoly:
-            return NotImplemented
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        a, b, den = self.nums, other.nums, self.den
-        if other.den != den:
-            g = math.gcd(den, other.den)
-            fa, fb = other.den // g, den // g
-            a = [x * fa for x in a]
-            b = [x * fb for x in b]
-            den *= fa
-        low = min(self.low, other.low)
-        out = [0] * (max(self.degree, other.degree) - low + 1)
-        off = self.low - low
-        out[off:off + len(a)] = a
-        off = other.low - low
-        for i, x in enumerate(b, off):
-            out[i] += x
-        return _make(low, out, den)
-
-    def __neg__(self) -> RatPoly:
-        return _raw(self.low, tuple(-x for x in self.nums), self.den)
-
-    def __sub__(self, other: RatPoly) -> RatPoly:
-        if other.__class__ is not RatPoly:
-            return NotImplemented
-        return self + (-other)
+    # -- scalar multiples --------------------------------------------------
 
     def __mul__(self, other: RationalLike) -> RatPoly:
         if not isinstance(other, (int, Fraction)):

@@ -53,10 +53,9 @@ def main() -> None:
     out = {}
     for n in range(1, N_MAX + 1):
         for l in range(n):
-            qn = QuantumNumbers(n, l)
-            r1, r2 = assemble_pair(qn)
-            solves = all(apply_radial_operator(f, qn).is_zero() for f in (r1, r2))
-            r2w, rep = wronskian_symbolic(r1, r2, qn, solves)
+            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            solves = all(apply_radial_operator(f).is_zero() for f in (r1, r2))
+            r2w, rep = wronskian_symbolic(r1, r2, solves)
             assert rep.passed
             out[f"{n},{l}"] = str(r2w)
     write_json("wronskian_r2w.json", out)

@@ -12,34 +12,30 @@ coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the polynomial P is built from
 its double sum and from its split form, independently of the package's
-recurrence and of each other, the radial operator is composed from
-ExpEiForm.derivative, Laurent products and a bucket-wise form sum, which the
-package does not have, not written from the coefficient formula, the
-Wronskian of R1 and R2 is formed from the full Laurent products of their
-buckets, not read from one coefficient by Abel's identity, and the
-double-precision form evaluator converts every coefficient again at every
-point and sums the envelope term by term: the grid kernel must reproduce its
-values bit for bit and its estimates within the rounding of the envelope.
+recurrence and of each other, the radial operator is composed from the
+derivative of the general three-bucket form (ExpEiForm below, into which
+``buckets`` writes the package's R1 and R2 records), Laurent products and
+sums, which the package does not have, not written from the coefficient
+formula, the Wronskian of R1 and R2 is formed from the full Laurent
+products of their buckets, not read from one coefficient by Abel's
+identity, and the double-precision form evaluator converts every
+coefficient of the three buckets again at every point and sums the envelope
+term by term: the grid kernel must reproduce its values bit for bit and its
+estimates within the rounding of the envelope.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
 from scipy.optimize import brentq
 
-from coulombwf.closedform import KAPPA0, ExpEiForm, assemble_R1, assemble_R2
-from coulombwf.numeval import (
-    _EPS,
-    DomainError,
-    OverflowSignal,
-    ei_with_error,
-    eval_grid,
-    prepare_form,
-)
+from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
+from coulombwf.numeval import _EPS, DomainError, OverflowSignal, ei_with_error, eval_grid
 from coulombwf.ratpoly import RatPoly
 
 
@@ -121,6 +117,60 @@ def central_diff(fn, x: float, h: float) -> float:
 # -- the radial operator and the Wronskian from derivatives and products ----------
 
 
+def poly_add(p: RatPoly, q: RatPoly) -> RatPoly:
+    """p + q over the common denominator lcm(p.den, q.den), reduced by one
+    gcd; the package never adds two polynomials."""
+    if q.is_zero():
+        return p
+    if p.is_zero():
+        return q
+    a, b, den = p.nums, q.nums, p.den
+    if q.den != den:
+        g = math.gcd(den, q.den)
+        fa, fb = q.den // g, den // g
+        a = [x * fa for x in a]
+        b = [x * fb for x in b]
+        den *= fa
+    low = min(p.low, q.low)
+    out = [0] * (max(p.degree, q.degree) - low + 1)
+    for poly, nums in ((p, a), (q, b)):
+        for i, x in enumerate(nums, poly.low - low):
+            out[i] += x
+    return RatPoly.from_nums(low, out, den)
+
+
+def poly_sub(p: RatPoly, q: RatPoly) -> RatPoly:
+    return poly_add(p, q * -1)
+
+
+@dataclass(frozen=True)
+class ExpEiForm:
+    """The general form q_plus e^{+kr} + q_minus e^{-kr} + q_ei e^{-kr} Ei(1,-2kr)."""
+
+    q_plus: RatPoly
+    q_minus: RatPoly
+    q_ei: RatPoly
+    kappa: Fraction
+
+    def derivative(self) -> ExpEiForm:
+        """Exact d/dr bucket by bucket; the Ei-derivative contribution lands in
+        the e^{+kr} bucket."""
+        k = self.kappa
+        q_plus = poly_sub(poly_add(self.q_plus.derivative(), self.q_plus * k), self.q_ei.shift(-1))
+        q_minus = poly_sub(self.q_minus.derivative(), self.q_minus * k)
+        q_ei = poly_sub(self.q_ei.derivative(), self.q_ei * k)
+        return ExpEiForm(q_plus, q_minus, q_ei, k)
+
+
+def buckets(f: Radial) -> ExpEiForm:
+    """The package's record as the three-bucket form: R1's L is the
+    e^{-kr} bucket, R2's P the e^{+kr} bucket and its L the Ei bucket."""
+    zero = RatPoly.zero()
+    if f.P is None:
+        return ExpEiForm(zero, f.L, zero, f.qn.kappa)
+    return ExpEiForm(f.P, zero, f.L, f.qn.kappa)
+
+
 def laurent_mul(p: RatPoly, q: RatPoly) -> RatPoly:
     """p * q by the schoolbook convolution of the integer numerators over
     p.den q.den, reduced by one gcd; the package never multiplies two
@@ -142,12 +192,15 @@ def form_sum(f: ExpEiForm, g: ExpEiForm) -> ExpEiForm:
     """f + g bucket by bucket; both forms must share kappa."""
     if f.kappa != g.kappa:
         raise ValueError("cannot add forms with different kappa")
-    return ExpEiForm(f.q_plus + g.q_plus, f.q_minus + g.q_minus, f.q_ei + g.q_ei, f.kappa)
+    return ExpEiForm(poly_add(f.q_plus, g.q_plus), poly_add(f.q_minus, g.q_minus),
+                     poly_add(f.q_ei, g.q_ei), f.kappa)
 
 
-def radial_operator_reference(f: ExpEiForm, qn) -> ExpEiForm:
+def radial_operator_reference(f: Radial) -> ExpEiForm:
     """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 r - l(l+1)) f composed as
-    (r^2 f')' + V f from ExpEiForm.derivative and Laurent products."""
+    (r^2 f')' + V f on f's buckets from ExpEiForm.derivative, Laurent products
+    and sums."""
+    qn, f = f.qn, buckets(f)
     potential = RatPoly(0, (-qn.l * (qn.l + 1), 2 * KAPPA0, -(qn.kappa ** 2)))
     d = f.derivative()
     r2d = ExpEiForm(d.q_plus.shift(2), d.q_minus.shift(2), d.q_ei.shift(2), f.kappa)
@@ -156,16 +209,17 @@ def radial_operator_reference(f: ExpEiForm, qn) -> ExpEiForm:
                                                 laurent_mul(f.q_ei, potential), f.kappa))
 
 
-def wronskian_full_product(r1: ExpEiForm, r2: ExpEiForm) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """W(R1, R2) (R1 pure e^{-kappa r}) from the full Laurent products of the
-    buckets of the forms and their derivatives: its e^{-2 kappa r} part, its
+def wronskian_full_product(r1: Radial, r2: Radial) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """W(R1, R2) from the full Laurent products of the buckets of the forms
+    and their ExpEiForm derivatives: its e^{-2 kappa r} part, its
     e^{-2 kappa r} Ei(1, -2 kappa r) part, and r^2 times its exponential-free
     part, which must come out 0, 0 and the constant r^2 W."""
+    r2 = buckets(r2)
     r2d = r2.derivative()
-    m1, m1d = r1.q_minus, r1.derivative().q_minus
-    w_minus = laurent_mul(m1, r2d.q_minus) - laurent_mul(m1d, r2.q_minus)
-    w_ei = laurent_mul(m1, r2d.q_ei) - laurent_mul(m1d, r2.q_ei)
-    r2w = (laurent_mul(m1, r2d.q_plus) - laurent_mul(m1d, r2.q_plus)).shift(2)
+    m1, m1d = r1.L, buckets(r1).derivative().q_minus
+    w_minus = poly_sub(laurent_mul(m1, r2d.q_minus), laurent_mul(m1d, r2.q_minus))
+    w_ei = poly_sub(laurent_mul(m1, r2d.q_ei), laurent_mul(m1d, r2.q_ei))
+    r2w = poly_sub(laurent_mul(m1, r2d.q_plus), laurent_mul(m1d, r2.q_plus)).shift(2)
     return w_minus, w_ei, r2w
 
 
@@ -264,15 +318,15 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
     return brentq(mismatch, *b_range, xtol=1e-12)
 
 
-def four_grid_forms(r1: ExpEiForm, r2: ExpEiForm) -> tuple:
-    """R1, R1', R2 and R2', each differentiated and converted to floats on its
-    own (prepare_form), as the shell held them before its one-point pass."""
-    return tuple(prepare_form(f) for f in (r1, r1.derivative(), r2, r2.derivative()))
+def four_grid_forms(r1: Radial, r2: Radial) -> tuple:
+    """R1, R1', R2 and R2', each differentiated on its own."""
+    return r1, r1.derivative(), r2, r2.derivative()
 
 
 def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, float, float, float]:
     """(R1, R1', R2, R2') at r from four one-point eval_grid calls in that
-    order, so the first form that cannot be evaluated raises."""
+    order, each converting its form's coefficients again, so the first form
+    that cannot be evaluated raises."""
     return tuple(eval_grid(f, (r,))[0][1] for f in forms)
 
 
@@ -320,7 +374,8 @@ def float_horner(p: RatPoly, x: float) -> float:
     if p.is_zero():
         return 0.0
     lo, hi = min(p.low, 0), max(p.degree, -1)
-    cs = [float(p.coeff(k)) for k in range(lo, hi + 1)]
+    terms = dict(p.terms())
+    cs = [float(terms.get(k, 0)) for k in range(lo, hi + 1)]
     up = 0.0
     for c in reversed(cs[-lo:]):
         up = up * x + c
@@ -434,13 +489,8 @@ def poly_from_rat_dict(d: dict[str, str]) -> RatPoly:
 
 def coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
     """The rows of ``coeffs --format csv`` after its header."""
-    lines = []
-    powers = sorted({k for k, _ in q_plus.terms()} | {k for k, _ in q_ei.terms()})
-    for k in powers:
-        qp = q_plus.coeff(k)
-        qe = q_ei.coeff(k)
-        lines.append(f"{k},{qp if qp else ''},{qe if qe else ''}\n")
-    return "".join(lines)
+    plus, ei = dict(q_plus.terms()), dict(q_ei.terms())
+    return "".join(f"{k},{plus.get(k, '')},{ei.get(k, '')}\n" for k in sorted(plus.keys() | ei.keys()))
 
 
 def table_csv_rows(n: int, l: int, part: str, poly: RatPoly) -> str:
@@ -495,8 +545,9 @@ def _poly_abs_eval(p, r: float) -> float:
             f"conditioning envelope overflows double precision at r = {r!r}") from exc
 
 
-def eval_form(f: ExpEiForm, r: float) -> tuple[float, float]:
-    """Evaluate a symbolic radial form at r > 0 in double precision.
+def eval_form(f: Radial, r: float) -> tuple[float, float]:
+    """Evaluate R1 or R2 (or a derivative) at r > 0 in double precision,
+    bucket by bucket on its three-bucket form.
 
     The error estimate is built from the absolute-coefficient envelope of
     each bucket (which dominates the plain |A| + |C| cancellation penalty
@@ -506,6 +557,7 @@ def eval_form(f: ExpEiForm, r: float) -> tuple[float, float]:
     """
     if not r > 0:
         raise DomainError(f"eval_grid requires r > 0, got {r!r}")
+    f = buckets(f)
     kappa = float(f.kappa)
     round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
                     + kappa * r + 6) * _EPS

@@ -1,10 +1,12 @@
 """The bench scripts use the package from outside it.  A simplification that
-removes a name they use must fail here, not only when the bench runs."""
+removes a name they use, or changes how they call it, must fail here, not
+only when the bench runs."""
 
 import ast
 import importlib.util
 from pathlib import Path
 
+from coulombwf import numeval
 from coulombwf.ratpoly import RatPoly
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -39,3 +41,34 @@ def test_ratpoly_keeps_the_coefficient_view_the_bench_reads():
     # bench/tracing.py sizes products and coefficients from RatPoly.coeffs
     p = RatPoly(-1, (1, 0, 6))
     assert p.coeffs == (1, 0, 6)
+
+
+def test_bench_underbound_check_runs_on_the_package(monkeypatch):
+    # the eval_grid workload checks its sampled rows against the 256-bit
+    # evaluator of the form worker._underbound assembles from each request's
+    # argv: every point must be checked, at the CLI's own value
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = importlib.import_module("worker")
+    extended = []
+    original = numeval.eval_form_extended
+
+    def recorded(form, r, bits):
+        value = original(form, r, bits)
+        extended.append((r, float(value)))
+        return value
+
+    monkeypatch.setattr(numeval, "eval_form_extended", recorded)
+    requests, outcomes, rows = [], [], []
+    for which in ("R1", "R2"):
+        argv = ["eval", "--n", "3", "--l", "1", "--which", which, "--grid", "0.5:12:7"]
+        rc, text, _ = worker.run_cli(argv)
+        assert rc == 0
+        points = worker._eval_rows(argv, text)
+        requests.append({"argv": argv, "kind": "eval"})
+        outcomes.append({"points": points})
+        rows += points
+    under, checked = worker._underbound(requests, outcomes)
+    assert checked == len(rows) == 14 and under == 0
+    assert [r for r, _ in extended] == [r for r, _, _ in rows]
+    for (_, exact), (_, value, est) in zip(extended, rows):
+        assert abs(value - exact) <= est * abs(exact)

@@ -71,9 +71,9 @@ def test_coeffs_json_round_trip(capsys):
         _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
         doc = json.loads(out)
         form = assemble_R2(QuantumNumbers(n, l))
-        assert refvals.poly_from_rat_dict(doc["q_plus"]) == form.q_plus
-        assert refvals.poly_from_rat_dict(doc["q_ei"]) == form.q_ei
-        assert Fraction(doc["ei_arg_scale"]) == -2 * form.kappa
+        assert refvals.poly_from_rat_dict(doc["q_plus"]) == form.P
+        assert refvals.poly_from_rat_dict(doc["q_ei"]) == form.L
+        assert Fraction(doc["ei_arg_scale"]) == -2 * form.qn.kappa
 
 
 def test_coeffs_output_deterministic(capsys):
@@ -111,10 +111,10 @@ def _states(nmax: int) -> list[QuantumNumbers]:
 
 
 def _coeffs_doc(qn, r2, r1=None) -> dict:
-    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(r2.q_plus),
-           "q_ei": refvals.rat_dict(r2.q_ei), "ei_arg_scale": str(-2 * r2.kappa)}
+    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(r2.P),
+           "q_ei": refvals.rat_dict(r2.L), "ei_arg_scale": str(-2 * qn.kappa)}
     if r1 is not None:
-        doc["r1_q_minus"] = refvals.rat_dict(r1.q_minus)
+        doc["r1_q_minus"] = refvals.rat_dict(r1.L)
     return doc
 
 
@@ -142,7 +142,7 @@ def test_table_csv_matches_fraction_writer(capsys):
         refvals.table_csv_rows(qn.n, qn.l, part, poly)
         for qn in _states(6)
         for r1, r2 in [(assemble_R1(qn), assemble_R2(qn))]
-        for part, poly in (("r1_q_minus", r1.q_minus), ("q_plus", r2.q_plus), ("q_ei", r2.q_ei)))
+        for part, poly in (("r1_q_minus", r1.L), ("q_plus", r2.P), ("q_ei", r2.L)))
     assert out == cli._header() + "n,l,part,power,coeff\n" + rows
 
 
@@ -253,7 +253,7 @@ def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
 def test_eval_prepares_its_form_once(capsys, monkeypatch):
     # every coefficient is converted to a float once per request, and the
     # whole grid is one kernel call
-    calls = {"prepare_form": 0, "laurent_run": 0, "eval_grid": 0}
+    calls = {"laurent_run": 0, "eval_grid": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -264,14 +264,13 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(numeval, "prepare_form")
     counted(numeval, "eval_grid")
     counted(numeval, "laurent_run")
     code, _, _ = run(capsys, "eval", "--n", "7", "--l", "2", "--which", "R2",
                      "--grid", "0.5:60:2000", "--format", "csv")
     assert code == 0
-    # R2 has a q_plus and a q_ei bucket
-    assert calls == {"prepare_form": 1, "laurent_run": 2, "eval_grid": 1}
+    # R2 has two polynomials, P and L
+    assert calls == {"laurent_run": 2, "eval_grid": 1}
 
 
 def test_eval_ei_overflow_is_a_one_line_failure(capsys):
@@ -354,7 +353,7 @@ def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
 def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypatch):
     # the residuals and r^2 W are written from the buckets' coefficients
     calls = {"derivative": 0, "mul": 0}
-    derivative, mul = closedform.ExpEiForm.derivative, RatPoly.__mul__
+    derivative, mul = closedform.Radial.derivative, RatPoly.__mul__
 
     def counted_derivative(self):
         calls["derivative"] += 1
@@ -364,7 +363,7 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
         calls["mul"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(closedform.ExpEiForm, "derivative", counted_derivative)
+    monkeypatch.setattr(closedform.Radial, "derivative", counted_derivative)
     monkeypatch.setattr(RatPoly, "__mul__", counted_mul)
     monkeypatch.setattr(RatPoly, "__rmul__", counted_mul)
     code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
@@ -423,7 +422,7 @@ def test_verify_wronskian_only_fails_on_a_corrupt_r2(capsys, monkeypatch):
         r1, r2 = original(qn)
         if qn.l != 1:
             return r1, r2
-        return r1, dataclasses.replace(r2, q_ei=r2.q_ei + RatPoly(0, (1,)))
+        return r1, dataclasses.replace(r2, L=refvals.poly_add(r2.L, RatPoly(0, (1,))))
 
     monkeypatch.setattr(oracle, "assemble_pair", corrupted)
     code, out, _ = run(capsys, "verify", "--nmax", "3", "--checks", "wronskian")
@@ -545,16 +544,16 @@ def test_verify_runs_one_pv_quadrature_per_sample_point(capsys, monkeypatch):
 
 
 def test_verify_pv_checks_the_forms_that_coeffs_prints(capsys, monkeypatch):
-    # pv reads R2's own buckets, so a wrong q_plus coefficient in the form
+    # pv reads R2's own polynomials, so a wrong coefficient of P in the form
     # that coeffs, eval and shell use fails it: here the lowest one, off by
     # 1e-6 relative
     original = oracle.assemble_R2
 
     def perturbed(qn):
         r2 = original(qn)
-        q = r2.q_plus
+        q = r2.P
         nums = [q.nums[0] * 1_000_001] + [x * 1_000_000 for x in q.nums[1:]]
-        return dataclasses.replace(r2, q_plus=RatPoly.from_nums(q.low, nums, q.den * 1_000_000))
+        return dataclasses.replace(r2, P=RatPoly.from_nums(q.low, nums, q.den * 1_000_000))
 
     monkeypatch.setattr(oracle, "assemble_R2", perturbed)
     code, out, err = run(capsys, "verify", "--checks", "pv")

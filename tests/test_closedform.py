@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from coulombwf import cli
 from coulombwf.closedform import (
-    ExpEiForm,
     InvalidQuantumNumbers,
     QuantumNumbers,
+    Radial,
     apply_radial_operator,
     assemble_pair,
     assemble_R1,
     assemble_R2,
+    decay_derivative,
     energy,
     laguerre_L1,
     p2_recurrence,
@@ -23,6 +24,8 @@ from coulombwf.oracle import _confluent_parts
 from coulombwf.ratpoly import RatPoly
 
 from refvals import (
+    ExpEiForm,
+    buckets,
     central_diff,
     form_sum,
     fraction_hyp1f1_terminating,
@@ -30,7 +33,9 @@ from refvals import (
     laurent_mul,
     p2_doublesum,
     p2_simplified,
+    poly_add,
     poly_from_terms as P,
+    poly_sub,
     radial_operator_reference,
 )
 
@@ -84,7 +89,7 @@ def test_laguerre_degree_and_value_at_zero():
         for m in range(8):
             poly = laguerre_L1(n_r, m)
             assert poly.degree == n_r
-            assert poly.coeff(0) == F(math.factorial(n_r + m), math.factorial(n_r) * math.factorial(m))
+            assert dict(poly.terms())[0] == F(math.factorial(n_r + m), math.factorial(n_r) * math.factorial(m))
 
 
 def test_hyp1f1_trivial_and_hand_values():
@@ -159,7 +164,7 @@ def test_p2_integer_coefficients_and_leading():
             poly = p2_recurrence(n_r, m)
             assert poly.degree == n_r + m - 1
             assert all(c.denominator == 1 for _, c in poly.terms())
-            assert poly.coeff(n_r + m - 1) == (-1) ** n_r
+            assert dict(poly.terms())[n_r + m - 1] == (-1) ** n_r
 
 
 def test_p2_low_coefficients_positive():
@@ -167,38 +172,37 @@ def test_p2_low_coefficients_positive():
         for l in range(7):
             m = 2 * l + 1
             poly = p2_recurrence(n_r, m)
+            terms = dict(poly.terms())
             for p in range(m):
-                assert poly.coeff(p) > 0
+                assert terms.get(p, 0) > 0
 
 
 # -- assembled radial solutions ---------------------------------------------------
 
 def test_assemble_R1_examples():
-    f = assemble_R1(QuantumNumbers(1, 0))
-    assert f.q_minus == ONE and f.q_plus.is_zero() and f.q_ei.is_zero()
-    assert f.kappa == F(1)
+    qn = QuantumNumbers(1, 0)
+    assert assemble_R1(qn) == Radial(qn, ONE)
 
     f = assemble_R1(QuantumNumbers(2, 1))
-    assert f.q_minus == P({1: 1})
-    assert f.kappa == F(1, 2)
+    assert f.L == P({1: 1}) and f.P is None
+    assert f.qn.kappa == F(1, 2)
 
     f = assemble_R1(QuantumNumbers(3, 1))
-    assert f.q_minus == P({1: F(8, 3), 2: F(-4, 9)})
+    assert f.L == P({1: F(8, 3), 2: F(-4, 9)})
 
 
 def test_assemble_R2_examples():
     f = assemble_R2(QuantumNumbers(1, 0))
-    assert f.q_plus == P({-1: F(1, 2)})
-    assert f.q_ei == ONE
-    assert f.q_minus.is_zero()
+    assert f.P == P({-1: F(1, 2)})
+    assert f.L == ONE
 
     f = assemble_R2(QuantumNumbers(3, 2))
-    assert f.q_plus == P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)})
-    assert f.q_ei == P({2: F(4, 9)})
+    assert f.P == P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)})
+    assert f.L == P({2: F(4, 9)})
 
     f = assemble_R2(QuantumNumbers(4, 0))
-    assert f.q_plus == P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)})
-    assert f.q_ei == P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)})
+    assert f.P == P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)})
+    assert f.L == P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)})
 
 
 def test_R2_ei_polynomial_matches_R1():
@@ -208,24 +212,24 @@ def test_R2_ei_polynomial_matches_R1():
         for l in range(n):
             qn = QuantumNumbers(n, l)
             r1, r2 = assemble_pair(qn)
-            assert r2.q_ei is r1.q_minus, qn
-            assert assemble_R2(qn).q_ei == assemble_R1(qn).q_minus, qn
+            assert r2.L is r1.L and r1.P is None and r2.qn is r1.qn is qn, qn
+            assert assemble_R2(qn).L == assemble_R1(qn).L, qn
 
 
 # -- symbolic differentiation ------------------------------------------------------
 
 def test_derivative_of_pure_decaying_exponential():
-    d = assemble_R1(QuantumNumbers(1, 0)).derivative()
-    assert d.q_minus == RatPoly(0, (-1,))
-    assert d.q_plus.is_zero() and d.q_ei.is_zero()
+    qn = QuantumNumbers(1, 0)
+    assert assemble_R1(qn).derivative() == Radial(qn, RatPoly(0, (-1,)))
 
 
 def test_derivative_moves_ei_term_to_growing_bucket():
-    f = ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1))
-    d = f.derivative()
-    assert d.q_ei == RatPoly(0, (-1,))
-    assert d.q_plus == P({-1: -1})
-    assert d.q_minus.is_zero()
+    qn = QuantumNumbers(1, 0)
+    d = Radial(qn, ONE, RatPoly.zero()).derivative()
+    assert d.L == RatPoly(0, (-1,))
+    assert d.P == P({-1: -1})
+    # and so does the three-bucket reference
+    assert buckets(d) == ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1)).derivative()
 
 
 @pytest.mark.parametrize("n,l,r", [(1, 0, 0.7), (2, 1, 1.3), (3, 0, 2.5), (4, 2, 3.1)])
@@ -244,45 +248,67 @@ def test_symbolic_derivative_matches_finite_differences(n, l, r):
 
 # -- the radial operator from the buckets' coefficients ------------------------------
 
+# random (qn, L, P) draws: zero polynomials, negative lows and P = None among them
 _polys = st.builds(RatPoly.from_nums, st.integers(-6, 6),
                    st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**4))
 
 
 @st.composite
-def _states_and_forms(draw):
+def _forms(draw):
     n = draw(st.integers(1, 12))
     qn = QuantumNumbers(n, draw(st.integers(0, n - 1)))
-    return qn, ExpEiForm(draw(_polys), draw(_polys), draw(_polys), qn.kappa)
+    return Radial(qn, draw(_polys), draw(st.none() | _polys))
+
+
+_ZERO_R1 = Radial(QuantumNumbers(1, 0), RatPoly.zero())
+_ZERO_L = Radial(QuantumNumbers(5, 2), RatPoly.zero(), P({-2: F(3, 7), 1: 1}))
+_EI_ONLY = Radial(QuantumNumbers(5, 2), P({-2: F(3, 7), 1: 1}), RatPoly.zero())
 
 
 @settings(max_examples=300, deadline=None)
-@given(_states_and_forms())
-@example((QuantumNumbers(5, 2), ExpEiForm(RatPoly.zero(), RatPoly.zero(), P({-2: F(3, 7), 1: 1}), F(1, 5))))
-@example((QuantumNumbers(1, 0), ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly.zero(), F(1))))
-def test_operator_matches_derivative_composition(case):
-    qn, f = case
-    assert apply_radial_operator(f, qn) == radial_operator_reference(f, qn)
+@given(_forms())
+@example(_ZERO_R1)
+@example(_ZERO_L)
+@example(_EI_ONLY)
+def test_operator_matches_derivative_composition(f):
+    assert buckets(apply_radial_operator(f)) == radial_operator_reference(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, st.integers(1, 12))
+@example(RatPoly.zero(), 1)
+@example(P({-3: F(1, 7), -1: 2}), 1)
+def test_decay_derivative_is_q_prime_minus_q_over_n(q, n):
+    # at n = 1 it is the PV oracle's D: p -> p' - p
+    assert decay_derivative(q, n) == poly_sub(q.derivative(), q * F(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms())
+@example(_ZERO_R1)
+@example(_ZERO_L)
+@example(_EI_ONLY)
+def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
+    d = f.derivative()
+    assert d.qn is f.qn and (d.P is None) == (f.P is None)
+    assert buckets(d) == buckets(f).derivative()
 
 
 def test_operator_matches_derivative_composition_every_state_to_n40():
     for n in range(1, 41):
         for l in range(n):
-            qn = QuantumNumbers(n, l)
-            for form in assemble_pair(qn):
-                assert apply_radial_operator(form, qn) == radial_operator_reference(form, qn), qn
-
-
-def test_operator_rejects_a_form_of_another_state():
-    with pytest.raises(ValueError):
-        apply_radial_operator(assemble_R1(QuantumNumbers(2, 0)), QuantumNumbers(3, 0))
+            for form in assemble_pair(QuantumNumbers(n, l)):
+                assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
+                assert buckets(form.derivative()) == buckets(form).derivative(), (n, l)
 
 
 def test_forms_add_only_in_the_reference_sum():
     # the package never sums two forms; the tests' reference sum guards kappa
     a = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1))
     b = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1, 2))
-    with pytest.raises(TypeError):
-        a + a
+    for f in (a, assemble_R1(QuantumNumbers(1, 0)), ONE):
+        with pytest.raises(TypeError):
+            f + f
     with pytest.raises(ValueError):
         form_sum(a, b)
     assert form_sum(a, a) == ExpEiForm(RatPoly.zero(), ONE * 2, RatPoly.zero(), F(1))
@@ -322,5 +348,6 @@ def test_phi2_exp_part_solves_inhomogeneous_kummer():
             n_r, m = n - l - 1, 2 * l + 1
             h, g = _confluent_parts(QuantumNumbers(n, l))
             hd = h.derivative()
-            lhs = hd.derivative().shift(1) + laurent_mul(hd, P({0: m + 1, 1: 1})) + h * (n_r + m + 1)
-            assert lhs == g.derivative() * 2 + g.shift(-1) * m
+            lhs = poly_add(poly_add(hd.derivative().shift(1), laurent_mul(hd, P({0: m + 1, 1: 1}))),
+                           h * (n_r + m + 1))
+            assert lhs == poly_add(g.derivative() * 2, g.shift(-1) * m)

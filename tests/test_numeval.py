@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf.closedform import ExpEiForm, QuantumNumbers, assemble_pair, assemble_R1, assemble_R2
+from coulombwf.closedform import QuantumNumbers, Radial, assemble_pair, assemble_R1, assemble_R2
 from coulombwf.ratpoly import RatPoly
 from coulombwf.numeval import (
     EULER_GAMMA,
@@ -23,7 +23,6 @@ from coulombwf.numeval import (
     horner,
     laurent_run,
     pair_runs,
-    prepare_form,
 )
 
 import refvals
@@ -187,7 +186,7 @@ def test_eval_propagates_overflow():
         eval_grid(f, (500.0,))  # Ei argument 1000 overflows
 
 
-# -- prepared evaluation against the per-point reference -----------------------------
+# -- the grid kernel against the per-point reference ---------------------------------
 
 _WHICH = ("r1", "r1d", "r2", "r2d")
 
@@ -198,9 +197,9 @@ def _forms(n: int, l: int):
     return dict(zip(_WHICH, (r1, r1.derivative(), r2, r2.derivative())))
 
 
-@functools.lru_cache(maxsize=None)
-def _prepared(n: int, l: int, which: str):
-    return prepare_form(_forms(n, l)[which])
+def _runs(f) -> list[tuple]:
+    """The float runs of f's polynomials, L and then P when f has one."""
+    return [laurent_run(q) for q in (f.L, f.P) if q is not None]
 
 
 def _one_point(f, r) -> tuple[float, float]:
@@ -222,10 +221,10 @@ def _run_width(bucket) -> int:
     return len(bucket[0]) + len(bucket[1])
 
 
-def _envelope_bound(prepared) -> float:
+def _envelope_bound(f) -> float:
     """Relative rounding bound (2 w + 2) eps of the Horner envelope, w the
     longest run of the form."""
-    width = max(_run_width(b) for b in (prepared.plus, prepared.minus, prepared.ei) if b)
+    width = max(_run_width(b) for b in _runs(f))
     return (2 * width + 2) * _EPS
 
 
@@ -234,16 +233,15 @@ def _assert_same_as_reference(n: int, l: int, which: str, r: float) -> None:
     # moves only by the rounding of the envelope
     form = _forms(n, l)[which]
     want = _outcome(refvals.eval_form, form, r)
-    bound = _envelope_bound(_prepared(n, l, which))
-    for got in (_outcome(_one_point, _prepared(n, l, which), r), _outcome(_one_point, form, r)):
-        if isinstance(want[0], type):
-            assert got == want
-            continue
-        assert got[0] == want[0]
-        if math.isfinite(want[1]):
-            assert abs(got[1] - want[1]) <= bound * want[1]
-        else:
-            assert repr(got[1]) == repr(want[1])
+    got = _outcome(_one_point, form, r)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    if math.isfinite(want[1]):
+        assert abs(got[1] - want[1]) <= _envelope_bound(form) * want[1]
+    else:
+        assert repr(got[1]) == repr(want[1])
 
 
 _states = st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
@@ -278,15 +276,16 @@ def test_prepared_eval_same_outcome_at_the_edges(r):
 
 def test_prepared_eval_with_coefficients_beyond_double_range():
     # R2's leading coefficient for n = 70, l = 69 does not fit a double, so
-    # preparing R2 or R2' raises one OverflowSignal that names the bucket, and
-    # so does every evaluation, which prepares the form before it reads a
-    # point; R1 and R1' evaluate as the reference
+    # converting R2's or R2''s P raises one OverflowSignal that names its
+    # bucket, even for a grid of no points, and so does every evaluation,
+    # which converts the form before it reads a point; R1 and R1' evaluate as
+    # the reference
     forms = _forms(70, 69)
     with pytest.raises(OverflowError):
-        laurent_run(forms["r2"].q_plus)
+        laurent_run(forms["r2"].P)
     for which in ("r2", "r2d"):
         with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
-            prepare_form(forms[which])
+            eval_grid(forms[which], [])
         for r in (1.0, 1e-320, 0.0, 1e5):
             assert _outcome(_one_point, forms[which], r) == (
                 OverflowSignal, "the q_plus coefficients exceed double precision")
@@ -335,20 +334,30 @@ def test_eval_pair_matches_four_grid_calls():
 
 def test_eval_pair_gives_a_zero_eval_grids_sign():
     # no state reaches it, but a negative L e^{-kr} that underflows is -0.0,
-    # which eval_grid's sum 0.0 + b + 0.0 of R1's three buckets turns into 0.0
-    ell = RatPoly(0, [Fraction(-1, 10**300)])
-    r1 = ExpEiForm(RatPoly.zero(), ell, RatPoly.zero(), Fraction(1))
-    r2 = ExpEiForm(RatPoly(0, [1]), RatPoly.zero(), ell, Fraction(1))
+    # which eval_grid's sum 0.0 + b + 0.0 of R1's three terms turns into 0.0
+    qn, ell = QuantumNumbers(1, 0), RatPoly(0, [Fraction(-1, 10**300)])
+    r1, r2 = Radial(qn, ell), Radial(qn, ell, RatPoly(0, [1]))
     want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
     assert want[0] == "0.0"
     assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
 
 
 def test_pair_runs_names_an_overflowing_bucket_as_prepare_form_does():
-    # n = 70, l = 69: P does not fit a double, so the runs cannot be prepared
+    # n = 70, l = 69: P does not fit a double, so the runs cannot be
+    # converted, and the text is eval_grid's for the same form
     r2 = assemble_R2(QuantumNumbers(70, 69))
-    with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
-        pair_runs(r2)
+    for convert in (pair_runs, lambda f: eval_grid(f, [])):
+        with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
+            convert(r2)
+
+
+def test_eval_grid_names_the_bucket_of_an_overflowing_L():
+    # no state reaches it, since P overflows first, but an L beyond double
+    # range is named as the bucket it fills: q_minus in R1, q_ei in R2
+    qn, huge = QuantumNumbers(1, 0), RatPoly(0, [10**400])
+    for f, name in ((Radial(qn, huge), "q_minus"), (Radial(qn, huge, RatPoly(0, [1])), "q_ei")):
+        with pytest.raises(OverflowSignal, match=f"^the {name} coefficients exceed double precision$"):
+            eval_grid(f, [1.0])
 
 
 # -- the grid kernel ------------------------------------------------------------------
@@ -375,22 +384,20 @@ def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, failin
     if failing is not None:
         points.insert(failing[0], failing[1])
     rs = [_r_of(n, p) for p in points]
-    prepared = _prepared(n, l, which)
+    form = _forms(n, l)[which]
     rows = []
     for r in rs:
         try:
-            value, est = _one_point(prepared, r)
+            value, est = _one_point(form, r)
         except (DomainError, OverflowSignal) as exc:
             # the grid raises what its first failing point raises
             with pytest.raises(type(exc)) as err:
-                eval_grid(prepared, rs)
+                eval_grid(form, rs)
             assert type(err.value) is type(exc) and str(err.value) == str(exc)
             return
-        assert repr(value) == repr(refvals.eval_form(_forms(n, l)[which], r)[0])
+        assert repr(value) == repr(refvals.eval_form(form, r)[0])
         rows.append((r, value, est))
-    assert [tuple(map(repr, row)) for row in eval_grid(prepared, rs)] == \
-        [tuple(map(repr, row)) for row in rows]
-    assert [tuple(map(repr, row)) for row in eval_grid(_forms(n, l)[which], rs)] == \
+    assert [tuple(map(repr, row)) for row in eval_grid(form, rs)] == \
         [tuple(map(repr, row)) for row in rows]
 
 
@@ -400,12 +407,8 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     # the envelope sum |c_k| r^k of one Horner pass, against exact rationals
     n, l = state
     r = math.exp(log_r)
-    form, prepared = _forms(n, l)[which], _prepared(n, l, which)
-    for p, bucket in ((form.q_plus, prepared.plus), (form.q_minus, prepared.minus),
-                      (form.q_ei, prepared.ei)):
-        if bucket is None:
-            assert p.is_zero()
-            continue
+    form = _forms(n, l)[which]
+    for p, bucket in zip((form.L, form.P), _runs(form)):
         value, env = horner(bucket, r)
         assert repr(value) == repr(refvals.float_horner(p, r))
         exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
@@ -434,10 +437,9 @@ def test_grid_raises_at_its_first_failing_point(state, which, bad_r, message, k)
     with pytest.raises(OverflowSignal) as want:
         refvals.eval_form(form, bad_r)
     assert str(want.value) == message
-    for f in (form, prepare_form(form)):
-        with pytest.raises(OverflowSignal) as got:
-            eval_grid(f, rs)
-        assert str(got.value) == message
+    with pytest.raises(OverflowSignal) as got:
+        eval_grid(form, rs)
+    assert str(got.value) == message
 
 
 def test_eval_grid_of_no_points_is_empty():

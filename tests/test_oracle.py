@@ -6,13 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coulombwf.closedform import (
-    ExpEiForm,
-    QuantumNumbers,
-    apply_radial_operator,
-    assemble_pair,
-    assemble_R2,
-)
+from coulombwf.closedform import QuantumNumbers, apply_radial_operator, assemble_pair, assemble_R2
 from coulombwf import numeval, oracle as oracle_mod
 from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
@@ -29,7 +23,7 @@ from coulombwf.oracle import (
 )
 from coulombwf.ratpoly import RatPoly
 
-from refvals import form_sum, radial_operator_reference, wronskian_full_product
+from refvals import poly_add, poly_sub, radial_operator_reference, wronskian_full_product
 
 F = Fraction
 
@@ -63,24 +57,23 @@ def closed_form_deviation(qn, x):
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_ode_residual_exactly_zero(qn):
     r1, r2 = assemble_pair(qn)
-    rep1 = ode_residual_symbolic(r1, qn, "R1")
-    rep2 = ode_residual_symbolic(r2, qn, "R2")
+    rep1 = ode_residual_symbolic(r1, "R1")
+    rep2 = ode_residual_symbolic(r2, "R2")
     assert rep1.passed and rep1.exact and rep1.residual_norm == 0.0
     assert rep2.passed and rep2.exact and rep2.residual_norm == 0.0
 
 
 def test_ode_residual_detects_mutation():
-    qn = QuantumNumbers(3, 1)
-    f = assemble_R2(qn)
-    for bucket in ("q_plus", "q_minus", "q_ei"):
-        mutated = dataclasses.replace(f, **{bucket: getattr(f, bucket) + RatPoly(0, (1,))})
-        rep = ode_residual_symbolic(mutated, qn, "R2")
-        assert not rep.passed
+    r1, r2 = assemble_pair(QuantumNumbers(3, 1))
+    for which, f, part in (("R1", r1, "L"), ("R2", r2, "L"), ("R2", r2, "P")):
+        mutated = dataclasses.replace(f, **{part: poly_add(getattr(f, part), RatPoly(0, (1,)))})
+        rep = ode_residual_symbolic(mutated, which)
+        assert not rep.passed and not rep.exact
         assert rep.residual_norm > 0
         # the failing row reads exactly as the residual composed from derivatives
-        ref = radial_operator_reference(mutated, qn)
+        ref = radial_operator_reference(mutated)
         assert rep.details == (f"nonzero residual buckets: plus={ref.q_plus}, "
-                               f"minus={ref.q_minus}, ei={ref.q_ei}"), bucket
+                               f"minus={ref.q_minus}, ei={ref.q_ei}"), (which, part)
         assert rep.residual_norm == max(q.max_abs_coeff_float() for q in (ref.q_plus, ref.q_minus, ref.q_ei))
 
 
@@ -104,28 +97,32 @@ def test_residual_also_vanishes_numerically():
 
 # -- Wronskian -------------------------------------------------------------------------
 
-def wronskian(qn, r1, r2):
+def wronskian(r1, r2):
     """wronskian_symbolic on the verdict of the forms' own exact ODE residuals."""
-    solves = all(apply_radial_operator(f, qn).is_zero() for f in (r1, r2))
-    return wronskian_symbolic(r1, r2, qn, solves)
+    solves = all(apply_radial_operator(f).is_zero() for f in (r1, r2))
+    return wronskian_symbolic(r1, r2, solves)
 
 
 def corrupt_r2(r1, r2):
-    """R1 and R2 with 1 added to R2's Ei bucket, so that R2 no longer solves the radial equation."""
-    return r1, form_sum(r2, ExpEiForm(RatPoly.zero(), RatPoly.zero(), RatPoly(0, (1,)), r2.kappa))
+    """R1 and R2 with 1 added to R2's L, so that R2 no longer solves the radial equation."""
+    return r1, dataclasses.replace(r2, L=poly_add(r2.L, RatPoly(0, (1,))))
+
+
+def doubled(f):
+    """2 f, in f's own shape."""
+    return dataclasses.replace(f, L=f.L * 2, P=None if f.P is None else f.P * 2)
 
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_wronskian_constant_and_nonzero(qn):
-    r2w, rep = wronskian(qn, *assemble_pair(qn))
+    r2w, rep = wronskian(*assemble_pair(qn))
     assert rep.passed and rep.exact
     assert r2w != 0
 
 
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
-    qn = QuantumNumbers(1, 0)
-    r2w, _ = wronskian(qn, *assemble_pair(qn))
+    r2w, _ = wronskian(*assemble_pair(QuantumNumbers(1, 0)))
     assert r2w == F(-1, 2)
 
 
@@ -137,11 +134,11 @@ def test_wronskian_agrees_with_full_product_reference():
         r1, r2 = assemble_pair(qn)
         w_minus, w_ei, r2w = wronskian_full_product(r1, r2)
         assert w_minus.is_zero() and w_ei.is_zero(), qn
-        assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, qn, True)[0],)), qn
+        assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, True)[0],)), qn
 
 
 def test_wronskian_forms_no_product(monkeypatch):
-    pairs = [(qn, *assemble_pair(qn)) for qn in all_qn(8)]
+    pairs = [assemble_pair(qn) for qn in all_qn(8)]
     calls = []
     mul = RatPoly.__mul__
 
@@ -151,25 +148,25 @@ def test_wronskian_forms_no_product(monkeypatch):
 
     monkeypatch.setattr(RatPoly, "__mul__", counted)
     monkeypatch.setattr(RatPoly, "__rmul__", counted)
-    for qn, r1, r2 in pairs:
-        assert wronskian_symbolic(r1, r2, qn, True)[1].passed
+    for r1, r2 in pairs:
+        assert wronskian_symbolic(r1, r2, True)[1].passed
     assert calls == []
 
 
 def test_wronskian_scales_bilinearly():
-    qn = QuantumNumbers(2, 1)
-    r1, r2 = assemble_pair(qn)
-    w, _ = wronskian(qn, r1, r2)
-    w2, _ = wronskian(qn, r1, form_sum(r2, r2))
+    r1, r2 = assemble_pair(QuantumNumbers(2, 1))
+    w, _ = wronskian(r1, r2)
+    w2, _ = wronskian(r1, doubled(r2))
     assert w2 == w * 2
+    w4, _ = wronskian(doubled(r1), doubled(r2))
+    assert w4 == w * 4
 
 
 def test_wronskian_rejects_wrong_normalisation():
     # 2 R2 is still an independent solution, but its r^2 W is twice
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
-    qn = QuantumNumbers(2, 1)
-    r1, r2 = assemble_pair(qn)
-    w2, rep = wronskian(qn, r1, form_sum(r2, r2))
+    r1, r2 = assemble_pair(QuantumNumbers(2, 1))
+    w2, rep = wronskian(r1, doubled(r2))
     assert w2 == -12
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == 6.0
@@ -180,7 +177,7 @@ def test_wronskian_rejects_wrong_normalisation():
                          ids=["wronskian", "ode,wronskian"])
 def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
     qn = QuantumNumbers(3, 1)
-    r2w, rep = wronskian(qn, *corrupt_r2(*assemble_pair(qn)))
+    r2w, rep = wronskian(*corrupt_r2(*assemble_pair(qn)))
     assert r2w == 0
     assert not rep.passed and not rep.exact
     monkeypatch.setattr(oracle_mod, "assemble_pair", lambda q: corrupt_r2(*assemble_pair(q)))
@@ -206,8 +203,7 @@ def test_wronskian_constants_match_recorded_artifact():
     recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
     for key, value in recorded.items():
         n, l = (int(s) for s in key.split(","))
-        qn = QuantumNumbers(n, l)
-        r2w, _ = wronskian(qn, *assemble_pair(qn))
+        r2w, _ = wronskian(*assemble_pair(QuantumNumbers(n, l)))
         assert str(r2w) == value
 
 
@@ -241,7 +237,7 @@ def test_pv_oracle_rejects_out_of_range():
 
 
 def pv_sum_identity_holds(qn, r2):
-    """x^{l+1} q_plus(x) == S[x^{l+1} q_ei(x)] exactly, in x = 2 kappa r,
+    """x^{l+1} P(x) == S[x^{l+1} L(x)] exactly, in x = 2 kappa r,
     with S[h](x) = sum_k h_k sum_{j<k} j! x^{k-1-j}.
 
     That is R2's defining PV integral split at the pole: the smooth part
@@ -250,8 +246,8 @@ def pv_sum_identity_holds(qn, r2):
     Both sides are compared as integer numerators over one denominator.
     """
     to_x = Fraction(qn.n, 2)
-    lhs = r2.q_plus.scale_arg(to_x).shift(qn.l + 1)
-    h = r2.q_ei.scale_arg(to_x).shift(qn.l + 1)
+    lhs = r2.P.scale_arg(to_x).shift(qn.l + 1)
+    h = r2.L.scale_arg(to_x).shift(qn.l + 1)
     assert h.low >= 1
     out = [0] * h.degree
     for k, num in enumerate(h.nums, h.low):
@@ -266,15 +262,24 @@ def test_pv_sum_identity_on_R2_buckets():
     # independent of the Kummer recurrence that builds P
     for qn in all_qn(60):
         assert pv_sum_identity_holds(qn, assemble_R2(qn)), qn
-    # and it catches a wrong q_plus coefficient, wherever it sits
+    # and it catches a wrong coefficient of P, wherever it sits
     for qn in all_qn(8):
         r2 = assemble_R2(qn)
-        q = r2.q_plus
+        q = r2.P
         for i in range(len(q.nums)):
             nums = list(q.nums)
             nums[i] += 1
-            wrong = dataclasses.replace(r2, q_plus=RatPoly.from_nums(q.low, nums, q.den))
+            wrong = dataclasses.replace(r2, P=RatPoly.from_nums(q.low, nums, q.den))
             assert not pv_sum_identity_holds(qn, wrong), (qn, i)
+
+
+def test_pv_runs_are_h_and_its_reference_derivatives_every_state_to_n40():
+    for qn in all_qn(40):
+        h = _confluent_parts(qn)[1].shift(qn.m)
+        d1 = poly_sub(h.derivative(), h)
+        d2 = poly_sub(d1.derivative(), d1)
+        d3 = poly_sub(d2.derivative(), d2)
+        assert _pv_runs(h) == (laurent_run(h), laurent_run(d1), laurent_run(d3)), qn
 
 
 # -- pole-removing split ------------------------------------------------------------------
