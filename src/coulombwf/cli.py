@@ -33,7 +33,7 @@ EXIT_NO_ROOT = 2
 EXIT_USAGE = 64
 
 # Sample set for the principal-value cross-checks, run per state on R2's own
-# buckets: small (n, l), i.e. (n_r, m) = (0, 1), (1, 1), (2, 1), (0, 3),
+# polynomials: small (n, l), i.e. (n_r, m) = (0, 1), (1, 1), (2, 1), (0, 3),
 # (1, 3), (0, 5), (2, 3), (1, 5), with several abscissas x = 2 kappa r each,
 # all within the quadrature oracle's rated range.
 PV_SAMPLES: list[tuple[int, int, tuple[float, ...]]] = [
@@ -125,10 +125,10 @@ def _latex_ei_lower(n: int) -> str:
 
 
 def _latex_R2(r2) -> str:
-    qn = r2.qn
+    qn, (ell, p) = r2.qn, r2.in_r()
     return (
-        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P)}\right) "
-        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L)}\right) "
+        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(p)}\right) "
+        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(ell)}\right) "
         rf"{_latex_exponent(qn.n, '-')} "
         rf"\int_{{{_latex_ei_lower(qn.n)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
     )
@@ -141,15 +141,15 @@ def _latex_R2(r2) -> str:
 # write them, from templates: indent selects json's pure-Python encoder, and
 # building the dict and encoding it took 1.5 to 2.5 times as long per document.
 def _coeffs_json(r2, pad: str, table: bool = False) -> str:
-    """The coeffs document of R2, nested at indent pad: P as q_plus and L as
-    q_ei, and for the table L again as R1's r1_q_minus."""
-    qn, inner = r2.qn, pad + "  "
+    """The coeffs document of R2, nested at indent pad: P in r as q_plus and
+    L in r as q_ei, and for the table L again as R1's r1_q_minus."""
+    qn, (ell, p), inner = r2.qn, r2.in_r(), pad + "  "
     fields = [f'"n": {qn.n}', f'"l": {qn.l}',
-              f'"q_plus": {_json_rats(r2.P, inner)}',
-              f'"q_ei": {_json_rats(r2.L, inner)}',
+              f'"q_plus": {_json_rats(p, inner)}',
+              f'"q_ei": {_json_rats(ell, inner)}',
               f'"ei_arg_scale": "{-2 * qn.kappa}"']
     if table:
-        fields.append(f'"r1_q_minus": {_json_rats(r2.L, inner)}')
+        fields.append(f'"r1_q_minus": {_json_rats(ell, inner)}')
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"
 
 
@@ -166,7 +166,8 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         _write(args.out, _coeffs_json(r2, "") + "\n")
     elif args.format == "csv":
-        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L))
+        ell, p = r2.in_r()
+        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(p, ell))
     else:
         _write(args.out, _header() + _latex_R2(r2) + "\n")
     return EXIT_OK
@@ -237,7 +238,8 @@ def cmd_table(args) -> int:
         lines = [_header(), "n,l,part,power,coeff\n"]
         for r2 in forms:
             n, l = r2.qn.n, r2.qn.l
-            for part, poly in (("r1_q_minus", r2.L), ("q_plus", r2.P), ("q_ei", r2.L)):
+            ell, p = r2.in_r()
+            for part, poly in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell)):
                 for k, num, den in poly.ratio_terms():
                     lines.append(f"{n},{l},{part},{k},{_rat_text(num, den)}\n")
         _write(args.out, "".join(lines))

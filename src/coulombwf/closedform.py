@@ -6,18 +6,18 @@ Library units fix the Coulomb strength at 1, so the bound radial equation is
 
 lengths are reduced-mass-corrected Bohr radii divided by Z, kappa_n = 1/n, and
 E_n = -1/(2 n^2).  The paper builds the irregular solution around the regular
-one, and this module builds exactly those two shapes, held by one record
-Radial(qn, L, P) of Laurent polynomials in r:
+one in x = 2 kappa r, where L and P have integer numerators over n_r!
+(Kummer's equation, DLMF 13.2), and one record Radial(qn, L, P) holds them
+there:
 
-    R1 = L(r) e^{-kappa r}                                    (P is None),
-    R2 = P(r) e^{+kappa r} + L(r) e^{-kappa r} Ei(1, -2 kappa r),
+    R1 = L(x) e^{-x/2}                                (P is None),
+    R2 = P(x) e^{+x/2} + L(x) e^{-x/2} Ei(1, -x),
 
 where Ei(1, -x) is the principal value of integral_{-x}^{infinity} e^{-s}/s ds
-and R2's L is R1's own polynomial.  Each shape is closed under d/dr, because
-d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r moves the Ei derivative into the
-e^{+kappa r} part exactly, and under the radial operator, so derivative and
-apply_radial_operator each write the new coefficients from the record's in
-one integer pass.
+and R2's L is R1's own polynomial.  Radial.in_r is the one substitution
+x = 2 kappa r.  Since d/dx Ei(1, -x) = -e^x/x, apply_radial_operator writes
+the residual in the same shape in one integer pass, and derivative_in_r
+does so for d/dr of R2 on its polynomials in r.
 """
 
 from __future__ import annotations
@@ -128,18 +128,33 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
 
 
 def decay_derivative(q: RatPoly, n: int) -> RatPoly:
-    """q' - q/n, so that d/dr [q e^{-r/n}] = (q' - q/n) e^{-r/n}, in one pass
-    over q's numerators: the r^(k-1) numerator over n q.den is
-    n k q_k - q_{k-1}."""
+    """q' - q/n, so that d/dr [q e^{-r/n}] = (q' - q/n) e^{-r/n}, in one pass:
+    the r^(k-1) numerator over n q.den is n k q_k - q_{k-1}."""
     x = q.nums
     return _make(q.low - 1, [n * k * a - b for k, a, b in
                              zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)], n * q.den)
 
 
+def derivative_in_r(n: int, ell: RatPoly, p: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Exact d/dr of R2 = P e^{r/n} + L e^{-r/n} Ei(1, -2r/n) from its
+    polynomials (L, P) in r, in the same shape: L -> L' - L/n and
+    P -> P' + P/n - L/r, each one pass over integer numerators over n times
+    its denominators, reduced by one gcd."""
+    # P' + P/n over n p.den, then -L/r, over n p.den ell.den
+    y, low = p.nums, min(p.low, ell.low)
+    plus = [0] * (max(p.degree + 2, ell.degree + 1) - low)
+    for i, (k, a, b) in enumerate(zip(range(p.low, p.low + len(y) + 1), y + (0,), (0,) + y),
+                                  p.low - low):
+        plus[i] = (n * k * a + b) * ell.den
+    for k, a in enumerate(ell.nums, ell.low):
+        plus[k - low] -= n * p.den * a
+    return decay_derivative(ell, n), _make(low - 1, plus, n * p.den * ell.den)
+
+
 @dataclass(frozen=True)
 class Radial:
-    """R1 = L e^{-kr} when P is None, else R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr),
-    with k = qn.kappa."""
+    """R1 = L e^{-x/2} when P is None, else R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x),
+    with x = 2 kappa r and kappa = qn.kappa."""
 
     qn: QuantumNumbers
     L: RatPoly
@@ -148,42 +163,27 @@ class Radial:
     def is_zero(self) -> bool:
         return self.L.is_zero() and (self.P is None or self.P.is_zero())
 
-    def derivative(self) -> Radial:
-        """Exact d/dr in the same shape: L -> L' - kL and P -> P' + kP - L/r,
-        each one pass over integer numerators over n times its denominators
-        (k = 1/n), reduced by one gcd."""
-        n, ell, p = self.qn.n, self.L, self.P
-        d_ell = decay_derivative(ell, n)
-        if p is None:
-            return Radial(self.qn, d_ell)
-        # P' + kP over n p.den, then -L/r, over n p.den ell.den
-        y, low = p.nums, min(p.low, ell.low)
-        plus = [0] * (max(p.degree + 2, ell.degree + 1) - low)
-        for i, (k, a, b) in enumerate(zip(range(p.low, p.low + len(y) + 1), y + (0,), (0,) + y),
-                                      p.low - low):
-            plus[i] = (n * k * a + b) * ell.den
-        for k, a in enumerate(ell.nums, ell.low):
-            plus[k - low] -= n * p.den * a
-        return Radial(self.qn, d_ell, _make(low - 1, plus, n * p.den * ell.den))
+    def in_r(self) -> tuple[RatPoly, RatPoly | None]:
+        """(L, P) as polynomials in r: the one substitution x = 2 kappa r."""
+        c = 2 * self.qn.kappa
+        return self.L.scale_arg(c), None if self.P is None else self.P.scale_arg(c)
 
 
 def assemble_R1(qn: QuantumNumbers) -> Radial:
-    """Regular solution (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) as an exact form in r."""
-    return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l).scale_arg(2 * qn.kappa))
+    """Regular solution x^l e^{-x/2} L(n_r, 2l+1, x), x = 2 kappa r."""
+    return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l))
 
 
 def assemble_pair(qn: QuantumNumbers) -> tuple[Radial, Radial]:
     """R1 and the irregular solution R2 of one (n, l), sharing one L, in the
     normalization that makes R2's Ei factor R1's own polynomial:
 
-        1/n_r! (2 kr)^{-l-1} e^{+kr} P(n_r, 2l+1, 2 kr)
-        + (2 kr)^l e^{-kr} L(n_r, 2l+1, 2 kr) Ei(1, -2 kr).
+        1/n_r! x^{-l-1} e^{x/2} P(n_r, 2l+1, x) + x^l e^{-x/2} L(n_r, 2l+1, x) Ei(1, -x).
     """
     r1 = assemble_R1(qn)
-    # P has integer coefficients from x^0 up, so its numerators over n_r! are
-    # the 1/n_r! scaled P in one normalisation
+    # P's integer coefficients, from x^0 up, are the numerators of P/n_r!
     p = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
-    return r1, Radial(qn, r1.L, p.scale_arg(2 * qn.kappa))
+    return r1, Radial(qn, r1.L, p)
 
 
 def assemble_R2(qn: QuantumNumbers) -> Radial:
@@ -195,30 +195,29 @@ def apply_radial_operator(f: Radial) -> Radial:
     """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, in
     f's shape, from its coefficients, with no derivative or product formed.
 
-    On a polynomial q times e^{s kappa r} (s = +-1) the operator leaves
-    (k-l)(k+l+1) q_k + 2 (s kappa k + 1) q_{k-1} as the r^k coefficient; R2's
-    L also adds -(2k+1) L_k to the e^{+kappa r} part, since
-    d/dr Ei(1, -2 kappa r) = -e^{2 kappa r}/r.  With kappa0 = 1 and
-    kappa = 1/n, each polynomial is one pass over integer numerators over n
-    times its denominators, reduced by one gcd.
+    With kappa0 = 1 and kappa = 1/n it is x^2 f'' + 2 x f' + (-x^2/4 + n x
+    - l(l+1)) f in x = 2 kappa r, so in_r commutes with it.  On q e^{s x/2}
+    (s = +-1) it leaves (k-l)(k+l+1) q_k + (s k + n) q_{k-1} as the x^k
+    coefficient over q.den, and R2's L adds -(2k+1) L_k to the e^{+x/2}
+    part; each polynomial is one integer pass, reduced by one gcd.
     """
     n, l = f.qn.n, f.qn.l
 
     def run(q: RatPoly, s: int) -> list[int]:
-        # n q.den times the r^k coefficients, k from q.low to q.degree + 1
+        # q.den times the x^k coefficients, k from q.low to q.degree + 1
         x = q.nums
-        return [n * (k - l) * (k + l + 1) * a + 2 * (s * k + n) * b
+        return [(k - l) * (k + l + 1) * a + (s * k + n) * b
                 for k, a, b in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
 
     p, e = f.P, f.L
-    decay = _make(e.low, run(e, -1), n * e.den)
+    decay = _make(e.low, run(e, -1), e.den)
     if p is None:
         return Radial(f.qn, decay)
-    # the e^{+kappa r} part over n p.den e.den: P's own run and -(2k+1) L_k
+    # the e^{+x/2} part over p.den e.den: P's own run and -(2k+1) L_k
     low = min(p.low, e.low)
     plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
     for i, a in enumerate(run(p, 1), p.low - low):
         plus[i] = a * e.den
     for k, a in enumerate(e.nums, e.low):
-        plus[k - low] -= n * p.den * (2 * k + 1) * a
-    return Radial(f.qn, decay, _make(low, plus, n * p.den * e.den))
+        plus[k - low] -= p.den * (2 * k + 1) * a
+    return Radial(f.qn, decay, _make(low, plus, p.den * e.den))

@@ -7,9 +7,9 @@ double-precision form evaluator, ``eval_pair`` its one-point pass over R1,
 R1', R2 and R2' together (same guards, same raise texts, same values), and
 ``ei_with_error`` the one Ei(1, -x).
 
-The forms are closedform.Radial records, R1 = L e^{-kr} and
-R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr), and eval_grid converts their one or
-two polynomials itself.  Double precision genuinely loses digits where R2's
+The forms are closedform.Radial records, held in x = 2kr, and every
+evaluator here takes their polynomials in r from Radial.in_r and converts
+them itself.  Double precision genuinely loses digits where R2's
 growing exponential part cancels against its Ei part, so every eval_grid row
 carries an error estimate instead of hiding the loss (eval_pair's callers
 take values only); callers that need more digits use the extended-precision
@@ -22,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .closedform import Radial
+from .closedform import Radial, derivative_in_r
 from .ratpoly import RatPoly, ZeroDenominator
 
 # Euler-Mascheroni constant, 30 significant digits.
@@ -169,29 +169,31 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     """Evaluate R1 or R2 (or a derivative) in double precision at every r of
     rs, as one (r, value, est_rel_error) row per point.
 
-    Each polynomial of f is converted to a float laurent_run once, P before
-    L, so that one Horner pass yields its value and its envelope sum
+    Each polynomial of f.in_r() is converted to a float laurent_run once, P
+    before L, so that one Horner pass yields its value and its envelope sum
     |c_k| r^k together; a coefficient beyond double range raises
     OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
     for R2's).  The error estimate is built from those envelopes (which
     dominate the plain |A| + |C| cancellation penalty between the
     growing-exponential and Ei parts), the rounding of the exponential
-    arguments, and the Ei evaluation error.  The first point that cannot be
-    evaluated raises: DomainError for r <= 0 or nan, and OverflowSignal when
-    e^{kappa r}, Ei(1, -2 kappa r) or an envelope term leaves double range.
+    arguments, the Ei evaluation error, and 2^-1074 per rounding step for
+    subnormal results.  The first point that cannot be evaluated raises:
+    DomainError for r <= 0 or nan, and OverflowSignal when e^{kappa r},
+    Ei(1, -2 kappa r) or an envelope term leaves double range.
     """
-    if f.P is None:
-        plus, minus, ei = None, _float_run("q_minus", f.L), None
-    else:
-        plus, minus, ei = _float_run("q_plus", f.P), None, _float_run("q_ei", f.L)
+    ell, p = f.in_r()
+    plus = None if p is None else _float_run("q_plus", p)
+    decaying = _float_run("q_minus" if p is None else "q_ei", ell)
     kappa = float(f.qn.kappa)
-    two_width = 2 * max(len(q.nums) for q in (f.L, f.P) if q is not None)
+    two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
+    underflow = (two_width + 6) * 2.0 ** -1074
     rows = []
     for r in rs:
         if not r > 0:
             raise _not_positive(r)
         round_factor = (two_width + kappa * r + 6) * _EPS
-        a = b = c = abs_err = 0.0
+        a = b = c = 0.0
+        abs_err = underflow
         # each bucket's r ** top (r > 1) or r ** bottom (r < 1) raises a bare
         # OverflowError exactly when r^k overflows for some nonzero
         # coefficient's power k, before its Horner pass; every other failure
@@ -207,20 +209,17 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
                 value, env = horner(plus, r)
                 a = value * grow
                 abs_err += env * grow * round_factor
-            if minus is not None:
-                decay = math.exp(-kappa * r)
-                r ** minus[k]
-                value, env = horner(minus, r)
-                b = value * decay
-                abs_err += env * decay * round_factor
-            if ei is not None:
                 x = 2.0 * kappa * r
                 ei_value, ei_abs_err = ei_with_error(x)
                 # x*eps covers the argument-rounding sensitivity
                 ei_abs_err += abs(ei_value) * x * _EPS
-                decay = math.exp(-kappa * r)
-                r ** ei[k]
-                value, env = horner(ei, r)
+            decay = math.exp(-kappa * r)
+            r ** decaying[k]
+            value, env = horner(decaying, r)
+            if plus is None:
+                b = value * decay
+                abs_err += env * decay * round_factor
+            else:
                 c = value * decay * ei_value
                 abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
         except OverflowSignal:
@@ -236,15 +235,16 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
     R2 and R2', given the R2 of closedform.assemble_pair.
 
-    R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} in its Ei
-    part, and d/dr maps that L to L' = dL/dr - kL, which is R1''s own
-    (R1' = L' e^{-kr}); so R2' = P' e^{kr} + L' e^{-kr} Ei(1, -2kr) is the one
-    derivative formed.  The coefficients are converted, and an overflow named
-    after its bucket, as eval_grid does over R1, R1', R2 and R2' in turn.
+    In r, R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} in its
+    Ei part, and d/dr maps that L to R1''s own L' = dL/dr - kL, so R2' from
+    closedform.derivative_in_r is the one derivative formed.  The
+    coefficients are converted, and an overflow named after its bucket, as
+    eval_grid does over R1, R1', R2 and R2' in turn.
     """
-    d = r2.derivative()
-    return (_float_run("q_minus", r2.L), _float_run("q_minus", d.L),
-            _float_run("q_plus", r2.P), _float_run("q_plus", d.P))
+    ell, p = r2.in_r()
+    d_ell, d_p = derivative_in_r(r2.qn.n, ell, p)
+    return (_float_run("q_minus", ell), _float_run("q_minus", d_ell),
+            _float_run("q_plus", p), _float_run("q_plus", d_p))
 
 
 def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
@@ -290,8 +290,8 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     ``mpmath.mpf``.
 
     ``r`` may be a float, int, Fraction, or decimal string; it is converted
-    exactly before use.  mpmath is imported here, so that only this evaluator
-    pays for loading it.
+    exactly before use, like the coefficients of f.in_r().  mpmath is
+    imported here, so that only this evaluator pays for loading it.
     """
     import mpmath
 
@@ -309,7 +309,8 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     with mpmath.workprec(precision_bits):
         rr = mp_ratio(r_exact.numerator, r_exact.denominator)
         kk = mp_ratio(*f.qn.kappa.as_integer_ratio())
-        total = value(f.L) * mpmath.exp(-kk * rr)
-        if f.P is not None:
-            total = value(f.P) * mpmath.exp(kk * rr) + total * -mpmath.ei(2 * kk * rr)
+        ell, p = f.in_r()
+        total = value(ell) * mpmath.exp(-kk * rr)
+        if p is not None:
+            total = value(p) * mpmath.exp(kk * rr) + total * -mpmath.ei(2 * kk * rr)
         return +total

@@ -8,7 +8,7 @@ identity, one integer sum over R1's coefficients proves r^2 W(R1, R2)
 constant.  The numeric ones rebuild R2's confluent parts from its defining
 principal-value integral (_pv_oracle) by adaptive quadrature (QUADPACK's
 QAGS, quadpack.qags; any nonzero QUADPACK code raises QuadratureFailure) and
-compare R2's own P and L, read back in x = 2 kappa r, and the pole-removing
+compare R2's own P and L, held in x = 2 kappa r, and the pole-removing
 split against it; pv_checks runs both on one build of R2 per state and one
 PV quadrature per point.  A hard-coded table of known coefficient sets pins
 the generated solutions exactly.
@@ -64,12 +64,12 @@ class VerificationReport:
 
 def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
     """Apply the radial operator to f exactly; pass iff the residual vanishes.
-    A failure names the residual's e^{+kappa r}, e^{-kappa r} and Ei parts, and
-    its norm is the largest |coefficient|."""
+    A failure names the residual's e^{+kappa r}, e^{-kappa r} and Ei parts in
+    r, and its norm is their largest |coefficient|."""
     residual = apply_radial_operator(f)
     if residual.is_zero():
         return VerificationReport(f.qn, f"ode_residual_{which}", True, 0.0, exact=True)
-    ell, p = residual.L, residual.P
+    ell, p = residual.in_r()
     plus, minus, ei = ("0", ell, "0") if p is None else (p, "0", ell)
     norm = max(q.max_abs_coeff_float() for q in (ell, p) if q is not None)
     return VerificationReport(f.qn, f"ode_residual_{which}", False, norm,
@@ -77,7 +77,7 @@ def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
 
 
 def _num(q: RatPoly, power: int) -> int:
-    """The numerator of q's r^power coefficient, over q.den."""
+    """The numerator of q's x^power coefficient, over q.den."""
     i = power - q.low
     return q.nums[i] if 0 <= i < len(q.nums) else 0
 
@@ -88,22 +88,22 @@ def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, 
 
     ``solves`` says that both exact ODE residuals vanish; then r^2 W is
     constant by Abel's identity (DLMF 1.13(i)), W's exponential buckets
-    vanish, and with R1 = m1 e^{-kappa r}, p = R2.P and e = R2.L the
-    constant is the r^-2 coefficient of
-    m1 p' - m1' p + 2 kappa m1 p - m1 e r^-1: for m1's r^a term that is
-    -(2a+1) p_{-1-a} + 2 kappa p_{-2-a} - e_{-1-a}, so r^2 W is one integer
-    sum over m1's numerators and one Fraction, with no product formed.
+    vanish, and r^2 W = n x^2 W_x / 2.  With R1 = m1 e^{-x/2}, p = R2.P and
+    e = R2.L in x = 2 kappa r, x^2 W_x = -(n+l)!/n_r! is the x^-2
+    coefficient of m1 p' - m1' p + m1 p - m1 e x^-1: for m1's x^a term
+    -(2a+1) p_{-1-a} + p_{-2-a} - e_{-1-a}, so it is one integer sum over
+    m1's numerators, with no product formed.
     """
     qn = r2.qn
     if not solves:
         return Fraction(0), VerificationReport(qn, "wronskian", False, math.inf,
                                                details="a form does not solve the radial equation")
     n, m1, p, e = qn.n, r1.L, r2.P, r2.L
-    total = sum(x * (e.den * (2 * _num(p, -2 - a) - n * (2 * a + 1) * _num(p, -1 - a))
-                     - n * p.den * _num(e, -1 - a))
+    total = sum(x * (e.den * (_num(p, -2 - a) - (2 * a + 1) * _num(p, -1 - a))
+                     - p.den * _num(e, -1 - a))
                 # each term reads p or e at -1-a or -2-a, zero below min(p.low, e.low)
                 for a, x in zip(range(m1.low, -min(p.low, e.low)), m1.nums))
-    r2w = Fraction(total, n * m1.den * p.den * e.den)
+    r2w = Fraction(n * total, 2 * m1.den * p.den * e.den)
     expected = Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
     if r2w == expected:
         return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
@@ -191,12 +191,10 @@ def _confluent_parts(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
     of the irregular confluent solution g_exp(x) e^{x} + g_ei(x) Ei(1, -x),
     with g_ei = 1F1(-n_r; m+1; x).
 
-    R2 = (2 kappa r)^l e^{-kappa r} times that solution, scaled by
-    (n_r+m)!/(n_r! m!)."""
+    R2 = x^l e^{-x/2} times that solution, scaled by (n_r+m)!/(n_r! m!)."""
     r2 = assemble_R2(qn)
     norm = Fraction(math.factorial(qn.n_r) * math.factorial(qn.m), math.factorial(qn.n_r + qn.m))
-    to_x = Fraction(qn.n, 2)
-    return tuple(q.scale_arg(to_x).shift(-qn.l) * norm for q in (r2.P, r2.L))
+    return tuple(q.shift(-qn.l) * norm for q in (r2.P, r2.L))
 
 
 def _pv_oracle(n_r: int, m: int, runs: tuple[tuple, tuple, tuple], x: float) -> float:
@@ -339,9 +337,9 @@ def golden_table_check() -> list[VerificationReport]:
     reports = []
     for (n, l), expected in sorted(GOLDEN_R2.items()):
         qn = QuantumNumbers(n, l)
-        form = assemble_R2(qn)
+        ell, p = assemble_R2(qn).in_r()
         # the coeffs document prints P as q_plus and L as q_ei
-        bad = [name for name, q in (("q_plus", form.P), ("q_ei", form.L))
+        bad = [name for name, q in (("q_plus", p), ("q_ei", ell))
                if dict(q.terms()) != expected[name]]
         ok = not bad
         reports.append(VerificationReport(

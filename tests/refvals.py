@@ -12,13 +12,16 @@ coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
 coefficient writers of the CLI documents), the polynomial P is built from
 its double sum and from its split form, independently of the package's
-recurrence and of each other, the radial operator is composed from the
-derivative of the general three-bucket form (ExpEiForm below, into which
-``buckets`` writes the package's R1 and R2 records), Laurent products and
-sums, which the package does not have, not written from the coefficient
-formula, the Wronskian of R1 and R2 is formed from the full Laurent
-products of their buckets, not read from one coefficient by Abel's
-identity, and the double-precision form evaluator converts every
+recurrence and of each other, the radial operator is composed in r from
+the derivative of the general three-bucket form (ExpEiForm below, into which
+``buckets`` writes the package's R1 and R2 records, held in x = 2 kappa r,
+through their Radial.in_r), Laurent products and sums, which the package
+does not have, not written from the coefficient formula in x, the
+derivatives that the tests evaluate are that three-bucket derivative, read
+back into x coefficient by coefficient (``derivative_form``), not the
+package's one-pass kernel, the Wronskian of R1 and R2 is formed from the
+full Laurent products of their buckets, not read from one coefficient by
+Abel's identity, and the double-precision form evaluator converts every
 coefficient of the three buckets again at every point and sums the envelope
 term by term: the grid kernel must reproduce its values bit for bit and its
 estimates within the rounding of the envelope.
@@ -162,13 +165,31 @@ class ExpEiForm:
         return ExpEiForm(q_plus, q_minus, q_ei, k)
 
 
-def buckets(f: Radial) -> ExpEiForm:
-    """The package's record as the three-bucket form: R1's L is the
+def r_buckets(qn, ell: RatPoly, p: RatPoly | None = None) -> ExpEiForm:
+    """A record's polynomials in r as the three-bucket form: R1's L is the
     e^{-kr} bucket, R2's P the e^{+kr} bucket and its L the Ei bucket."""
     zero = RatPoly.zero()
-    if f.P is None:
-        return ExpEiForm(zero, f.L, zero, f.qn.kappa)
-    return ExpEiForm(f.P, zero, f.L, f.qn.kappa)
+    if p is None:
+        return ExpEiForm(zero, ell, zero, qn.kappa)
+    return ExpEiForm(p, zero, ell, qn.kappa)
+
+
+def buckets(f: Radial) -> ExpEiForm:
+    """The package's record, held in x = 2 kappa r, as the three-bucket form in r."""
+    return r_buckets(f.qn, *f.in_r())
+
+
+def record_in_x(qn, ell: RatPoly, p: RatPoly | None = None) -> Radial:
+    """The record whose polynomials in r are (ell, p): each coefficient
+    substituted back r = x/(2 kappa)."""
+    to_x = 1 / (2 * qn.kappa)
+    return Radial(qn, fraction_scale_arg(ell, to_x), None if p is None else fraction_scale_arg(p, to_x))
+
+
+def derivative_form(f: Radial) -> Radial:
+    """f' as a record in x from the three-bucket derivative of f's buckets."""
+    d = buckets(f).derivative()
+    return record_in_x(f.qn, d.q_minus) if f.P is None else record_in_x(f.qn, d.q_ei, d.q_plus)
 
 
 def laurent_mul(p: RatPoly, q: RatPoly) -> RatPoly:
@@ -216,11 +237,31 @@ def wronskian_full_product(r1: Radial, r2: Radial) -> tuple[RatPoly, RatPoly, Ra
     part, which must come out 0, 0 and the constant r^2 W."""
     r2 = buckets(r2)
     r2d = r2.derivative()
-    m1, m1d = r1.L, buckets(r1).derivative().q_minus
+    r1 = buckets(r1)
+    m1, m1d = r1.q_minus, r1.derivative().q_minus
     w_minus = poly_sub(laurent_mul(m1, r2d.q_minus), laurent_mul(m1d, r2.q_minus))
     w_ei = poly_sub(laurent_mul(m1, r2d.q_ei), laurent_mul(m1d, r2.q_ei))
     r2w = poly_sub(laurent_mul(m1, r2d.q_plus), laurent_mul(m1d, r2.q_plus)).shift(2)
     return w_minus, w_ei, r2w
+
+
+def product_coefficient(p: RatPoly, q: RatPoly, k: int) -> Fraction:
+    """The x^k coefficient of p q, one Fraction product per term of p."""
+    qs = dict(q.terms())
+    return sum((c * qs.get(k - i, 0) for i, c in p.terms()), Fraction(0))
+
+
+def wronskian_x_constant(r1: Radial, r2: Radial) -> Fraction:
+    """x^2 W_x(R1, R2) from the records' own polynomials in x = 2 kappa r.
+
+    With R1 = m1 e^{-x/2}, R2 = p e^{x/2} + e e^{-x/2} Ei(1, -x) and
+    d/dx Ei(1, -x) = -e^x/x, the exponential-free part of W_x is
+    m1 (p' + p/2 - e/x) - (m1' - m1/2) p, and this is its x^-2 coefficient,
+    one coefficient of each Laurent product."""
+    m1, p, e = r1.L, r2.P, r2.L
+    half = Fraction(1, 2)
+    return (product_coefficient(m1, poly_sub(poly_add(p.derivative(), p * half), e.shift(-1)), -2)
+            - product_coefficient(poly_sub(m1.derivative(), m1 * half), p, -2))
 
 
 # -- fixed-step RK4 for the force-free regions of the Coulomb shell -------------
@@ -302,7 +343,7 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
     Brent's method.
     """
     r1, r2 = assemble_R1(qn), assemble_R2(qn)
-    r1d, r2d = r1.derivative(), r2.derivative()
+    r1d, r2d = derivative_form(r1), derivative_form(r2)
 
     def pair(r):
         return [eval_form(f, r)[0] for f in (r1, r1d, r2, r2d)]
@@ -320,7 +361,7 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
 
 def four_grid_forms(r1: Radial, r2: Radial) -> tuple:
     """R1, R1', R2 and R2', each differentiated on its own."""
-    return r1, r1.derivative(), r2, r2.derivative()
+    return r1, derivative_form(r1), r2, derivative_form(r2)
 
 
 def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, float, float, float]:
@@ -552,17 +593,20 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     The error estimate is built from the absolute-coefficient envelope of
     each bucket (which dominates the plain |A| + |C| cancellation penalty
     between the growing-exponential and Ei buckets), the rounding of the
-    exponential arguments, and the Ei evaluation error.  Returns (value,
+    exponential arguments, the Ei evaluation error and the absolute
+    rounding of subnormal results.  Returns (value,
     est_rel_error).
     """
     if not r > 0:
         raise DomainError(f"eval_grid requires r > 0, got {r!r}")
     f = buckets(f)
     kappa = float(f.kappa)
-    round_factor = (2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
-                    + kappa * r + 6) * _EPS
+    width = 2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
+    round_factor = (width + kappa * r + 6) * _EPS
     a = b = c = 0.0
-    abs_err = 0.0
+    # each of the width + 6 rounding steps can lose 2^-1074 where its result
+    # is subnormal
+    abs_err = (width + 6) * 2.0 ** -1074
     if not f.q_plus.is_zero():
         grow = _float_exp(kappa * r)
         a = float_horner(f.q_plus, r) * grow

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -71,8 +72,9 @@ def test_coeffs_json_round_trip(capsys):
         _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
         doc = json.loads(out)
         form = assemble_R2(QuantumNumbers(n, l))
-        assert refvals.poly_from_rat_dict(doc["q_plus"]) == form.P
-        assert refvals.poly_from_rat_dict(doc["q_ei"]) == form.L
+        ell, p = form.in_r()
+        assert refvals.poly_from_rat_dict(doc["q_plus"]) == p
+        assert refvals.poly_from_rat_dict(doc["q_ei"]) == ell
         assert Fraction(doc["ei_arg_scale"]) == -2 * form.qn.kappa
 
 
@@ -111,10 +113,11 @@ def _states(nmax: int) -> list[QuantumNumbers]:
 
 
 def _coeffs_doc(qn, r2, r1=None) -> dict:
-    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(r2.P),
-           "q_ei": refvals.rat_dict(r2.L), "ei_arg_scale": str(-2 * qn.kappa)}
+    ell, p = r2.in_r()
+    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(p),
+           "q_ei": refvals.rat_dict(ell), "ei_arg_scale": str(-2 * qn.kappa)}
     if r1 is not None:
-        doc["r1_q_minus"] = refvals.rat_dict(r1.L)
+        doc["r1_q_minus"] = refvals.rat_dict(r1.in_r()[0])
     return doc
 
 
@@ -141,8 +144,8 @@ def test_table_csv_matches_fraction_writer(capsys):
     rows = "".join(
         refvals.table_csv_rows(qn.n, qn.l, part, poly)
         for qn in _states(6)
-        for r1, r2 in [(assemble_R1(qn), assemble_R2(qn))]
-        for part, poly in (("r1_q_minus", r1.L), ("q_plus", r2.P), ("q_ei", r2.L)))
+        for (m1, _), (ell, p) in [(assemble_R1(qn).in_r(), assemble_R2(qn).in_r())]
+        for part, poly in (("r1_q_minus", m1), ("q_plus", p), ("q_ei", ell)))
     assert out == cli._header() + "n,l,part,power,coeff\n" + rows
 
 
@@ -353,22 +356,47 @@ def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
 def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypatch):
     # the residuals and r^2 W are written from the buckets' coefficients
     calls = {"derivative": 0, "mul": 0}
-    derivative, mul = closedform.Radial.derivative, RatPoly.__mul__
+    derivative, decay, mul = closedform.derivative_in_r, closedform.decay_derivative, RatPoly.__mul__
 
-    def counted_derivative(self):
+    def counted_derivative(*args):
         calls["derivative"] += 1
-        return derivative(self)
+        return derivative(*args)
+
+    def counted_decay(*args):
+        calls["derivative"] += 1
+        return decay(*args)
 
     def counted_mul(self, other):
         calls["mul"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(closedform.Radial, "derivative", counted_derivative)
+    monkeypatch.setattr(closedform, "derivative_in_r", counted_derivative)
+    for module in (closedform, oracle):
+        monkeypatch.setattr(module, "decay_derivative", counted_decay)
     monkeypatch.setattr(RatPoly, "__mul__", counted_mul)
     monkeypatch.setattr(RatPoly, "__rmul__", counted_mul)
     code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
     assert code == 0
     assert calls == {"derivative": 0, "mul": 0}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--nmax", "3", "--checks", "ode,wronskian"],
+                                  ["verify", "--checks", "pv,split"]])
+def test_verify_exact_and_pv_checks_substitute_nothing(capsys, monkeypatch, argv):
+    # the records hold L and P in x = 2 kappa r, where the operator, the
+    # Wronskian and the confluent parts of the pv checks are all read, so
+    # none of them turns a record into polynomials in r
+    calls = []
+    scale_arg = RatPoly.scale_arg
+
+    def counted(self, c):
+        calls.append(c)
+        return scale_arg(self, c)
+
+    monkeypatch.setattr(RatPoly, "scale_arg", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv,builds", [
@@ -594,6 +622,19 @@ def test_exact_outputs_match_recorded_digests(capsys):
         code, out, _ = run(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_regenerate_script_rewrites_the_tracked_data_byte_for_byte(tmp_path, monkeypatch):
+    # data/regenerate.py, run into an empty directory, writes both files as
+    # they are tracked
+    data = Path(__file__).parent / "data"
+    spec = importlib.util.spec_from_file_location("regenerate", data / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    monkeypatch.setattr(regenerate, "DATA_DIR", tmp_path)
+    regenerate.main()
+    for name in ("wronskian_r2w.json", "exact_outputs.json"):
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -15,6 +15,7 @@ from coulombwf.closedform import (
     assemble_R1,
     assemble_R2,
     decay_derivative,
+    derivative_in_r,
     energy,
     laguerre_L1,
     p2_recurrence,
@@ -30,13 +31,16 @@ from refvals import (
     form_sum,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
+    fraction_scale_arg,
     laurent_mul,
     p2_doublesum,
     p2_simplified,
     poly_add,
     poly_from_terms as P,
     poly_sub,
+    r_buckets,
     radial_operator_reference,
+    record_in_x,
 )
 
 F = Fraction
@@ -184,25 +188,69 @@ def test_assemble_R1_examples():
     assert assemble_R1(qn) == Radial(qn, ONE)
 
     f = assemble_R1(QuantumNumbers(2, 1))
-    assert f.L == P({1: 1}) and f.P is None
+    assert f.in_r() == (P({1: 1}), None)
     assert f.qn.kappa == F(1, 2)
 
     f = assemble_R1(QuantumNumbers(3, 1))
-    assert f.L == P({1: F(8, 3), 2: F(-4, 9)})
+    assert f.in_r()[0] == P({1: F(8, 3), 2: F(-4, 9)})
 
 
 def test_assemble_R2_examples():
     f = assemble_R2(QuantumNumbers(1, 0))
-    assert f.P == P({-1: F(1, 2)})
-    assert f.L == ONE
+    assert f.in_r() == (ONE, P({-1: F(1, 2)}))
 
     f = assemble_R2(QuantumNumbers(3, 2))
-    assert f.P == P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)})
-    assert f.L == P({2: F(4, 9)})
+    assert f.in_r() == (P({2: F(4, 9)}), P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)}))
 
     f = assemble_R2(QuantumNumbers(4, 0))
-    assert f.P == P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)})
-    assert f.L == P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)})
+    assert f.in_r() == (P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)}),
+                        P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)}))
+
+
+def test_records_hold_x_forms_with_integer_numerators_over_n_r_factorial():
+    # in x = 2 kappa r, L = x^l L(n_r, m, x) and P = x^{-l-1} P(n_r, m, x)/n_r!
+    qn = QuantumNumbers(4, 1)
+    r1, r2 = assemble_pair(qn)
+    assert r1.L == P({1: 10, 2: -5, 3: F(1, 2)})
+    # P(2, 3, x) = 4 + 6x + 12x^2 - 9x^3 + x^4, over 2!
+    assert r2.P == P({-2: 4, -1: 6, 0: 12, 1: -9, 2: 1}) * F(1, 2)
+    for n in range(1, 61):
+        for l in range(n):
+            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            assert math.factorial(n - l - 1) % r1.L.den == 0
+            assert math.factorial(n - l - 1) % r2.P.den == 0
+
+
+def _r_references(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
+    """(L, P) in r from the factorial Laguerre sum and the double-sum P,
+    substituted x = 2 kappa r one Fraction per coefficient."""
+    to_r = 2 * qn.kappa
+    ell = fraction_scale_arg(fraction_laguerre_L1(qn.n_r, qn.m).shift(qn.l), to_r)
+    p = p2_doublesum(qn.n_r, qn.m).shift(-qn.l - 1) * F(1, math.factorial(qn.n_r))
+    return ell, fraction_scale_arg(p, to_r)
+
+
+def test_in_r_of_assemble_pair_matches_r_references_every_state_to_n60():
+    for n in range(1, 61):
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            r1, r2 = assemble_pair(qn)
+            ell, p = _r_references(qn)
+            assert r1.in_r() == (ell, None), qn
+            assert r2.in_r() == (ell, p), qn
+
+
+@pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (7, 6), (12, 4)])
+def test_in_r_references_reject_a_mutated_record(n, l):
+    # the comparison above fails on a record already in r (substituted
+    # twice) and on a P off in one coefficient
+    qn = QuantumNumbers(n, l)
+    r2 = assemble_R2(qn)
+    want = _r_references(qn)
+    assert Radial(qn, *r2.in_r()).in_r() != want
+    q = r2.P
+    off = RatPoly.from_nums(q.low, [q.nums[0] + 1] + list(q.nums[1:]), q.den)
+    assert Radial(qn, r2.L, off).in_r() != want
 
 
 def test_R2_ei_polynomial_matches_R1():
@@ -218,25 +266,31 @@ def test_R2_ei_polynomial_matches_R1():
 
 # -- symbolic differentiation ------------------------------------------------------
 
+def _derivative_in_r(f: Radial) -> tuple:
+    """The package's d/dr of f on its polynomials in r: decay_derivative for
+    R1's L, derivative_in_r for R2."""
+    ell, p = f.in_r()
+    return (decay_derivative(ell, f.qn.n), None) if p is None else derivative_in_r(f.qn.n, ell, p)
+
+
 def test_derivative_of_pure_decaying_exponential():
     qn = QuantumNumbers(1, 0)
-    assert assemble_R1(qn).derivative() == Radial(qn, RatPoly(0, (-1,)))
+    assert _derivative_in_r(assemble_R1(qn)) == (RatPoly(0, (-1,)), None)
 
 
 def test_derivative_moves_ei_term_to_growing_bucket():
     qn = QuantumNumbers(1, 0)
-    d = Radial(qn, ONE, RatPoly.zero()).derivative()
-    assert d.L == RatPoly(0, (-1,))
-    assert d.P == P({-1: -1})
+    d = derivative_in_r(1, ONE, RatPoly.zero())
+    assert d == (RatPoly(0, (-1,)), P({-1: -1}))
     # and so does the three-bucket reference
-    assert buckets(d) == ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1)).derivative()
+    assert r_buckets(qn, *d) == ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1)).derivative()
 
 
 @pytest.mark.parametrize("n,l,r", [(1, 0, 0.7), (2, 1, 1.3), (3, 0, 2.5), (4, 2, 3.1)])
 def test_symbolic_derivative_matches_finite_differences(n, l, r):
     qn = QuantumNumbers(n, l)
     for form in (assemble_R1(qn), assemble_R2(qn)):
-        d = form.derivative()
+        d = record_in_x(qn, *_derivative_in_r(form))
 
         def value(t):
             return float(eval_form_extended(form, t, 128))
@@ -271,6 +325,8 @@ _EI_ONLY = Radial(QuantumNumbers(5, 2), P({-2: F(3, 7), 1: 1}), RatPoly.zero())
 @example(_ZERO_L)
 @example(_EI_ONLY)
 def test_operator_matches_derivative_composition(f):
+    # the operator runs on the x-coefficients and the reference in r: in_r
+    # of the residual is the r-operator applied to in_r of f
     assert buckets(apply_radial_operator(f)) == radial_operator_reference(f)
 
 
@@ -289,9 +345,9 @@ def test_decay_derivative_is_q_prime_minus_q_over_n(q, n):
 @example(_ZERO_L)
 @example(_EI_ONLY)
 def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
-    d = f.derivative()
-    assert d.qn is f.qn and (d.P is None) == (f.P is None)
-    assert buckets(d) == buckets(f).derivative()
+    d_ell, d_p = _derivative_in_r(f)
+    assert (d_p is None) == (f.P is None)
+    assert r_buckets(f.qn, d_ell, d_p) == buckets(f).derivative()
 
 
 def test_operator_matches_derivative_composition_every_state_to_n40():
@@ -299,7 +355,7 @@ def test_operator_matches_derivative_composition_every_state_to_n40():
         for l in range(n):
             for form in assemble_pair(QuantumNumbers(n, l)):
                 assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
-                assert buckets(form.derivative()) == buckets(form).derivative(), (n, l)
+                assert r_buckets(form.qn, *_derivative_in_r(form)) == buckets(form).derivative(), (n, l)
 
 
 def test_forms_add_only_in_the_reference_sum():

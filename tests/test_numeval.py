@@ -194,12 +194,12 @@ _WHICH = ("r1", "r1d", "r2", "r2d")
 @functools.lru_cache(maxsize=None)
 def _forms(n: int, l: int):
     r1, r2 = assemble_pair(QuantumNumbers(n, l))
-    return dict(zip(_WHICH, (r1, r1.derivative(), r2, r2.derivative())))
+    return dict(zip(_WHICH, (r1, refvals.derivative_form(r1), r2, refvals.derivative_form(r2))))
 
 
 def _runs(f) -> list[tuple]:
-    """The float runs of f's polynomials, L and then P when f has one."""
-    return [laurent_run(q) for q in (f.L, f.P) if q is not None]
+    """The float runs of f's polynomials in r, L and then P when f has one."""
+    return [laurent_run(q) for q in f.in_r() if q is not None]
 
 
 def _one_point(f, r) -> tuple[float, float]:
@@ -282,7 +282,7 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     # the reference
     forms = _forms(70, 69)
     with pytest.raises(OverflowError):
-        laurent_run(forms["r2"].P)
+        laurent_run(forms["r2"].in_r()[1])
     for which in ("r2", "r2d"):
         with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
             eval_grid(forms[which], [])
@@ -408,7 +408,7 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     n, l = state
     r = math.exp(log_r)
     form = _forms(n, l)[which]
-    for p, bucket in zip((form.L, form.P), _runs(form)):
+    for p, bucket in zip(form.in_r(), _runs(form)):
         value, env = horner(bucket, r)
         assert repr(value) == repr(refvals.float_horner(p, r))
         exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
@@ -463,6 +463,25 @@ def test_extended_consistency_sweep():
         # the estimate must cover the actual double-precision defect
         assert abs(value - e) <= max(est * abs(e), 1e-300)
         checked += 1
+
+
+@pytest.mark.parametrize("n,l,rs", [
+    # R1 ~ r^l is subnormal there: the grid 1e-64:1e-62:4 and r = 1e-320
+    (6, 5, (1e-64, 3.4e-63, 6.7e-63, 1e-62)),
+    (3, 1, (1e-320, 5e-321, 3e-322)),
+    (3, 2, (1e-160, 1e-161)),
+    (10, 9, (1e-34, 5e-35)),
+    # e^{-r} is subnormal there
+    (1, 0, (740.0, 744.0, 745.0)),
+])
+def test_estimate_covers_the_error_at_subnormal_R1_values(n, l, rs):
+    # a rounding step whose result is subnormal can lose 2^-1074, which no
+    # multiple of eps bounds there
+    f = assemble_R1(QuantumNumbers(n, l))
+    for r, value, est in eval_grid(f, rs):
+        assert 0.0 < abs(value) < 2.0 ** -1022
+        exact = eval_form_extended(f, r, 256)
+        assert abs(mpmath.mpf(value) - exact) <= est * abs(exact), r
 
 
 def test_extended_precision_monotonicity():

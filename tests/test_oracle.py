@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, apply_radial_operator, assemble_pair, assemble_R2
+from coulombwf.closedform import QuantumNumbers, Radial, apply_radial_operator, assemble_pair, assemble_R2
 from coulombwf import numeval, oracle as oracle_mod
 from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
@@ -23,7 +25,14 @@ from coulombwf.oracle import (
 )
 from coulombwf.ratpoly import RatPoly
 
-from refvals import poly_add, poly_sub, radial_operator_reference, wronskian_full_product
+from refvals import (
+    derivative_form,
+    poly_add,
+    poly_sub,
+    radial_operator_reference,
+    wronskian_full_product,
+    wronskian_x_constant,
+)
 
 F = Fraction
 
@@ -81,8 +90,8 @@ def test_residual_also_vanishes_numerically():
     # cross-check the symbolic engine itself: apply the operator with floats
     qn = QuantumNumbers(3, 1)
     f = assemble_R2(qn)
-    d1 = f.derivative()
-    d2 = d1.derivative()
+    d1 = derivative_form(f)
+    d2 = derivative_form(d1)
     kappa = float(qn.kappa)
     rng = random.Random(7)
     for _ in range(20):
@@ -135,6 +144,30 @@ def test_wronskian_agrees_with_full_product_reference():
         w_minus, w_ei, r2w = wronskian_full_product(r1, r2)
         assert w_minus.is_zero() and w_ei.is_zero(), qn
         assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, True)[0],)), qn
+
+
+def test_x_wronskian_of_the_records_every_state_to_n60():
+    # the records hold L and P in x = 2 kappa r, where x^2 W_x(R1, R2) is
+    # -(n+l)!/n_r!, and r^2 W = n x^2 W_x / 2
+    for qn in all_qn(60):
+        r1, r2 = assemble_pair(qn)
+        x2w = wronskian_x_constant(r1, r2)
+        assert x2w == F(-math.factorial(qn.n + qn.l), math.factorial(qn.n_r)), qn
+        assert wronskian_symbolic(r1, r2, True)[0] == qn.n * x2w / 2, qn
+
+
+_polys = st.builds(RatPoly.from_nums, st.integers(-6, 6),
+                   st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), _polys, _polys, _polys)
+def test_wronskian_sum_is_the_x_coefficient_on_any_records(n, m1, e, p):
+    # every term of the integer sum, p_{-2-a} too, which no state reaches,
+    # on records that need not solve the radial equation
+    qn = QuantumNumbers(n, 0)
+    r1, r2 = Radial(qn, m1), Radial(qn, e, p)
+    assert wronskian_symbolic(r1, r2, True)[0] == n * wronskian_x_constant(r1, r2) / 2
 
 
 def test_wronskian_forms_no_product(monkeypatch):
@@ -245,9 +278,8 @@ def pv_sum_identity_holds(qn, r2):
     PV integral_0^inf e^{-s}/(s-x) ds = e^{-x} Ei(1, -x) carries the rest.
     Both sides are compared as integer numerators over one denominator.
     """
-    to_x = Fraction(qn.n, 2)
-    lhs = r2.P.scale_arg(to_x).shift(qn.l + 1)
-    h = r2.L.scale_arg(to_x).shift(qn.l + 1)
+    lhs = r2.P.shift(qn.l + 1)
+    h = r2.L.shift(qn.l + 1)
     assert h.low >= 1
     out = [0] * h.degree
     for k, num in enumerate(h.nums, h.low):

@@ -19,6 +19,7 @@ from coulombwf.shellmatch import (
 )
 
 from refvals import (
+    derivative_form,
     exterior_q_reference,
     rk4_b_star,
     rk4_exterior_logderiv,
@@ -168,7 +169,7 @@ def test_forcing_pure_regular_leaves_inner_mismatch():
     u, du = integrate_interior(qn, a)
     interior_ld = du / u
     r1 = assemble_R1(qn)
-    r1d = r1.derivative()
+    r1d = derivative_form(r1)
     regular_ld = eval_grid(r1d, (a,))[0][1] / eval_grid(r1, (a,))[0][1]
     assert abs(interior_ld - regular_ld) > 1e-3
     c1, c2 = mixing_from_inner_match(shell_forms(qn).pair(a), a, interior_ld)
