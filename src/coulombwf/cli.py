@@ -307,6 +307,24 @@ def cmd_verify(args) -> int:
 # -- shell -------------------------------------------------------------------
 
 
+_SHELL_GRID_ROW = "    [\n      %r,\n      %r\n    ]"
+
+
+def _shell_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\n" of a shell document, from a template
+    as cmd_eval writes its rows, since indent selects json's pure-Python
+    encoder: n and l, five floats, the four continuity floats and, when
+    present, the [r, u] grid rows."""
+    fields = [f'"{key}": {doc[key]!r}' for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
+    continuity = ",\n".join([f'    "{key}": {v!r}' for key, v in doc["continuity"].items()])
+    fields.append(f'"continuity": {{\n{continuity}\n  }}')
+    if "grid" in doc:
+        rows = ",\n".join([_SHELL_GRID_ROW % (r, u) for r, u in doc["grid"]])
+        fields.append(f'"grid": [\n{rows}\n  ]')
+    # no key holds the letters "inf" or "nan"
+    return ("{\n  " + ",\n  ".join(fields) + "\n}\n").replace("inf", "Infinity").replace("nan", "NaN")
+
+
 def cmd_shell(args) -> int:
     if args.grid_points < 0:
         raise ValueError(f"grid-points must be >= 0, got {args.grid_points}")
@@ -334,7 +352,7 @@ def cmd_shell(args) -> int:
         doc["grid"] = [[r, u] for r, u in
                        shellmatch.piecewise_grid(result, args.grid_points)]
     if args.format == "json":
-        _write(args.out, json.dumps(doc, indent=2) + "\n")
+        _write(args.out, _shell_json(doc))
     else:
         lines = [_header(), "key,value\n"]
         for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch"):

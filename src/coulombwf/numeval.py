@@ -1,11 +1,15 @@
 """Point evaluation: Ei(1, -x), Laurent polynomials and symbolic radial forms.
 
 Every polynomial is evaluated through one run format (``laurent_run``, its
-coefficients converted once) and one Laurent Horner loop (``horner``), on
-float, exact and extended-precision scalars alike; ``eval_grid`` is the one
-double-precision form evaluator, ``eval_pair`` its one-point pass over R1,
-R1', R2 and R2' together (same guards, same raise texts, same values), and
-``ei_with_error`` the one Ei(1, -x).
+coefficients converted once) and one Laurent Horner loop, on float, exact and
+extended-precision scalars alike: ``horner`` fuses the value with its
+envelope sum |c_k| r^k for the two callers that bound an error with it
+(``eval_grid`` and the oracle's tail bound), and ``horner_value`` is the same
+loop without the envelope, bit for bit the same value, for every caller that
+takes values only.  ``eval_grid`` is the one double-precision form
+evaluator, ``eval_pair`` its one-point pass over R1, R1', R2 and R2'
+together and ``eval_values`` over R1 and R2 alone (same guards, same raise
+texts, same values), and ``ei_with_error`` the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
 evaluator here takes their polynomials in r from Radial.in_r and converts
@@ -36,6 +40,9 @@ _BRANCH_SPLIT = 40.0
 _OVERFLOW_X = 708.0
 
 _EPS = 2.220446049250313e-16
+
+# The smallest normal double, 2^-1022.
+_NORMAL_MIN = 2.2250738585072014e-308
 
 
 class DomainError(ValueError):
@@ -141,6 +148,26 @@ def horner(run: tuple, r) -> tuple:
     return value + dvalue * y, env + denv * y
 
 
+def horner_value(run: tuple, r):
+    """The value of a laurent_run at r: horner's value half alone, the same
+    operations in the same order, so bit for bit horner's value on every
+    scalar type.  Raises ZeroDenominator for negative powers at r = 0."""
+    up, down, _, _, zero = run
+    value = zero
+    for c, _ in up:
+        value = value * r + c
+    if not down:
+        return value + zero
+    try:
+        y = 1 / r
+    except ZeroDivisionError as exc:
+        raise ZeroDenominator("negative powers evaluated at x = 0") from exc
+    dvalue = zero
+    for c, _ in down:
+        dvalue = dvalue * y + c
+    return value + dvalue * y
+
+
 def _float_run(name: str, p: RatPoly) -> tuple:
     """The float laurent_run of the polynomial of bucket ``name``; raises
     OverflowSignal, naming the bucket, when a coefficient is beyond double range."""
@@ -176,8 +203,9 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     for R2's).  The error estimate is built from those envelopes (which
     dominate the plain |A| + |C| cancellation penalty between the
     growing-exponential and Ei parts), the rounding of the exponential
-    arguments, the Ei evaluation error, and 2^-1074 per rounding step for
-    subnormal results.  The first point that cannot be evaluated raises:
+    arguments, the Ei evaluation error, 2^-1074 per rounding step for
+    subnormal results, and 2^-1074 times the envelope where e^{-kappa r}
+    itself is subnormal.  The first point that cannot be evaluated raises:
     DomainError for r <= 0 or nan, and OverflowSignal when e^{kappa r},
     Ei(1, -2 kappa r) or an envelope term leaves double range.
     """
@@ -219,6 +247,11 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
             if plus is None:
                 b = value * decay
                 abs_err += env * decay * round_factor
+                if decay < _NORMAL_MIN:
+                    # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
+                    # an absolute rounding of up to 2^-1074 (R2 raises before:
+                    # its Ei overflows from kappa r = 354)
+                    abs_err += env * 2.0 ** -1074
             else:
                 c = value * decay * ei_value
                 abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
@@ -247,42 +280,60 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
             _float_run("q_plus", p), _float_run("q_plus", d_p))
 
 
-def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
-    """(R1, R1', R2, R2') at r from the runs of pair_runs in one pass: four
-    Horner passes, one e^{kr}, one e^{-kr} and one Ei(1, -2kr), and no error
-    estimate.
-
-    Each value is eval_grid's value of that form at r, from the same float
-    operations, and the pass raises what eval_grid raises first on R1, R1',
-    R2 and R2' in turn: DomainError for r <= 0 or nan, then OverflowSignal
-    from the envelope probes of L and L', e^{kr}, the probe of P, Ei and the
-    probe of P', in that order.
-    """
+def _pair_factors(kappa: float, r: float, decaying: tuple, growing: tuple) -> tuple[float, float, float]:
+    """(e^{kr}, e^{-kr}, Ei(1, -2kr)) at r, after the guards eval_grid runs
+    on the forms in turn: DomainError for r <= 0 or nan, then OverflowSignal
+    from the envelope probes of the ``decaying`` (L) runs, e^{kr}, the probe
+    of the first ``growing`` (P) run, Ei and the probes of the others, in
+    that order."""
     if not r > 0:
         raise _not_positive(r)
-    ell, ell_d, p, p_d = runs
     k = 2 if r > 1.0 else 3
     try:
-        r ** ell[k]
-        r ** ell_d[k]
+        for run in decaying:
+            r ** run[k]
         try:
             grow = math.exp(kappa * r)
         except OverflowError as exc:
             raise _exp_overflow(kappa * r) from exc
-        r ** p[k]
+        r ** growing[0][k]
         ei_value = ei_with_error(2.0 * kappa * r)[0]
-        r ** p_d[k]
+        for run in growing[1:]:
+            r ** run[k]
     except OverflowSignal:
         raise
     except OverflowError as exc:
         raise _envelope_overflow(r) from exc
-    decay = math.exp(-kappa * r)
-    v1 = horner(ell, r)[0] * decay
-    d1 = horner(ell_d, r)[0] * decay
+    return grow, math.exp(-kappa * r), ei_value
+
+
+def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
+    """(R1, R1', R2, R2') at r from the runs (L, L', P, P') of pair_runs in
+    one pass: four value-only Horner passes, one e^{kr}, one e^{-kr} and one
+    Ei(1, -2kr), and no error estimate.
+
+    Each value is eval_grid's value of that form at r, from the same float
+    operations, and the pass raises what eval_grid raises first on R1, R1',
+    R2 and R2' in turn (see _pair_factors).
+    """
+    ell, ell_d, p, p_d = runs
+    grow, decay, ei_value = _pair_factors(kappa, r, (ell, ell_d), (p, p_d))
+    v1 = horner_value(ell, r) * decay
+    d1 = horner_value(ell_d, r) * decay
     # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
     # form lacks there, kept so that a zero comes out with the same sign
-    return (v1 + 0.0, d1 + 0.0, horner(p, r)[0] * grow + 0.0 + v1 * ei_value,
-            horner(p_d, r)[0] * grow + 0.0 + d1 * ei_value)
+    return (v1 + 0.0, d1 + 0.0, horner_value(p, r) * grow + 0.0 + v1 * ei_value,
+            horner_value(p_d, r) * grow + 0.0 + d1 * ei_value)
+
+
+def eval_values(kappa: float, runs: tuple, r: float) -> tuple[float, float]:
+    """(R1, R2) at r from the runs (L, P) alone: eval_pair's R1 and R2 bit
+    for bit, from two value-only Horner passes, with eval_grid's guards on
+    R1 and then R2."""
+    ell, p = runs
+    grow, decay, ei_value = _pair_factors(kappa, r, (ell,), (p,))
+    v1 = horner_value(ell, r) * decay
+    return v1 + 0.0, horner_value(p, r) * grow + 0.0 + v1 * ei_value
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):
@@ -299,7 +350,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
         return mpmath.mpf(num) / mpmath.mpf(den)
 
     def value(p: RatPoly) -> mpmath.mpf:
-        return horner(laurent_run(p, mp_ratio), rr)[0]
+        return horner_value(laurent_run(p, mp_ratio), rr)
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")

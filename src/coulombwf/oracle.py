@@ -172,15 +172,15 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
     h's in ``runs``.
     """
     h, d1, d3 = runs
-    horner = numeval.horner
+    horner = numeval.horner_value
 
     def integrand(s: float) -> float:
-        return math.exp(-s) * horner(h, s)[0] / (s - x)
+        return math.exp(-s) * horner(h, s) / (s - x)
 
     left, err_l = _quad(integrand, 0.0, x - delta)
     right, err_r = _quad(integrand, x + delta, cutoff)
-    g1 = math.exp(-x) * horner(d1, x)[0]
-    g3 = math.exp(-x) * horner(d3, x)[0]
+    g1 = math.exp(-x) * horner(d1, x)
+    g3 = math.exp(-x) * horner(d3, x)
     window = 2.0 * delta * g1 + delta**3 * g3 / 9.0
     tail = _tail_bound(h, cutoff, x)
     return left + right + window, err_l + err_r + tail
@@ -234,7 +234,7 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
     no pole; its coefficients, highest power first, are the partial sums of
     Horner's rule for h at x.
     """
-    horner = numeval.horner
+    horner = numeval.horner_value
     n_r, m = qn.n_r, qn.m
     g_exp, g_ei = _confluent_parts(qn)
     runs = _pv_runs(g_ei.shift(m))
@@ -245,9 +245,9 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
     worst = {"pv": 0.0, "split": 0.0}
     for x in xs:
         pv = _pv_oracle(n_r, m, runs, x)
-        ei_part = horner(g_ei, x)[0] * numeval.ei_with_error(x)[0]
+        ei_part = horner(g_ei, x) * numeval.ei_with_error(x)[0]
         if "pv" in checks:
-            cf = horner(g_exp, x)[0] * math.exp(x) + ei_part
+            cf = horner(g_exp, x) * math.exp(x) + ei_part
             worst["pv"] = max(worst["pv"], abs(pv - cf) / max(abs(pv), abs(cf)))
         if "split" in checks:
             b, sums = 0.0, []
@@ -257,7 +257,7 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             quotient = (tuple(sums), (), 0, 0, 0.0)
 
             def smooth(s: float) -> float:
-                return math.exp(-s) * horner(quotient, s)[0]
+                return math.exp(-s) * horner(quotient, s)
 
             integral, err = _quad(smooth, 0.0, _upper_cutoff(n_r, m, x))
             if err > 1e-9 * max(1.0, abs(integral)):

@@ -7,7 +7,7 @@ nums[i]/den.  Scalar multiples, derivatives, shifts and argument scaling
 work on Python ints and reduce their result by one gcd; two polynomials are
 never added or multiplied.  All arithmetic is exact, and this module
 evaluates nothing: every point evaluation, exact or floating, goes through
-``numeval.laurent_run`` and ``numeval.horner``.
+``numeval.laurent_run`` and ``numeval``'s Laurent Horner loop.
 """
 
 from __future__ import annotations

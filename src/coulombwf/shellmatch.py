@@ -30,8 +30,10 @@ class NoRootInRange(ValueError):
 
 
 class MatchNotResolved(ArithmeticError):
-    """The bisection closed its bracket with |mismatch| still above 1e-8:
-    double precision cannot resolve the shell solution there."""
+    """match_shell's root search closed its bracket on M to 1e-13 max(1, |b|)
+    with |mismatch| still above 1e-8: double precision cannot resolve the
+    shell solution there.  The text starts "bisection closed at b = ", as
+    it did while the search was a plain bisection, since callers match it."""
 
 
 def _exterior_q(qn: QuantumNumbers) -> RatPoly:
@@ -48,9 +50,11 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 @dataclass(frozen=True)
 class ShellForms:
     """The shell's R1, R1', R2 and R2' as the four float runs (L, L', P, P')
-    of numeval.pair_runs, evaluated together in one numeval.eval_pair pass,
-    and the float runs of q and q' for the exterior; every coefficient is
-    converted to a float once, so no bisection step converts one."""
+    of numeval.pair_runs, evaluated together in one numeval.eval_pair pass
+    (or R1 and R2 alone from L and P by numeval.eval_values, for the grid),
+    and the float runs of q and q' for the exterior, evaluated by the
+    value-only Horner loop; every coefficient is converted to a float once,
+    so no root-search step or grid sample converts one."""
 
     kappa: float
     runs: tuple
@@ -61,6 +65,10 @@ class ShellForms:
         """(R1, R1', R2, R2') at r."""
         return numeval.eval_pair(self.kappa, self.runs, r)
 
+    def values(self, r: float) -> tuple[float, float]:
+        """(R1, R2) at r, bit for bit those of pair(r), from L and P alone."""
+        return numeval.eval_values(self.kappa, self.runs[::2], r)
+
     def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
         """(u, u') of c1 R1 + c2 R2 at r."""
         v1, d1, v2, d2 = self.pair(r)
@@ -68,7 +76,7 @@ class ShellForms:
 
     def exterior(self, r: float) -> tuple[float, float]:
         """(q, q') at r."""
-        return numeval.horner(self.q, r)[0], numeval.horner(self.qd, r)[0]
+        return numeval.horner_value(self.q, r), numeval.horner_value(self.qd, r)
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
@@ -148,17 +156,22 @@ def mixing_from_inner_match(pair: tuple[float, float, float, float], a: float,
 
 
 def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> MatchResult:
-    """Fix (c1, c2) at the inner boundary a, then bisect b over b_range.
+    """Fix (c1, c2) at the inner boundary a, then find b over b_range by
+    Brent's method.
 
     mismatch(b) is the shell log-derivative minus the exterior one.  It has a
-    pole at every node of the shell solution u, so the bisection takes its
-    signs from the Wronskian of u with the exterior solution e^{-kappa r} q,
-    normalised as M(b) = (u' q - u (q' - kappa q)) / (|u' q| + |u (q' - kappa q)|).
-    M has no poles (q > 0) and vanishes exactly where mismatch does.  The
-    root b_star is polished until |mismatch| < 1e-8.  Raises NoRootInRange
-    (with the scanned mismatch table attached) when M keeps its sign over the
-    bracket, and MatchNotResolved when the bracket closes before the
-    mismatch falls below 1e-8.  Each value at a and at b_star is computed once.
+    pole at every node of the shell solution u, so the root search works on
+    the Wronskian of u with the exterior solution e^{-kappa r} q, normalised
+    as M(b) = (u' q - u (q' - kappa q)) / (|u' q| + |u (q' - kappa q)|).  M
+    has no poles (q > 0) and vanishes exactly where mismatch does.  Brent's
+    method (zeroin: inverse quadratic or secant steps on M, with a bisection
+    step whenever they would not shrink the bracket fast enough) keeps a
+    sign change of M bracketed and returns at the first point where
+    |mismatch| < 1e-8; on a bracket that holds several roots it may return
+    any of them.  Raises NoRootInRange (with the scanned mismatch table
+    attached) when M keeps its sign over the bracket, and MatchNotResolved
+    when the bracket closes to 1e-13 max(1, |b|) before the mismatch falls
+    below 1e-8.  Each value at a and at b_star is computed once.
     """
     b_min, b_max = b_range
     if not all(map(math.isfinite, (a, b_min, b_max))):
@@ -174,8 +187,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
 
-    def matched(b: float, mismatch: float, values: tuple[float, float, float, float]) -> MatchResult:
-        u_sh_b, du_sh_b, q, qd = values
+    def matched(point: tuple) -> MatchResult:
+        b, mismatch, _, (u_sh_b, du_sh_b, q, qd) = point
         continuity = {
             "value_a": abs(scale_in * u_a - u_sh_a) / max(abs(u_sh_a), 1e-300),
             "deriv_a": abs(scale_in * du_a - du_sh_a) / max(abs(du_sh_a), 1e-300),
@@ -186,53 +199,80 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         }
         return MatchResult(qn, a, b, c1, c2, mismatch, continuity, scale_in, u_sh_b / q, forms)
 
-    def mismatch_and_wronskian(b: float) -> tuple[float, float, tuple[float, float, float, float]]:
-        """mismatch(b), M(b) and the (u, u', q, q') at b they come from."""
+    def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
+        """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
         u, du = forms.shell(c1, c2, b)
         q, qd = forms.exterior(b)
         outer = du * q
         inner = u * (qd - kappa * q)
-        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner)), (u, du, q, qd)
+        return b, du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner)), (u, du, q, qd)
 
     lo, hi = b_range
-    f_lo, w_lo, v_lo = mismatch_and_wronskian(lo)
-    f_hi, w_hi, v_hi = mismatch_and_wronskian(hi)
+    p_lo, p_hi = probe(lo), probe(hi)
+    f_lo, f_hi = p_lo[1], p_hi[1]
     if f_lo == 0.0:
-        return matched(lo, f_lo, v_lo)
+        return matched(p_lo)
     if f_hi == 0.0:
-        return matched(hi, f_hi, v_hi)
-    if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
+        return matched(p_hi)
+    if math.copysign(1.0, p_lo[2]) == math.copysign(1.0, p_hi[2]):
         # the first sample is lo and the last is hi unless it rounds off it:
         # their mismatches are known
-        scan = [(b, f_lo if b == lo else f_hi if b == hi else mismatch_and_wronskian(b)[0])
+        scan = [(b, f_lo if b == lo else f_hi if b == hi else probe(b)[1])
                 for b in [lo + i * (hi - lo) / 16 for i in range(17)]]
         if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
             why = "mismatch has no sign change"
         else:
             why = "mismatch changes sign only through a pole (a node of u)"
         raise NoRootInRange(f"{why} on [{lo}, {hi}] (endpoints {f_lo:.3e}, {f_hi:.3e})", scan)
-    mid, f_mid, v_mid = lo, f_lo, v_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid, w_mid, v_mid = mismatch_and_wronskian(mid)
-        if abs(f_mid) < 1e-8:
-            break
-        if math.copysign(1.0, w_mid) == math.copysign(1.0, w_lo):
-            lo, w_lo = mid, w_mid
+    # Brent's zeroin on M over points (b, mismatch, M, values): ``best`` has
+    # the smallest |M| so far, ``other`` the other sign of M, and ``prev`` is
+    # the previous best; ``step`` and ``last`` are the last two steps, and an
+    # interpolated step is taken only while it lands inside the bracket and
+    # shrinks faster than half of the step before last
+    prev, best, other = p_lo, p_hi, p_lo
+    step = last = hi - lo
+    while True:
+        if math.copysign(1.0, best[2]) == math.copysign(1.0, other[2]):
+            other = prev
+            step = last = best[0] - prev[0]
+        if abs(other[2]) < abs(best[2]):
+            prev, best, other = best, other, best
+        b, w_b, w_prev = best[0], best[2], prev[2]
+        half = 0.5 * (other[0] - b)
+        tol = 0.5e-13 * max(1.0, abs(b))
+        if abs(half) < tol:
+            raise MatchNotResolved(
+                f"bisection closed at b = {b!r} with mismatch {best[1]:.3e} above 1e-8: double "
+                "precision cannot resolve the shell solution there")
+        if abs(last) < tol or abs(w_prev) <= abs(w_b) or w_b == 0.0:
+            step = last = half
         else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
-            break
-    if not abs(f_mid) < 1e-8:
-        raise MatchNotResolved(
-            f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e} above 1e-8: double "
-            "precision cannot resolve the shell solution there")
-    return matched(mid, f_mid, v_mid)
+            s = w_b / w_prev
+            if prev[0] == other[0]:
+                # secant through prev and best
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                # inverse quadratic interpolation through prev, best and other
+                t, u = w_prev / other[2], w_b / other[2]
+                p = s * (2.0 * half * t * (t - u) - (b - prev[0]) * (u - 1.0))
+                q = (t - 1.0) * (u - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * last * q):
+                last, step = step, p / q
+            else:
+                step = last = half
+        prev = best
+        best = probe(b + (step if abs(step) > tol else math.copysign(tol, half)))
+        if abs(best[1]) < 1e-8:
+            return matched(best)
 
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    each shell sample takes R1 and R2 from one eval_pair pass."""
+    each shell sample takes R1 and R2 from one eval_values pass over L and P."""
     forms, a, b, c1, c2 = result.forms, result.a, result.b_star, result.c1, result.c2
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
@@ -241,7 +281,7 @@ def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
     for r in rs:
         if a <= r <= b:
-            v1, _, v2, _ = forms.pair(r)
+            v1, v2 = forms.values(r)
             out.append((r, c1 * v1 + c2 * v2))
     out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0])
             for r in rs if r > b]

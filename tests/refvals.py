@@ -4,8 +4,9 @@ These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
 integral with mpmath quadrature, the free-particle reference sums the
 modified spherical Bessel series directly, the shell-match reference
-integrates the force-free radial equation with fixed-step RK4 (and the
-shell's one-point pass is checked against four one-point grid evaluations,
+integrates the force-free radial equation with fixed-step RK4 (and its root
+finder is checked against the bisection it replaced, the shell's one-point
+pass is checked against four one-point grid evaluations,
 and its exterior polynomial against the DLMF coefficients in Fractions), the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
@@ -359,15 +360,62 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
     return brentq(mismatch, *b_range, xtol=1e-12)
 
 
+def bisection_match(qn, a: float, b_range: tuple[float, float]) -> tuple[float, float]:
+    """(b_star, mismatch) of shellmatch.match_shell found by bisecting the sign
+    of M, the root finder match_shell used before Brent's method: same inner
+    mixing, same M, the same endpoint returns at an exact zero of the
+    mismatch, and the same stopping rule (stop at the first midpoint with
+    |mismatch| < 1e-8, or once the bracket is below 1e-13 max(1, |mid|)).
+    Raises NoRootInRange (without the scan) when M keeps its sign over the
+    bracket and MatchNotResolved when the bracket closes first."""
+    from coulombwf.shellmatch import (MatchNotResolved, NoRootInRange, integrate_interior,
+                                      mixing_from_inner_match, shell_forms)
+
+    forms = shell_forms(qn)
+    u_a, du_a = integrate_interior(qn, a)
+    c1, c2 = mixing_from_inner_match(forms.pair(a), a, du_a / u_a)
+    kappa = forms.kappa
+
+    def mismatch_and_wronskian(b: float) -> tuple[float, float]:
+        u, du = forms.shell(c1, c2, b)
+        q, qd = forms.exterior(b)
+        outer, inner = du * q, u * (qd - kappa * q)
+        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
+
+    lo, hi = b_range
+    f_lo, w_lo = mismatch_and_wronskian(lo)
+    f_hi, w_hi = mismatch_and_wronskian(hi)
+    if f_lo == 0.0:
+        return lo, f_lo
+    if f_hi == 0.0:
+        return hi, f_hi
+    if math.copysign(1.0, w_lo) == math.copysign(1.0, w_hi):
+        raise NoRootInRange("M keeps its sign", [])
+    mid, f_mid = lo, f_lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid, w_mid = mismatch_and_wronskian(mid)
+        if abs(f_mid) < 1e-8:
+            return mid, f_mid
+        if math.copysign(1.0, w_mid) == math.copysign(1.0, w_lo):
+            lo, w_lo = mid, w_mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13 * max(1.0, abs(mid)):
+            break
+    raise MatchNotResolved(f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e}")
+
+
 def four_grid_forms(r1: Radial, r2: Radial) -> tuple:
     """R1, R1', R2 and R2', each differentiated on its own."""
     return r1, derivative_form(r1), r2, derivative_form(r2)
 
 
-def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, float, float, float]:
-    """(R1, R1', R2, R2') at r from four one-point eval_grid calls in that
-    order, each converting its form's coefficients again, so the first form
-    that cannot be evaluated raises."""
+def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, ...]:
+    """(R1, R1', R2, R2') at r, or the values of any other forms, from one
+    one-point eval_grid call per form in that order, each converting its
+    form's coefficients again, so the first form that cannot be evaluated
+    raises."""
     return tuple(eval_grid(f, (r,))[0][1] for f in forms)
 
 
@@ -594,8 +642,8 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     each bucket (which dominates the plain |A| + |C| cancellation penalty
     between the growing-exponential and Ei buckets), the rounding of the
     exponential arguments, the Ei evaluation error and the absolute
-    rounding of subnormal results.  Returns (value,
-    est_rel_error).
+    rounding of subnormal results and of a subnormal e^{-kappa r}.  Returns
+    (value, est_rel_error).
     """
     if not r > 0:
         raise DomainError(f"eval_grid requires r > 0, got {r!r}")
@@ -614,7 +662,11 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     if not f.q_minus.is_zero():
         decay = _float_exp(-kappa * r)
         b = float_horner(f.q_minus, r) * decay
-        abs_err += _poly_abs_eval(f.q_minus, r) * decay * round_factor
+        env = _poly_abs_eval(f.q_minus, r)
+        abs_err += env * decay * round_factor
+        if decay < 2.0 ** -1022:
+            # a subnormal e^{-kappa r} is off by up to 2^-1074 absolute
+            abs_err += env * 2.0 ** -1074
     if not f.q_ei.is_zero():
         x = 2.0 * kappa * r
         ei_value, ei_err = ei_with_error(x)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import shlex
@@ -769,15 +770,21 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
 
 
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
-    # one eval_pair pass, with one Ei, at a, at each mismatch evaluation and
-    # at each of the grid's 33 shell samples; b* reuses its last evaluation,
-    # and no form goes through eval_grid
+    # one pass, with one Ei, at a and at each mismatch evaluation (lo, hi,
+    # then two Brent steps) by eval_pair over R1, R1', R2 and R2', and at
+    # each of the grid's 33 shell samples by eval_values over R1 and R2
+    # alone; b* reuses its last evaluation, and no form goes through
+    # eval_grid
     passes, mismatches, counts = [], [], {"eval_grid": 0, "ei_with_error": 0}
-    eval_pair, shell = numeval.eval_pair, shellmatch.ShellForms.shell
+    eval_pair, eval_values, shell = numeval.eval_pair, numeval.eval_values, shellmatch.ShellForms.shell
 
     def counting_eval_pair(kappa, runs, r):
-        passes.append(r)
+        passes.append((r, "pair"))
         return eval_pair(kappa, runs, r)
+
+    def counting_eval_values(kappa, runs, r):
+        passes.append((r, "values"))
+        return eval_values(kappa, runs, r)
 
     def counting_shell(self, c1, c2, r):
         mismatches.append(r)
@@ -792,6 +799,7 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
         monkeypatch.setattr(numeval, name, wrapper)
 
     monkeypatch.setattr(numeval, "eval_pair", counting_eval_pair)
+    monkeypatch.setattr(numeval, "eval_values", counting_eval_values)
     monkeypatch.setattr(shellmatch.ShellForms, "shell", counting_shell)
     counted("eval_grid")
     counted("ei_with_error")
@@ -801,9 +809,27 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     doc = json.loads(out)
     shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
     assert len(shell_samples) == 33
-    assert passes == [1e-4] + mismatches + shell_samples
+    assert mismatches[:2] == [0.5, 1.5] and mismatches[-1] == doc["b_star"]
+    assert passes == [(r, "pair") for r in [1e-4] + mismatches] + [(r, "values") for r in shell_samples]
     assert counts == {"eval_grid": 0, "ei_with_error": len(passes)}
-    assert len(passes) == 63
+    assert len(mismatches) == 4 and len(passes) == 38
+
+
+# any double, with the values json writes specially weighted in
+_json_floats = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 99), st.integers(0, 98), st.lists(_json_floats, min_size=9, max_size=9),
+       st.none() | st.lists(st.tuples(_json_floats, _json_floats), min_size=1, max_size=6))
+def test_shell_json_template_is_json_dumps(n, l, values, grid):
+    # the template writes what json.dumps(doc, indent=2) writes, inf, -inf,
+    # nan, -0.0 and subnormals included, with the grid absent and present
+    doc = dict(zip(("n", "l", "a", "b_star", "c1", "c2", "mismatch"), [n, l, *values[:5]]))
+    doc["continuity"] = dict(zip(("value_a", "deriv_a", "value_b", "deriv_b"), values[5:]))
+    if grid is not None:
+        doc["grid"] = [[r, u] for r, u in grid]
+    assert cli._shell_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_shell_huge_a_fails_fast(capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coulombwf.closedform import QuantumNumbers, Radial, assemble_pair, assemble_R1, assemble_R2
-from coulombwf.ratpoly import RatPoly
+from coulombwf.ratpoly import RatPoly, ZeroDenominator
 from coulombwf.numeval import (
     EULER_GAMMA,
     DomainError,
@@ -20,7 +21,9 @@ from coulombwf.numeval import (
     eval_form_extended,
     eval_grid,
     eval_pair,
+    eval_values,
     horner,
+    horner_value,
     laurent_run,
     pair_runs,
 )
@@ -134,6 +137,25 @@ def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
         bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
         error = abs(value - _mp_ratio(want.numerator, want.denominator))
         assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_polys, st.one_of(_horner_points, st.sampled_from([0.0, -0.0])))
+# r = 0 with a negative power
+@example(RatPoly(-2, (Fraction(1), Fraction(0), Fraction(3))), 0.0)
+def test_value_only_loop_is_the_fused_value_bit_for_bit(p, x):
+    # float, exact and mpmath runs: the same value, or the same ZeroDenominator
+    with mpmath.workprec(300):
+        for conv, point in ((operator.truediv, x), (Fraction, Fraction(x)), (_mp_ratio, mpmath.mpf(x))):
+            run = laurent_run(p, conv)
+            try:
+                want = horner(run, point)[0]
+            except ZeroDenominator as exc:
+                with pytest.raises(ZeroDenominator, match=f"^{exc}$"):
+                    horner_value(run, point)
+                continue
+            got = horner_value(run, point)
+            assert type(got) is type(want) and repr(got) == repr(want)
 
 
 # -- form evaluation ----------------------------------------------------------------
@@ -314,7 +336,8 @@ _EDGE_R = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
 
 
 def test_eval_pair_matches_four_grid_calls():
-    # every state n <= 12: the same values by repr, and the same first exception
+    # every state n <= 12: the same values by repr, and the same first
+    # exception, for eval_pair and for eval_values
     kinds = set()
     for n in range(1, 13):
         for l in range(n):
@@ -324,6 +347,9 @@ def test_eval_pair_matches_four_grid_calls():
             for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
                 want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
                 assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
+                # R1 and R2 alone: their values, or what their grids raise first
+                assert _pair_outcome(eval_values, kappa, runs[::2], r) == \
+                    _pair_outcome(refvals.pair_by_four_grids, forms[::2], r), (n, l, r)
                 if isinstance(want[0], type):
                     kinds.add((want[0], want[1].split(" ")[0][:4]))
                 elif "0.0" in want:
@@ -334,12 +360,14 @@ def test_eval_pair_matches_four_grid_calls():
 
 def test_eval_pair_gives_a_zero_eval_grids_sign():
     # no state reaches it, but a negative L e^{-kr} that underflows is -0.0,
-    # which eval_grid's sum 0.0 + b + 0.0 of R1's three terms turns into 0.0
+    # which eval_grid's sum 0.0 + b + 0.0 of R1's three terms turns into
+    # 0.0, in eval_pair and in eval_values
     qn, ell = QuantumNumbers(1, 0), RatPoly(0, [Fraction(-1, 10**300)])
     r1, r2 = Radial(qn, ell), Radial(qn, ell, RatPoly(0, [1]))
     want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
     assert want[0] == "0.0"
     assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
+    assert _pair_outcome(eval_values, 1.0, pair_runs(r2)[::2], 100.0) == want[::2]
 
 
 def test_pair_runs_names_an_overflowing_bucket_as_prepare_form_does():
@@ -482,6 +510,34 @@ def test_estimate_covers_the_error_at_subnormal_R1_values(n, l, rs):
         assert 0.0 < abs(value) < 2.0 ** -1022
         exact = eval_form_extended(f, r, 256)
         assert abs(mpmath.mpf(value) - exact) <= est * abs(exact), r
+
+
+@pytest.mark.parametrize("n,l,r", [(10, 0, 7400.0), (10, 0, 7200.0), (6, 5, 4420.0)])
+def test_estimate_covers_a_subnormal_decay_factor(n, l, r):
+    # kappa r > 708: e^{-kappa r} is subnormal and off by up to 2^-1074
+    # absolute, while R1 itself is normal; the estimate read about 2e-13
+    # against a true 2.6e-3, 2.9e-12 and 1.9e-4 before the env 2^-1074 term
+    f = assemble_R1(QuantumNumbers(n, l))
+    (_, value, est), = eval_grid(f, (r,))
+    assert abs(value) >= 2.0 ** -1022 and 0.0 < math.exp(-r / n) < 2.0 ** -1022
+    exact = eval_form_extended(f, r, 256)
+    assert abs(mpmath.mpf(value) - exact) <= est * abs(exact)
+
+
+def test_subnormal_decay_term_leaves_every_other_estimate_alone():
+    # the term is added only where e^{-kappa r} is subnormal: on either side
+    # of kappa r = 708.4 the estimate is the one from the terms before it
+    f = assemble_R1(QuantumNumbers(1, 0))
+    (_, _, normal), (_, _, subnormal) = eval_grid(f, (708.0, 709.0))
+    run = laurent_run(f.in_r()[0])
+    for r, est in ((708.0, normal), (709.0, subnormal)):
+        value, env = horner(run, r)
+        decay = math.exp(-r)
+        width = 2 * len(f.in_r()[0].nums)
+        abs_err = (width + 6) * 2.0 ** -1074 + env * decay * (width + r + 6) * _EPS
+        if r > 708.5:
+            abs_err += env * 2.0 ** -1074
+        assert repr(est) == repr(abs_err / abs(value * decay))
 
 
 def test_extended_precision_monotonicity():

@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -19,6 +21,7 @@ from coulombwf.shellmatch import (
 )
 
 from refvals import (
+    bisection_match,
     derivative_form,
     exterior_q_reference,
     rk4_b_star,
@@ -324,6 +327,19 @@ def test_unresolved_bisection_is_not_a_match():
                     (197.2183249463177, 279.3309622590942))
 
 
+def test_piecewise_grid_samples_the_matched_forms():
+    # inside the shell each sample is c1 R1 + c2 R2 with R1 and R2 those of
+    # the four-form pass, bit for bit; outside it, the scaled free solutions
+    for qn, a, b_range in [(QuantumNumbers(2, 0), 0.05, (0.5, 1.5)), (QuantumNumbers(4, 2), 0.5, (8.0, 11.0))]:
+        result = match_shell(qn, a, b_range)
+        grid = piecewise_grid(result, 40)
+        inside = [(r, u) for r, u in grid if a <= r <= result.b_star]
+        assert len(inside) > 10
+        for r, u in inside:
+            v1, _, v2, _ = result.forms.pair(r)
+            assert repr(u) == repr(result.c1 * v1 + result.c2 * v2)
+
+
 def test_piecewise_grid_shape():
     qn = QuantumNumbers(2, 0)
     result = match_shell(qn, 0.05, (0.5, 1.5))
@@ -351,3 +367,128 @@ def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
             ratio = mp.sqrt(b / r) * mp.besselk(l + 0.5, kappa * r) / mp.besselk(l + 0.5, kappa * b)
             assert u == pytest.approx(float(ratio) * u_b, rel=1e-12)
 
+
+# -- Brent's method against the bisection it replaced -----------------------------------
+
+def _normalised_wronskian(forms, c1, c2, b):
+    """M(b) of match_shell for the mixing (c1, c2)."""
+    u, du = forms.shell(c1, c2, b)
+    q, qd = forms.exterior(b)
+    outer, inner = du * q, u * (qd - forms.kappa * q)
+    return (outer - inner) / (abs(outer) + abs(inner))
+
+
+def _mismatch(forms, c1, c2, b):
+    """mismatch(b) of match_shell for the mixing (c1, c2)."""
+    u, du = forms.shell(c1, c2, b)
+    q, qd = forms.exterior(b)
+    return du / u - (-forms.kappa + qd / q)
+
+
+def _outcome(fn, qn, a, bracket):
+    try:
+        return "match", fn(qn, a, bracket)
+    except NoRootInRange:
+        return "no root", None
+    except MatchNotResolved:
+        return "unresolved", None
+
+
+def _seeded_brackets(count: int, seed: str):
+    """(n, l, a, bracket, narrow) with n <= 10 and a log-uniform in
+    [1e-4, 2.5]; every other bracket is narrow, b_max <= 3 b_min as the
+    bench's shell brackets are, and the rest reach up to 4 n^2 past b_min."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 10)
+        l = rng.randint(0, n - 1)
+        a = math.exp(rng.uniform(math.log(1e-4), math.log(2.5)))
+        b_min = a + rng.uniform(0.01, 1.0) * 4 * n * n
+        narrow = i % 2 == 0
+        b_max = b_min * rng.uniform(1.01, 3.0) if narrow else b_min + rng.uniform(0.01, 1.0) * 4 * n * n
+        yield n, l, a, (b_min, b_max), narrow
+
+
+def test_brent_matches_the_bisection_reference_on_seeded_brackets(monkeypatch):
+    # a bracket whose 65-point scan of M shows one sign change gives the
+    # reference's outcome and root; one with several may give another root,
+    # and then another outcome too (the reference may stop on a root double
+    # precision cannot resolve).  Every match has |mismatch| < 1e-8 at a sign
+    # change of M and takes fewer root-search evaluations than the bisection
+    # did; on the narrow brackets at least 90% take at most 8 (44 of 46
+    # here) and the median at most 6.  The rest are mostly roots near
+    # kappa b ~ 10, where the rounding noise of the mismatch is above the
+    # 1e-8 tolerance and only a lucky evaluation meets it, for Brent's steps
+    # and for the bisection's alike
+    evals = []
+    shell = ShellForms.shell
+
+    def counting_shell(self, c1, c2, r):
+        evals.append(r)
+        return shell(self, c1, c2, r)
+
+    monkeypatch.setattr(ShellForms, "shell", counting_shell)
+    outcomes, narrow_evals, apart = collections.Counter(), [], collections.Counter()
+    for n, l, a, bracket, narrow in _seeded_brackets(1000, "brent-against-bisection"):
+        qn = QuantumNumbers(n, l)
+        evals.clear()
+        want = _outcome(bisection_match, qn, a, bracket)
+        reference_evals = len(evals) - 2
+        evals.clear()
+        got = _outcome(match_shell, qn, a, bracket)
+        steps = len(evals) - 2
+        outcomes[got[0]] += 1
+        if got[0] == "match":
+            result = got[1]
+            b = result.b_star
+            assert abs(result.mismatch) < 1e-8
+            delta = 1e-6 * max(1.0, b)
+            below, above = (_normalised_wronskian(result.forms, result.c1, result.c2, b + s * delta)
+                            for s in (-1, 1))
+            assert below * above < 0
+            assert steps < reference_evals
+            if narrow:
+                narrow_evals.append(steps)
+        if got[0] == want[0] and (got[0] != "match" or got[1].b_star == pytest.approx(want[1][0], rel=1e-7)):
+            continue
+        # outcomes apart: the bracket holds several sign changes of M, or the
+        # mismatch within 1e-12 of the root one of them found is rounding
+        # noise above 1e-8
+        forms = shell_forms(qn)
+        u_a, du_a = integrate_interior(qn, a)
+        c1, c2 = mixing_from_inner_match(forms.pair(a), a, du_a / u_a)
+        lo, hi = bracket
+        scan = [_normalised_wronskian(forms, c1, c2, lo + i * (hi - lo) / 64) for i in range(65)]
+        several = sum(math.copysign(1.0, x) != math.copysign(1.0, y) for x, y in zip(scan, scan[1:])) > 1
+        root = got[1].b_star if got[0] == "match" else want[1][0]
+        noise = max(abs(_mismatch(forms, c1, c2, root * (1 + k * 1e-12))) for k in range(-4, 5))
+        assert several or noise >= 1e-8, (n, l, a, bracket, want, got[0])
+        apart[several] += 1
+    narrow_evals.sort()
+    assert narrow_evals[len(narrow_evals) // 2] <= 6
+    assert sum(k <= 8 for k in narrow_evals) >= 0.9 * len(narrow_evals)
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3
+    # here 4 matches of 89 are apart for several roots and 1 for noise
+    assert apart[True] + apart[False] <= 0.1 * outcomes["match"]
+
+
+def test_unresolved_match_stops_once_the_bracket_closes(monkeypatch):
+    # the search raises at the first bracket below 1e-13 max(1, |b|), which a
+    # step of at least a quarter of the bracket leaves above a quarter of
+    # that: the narrowest sign change of M among the evaluated points
+    seen = []
+    shell = ShellForms.shell
+
+    def recording_shell(self, c1, c2, r):
+        seen.append((r, c1, c2, self))
+        return shell(self, c1, c2, r)
+
+    monkeypatch.setattr(ShellForms, "shell", recording_shell)
+    with pytest.raises(MatchNotResolved) as err:
+        match_shell(QuantumNumbers(8, 2), 0.031218547948655875, (197.2183249463177, 279.3309622590942))
+    b = float(str(err.value).split("b = ")[1].split(" ")[0])
+    monkeypatch.setattr(ShellForms, "shell", shell)
+    signs = sorted((r, math.copysign(1.0, _normalised_wronskian(forms, c1, c2, r))) for r, c1, c2, forms in seen)
+    width = min(r1 - r0 for (r0, s0), (r1, s1) in zip(signs, signs[1:]) if s0 != s1)
+    assert 0.25e-13 * b <= width < 1e-13 * b
+    assert b in [r for r, *_ in seen]
