@@ -59,15 +59,21 @@ def _rat_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _rat_texts(p: RatPoly) -> dict[int, str]:
-    return {k: _rat_text(num, den) for k, num, den in p.ratio_terms()}
+def _terms_in_r(q: RatPoly, n: int):
+    """The reduced (power, num, den) terms of a polynomial q in x = 2r/n as a
+    polynomial in r: what the documents print."""
+    return q.ratio_terms(Fraction(2, n))
 
 
-def _json_rats(p: RatPoly, pad: str) -> str:
-    """json.dumps({"power": "num/den", ...}, indent=2) of p's nonzero
-    coefficients, nested at indent pad; the keys and texts are digits, "-"
-    and "/", which json writes unescaped."""
-    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in p.ratio_terms()]
+def _rat_texts(q: RatPoly, n: int) -> dict[int, str]:
+    return {k: _rat_text(num, den) for k, num, den in _terms_in_r(q, n)}
+
+
+def _json_rats(q: RatPoly, n: int, pad: str) -> str:
+    """json.dumps({"power": "num/den", ...}, indent=2) of the nonzero
+    coefficients of q in r, nested at indent pad; the keys and texts are
+    digits, "-" and "/", which json writes unescaped."""
+    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in _terms_in_r(q, n)]
     return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
 
 
@@ -101,11 +107,12 @@ def _latex_coeff_times_power(num: int, den: int, k: int) -> str:
     return rf"\frac{{{num}}}{{{den}}}{r_pow}"
 
 
-def _latex_poly(p: RatPoly) -> str:
-    if p.is_zero():
+def _latex_poly(q: RatPoly, n: int) -> str:
+    """q, a polynomial in x = 2 kappa r, written in r."""
+    if q.is_zero():
         return "0"
     parts = []
-    for k, num, den in p.ratio_terms():
+    for k, num, den in _terms_in_r(q, n):
         term = _latex_coeff_times_power(num, den, k)
         if num < 0:
             parts.append(f"-{term}")
@@ -125,10 +132,10 @@ def _latex_ei_lower(n: int) -> str:
 
 
 def _latex_R2(r2) -> str:
-    qn, (ell, p) = r2.qn, r2.in_r()
+    qn = r2.qn
     return (
-        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(p)}\right) "
-        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(ell)}\right) "
+        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P, qn.n)}\right) "
+        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L, qn.n)}\right) "
         rf"{_latex_exponent(qn.n, '-')} "
         rf"\int_{{{_latex_ei_lower(qn.n)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
     )
@@ -142,21 +149,23 @@ def _latex_R2(r2) -> str:
 # building the dict and encoding it took 1.5 to 2.5 times as long per document.
 def _coeffs_json(r2, pad: str, table: bool = False) -> str:
     """The coeffs document of R2, nested at indent pad: P in r as q_plus and
-    L in r as q_ei, and for the table L again as R1's r1_q_minus."""
-    qn, (ell, p), inner = r2.qn, r2.in_r(), pad + "  "
+    L in r as q_ei, and for the table the same L text as R1's r1_q_minus."""
+    qn, inner = r2.qn, pad + "  "
+    ell = _json_rats(r2.L, qn.n, inner)
     fields = [f'"n": {qn.n}', f'"l": {qn.l}',
-              f'"q_plus": {_json_rats(p, inner)}',
-              f'"q_ei": {_json_rats(ell, inner)}',
+              f'"q_plus": {_json_rats(r2.P, qn.n, inner)}',
+              f'"q_ei": {ell}',
               f'"ei_arg_scale": "{-2 * qn.kappa}"']
     if table:
-        fields.append(f'"r1_q_minus": {_json_rats(ell, inner)}')
+        fields.append(f'"r1_q_minus": {ell}')
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"
 
 
-def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
-    """One "power,q_plus,q_ei" row per power where either coefficient is
-    nonzero; a zero coefficient is an empty field."""
-    plus, ei = _rat_texts(q_plus), _rat_texts(q_ei)
+def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly, n: int) -> str:
+    """One "power,q_plus,q_ei" row per power in r where either coefficient is
+    nonzero, from polynomials in x = 2 kappa r; a zero coefficient is an
+    empty field."""
+    plus, ei = _rat_texts(q_plus, n), _rat_texts(q_ei, n)
     return "".join([f"{k},{plus.get(k, '')},{ei.get(k, '')}\n"
                     for k in sorted(plus.keys() | ei.keys())])
 
@@ -166,8 +175,7 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         _write(args.out, _coeffs_json(r2, "") + "\n")
     elif args.format == "csv":
-        ell, p = r2.in_r()
-        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(p, ell))
+        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L, args.n))
     else:
         _write(args.out, _header() + _latex_R2(r2) + "\n")
     return EXIT_OK
@@ -229,7 +237,7 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     if args.nmax < 1:
         raise InvalidQuantumNumbers("n_max must be >= 1")
-    # R2's L is R1's polynomial, so it is written as r1_q_minus too
+    # R2's L is R1's polynomial, so its text, reduced once, is written as r1_q_minus too
     forms = [assemble_R2(QuantumNumbers(n, l)) for n in range(1, args.nmax + 1) for l in range(n)]
     if args.format == "json":
         docs = ",\n".join(["  " + _coeffs_json(r2, "  ", table=True) for r2 in forms])
@@ -238,10 +246,9 @@ def cmd_table(args) -> int:
         lines = [_header(), "n,l,part,power,coeff\n"]
         for r2 in forms:
             n, l = r2.qn.n, r2.qn.l
-            ell, p = r2.in_r()
-            for part, poly in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell)):
-                for k, num, den in poly.ratio_terms():
-                    lines.append(f"{n},{l},{part},{k},{_rat_text(num, den)}\n")
+            ell, p = _rat_texts(r2.L, n), _rat_texts(r2.P, n)
+            for part, texts in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell)):
+                lines += [f"{n},{l},{part},{k},{text}\n" for k, text in texts.items()]
         _write(args.out, "".join(lines))
     else:
         lines = [_header()]

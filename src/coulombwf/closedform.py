@@ -14,10 +14,11 @@ there:
     R2 = P(x) e^{+x/2} + L(x) e^{-x/2} Ei(1, -x),
 
 where Ei(1, -x) is the principal value of integral_{-x}^{infinity} e^{-s}/s ds
-and R2's L is R1's own polynomial.  Radial.in_r is the one substitution
-x = 2 kappa r.  Since d/dx Ei(1, -x) = -e^x/x, apply_radial_operator writes
-the residual in the same shape in one integer pass, and derivative_in_r
-does so for d/dr of R2 on its polynomials in r.
+and R2's L is R1's own polynomial.  Radial.in_r is the one place that
+turns a record into polynomials in r = x / (2 kappa).  Since
+d/dx Ei(1, -x) = -e^x/x, apply_radial_operator writes the residual in the
+same shape in one integer pass, and derivative_in_r does so for d/dr of R2
+on its polynomials in r.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ class Radial:
         return self.L.is_zero() and (self.P is None or self.P.is_zero())
 
     def in_r(self) -> tuple[RatPoly, RatPoly | None]:
-        """(L, P) as polynomials in r: the one substitution x = 2 kappa r."""
+        """(L, P) as polynomials in r, x = 2 kappa r: the one record in r, for
+        evaluation and a residual's failure text; the coefficient documents
+        read their terms in r from RatPoly.ratio_terms(2 kappa) instead."""
         c = 2 * self.qn.kappa
         return self.L.scale_arg(c), None if self.P is None else self.P.scale_arg(c)
 

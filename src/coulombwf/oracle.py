@@ -333,14 +333,16 @@ GOLDEN_R2: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
 
 
 def golden_table_check() -> list[VerificationReport]:
-    """Exact rational comparison of every generated R2 against GOLDEN_R2."""
+    """Exact rational comparison of every generated R2, read in r, against
+    GOLDEN_R2."""
     reports = []
     for (n, l), expected in sorted(GOLDEN_R2.items()):
         qn = QuantumNumbers(n, l)
-        ell, p = assemble_R2(qn).in_r()
-        # the coeffs document prints P as q_plus and L as q_ei
-        bad = [name for name, q in (("q_plus", p), ("q_ei", ell))
-               if dict(q.terms()) != expected[name]]
+        r2 = assemble_R2(qn)
+        # the coeffs document prints P as q_plus and L as q_ei, each term of
+        # the record in x reduced in r = x / (2 kappa)
+        bad = [name for name, q in (("q_plus", r2.P), ("q_ei", r2.L))
+               if {k: F(a, b) for k, a, b in q.ratio_terms(2 * qn.kappa)} != expected[name]]
         ok = not bad
         reports.append(VerificationReport(
             qn, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,

@@ -139,14 +139,32 @@ class RatPoly:
         """Highest power present; the zero polynomial reports ``low - 1``."""
         return self.low + len(self.nums) - 1
 
-    def ratio_terms(self):
-        """Yield (power, numerator, denominator) of each nonzero coefficient in
-        ascending power order, reduced, with a positive denominator."""
-        den = self.den
-        for k, x in enumerate(self.nums, self.low):
+    def ratio_terms(self, c: RationalLike = 1):
+        """Yield (power, numerator, denominator) of each nonzero coefficient
+        after the substitution x -> c x (c nonzero), in ascending power order,
+        reduced by one gcd each, with a positive denominator."""
+        p, q = _ratio(c)
+        if p == 0:
+            raise ZeroDenominator("argument scale must be nonzero")
+        den, low = self.den, self.low
+        # the numerator x over den at power k goes to x p^k over den q^k, and
+        # below k = 0 to x q^-k over den p^-k, with p's sign moved up, so each
+        # side carries a running power of |k| and den's side stays positive
+        top, bottom = (q if p > 0 else -q, abs(p)) if low < 0 else (p, q)
+        up, down = top ** abs(low), bottom ** abs(low)
+        for k, x in enumerate(self.nums, low):
+            if k == 0:
+                top, bottom = p, q
             if x:
-                g = math.gcd(x, den)
-                yield k, x // g, den // g
+                a, b = x * up, den * down
+                g = math.gcd(a, b)
+                yield k, a // g, b // g
+            if k < 0:
+                up //= top
+                down //= bottom
+            else:
+                up *= top
+                down *= bottom
 
     def terms(self):
         """Yield (power, coefficient) pairs in ascending power order."""

@@ -100,13 +100,16 @@ def writer_polys(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(writer_polys(), writer_polys())
-def test_integer_writers_match_fraction_writers(p, q):
+@given(writer_polys(), writer_polys(), st.integers(1, 60))
+def test_integer_writers_match_fraction_writers(p, q, n):
+    # the writers take polynomials in x = 2 kappa r, kappa = 1/n, and print
+    # them in r
+    p_r, q_r = (refvals.fraction_scale_arg(f, Fraction(2, n)) for f in (p, q))
     for pad in ("", "    "):
-        want = json.dumps(refvals.rat_dict(p), indent=2).replace("\n", "\n" + pad)
-        assert cli._json_rats(p, pad) == want
-    assert cli._latex_poly(p) == refvals.latex_poly(p)
-    assert cli._coeffs_csv_rows(p, q) == refvals.coeffs_csv_rows(p, q)
+        want = json.dumps(refvals.rat_dict(p_r), indent=2).replace("\n", "\n" + pad)
+        assert cli._json_rats(p, n, pad) == want
+    assert cli._latex_poly(p, n) == refvals.latex_poly(p_r)
+    assert cli._coeffs_csv_rows(p, q, n) == refvals.coeffs_csv_rows(p_r, q_r)
 
 
 def _states(nmax: int) -> list[QuantumNumbers]:
@@ -123,12 +126,21 @@ def _coeffs_doc(qn, r2, r1=None) -> dict:
 
 
 def test_coeffs_json_bytes_match_json_dumps(capsys):
-    for n in range(1, 13):
-        for l in range(n):
-            code, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l), "--format", "json")
-            assert code == 0
-            qn = QuantumNumbers(n, l)
-            assert out == json.dumps(_coeffs_doc(qn, assemble_R2(qn)), indent=2) + "\n"
+    # every state the bench's coeffs requests draw, in each format, against
+    # the Fraction writers on the polynomials in r
+    for qn in _states(40):
+        r2 = assemble_R2(qn)
+        ell, p = r2.in_r()
+        argv = ["coeffs", "--n", str(qn.n), "--l", str(qn.l), "--format"]
+        code, out, _ = run(capsys, *argv, "json")
+        assert code == 0
+        assert out == json.dumps(_coeffs_doc(qn, r2), indent=2) + "\n"
+        code, out, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        assert out == cli._header() + "power,q_plus,q_ei\n" + refvals.coeffs_csv_rows(p, ell)
+        code, out, _ = run(capsys, *argv, "latex")
+        assert code == 0
+        assert re.findall(r"\\left\((.*?)\\right\)", out) == [refvals.latex_poly(p), refvals.latex_poly(ell)]
 
 
 @pytest.mark.parametrize("nmax", range(1, 7))
@@ -173,10 +185,20 @@ def _count_assemble_R2(monkeypatch) -> dict:
     (["table", "--nmax", "4", "--format", "latex"], 10),
 ])
 def test_coefficient_documents_assemble_each_R2_once(capsys, monkeypatch, argv, states):
+    # and reduce each printed polynomial once: R2's P, and its L, which the
+    # table also prints as R1's r1_q_minus
     calls = _count_assemble_R2(monkeypatch)
+    calls["ratio_terms"] = 0
+    ratio_terms = RatPoly.ratio_terms
+
+    def counted(self, c=1):
+        calls["ratio_terms"] += 1
+        return ratio_terms(self, c)
+
+    monkeypatch.setattr(RatPoly, "ratio_terms", counted)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == {"assemble_R2": states}
+    assert calls == {"assemble_R2": states, "ratio_terms": 2 * states}
 
 
 # -- eval -------------------------------------------------------------------------
@@ -382,11 +404,17 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
 
 
 @pytest.mark.parametrize("argv", [["verify", "--nmax", "3", "--checks", "ode,wronskian"],
-                                  ["verify", "--checks", "pv,split"]])
+                                  ["verify", "--checks", "pv,split"],
+                                  ["verify"],
+                                  *[[*cmd, "--format", fmt] for cmd in (["coeffs", "--n", "6", "--l", "2"],
+                                                                         ["table", "--nmax", "4"])
+                                    for fmt in ("json", "csv", "latex")]])
 def test_verify_exact_and_pv_checks_substitute_nothing(capsys, monkeypatch, argv):
     # the records hold L and P in x = 2 kappa r, where the operator, the
-    # Wronskian and the confluent parts of the pv checks are all read, so
-    # none of them turns a record into polynomials in r
+    # Wronskian and the confluent parts of the pv checks are all read, and
+    # the golden check and the coefficient documents reduce each printed
+    # coefficient in r straight from the record in x, so none of them turns
+    # a record into polynomials in r
     calls = []
     scale_arg = RatPoly.scale_arg
 

@@ -118,6 +118,8 @@ def test_eval_zero_with_negative_power_raises():
 def test_scale_arg_requires_nonzero():
     with pytest.raises(ZeroDenominator):
         P({-1: 1}).scale_arg(0)
+    with pytest.raises(ZeroDenominator):
+        list(P({1: 1}).ratio_terms(0))
 
 
 def test_normalization_trims_zeros():
@@ -255,15 +257,21 @@ def test_mul_matches_fraction_reference(p, q):
 
 @given(big_polys(), st.one_of(nonzero_rationals, big_rationals.filter(lambda c: c != 0)))
 def test_scale_arg_matches_fraction_reference(p, c):
-    assert p.scale_arg(c) == fraction_scale_arg(p, c)
-    assert p.scale_arg(-c) == fraction_scale_arg(p, -c)
+    for scale in (c, -c):
+        want = fraction_scale_arg(p, scale)
+        assert p.scale_arg(scale) == want
+        # ratio_terms(c) yields the reduced terms of p(c x) straight from p
+        assert list(p.ratio_terms(scale)) == [(k, a.numerator, a.denominator) for k, a in want.terms()]
 
 
 def test_scale_arg_negative_c_and_negative_powers():
     p = P({-3: F(2, 5), -1: -7, 0: F(1, 3), 2: F(9, 4)})
     for c in (F(-2, 3), F(-5), F(3, -7), F(1, 2), -1):
-        assert p.scale_arg(c) == fraction_scale_arg(p, F(c))
+        want = fraction_scale_arg(p, F(c))
+        assert p.scale_arg(c) == want
+        assert list(p.ratio_terms(c)) == list(want.ratio_terms())
     assert P({-1: 1}).scale_arg(F(-1, 2)) == P({-1: -2})
+    assert list(P({-1: 1}).ratio_terms(F(-1, 2))) == [(-1, -2, 1)]
 
 
 def _same_float(a: float, b: float) -> bool:
