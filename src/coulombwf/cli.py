@@ -24,6 +24,7 @@ from .closedform import (
     QuantumNumbers,
     assemble_R1,
     assemble_R2,
+    terms_in_r,
 )
 from .ratpoly import RatPoly
 
@@ -59,21 +60,15 @@ def _rat_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _terms_in_r(q: RatPoly, n: int):
-    """The reduced (power, num, den) terms of a polynomial q in x = 2r/n as a
-    polynomial in r: what the documents print."""
-    return q.ratio_terms(Fraction(2, n))
+def _rat_texts(q: RatPoly, qn: QuantumNumbers) -> dict[int, str]:
+    return {k: _rat_text(num, den) for k, num, den in terms_in_r(q, qn)}
 
 
-def _rat_texts(q: RatPoly, n: int) -> dict[int, str]:
-    return {k: _rat_text(num, den) for k, num, den in _terms_in_r(q, n)}
-
-
-def _json_rats(q: RatPoly, n: int, pad: str) -> str:
+def _json_rats(q: RatPoly, qn: QuantumNumbers, pad: str) -> str:
     """json.dumps({"power": "num/den", ...}, indent=2) of the nonzero
     coefficients of q in r, nested at indent pad; the keys and texts are
     digits, "-" and "/", which json writes unescaped."""
-    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in _terms_in_r(q, n)]
+    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in terms_in_r(q, qn)]
     return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
 
 
@@ -107,12 +102,12 @@ def _latex_coeff_times_power(num: int, den: int, k: int) -> str:
     return rf"\frac{{{num}}}{{{den}}}{r_pow}"
 
 
-def _latex_poly(q: RatPoly, n: int) -> str:
+def _latex_poly(q: RatPoly, qn: QuantumNumbers) -> str:
     """q, a polynomial in x = 2 kappa r, written in r."""
     if q.is_zero():
         return "0"
     parts = []
-    for k, num, den in _terms_in_r(q, n):
+    for k, num, den in terms_in_r(q, qn):
         term = _latex_coeff_times_power(num, den, k)
         if num < 0:
             parts.append(f"-{term}")
@@ -134,8 +129,8 @@ def _latex_ei_lower(n: int) -> str:
 def _latex_R2(r2) -> str:
     qn = r2.qn
     return (
-        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P, qn.n)}\right) "
-        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L, qn.n)}\right) "
+        rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P, qn)}\right) "
+        rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L, qn)}\right) "
         rf"{_latex_exponent(qn.n, '-')} "
         rf"\int_{{{_latex_ei_lower(qn.n)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
     )
@@ -151,9 +146,9 @@ def _coeffs_json(r2, pad: str, table: bool = False) -> str:
     """The coeffs document of R2, nested at indent pad: P in r as q_plus and
     L in r as q_ei, and for the table the same L text as R1's r1_q_minus."""
     qn, inner = r2.qn, pad + "  "
-    ell = _json_rats(r2.L, qn.n, inner)
+    ell = _json_rats(r2.L, qn, inner)
     fields = [f'"n": {qn.n}', f'"l": {qn.l}',
-              f'"q_plus": {_json_rats(r2.P, qn.n, inner)}',
+              f'"q_plus": {_json_rats(r2.P, qn, inner)}',
               f'"q_ei": {ell}',
               f'"ei_arg_scale": "{-2 * qn.kappa}"']
     if table:
@@ -161,11 +156,11 @@ def _coeffs_json(r2, pad: str, table: bool = False) -> str:
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"
 
 
-def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly, n: int) -> str:
+def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly, qn: QuantumNumbers) -> str:
     """One "power,q_plus,q_ei" row per power in r where either coefficient is
     nonzero, from polynomials in x = 2 kappa r; a zero coefficient is an
     empty field."""
-    plus, ei = _rat_texts(q_plus, n), _rat_texts(q_ei, n)
+    plus, ei = _rat_texts(q_plus, qn), _rat_texts(q_ei, qn)
     return "".join([f"{k},{plus.get(k, '')},{ei.get(k, '')}\n"
                     for k in sorted(plus.keys() | ei.keys())])
 
@@ -175,7 +170,7 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         _write(args.out, _coeffs_json(r2, "") + "\n")
     elif args.format == "csv":
-        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L, args.n))
+        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L, r2.qn))
     else:
         _write(args.out, _header() + _latex_R2(r2) + "\n")
     return EXIT_OK
@@ -246,7 +241,7 @@ def cmd_table(args) -> int:
         lines = [_header(), "n,l,part,power,coeff\n"]
         for r2 in forms:
             n, l = r2.qn.n, r2.qn.l
-            ell, p = _rat_texts(r2.L, n), _rat_texts(r2.P, n)
+            ell, p = _rat_texts(r2.L, r2.qn), _rat_texts(r2.P, r2.qn)
             for part, texts in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell)):
                 lines += [f"{n},{l},{part},{k},{text}\n" for k, text in texts.items()]
         _write(args.out, "".join(lines))

@@ -14,11 +14,12 @@ there:
     R2 = P(x) e^{+x/2} + L(x) e^{-x/2} Ei(1, -x),
 
 where Ei(1, -x) is the principal value of integral_{-x}^{infinity} e^{-s}/s ds
-and R2's L is R1's own polynomial.  Radial.in_r is the one place that
-turns a record into polynomials in r = x / (2 kappa).  Since
-d/dx Ei(1, -x) = -e^x/x, apply_radial_operator writes the residual in the
-same shape in one integer pass, and derivative_in_r does so for d/dr of R2
-on its polynomials in r.
+and R2's L is R1's own polynomial.  No polynomial in r = x / (2 kappa) is
+ever built: every reader that writes or evaluates a record in r takes its
+coefficients from terms_in_r, or from RatPoly.ratio_terms(2 kappa) through
+numeval.laurent_run.  Since d/dx Ei(1, -x) = -e^x/x, apply_radial_operator
+writes the residual in the same shape in one integer pass, and derivative
+does so for d/dr.
 """
 
 from __future__ import annotations
@@ -114,12 +115,18 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
         raise ValueError("p2_recurrence needs m >= 1")
     nums = [0] * (n_r + m)
     g, p = (-1) ** n_r, 0  # G_{n_r} and P_{n_r+m}
-    for j in range(n_r + m - 1, -1, -1):
+    for j in range(n_r + m - 1, m - 2, -1):
         k = j - m + 1
         p, rem = divmod((m + 2 * k) * g - (j + 1) * k * p, j + n_r + 1)
         # G_{k-1} = -G_k k (m+k)/(n_r-k+1), which is 0 from k = 0 down
         g, g_rem = divmod(-g * k * (m + k), n_r - k + 1)
         if rem or g_rem:
+            raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
+        nums[j] = p
+    # below k = 0, G is 0: P_j (j+n_r+1) = (j+1)(m-1-j) P_{j+1}
+    for j in range(m - 2, -1, -1):
+        p, rem = divmod((j + 1) * (m - 1 - j) * p, j + n_r + 1)
+        if rem:
             raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
         nums[j] = p
     return _make(0, nums, 1)
@@ -136,22 +143,6 @@ def decay_derivative(q: RatPoly, n: int) -> RatPoly:
                              zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)], n * q.den)
 
 
-def derivative_in_r(n: int, ell: RatPoly, p: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Exact d/dr of R2 = P e^{r/n} + L e^{-r/n} Ei(1, -2r/n) from its
-    polynomials (L, P) in r, in the same shape: L -> L' - L/n and
-    P -> P' + P/n - L/r, each one pass over integer numerators over n times
-    its denominators, reduced by one gcd."""
-    # P' + P/n over n p.den, then -L/r, over n p.den ell.den
-    y, low = p.nums, min(p.low, ell.low)
-    plus = [0] * (max(p.degree + 2, ell.degree + 1) - low)
-    for i, (k, a, b) in enumerate(zip(range(p.low, p.low + len(y) + 1), y + (0,), (0,) + y),
-                                  p.low - low):
-        plus[i] = (n * k * a + b) * ell.den
-    for k, a in enumerate(ell.nums, ell.low):
-        plus[k - low] -= n * p.den * a
-    return decay_derivative(ell, n), _make(low - 1, plus, n * p.den * ell.den)
-
-
 @dataclass(frozen=True)
 class Radial:
     """R1 = L e^{-x/2} when P is None, else R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x),
@@ -164,12 +155,11 @@ class Radial:
     def is_zero(self) -> bool:
         return self.L.is_zero() and (self.P is None or self.P.is_zero())
 
-    def in_r(self) -> tuple[RatPoly, RatPoly | None]:
-        """(L, P) as polynomials in r, x = 2 kappa r: the one record in r, for
-        evaluation and a residual's failure text; the coefficient documents
-        read their terms in r from RatPoly.ratio_terms(2 kappa) instead."""
-        c = 2 * self.qn.kappa
-        return self.L.scale_arg(c), None if self.P is None else self.P.scale_arg(c)
+
+def terms_in_r(q: RatPoly, qn: QuantumNumbers):
+    """The reduced (power, numerator, denominator) terms of q, a polynomial
+    of qn's record in x = 2 kappa r, as a polynomial in r."""
+    return q.ratio_terms(2 * qn.kappa)
 
 
 def assemble_R1(qn: QuantumNumbers) -> Radial:
@@ -194,15 +184,45 @@ def assemble_R2(qn: QuantumNumbers) -> Radial:
     return assemble_pair(qn)[1]
 
 
+def derivative(f: Radial) -> Radial:
+    """d/dr of f as a record in x = 2 kappa r: L -> 2 kappa (L' - L/2) and
+    P -> 2 kappa (P' + P/2 - L/x), since d/dx Ei(1, -x) = -e^x/x.
+
+    With kappa = a/b, on q e^{s x/2} (s = +-1) the x^(k-1) coefficient is
+    a (2 k q_k + s q_{k-1}) over b q.den, and R2's L adds -2 a L_k to the
+    e^{+x/2} part; each polynomial is one integer pass, reduced by one gcd.
+    """
+    a, b = f.qn.kappa.as_integer_ratio()
+
+    def run(q: RatPoly, s: int) -> list[int]:
+        # b q.den times the x^(k-1) coefficients, k from q.low to q.degree + 1
+        x = q.nums
+        return [a * (2 * k * u + s * v)
+                for k, u, v in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
+
+    p, e = f.P, f.L
+    decay = _make(e.low - 1, run(e, -1), b * e.den)
+    if p is None:
+        return Radial(f.qn, decay)
+    # the e^{+x/2} part over b p.den e.den: P's own run and -2 a L_k
+    low = min(p.low, e.low)
+    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
+    for i, u in enumerate(run(p, 1), p.low - low):
+        plus[i] = u * e.den
+    for k, u in enumerate(e.nums, e.low):
+        plus[k - low] -= 2 * a * p.den * u
+    return Radial(f.qn, decay, _make(low - 1, plus, b * p.den * e.den))
+
+
 def apply_radial_operator(f: Radial) -> Radial:
     """r^2 f'' + 2 r f' + (-kappa^2 r^2 + 2 kappa0 r - l(l+1)) f, exactly, in
     f's shape, from its coefficients, with no derivative or product formed.
 
     With kappa0 = 1 and kappa = 1/n it is x^2 f'' + 2 x f' + (-x^2/4 + n x
-    - l(l+1)) f in x = 2 kappa r, so in_r commutes with it.  On q e^{s x/2}
-    (s = +-1) it leaves (k-l)(k+l+1) q_k + (s k + n) q_{k-1} as the x^k
-    coefficient over q.den, and R2's L adds -(2k+1) L_k to the e^{+x/2}
-    part; each polynomial is one integer pass, reduced by one gcd.
+    - l(l+1)) f in x = 2 kappa r, so substituting x = 2 kappa r commutes
+    with it.  On q e^{s x/2} (s = +-1) it leaves (k-l)(k+l+1) q_k + (s k + n)
+    q_{k-1} as the x^k coefficient over q.den, and R2's L adds -(2k+1) L_k to
+    the e^{+x/2} part; each polynomial is one integer pass, reduced by one gcd.
     """
     n, l = f.qn.n, f.qn.l
 

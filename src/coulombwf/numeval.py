@@ -12,8 +12,9 @@ together and ``eval_values`` over R1 and R2 alone (same guards, same raise
 texts, same values), and ``ei_with_error`` the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
-evaluator here takes their polynomials in r from Radial.in_r and converts
-them itself.  Double precision genuinely loses digits where R2's
+evaluator here evaluates them at r: ``laurent_run`` converts each
+coefficient in r straight from RatPoly.ratio_terms(2k), and no polynomial
+in r is built.  Double precision genuinely loses digits where R2's
 growing exponential part cancels against its Ei part, so every eval_grid row
 carries an error estimate instead of hiding the loss (eval_pair's callers
 take values only); callers that need more digits use the extended-precision
@@ -26,8 +27,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .closedform import Radial, derivative_in_r
-from .ratpoly import RatPoly, ZeroDenominator
+from .closedform import Radial, derivative
+from .ratpoly import RationalLike, RatPoly, ZeroDenominator
 
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -103,11 +104,12 @@ def ei_with_error(x: float) -> tuple[float, float]:
     return value, abs(value) * est + _EPS * (1.0 + abs(math.log(x)))
 
 
-def laurent_run(p: RatPoly, conv=operator.truediv) -> tuple:
-    """p ready for Laurent Horner evaluation at many points, each coefficient
-    converted once as ``conv(numerator, p.den)``: to a correctly rounded
-    float by default, to a Fraction with ``conv=Fraction``, or to an
-    extended-precision scalar.
+def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> tuple:
+    """p(scale x) ready for Laurent Horner evaluation at many points, each
+    coefficient converted once as ``conv(numerator, denominator)`` from
+    p.ratio_terms(scale): to a correctly rounded float by default, to a
+    Fraction with ``conv=Fraction``, or to an extended-precision scalar.
+    A record in x = 2kr passes scale = 2k to be evaluated at r.
 
     The run is ``(up, down, top, bottom, zero)``.  ``up`` holds (c_k, |c_k|)
     for the powers max(degree, -1) down to 0 and ``down`` for the powers
@@ -117,8 +119,10 @@ def laurent_run(p: RatPoly, conv=operator.truediv) -> tuple:
     Raises OverflowError when a float coefficient is beyond double range.
     """
     zero = conv(0, 1)
-    lo, hi, den = min(p.low, 0), max(p.degree, -1), p.den
-    cs = [zero] * (p.low - lo) + [conv(x, den) for x in p.nums] + [zero] * (hi - p.degree)
+    lo, hi = min(p.low, 0), max(p.degree, -1)
+    cs = [zero] * (hi + 1 - lo)
+    for k, num, den in p.ratio_terms(scale):
+        cs[k - lo] = conv(num, den)
     pairs = [(c, abs(c)) for c in cs]
     return tuple(reversed(pairs[-lo:])), tuple(pairs[:-lo]), max(p.degree, 0), lo, zero
 
@@ -168,11 +172,12 @@ def horner_value(run: tuple, r):
     return value + dvalue * y
 
 
-def _float_run(name: str, p: RatPoly) -> tuple:
-    """The float laurent_run of the polynomial of bucket ``name``; raises
-    OverflowSignal, naming the bucket, when a coefficient is beyond double range."""
+def _float_run(name: str, q: RatPoly, scale: Fraction) -> tuple:
+    """The float laurent_run of q(scale x), a record's polynomial of bucket
+    ``name`` in r for scale = 2k; raises OverflowSignal, naming the bucket,
+    when a coefficient is beyond double range."""
     try:
-        return laurent_run(p)
+        return laurent_run(q, scale=scale)
     except OverflowError as exc:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
 
@@ -196,7 +201,7 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     """Evaluate R1 or R2 (or a derivative) in double precision at every r of
     rs, as one (r, value, est_rel_error) row per point.
 
-    Each polynomial of f.in_r() is converted to a float laurent_run once, P
+    Each polynomial of f is converted to a float laurent_run in r once, P
     before L, so that one Horner pass yields its value and its envelope sum
     |c_k| r^k together; a coefficient beyond double range raises
     OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
@@ -209,9 +214,9 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     DomainError for r <= 0 or nan, and OverflowSignal when e^{kappa r},
     Ei(1, -2 kappa r) or an envelope term leaves double range.
     """
-    ell, p = f.in_r()
-    plus = None if p is None else _float_run("q_plus", p)
-    decaying = _float_run("q_minus" if p is None else "q_ei", ell)
+    ell, p, scale = f.L, f.P, 2 * f.qn.kappa
+    plus = None if p is None else _float_run("q_plus", p, scale)
+    decaying = _float_run("q_minus" if p is None else "q_ei", ell, scale)
     kappa = float(f.qn.kappa)
     two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
     underflow = (two_width + 6) * 2.0 ** -1074
@@ -268,16 +273,15 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
     R2 and R2', given the R2 of closedform.assemble_pair.
 
-    In r, R2 = P e^{kr} + L e^{-kr} Ei(1, -2kr) carries R1 = L e^{-kr} in its
-    Ei part, and d/dr maps that L to R1''s own L' = dL/dr - kL, so R2' from
-    closedform.derivative_in_r is the one derivative formed.  The
-    coefficients are converted, and an overflow named after its bucket, as
+    R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
+    part, and d/dr maps that L to R1''s own L, so R2' from
+    closedform.derivative is the one derivative formed.  The coefficients
+    are converted in r, and an overflow named after its bucket, as
     eval_grid does over R1, R1', R2 and R2' in turn.
     """
-    ell, p = r2.in_r()
-    d_ell, d_p = derivative_in_r(r2.qn.n, ell, p)
-    return (_float_run("q_minus", ell), _float_run("q_minus", d_ell),
-            _float_run("q_plus", p), _float_run("q_plus", d_p))
+    d, scale = derivative(r2), 2 * r2.qn.kappa
+    return (_float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale),
+            _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale))
 
 
 def _pair_factors(kappa: float, r: float, decaying: tuple, growing: tuple) -> tuple[float, float, float]:
@@ -341,7 +345,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     ``mpmath.mpf``.
 
     ``r`` may be a float, int, Fraction, or decimal string; it is converted
-    exactly before use, like the coefficients of f.in_r().  mpmath is
+    exactly before use, like f's coefficients in r.  mpmath is
     imported here, so that only this evaluator pays for loading it.
     """
     import mpmath
@@ -350,7 +354,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
         return mpmath.mpf(num) / mpmath.mpf(den)
 
     def value(p: RatPoly) -> mpmath.mpf:
-        return horner_value(laurent_run(p, mp_ratio), rr)
+        return horner_value(laurent_run(p, mp_ratio, 2 * f.qn.kappa), rr)
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -360,8 +364,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     with mpmath.workprec(precision_bits):
         rr = mp_ratio(r_exact.numerator, r_exact.denominator)
         kk = mp_ratio(*f.qn.kappa.as_integer_ratio())
-        ell, p = f.in_r()
-        total = value(ell) * mpmath.exp(-kk * rr)
-        if p is not None:
-            total = value(p) * mpmath.exp(kk * rr) + total * -mpmath.ei(2 * kk * rr)
+        total = value(f.L) * mpmath.exp(-kk * rr)
+        if f.P is not None:
+            total = value(f.P) * mpmath.exp(kk * rr) + total * -mpmath.ei(2 * kk * rr)
         return +total

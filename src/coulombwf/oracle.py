@@ -29,8 +29,9 @@ from .closedform import (
     assemble_pair,
     assemble_R2,
     decay_derivative,
+    terms_in_r,
 )
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, terms_text
 
 
 class QuadratureFailure(ArithmeticError):
@@ -69,9 +70,12 @@ def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
     residual = apply_radial_operator(f)
     if residual.is_zero():
         return VerificationReport(f.qn, f"ode_residual_{which}", True, 0.0, exact=True)
-    ell, p = residual.in_r()
-    plus, minus, ei = ("0", ell, "0") if p is None else (p, "0", ell)
-    norm = max(q.max_abs_coeff_float() for q in (ell, p) if q is not None)
+    ell = list(terms_in_r(residual.L, f.qn))
+    p = None if residual.P is None else list(terms_in_r(residual.P, f.qn))
+    plus, minus, ei = ("0", terms_text(ell), "0") if p is None else (terms_text(p), "0", terms_text(ell))
+    # int / int rounds correctly, and rounding is monotone, so this is the
+    # largest |float(c)| over the coefficients in r
+    norm = max(abs(num) / den for _, num, den in ell + (p or []))
     return VerificationReport(f.qn, f"ode_residual_{which}", False, norm,
                               details=f"nonzero residual buckets: plus={plus}, minus={minus}, ei={ei}")
 
@@ -339,10 +343,9 @@ def golden_table_check() -> list[VerificationReport]:
     for (n, l), expected in sorted(GOLDEN_R2.items()):
         qn = QuantumNumbers(n, l)
         r2 = assemble_R2(qn)
-        # the coeffs document prints P as q_plus and L as q_ei, each term of
-        # the record in x reduced in r = x / (2 kappa)
+        # the coeffs document prints P as q_plus and L as q_ei, in r
         bad = [name for name, q in (("q_plus", r2.P), ("q_ei", r2.L))
-               if {k: F(a, b) for k, a, b in q.ratio_terms(2 * qn.kappa)} != expected[name]]
+               if {k: F(a, b) for k, a, b in terms_in_r(q, qn)} != expected[name]]
         ok = not bad
         reports.append(VerificationReport(
             qn, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,

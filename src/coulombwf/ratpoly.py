@@ -3,11 +3,14 @@
 A polynomial is stored densely over one common denominator: a lowest power
 (possibly negative), the run of integer numerators from there upward, and a
 positive denominator ``den``, so the coefficient of x^(low+i) is
-nums[i]/den.  Scalar multiples, derivatives, shifts and argument scaling
-work on Python ints and reduce their result by one gcd; two polynomials are
-never added or multiplied.  All arithmetic is exact, and this module
-evaluates nothing: every point evaluation, exact or floating, goes through
-``numeval.laurent_run`` and ``numeval``'s Laurent Horner loop.
+nums[i]/den.  Scalar multiples, derivatives and shifts work on Python ints
+and reduce their result by one gcd; two polynomials are never added or
+multiplied.  The substitution x -> c x is never stored: ``ratio_terms(c)``
+yields each coefficient after it, reduced by one gcd, for every reader that
+writes or evaluates a record in another variable.  All arithmetic is exact,
+and this module evaluates nothing: every point evaluation, exact or
+floating, goes through ``numeval.laurent_run`` and ``numeval``'s Laurent
+Horner loop.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ RationalLike = Fraction | int
 
 class ZeroDenominator(ZeroDivisionError):
     """Raised when negative powers are evaluated at zero, or an argument is
-    scaled by zero."""
+    scaled by zero in ratio_terms."""
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -58,6 +61,19 @@ def _make(low: int, nums, den: int) -> RatPoly:
     if g != 1:
         return _raw(low + start, tuple(x // g for x in nums), den // g)
     return _raw(low + start, tuple(nums), den)
+
+
+def terms_text(terms) -> str:
+    """(power, numerator, denominator) terms in ascending power order written
+    as str(RatPoly) writes them, e.g. "1/2*x^-1 - 3*x"; "0" when there are none."""
+    out = ""
+    for k, num, den in terms:
+        c = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        x = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        term = c if not x else x if c == "1" else f"{c}*{x}"
+        sign = ("-" if num < 0 else "") if not out else (" - " if num < 0 else " + ")
+        out += sign + term
+    return out or "0"
 
 
 class RatPoly:
@@ -171,11 +187,6 @@ class RatPoly:
         for k, num, den in self.ratio_terms():
             yield k, Fraction(num, den)
 
-    def max_abs_coeff_float(self) -> float:
-        # int / int rounds correctly, and rounding is monotone, so this is the
-        # largest |float(c)| over the coefficients
-        return max(map(abs, self.nums)) / self.den if self.nums else 0.0
-
     # -- scalar multiples --------------------------------------------------
 
     def __mul__(self, other: RationalLike) -> RatPoly:
@@ -188,7 +199,7 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    # -- calculus and substitution -----------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> RatPoly:
         """Term-wise d/dx, valid for negative powers too."""
@@ -201,48 +212,10 @@ class RatPoly:
             return self
         return _raw(self.low + offset, self.nums, self.den)
 
-    def scale_arg(self, c: RationalLike) -> RatPoly:
-        """Substitute x -> c*x exactly (c nonzero if negative powers exist)."""
-        p, q = _ratio(c)
-        if p == 0:
-            raise ZeroDenominator("argument scale must be nonzero")
-        if not self.nums:
-            return self
-        low, high = self.low, self.degree
-        # nums[i]/den * c^k with k = low + i equals
-        # nums[i] p^(k-low) q^(high-k) * p^low q^-high / den; the powers of p
-        # and q with negative exponents in the last factor go to the denominator
-        q_pows = [1] * len(self.nums)
-        for i in range(len(q_pows) - 2, -1, -1):
-            q_pows[i] = q_pows[i + 1] * q
-        pk = p ** max(low, 0) * q ** max(-high, 0)
-        out = []
-        for x, qk in zip(self.nums, q_pows):
-            out.append(x * pk * qk)
-            pk *= p
-        den = self.den * p ** max(-low, 0) * q ** max(high, 0)
-        if den < 0:
-            den, out = -den, [-x for x in out]
-        return _make(low, out, den)
-
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in self.terms():
-            if k == 0:
-                term = str(c)
-            elif k == 1:
-                term = f"{c}*x" if abs(c) != 1 else ("x" if c > 0 else "-x")
-            else:
-                term = f"{c}*x^{k}" if abs(c) != 1 else (f"x^{k}" if c > 0 else f"-x^{k}")
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return terms_text(self.ratio_terms())
 
     def __repr__(self) -> str:
         return f"RatPoly('{self}')"

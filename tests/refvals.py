@@ -16,8 +16,10 @@ its double sum and from its split form, independently of the package's
 recurrence and of each other, the radial operator is composed in r from
 the derivative of the general three-bucket form (ExpEiForm below, into which
 ``buckets`` writes the package's R1 and R2 records, held in x = 2 kappa r,
-through their Radial.in_r), Laurent products and sums, which the package
-does not have, not written from the coefficient formula in x, the
+through ``in_r``, which substitutes x = 2 kappa r one Fraction per
+coefficient where the package reads RatPoly.ratio_terms), Laurent products
+and sums, which the package does not have, not written from the
+coefficient formula in x, the
 derivatives that the tests evaluate are that three-bucket derivative, read
 back into x coefficient by coefficient (``derivative_form``), not the
 package's one-pass kernel, the Wronskian of R1 and R2 is formed from the
@@ -175,9 +177,16 @@ def r_buckets(qn, ell: RatPoly, p: RatPoly | None = None) -> ExpEiForm:
     return ExpEiForm(p, zero, ell, qn.kappa)
 
 
+def in_r(f: Radial) -> tuple[RatPoly, RatPoly | None]:
+    """f's (L, P) as polynomials in r, x = 2 kappa r substituted one Fraction
+    per coefficient."""
+    c = 2 * f.qn.kappa
+    return fraction_scale_arg(f.L, c), None if f.P is None else fraction_scale_arg(f.P, c)
+
+
 def buckets(f: Radial) -> ExpEiForm:
     """The package's record, held in x = 2 kappa r, as the three-bucket form in r."""
-    return r_buckets(f.qn, *f.in_r())
+    return r_buckets(f.qn, *in_r(f))
 
 
 def record_in_x(qn, ell: RatPoly, p: RatPoly | None = None) -> Radial:

@@ -94,7 +94,7 @@ def test_traced_package_targets_keep_resolving(monkeypatch):
     assert resolving >= {
         ("shellmatch", "match_shell"), ("shellmatch", "integrate_interior"),
         ("shellmatch", "piecewise_grid"),
-        ("ratpoly", "RatPoly.__mul__"), ("ratpoly", "RatPoly.scale_arg"),
+        ("ratpoly", "RatPoly.__mul__"),
         ("closedform", "assemble_R1"), ("closedform", "assemble_R2"),
         ("closedform", "laguerre_L1"), ("closedform", "apply_radial_operator"),
         ("oracle", "ode_residual_symbolic"), ("oracle", "wronskian_symbolic"),

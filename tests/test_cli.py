@@ -73,7 +73,7 @@ def test_coeffs_json_round_trip(capsys):
         _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
         doc = json.loads(out)
         form = assemble_R2(QuantumNumbers(n, l))
-        ell, p = form.in_r()
+        ell, p = refvals.in_r(form)
         assert refvals.poly_from_rat_dict(doc["q_plus"]) == p
         assert refvals.poly_from_rat_dict(doc["q_ei"]) == ell
         assert Fraction(doc["ei_arg_scale"]) == -2 * form.qn.kappa
@@ -104,12 +104,13 @@ def writer_polys(draw):
 def test_integer_writers_match_fraction_writers(p, q, n):
     # the writers take polynomials in x = 2 kappa r, kappa = 1/n, and print
     # them in r
+    qn = QuantumNumbers(n, 0)
     p_r, q_r = (refvals.fraction_scale_arg(f, Fraction(2, n)) for f in (p, q))
     for pad in ("", "    "):
         want = json.dumps(refvals.rat_dict(p_r), indent=2).replace("\n", "\n" + pad)
-        assert cli._json_rats(p, n, pad) == want
-    assert cli._latex_poly(p, n) == refvals.latex_poly(p_r)
-    assert cli._coeffs_csv_rows(p, q, n) == refvals.coeffs_csv_rows(p_r, q_r)
+        assert cli._json_rats(p, qn, pad) == want
+    assert cli._latex_poly(p, qn) == refvals.latex_poly(p_r)
+    assert cli._coeffs_csv_rows(p, q, qn) == refvals.coeffs_csv_rows(p_r, q_r)
 
 
 def _states(nmax: int) -> list[QuantumNumbers]:
@@ -117,11 +118,11 @@ def _states(nmax: int) -> list[QuantumNumbers]:
 
 
 def _coeffs_doc(qn, r2, r1=None) -> dict:
-    ell, p = r2.in_r()
+    ell, p = refvals.in_r(r2)
     doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(p),
            "q_ei": refvals.rat_dict(ell), "ei_arg_scale": str(-2 * qn.kappa)}
     if r1 is not None:
-        doc["r1_q_minus"] = refvals.rat_dict(r1.in_r()[0])
+        doc["r1_q_minus"] = refvals.rat_dict(refvals.in_r(r1)[0])
     return doc
 
 
@@ -130,7 +131,7 @@ def test_coeffs_json_bytes_match_json_dumps(capsys):
     # the Fraction writers on the polynomials in r
     for qn in _states(40):
         r2 = assemble_R2(qn)
-        ell, p = r2.in_r()
+        ell, p = refvals.in_r(r2)
         argv = ["coeffs", "--n", str(qn.n), "--l", str(qn.l), "--format"]
         code, out, _ = run(capsys, *argv, "json")
         assert code == 0
@@ -157,7 +158,7 @@ def test_table_csv_matches_fraction_writer(capsys):
     rows = "".join(
         refvals.table_csv_rows(qn.n, qn.l, part, poly)
         for qn in _states(6)
-        for (m1, _), (ell, p) in [(assemble_R1(qn).in_r(), assemble_R2(qn).in_r())]
+        for (m1, _), (ell, p) in [(refvals.in_r(assemble_R1(qn)), refvals.in_r(assemble_R2(qn)))]
         for part, poly in (("r1_q_minus", m1), ("q_plus", p), ("q_ei", ell)))
     assert out == cli._header() + "n,l,part,power,coeff\n" + rows
 
@@ -284,9 +285,9 @@ def test_eval_prepares_its_form_once(capsys, monkeypatch):
     def counted(owner, name):
         original = getattr(owner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
@@ -379,7 +380,7 @@ def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
 def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypatch):
     # the residuals and r^2 W are written from the buckets' coefficients
     calls = {"derivative": 0, "mul": 0}
-    derivative, decay, mul = closedform.derivative_in_r, closedform.decay_derivative, RatPoly.__mul__
+    derivative, decay, mul = closedform.derivative, closedform.decay_derivative, RatPoly.__mul__
 
     def counted_derivative(*args):
         calls["derivative"] += 1
@@ -393,7 +394,8 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
         calls["mul"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(closedform, "derivative_in_r", counted_derivative)
+    for module in (closedform, numeval):
+        monkeypatch.setattr(module, "derivative", counted_derivative)
     for module in (closedform, oracle):
         monkeypatch.setattr(module, "decay_derivative", counted_decay)
     monkeypatch.setattr(RatPoly, "__mul__", counted_mul)
@@ -411,21 +413,25 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
                                     for fmt in ("json", "csv", "latex")]])
 def test_verify_exact_and_pv_checks_substitute_nothing(capsys, monkeypatch, argv):
     # the records hold L and P in x = 2 kappa r, where the operator, the
-    # Wronskian and the confluent parts of the pv checks are all read, and
-    # the golden check and the coefficient documents reduce each printed
-    # coefficient in r straight from the record in x, so none of them turns
-    # a record into polynomials in r
-    calls = []
-    scale_arg = RatPoly.scale_arg
+    # Wronskian and the confluent parts of the pv checks are all read; the
+    # one substitution x -> 2 kappa r, RatPoly.ratio_terms(2 kappa), runs only
+    # where a record is printed or compared in r: on R2's P and L once each
+    # per state of a coefficient document or of the golden check
+    scales = []
+    ratio_terms = RatPoly.ratio_terms
 
-    def counted(self, c):
-        calls.append(c)
-        return scale_arg(self, c)
+    def counted(self, c=1):
+        if c != 1:
+            scales.append(c)
+        return ratio_terms(self, c)
 
-    monkeypatch.setattr(RatPoly, "scale_arg", counted)
+    monkeypatch.setattr(RatPoly, "ratio_terms", counted)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == []
+    states = {"coeffs": [QuantumNumbers(6, 2)], "table": _states(4)}.get(
+        argv[0], [QuantumNumbers(*k) for k in GOLDEN_R2] if argv == ["verify"] else [])
+    # at n = 2 the scale 2 kappa is 1: x = r
+    assert sorted(scales) == sorted(2 * qn.kappa for qn in states for _ in "LP" if qn.n != 2)
 
 
 @pytest.mark.parametrize("argv,builds", [

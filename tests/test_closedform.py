@@ -15,10 +15,11 @@ from coulombwf.closedform import (
     assemble_R1,
     assemble_R2,
     decay_derivative,
-    derivative_in_r,
+    derivative,
     energy,
     laguerre_L1,
     p2_recurrence,
+    terms_in_r,
 )
 from coulombwf.numeval import eval_form_extended
 from coulombwf.oracle import _confluent_parts
@@ -28,19 +29,19 @@ from refvals import (
     ExpEiForm,
     buckets,
     central_diff,
+    derivative_form,
     form_sum,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
     fraction_scale_arg,
+    in_r,
     laurent_mul,
     p2_doublesum,
     p2_simplified,
     poly_add,
     poly_from_terms as P,
     poly_sub,
-    r_buckets,
     radial_operator_reference,
-    record_in_x,
 )
 
 F = Fraction
@@ -84,8 +85,9 @@ def test_laguerre_hand_values():
 
 
 def test_laguerre_scaled_argument():
-    # L(2,1) at x = 2r/3 gives the factor 3 - 2r + (2/9) r^2
-    assert laguerre_L1(2, 1).scale_arg(F(2, 3)) == P({0: 3, 1: -2, 2: F(2, 9)})
+    # L(2,1) at x = 2r/3, the (3, 0) record's x, gives the factor 3 - 2r + (2/9) r^2
+    terms = terms_in_r(laguerre_L1(2, 1), QuantumNumbers(3, 0))
+    assert list(terms) == [(0, 3, 1), (1, -2, 1), (2, 2, 9)]
 
 
 def test_laguerre_degree_and_value_at_zero():
@@ -188,23 +190,23 @@ def test_assemble_R1_examples():
     assert assemble_R1(qn) == Radial(qn, ONE)
 
     f = assemble_R1(QuantumNumbers(2, 1))
-    assert f.in_r() == (P({1: 1}), None)
+    assert in_r(f) == (P({1: 1}), None)
     assert f.qn.kappa == F(1, 2)
 
     f = assemble_R1(QuantumNumbers(3, 1))
-    assert f.in_r()[0] == P({1: F(8, 3), 2: F(-4, 9)})
+    assert in_r(f)[0] == P({1: F(8, 3), 2: F(-4, 9)})
 
 
 def test_assemble_R2_examples():
     f = assemble_R2(QuantumNumbers(1, 0))
-    assert f.in_r() == (ONE, P({-1: F(1, 2)}))
+    assert in_r(f) == (ONE, P({-1: F(1, 2)}))
 
     f = assemble_R2(QuantumNumbers(3, 2))
-    assert f.in_r() == (P({2: F(4, 9)}), P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)}))
+    assert in_r(f) == (P({2: F(4, 9)}), P({-3: 81, -2: F(27, 2), -1: 3, 0: 1, 1: F(2, 3)}))
 
     f = assemble_R2(QuantumNumbers(4, 0))
-    assert f.in_r() == (P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)}),
-                        P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)}))
+    assert in_r(f) == (P({0: 4, 1: -3, 2: F(1, 2), 3: F(-1, 48)}),
+                       P({-1: 2, 0: F(-13, 3), 1: F(11, 12), 2: F(-1, 24)}))
 
 
 def test_records_hold_x_forms_with_integer_numerators_over_n_r_factorial():
@@ -236,8 +238,8 @@ def test_in_r_of_assemble_pair_matches_r_references_every_state_to_n60():
             qn = QuantumNumbers(n, l)
             r1, r2 = assemble_pair(qn)
             ell, p = _r_references(qn)
-            assert r1.in_r() == (ell, None), qn
-            assert r2.in_r() == (ell, p), qn
+            assert in_r(r1) == (ell, None), qn
+            assert in_r(r2) == (ell, p), qn
 
 
 @pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (7, 6), (12, 4)])
@@ -247,10 +249,10 @@ def test_in_r_references_reject_a_mutated_record(n, l):
     qn = QuantumNumbers(n, l)
     r2 = assemble_R2(qn)
     want = _r_references(qn)
-    assert Radial(qn, *r2.in_r()).in_r() != want
+    assert in_r(Radial(qn, *in_r(r2))) != want
     q = r2.P
     off = RatPoly.from_nums(q.low, [q.nums[0] + 1] + list(q.nums[1:]), q.den)
-    assert Radial(qn, r2.L, off).in_r() != want
+    assert in_r(Radial(qn, r2.L, off)) != want
 
 
 def test_R2_ei_polynomial_matches_R1():
@@ -266,31 +268,26 @@ def test_R2_ei_polynomial_matches_R1():
 
 # -- symbolic differentiation ------------------------------------------------------
 
-def _derivative_in_r(f: Radial) -> tuple:
-    """The package's d/dr of f on its polynomials in r: decay_derivative for
-    R1's L, derivative_in_r for R2."""
-    ell, p = f.in_r()
-    return (decay_derivative(ell, f.qn.n), None) if p is None else derivative_in_r(f.qn.n, ell, p)
-
-
 def test_derivative_of_pure_decaying_exponential():
     qn = QuantumNumbers(1, 0)
-    assert _derivative_in_r(assemble_R1(qn)) == (RatPoly(0, (-1,)), None)
+    assert derivative(assemble_R1(qn)) == Radial(qn, RatPoly(0, (-1,)))
 
 
 def test_derivative_moves_ei_term_to_growing_bucket():
     qn = QuantumNumbers(1, 0)
-    d = derivative_in_r(1, ONE, RatPoly.zero())
-    assert d == (RatPoly(0, (-1,)), P({-1: -1}))
+    d = derivative(Radial(qn, ONE, RatPoly.zero()))
+    # in x = 2r, 2 (-1/2) and 2 (-1/x); in r, -1 and -1/r
+    assert d == Radial(qn, RatPoly(0, (-1,)), P({-1: -2}))
+    assert in_r(d) == (RatPoly(0, (-1,)), P({-1: -1}))
     # and so does the three-bucket reference
-    assert r_buckets(qn, *d) == ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1)).derivative()
+    assert buckets(d) == ExpEiForm(RatPoly.zero(), RatPoly.zero(), ONE, F(1)).derivative()
 
 
 @pytest.mark.parametrize("n,l,r", [(1, 0, 0.7), (2, 1, 1.3), (3, 0, 2.5), (4, 2, 3.1)])
 def test_symbolic_derivative_matches_finite_differences(n, l, r):
     qn = QuantumNumbers(n, l)
     for form in (assemble_R1(qn), assemble_R2(qn)):
-        d = record_in_x(qn, *_derivative_in_r(form))
+        d = derivative(form)
 
         def value(t):
             return float(eval_form_extended(form, t, 128))
@@ -325,8 +322,8 @@ _EI_ONLY = Radial(QuantumNumbers(5, 2), P({-2: F(3, 7), 1: 1}), RatPoly.zero())
 @example(_ZERO_L)
 @example(_EI_ONLY)
 def test_operator_matches_derivative_composition(f):
-    # the operator runs on the x-coefficients and the reference in r: in_r
-    # of the residual is the r-operator applied to in_r of f
+    # the operator runs on the x-coefficients and the reference in r: the
+    # residual substituted in r is the r-operator applied to f substituted in r
     assert buckets(apply_radial_operator(f)) == radial_operator_reference(f)
 
 
@@ -345,9 +342,9 @@ def test_decay_derivative_is_q_prime_minus_q_over_n(q, n):
 @example(_ZERO_L)
 @example(_EI_ONLY)
 def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
-    d_ell, d_p = _derivative_in_r(f)
-    assert (d_p is None) == (f.P is None)
-    assert r_buckets(f.qn, d_ell, d_p) == buckets(f).derivative()
+    d = derivative(f)
+    assert (d.P is None) == (f.P is None) and d.qn is f.qn
+    assert d == derivative_form(f)
 
 
 def test_operator_matches_derivative_composition_every_state_to_n40():
@@ -355,7 +352,16 @@ def test_operator_matches_derivative_composition_every_state_to_n40():
         for l in range(n):
             for form in assemble_pair(QuantumNumbers(n, l)):
                 assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
-                assert r_buckets(form.qn, *_derivative_in_r(form)) == buckets(form).derivative(), (n, l)
+
+
+def test_derivative_matches_the_reference_derivative_every_state_to_n30():
+    # R2's derivative carries R1's: its L is the L of R1's derivative
+    for n in range(1, 31):
+        for l in range(n):
+            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            d1, d2 = derivative(r1), derivative(r2)
+            assert d1 == derivative_form(r1) and d2 == derivative_form(r2), (n, l)
+            assert d2.L == d1.L, (n, l)
 
 
 def test_forms_add_only_in_the_reference_sum():

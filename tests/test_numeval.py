@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, Radial, assemble_pair, assemble_R1, assemble_R2
+from coulombwf.closedform import QuantumNumbers, Radial, assemble_pair, assemble_R1, assemble_R2, derivative
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
 from coulombwf.numeval import (
     EULER_GAMMA,
@@ -17,6 +17,7 @@ from coulombwf.numeval import (
     _EPS,
     _asymptotic_sum,
     _ei_series,
+    _float_run,
     ei_with_error,
     eval_form_extended,
     eval_grid,
@@ -221,7 +222,7 @@ def _forms(n: int, l: int):
 
 def _runs(f) -> list[tuple]:
     """The float runs of f's polynomials in r, L and then P when f has one."""
-    return [laurent_run(q) for q in f.in_r() if q is not None]
+    return [laurent_run(q) for q in refvals.in_r(f) if q is not None]
 
 
 def _one_point(f, r) -> tuple[float, float]:
@@ -304,7 +305,7 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     # the reference
     forms = _forms(70, 69)
     with pytest.raises(OverflowError):
-        laurent_run(forms["r2"].in_r()[1])
+        laurent_run(refvals.in_r(forms["r2"])[1])
     for which in ("r2", "r2d"):
         with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
             eval_grid(forms[which], [])
@@ -314,6 +315,50 @@ def test_prepared_eval_with_coefficients_beyond_double_range():
     for which in ("r1", "r1d"):
         for r in (1.0, 1e-320, 0.0, 1e5):
             _assert_same_as_reference(70, 69, which, r)
+
+
+def _reference_runs(named) -> list | tuple:
+    """The float runs of each (bucket, polynomial in r) in turn, or the
+    OverflowSignal that the first coefficient beyond double range raises."""
+    runs = []
+    for name, q in named:
+        try:
+            runs.append(laurent_run(q))
+        except OverflowError:
+            return OverflowSignal, f"the {name} coefficients exceed double precision"
+    return runs
+
+
+def _package_runs(build) -> list | tuple:
+    # runs compare equal only float for float; no coefficient is zero, so
+    # no sign of zero can differ unseen
+    try:
+        return list(build())
+    except OverflowSignal as exc:
+        return OverflowSignal, str(exc)
+
+
+def test_runs_read_from_the_records_in_x_equal_the_runs_in_r_every_state_to_n70():
+    # each coefficient read in r from the record in x is the same rational as
+    # the one substituted a Fraction at a time, so every float run, and every
+    # overflow, is the same; R2's P first leaves double range at (65, 64)
+    outcomes = {}
+    for n in range(1, 71):
+        for l in range(n):
+            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            d = derivative(r2)
+            (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
+            assert _package_runs(lambda: pair_runs(r2)) == _reference_runs(
+                [("q_minus", ell), ("q_minus", d_ell), ("q_plus", p), ("q_plus", d_p)]), (n, l)
+            # eval_grid's, P before L
+            c = 2 * r1.qn.kappa
+            assert _package_runs(lambda: [_float_run("q_minus", r1.L, c)]) == \
+                _reference_runs([("q_minus", ell)]), (n, l)
+            got = _package_runs(lambda: [_float_run("q_plus", r2.P, c), _float_run("q_ei", r2.L, c)])
+            assert got == _reference_runs([("q_plus", p), ("q_ei", ell)]), (n, l)
+            outcomes[n, l] = got
+    assert outcomes[65, 64] == (OverflowSignal, "the q_plus coefficients exceed double precision")
+    assert isinstance(outcomes[64, 63], list)
 
 
 # -- the shell's one-point pass against four one-point grids --------------------------
@@ -436,7 +481,7 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     n, l = state
     r = math.exp(log_r)
     form = _forms(n, l)[which]
-    for p, bucket in zip(form.in_r(), _runs(form)):
+    for p, bucket in zip(refvals.in_r(form), _runs(form)):
         value, env = horner(bucket, r)
         assert repr(value) == repr(refvals.float_horner(p, r))
         exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
@@ -529,11 +574,12 @@ def test_subnormal_decay_term_leaves_every_other_estimate_alone():
     # of kappa r = 708.4 the estimate is the one from the terms before it
     f = assemble_R1(QuantumNumbers(1, 0))
     (_, _, normal), (_, _, subnormal) = eval_grid(f, (708.0, 709.0))
-    run = laurent_run(f.in_r()[0])
+    ell = refvals.in_r(f)[0]
+    run = laurent_run(ell)
     for r, est in ((708.0, normal), (709.0, subnormal)):
         value, env = horner(run, r)
         decay = math.exp(-r)
-        width = 2 * len(f.in_r()[0].nums)
+        width = 2 * len(ell.nums)
         abs_err = (width + 6) * 2.0 ** -1074 + env * decay * (width + r + 6) * _EPS
         if r > 708.5:
             abs_err += env * 2.0 ** -1074
