@@ -24,7 +24,6 @@ from .closedform import (
     QuantumNumbers,
     assemble_R1,
     assemble_R2,
-    terms_in_r,
 )
 from .ratpoly import RatPoly
 
@@ -61,14 +60,14 @@ def _rat_text(num: int, den: int) -> str:
 
 
 def _rat_texts(q: RatPoly, qn: QuantumNumbers) -> dict[int, str]:
-    return {k: _rat_text(num, den) for k, num, den in terms_in_r(q, qn)}
+    return {k: _rat_text(num, den) for k, num, den in q.ratio_terms(qn.x_per_r)}
 
 
 def _json_rats(q: RatPoly, qn: QuantumNumbers, pad: str) -> str:
     """json.dumps({"power": "num/den", ...}, indent=2) of the nonzero
     coefficients of q in r, nested at indent pad; the keys and texts are
     digits, "-" and "/", which json writes unescaped."""
-    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in terms_in_r(q, qn)]
+    items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in q.ratio_terms(qn.x_per_r)]
     return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
 
 
@@ -107,7 +106,7 @@ def _latex_poly(q: RatPoly, qn: QuantumNumbers) -> str:
     if q.is_zero():
         return "0"
     parts = []
-    for k, num, den in terms_in_r(q, qn):
+    for k, num, den in q.ratio_terms(qn.x_per_r):
         term = _latex_coeff_times_power(num, den, k)
         if num < 0:
             parts.append(f"-{term}")
@@ -150,7 +149,7 @@ def _coeffs_json(r2, pad: str, table: bool = False) -> str:
     fields = [f'"n": {qn.n}', f'"l": {qn.l}',
               f'"q_plus": {_json_rats(r2.P, qn, inner)}',
               f'"q_ei": {ell}',
-              f'"ei_arg_scale": "{-2 * qn.kappa}"']
+              f'"ei_arg_scale": "{-qn.x_per_r}"']
     if table:
         fields.append(f'"r1_q_minus": {ell}')
     return "{\n" + ",\n".join([inner + f for f in fields]) + f"\n{pad}}}"

@@ -16,10 +16,10 @@ there:
 where Ei(1, -x) is the principal value of integral_{-x}^{infinity} e^{-s}/s ds
 and R2's L is R1's own polynomial.  No polynomial in r = x / (2 kappa) is
 ever built: every reader that writes or evaluates a record in r takes its
-coefficients from terms_in_r, or from RatPoly.ratio_terms(2 kappa) through
-numeval.laurent_run.  Since d/dx Ei(1, -x) = -e^x/x, apply_radial_operator
-writes the residual in the same shape in one integer pass, and derivative
-does so for d/dr.
+coefficients from RatPoly.ratio_terms(qn.x_per_r), x_per_r = 2 kappa, the
+one name of the substitution.  Since d/dx Ei(1, -x) = -e^x/x,
+apply_radial_operator writes the residual in the same shape, and derivative
+does so for d/dr, each in the same one integer pass.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class QuantumNumbers:
     @property
     def kappa(self) -> Fraction:
         return KAPPA0 / self.n
+
+    @property
+    def x_per_r(self) -> Fraction:
+        """2 kappa, so that x = x_per_r r."""
+        return 2 * self.kappa
 
 
 def energy(qn: QuantumNumbers) -> Fraction:
@@ -135,12 +140,16 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
 # -- symbolic radial solutions ----------------------------------------------
 
 
+def _steps(q: RatPoly):
+    """(k, q_k, q_{k-1}) for k from q.low to q.degree + 1."""
+    x = q.nums
+    return zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)
+
+
 def decay_derivative(q: RatPoly, n: int) -> RatPoly:
     """q' - q/n, so that d/dr [q e^{-r/n}] = (q' - q/n) e^{-r/n}, in one pass:
     the r^(k-1) numerator over n q.den is n k q_k - q_{k-1}."""
-    x = q.nums
-    return _make(q.low - 1, [n * k * a - b for k, a, b in
-                             zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)], n * q.den)
+    return _make(q.low - 1, [n * k * a - b for k, a, b in _steps(q)], n * q.den)
 
 
 @dataclass(frozen=True)
@@ -154,12 +163,6 @@ class Radial:
 
     def is_zero(self) -> bool:
         return self.L.is_zero() and (self.P is None or self.P.is_zero())
-
-
-def terms_in_r(q: RatPoly, qn: QuantumNumbers):
-    """The reduced (power, numerator, denominator) terms of q, a polynomial
-    of qn's record in x = 2 kappa r, as a polynomial in r."""
-    return q.ratio_terms(2 * qn.kappa)
 
 
 def assemble_R1(qn: QuantumNumbers) -> Radial:
@@ -184,34 +187,35 @@ def assemble_R2(qn: QuantumNumbers) -> Radial:
     return assemble_pair(qn)[1]
 
 
+def _one_pass(f: Radial, run, ei, shift: int, den: int) -> Radial:
+    """The record whose L numerators are run(L, -1) and whose P numerators are
+    run(P, +1) less ei(k) L_k, run giving the x^(k+shift) numerator over den
+    q.den for k from q.low to q.degree + 1; each polynomial reduced by one gcd."""
+    p, e = f.P, f.L
+    decay = _make(e.low + shift, run(e, -1), den * e.den)
+    if p is None:
+        return Radial(f.qn, decay)
+    # the e^{+x/2} part over den p.den e.den: P's own run and -ei(k) L_k
+    low = min(p.low, e.low)
+    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
+    for i, u in enumerate(run(p, 1), p.low - low):
+        plus[i] = u * e.den
+    for k, u in enumerate(e.nums, e.low):
+        plus[k - low] -= p.den * ei(k) * u
+    return Radial(f.qn, decay, _make(low + shift, plus, den * p.den * e.den))
+
+
 def derivative(f: Radial) -> Radial:
     """d/dr of f as a record in x = 2 kappa r: L -> 2 kappa (L' - L/2) and
     P -> 2 kappa (P' + P/2 - L/x), since d/dx Ei(1, -x) = -e^x/x.
 
     With kappa = a/b, on q e^{s x/2} (s = +-1) the x^(k-1) coefficient is
     a (2 k q_k + s q_{k-1}) over b q.den, and R2's L adds -2 a L_k to the
-    e^{+x/2} part; each polynomial is one integer pass, reduced by one gcd.
+    e^{+x/2} part.
     """
     a, b = f.qn.kappa.as_integer_ratio()
-
-    def run(q: RatPoly, s: int) -> list[int]:
-        # b q.den times the x^(k-1) coefficients, k from q.low to q.degree + 1
-        x = q.nums
-        return [a * (2 * k * u + s * v)
-                for k, u, v in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
-
-    p, e = f.P, f.L
-    decay = _make(e.low - 1, run(e, -1), b * e.den)
-    if p is None:
-        return Radial(f.qn, decay)
-    # the e^{+x/2} part over b p.den e.den: P's own run and -2 a L_k
-    low = min(p.low, e.low)
-    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
-    for i, u in enumerate(run(p, 1), p.low - low):
-        plus[i] = u * e.den
-    for k, u in enumerate(e.nums, e.low):
-        plus[k - low] -= 2 * a * p.den * u
-    return Radial(f.qn, decay, _make(low - 1, plus, b * p.den * e.den))
+    return _one_pass(f, lambda q, s: [a * (2 * k * u + s * v) for k, u, v in _steps(q)],
+                     lambda k: 2 * a, -1, b)
 
 
 def apply_radial_operator(f: Radial) -> Radial:
@@ -222,25 +226,9 @@ def apply_radial_operator(f: Radial) -> Radial:
     - l(l+1)) f in x = 2 kappa r, so substituting x = 2 kappa r commutes
     with it.  On q e^{s x/2} (s = +-1) it leaves (k-l)(k+l+1) q_k + (s k + n)
     q_{k-1} as the x^k coefficient over q.den, and R2's L adds -(2k+1) L_k to
-    the e^{+x/2} part; each polynomial is one integer pass, reduced by one gcd.
+    the e^{+x/2} part.
     """
     n, l = f.qn.n, f.qn.l
-
-    def run(q: RatPoly, s: int) -> list[int]:
-        # q.den times the x^k coefficients, k from q.low to q.degree + 1
-        x = q.nums
-        return [(k - l) * (k + l + 1) * a + (s * k + n) * b
-                for k, a, b in zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)]
-
-    p, e = f.P, f.L
-    decay = _make(e.low, run(e, -1), e.den)
-    if p is None:
-        return Radial(f.qn, decay)
-    # the e^{+x/2} part over p.den e.den: P's own run and -(2k+1) L_k
-    low = min(p.low, e.low)
-    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
-    for i, a in enumerate(run(p, 1), p.low - low):
-        plus[i] = a * e.den
-    for k, a in enumerate(e.nums, e.low):
-        plus[k - low] -= p.den * (2 * k + 1) * a
-    return Radial(f.qn, decay, _make(low, plus, p.den * e.den))
+    return _one_pass(f, lambda q, s: [(k - l) * (k + l + 1) * u + (s * k + n) * v
+                                      for k, u, v in _steps(q)],
+                     lambda k: 2 * k + 1, 0, 1)

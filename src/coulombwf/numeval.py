@@ -13,8 +13,8 @@ texts, same values), and ``ei_with_error`` the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
 evaluator here evaluates them at r: ``laurent_run`` converts each
-coefficient in r straight from RatPoly.ratio_terms(2k), and no polynomial
-in r is built.  Double precision genuinely loses digits where R2's
+coefficient in r straight from RatPoly.ratio_terms(qn.x_per_r), x_per_r =
+2k, and no polynomial in r is built.  Double precision genuinely loses digits where R2's
 growing exponential part cancels against its Ei part, so every eval_grid row
 carries an error estimate instead of hiding the loss (eval_pair's callers
 take values only); callers that need more digits use the extended-precision
@@ -109,7 +109,7 @@ def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> t
     coefficient converted once as ``conv(numerator, denominator)`` from
     p.ratio_terms(scale): to a correctly rounded float by default, to a
     Fraction with ``conv=Fraction``, or to an extended-precision scalar.
-    A record in x = 2kr passes scale = 2k to be evaluated at r.
+    A record in x = 2kr passes scale = qn.x_per_r to be evaluated at r.
 
     The run is ``(up, down, top, bottom, zero)``.  ``up`` holds (c_k, |c_k|)
     for the powers max(degree, -1) down to 0 and ``down`` for the powers
@@ -214,7 +214,7 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     DomainError for r <= 0 or nan, and OverflowSignal when e^{kappa r},
     Ei(1, -2 kappa r) or an envelope term leaves double range.
     """
-    ell, p, scale = f.L, f.P, 2 * f.qn.kappa
+    ell, p, scale = f.L, f.P, f.qn.x_per_r
     plus = None if p is None else _float_run("q_plus", p, scale)
     decaying = _float_run("q_minus" if p is None else "q_ei", ell, scale)
     kappa = float(f.qn.kappa)
@@ -279,7 +279,7 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     are converted in r, and an overflow named after its bucket, as
     eval_grid does over R1, R1', R2 and R2' in turn.
     """
-    d, scale = derivative(r2), 2 * r2.qn.kappa
+    d, scale = derivative(r2), r2.qn.x_per_r
     return (_float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale),
             _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale))
 
@@ -354,7 +354,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
         return mpmath.mpf(num) / mpmath.mpf(den)
 
     def value(p: RatPoly) -> mpmath.mpf:
-        return horner_value(laurent_run(p, mp_ratio, 2 * f.qn.kappa), rr)
+        return horner_value(laurent_run(p, mp_ratio, f.qn.x_per_r), rr)
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")

@@ -29,7 +29,6 @@ from .closedform import (
     assemble_pair,
     assemble_R2,
     decay_derivative,
-    terms_in_r,
 )
 from .ratpoly import RatPoly, terms_text
 
@@ -70,8 +69,8 @@ def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
     residual = apply_radial_operator(f)
     if residual.is_zero():
         return VerificationReport(f.qn, f"ode_residual_{which}", True, 0.0, exact=True)
-    ell = list(terms_in_r(residual.L, f.qn))
-    p = None if residual.P is None else list(terms_in_r(residual.P, f.qn))
+    ell = list(residual.L.ratio_terms(f.qn.x_per_r))
+    p = None if residual.P is None else list(residual.P.ratio_terms(f.qn.x_per_r))
     plus, minus, ei = ("0", terms_text(ell), "0") if p is None else (terms_text(p), "0", terms_text(ell))
     # int / int rounds correctly, and rounding is monotone, so this is the
     # largest |float(c)| over the coefficients in r
@@ -345,7 +344,7 @@ def golden_table_check() -> list[VerificationReport]:
         r2 = assemble_R2(qn)
         # the coeffs document prints P as q_plus and L as q_ei, in r
         bad = [name for name, q in (("q_plus", r2.P), ("q_ei", r2.L))
-               if {k: F(a, b) for k, a, b in terms_in_r(q, qn)} != expected[name]]
+               if {k: F(a, b) for k, a, b in q.ratio_terms(qn.x_per_r)} != expected[name]]
         ok = not bad
         reports.append(VerificationReport(
             qn, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,

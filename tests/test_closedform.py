@@ -19,7 +19,6 @@ from coulombwf.closedform import (
     energy,
     laguerre_L1,
     p2_recurrence,
-    terms_in_r,
 )
 from coulombwf.numeval import eval_form_extended
 from coulombwf.oracle import _confluent_parts
@@ -86,7 +85,9 @@ def test_laguerre_hand_values():
 
 def test_laguerre_scaled_argument():
     # L(2,1) at x = 2r/3, the (3, 0) record's x, gives the factor 3 - 2r + (2/9) r^2
-    terms = terms_in_r(laguerre_L1(2, 1), QuantumNumbers(3, 0))
+    qn = QuantumNumbers(3, 0)
+    assert qn.x_per_r == 2 * qn.kappa == F(2, 3)
+    terms = laguerre_L1(2, 1).ratio_terms(qn.x_per_r)
     assert list(terms) == [(0, 3, 1), (1, -2, 1), (2, 2, 9)]
 
 
@@ -350,18 +351,12 @@ def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
 def test_operator_matches_derivative_composition_every_state_to_n40():
     for n in range(1, 41):
         for l in range(n):
-            for form in assemble_pair(QuantumNumbers(n, l)):
+            pair = assemble_pair(QuantumNumbers(n, l))
+            for form in pair:
                 assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
-
-
-def test_derivative_matches_the_reference_derivative_every_state_to_n30():
-    # R2's derivative carries R1's: its L is the L of R1's derivative
-    for n in range(1, 31):
-        for l in range(n):
-            r1, r2 = assemble_pair(QuantumNumbers(n, l))
-            d1, d2 = derivative(r1), derivative(r2)
-            assert d1 == derivative_form(r1) and d2 == derivative_form(r2), (n, l)
-            assert d2.L == d1.L, (n, l)
+                assert derivative(form) == derivative_form(form), (n, l)
+            # R2's derivative carries R1's: its L is the L of R1's derivative
+            assert derivative(pair[1]).L == derivative(pair[0]).L, (n, l)
 
 
 def test_forms_add_only_in_the_reference_sum():
