@@ -14,11 +14,11 @@ texts, same values), and ``ei_with_error`` the one Ei(1, -x).
 The forms are closedform.Radial records, held in x = 2kr, and every
 evaluator here evaluates them at r: ``laurent_run`` converts each
 coefficient in r straight from RatPoly.ratio_terms(qn.x_per_r), x_per_r =
-2k, and no polynomial in r is built.  Double precision genuinely loses digits where R2's
-growing exponential part cancels against its Ei part, so every eval_grid row
-carries an error estimate instead of hiding the loss (eval_pair's callers
-take values only); callers that need more digits use the extended-precision
-evaluator.
+2k, and no polynomial in r is built.  Double precision genuinely loses
+digits where R2's growing exponential part cancels against its Ei part, so
+every eval_grid row carries an error estimate instead of hiding the loss
+(eval_pair's callers take values only); callers that need more digits use
+the extended-precision evaluator.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def horner_value(run: tuple, r):
 
 def _float_run(name: str, q: RatPoly, scale: Fraction) -> tuple:
     """The float laurent_run of q(scale x), a record's polynomial of bucket
-    ``name`` in r for scale = 2k; raises OverflowSignal, naming the bucket,
-    when a coefficient is beyond double range."""
+    ``name`` in r for scale = qn.x_per_r; raises OverflowSignal, naming
+    the bucket, when a coefficient is beyond double range."""
     try:
         return laurent_run(q, scale=scale)
     except OverflowError as exc:
