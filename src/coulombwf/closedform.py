@@ -146,10 +146,10 @@ def _steps(q: RatPoly):
     return zip(range(q.low, q.low + len(x) + 1), x + (0,), (0,) + x)
 
 
-def decay_derivative(q: RatPoly, n: int) -> RatPoly:
-    """q' - q/n, so that d/dr [q e^{-r/n}] = (q' - q/n) e^{-r/n}, in one pass:
-    the r^(k-1) numerator over n q.den is n k q_k - q_{k-1}."""
-    return _make(q.low - 1, [n * k * a - b for k, a, b in _steps(q)], n * q.den)
+def decay_derivative(q: RatPoly) -> RatPoly:
+    """D q = q' - q, so that d/dx [q e^{-x}] = (D q) e^{-x}, in one pass: the
+    x^(k-1) numerator over q.den is k q_k - q_{k-1}."""
+    return _make(q.low - 1, [k * a - b for k, a, b in _steps(q)], q.den)
 
 
 @dataclass(frozen=True)

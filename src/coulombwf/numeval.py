@@ -1,12 +1,11 @@
 """Point evaluation: Ei(1, -x), Laurent polynomials and symbolic radial forms.
 
 Every polynomial is evaluated through one run format (``laurent_run``, its
-coefficients converted once) and one Laurent Horner loop, on float, exact and
-extended-precision scalars alike: ``horner`` fuses the value with its
-envelope sum |c_k| r^k for the two callers that bound an error with it
-(``eval_grid`` and the oracle's tail bound), and ``horner_value`` is the same
-loop without the envelope, bit for bit the same value, for every caller that
-takes values only.  ``eval_grid`` is the one double-precision form
+coefficients converted once) and one Laurent Horner loop, ``horner``, on
+float, exact and extended-precision scalars alike.  The two callers that
+bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
+oracle's tail bound) read it as that same loop over ``envelope(run)``, the
+run of the |c_k|.  ``eval_grid`` is the one double-precision form
 evaluator, ``eval_pair`` its one-point pass over R1, R1', R2 and R2'
 together and ``eval_values`` over R1 and R2 alone (same guards, same raise
 texts, same values), and ``ei_with_error`` the one Ei(1, -x).
@@ -111,9 +110,10 @@ def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> t
     Fraction with ``conv=Fraction``, or to an extended-precision scalar.
     A record in x = 2kr passes scale = qn.x_per_r to be evaluated at r.
 
-    The run is ``(up, down, top, bottom, zero)``.  ``up`` holds (c_k, |c_k|)
-    for the powers max(degree, -1) down to 0 and ``down`` for the powers
-    min(low, 0) up to -1, padded with the run's own ``zero`` = conv(0, 1).
+    The run is ``(up, down, top, bottom, zero)``.  ``up`` holds the
+    coefficients c_k for the powers max(degree, -1) down to 0 and ``down``
+    for the powers min(low, 0) up to -1, padded with the run's own ``zero``
+    = conv(0, 1).
     ``top`` and ``bottom`` are the highest and the lowest power of p clipped
     at 0: the only powers whose r^k can overflow, for r > 1 and for r < 1.
     Raises OverflowError when a float coefficient is beyond double range.
@@ -123,42 +123,26 @@ def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> t
     cs = [zero] * (hi + 1 - lo)
     for k, num, den in p.ratio_terms(scale):
         cs[k - lo] = conv(num, den)
-    pairs = [(c, abs(c)) for c in cs]
-    return tuple(reversed(pairs[-lo:])), tuple(pairs[:-lo]), max(p.degree, 0), lo, zero
+    return tuple(reversed(cs[-lo:])), tuple(cs[:-lo]), max(p.degree, 0), lo, zero
 
 
-def horner(run: tuple, r) -> tuple:
-    """(value, envelope sum |c_k| r^k) of a laurent_run at r, from one Laurent
-    Horner pass: nonnegative powers from the top, then negative powers from
-    the bottom through y = 1/r.  Works on float, Fraction and mpmath scalars
-    alike; every sum starts from the run's own zero, so an exact run stays
-    exact.  Raises ZeroDenominator for negative powers at r = 0.
+def envelope(run: tuple) -> tuple:
+    """The laurent_run whose coefficients are the absolute values of run's:
+    horner(envelope(run), r) is the envelope sum |c_k| r^k of run at r."""
+    up, down, top, bottom, zero = run
+    return tuple(map(abs, up)), tuple(map(abs, down)), top, bottom, zero
+
+
+def horner(run: tuple, r):
+    """The value of a laurent_run at r, from one Laurent Horner pass:
+    nonnegative powers from the top, then negative powers from the bottom
+    through y = 1/r.  Works on float, Fraction and mpmath scalars alike;
+    every sum starts from the run's own zero, so an exact run stays exact.
+    Raises ZeroDenominator for negative powers at r = 0.
     """
     up, down, _, _, zero = run
-    value = env = zero
-    for c, a in up:
-        value = value * r + c
-        env = env * r + a
-    if not down:
-        return value + zero, env
-    try:
-        y = 1 / r
-    except ZeroDivisionError as exc:
-        raise ZeroDenominator("negative powers evaluated at x = 0") from exc
-    dvalue = denv = zero
-    for c, a in down:
-        dvalue = dvalue * y + c
-        denv = denv * y + a
-    return value + dvalue * y, env + denv * y
-
-
-def horner_value(run: tuple, r):
-    """The value of a laurent_run at r: horner's value half alone, the same
-    operations in the same order, so bit for bit horner's value on every
-    scalar type.  Raises ZeroDenominator for negative powers at r = 0."""
-    up, down, _, _, zero = run
     value = zero
-    for c, _ in up:
+    for c in up:
         value = value * r + c
     if not down:
         return value + zero
@@ -167,7 +151,7 @@ def horner_value(run: tuple, r):
     except ZeroDivisionError as exc:
         raise ZeroDenominator("negative powers evaluated at x = 0") from exc
     dvalue = zero
-    for c, _ in down:
+    for c in down:
         dvalue = dvalue * y + c
     return value + dvalue * y
 
@@ -202,8 +186,9 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     rs, as one (r, value, est_rel_error) row per point.
 
     Each polynomial of f is converted to a float laurent_run in r once, P
-    before L, so that one Horner pass yields its value and its envelope sum
-    |c_k| r^k together; a coefficient beyond double range raises
+    before L, and its envelope run (numeval.envelope) built once, so that at
+    each r one Horner pass over each run yields its value and one its
+    envelope sum |c_k| r^k; a coefficient beyond double range raises
     OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
     for R2's).  The error estimate is built from those envelopes (which
     dominate the plain |A| + |C| cancellation penalty between the
@@ -217,6 +202,8 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     ell, p, scale = f.L, f.P, f.qn.x_per_r
     plus = None if p is None else _float_run("q_plus", p, scale)
     decaying = _float_run("q_minus" if p is None else "q_ei", ell, scale)
+    plus_env = None if plus is None else envelope(plus)
+    decaying_env = envelope(decaying)
     kappa = float(f.qn.kappa)
     two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
     underflow = (two_width + 6) * 2.0 ** -1074
@@ -239,16 +226,15 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
                 except OverflowError as exc:
                     raise _exp_overflow(kappa * r) from exc
                 r ** plus[k]
-                value, env = horner(plus, r)
-                a = value * grow
-                abs_err += env * grow * round_factor
+                a = horner(plus, r) * grow
+                abs_err += horner(plus_env, r) * grow * round_factor
                 x = 2.0 * kappa * r
                 ei_value, ei_abs_err = ei_with_error(x)
                 # x*eps covers the argument-rounding sensitivity
                 ei_abs_err += abs(ei_value) * x * _EPS
             decay = math.exp(-kappa * r)
             r ** decaying[k]
-            value, env = horner(decaying, r)
+            value, env = horner(decaying, r), horner(decaying_env, r)
             if plus is None:
                 b = value * decay
                 abs_err += env * decay * round_factor
@@ -313,7 +299,7 @@ def _pair_factors(kappa: float, r: float, decaying: tuple, growing: tuple) -> tu
 
 def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
     """(R1, R1', R2, R2') at r from the runs (L, L', P, P') of pair_runs in
-    one pass: four value-only Horner passes, one e^{kr}, one e^{-kr} and one
+    one pass: four Horner passes, one e^{kr}, one e^{-kr} and one
     Ei(1, -2kr), and no error estimate.
 
     Each value is eval_grid's value of that form at r, from the same float
@@ -322,22 +308,22 @@ def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float,
     """
     ell, ell_d, p, p_d = runs
     grow, decay, ei_value = _pair_factors(kappa, r, (ell, ell_d), (p, p_d))
-    v1 = horner_value(ell, r) * decay
-    d1 = horner_value(ell_d, r) * decay
+    v1 = horner(ell, r) * decay
+    d1 = horner(ell_d, r) * decay
     # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
     # form lacks there, kept so that a zero comes out with the same sign
-    return (v1 + 0.0, d1 + 0.0, horner_value(p, r) * grow + 0.0 + v1 * ei_value,
-            horner_value(p_d, r) * grow + 0.0 + d1 * ei_value)
+    return (v1 + 0.0, d1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value,
+            horner(p_d, r) * grow + 0.0 + d1 * ei_value)
 
 
 def eval_values(kappa: float, runs: tuple, r: float) -> tuple[float, float]:
     """(R1, R2) at r from the runs (L, P) alone: eval_pair's R1 and R2 bit
-    for bit, from two value-only Horner passes, with eval_grid's guards on
-    R1 and then R2."""
+    for bit, from two Horner passes, with eval_grid's guards on R1 and then
+    R2."""
     ell, p = runs
     grow, decay, ei_value = _pair_factors(kappa, r, (ell,), (p,))
-    v1 = horner_value(ell, r) * decay
-    return v1 + 0.0, horner_value(p, r) * grow + 0.0 + v1 * ei_value
+    v1 = horner(ell, r) * decay
+    return v1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):
@@ -354,7 +340,7 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
         return mpmath.mpf(num) / mpmath.mpf(den)
 
     def value(p: RatPoly) -> mpmath.mpf:
-        return horner_value(laurent_run(p, mp_ratio, f.qn.x_per_r), rr)
+        return horner(laurent_run(p, mp_ratio, f.qn.x_per_r), rr)
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")

@@ -137,8 +137,9 @@ def _upper_cutoff(n_r: int, m: int, x: float) -> float:
 
 def _tail_bound(run: tuple, cutoff: float, x: float) -> float:
     # integral_X^inf s^k e^{-s} ds <= 2 X^k e^{-X} once X >= 2k; cutoff
-    # construction guarantees that margin.  The envelope is sum |c_k| X^k.
-    bound = numeval.horner(run, cutoff)[1]
+    # construction guarantees that margin.  The envelope sum |c_k| X^k is
+    # the Horner value of the run of the |c_k| at X.
+    bound = numeval.horner(numeval.envelope(run), cutoff)
     return 2.0 * bound * math.exp(-cutoff) / max(cutoff - x, 1.0)
 
 
@@ -158,9 +159,9 @@ def _quad(fn, lo, hi) -> tuple[float, float]:
 def _pv_runs(h: RatPoly) -> tuple[tuple, tuple, tuple]:
     """Float runs of h(s) = s^m F(s) for the terminating regular solution F,
     and of D h and D^3 h with D: p -> p' - p, so that g = e^{-s} h has
-    g^{(k)} = e^{-s} D^k h; D is closedform.decay_derivative at n = 1."""
-    d1 = decay_derivative(h, 1)
-    d3 = decay_derivative(decay_derivative(d1, 1), 1)
+    g^{(k)} = e^{-s} D^k h; D is closedform.decay_derivative."""
+    d1 = decay_derivative(h)
+    d3 = decay_derivative(decay_derivative(d1))
     return numeval.laurent_run(h), numeval.laurent_run(d1), numeval.laurent_run(d3)
 
 
@@ -175,7 +176,7 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
     h's in ``runs``.
     """
     h, d1, d3 = runs
-    horner = numeval.horner_value
+    horner = numeval.horner
 
     def integrand(s: float) -> float:
         return math.exp(-s) * horner(h, s) / (s - x)
@@ -237,7 +238,7 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
     no pole; its coefficients, highest power first, are the partial sums of
     Horner's rule for h at x.
     """
-    horner = numeval.horner_value
+    horner = numeval.horner
     n_r, m = qn.n_r, qn.m
     g_exp, g_ei = _confluent_parts(qn)
     runs = _pv_runs(g_ei.shift(m))
@@ -254,9 +255,9 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             worst["pv"] = max(worst["pv"], abs(pv - cf) / max(abs(pv), abs(cf)))
         if "split" in checks:
             b, sums = 0.0, []
-            for c, _ in h_head:
+            for c in h_head:
                 b = b * x + c
-                sums.append((b, abs(b)))
+                sums.append(b)
             quotient = (tuple(sums), (), 0, 0, 0.0)
 
             def smooth(s: float) -> float:

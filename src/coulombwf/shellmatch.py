@@ -52,9 +52,9 @@ class ShellForms:
     """The shell's R1, R1', R2 and R2' as the four float runs (L, L', P, P')
     of numeval.pair_runs, evaluated together in one numeval.eval_pair pass
     (or R1 and R2 alone from L and P by numeval.eval_values, for the grid),
-    and the float runs of q and q' for the exterior, evaluated by the
-    value-only Horner loop; every coefficient is converted to a float once,
-    so no root-search step or grid sample converts one."""
+    and the float runs of q and q' for the exterior, evaluated by
+    numeval.horner; every coefficient is converted to a float once, so no
+    root-search step or grid sample converts one."""
 
     kappa: float
     runs: tuple
@@ -76,7 +76,7 @@ class ShellForms:
 
     def exterior(self, r: float) -> tuple[float, float]:
         """(q, q') at r."""
-        return numeval.horner_value(self.q, r), numeval.horner_value(self.qd, r)
+        return numeval.horner(self.q, r), numeval.horner(self.qd, r)
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:

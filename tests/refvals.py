@@ -8,6 +8,8 @@ integrates the force-free radial equation with fixed-step RK4 (and its root
 finder is checked against the bisection it replaced, the shell's one-point
 pass is checked against four one-point grid evaluations,
 and its exterior polynomial against the DLMF coefficients in Fractions), the
+one Laurent Horner loop is checked against the fused value-and-envelope
+loop it replaced, the
 polynomial references multiply, substitute and evaluate coefficient by
 coefficient on ``fractions.Fraction``, not on the common-denominator
 integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
@@ -42,7 +44,7 @@ from scipy.optimize import brentq
 
 from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
 from coulombwf.numeval import _EPS, DomainError, OverflowSignal, ei_with_error, eval_grid
-from coulombwf.ratpoly import RatPoly
+from coulombwf.ratpoly import RatPoly, ZeroDenominator
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -484,6 +486,30 @@ def float_horner(p: RatPoly, x: float) -> float:
             down = down * y + c
         down = down * y
     return up + down
+
+
+def fused_horner(run: tuple, r) -> tuple:
+    """(value, envelope sum |c_k| r^k) of a numeval.laurent_run at r from
+    one fused Laurent Horner pass, the value and the envelope interleaved
+    step by step; numeval.horner must give the value, and horner over
+    numeval.envelope(run) the envelope, bit for bit on every scalar type.
+    Raises ZeroDenominator for negative powers at r = 0."""
+    up, down, _, _, zero = run
+    value = env = zero
+    for c in up:
+        value = value * r + c
+        env = env * r + abs(c)
+    if not down:
+        return value + zero, env
+    try:
+        y = 1 / r
+    except ZeroDivisionError as exc:
+        raise ZeroDenominator("negative powers evaluated at x = 0") from exc
+    dvalue = denv = zero
+    for c in down:
+        dvalue = dvalue * y + c
+        denv = denv * y + abs(c)
+    return value + dvalue * y, env + denv * y
 
 
 # -- closed-form factors, one Fraction per coefficient ------------------------------

@@ -323,6 +323,18 @@ def test_eval_coefficients_beyond_double_range_is_a_one_line_failure(capsys):
     assert err.startswith("coulombwf: error: grid must be start:stop:count")
 
 
+def test_coefficient_overflow_limits_of_eval_and_shell(capsys):
+    # R2's P in r leaves double range from (65, 64) on; shell converts R2''s
+    # P as well, whose coefficients leave it one state earlier
+    overflow = "coulombwf: failure: the q_plus coefficients exceed double precision\n"
+    code, out, err = run(capsys, "eval", "--n", "64", "--l", "63", "--which", "R2", "--grid", "1:2:3")
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, "eval", "--n", "65", "--l", "64", "--which", "R2", "--grid", "1:2:3")
+    assert (code, out, err) == (1, "", overflow)
+    code, out, err = run(capsys, "shell", "--n", "64", "--l", "63", "--a", "1", "--b-range", "2:3")
+    assert (code, out, err) == (1, "", overflow)
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_json_enumerates(capsys):
@@ -386,9 +398,9 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
         calls["derivative"] += 1
         return derivative(*args)
 
-    def counted_decay(*args):
+    def counted_decay(q):
         calls["derivative"] += 1
-        return decay(*args)
+        return decay(q)
 
     def counted_mul(self, other):
         calls["mul"] += 1

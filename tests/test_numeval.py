@@ -23,8 +23,8 @@ from coulombwf.numeval import (
     eval_grid,
     eval_pair,
     eval_values,
+    envelope,
     horner,
-    horner_value,
     laurent_run,
     pair_runs,
 )
@@ -126,14 +126,16 @@ def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
     want = sum((c * exact_x**k for k, c in terms), Fraction(0))
     want_env = sum((abs(c) * exact_x**k for k, c in terms), Fraction(0))
     # an exact run stays exact: value and envelope are the Fraction sums
-    value, env = horner(laurent_run(p, Fraction), exact_x)
+    run = laurent_run(p, Fraction)
+    value, env = horner(run, exact_x), horner(envelope(run), exact_x)
     assert type(value) is Fraction and type(env) is Fraction
     assert (value, env) == (want, want_env)
     # a float run is the reference Horner bit for bit, inf and nan included
-    assert repr(horner(laurent_run(p), x)[0]) == repr(refvals.float_horner(p, x))
+    assert repr(horner(laurent_run(p), x)) == repr(refvals.float_horner(p, x))
     # an mpmath run stays in extended precision
     with mpmath.workprec(300):
-        value, env = horner(laurent_run(p, _mp_ratio), mpmath.mpf(x))
+        run = laurent_run(p, _mp_ratio)
+        value, env = horner(run, mpmath.mpf(x)), horner(envelope(run), mpmath.mpf(x))
         assert type(value) is mpmath.mpf and type(env) is mpmath.mpf
         bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
         error = abs(value - _mp_ratio(want.numerator, want.denominator))
@@ -145,18 +147,21 @@ def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
 # r = 0 with a negative power
 @example(RatPoly(-2, (Fraction(1), Fraction(0), Fraction(3))), 0.0)
 def test_value_only_loop_is_the_fused_value_bit_for_bit(p, x):
-    # float, exact and mpmath runs: the same value, or the same ZeroDenominator
+    # float, exact and mpmath runs: the one loop gives the fused reference's
+    # value, and over the envelope run its envelope, or the same ZeroDenominator
     with mpmath.workprec(300):
         for conv, point in ((operator.truediv, x), (Fraction, Fraction(x)), (_mp_ratio, mpmath.mpf(x))):
             run = laurent_run(p, conv)
             try:
-                want = horner(run, point)[0]
+                want = refvals.fused_horner(run, point)
             except ZeroDenominator as exc:
-                with pytest.raises(ZeroDenominator, match=f"^{exc}$"):
-                    horner_value(run, point)
+                for each in (run, envelope(run)):
+                    with pytest.raises(ZeroDenominator, match=f"^{exc}$"):
+                        horner(each, point)
                 continue
-            got = horner_value(run, point)
-            assert type(got) is type(want) and repr(got) == repr(want)
+            got = horner(run, point), horner(envelope(run), point)
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and repr(g) == repr(w)
 
 
 # -- form evaluation ----------------------------------------------------------------
@@ -477,12 +482,13 @@ def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, failin
 @settings(max_examples=300, deadline=None)
 @given(_states, st.sampled_from(_WHICH), st.floats(math.log(1e-3), math.log(1e3)))
 def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
-    # the envelope sum |c_k| r^k of one Horner pass, against exact rationals
+    # the envelope sum |c_k| r^k, one Horner pass over the envelope run,
+    # against exact rationals
     n, l = state
     r = math.exp(log_r)
     form = _forms(n, l)[which]
     for p, bucket in zip(refvals.in_r(form), _runs(form)):
-        value, env = horner(bucket, r)
+        value, env = horner(bucket, r), horner(envelope(bucket), r)
         assert repr(value) == repr(refvals.float_horner(p, r))
         exact = sum(Fraction(abs(x), p.den) * Fraction(r) ** k for k, x in enumerate(p.nums, p.low))
         assert abs(Fraction(env) - exact) <= (2 * _run_width(bucket) + 2) * Fraction(_EPS) * exact
@@ -577,7 +583,7 @@ def test_subnormal_decay_term_leaves_every_other_estimate_alone():
     ell = refvals.in_r(f)[0]
     run = laurent_run(ell)
     for r, est in ((708.0, normal), (709.0, subnormal)):
-        value, env = horner(run, r)
+        value, env = horner(run, r), horner(envelope(run), r)
         decay = math.exp(-r)
         width = 2 * len(ell.nums)
         abs_err = (width + 6) * 2.0 ** -1074 + env * decay * (width + r + 6) * _EPS
