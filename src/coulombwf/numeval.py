@@ -6,9 +6,11 @@ float, exact and extended-precision scalars alike.  The two callers that
 bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
 oracle's tail bound) read it as that same loop over ``envelope(run)``, the
 run of the |c_k|.  ``eval_grid`` is the one double-precision form
-evaluator, ``eval_pair`` its one-point pass over R1, R1', R2 and R2'
-together and ``eval_values`` over R1 and R2 alone (same guards, same raise
-texts, same values), and ``ei_with_error`` the one Ei(1, -x).
+evaluator with error estimates, ``eval_pair`` a values-only one-point pass
+over R1, R1', R2 and R2' together and ``eval_values`` a values-only grid of
+R1 and R2 (eval_grid's values); all three take every point's guards, e^{kr},
+e^{-kr} and Ei from one generator, ``_factors``, so one function decides
+what a point raises.  ``ei_with_error`` is the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
 evaluator here evaluates them at r: ``laurent_run`` converts each
@@ -166,19 +168,38 @@ def _float_run(name: str, q: RatPoly, scale: Fraction) -> tuple:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
 
 
-# The raise texts of eval_grid and eval_pair, written once.
-
-
-def _not_positive(r) -> DomainError:
-    return DomainError(f"eval_grid requires r > 0, got {r!r}")
-
-
-def _exp_overflow(kr: float) -> OverflowSignal:
-    return OverflowSignal(f"exp({kr}) overflows double precision")
-
-
-def _envelope_overflow(r) -> OverflowSignal:
-    return OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}")
+def _factors(kappa: float, rs, before: tuple, plus, after: tuple):
+    """The one guard pass of the double-precision evaluators: for each r of
+    rs in turn, (r, e^{kr}, e^{-kr}, Ei(1, -2kr), Ei's absolute error), the
+    growing factors 0.0 when ``plus`` is None.  Before it yields a point it
+    raises DomainError for r <= 0 or nan, then OverflowSignal from the
+    envelope probes of the ``before`` runs, e^{kr}, the probe of the
+    ``plus`` run, Ei and the probes of the ``after`` runs, in that order.  A
+    run's probe, r ** top (r > 1) or r ** bottom (r < 1), raises a bare
+    OverflowError exactly when r^k overflows for some nonzero coefficient's
+    power k; every other failure is already an OverflowSignal."""
+    for r in rs:
+        if not r > 0:
+            raise DomainError(f"eval_grid requires r > 0, got {r!r}")
+        k = 2 if r > 1.0 else 3
+        grow = ei_value = ei_abs_err = 0.0
+        try:
+            for run in before:
+                r ** run[k]
+            if plus is not None:
+                try:
+                    grow = math.exp(kappa * r)
+                except OverflowError as exc:
+                    raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
+                r ** plus[k]
+                ei_value, ei_abs_err = ei_with_error(2.0 * kappa * r)
+            for run in after:
+                r ** run[k]
+        except OverflowSignal:
+            raise
+        except OverflowError as exc:
+            raise OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}") from exc
+        yield r, grow, math.exp(-kappa * r), ei_value, ei_abs_err
 
 
 def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
@@ -195,9 +216,8 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     growing-exponential and Ei parts), the rounding of the exponential
     arguments, the Ei evaluation error, 2^-1074 per rounding step for
     subnormal results, and 2^-1074 times the envelope where e^{-kappa r}
-    itself is subnormal.  The first point that cannot be evaluated raises:
-    DomainError for r <= 0 or nan, and OverflowSignal when e^{kappa r},
-    Ei(1, -2 kappa r) or an envelope term leaves double range.
+    itself is subnormal.  The first point that cannot be evaluated raises
+    what _factors raises there; R2's L is probed after e^{kr}, P and Ei.
     """
     ell, p, scale = f.L, f.P, f.qn.x_per_r
     plus = None if p is None else _float_run("q_plus", p, scale)
@@ -207,49 +227,28 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     kappa = float(f.qn.kappa)
     two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
     underflow = (two_width + 6) * 2.0 ** -1074
+    guards = ((decaying,), None, ()) if plus is None else ((), plus, (decaying,))
     rows = []
-    for r in rs:
-        if not r > 0:
-            raise _not_positive(r)
+    for r, grow, decay, ei_value, ei_abs_err in _factors(kappa, rs, *guards):
         round_factor = (two_width + kappa * r + 6) * _EPS
         a = b = c = 0.0
         abs_err = underflow
-        # each bucket's r ** top (r > 1) or r ** bottom (r < 1) raises a bare
-        # OverflowError exactly when r^k overflows for some nonzero
-        # coefficient's power k, before its Horner pass; every other failure
-        # below is already an OverflowSignal
-        k = 2 if r > 1.0 else 3
-        try:
-            if plus is not None:
-                try:
-                    grow = math.exp(kappa * r)
-                except OverflowError as exc:
-                    raise _exp_overflow(kappa * r) from exc
-                r ** plus[k]
-                a = horner(plus, r) * grow
-                abs_err += horner(plus_env, r) * grow * round_factor
-                x = 2.0 * kappa * r
-                ei_value, ei_abs_err = ei_with_error(x)
-                # x*eps covers the argument-rounding sensitivity
-                ei_abs_err += abs(ei_value) * x * _EPS
-            decay = math.exp(-kappa * r)
-            r ** decaying[k]
-            value, env = horner(decaying, r), horner(decaying_env, r)
-            if plus is None:
-                b = value * decay
-                abs_err += env * decay * round_factor
-                if decay < _NORMAL_MIN:
-                    # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
-                    # an absolute rounding of up to 2^-1074 (R2 raises before:
-                    # its Ei overflows from kappa r = 354)
-                    abs_err += env * 2.0 ** -1074
-            else:
-                c = value * decay * ei_value
-                abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
-        except OverflowSignal:
-            raise
-        except OverflowError as exc:
-            raise _envelope_overflow(r) from exc
+        value, env = horner(decaying, r), horner(decaying_env, r)
+        if plus is None:
+            b = value * decay
+            abs_err += env * decay * round_factor
+            if decay < _NORMAL_MIN:
+                # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
+                # an absolute rounding of up to 2^-1074 (R2 raises before:
+                # its Ei overflows from kappa r = 354)
+                abs_err += env * 2.0 ** -1074
+        else:
+            a = horner(plus, r) * grow
+            abs_err += horner(plus_env, r) * grow * round_factor
+            # x*eps, x = 2 kappa r, covers the argument-rounding sensitivity
+            ei_abs_err += abs(ei_value) * (2.0 * kappa * r) * _EPS
+            c = value * decay * ei_value
+            abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
         value = a + b + c
         rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
     return rows
@@ -257,7 +256,8 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
 
 def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
-    R2 and R2', given the R2 of closedform.assemble_pair.
+    R2 and R2' (and eval_values R1 and R2 from L and P), given the R2 of
+    closedform.assemble_pair.
 
     R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
     part, and d/dr maps that L to R1''s own L, so R2' from
@@ -270,33 +270,6 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
             _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale))
 
 
-def _pair_factors(kappa: float, r: float, decaying: tuple, growing: tuple) -> tuple[float, float, float]:
-    """(e^{kr}, e^{-kr}, Ei(1, -2kr)) at r, after the guards eval_grid runs
-    on the forms in turn: DomainError for r <= 0 or nan, then OverflowSignal
-    from the envelope probes of the ``decaying`` (L) runs, e^{kr}, the probe
-    of the first ``growing`` (P) run, Ei and the probes of the others, in
-    that order."""
-    if not r > 0:
-        raise _not_positive(r)
-    k = 2 if r > 1.0 else 3
-    try:
-        for run in decaying:
-            r ** run[k]
-        try:
-            grow = math.exp(kappa * r)
-        except OverflowError as exc:
-            raise _exp_overflow(kappa * r) from exc
-        r ** growing[0][k]
-        ei_value = ei_with_error(2.0 * kappa * r)[0]
-        for run in growing[1:]:
-            r ** run[k]
-    except OverflowSignal:
-        raise
-    except OverflowError as exc:
-        raise _envelope_overflow(r) from exc
-    return grow, math.exp(-kappa * r), ei_value
-
-
 def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
     """(R1, R1', R2, R2') at r from the runs (L, L', P, P') of pair_runs in
     one pass: four Horner passes, one e^{kr}, one e^{-kr} and one
@@ -304,10 +277,10 @@ def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float,
 
     Each value is eval_grid's value of that form at r, from the same float
     operations, and the pass raises what eval_grid raises first on R1, R1',
-    R2 and R2' in turn (see _pair_factors).
+    R2 and R2' in turn: _factors probes L and L', then P, then P'.
     """
     ell, ell_d, p, p_d = runs
-    grow, decay, ei_value = _pair_factors(kappa, r, (ell, ell_d), (p, p_d))
+    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), (ell, ell_d), p, (p_d,))
     v1 = horner(ell, r) * decay
     d1 = horner(ell_d, r) * decay
     # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
@@ -316,14 +289,17 @@ def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float,
             horner(p_d, r) * grow + 0.0 + d1 * ei_value)
 
 
-def eval_values(kappa: float, runs: tuple, r: float) -> tuple[float, float]:
-    """(R1, R2) at r from the runs (L, P) alone: eval_pair's R1 and R2 bit
-    for bit, from two Horner passes, with eval_grid's guards on R1 and then
-    R2."""
+def eval_values(kappa: float, runs: tuple, rs) -> list[tuple[float, float]]:
+    """(R1, R2) at every r of rs from the runs (L, P) alone: eval_pair's R1
+    and R2 bit for bit, from two Horner passes per point.  The first point
+    that cannot be evaluated raises what eval_grid raises first on R1 and
+    then R2 there (_factors probes L, then P)."""
     ell, p = runs
-    grow, decay, ei_value = _pair_factors(kappa, r, (ell,), (p,))
-    v1 = horner(ell, r) * decay
-    return v1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value
+    rows = []
+    for r, grow, decay, ei_value, _ in _factors(kappa, rs, (ell,), p, ()):
+        v1 = horner(ell, r) * decay
+        rows.append((v1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value))
+    return rows
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

@@ -95,7 +95,9 @@ def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, 
     e = R2.L in x = 2 kappa r, x^2 W_x = -(n+l)!/n_r! is the x^-2
     coefficient of m1 p' - m1' p + m1 p - m1 e x^-1: for m1's x^a term
     -(2a+1) p_{-1-a} + p_{-2-a} - e_{-1-a}, so it is one integer sum over
-    m1's numerators, with no product formed.
+    m1's numerators, with no product formed.  The p_{-2-a} term is 0 on
+    every state (m1 starts at x^l and p at x^{-l-1}); it is kept so that
+    the sum is the whole identity on any records.
     """
     qn = r2.qn
     if not solves:

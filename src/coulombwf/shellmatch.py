@@ -50,11 +50,11 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 @dataclass(frozen=True)
 class ShellForms:
     """The shell's R1, R1', R2 and R2' as the four float runs (L, L', P, P')
-    of numeval.pair_runs, evaluated together in one numeval.eval_pair pass
-    (or R1 and R2 alone from L and P by numeval.eval_values, for the grid),
-    and the float runs of q and q' for the exterior, evaluated by
-    numeval.horner; every coefficient is converted to a float once, so no
-    root-search step or grid sample converts one."""
+    of numeval.pair_runs, evaluated together at one point by
+    numeval.eval_pair (or R1 and R2 alone from L and P over a whole grid by
+    numeval.eval_values), and the float runs of q and q' for the exterior,
+    evaluated by numeval.horner; every coefficient is converted to a float
+    once, so no root-search step or grid sample converts one."""
 
     kappa: float
     runs: tuple
@@ -65,9 +65,9 @@ class ShellForms:
         """(R1, R1', R2, R2') at r."""
         return numeval.eval_pair(self.kappa, self.runs, r)
 
-    def values(self, r: float) -> tuple[float, float]:
-        """(R1, R2) at r, bit for bit those of pair(r), from L and P alone."""
-        return numeval.eval_values(self.kappa, self.runs[::2], r)
+    def values(self, rs: list[float]) -> list[tuple[float, float]]:
+        """(R1, R2) at each r of rs, bit for bit those of pair(r), from L and P alone."""
+        return numeval.eval_values(self.kappa, self.runs[::2], rs)
 
     def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
         """(u, u') of c1 R1 + c2 R2 at r."""
@@ -272,17 +272,15 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    each shell sample takes R1 and R2 from one eval_values pass over L and P."""
+    the shell samples take R1 and R2 from one eval_values grid over L and P."""
     forms, a, b, c1, c2 = result.forms, result.a, result.b_star, result.c1, result.c2
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
-    for r in rs:
-        if a <= r <= b:
-            v1, v2 = forms.values(r)
-            out.append((r, c1 * v1 + c2 * v2))
+    shell_rs = [r for r in rs if a <= r <= b]
+    out += [(r, c1 * v1 + c2 * v2) for r, (v1, v2) in zip(shell_rs, forms.values(shell_rs))]
     out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0])
             for r in rs if r > b]
     return out

@@ -818,8 +818,8 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     # one pass, with one Ei, at a and at each mismatch evaluation (lo, hi,
     # then two Brent steps) by eval_pair over R1, R1', R2 and R2', and at
-    # each of the grid's 33 shell samples by eval_values over R1 and R2
-    # alone; b* reuses its last evaluation, and no form goes through
+    # each of the grid's 33 shell samples, in one eval_values grid over R1
+    # and R2 alone; b* reuses its last evaluation, and no form goes through
     # eval_grid
     passes, mismatches, counts = [], [], {"eval_grid": 0, "ei_with_error": 0}
     eval_pair, eval_values, shell = numeval.eval_pair, numeval.eval_values, shellmatch.ShellForms.shell
@@ -828,9 +828,9 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
         passes.append((r, "pair"))
         return eval_pair(kappa, runs, r)
 
-    def counting_eval_values(kappa, runs, r):
-        passes.append((r, "values"))
-        return eval_values(kappa, runs, r)
+    def counting_eval_values(kappa, runs, rs):
+        passes.extend((r, "values") for r in rs)
+        return eval_values(kappa, runs, rs)
 
     def counting_shell(self, c1, c2, r):
         mismatches.append(r)

@@ -398,7 +398,7 @@ def test_eval_pair_matches_four_grid_calls():
                 want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
                 assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
                 # R1 and R2 alone: their values, or what their grids raise first
-                assert _pair_outcome(eval_values, kappa, runs[::2], r) == \
+                assert _pair_outcome(lambda *a: eval_values(*a)[0], kappa, runs[::2], [r]) == \
                     _pair_outcome(refvals.pair_by_four_grids, forms[::2], r), (n, l, r)
                 if isinstance(want[0], type):
                     kinds.add((want[0], want[1].split(" ")[0][:4]))
@@ -417,10 +417,36 @@ def test_eval_pair_gives_a_zero_eval_grids_sign():
     want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
     assert want[0] == "0.0"
     assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
-    assert _pair_outcome(eval_values, 1.0, pair_runs(r2)[::2], 100.0) == want[::2]
+    assert _pair_outcome(lambda *a: eval_values(*a)[0], 1.0, pair_runs(r2)[::2], [100.0]) == want[::2]
 
 
-def test_pair_runs_names_an_overflowing_bucket_as_prepare_form_does():
+@pytest.mark.parametrize("state, bad_r, message", [
+    ((1, 0), -1.0, "eval_grid requires r > 0, got -1.0"),
+    ((1, 0), 1e-320, "conditioning envelope overflows double precision at r = 1e-320"),
+    ((1, 0), 710.0, "exp(710.0) overflows double precision"),
+    ((1, 0), 360.0, "Ei(1, -x) overflows double precision at x=720.0"),
+    # R1's L is probed before e^{kappa r} and Ei, unlike in eval_grid's R2
+    ((3, 0), 1e200, "conditioning envelope overflows double precision at r = 1e+200"),
+    ((71, 0), 27000.0, "conditioning envelope overflows double precision at r = 27000.0"),
+])
+@pytest.mark.parametrize("k", [0, 3])
+def test_eval_values_grid_is_its_one_point_rows(state, bad_r, message, k):
+    # a grid's rows are its points' one-point rows, and a grid whose k-th
+    # point fails raises that point's text, though later points fail too
+    qn = QuantumNumbers(*state)
+    kappa, runs = float(qn.kappa), pair_runs(assemble_R2(qn))[::2]
+    good = [0.5, 1.0, 30.0, 200.0]
+    assert [tuple(map(repr, row)) for row in eval_values(kappa, runs, good)] == \
+        [tuple(map(repr, eval_values(kappa, runs, [r])[0])) for r in good]
+    with pytest.raises((DomainError, OverflowSignal)) as want:
+        eval_values(kappa, runs, [bad_r])
+    assert str(want.value) == message
+    with pytest.raises(type(want.value)) as got:
+        eval_values(kappa, runs, good[:k] + [bad_r] + good[k:] + [-1.0, 1e-320])
+    assert str(got.value) == message
+
+
+def test_pair_runs_names_an_overflowing_bucket_as_eval_grid_does():
     # n = 70, l = 69: P does not fit a double, so the runs cannot be
     # converted, and the text is eval_grid's for the same form
     r2 = assemble_R2(QuantumNumbers(70, 69))
@@ -503,6 +529,10 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     ((1, 0), "r2", 710.0, "exp(710.0) overflows double precision"),
     # R1 for n = 30 has no growing bucket, but its r^29 term overflows at 1e12
     ((30, 0), "r1", 1e12, "conditioning envelope overflows double precision at r = 1000000000000.0"),
+    # R2 probes L only after e^{kappa r} and Ei, though L's envelope overflows
+    # at both points too (where eval_values, probing L first, raises that)
+    ((3, 0), "r2", 1e200, "exp(3.333333333333333e+199) overflows double precision"),
+    ((71, 0), "r2", 27000.0, "Ei(1, -x) overflows double precision at x=760.5633802816901"),
 ])
 @pytest.mark.parametrize("k", [0, 3])
 def test_grid_raises_at_its_first_failing_point(state, which, bad_r, message, k):
