@@ -194,7 +194,8 @@ def _parse_grid(grid_arg: str) -> list[float]:
         return []
     if count == 1:
         return [start]
-    grid = [start + i * (stop - start) / (count - 1) for i in range(count)]
+    span, last = stop - start, count - 1
+    grid = [start + i * span / last for i in range(count)]
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"grid points overflow double precision, got {grid_arg!r}")
     return grid

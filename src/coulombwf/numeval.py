@@ -55,33 +55,48 @@ class OverflowSignal(OverflowError):
     """A value or a coefficient exceeds double-precision range."""
 
 
-def _ei_series(x: float) -> tuple[float, float]:
-    """-(gamma + ln x + sum_k x^k/(k k!)) with a rounding-accumulation estimate."""
-    total = EULER_GAMMA + math.log(x)
-    term, k = 1.0, 0
-    while k < 1000:
-        k += 1
+# Ei's summation indices k = 1.0, ..., 1000.0: int -> float is exact, so
+# x / k, term / k and term * k / x round as with an integer k.
+_INDEX = tuple(map(float, range(1, 1001)))
+
+
+def _ei_series(x: float, log_x: float) -> tuple[float, float]:
+    """-(gamma + ln x + sum_k x^k/(k k!)) for log_x = math.log(x), stopped at
+    the first term after the third below 1e-18 |partial sum| (or the 1000th),
+    with (k + 4) eps, the rounding accumulated over k terms."""
+    total = EULER_GAMMA + log_x
+    term = 1.0
+    if total >= 0.0:
+        # every term is >= 0, so the partial sum stays >= 0 (its own |.|),
+        # and with x > 0.56 each of the first three terms is above 1e-3 of it
+        for k in _INDEX:
+            term *= x / k
+            contribution = term / k
+            total += contribution
+            if contribution < total * 1e-18:
+                break
+        return -total, (k + 4) * _EPS
+    for k in _INDEX:
         term *= x / k
         contribution = term / k
         total += contribution
-        if contribution < abs(total) * 1e-18 and k > 3:
+        if contribution < (total if total >= 0.0 else -total) * 1e-18 and k > 3.0:
             break
     return -total, (k + 4) * _EPS
 
 
 def _asymptotic_sum(x: float) -> tuple[float, float, int]:
-    """sum_k k!/x^k truncated at the smallest term, with that term and count.
-    Every term is positive, so the partial sum is at least 1."""
+    """sum_k k!/x^k, its last term and k, stopped before a term not below the
+    one before it (at the smallest term, by k = 709 for x <= 708) or below
+    1e-18 of the sum.  Every term is positive, so the sum is at least 1."""
     total = term = 1.0
-    k = 0
-    while True:
-        nxt = term * (k + 1) / x
+    for j in _INDEX:
+        nxt = term * j / x
         if nxt >= term or nxt < total * 1e-18:
             break
-        k += 1
         term = nxt
         total += term
-    return total, term, k
+    return total, term, int(j) - 1
 
 
 def ei_with_error(x: float) -> tuple[float, float]:
@@ -95,14 +110,15 @@ def ei_with_error(x: float) -> tuple[float, float]:
     if not x > 0:
         raise DomainError(f"ei_with_error requires x > 0, got {x!r}")
     if x <= _BRANCH_SPLIT:
-        value, est = _ei_series(x)
-    elif x > _OVERFLOW_X:
+        log_x = math.log(x)
+        value, est = _ei_series(x, log_x)
+        return value, abs(value) * est + _EPS * (1.0 + abs(log_x))
+    if x > _OVERFLOW_X:
         raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
-    else:
-        # -(e^x/x) sum_k k!/x^k truncated at the smallest term
-        total, last_term, k = _asymptotic_sum(x)
-        value, est = -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
-    return value, abs(value) * est + _EPS * (1.0 + abs(math.log(x)))
+    # -(e^x/x) sum_k k!/x^k: the sum is >= 1, so the value is < 0, and ln x > 0
+    total, last_term, k = _asymptotic_sum(x)
+    value = -math.exp(x) / x * total
+    return value, -value * (last_term / total + (k + 4) * _EPS) + _EPS * (1.0 + math.log(x))
 
 
 def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> tuple:

@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they are used to check: the
 exponential-integral reference integrates the defining principal-value
-integral with mpmath quadrature, the free-particle reference sums the
-modified spherical Bessel series directly, the shell-match reference
-integrates the force-free radial equation with fixed-step RK4 (and its root
-finder is checked against the bisection it replaced, the shell's one-point
-pass is checked against four one-point grid evaluations,
-and its exterior polynomial against the DLMF coefficients in Fractions), the
+integral with mpmath quadrature (and the package's two Ei summation loops
+are checked against the integer-counter loops they replaced), the
+free-particle reference sums the modified spherical Bessel series
+directly, the shell-match reference integrates the force-free radial
+equation with fixed-step RK4 (and its root finder is checked against the
+bisection it replaced, the shell's one-point pass is checked against four
+one-point grid evaluations, and its exterior polynomial against the DLMF
+coefficients in Fractions), the
 one Laurent Horner loop is checked against the fused value-and-envelope
 loop it replaced, the
 polynomial references multiply, substitute and evaluate coefficient by
@@ -43,7 +45,7 @@ import mpmath as mp
 from scipy.optimize import brentq
 
 from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
-from coulombwf.numeval import _EPS, DomainError, OverflowSignal, ei_with_error, eval_grid
+from coulombwf.numeval import _EPS, EULER_GAMMA, DomainError, OverflowSignal, ei_with_error, eval_grid
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
 
 
@@ -86,6 +88,52 @@ def ei_zero_by_bisection(lo: float = 0.37, hi: float = 0.38, tol: float = 1e-10)
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def ei_series_loop(x: float) -> tuple[float, float]:
+    """numeval._ei_series as first written, a while loop on an integer k
+    (it took no log_x): the package's loop over float indices must give its
+    value and estimate bit for bit."""
+    total = EULER_GAMMA + math.log(x)
+    term, k = 1.0, 0
+    while k < 1000:
+        k += 1
+        term *= x / k
+        contribution = term / k
+        total += contribution
+        if contribution < abs(total) * 1e-18 and k > 3:
+            break
+    return -total, (k + 4) * _EPS
+
+
+def asymptotic_sum_loop(x: float) -> tuple[float, float, int]:
+    """numeval._asymptotic_sum as first written, a while loop on an integer
+    k: the package's loop over float indices must give its sum, last term
+    and count bit for bit."""
+    total = term = 1.0
+    k = 0
+    while True:
+        nxt = term * (k + 1) / x
+        if nxt >= term or nxt < total * 1e-18:
+            break
+        k += 1
+        term = nxt
+        total += term
+    return total, term, k
+
+
+def ei_with_error_loops(x: float) -> tuple[float, float]:
+    """numeval.ei_with_error as first written, over the two loops above."""
+    if not x > 0:
+        raise DomainError(f"ei_with_error requires x > 0, got {x!r}")
+    if x <= 40.0:
+        value, est = ei_series_loop(x)
+    elif x > 708.0:
+        raise OverflowSignal(f"Ei(1, -x) overflows double precision at x={x!r}")
+    else:
+        total, last_term, k = asymptotic_sum_loop(x)
+        value, est = -math.exp(x) / x * total, last_term / abs(total) + (k + 4) * _EPS
+    return value, abs(value) * est + _EPS * (1.0 + abs(math.log(x)))
 
 
 def _double_factorial(k: int) -> int:

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -253,6 +254,32 @@ def test_eval_rejects_nonfinite_grid(capsys, grid, reason):
     assert code == 64
     assert out == ""
     assert err == f"coulombwf: error: {reason}, got {grid!r}\n"
+
+
+def _grid_points_per_point(start: float, stop: float, count: int) -> list[float]:
+    # the grid as first written, stop - start and count - 1 formed per point
+    return [start + i * (stop - start) / (count - 1) for i in range(count)]
+
+
+def test_parse_grid_is_the_per_point_comprehension_bit_for_bit():
+    rng = random.Random(35)
+    cases = [(5e-324, 5e-324, 4), (5e-324, 1e-310, 7), (1e-320, 2.2250738585072014e-308, 9),
+             (1e308, 1.7976931348623157e308, 5), (1.0, 1e308, 2), (1.0, 1e308, 3)]
+    # random grids from subnormal to near overflow: one point repeated, a
+    # narrow span and a wide one
+    for _ in range(300):
+        start = math.exp(rng.uniform(math.log(5e-324), math.log(1.7e308)))
+        stop = rng.choice([start, min(start * rng.uniform(1.0, 10.0), 1.79e308),
+                           math.exp(rng.uniform(math.log(start), math.log(1.79e308)))])
+        cases.append((start, stop, rng.randrange(2, 300)))
+    for start, stop, count in cases:
+        want = _grid_points_per_point(start, stop, count)
+        grid = f"{start!r}:{stop!r}:{count}"
+        if all(map(math.isfinite, want)):
+            assert repr(cli._parse_grid(grid)) == repr(want), grid
+        else:
+            with pytest.raises(ValueError, match="grid points overflow double precision"):
+                cli._parse_grid(grid)
 
 
 @pytest.mark.parametrize("n, l, which, grid", [

@@ -59,7 +59,7 @@ def test_ei_small_x_log_divergence():
 
 def test_ei_branch_agreement_on_crossover_band():
     for x in [35.0 + k for k in range(11)]:
-        s, _ = _ei_series(x)
+        s, _ = _ei_series(x, math.log(x))
         a = -math.exp(x) / x * _asymptotic_sum(x)[0]
         assert abs(s - a) / abs(a) < 1e-11
         assert ei_with_error(x)[0] == (s if x <= 40.0 else a)
@@ -96,6 +96,43 @@ def test_ei_estimate_bounds_the_error_through_its_zero():
             value, abs_err = ei_with_error(x)
             err = abs(mpmath.mpf(value) + mpmath.ei(x))
             assert err <= abs_err, x
+
+
+def _ei_sample() -> list[float]:
+    # x log-uniform on [5e-324, 708], a band around the sign change of
+    # gamma + ln x near 0.5615, the neighbours of 40.0 (the branch split)
+    # and of every integer 1 to 40, and 708.0, the last argument in range
+    rng = random.Random(20261019)
+    lo, hi = math.log(5e-324), math.log(708.0)
+    xs = [math.exp(rng.uniform(lo, hi)) for _ in range(20000)]
+    xs += [rng.uniform(0.55, 0.57) for _ in range(3000)]
+    for k in range(1, 41):
+        xs += [math.nextafter(float(k), 0.0), float(k), math.nextafter(float(k), 99.0)]
+    return xs + [5e-324, 708.0]
+
+
+def test_ei_loops_are_the_integer_counter_loops_bit_for_bit():
+    # value, estimate and term count, compared by repr: the sign of a zero
+    # and the type of the count included
+    for x in _ei_sample():
+        assert repr(ei_with_error(x)) == repr(refvals.ei_with_error_loops(x)), x
+        if x <= 40.0:
+            got, want = _ei_series(x, math.log(x)), refvals.ei_series_loop(x)
+        else:
+            got, want = _asymptotic_sum(x), refvals.asymptotic_sum_loop(x)
+        assert repr(got) == repr(want), x
+
+
+def test_ei_estimate_bounds_the_error_on_both_branches():
+    # log-uniform on [1e-300, 708], and uniform across the branch split
+    rng = random.Random(35)
+    lo, hi = math.log(1e-300), math.log(708.0)
+    xs = [math.exp(rng.uniform(lo, hi)) for _ in range(1500)]
+    xs += [rng.uniform(30.0, 50.0) for _ in range(500)]
+    with mpmath.workprec(200):
+        for x in xs:
+            value, abs_err = ei_with_error(x)
+            assert abs(mpmath.mpf(value) + mpmath.ei(x)) <= abs_err, x
 
 
 # -- the one Laurent Horner evaluator --------------------------------------------------
