@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__, numeval, oracle, shellmatch
 from .closedform import (
@@ -119,8 +118,8 @@ def _latex_exponent(n: int, sign: str) -> str:
     return rf"e^{{{sign}r}}" if n == 1 else rf"e^{{{sign}r/{n}}}"
 
 
-def _latex_ei_lower(n: int) -> str:
-    num, den = Fraction(2, n).as_integer_ratio()
+def _latex_ei_lower(qn: QuantumNumbers) -> str:
+    num, den = qn.x_per_r.as_integer_ratio()
     body = "r" if num == 1 else f"{num}r"
     return f"-{body}" if den == 1 else f"-{body}/{den}"
 
@@ -131,7 +130,7 @@ def _latex_R2(r2) -> str:
         rf"R_2({qn.n},{qn.l},r) = \left({_latex_poly(r2.P, qn)}\right) "
         rf"{_latex_exponent(qn.n, '')} + \left({_latex_poly(r2.L, qn)}\right) "
         rf"{_latex_exponent(qn.n, '-')} "
-        rf"\int_{{{_latex_ei_lower(qn.n)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
+        rf"\int_{{{_latex_ei_lower(qn)}}}^{{\infty}} \frac{{e^{{-s}}}}{{s}}\,ds"
     )
 
 
@@ -375,6 +374,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="coulombwf",
                      description="Exact regular/irregular Coulomb bound-state radial solutions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # the subcommand parsers by name, for main
 
     p = sub.add_parser("coeffs", help="exact coefficients of an irregular solution")
     p.add_argument("--n", type=int, required=True)
@@ -425,8 +425,11 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command's argv goes straight to its own parser, parsed once
+    command = _PARSER.commands.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ratpoly import RatPoly, _make
 
@@ -40,7 +41,8 @@ class InvalidQuantumNumbers(ValueError):
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Validated (n, l) pair with the derived bound-state bookkeeping."""
+    """Validated (n, l) pair with the derived bound-state bookkeeping; kappa
+    and x_per_r are formed once, on first use, outside eq, hash and repr."""
 
     n: int
     l: int
@@ -63,11 +65,11 @@ class QuantumNumbers:
         """Upper Laguerre index 2l + 1."""
         return 2 * self.l + 1
 
-    @property
+    @cached_property
     def kappa(self) -> Fraction:
         return KAPPA0 / self.n
 
-    @property
+    @cached_property
     def x_per_r(self) -> Fraction:
         """2 kappa, so that x = x_per_r r."""
         return 2 * self.kappa
@@ -85,14 +87,16 @@ def laguerre_L1(n_r: int, m: int) -> RatPoly:
     """Associated Laguerre polynomial of degree n_r, upper index m.
 
     Coefficient of x^j is (-1)^j (n_r+m)! / ((n_r-j)! (m+j)! j!), so the
-    value at 0 is (n_r+m)!/(n_r! m!) and laguerre_L1(0, m) == 1.
+    value at 0 is (n_r+m)!/(n_r! m!) and laguerre_L1(0, m) == 1; the build
+    takes each from the x^(j-1) one by the exact ratio -(n_r-j+1)/((m+j) j).
     """
     if n_r < 0 or m < 0:
         raise ValueError("laguerre_L1 needs n_r >= 0 and m >= 0")
     # over the common denominator n_r!, the x^j numerator is the integer
-    # (-1)^j C(n_r+m, n_r-j) n_r!/j!
-    nums = [(-1) ** j * math.comb(n_r + m, n_r - j) * math.perm(n_r, n_r - j)
-            for j in range(n_r + 1)]
+    # (-1)^j C(n_r+m, n_r-j) n_r!/j!, which is (n_r+m)!/m! at j = 0
+    nums = [math.perm(n_r + m, n_r)]
+    for j in range(n_r):
+        nums.append(-nums[-1] * (n_r - j) // ((m + j + 1) * (j + 1)))
     return _make(0, nums, math.factorial(n_r))
 
 

@@ -62,20 +62,20 @@ class VerificationReport:
 # -- symbolic checks ---------------------------------------------------------
 
 
-def ode_residual_symbolic(f: Radial, which: str) -> VerificationReport:
-    """Apply the radial operator to f exactly; pass iff the residual vanishes.
-    A failure names the residual's e^{+kappa r}, e^{-kappa r} and Ei parts in
-    r, and its norm is their largest |coefficient|."""
-    residual = apply_radial_operator(f)
+def ode_residual_symbolic(residual: Radial, which: str) -> VerificationReport:
+    """Pass iff the exact residual record apply_radial_operator(f) of a form
+    f vanishes.  A failure names the residual's e^{+kappa r}, e^{-kappa r}
+    and Ei parts in r, and its norm is their largest |coefficient|."""
+    qn = residual.qn
     if residual.is_zero():
-        return VerificationReport(f.qn, f"ode_residual_{which}", True, 0.0, exact=True)
-    ell = list(residual.L.ratio_terms(f.qn.x_per_r))
-    p = None if residual.P is None else list(residual.P.ratio_terms(f.qn.x_per_r))
+        return VerificationReport(qn, f"ode_residual_{which}", True, 0.0, exact=True)
+    ell = list(residual.L.ratio_terms(qn.x_per_r))
+    p = None if residual.P is None else list(residual.P.ratio_terms(qn.x_per_r))
     plus, minus, ei = ("0", terms_text(ell), "0") if p is None else (terms_text(p), "0", terms_text(ell))
     # int / int rounds correctly, and rounding is monotone, so this is the
     # largest |float(c)| over the coefficients in r
     norm = max(abs(num) / den for _, num, den in ell + (p or []))
-    return VerificationReport(f.qn, f"ode_residual_{which}", False, norm,
+    return VerificationReport(qn, f"ode_residual_{which}", False, norm,
                               details=f"nonzero residual buckets: plus={plus}, minus={minus}, ei={ei}")
 
 
@@ -120,9 +120,12 @@ def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationRe
     """The exact checks named in ``checks`` ("ode", "wronskian") for one
     (n, l) on one build of the forms: R1 ODE, R2 ODE (both computed for either
     check, reported under "ode"), then the Wronskian, which rests on them.
-    Nothing is differentiated and no Laurent product is formed."""
+    Nothing is differentiated or multiplied, and R1's residual is R2's
+    e^{-x/2} bucket, since R2's L is R1's (a pair whose L differ gets R1's own)."""
     r1, r2 = assemble_pair(qn)
-    odes = [ode_residual_symbolic(r1, "R1"), ode_residual_symbolic(r2, "R2")]
+    res2 = apply_radial_operator(r2)
+    res1 = Radial(qn, res2.L) if r1.L == r2.L else apply_radial_operator(r1)
+    odes = [ode_residual_symbolic(res1, "R1"), ode_residual_symbolic(res2, "R2")]
     reports = odes if "ode" in checks else []
     if "wronskian" in checks:
         reports.append(wronskian_symbolic(r1, r2, all(rep.passed for rep in odes))[1])

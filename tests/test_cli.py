@@ -1029,6 +1029,72 @@ def test_shared_parser_keeps_no_state(capsys, monkeypatch):
     assert fresh[3][1].startswith("{\n")
 
 
+def _counted_parsers(monkeypatch) -> list[str]:
+    """Wrap parse_known_args on the shared parser and each subcommand parser;
+    the returned list gains the prog of each parser on every pass."""
+    passes = []
+    for parser in (cli._PARSER, *cli._PARSER.commands.values()):
+        def counted(*args, _parser=parser, _parse=parser.parse_known_args, **kwargs):
+            passes.append(_parser.prog)
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+    return passes
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "2", "--l", "1"],
+    ["eval", "--n", "2", "--l", "0", "--grid", "1:2:3"],
+    ["table", "--nmax", "2", "--format", "csv"],
+    ["verify", "--nmax", "1", "--checks", "ode"],
+    ["shell", "--n", "2", "--l", "0", "--a", "1e-4", "--b-range", "0.5:1.5"],
+], ids=lambda argv: argv[0])
+def test_each_request_is_parsed_once_by_its_own_parser(capsys, monkeypatch, argv):
+    passes = _counted_parsers(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert passes == [f"coulombwf {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["frobnicate", "--n", "1"], ["--n", "1"]],
+                         ids=["help", "h", "empty", "unknown", "option-first"])
+def test_top_level_parser_serves_help_and_a_missing_or_unknown_command(capsys, monkeypatch, argv):
+    # what the top-level parser alone gives for this argv, as main gave it
+    # when it parsed every request there
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    passes = _counted_parsers(monkeypatch)
+    assert run(capsys, *argv) == expected
+    assert passes[0] == "coulombwf"
+    code, out, err = expected
+    assert code == (0 if argv in (["--help"], ["-h"]) else 64)
+    assert (out if code == 0 else err).startswith("usage: coulombwf [-h]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "2", "--l", "1"],
+    ["eval", "--n", "2", "--l", "0", "--grid", "1:2:3"],
+    ["table", "--nmax", "2"],
+    ["verify", "--nmax", "1"],
+    ["shell", "--n", "2", "--l", "0", "--a", "1e-4", "--b-range", "0.5:1.5"],
+], ids=lambda argv: argv[0])
+def test_unrecognized_argument_is_reported_by_its_command(capsys, argv):
+    code, out, err = run(capsys, *argv, "--bogus", "7")
+    assert (code, out) == (64, "")
+    assert err.startswith(f"usage: coulombwf {argv[0]} ")
+    assert err.endswith(f"coulombwf {argv[0]}: error: unrecognized arguments: --bogus 7\n")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["coeffs", "--n", "3", "--l", "1", "--format", "csv"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["coulombwf", *argv])
+    code = cli.main()
+    assert (code, *capsys.readouterr()) == expected
+    assert expected[0] == 0 and expected[1].startswith("# coulombwf")
+
+
 def test_shell_reversed_range_is_usage_error(capsys):
     code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "0.1",
                      "--b-range", "1.5:0.5")

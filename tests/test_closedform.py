@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,6 +60,24 @@ def test_quantum_numbers_ground_state():
 def test_quantum_numbers_derived_fields():
     qn = QuantumNumbers(3, 1)
     assert (qn.n_r, qn.m, qn.kappa) == (1, 3, F(1, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
+def test_cached_scale_is_exact_and_outside_the_fields(n):
+    qn = QuantumNumbers(n, n - 1)
+    fresh = QuantumNumbers(n, n - 1)
+    assert (qn.kappa, qn.x_per_r) == (F(1, n), F(2, n))
+    # formed on first read and kept in the instance
+    assert vars(qn).keys() == {"n", "l", "kappa", "x_per_r"} and vars(fresh).keys() == {"n", "l"}
+    # read or not, the scale changes neither repr, eq nor hash
+    assert repr(qn) == repr(fresh) == f"QuantumNumbers(n={n}, l={n - 1})"
+    assert qn == fresh and hash(qn) == hash(fresh)
+    for copied in (pickle.loads(pickle.dumps(qn)), copy.copy(qn), copy.deepcopy(qn)):
+        assert copied == qn and (copied.kappa, copied.x_per_r) == (F(1, n), F(2, n))
+    moved = dataclasses.replace(qn, n=n + 1)
+    assert (moved.n, moved.l) == (n + 1, n - 1)
+    assert (moved.kappa, moved.x_per_r) == (F(1, n + 1), F(2, n + 1))
+    assert (qn.kappa, qn.x_per_r) == (F(1, n), F(2, n))
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (0, 0), (1, -1), (3, 5)])
@@ -119,6 +140,56 @@ def test_integer_factors_match_fraction_construction():
 def test_laguerre_vs_hyp1f1_relation(n_r, m):
     scale = F(math.perm(m + n_r, n_r), math.factorial(n_r))
     assert laguerre_L1(n_r, m) == fraction_hyp1f1_terminating(n_r, m) * scale
+
+
+# -- contiguous relation in n_r (DLMF 18.9) ---------------------------------------
+
+def _numerators(q: RatPoly, scale: int) -> dict[int, int]:
+    """The integer numerators of q over the denominator scale, by power."""
+    assert scale % q.den == 0
+    return {power: c * (scale // q.den) for power, c in enumerate(q.nums, q.low)}
+
+
+def _contiguous_defects(seq: list[dict[int, int]], m: int) -> list[int]:
+    """The k >= 2 at which seq, the numerators A_k = k! Q_k of Q_0, Q_1, ...,
+    breaks k Q_k = (2k + m - 1 - x) Q_{k-1} - (k + m - 1) Q_{k-2}, which over
+    (k-1)! reads A_k = (2k + m - 1 - x) A_{k-1} - (k - 1)(k + m - 1) A_{k-2},
+    power by power."""
+    bad = []
+    for k in range(2, len(seq)):
+        a, b, c = seq[k], seq[k - 1], seq[k - 2]
+        s, t = 2 * k + m - 1, (k - 1) * (k + m - 1)
+        powers = a.keys() | b.keys() | {j + 1 for j in b} | c.keys()
+        if any(a.get(j, 0) != s * b.get(j, 0) - b.get(j - 1, 0) - t * c.get(j, 0) for j in powers):
+            bad.append(k)
+    return bad
+
+
+def _contiguous_families(l: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """k! L(k, m) and k! (P(k, m)/k!) = P(k, m) for m = 2l + 1 and every state
+    n = k + l + 1 <= 60, as integer numerators."""
+    m, ks = 2 * l + 1, range(60 - l)
+    return ([_numerators(laguerre_L1(k, m), math.factorial(k)) for k in ks],
+            [_numerators(p2_recurrence(k, m), 1) for k in ks])
+
+
+def test_L_and_P_satisfy_laguerres_contiguous_relation_every_state_to_n60():
+    # at fixed m, L and P/n_r! step in n_r alike, which ties the
+    # states of one l together and checks laguerre_L1 against p2_recurrence
+    cases = 0
+    for l in range(60):
+        for name, seq in zip("LP", _contiguous_families(l)):
+            assert _contiguous_defects(seq, 2 * l + 1) == [], (l, name)
+            cases += max(0, len(seq) - 2)
+    assert cases == 3422
+
+
+@pytest.mark.parametrize("l,k,power", [(0, 5, 2), (3, 2, 0), (7, 30, 30), (20, 11, 4)])
+def test_contiguous_relation_rejects_a_perturbed_numerator(l, k, power):
+    for seq in _contiguous_families(l):
+        assert _contiguous_defects(seq, 2 * l + 1) == []
+        seq[k] = {**seq[k], power: seq[k].get(power, 0) + 1}
+        assert k in _contiguous_defects(seq, 2 * l + 1)
 
 
 # -- irregular-solution polynomial family ----------------------------------------

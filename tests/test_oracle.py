@@ -66,8 +66,8 @@ def closed_form_deviation(qn, x):
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_ode_residual_exactly_zero(qn):
     r1, r2 = assemble_pair(qn)
-    rep1 = ode_residual_symbolic(r1, "R1")
-    rep2 = ode_residual_symbolic(r2, "R2")
+    rep1 = ode_residual_symbolic(apply_radial_operator(r1), "R1")
+    rep2 = ode_residual_symbolic(apply_radial_operator(r2), "R2")
     assert rep1.passed and rep1.exact and rep1.residual_norm == 0.0
     assert rep2.passed and rep2.exact and rep2.residual_norm == 0.0
 
@@ -76,7 +76,7 @@ def test_ode_residual_detects_mutation():
     r1, r2 = assemble_pair(QuantumNumbers(3, 1))
     for which, f, part in (("R1", r1, "L"), ("R2", r2, "L"), ("R2", r2, "P")):
         mutated = dataclasses.replace(f, **{part: poly_add(getattr(f, part), RatPoly(0, (1,)))})
-        rep = ode_residual_symbolic(mutated, which)
+        rep = ode_residual_symbolic(apply_radial_operator(mutated), which)
         assert not rep.passed and not rep.exact
         assert rep.residual_norm > 0
         # the failing row reads exactly as the residual composed from derivatives
