@@ -174,21 +174,17 @@ def assemble_R1(qn: QuantumNumbers) -> Radial:
     return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l))
 
 
-def assemble_pair(qn: QuantumNumbers) -> tuple[Radial, Radial]:
-    """R1 and the irregular solution R2 of one (n, l), sharing one L, in the
-    normalization that makes R2's Ei factor R1's own polynomial:
+def assemble_R2(qn: QuantumNumbers) -> Radial:
+    """The irregular solution R2 of one (n, l), the one construction of a
+    state, in the normalization that makes its Ei factor R1's own polynomial:
 
-        1/n_r! x^{-l-1} e^{x/2} P(n_r, 2l+1, x) + x^l e^{-x/2} L(n_r, 2l+1, x) Ei(1, -x).
+        1/n_r! x^{-l-1} e^{x/2} P(n_r, 2l+1, x) + x^l e^{-x/2} L(n_r, 2l+1, x) Ei(1, -x),
+
+    so that where both forms are needed R1 is Radial(qn, r2.L).
     """
-    r1 = assemble_R1(qn)
     # P's integer coefficients, from x^0 up, are the numerators of P/n_r!
     p = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
-    return r1, Radial(qn, r1.L, p)
-
-
-def assemble_R2(qn: QuantumNumbers) -> Radial:
-    """The irregular solution R2 of assemble_pair on its own."""
-    return assemble_pair(qn)[1]
+    return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l), p)
 
 
 def _one_pass(f: Radial, run, ei, shift: int, den: int) -> Radial:

@@ -273,7 +273,7 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
 def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
     R2 and R2' (and eval_values R1 and R2 from L and P), given the R2 of
-    closedform.assemble_pair.
+    closedform.assemble_R2.
 
     R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
     part, and d/dr maps that L to R1''s own L, so R2' from

@@ -1,10 +1,10 @@
 """Independent verification of the closed-form solutions.
 
 Two kinds of checks live here.  The symbolic ones run in exact rational
-arithmetic on one build of R1 and R2 per (n, l) (symbolic_checks), straight
-from the coefficients of L and P, differentiating and multiplying nothing:
-the radial-operator residuals must vanish identically, and then, by Abel's
-identity, one integer sum over R1's coefficients proves r^2 W(R1, R2)
+arithmetic on one build of R2 per (n, l) (symbolic_checks), R1 being its L,
+straight from the coefficients of L and P, differentiating and multiplying
+nothing: the radial-operator residuals must vanish identically, and then, by
+Abel's identity, one integer sum over R1's coefficients proves r^2 W(R1, R2)
 constant.  The numeric ones rebuild R2's confluent parts from its defining
 principal-value integral (_pv_oracle) by adaptive quadrature (QUADPACK's
 QAGS, quadpack.qags; any nonzero QUADPACK code raises QuadratureFailure) and
@@ -26,7 +26,6 @@ from .closedform import (
     QuantumNumbers,
     Radial,
     apply_radial_operator,
-    assemble_pair,
     assemble_R2,
     decay_derivative,
 )
@@ -120,15 +119,14 @@ def symbolic_checks(qn: QuantumNumbers, checks: set[str]) -> list[VerificationRe
     """The exact checks named in ``checks`` ("ode", "wronskian") for one
     (n, l) on one build of the forms: R1 ODE, R2 ODE (both computed for either
     check, reported under "ode"), then the Wronskian, which rests on them.
-    Nothing is differentiated or multiplied, and R1's residual is R2's
-    e^{-x/2} bucket, since R2's L is R1's (a pair whose L differ gets R1's own)."""
-    r1, r2 = assemble_pair(qn)
+    Nothing is differentiated or multiplied, and the operator runs once, on
+    R2: R1 is Radial(qn, r2.L), so its residual is R2's e^{-x/2} bucket."""
+    r2 = assemble_R2(qn)
     res2 = apply_radial_operator(r2)
-    res1 = Radial(qn, res2.L) if r1.L == r2.L else apply_radial_operator(r1)
-    odes = [ode_residual_symbolic(res1, "R1"), ode_residual_symbolic(res2, "R2")]
+    odes = [ode_residual_symbolic(Radial(qn, res2.L), "R1"), ode_residual_symbolic(res2, "R2")]
     reports = odes if "ode" in checks else []
     if "wronskian" in checks:
-        reports.append(wronskian_symbolic(r1, r2, all(rep.passed for rep in odes))[1])
+        reports.append(wronskian_symbolic(Radial(qn, r2.L), r2, all(rep.passed for rep in odes))[1])
     return reports
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import numeval
-from .closedform import QuantumNumbers, assemble_pair
+from .closedform import QuantumNumbers, assemble_R2
 from .ratpoly import RatPoly, _make
 
 
@@ -80,7 +80,7 @@ class ShellForms:
 
 
 def shell_forms(qn: QuantumNumbers) -> ShellForms:
-    r2, q = assemble_pair(qn)[1], _exterior_q(qn)
+    r2, q = assemble_R2(qn), _exterior_q(qn)
     return ShellForms(float(qn.kappa), numeval.pair_runs(r2), numeval.laurent_run(q),
                       numeval.laurent_run(q.derivative()))
 
@@ -281,6 +281,6 @@ def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
     shell_rs = [r for r in rs if a <= r <= b]
     out += [(r, c1 * v1 + c2 * v2) for r, (v1, v2) in zip(shell_rs, forms.values(shell_rs))]
-    out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * forms.exterior(r)[0])
+    out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * numeval.horner(forms.q, r))
             for r in rs if r > b]
     return out

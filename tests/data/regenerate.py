@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from coulombwf import cli
-from coulombwf.closedform import QuantumNumbers, apply_radial_operator, assemble_pair
+from coulombwf.closedform import QuantumNumbers, Radial, apply_radial_operator, assemble_R2
 from coulombwf.oracle import wronskian_symbolic
 
 N_MAX = 8
@@ -53,7 +53,8 @@ def main() -> None:
     out = {}
     for n in range(1, N_MAX + 1):
         for l in range(n):
-            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            r1 = Radial(r2.qn, r2.L)
             solves = all(apply_radial_operator(f).is_zero() for f in (r1, r2))
             r2w, rep = wronskian_symbolic(r1, r2, solves)
             assert rep.passed

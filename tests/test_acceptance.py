@@ -9,8 +9,9 @@ from fractions import Fraction
 
 from coulombwf.closedform import (
     QuantumNumbers,
+    Radial,
     apply_radial_operator,
-    assemble_pair,
+    assemble_R2,
     energy,
     p2_recurrence,
 )
@@ -66,7 +67,8 @@ def test_criterion_2_symbolic_ode_annihilation():
     cases = 0
     for n in range(1, 21):
         for l in range(n):
-            for form in assemble_pair(QuantumNumbers(n, l)):
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            for form in (Radial(r2.qn, r2.L), r2):
                 if not apply_radial_operator(form).is_zero():
                     ok = False
                 cases += 1
@@ -96,7 +98,8 @@ def test_criterion_4_wronskian_constant():
     ok = True
     for n in range(1, 21):
         for l in range(n):
-            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            r1 = Radial(r2.qn, r2.L)
             solves = all(apply_radial_operator(f).is_zero() for f in (r1, r2))
             r2w, rep = wronskian_symbolic(r1, r2, solves)
             if not (rep.passed and rep.exact and r2w != 0):

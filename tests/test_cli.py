@@ -398,8 +398,8 @@ def test_verify_passes(capsys):
 
 
 def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
-    # nmax 3 has 6 cases; the ODE and Wronskian checks share one build of R1,
-    # R2 is built around it, and R1's polynomial is built once
+    # nmax 3 has 6 cases; the ODE and Wronskian checks share one build of R2,
+    # R1 is read as its L, and R1's polynomial is built once
     calls = {"assemble_R1": 0, "assemble_R2": 0, "laguerre_L1": 0}
     for name in calls:
         original = getattr(closedform, name)
@@ -413,7 +413,23 @@ def test_verify_assembles_each_form_once_per_case(capsys, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "verify", "--nmax", "3", "--checks", "ode,wronskian")
     assert code == 0
-    assert calls == {"assemble_R1": 6, "assemble_R2": 0, "laguerre_L1": 6}
+    assert calls == {"assemble_R1": 0, "assemble_R2": 6, "laguerre_L1": 6}
+
+
+def test_verify_runs_the_operator_once_per_state(capsys, monkeypatch):
+    # nmax 6 has 21 states; the operator runs on R2 alone, and R1's residual
+    # is its e^{-x/2} bucket
+    seen = []
+    original = oracle.apply_radial_operator
+
+    def counted(f):
+        seen.append((f.qn, f.P is not None))
+        return original(f)
+
+    monkeypatch.setattr(oracle, "apply_radial_operator", counted)
+    code, _, _ = run(capsys, "verify", "--nmax", "6", "--checks", "ode,wronskian")
+    assert code == 0
+    assert seen == [(QuantumNumbers(n, l), True) for n in range(1, 7) for l in range(n)]
 
 
 def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypatch):
@@ -518,15 +534,15 @@ def test_verify_runs_only_the_selected_checks(capsys, monkeypatch):
 def test_verify_wronskian_only_fails_on_a_corrupt_r2(capsys, monkeypatch):
     # --checks wronskian computes the ODE residuals without printing them; an
     # R2 that does not solve the radial equation fails its Wronskian row
-    original = oracle.assemble_pair
+    original = oracle.assemble_R2
 
     def corrupted(qn):
-        r1, r2 = original(qn)
+        r2 = original(qn)
         if qn.l != 1:
-            return r1, r2
-        return r1, dataclasses.replace(r2, L=refvals.poly_add(r2.L, RatPoly(0, (1,))))
+            return r2
+        return dataclasses.replace(r2, P=refvals.poly_add(r2.P, RatPoly(0, (1,))))
 
-    monkeypatch.setattr(oracle, "assemble_pair", corrupted)
+    monkeypatch.setattr(oracle, "assemble_R2", corrupted)
     code, out, _ = run(capsys, "verify", "--nmax", "3", "--checks", "wronskian")
     assert code == 1
     rows = [json.loads(ln) for ln in out.splitlines()]

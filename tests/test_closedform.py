@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf import cli
+from coulombwf import cli, closedform
 from coulombwf.closedform import (
     InvalidQuantumNumbers,
     QuantumNumbers,
     Radial,
     apply_radial_operator,
-    assemble_pair,
     assemble_R1,
     assemble_R2,
     decay_derivative,
@@ -165,10 +164,10 @@ def _contiguous_defects(seq: list[dict[int, int]], m: int) -> list[int]:
     return bad
 
 
-def _contiguous_families(l: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+def _contiguous_families(l: int, nmax: int = 60) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     """k! L(k, m) and k! (P(k, m)/k!) = P(k, m) for m = 2l + 1 and every state
-    n = k + l + 1 <= 60, as integer numerators."""
-    m, ks = 2 * l + 1, range(60 - l)
+    n = k + l + 1 <= nmax, as integer numerators."""
+    m, ks = 2 * l + 1, range(nmax - l)
     return ([_numerators(laguerre_L1(k, m), math.factorial(k)) for k in ks],
             [_numerators(p2_recurrence(k, m), 1) for k in ks])
 
@@ -190,6 +189,42 @@ def test_contiguous_relation_rejects_a_perturbed_numerator(l, k, power):
         assert _contiguous_defects(seq, 2 * l + 1) == []
         seq[k] = {**seq[k], power: seq[k].get(power, 0) + 1}
         assert k in _contiguous_defects(seq, 2 * l + 1)
+
+
+def _casoratian_defects(ells: list[dict[int, int]], ps: list[dict[int, int]], m: int) -> list[int]:
+    """The k >= 1 at which L_{k-1} P_k/k! - L_k P_{k-1}/(k-1)! is not the
+    constant -(m+k-1)!/k!, from ells[k] = k! L_k and ps[k] = P_k: over the
+    one denominator (k-1)! k! the difference is ells[k-1] ps[k] - ells[k]
+    ps[k-1], by integer convolution, and must be -(m+k-1)! (k-1)! at x^0."""
+    bad = []
+    for k in range(1, len(ells)):
+        diff = {}
+        for sign, ell, p in ((1, ells[k - 1], ps[k]), (-1, ells[k], ps[k - 1])):
+            for i, a in ell.items():
+                for j, b in p.items():
+                    diff[i + j] = diff.get(i + j, 0) + sign * a * b
+        if {j: c for j, c in diff.items() if c} != {0: -math.factorial(m + k - 1) * math.factorial(k - 1)}:
+            bad.append(k)
+    return bad
+
+
+def test_L_and_P_casoratian_is_constant_every_state_to_n40():
+    # the Casoratian of L and P/n_r! in n_r (ROADMAP item 6, step A): the Ei
+    # parts of consecutive states cancel, and x^-m e^x is a common factor
+    cases = 0
+    for l in range(40):
+        ells, ps = _contiguous_families(l, 40)
+        assert _casoratian_defects(ells, ps, 2 * l + 1) == [], l
+        cases += max(0, len(ells) - 1)
+    assert cases == 780
+
+
+@pytest.mark.parametrize("l,k,power", [(0, 5, 2), (3, 2, 0), (7, 30, 30), (20, 11, 4)])
+def test_casoratian_rejects_a_perturbed_P_numerator(l, k, power):
+    ells, ps = _contiguous_families(l, 40)
+    assert _casoratian_defects(ells, ps, 2 * l + 1) == []
+    ps[k] = {**ps[k], power: ps[k].get(power, 0) + 1}
+    assert k in _casoratian_defects(ells, ps, 2 * l + 1)
 
 
 # -- irregular-solution polynomial family ----------------------------------------
@@ -284,14 +319,14 @@ def test_assemble_R2_examples():
 def test_records_hold_x_forms_with_integer_numerators_over_n_r_factorial():
     # in x = 2 kappa r, L = x^l L(n_r, m, x) and P = x^{-l-1} P(n_r, m, x)/n_r!
     qn = QuantumNumbers(4, 1)
-    r1, r2 = assemble_pair(qn)
-    assert r1.L == P({1: 10, 2: -5, 3: F(1, 2)})
+    r2 = assemble_R2(qn)
+    assert r2.L == P({1: 10, 2: -5, 3: F(1, 2)})
     # P(2, 3, x) = 4 + 6x + 12x^2 - 9x^3 + x^4, over 2!
     assert r2.P == P({-2: 4, -1: 6, 0: 12, 1: -9, 2: 1}) * F(1, 2)
     for n in range(1, 61):
         for l in range(n):
-            r1, r2 = assemble_pair(QuantumNumbers(n, l))
-            assert math.factorial(n - l - 1) % r1.L.den == 0
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            assert math.factorial(n - l - 1) % r2.L.den == 0
             assert math.factorial(n - l - 1) % r2.P.den == 0
 
 
@@ -304,13 +339,13 @@ def _r_references(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
     return ell, fraction_scale_arg(p, to_r)
 
 
-def test_in_r_of_assemble_pair_matches_r_references_every_state_to_n60():
+def test_in_r_of_assemble_R2_matches_r_references_every_state_to_n60():
     for n in range(1, 61):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            r1, r2 = assemble_pair(qn)
+            r2 = assemble_R2(qn)
             ell, p = _r_references(qn)
-            assert in_r(r1) == (ell, None), qn
+            assert in_r(Radial(qn, r2.L)) == (ell, None), qn
             assert in_r(r2) == (ell, p), qn
 
 
@@ -328,14 +363,24 @@ def test_in_r_references_reject_a_mutated_record(n, l):
 
 
 def test_R2_ei_polynomial_matches_R1():
-    # R2 is built around R1: assemble_pair shares the one polynomial object,
-    # and assemble_R2 on its own builds the same polynomial
+    # R2 is built around R1: its Ei polynomial is R1's own, so R1 is
+    # Radial(qn, r2.L) wherever both forms are needed
     for n in range(1, 41):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            r1, r2 = assemble_pair(qn)
-            assert r2.L is r1.L and r1.P is None and r2.qn is r1.qn is qn, qn
-            assert assemble_R2(qn).L == assemble_R1(qn).L, qn
+            r2 = assemble_R2(qn)
+            assert r2.L == assemble_R1(qn).L and r2.qn is qn, qn
+
+
+def test_assemble_R2_builds_without_assemble_R1(monkeypatch):
+    # one construction per state: assemble_R2 nests no other assemble_*
+    want = [assemble_R2(QuantumNumbers(n, l)) for n in range(1, 9) for l in range(n)]
+
+    def refuse(qn):
+        raise AssertionError("assemble_R2 called assemble_R1")
+
+    monkeypatch.setattr(closedform, "assemble_R1", refuse)
+    assert [assemble_R2(QuantumNumbers(n, l)) for n in range(1, 9) for l in range(n)] == want
 
 
 # -- symbolic differentiation ------------------------------------------------------
@@ -422,7 +467,8 @@ def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
 def test_operator_matches_derivative_composition_every_state_to_n40():
     for n in range(1, 41):
         for l in range(n):
-            pair = assemble_pair(QuantumNumbers(n, l))
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            pair = (Radial(r2.qn, r2.L), r2)
             for form in pair:
                 assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
                 assert derivative(form) == derivative_form(form), (n, l)

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, Radial, assemble_pair, assemble_R1, assemble_R2, derivative
+from coulombwf.closedform import QuantumNumbers, Radial, assemble_R1, assemble_R2, derivative
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
 from coulombwf.numeval import (
     EULER_GAMMA,
@@ -258,7 +258,8 @@ _WHICH = ("r1", "r1d", "r2", "r2d")
 
 @functools.lru_cache(maxsize=None)
 def _forms(n: int, l: int):
-    r1, r2 = assemble_pair(QuantumNumbers(n, l))
+    r2 = assemble_R2(QuantumNumbers(n, l))
+    r1 = Radial(r2.qn, r2.L)
     return dict(zip(_WHICH, (r1, refvals.derivative_form(r1), r2, refvals.derivative_form(r2))))
 
 
@@ -387,7 +388,8 @@ def test_runs_read_from_the_records_in_x_equal_the_runs_in_r_every_state_to_n70(
     outcomes = {}
     for n in range(1, 71):
         for l in range(n):
-            r1, r2 = assemble_pair(QuantumNumbers(n, l))
+            r2 = assemble_R2(QuantumNumbers(n, l))
+            r1 = Radial(r2.qn, r2.L)
             d = derivative(r2)
             (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
             assert _package_runs(lambda: pair_runs(r2)) == _reference_runs(
@@ -429,7 +431,8 @@ def test_eval_pair_matches_four_grid_calls():
     for n in range(1, 13):
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            r1, r2 = assemble_pair(qn)
+            r2 = assemble_R2(qn)
+            r1 = Radial(qn, r2.L)
             forms, kappa, runs = refvals.four_grid_forms(r1, r2), float(qn.kappa), pair_runs(r2)
             for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
                 want = _pair_outcome(refvals.pair_by_four_grids, forms, r)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, Radial, apply_radial_operator, assemble_pair, assemble_R2
+from coulombwf.closedform import QuantumNumbers, Radial, apply_radial_operator, assemble_R2
 from coulombwf import numeval, oracle as oracle_mod
 from coulombwf.numeval import eval_grid, horner, laurent_run
 from coulombwf.oracle import (
@@ -39,6 +39,12 @@ F = Fraction
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def r1_r2(qn):
+    """R1 and R2 of one state from its one construction: R1 is R2's L."""
+    r2 = assemble_R2(qn)
+    return Radial(qn, r2.L), r2
+
+
 def all_qn(n_max):
     return [QuantumNumbers(n, l) for n in range(1, n_max + 1) for l in range(n)]
 
@@ -65,7 +71,7 @@ def closed_form_deviation(qn, x):
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_ode_residual_exactly_zero(qn):
-    r1, r2 = assemble_pair(qn)
+    r1, r2 = r1_r2(qn)
     rep1 = ode_residual_symbolic(apply_radial_operator(r1), "R1")
     rep2 = ode_residual_symbolic(apply_radial_operator(r2), "R2")
     assert rep1.passed and rep1.exact and rep1.residual_norm == 0.0
@@ -73,7 +79,7 @@ def test_ode_residual_exactly_zero(qn):
 
 
 def test_ode_residual_detects_mutation():
-    r1, r2 = assemble_pair(QuantumNumbers(3, 1))
+    r1, r2 = r1_r2(QuantumNumbers(3, 1))
     for which, f, part in (("R1", r1, "L"), ("R2", r2, "L"), ("R2", r2, "P")):
         mutated = dataclasses.replace(f, **{part: poly_add(getattr(f, part), RatPoly(0, (1,)))})
         rep = ode_residual_symbolic(apply_radial_operator(mutated), which)
@@ -114,8 +120,8 @@ def wronskian(r1, r2):
 
 
 def corrupt_r2(r1, r2):
-    """R1 and R2 with 1 added to R2's L, so that R2 no longer solves the radial equation."""
-    return r1, dataclasses.replace(r2, L=poly_add(r2.L, RatPoly(0, (1,))))
+    """R1 and R2 with 1 added to R2's P, so that R2 no longer solves the radial equation."""
+    return r1, dataclasses.replace(r2, P=poly_add(r2.P, RatPoly(0, (1,))))
 
 
 def doubled(f):
@@ -125,14 +131,14 @@ def doubled(f):
 
 @pytest.mark.parametrize("qn", all_qn(8), ids=lambda q: f"n{q.n}l{q.l}")
 def test_wronskian_constant_and_nonzero(qn):
-    r2w, rep = wronskian(*assemble_pair(qn))
+    r2w, rep = wronskian(*r1_r2(qn))
     assert rep.passed and rep.exact
     assert r2w != 0
 
 
 def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
-    r2w, _ = wronskian(*assemble_pair(QuantumNumbers(1, 0)))
+    r2w, _ = wronskian(*r1_r2(QuantumNumbers(1, 0)))
     assert r2w == F(-1, 2)
 
 
@@ -141,7 +147,7 @@ def test_wronskian_agrees_with_full_product_reference():
     # exponential buckets vanish and r^2 W is the constant read from one
     # coefficient
     for qn in all_qn(40):
-        r1, r2 = assemble_pair(qn)
+        r1, r2 = r1_r2(qn)
         w_minus, w_ei, r2w = wronskian_full_product(r1, r2)
         assert w_minus.is_zero() and w_ei.is_zero(), qn
         assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, True)[0],)), qn
@@ -151,7 +157,7 @@ def test_x_wronskian_of_the_records_every_state_to_n60():
     # the records hold L and P in x = 2 kappa r, where x^2 W_x(R1, R2) is
     # -(n+l)!/n_r!, and r^2 W = n x^2 W_x / 2
     for qn in all_qn(60):
-        r1, r2 = assemble_pair(qn)
+        r1, r2 = r1_r2(qn)
         x2w = wronskian_x_constant(r1, r2)
         assert x2w == F(-math.factorial(qn.n + qn.l), math.factorial(qn.n_r)), qn
         assert wronskian_symbolic(r1, r2, True)[0] == qn.n * x2w / 2, qn
@@ -172,7 +178,7 @@ def test_wronskian_sum_is_the_x_coefficient_on_any_records(n, m1, e, p):
 
 
 def test_wronskian_forms_no_product(monkeypatch):
-    pairs = [assemble_pair(qn) for qn in all_qn(8)]
+    pairs = [r1_r2(qn) for qn in all_qn(8)]
     calls = []
     mul = RatPoly.__mul__
 
@@ -188,7 +194,7 @@ def test_wronskian_forms_no_product(monkeypatch):
 
 
 def test_wronskian_scales_bilinearly():
-    r1, r2 = assemble_pair(QuantumNumbers(2, 1))
+    r1, r2 = r1_r2(QuantumNumbers(2, 1))
     w, _ = wronskian(r1, r2)
     w2, _ = wronskian(r1, doubled(r2))
     assert w2 == w * 2
@@ -199,7 +205,7 @@ def test_wronskian_scales_bilinearly():
 def test_wronskian_rejects_wrong_normalisation():
     # 2 R2 is still an independent solution, but its r^2 W is twice
     # -n (n+l)! / (2 (n-l-1)!) = -6 for n = 2, l = 1
-    r1, r2 = assemble_pair(QuantumNumbers(2, 1))
+    r1, r2 = r1_r2(QuantumNumbers(2, 1))
     w2, rep = wronskian(r1, doubled(r2))
     assert w2 == -12
     assert not rep.passed and not rep.exact
@@ -211,10 +217,10 @@ def test_wronskian_rejects_wrong_normalisation():
                          ids=["wronskian", "ode,wronskian"])
 def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
     qn = QuantumNumbers(3, 1)
-    r2w, rep = wronskian(*corrupt_r2(*assemble_pair(qn)))
+    r2w, rep = wronskian(*corrupt_r2(*r1_r2(qn)))
     assert r2w == 0
     assert not rep.passed and not rep.exact
-    monkeypatch.setattr(oracle_mod, "assemble_pair", lambda q: corrupt_r2(*assemble_pair(q)))
+    monkeypatch.setattr(oracle_mod, "assemble_R2", lambda q: corrupt_r2(*r1_r2(q))[1])
     *odes, rep = symbolic_checks(qn, checks)
     assert [(o.check_name, o.passed) for o in odes] == (
         [("ode_residual_R1", True), ("ode_residual_R2", False)] if "ode" in checks else [])
@@ -237,7 +243,7 @@ def test_wronskian_constants_match_recorded_artifact():
     recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
     for key, value in recorded.items():
         n, l = (int(s) for s in key.split(","))
-        r2w, _ = wronskian(*assemble_pair(QuantumNumbers(n, l)))
+        r2w, _ = wronskian(*r1_r2(QuantumNumbers(n, l)))
         assert str(r2w) == value
 
 
