@@ -273,7 +273,8 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
 def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
     R2 and R2' (and eval_values R1 and R2 from L and P), given the R2 of
-    closedform.assemble_R2.
+    closedform.assemble_R2; shellmatch.match_shell forms them once per match
+    and keeps them in its MatchResult.
 
     R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
     part, and d/dr maps that L to R1''s own L, so R2' from
@@ -325,6 +326,13 @@ def eval_form_extended(f: Radial, r, precision_bits: int = 256):
     ``r`` may be a float, int, Fraction, or decimal string; it is converted
     exactly before use, like f's coefficients in r.  mpmath is
     imported here, so that only this evaluator pays for loading it.
+
+    R2's P and Ei terms cancel, losing bits that grow with n and with
+    x = 2 kappa r: the default 256 bits agree with 1024 to 2^-53 for
+    n <= 30 up to x = 130, the range of the eval_grid bench plan, but (30, 1)
+    keeps 52.8 bits at x = 140, (30, 0) none at x = 300 and (20, 0) 5 at
+    x = 700.  Beyond that range, double precision_bits until two results
+    agree, as the accuracy tests' reference does.
     """
     import mpmath
 

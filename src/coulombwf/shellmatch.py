@@ -48,47 +48,12 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 
 
 @dataclass(frozen=True)
-class ShellForms:
-    """The shell's R1, R1', R2 and R2' as the four float runs (L, L', P, P')
-    of numeval.pair_runs, evaluated together at one point by
-    numeval.eval_pair (or R1 and R2 alone from L and P over a whole grid by
-    numeval.eval_values), and the float runs of q and q' for the exterior,
-    evaluated by numeval.horner; every coefficient is converted to a float
-    once, so no root-search step or grid sample converts one."""
-
-    kappa: float
-    runs: tuple
-    q: tuple
-    qd: tuple
-
-    def pair(self, r: float) -> tuple[float, float, float, float]:
-        """(R1, R1', R2, R2') at r."""
-        return numeval.eval_pair(self.kappa, self.runs, r)
-
-    def values(self, rs: list[float]) -> list[tuple[float, float]]:
-        """(R1, R2) at each r of rs, bit for bit those of pair(r), from L and P alone."""
-        return numeval.eval_values(self.kappa, self.runs[::2], rs)
-
-    def shell(self, c1: float, c2: float, r: float) -> tuple[float, float]:
-        """(u, u') of c1 R1 + c2 R2 at r."""
-        v1, d1, v2, d2 = self.pair(r)
-        return c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
-
-    def exterior(self, r: float) -> tuple[float, float]:
-        """(q, q') at r."""
-        return numeval.horner(self.q, r), numeval.horner(self.qd, r)
-
-
-def shell_forms(qn: QuantumNumbers) -> ShellForms:
-    r2, q = assemble_R2(qn), _exterior_q(qn)
-    return ShellForms(float(qn.kappa), numeval.pair_runs(r2), numeval.laurent_run(q),
-                      numeval.laurent_run(q.derivative()))
-
-
-@dataclass(frozen=True)
 class MatchResult:
     """The matched piecewise solution: the shell is c1 R1 + c2 R2 on [a, b_star],
-    the interior and exterior solutions times their scales outside it."""
+    the interior and exterior solutions times their scales outside it.  ``runs``
+    are the float runs (L, L', P, P') of numeval.pair_runs and ``q`` the float
+    run of the exterior polynomial, each coefficient converted once, so that
+    piecewise_grid converts none."""
 
     qn: QuantumNumbers
     a: float
@@ -100,7 +65,8 @@ class MatchResult:
     continuity: dict[str, float]
     interior_scale: float
     exterior_scale: float
-    forms: ShellForms = field(repr=False, compare=False)
+    runs: tuple = field(repr=False, compare=False)
+    q: tuple = field(repr=False, compare=False)
 
 
 def integrate_interior(qn: QuantumNumbers, a: float) -> tuple[float, float]:
@@ -171,7 +137,9 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     any of them.  Raises NoRootInRange (with the scanned mismatch table
     attached) when M keeps its sign over the bracket, and MatchNotResolved
     when the bracket closes to 1e-13 max(1, |b|) before the mismatch falls
-    below 1e-8.  Each value at a and at b_star is computed once.
+    below 1e-8.  Each value at a and at b_star is computed once: R1, R1', R2
+    and R2' by one numeval.eval_pair pass over the runs of numeval.pair_runs,
+    q and q' by numeval.horner over their float runs.
     """
     b_min, b_max = b_range
     if not all(map(math.isfinite, (a, b_min, b_max))):
@@ -180,10 +148,10 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         raise ValueError(f"need 0 < a < b_min < b_max, got a={a}, b_range={b_range}")
     u_a, du_a = integrate_interior(qn, a)
     _require_in_range("interior u, u'", a, (u_a, du_a), (u_a, du_a))
-    forms = shell_forms(qn)
-    v1, d1, v2, d2 = pair = forms.pair(a)
+    kappa, runs, ext = float(qn.kappa), numeval.pair_runs(assemble_R2(qn)), _exterior_q(qn)
+    q_run, qd_run = numeval.laurent_run(ext), numeval.laurent_run(ext.derivative())
+    v1, d1, v2, d2 = pair = numeval.eval_pair(kappa, runs, a)
     c1, c2 = mixing_from_inner_match(pair, a, du_a / u_a)
-    kappa = forms.kappa
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
 
@@ -197,12 +165,13 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
             "value_b": 0.0,
             "deriv_b": abs((-kappa + qd / q) * u_sh_b - du_sh_b) / max(abs(du_sh_b), 1e-300),
         }
-        return MatchResult(qn, a, b, c1, c2, mismatch, continuity, scale_in, u_sh_b / q, forms)
+        return MatchResult(qn, a, b, c1, c2, mismatch, continuity, scale_in, u_sh_b / q, runs, q_run)
 
     def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
         """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
-        u, du = forms.shell(c1, c2, b)
-        q, qd = forms.exterior(b)
+        v1, d1, v2, d2 = numeval.eval_pair(kappa, runs, b)
+        u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
+        q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
         outer = du * q
         inner = u * (qd - kappa * q)
         return b, du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner)), (u, du, q, qd)
@@ -272,15 +241,17 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    the shell samples take R1 and R2 from one eval_values grid over L and P."""
-    forms, a, b, c1, c2 = result.forms, result.a, result.b_star, result.c1, result.c2
+    the shell samples take R1 and R2 from one numeval.eval_values grid over
+    the result's L and P runs, the exterior ones q from numeval.horner."""
+    a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
     shell_rs = [r for r in rs if a <= r <= b]
-    out += [(r, c1 * v1 + c2 * v2) for r, (v1, v2) in zip(shell_rs, forms.values(shell_rs))]
-    out += [(r, result.exterior_scale * math.exp(-forms.kappa * (r - b)) * numeval.horner(forms.q, r))
+    out += [(r, c1 * v1 + c2 * v2)
+            for r, (v1, v2) in zip(shell_rs, numeval.eval_values(kappa, result.runs[::2], shell_rs))]
+    out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

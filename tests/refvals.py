@@ -44,6 +44,7 @@ from math import factorial
 import mpmath as mp
 from scipy.optimize import brentq
 
+from coulombwf import numeval
 from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
 from coulombwf.numeval import _EPS, EULER_GAMMA, DomainError, OverflowSignal, ei_with_error, eval_grid
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
@@ -419,6 +420,36 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
     return brentq(mismatch, *b_range, xtol=1e-12)
 
 
+def shell_runs(qn) -> tuple:
+    """(kappa, the (L, L', P, P') runs, the q run, the q' run): the float runs
+    that shellmatch.match_shell evaluates, from numeval.pair_runs and the
+    exterior polynomial."""
+    from coulombwf.shellmatch import _exterior_q
+
+    q = _exterior_q(qn)
+    return (float(qn.kappa), numeval.pair_runs(assemble_R2(qn)), numeval.laurent_run(q),
+            numeval.laurent_run(q.derivative()))
+
+
+def shell_mixing(qn, runs: tuple, a: float) -> tuple[float, float]:
+    """match_shell's (c1, c2) at the inner boundary a, from shell_runs(qn)."""
+    from coulombwf.shellmatch import integrate_interior, mixing_from_inner_match
+
+    u_a, du_a = integrate_interior(qn, a)
+    return mixing_from_inner_match(numeval.eval_pair(runs[0], runs[1], a), a, du_a / u_a)
+
+
+def shell_probe(runs: tuple, c1: float, c2: float, b: float) -> tuple[float, float]:
+    """(mismatch(b), M(b)) of match_shell for the mixing (c1, c2), from
+    shell_runs' runs by match_shell's float operations."""
+    kappa, pair, q_run, qd_run = runs
+    v1, d1, v2, d2 = numeval.eval_pair(kappa, pair, b)
+    u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
+    q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
+    outer, inner = du * q, u * (qd - kappa * q)
+    return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
+
+
 def bisection_match(qn, a: float, b_range: tuple[float, float]) -> tuple[float, float]:
     """(b_star, mismatch) of shellmatch.match_shell found by bisecting the sign
     of M, the root finder match_shell used before Brent's method: same inner
@@ -427,23 +458,13 @@ def bisection_match(qn, a: float, b_range: tuple[float, float]) -> tuple[float, 
     |mismatch| < 1e-8, or once the bracket is below 1e-13 max(1, |mid|)).
     Raises NoRootInRange (without the scan) when M keeps its sign over the
     bracket and MatchNotResolved when the bracket closes first."""
-    from coulombwf.shellmatch import (MatchNotResolved, NoRootInRange, integrate_interior,
-                                      mixing_from_inner_match, shell_forms)
+    from coulombwf.shellmatch import MatchNotResolved, NoRootInRange
 
-    forms = shell_forms(qn)
-    u_a, du_a = integrate_interior(qn, a)
-    c1, c2 = mixing_from_inner_match(forms.pair(a), a, du_a / u_a)
-    kappa = forms.kappa
-
-    def mismatch_and_wronskian(b: float) -> tuple[float, float]:
-        u, du = forms.shell(c1, c2, b)
-        q, qd = forms.exterior(b)
-        outer, inner = du * q, u * (qd - kappa * q)
-        return du / u - (-kappa + qd / q), (outer - inner) / (abs(outer) + abs(inner))
-
+    runs = shell_runs(qn)
+    c1, c2 = shell_mixing(qn, runs, a)
     lo, hi = b_range
-    f_lo, w_lo = mismatch_and_wronskian(lo)
-    f_hi, w_hi = mismatch_and_wronskian(hi)
+    f_lo, w_lo = shell_probe(runs, c1, c2, lo)
+    f_hi, w_hi = shell_probe(runs, c1, c2, hi)
     if f_lo == 0.0:
         return lo, f_lo
     if f_hi == 0.0:
@@ -453,7 +474,7 @@ def bisection_match(qn, a: float, b_range: tuple[float, float]) -> tuple[float, 
     mid, f_mid = lo, f_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid, w_mid = mismatch_and_wronskian(mid)
+        f_mid, w_mid = shell_probe(runs, c1, c2, mid)
         if abs(f_mid) < 1e-8:
             return mid, f_mid
         if math.copysign(1.0, w_mid) == math.copysign(1.0, w_lo):

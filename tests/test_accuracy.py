@@ -95,3 +95,21 @@ def test_reference_doubles_until_it_agrees_with_itself():
     ref = reference(f, 7000.0)
     assert abs(eval_form_extended(f, 7000.0, 256) - ref) > 1e-3 * abs(ref)
     assert abs(eval_form_extended(f, 7000.0, 4096) - ref) <= abs(ref) * mpmath.mpf(2) ** -80
+
+
+def test_default_precision_holds_over_the_eval_grid_range():
+    # n <= 30 and 2 kappa r up to 130 cover the eval_grid bench plan, whose
+    # underbound check trusts the default 256 bits: there they agree with
+    # 1024 bits to 2^-53 for R1 and R2, the corner (30, l) at 2 kappa r = 130
+    # included.  R2's cancellation grows with n and 2 kappa r: (30, 1) keeps
+    # 52.8 bits at 140 and (30, 0) none at 300
+    rng = random.Random(39)
+    points = [(QuantumNumbers(30, l), 65 * 30) for l in (0, 1, 2)]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(130.0)))
+        points.append((QuantumNumbers(n, rng.randrange(n)), x * n / 2))
+    for qn, r in points:
+        for f in (assemble_R1(qn), assemble_R2(qn)):
+            low, high = eval_form_extended(f, r), eval_form_extended(f, r, 1024)
+            assert abs(low - high) <= abs(high) * mpmath.mpf(2) ** -53, (qn, r)

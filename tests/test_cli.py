@@ -840,18 +840,18 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
     # the match, its continuity residuals and the grid share the interior
     # solution and (R1, R1', R2, R2') at a; no grid point lies below a here
     calls = {"interior": 0, "pair_at_a": 0}
-    interior, pair = shellmatch.integrate_interior, shellmatch.ShellForms.pair
+    interior, eval_pair = shellmatch.integrate_interior, numeval.eval_pair
 
     def counting_interior(qn, a):
         calls["interior"] += 1
         return interior(qn, a)
 
-    def counting_pair(self, r):
+    def counting_pair(kappa, runs, r):
         calls["pair_at_a"] += r == 1e-4
-        return pair(self, r)
+        return eval_pair(kappa, runs, r)
 
     monkeypatch.setattr(shellmatch, "integrate_interior", counting_interior)
-    monkeypatch.setattr(shellmatch.ShellForms, "pair", counting_pair)
+    monkeypatch.setattr(numeval, "eval_pair", counting_pair)
     code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
                      "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
@@ -863,9 +863,9 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     # then two Brent steps) by eval_pair over R1, R1', R2 and R2', and at
     # each of the grid's 33 shell samples, in one eval_values grid over R1
     # and R2 alone; b* reuses its last evaluation, and no form goes through
-    # eval_grid
-    passes, mismatches, counts = [], [], {"eval_grid": 0, "ei_with_error": 0}
-    eval_pair, eval_values, shell = numeval.eval_pair, numeval.eval_values, shellmatch.ShellForms.shell
+    # eval_grid; the mismatch evaluations are the eval_pair passes after the one at a
+    passes, counts = [], {"eval_grid": 0, "ei_with_error": 0}
+    eval_pair, eval_values = numeval.eval_pair, numeval.eval_values
 
     def counting_eval_pair(kappa, runs, r):
         passes.append((r, "pair"))
@@ -874,10 +874,6 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     def counting_eval_values(kappa, runs, rs):
         passes.extend((r, "values") for r in rs)
         return eval_values(kappa, runs, rs)
-
-    def counting_shell(self, c1, c2, r):
-        mismatches.append(r)
-        return shell(self, c1, c2, r)
 
     def counted(name):
         original = getattr(numeval, name)
@@ -889,7 +885,6 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
 
     monkeypatch.setattr(numeval, "eval_pair", counting_eval_pair)
     monkeypatch.setattr(numeval, "eval_values", counting_eval_values)
-    monkeypatch.setattr(shellmatch.ShellForms, "shell", counting_shell)
     counted("eval_grid")
     counted("ei_with_error")
     code, out, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
@@ -898,10 +893,32 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     doc = json.loads(out)
     shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
     assert len(shell_samples) == 33
+    mismatches = [r for r, kind in passes if kind == "pair"][1:]
     assert mismatches[:2] == [0.5, 1.5] and mismatches[-1] == doc["b_star"]
     assert passes == [(r, "pair") for r in [1e-4] + mismatches] + [(r, "values") for r in shell_samples]
     assert counts == {"eval_grid": 0, "ei_with_error": len(passes)}
     assert len(mismatches) == 4 and len(passes) == 38
+
+
+def test_shell_converts_each_polynomial_once(capsys, monkeypatch):
+    # L, L', P and P' of R2 and R2' and the exterior q and q' are converted
+    # to float runs once per request, with R2' the one derivative formed
+    counts = {"laurent_run": 0, "pair_runs": 0, "derivative": 0}
+
+    def counted(name):
+        original = getattr(numeval, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(numeval, name, wrapper)
+
+    for name in counts:
+        counted(name)
+    code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                     "--b-range", "0.5:1.5", "--grid-points", "50")
+    assert code == 0
+    assert counts == {"laurent_run": 6, "pair_runs": 1, "derivative": 1}
 
 
 # any double, with the values json writes specially weighted in

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import random
 
@@ -6,18 +7,17 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coulombwf import numeval
 from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
 from coulombwf.numeval import eval_grid
 from coulombwf.shellmatch import (
     MatchNotResolved,
     NoRootInRange,
-    ShellForms,
     _exterior_q,
     integrate_interior,
     match_shell,
     mixing_from_inner_match,
     piecewise_grid,
-    shell_forms,
 )
 
 from refvals import (
@@ -27,12 +27,34 @@ from refvals import (
     rk4_b_star,
     rk4_exterior_logderiv,
     rk4_interior_logderiv,
+    shell_mixing,
+    shell_probe,
+    shell_runs,
     sph_in_logderiv_mp,
     sph_in_series,
 )
 
 # the two fixed RK4 steps the closed forms are checked against
 RK4_STEPS = (0.01, 0.005)
+
+
+def shell_pair(qn, r):
+    """(R1, R1', R2, R2') at r, from the runs match_shell evaluates."""
+    kappa, runs, _, _ = shell_runs(qn)
+    return numeval.eval_pair(kappa, runs, r)
+
+
+def recording_eval_pair(monkeypatch):
+    """Record the r of every numeval.eval_pair pass; match_shell's first is
+    at a, and the mismatch points are the passes after it."""
+    seen, eval_pair = [], numeval.eval_pair
+
+    def recording(kappa, runs, r):
+        seen.append(r)
+        return eval_pair(kappa, runs, r)
+
+    monkeypatch.setattr(numeval, "eval_pair", recording)
+    return seen
 
 
 # -- configuration validation -----------------------------------------------------
@@ -83,8 +105,8 @@ def test_interior_grid_convergence():
 
 def exterior_logderiv(qn, b):
     """-kappa + q'/q at b: the log-derivative of e^{-kappa r} q(r)."""
-    q, qd = shell_forms(qn).exterior(b)
-    return -float(qn.kappa) + qd / q
+    kappa, _, q_run, qd_run = shell_runs(qn)
+    return -kappa + numeval.horner(qd_run, b) / numeval.horner(q_run, b)
 
 
 def test_exterior_l0_is_analytic():
@@ -133,10 +155,9 @@ def test_exterior_matches_besselk(n, l, b):
 def test_inner_mixing_scale_free():
     qn = QuantumNumbers(2, 0)
     a = 0.5
-    forms = shell_forms(qn)
     u, du = integrate_interior(qn, a)
-    c1, c2 = mixing_from_inner_match(forms.pair(a), a, du / u)
-    c1s, c2s = mixing_from_inner_match(forms.pair(a), a, (10 * du) / (10 * u))
+    c1, c2 = mixing_from_inner_match(shell_pair(qn, a), a, du / u)
+    c1s, c2s = mixing_from_inner_match(shell_pair(qn, a), a, (10 * du) / (10 * u))
     assert (c1, c2) == (c1s, c2s)
     assert c1**2 + c2**2 == pytest.approx(1.0, rel=1e-14)
 
@@ -175,7 +196,7 @@ def test_forcing_pure_regular_leaves_inner_mismatch():
     r1d = derivative_form(r1)
     regular_ld = eval_grid(r1d, (a,))[0][1] / eval_grid(r1, (a,))[0][1]
     assert abs(interior_ld - regular_ld) > 1e-3
-    c1, c2 = mixing_from_inner_match(shell_forms(qn).pair(a), a, interior_ld)
+    c1, c2 = mixing_from_inner_match(shell_pair(qn, a), a, interior_ld)
     assert abs(c2 / c1) > 1e-4
 
 
@@ -199,25 +220,15 @@ def test_no_root_reports_scan():
 def test_no_root_scan_reuses_the_endpoint_values(monkeypatch, b_range, evals):
     lo, hi = b_range
     assert (lo + 16 * (hi - lo) / 16 == hi) == (evals == 17)
-    seen = []
-    shell = ShellForms.shell
-
-    def counting_shell(self, c1, c2, r):
-        seen.append(r)
-        return shell(self, c1, c2, r)
-
-    monkeypatch.setattr(ShellForms, "shell", counting_shell)
+    seen = recording_eval_pair(monkeypatch)
     with pytest.raises(NoRootInRange) as err:
         match_shell(QuantumNumbers(1, 0), 1e-4, b_range)
-    assert len(seen) == evals
+    assert len(seen[1:]) == evals
     # every sample's mismatch is the one a fresh evaluation gives
-    forms = shell_forms(QuantumNumbers(1, 0))
-    u_a, du_a = integrate_interior(QuantumNumbers(1, 0), 1e-4)
-    c1, c2 = mixing_from_inner_match(forms.pair(1e-4), 1e-4, du_a / u_a)
+    runs = shell_runs(QuantumNumbers(1, 0))
+    c1, c2 = shell_mixing(QuantumNumbers(1, 0), runs, 1e-4)
     for b, f in err.value.scan:
-        u, du = shell(forms, c1, c2, b)
-        q, qd = forms.exterior(b)
-        assert repr(f) == repr(du / u - (-forms.kappa + qd / q))
+        assert repr(f) == repr(shell_probe(runs, c1, c2, b)[0])
 
 
 def test_exterior_q_has_the_dlmf_coefficients():
@@ -234,8 +245,7 @@ def test_node_of_u_is_never_a_match(b_range, node):
     # mismatch changes sign across each one through a pole, the Wronskian
     # with the exterior solution does not, and no root lies in either bracket
     qn = QuantumNumbers(3, 0)
-    forms = shell_forms(qn)
-    assert forms.pair(node - 1e-3)[0] * forms.pair(node + 1e-3)[0] < 0
+    assert shell_pair(qn, node - 1e-3)[0] * shell_pair(qn, node + 1e-3)[0] < 0
     with pytest.raises(NoRootInRange, match="only through a pole") as err:
         match_shell(qn, 1e-3, b_range)
     scan = err.value.scan
@@ -260,7 +270,8 @@ def test_bracket_with_a_root_and_a_node_finds_the_root():
     # the root
     qn = QuantumNumbers(2, 0)
     result = match_shell(qn, 0.5, (1.0, 3.0))
-    u_lo, u_hi = (result.forms.shell(result.c1, result.c2, b)[0] for b in (1.0, 3.0))
+    u_lo, u_hi = (result.c1 * v1 + result.c2 * v2
+                  for v1, _, v2, _ in (numeval.eval_pair(float(qn.kappa), result.runs, b) for b in (1.0, 3.0)))
     assert u_lo > 0 > u_hi
     assert abs(result.mismatch) < 1e-8
     # both stop once |mismatch| < 1e-8, which pins b_star to about 1e-8 here
@@ -272,7 +283,7 @@ def test_inner_radius_at_a_node_of_R1_matches():
     # needs only R2' - ld R2 != 0, so the match goes through and lands where
     # a slightly larger inner radius does
     qn = QuantumNumbers(2, 0)
-    assert shell_forms(qn).pair(2.0)[0] == 0.0
+    assert shell_pair(qn, 2.0)[0] == 0.0
     result = match_shell(qn, 2.0, (3.0, 5.0))
     assert abs(result.mismatch) < 1e-8
     assert result.continuity["deriv_b"] < 1e-6
@@ -336,8 +347,18 @@ def test_piecewise_grid_samples_the_matched_forms():
         inside = [(r, u) for r, u in grid if a <= r <= result.b_star]
         assert len(inside) > 10
         for r, u in inside:
-            v1, _, v2, _ = result.forms.pair(r)
+            v1, _, v2, _ = numeval.eval_pair(float(qn.kappa), result.runs, r)
             assert repr(u) == repr(result.c1 * v1 + result.c2 * v2)
+
+
+def test_match_result_hides_its_runs():
+    # the float runs ride along for piecewise_grid, but are neither shown nor compared
+    qn = QuantumNumbers(4, 2)
+    result = match_shell(qn, 0.5, (8.0, 11.0))
+    bare = dataclasses.replace(result, runs=(), q=())
+    assert repr(result) == repr(bare)
+    assert "runs=" not in repr(result) and "q=" not in repr(result)
+    assert result == bare == match_shell(qn, 0.5, (8.0, 11.0))
 
 
 def test_piecewise_grid_shape():
@@ -369,21 +390,6 @@ def test_piecewise_grid_exterior_is_k_l(n, l, a, b_range):
 
 
 # -- Brent's method against the bisection it replaced -----------------------------------
-
-def _normalised_wronskian(forms, c1, c2, b):
-    """M(b) of match_shell for the mixing (c1, c2)."""
-    u, du = forms.shell(c1, c2, b)
-    q, qd = forms.exterior(b)
-    outer, inner = du * q, u * (qd - forms.kappa * q)
-    return (outer - inner) / (abs(outer) + abs(inner))
-
-
-def _mismatch(forms, c1, c2, b):
-    """mismatch(b) of match_shell for the mixing (c1, c2)."""
-    u, du = forms.shell(c1, c2, b)
-    q, qd = forms.exterior(b)
-    return du / u - (-forms.kappa + qd / q)
-
 
 def _outcome(fn, qn, a, bracket):
     try:
@@ -420,31 +426,25 @@ def test_brent_matches_the_bisection_reference_on_seeded_brackets(monkeypatch):
     # kappa b ~ 10, where the rounding noise of the mismatch is above the
     # 1e-8 tolerance and only a lucky evaluation meets it, for Brent's steps
     # and for the bisection's alike
-    evals = []
-    shell = ShellForms.shell
-
-    def counting_shell(self, c1, c2, r):
-        evals.append(r)
-        return shell(self, c1, c2, r)
-
-    monkeypatch.setattr(ShellForms, "shell", counting_shell)
+    evals = recording_eval_pair(monkeypatch)
     outcomes, narrow_evals, apart = collections.Counter(), [], collections.Counter()
     for n, l, a, bracket, narrow in _seeded_brackets(1000, "brent-against-bisection"):
         qn = QuantumNumbers(n, l)
+        runs = shell_runs(qn)
         evals.clear()
         want = _outcome(bisection_match, qn, a, bracket)
-        reference_evals = len(evals) - 2
+        # past the passes at a, lo and hi
+        reference_evals = len(evals) - 3
         evals.clear()
         got = _outcome(match_shell, qn, a, bracket)
-        steps = len(evals) - 2
+        steps = len(evals) - 3
         outcomes[got[0]] += 1
         if got[0] == "match":
             result = got[1]
             b = result.b_star
             assert abs(result.mismatch) < 1e-8
             delta = 1e-6 * max(1.0, b)
-            below, above = (_normalised_wronskian(result.forms, result.c1, result.c2, b + s * delta)
-                            for s in (-1, 1))
+            below, above = (shell_probe(runs, result.c1, result.c2, b + s * delta)[1] for s in (-1, 1))
             assert below * above < 0
             assert steps < reference_evals
             if narrow:
@@ -454,14 +454,12 @@ def test_brent_matches_the_bisection_reference_on_seeded_brackets(monkeypatch):
         # outcomes apart: the bracket holds several sign changes of M, or the
         # mismatch within 1e-12 of the root one of them found is rounding
         # noise above 1e-8
-        forms = shell_forms(qn)
-        u_a, du_a = integrate_interior(qn, a)
-        c1, c2 = mixing_from_inner_match(forms.pair(a), a, du_a / u_a)
+        c1, c2 = shell_mixing(qn, runs, a)
         lo, hi = bracket
-        scan = [_normalised_wronskian(forms, c1, c2, lo + i * (hi - lo) / 64) for i in range(65)]
+        scan = [shell_probe(runs, c1, c2, lo + i * (hi - lo) / 64)[1] for i in range(65)]
         several = sum(math.copysign(1.0, x) != math.copysign(1.0, y) for x, y in zip(scan, scan[1:])) > 1
         root = got[1].b_star if got[0] == "match" else want[1][0]
-        noise = max(abs(_mismatch(forms, c1, c2, root * (1 + k * 1e-12))) for k in range(-4, 5))
+        noise = max(abs(shell_probe(runs, c1, c2, root * (1 + k * 1e-12))[0]) for k in range(-4, 5))
         assert several or noise >= 1e-8, (n, l, a, bracket, want, got[0])
         apart[several] += 1
     narrow_evals.sort()
@@ -476,19 +474,15 @@ def test_unresolved_match_stops_once_the_bracket_closes(monkeypatch):
     # the search raises at the first bracket below 1e-13 max(1, |b|), which a
     # step of at least a quarter of the bracket leaves above a quarter of
     # that: the narrowest sign change of M among the evaluated points
-    seen = []
-    shell = ShellForms.shell
-
-    def recording_shell(self, c1, c2, r):
-        seen.append((r, c1, c2, self))
-        return shell(self, c1, c2, r)
-
-    monkeypatch.setattr(ShellForms, "shell", recording_shell)
+    qn, a = QuantumNumbers(8, 2), 0.031218547948655875
+    seen = recording_eval_pair(monkeypatch)
     with pytest.raises(MatchNotResolved) as err:
-        match_shell(QuantumNumbers(8, 2), 0.031218547948655875, (197.2183249463177, 279.3309622590942))
+        match_shell(qn, a, (197.2183249463177, 279.3309622590942))
     b = float(str(err.value).split("b = ")[1].split(" ")[0])
-    monkeypatch.setattr(ShellForms, "shell", shell)
-    signs = sorted((r, math.copysign(1.0, _normalised_wronskian(forms, c1, c2, r))) for r, c1, c2, forms in seen)
+    monkeypatch.undo()
+    points, runs = seen[1:], shell_runs(qn)
+    c1, c2 = shell_mixing(qn, runs, a)
+    signs = sorted((r, math.copysign(1.0, shell_probe(runs, c1, c2, r)[1])) for r in points)
     width = min(r1 - r0 for (r0, s0), (r1, s1) in zip(signs, signs[1:]) if s0 != s1)
     assert 0.25e-13 * b <= width < 1e-13 * b
-    assert b in [r for r, *_ in seen]
+    assert b in points
