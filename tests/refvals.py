@@ -26,9 +26,9 @@ and sums, which the package does not have, not written from the
 coefficient formula in x, the
 derivatives that the tests evaluate are that three-bucket derivative, read
 back into x coefficient by coefficient (``derivative_form``), not the
-package's one-pass kernel, the Wronskian of R1 and R2 is formed from the
-full Laurent products of their buckets, not read from one coefficient by
-Abel's identity, and the double-precision form evaluator converts every
+package's one-pass kernel, the Wronskian of R1 and R2 is read from one
+coefficient of each Fraction Laurent product in x, not from the package's
+integer sum, and the double-precision form evaluator converts every
 coefficient of the three buckets again at every point and sums the envelope
 term by term: the grid kernel must reproduce its values bit for bit and its
 estimates within the rounding of the envelope.
@@ -36,6 +36,7 @@ estimates within the rounding of the envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,8 +236,10 @@ def in_r(f: Radial) -> tuple[RatPoly, RatPoly | None]:
     return fraction_scale_arg(f.L, c), None if f.P is None else fraction_scale_arg(f.P, c)
 
 
+@functools.lru_cache(maxsize=None)
 def buckets(f: Radial) -> ExpEiForm:
-    """The package's record, held in x = 2 kappa r, as the three-bucket form in r."""
+    """The package's record, held in x = 2 kappa r, as the three-bucket form
+    in r, substituted once per record."""
     return r_buckets(f.qn, *in_r(f))
 
 
@@ -271,9 +274,7 @@ def laurent_mul(p: RatPoly, q: RatPoly) -> RatPoly:
 
 
 def form_sum(f: ExpEiForm, g: ExpEiForm) -> ExpEiForm:
-    """f + g bucket by bucket; both forms must share kappa."""
-    if f.kappa != g.kappa:
-        raise ValueError("cannot add forms with different kappa")
+    """f + g bucket by bucket, for two forms of one kappa."""
     return ExpEiForm(poly_add(f.q_plus, g.q_plus), poly_add(f.q_minus, g.q_minus),
                      poly_add(f.q_ei, g.q_ei), f.kappa)
 
@@ -289,21 +290,6 @@ def radial_operator_reference(f: Radial) -> ExpEiForm:
     return form_sum(r2d.derivative(), ExpEiForm(laurent_mul(f.q_plus, potential),
                                                 laurent_mul(f.q_minus, potential),
                                                 laurent_mul(f.q_ei, potential), f.kappa))
-
-
-def wronskian_full_product(r1: Radial, r2: Radial) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """W(R1, R2) from the full Laurent products of the buckets of the forms
-    and their ExpEiForm derivatives: its e^{-2 kappa r} part, its
-    e^{-2 kappa r} Ei(1, -2 kappa r) part, and r^2 times its exponential-free
-    part, which must come out 0, 0 and the constant r^2 W."""
-    r2 = buckets(r2)
-    r2d = r2.derivative()
-    r1 = buckets(r1)
-    m1, m1d = r1.q_minus, r1.derivative().q_minus
-    w_minus = poly_sub(laurent_mul(m1, r2d.q_minus), laurent_mul(m1d, r2.q_minus))
-    w_ei = poly_sub(laurent_mul(m1, r2d.q_ei), laurent_mul(m1d, r2.q_ei))
-    r2w = poly_sub(laurent_mul(m1, r2d.q_plus), laurent_mul(m1d, r2.q_plus)).shift(2)
-    return w_minus, w_ei, r2w
 
 
 def product_coefficient(p: RatPoly, q: RatPoly, k: int) -> Fraction:
@@ -621,6 +607,14 @@ def p2_doublesum(n_r: int, m: int) -> RatPoly:
             (-n_r)_k (m+k-1-j)! / ((m+1)_k k!) * x^j
 
     in O((n_r+m)^2) integer products.
+
+    Its c_k below is n_r! Lambda_k, Lambda_k the x^k coefficient of
+    laguerre_L1(n_r, m), so the double sum is, coefficient for coefficient,
+    the principal-value identity x^{l+1} P = S[x^{l+1} L] of R2's buckets,
+    S[h](x) = sum_k h_k sum_{j<k} j! x^{k-1-j}, which
+    test_oracle.py::test_pv_sum_identity_on_R2_buckets checks on every
+    state with n <= 60: the identity reads Lambda from the package's L,
+    and this sum writes it out.
     """
     if n_r < 0:
         raise ValueError("p2_doublesum needs n_r >= 0")

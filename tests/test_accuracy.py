@@ -97,6 +97,30 @@ def test_reference_doubles_until_it_agrees_with_itself():
     assert abs(eval_form_extended(f, 7000.0, 4096) - ref) <= abs(ref) * mpmath.mpf(2) ** -80
 
 
+def kummer_u_R2(qn, r):
+    """R2 at r from Kummer's U (DLMF 13.2), independently of L and P:
+    -(n+l)! x^l e^{x/2} Re U(n+l+1, 2l+2, -x), x = 2 kappa r, at 200 bits."""
+    with mpmath.workprec(200):
+        x = 2 * mpmath.mpf(r) / qn.n
+        u = mpmath.hyperu(qn.n + qn.l + 1, 2 * qn.l + 2, -x)
+        return -math.factorial(qn.n + qn.l) * x ** qn.l * mpmath.exp(x / 2) * mpmath.re(u)
+
+
+def test_reference_R2_is_kummers_U():
+    # 30 seeded points, n <= 30 and x = 2 kappa r log-uniform on [0.01, 200],
+    # and the rows (60, 59) at x = 50 and (45, 10) at x = 3: a wrong P fails
+    # here, and so does R2 + c R1, which no exact check of the package sees
+    rng = random.Random(41)
+    points = [(QuantumNumbers(60, 59), 50 * 60 / 2), (QuantumNumbers(45, 10), 3 * 45 / 2)]
+    for _ in range(30):
+        n = rng.randint(1, 30)
+        x = math.exp(rng.uniform(math.log(0.01), math.log(200.0)))
+        points.append((QuantumNumbers(n, rng.randrange(n)), x * n / 2))
+    for qn, r in points:
+        ref = reference(assemble_R2(qn), r)
+        assert abs(ref - kummer_u_R2(qn, r)) <= abs(ref) * mpmath.mpf(2) ** -80, (qn, r)
+
+
 def test_default_precision_holds_over_the_eval_grid_range():
     # n <= 30 and 2 kappa r up to 130 cover the eval_grid bench plan, whose
     # underbound check trusts the default 256 bits: there they agree with

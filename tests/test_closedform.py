@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,6 @@ from refvals import (
     buckets,
     central_diff,
     derivative_form,
-    form_sum,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
     fraction_scale_arg,
@@ -127,12 +127,13 @@ def test_hyp1f1_trivial_and_hand_values():
 
 
 def test_integer_factors_match_fraction_construction():
-    for total in range(121):
-        for n_r in range(total + 1):
-            m = total - n_r
-            assert laguerre_L1(n_r, m) == fraction_laguerre_L1(n_r, m)
-            scale = F(math.factorial(n_r) * math.factorial(m), math.factorial(n_r + m))
-            assert laguerre_L1(n_r, m) * scale == fraction_hyp1f1_terminating(n_r, m)
+    # 150 seeded (n_r, m) with n_r + m <= 120, and the corners
+    rng = random.Random(41)
+    pairs = [(n_r, rng.randint(0, 120 - n_r)) for n_r in (rng.randint(0, 120) for _ in range(150))]
+    for n_r, m in pairs + [(0, 0), (1, 0), (0, 120), (120, 0), (60, 60), (119, 1)]:
+        assert laguerre_L1(n_r, m) == fraction_laguerre_L1(n_r, m)
+        scale = F(math.factorial(n_r) * math.factorial(m), math.factorial(n_r + m))
+        assert laguerre_L1(n_r, m) * scale == fraction_hyp1f1_terminating(n_r, m)
 
 
 @pytest.mark.parametrize("n_r,m", [(2, 3)] + [(a, b) for a in range(13) for b in range(13)])
@@ -256,13 +257,6 @@ def test_p2_forms_agree_exactly():
             assert p2_recurrence(n_r, m) == p2_doublesum(n_r, m) == p2_simplified(n_r, m)
 
 
-def test_p2_recurrence_matches_doublesum_every_state_to_n60():
-    for n in range(1, 61):
-        for l in range(n):
-            assert p2_recurrence(n - l - 1, 2 * l + 1) == p2_doublesum(n - l - 1, 2 * l + 1)
-    assert p2_recurrence(150, 301) == p2_doublesum(150, 301)
-
-
 @pytest.mark.parametrize("build", [p2_recurrence, p2_doublesum, p2_simplified])
 @pytest.mark.parametrize("n_r,m", [(-1, 1), (0, 0), (2, -1)])
 def test_p2_rejects_bad_indices(build, n_r, m):
@@ -339,14 +333,16 @@ def _r_references(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:
     return ell, fraction_scale_arg(p, to_r)
 
 
-def test_in_r_of_assemble_R2_matches_r_references_every_state_to_n60():
-    for n in range(1, 61):
-        for l in range(n):
-            qn = QuantumNumbers(n, l)
-            r2 = assemble_R2(qn)
-            ell, p = _r_references(qn)
-            assert in_r(Radial(qn, r2.L)) == (ell, None), qn
-            assert in_r(r2) == (ell, p), qn
+def test_in_r_of_assemble_R2_matches_r_references():
+    # 40 seeded states with n <= 60, and the corners
+    rng = random.Random(41)
+    states = [(n, rng.randrange(n)) for n in (rng.randint(1, 60) for _ in range(40))]
+    for n, l in states + [(1, 0), (60, 0), (60, 59)]:
+        qn = QuantumNumbers(n, l)
+        r2 = assemble_R2(qn)
+        ell, p = _r_references(qn)
+        assert in_r(Radial(qn, r2.L)) == (ell, None), qn
+        assert in_r(r2) == (ell, p), qn
 
 
 @pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (7, 6), (12, 4)])
@@ -464,28 +460,11 @@ def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
     assert d == derivative_form(f)
 
 
-def test_operator_matches_derivative_composition_every_state_to_n40():
-    for n in range(1, 41):
-        for l in range(n):
-            r2 = assemble_R2(QuantumNumbers(n, l))
-            pair = (Radial(r2.qn, r2.L), r2)
-            for form in pair:
-                assert buckets(apply_radial_operator(form)) == radial_operator_reference(form), (n, l)
-                assert derivative(form) == derivative_form(form), (n, l)
-            # R2's derivative carries R1's: its L is the L of R1's derivative
-            assert derivative(pair[1]).L == derivative(pair[0]).L, (n, l)
-
-
 def test_forms_add_only_in_the_reference_sum():
-    # the package never sums two forms; the tests' reference sum guards kappa
-    a = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1))
-    b = ExpEiForm(RatPoly.zero(), ONE, RatPoly.zero(), F(1, 2))
-    for f in (a, assemble_R1(QuantumNumbers(1, 0)), ONE):
+    # the package never sums two forms
+    for f in (assemble_R1(QuantumNumbers(1, 0)), ONE):
         with pytest.raises(TypeError):
             f + f
-    with pytest.raises(ValueError):
-        form_sum(a, b)
-    assert form_sum(a, a) == ExpEiForm(RatPoly.zero(), ONE * 2, RatPoly.zero(), F(1))
 
 
 # -- enumeration and the closed-form irregular confluent solution -------------------

@@ -287,6 +287,7 @@ def _run_width(bucket) -> int:
     return len(bucket[0]) + len(bucket[1])
 
 
+@functools.lru_cache(maxsize=None)
 def _envelope_bound(f) -> float:
     """Relative rounding bound (2 w + 2) eps of the Horner envelope, w the
     longest run of the form."""
@@ -320,19 +321,52 @@ _ei_args = st.one_of(st.floats(1e-6, 40.0), st.floats(40.0, 1416.0), st.floats(0
 _special_r = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.nan, math.inf, 1e-320])
 
 
+def _r_of(n: int, point) -> float:
+    kind, v = point
+    # 2 kappa r = x with kappa = 1/n
+    return v * n / 2 if kind == "x" else v
+
+
 @settings(max_examples=400, deadline=None)
 @given(_states, st.sampled_from(_WHICH), st.one_of(_ei_args.map(lambda x: ("x", x)),
                                                   _special_r.map(lambda r: ("r", r))))
 def test_prepared_eval_bit_identical_to_reference(state, which, point):
     n, l = state
-    kind, v = point
-    # 2 kappa r = x with kappa = 1/n
-    r = v * n / 2 if kind == "x" else v
-    _assert_same_as_reference(n, l, which, r)
+    _assert_same_as_reference(n, l, which, _r_of(n, point))
+
+
+# grids that hold both Ei branches and Ei's zero band, and sometimes one more
+# point of any kind: on either branch, past Ei's or e^{kappa r}'s range
+# (2 kappa r > 708 or > 1416), or a special r
+_grid_x = st.one_of(st.floats(1e-6, 40.0), st.floats(40.0, 708.0), st.floats(0.36, 0.39))
+_any_point = st.one_of(_ei_args.map(lambda x: ("x", x)), _special_r.map(lambda r: ("r", r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states, st.sampled_from(_WHICH), st.lists(_grid_x.map(lambda x: ("x", x)), max_size=12),
+       st.none() | st.tuples(st.integers(0, 12), _any_point))
+def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, extra):
+    # the grid's rows are its one-point rows, which the test above holds to
+    # the reference, or the grid raises what its first failing point raises
+    n, l = state
+    if extra is not None:
+        points.insert(extra[0], extra[1])
+    rs = [_r_of(n, p) for p in points]
+    form = _forms(n, l)[which]
+    rows = []
+    for r in rs:
+        got = _outcome(_one_point, form, r)
+        if isinstance(got[0], type):
+            with pytest.raises(got[0]) as err:
+                eval_grid(form, rs)
+            assert (type(err.value), str(err.value)) == got
+            return
+        rows.append((repr(r), got[0], repr(got[1])))
+    assert [tuple(map(repr, row)) for row in eval_grid(form, rs)] == rows
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-320, 1.0, 37.5, 2000.0 * 30])
-def test_prepared_eval_same_outcome_at_the_edges(r):
+def test_eval_grid_same_outcome_as_the_reference_at_the_edges(r):
     # r <= 0, the envelope overflow, both Ei branches and kappa r >= 2000 for
     # the largest states
     for n, l in [(30, 0), (30, 29), (17, 16)]:
@@ -340,7 +374,7 @@ def test_prepared_eval_same_outcome_at_the_edges(r):
             _assert_same_as_reference(n, l, which, r)
 
 
-def test_prepared_eval_with_coefficients_beyond_double_range():
+def test_eval_grid_with_coefficients_beyond_double_range():
     # R2's leading coefficient for n = 70, l = 69 does not fit a double, so
     # converting R2's or R2''s P raises one OverflowSignal that names its
     # bucket, even for a grid of no points, and so does every evaluation,
@@ -381,26 +415,28 @@ def _package_runs(build) -> list | tuple:
         return OverflowSignal, str(exc)
 
 
-def test_runs_read_from_the_records_in_x_equal_the_runs_in_r_every_state_to_n70():
+def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
     # each coefficient read in r from the record in x is the same rational as
     # the one substituted a Fraction at a time, so every float run, and every
-    # overflow, is the same; R2's P first leaves double range at (65, 64)
+    # overflow, is the same, on 40 seeded states with n <= 70 and the corners:
+    # R2's P first leaves double range at (65, 64)
+    rng = random.Random(41)
+    states = [(n, rng.randrange(n)) for n in (rng.randint(1, 70) for _ in range(40))]
     outcomes = {}
-    for n in range(1, 71):
-        for l in range(n):
-            r2 = assemble_R2(QuantumNumbers(n, l))
-            r1 = Radial(r2.qn, r2.L)
-            d = derivative(r2)
-            (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
-            assert _package_runs(lambda: pair_runs(r2)) == _reference_runs(
-                [("q_minus", ell), ("q_minus", d_ell), ("q_plus", p), ("q_plus", d_p)]), (n, l)
-            # eval_grid's, P before L
-            c = 2 * r1.qn.kappa
-            assert _package_runs(lambda: [_float_run("q_minus", r1.L, c)]) == \
-                _reference_runs([("q_minus", ell)]), (n, l)
-            got = _package_runs(lambda: [_float_run("q_plus", r2.P, c), _float_run("q_ei", r2.L, c)])
-            assert got == _reference_runs([("q_plus", p), ("q_ei", ell)]), (n, l)
-            outcomes[n, l] = got
+    for n, l in states + [(1, 0), (64, 63), (65, 64), (70, 0), (70, 69)]:
+        r2 = assemble_R2(QuantumNumbers(n, l))
+        r1 = Radial(r2.qn, r2.L)
+        d = derivative(r2)
+        (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
+        assert _package_runs(lambda: pair_runs(r2)) == _reference_runs(
+            [("q_minus", ell), ("q_minus", d_ell), ("q_plus", p), ("q_plus", d_p)]), (n, l)
+        # eval_grid's, P before L
+        c = 2 * r1.qn.kappa
+        assert _package_runs(lambda: [_float_run("q_minus", r1.L, c)]) == \
+            _reference_runs([("q_minus", ell)]), (n, l)
+        got = _package_runs(lambda: [_float_run("q_plus", r2.P, c), _float_run("q_ei", r2.L, c)])
+        assert got == _reference_runs([("q_plus", p), ("q_ei", ell)]), (n, l)
+        outcomes[n, l] = got
     assert outcomes[65, 64] == (OverflowSignal, "the q_plus coefficients exceed double precision")
     assert isinstance(outcomes[64, 63], list)
 
@@ -425,25 +461,26 @@ _EDGE_R = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
 
 
 def test_eval_pair_matches_four_grid_calls():
-    # every state n <= 12: the same values by repr, and the same first
-    # exception, for eval_pair and for eval_values
+    # 12 seeded states with n <= 12 and the corners: the same values by repr,
+    # and the same first exception, for eval_pair and for eval_values
+    rng = random.Random(41)
+    states = [(n, rng.randrange(n)) for n in (rng.randint(1, 12) for _ in range(12))]
     kinds = set()
-    for n in range(1, 13):
-        for l in range(n):
-            qn = QuantumNumbers(n, l)
-            r2 = assemble_R2(qn)
-            r1 = Radial(qn, r2.L)
-            forms, kappa, runs = refvals.four_grid_forms(r1, r2), float(qn.kappa), pair_runs(r2)
-            for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
-                want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
-                assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
-                # R1 and R2 alone: their values, or what their grids raise first
-                assert _pair_outcome(lambda *a: eval_values(*a)[0], kappa, runs[::2], [r]) == \
-                    _pair_outcome(refvals.pair_by_four_grids, forms[::2], r), (n, l, r)
-                if isinstance(want[0], type):
-                    kinds.add((want[0], want[1].split(" ")[0][:4]))
-                elif "0.0" in want:
-                    kinds.add("zero")
+    for n, l in states + [(1, 0), (12, 0), (12, 11)]:
+        qn = QuantumNumbers(n, l)
+        r2 = assemble_R2(qn)
+        r1 = Radial(qn, r2.L)
+        forms, kappa, runs = refvals.four_grid_forms(r1, r2), float(qn.kappa), pair_runs(r2)
+        for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
+            want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
+            assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
+            # R1 and R2 alone: their values, or what their grids raise first
+            assert _pair_outcome(lambda *a: eval_values(*a)[0], kappa, runs[::2], [r]) == \
+                _pair_outcome(refvals.pair_by_four_grids, forms[::2], r), (n, l, r)
+            if isinstance(want[0], type):
+                kinds.add((want[0], want[1].split(" ")[0][:4]))
+            elif "0.0" in want:
+                kinds.add("zero")
     assert kinds == {(DomainError, "eval"), (OverflowSignal, "cond"), (OverflowSignal, "exp("),
                      (OverflowSignal, "Ei(1"), "zero"}
 
@@ -505,45 +542,6 @@ def test_eval_grid_names_the_bucket_of_an_overflowing_L():
 
 
 # -- the grid kernel ------------------------------------------------------------------
-
-def _r_of(n: int, point) -> float:
-    kind, v = point
-    # 2 kappa r = x with kappa = 1/n
-    return v * n / 2 if kind == "x" else v
-
-
-# grids that hold both Ei branches and Ei's zero band, and sometimes one point
-# that fails (r <= 0, nan, 1e-320, Ei or e^{kappa r} beyond double range)
-_grid_x = st.one_of(st.floats(1e-6, 40.0), st.floats(40.0, 708.0), st.floats(0.36, 0.39))
-_failing_point = st.one_of(st.floats(708.0, 4000.0).map(lambda x: ("x", x)),
-                           _special_r.map(lambda r: ("r", r)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_states, st.sampled_from(_WHICH),
-       st.lists(_grid_x.map(lambda x: ("x", x)), min_size=1, max_size=12),
-       st.none() | st.tuples(st.integers(0, 12), _failing_point))
-def test_eval_grid_rows_are_eval_form_at_each_point(state, which, points, failing):
-    n, l = state
-    if failing is not None:
-        points.insert(failing[0], failing[1])
-    rs = [_r_of(n, p) for p in points]
-    form = _forms(n, l)[which]
-    rows = []
-    for r in rs:
-        try:
-            value, est = _one_point(form, r)
-        except (DomainError, OverflowSignal) as exc:
-            # the grid raises what its first failing point raises
-            with pytest.raises(type(exc)) as err:
-                eval_grid(form, rs)
-            assert type(err.value) is type(exc) and str(err.value) == str(exc)
-            return
-        assert repr(value) == repr(refvals.eval_form(form, r)[0])
-        rows.append((r, value, est))
-    assert [tuple(map(repr, row)) for row in eval_grid(form, rs)] == \
-        [tuple(map(repr, row)) for row in rows]
-
 
 @settings(max_examples=300, deadline=None)
 @given(_states, st.sampled_from(_WHICH), st.floats(math.log(1e-3), math.log(1e3)))

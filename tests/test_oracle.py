@@ -30,7 +30,6 @@ from refvals import (
     poly_add,
     poly_sub,
     radial_operator_reference,
-    wronskian_full_product,
     wronskian_x_constant,
 )
 
@@ -140,17 +139,6 @@ def test_wronskian_ground_state_value():
     # r^2 W(R1, R2) for the ground state works out to -1/2 by hand
     r2w, _ = wronskian(*r1_r2(QuantumNumbers(1, 0)))
     assert r2w == F(-1, 2)
-
-
-def test_wronskian_agrees_with_full_product_reference():
-    # W from its full Laurent products, without Abel's identity: both
-    # exponential buckets vanish and r^2 W is the constant read from one
-    # coefficient
-    for qn in all_qn(40):
-        r1, r2 = r1_r2(qn)
-        w_minus, w_ei, r2w = wronskian_full_product(r1, r2)
-        assert w_minus.is_zero() and w_ei.is_zero(), qn
-        assert r2w == RatPoly(0, (wronskian_symbolic(r1, r2, True)[0],)), qn
 
 
 def test_x_wronskian_of_the_records_every_state_to_n60():
@@ -298,8 +286,9 @@ def pv_sum_identity_holds(qn, r2):
 
 
 def test_pv_sum_identity_on_R2_buckets():
-    # independent of the Kummer recurrence that builds P
-    for qn in all_qn(60):
+    # independent of the Kummer recurrence that builds P; (301, 150) is
+    # (n_r, m) = (150, 301)
+    for qn in all_qn(60) + [QuantumNumbers(301, 150)]:
         assert pv_sum_identity_holds(qn, assemble_R2(qn)), qn
     # and it catches a wrong coefficient of P, wherever it sits
     for qn in all_qn(8):
