@@ -5,12 +5,12 @@ coefficients converted once) and one Laurent Horner loop, ``horner``, on
 float, exact and extended-precision scalars alike.  The two callers that
 bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
 oracle's tail bound) read it as that same loop over ``envelope(run)``, the
-run of the |c_k|.  ``eval_grid`` is the one double-precision form
-evaluator with error estimates, ``eval_pair`` a values-only one-point pass
-over R1, R1', R2 and R2' together and ``eval_values`` a values-only grid of
-R1 and R2 (eval_grid's values); all three take every point's guards, e^{kr},
-e^{-kr} and Ei from one generator, ``_factors``, so one function decides
-what a point raises.  ``ei_with_error`` is the one Ei(1, -x).
+run of the |c_k|.  There are two double-precision evaluators, one per job:
+``eval_grid`` evaluates one form over a grid with error estimates, and
+``eval_pair`` gives the shell's R1, R1', R2 and R2' at one point, with no
+estimate.  Both take every point's guards, e^{kr}, e^{-kr} and Ei from one
+generator, ``_factors``, so one function decides what a point raises.
+``ei_with_error`` is the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
 evaluator here evaluates them at r: ``laurent_run`` converts each
@@ -184,24 +184,25 @@ def _float_run(name: str, q: RatPoly, scale: Fraction) -> tuple:
         raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
 
 
-def _factors(kappa: float, rs, before: tuple, plus, after: tuple):
+def _factors(kappa: float, rs, first, plus, last):
     """The one guard pass of the double-precision evaluators: for each r of
     rs in turn, (r, e^{kr}, e^{-kr}, Ei(1, -2kr), Ei's absolute error), the
     growing factors 0.0 when ``plus`` is None.  Before it yields a point it
     raises DomainError for r <= 0 or nan, then OverflowSignal from the
-    envelope probes of the ``before`` runs, e^{kr}, the probe of the
-    ``plus`` run, Ei and the probes of the ``after`` runs, in that order.  A
-    run's probe, r ** top (r > 1) or r ** bottom (r < 1), raises a bare
-    OverflowError exactly when r^k overflows for some nonzero coefficient's
-    power k; every other failure is already an OverflowSignal."""
+    envelope probe of the ``first`` run, e^{kr}, the probe of the ``plus``
+    run, Ei and the probe of the ``last`` run, in that order; a run that is
+    None is not probed.  A run's probe, r ** top (r > 1) or r ** bottom
+    (r < 1), raises a bare OverflowError exactly when r^k overflows for some
+    nonzero coefficient's power k; every other failure is already an
+    OverflowSignal."""
     for r in rs:
         if not r > 0:
             raise DomainError(f"eval_grid requires r > 0, got {r!r}")
         k = 2 if r > 1.0 else 3
         grow = ei_value = ei_abs_err = 0.0
         try:
-            for run in before:
-                r ** run[k]
+            if first is not None:
+                r ** first[k]
             if plus is not None:
                 try:
                     grow = math.exp(kappa * r)
@@ -209,8 +210,8 @@ def _factors(kappa: float, rs, before: tuple, plus, after: tuple):
                     raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
                 r ** plus[k]
                 ei_value, ei_abs_err = ei_with_error(2.0 * kappa * r)
-            for run in after:
-                r ** run[k]
+            if last is not None:
+                r ** last[k]
         except OverflowSignal:
             raise
         except OverflowError as exc:
@@ -227,13 +228,21 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     each r one Horner pass over each run yields its value and one its
     envelope sum |c_k| r^k; a coefficient beyond double range raises
     OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
-    for R2's).  The error estimate is built from those envelopes (which
-    dominate the plain |A| + |C| cancellation penalty between the
-    growing-exponential and Ei parts), the rounding of the exponential
-    arguments, the Ei evaluation error, 2^-1074 per rounding step for
-    subnormal results, and 2^-1074 times the envelope where e^{-kappa r}
-    itself is subnormal.  The first point that cannot be evaluated raises
-    what _factors raises there; R2's L is probed after e^{kr}, P and Ei.
+    for R2's).  est_rel_error is abs_err / |value|, where abs_err adds these
+    terms, E being each part's envelope sum times its factor (e^{kr} for P,
+    e^{-kr} for R1's L, e^{-kr} |Ei| for R2's), width the most coefficients
+    of f's polynomials and x = 2 kappa r:
+      - E (2 width + 6) eps: Horner's a-priori bound (Higham §5.1);
+      - E kappa r eps: the rounding of e^{+-kr}'s argument;
+      - L's envelope times e^{-kr} x eps |Ei|: the rounding of Ei's argument;
+      - L's envelope times e^{-kr} and Ei's own estimate (ei_with_error,
+        DLMF §6.6, §6.12);
+      - (2 width + 6) 2^-1074, one per rounding step of a subnormal result,
+        and for R1 L's envelope times 2^-1074 where e^{-kr} is subnormal.
+    The envelopes dominate the plain |A| + |C| cancellation penalty between
+    the growing-exponential and Ei parts.  The first point that cannot be
+    evaluated raises what _factors raises there; R2's L is probed after
+    e^{kr}, P and Ei.
     """
     ell, p, scale = f.L, f.P, f.qn.x_per_r
     plus = None if p is None else _float_run("q_plus", p, scale)
@@ -243,7 +252,7 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     kappa = float(f.qn.kappa)
     two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
     underflow = (two_width + 6) * 2.0 ** -1074
-    guards = ((decaying,), None, ()) if plus is None else ((), plus, (decaying,))
+    guards = (decaying, None, None) if plus is None else (None, plus, decaying)
     rows = []
     for r, grow, decay, ei_value, ei_abs_err in _factors(kappa, rs, *guards):
         round_factor = (two_width + kappa * r + 6) * _EPS
@@ -272,9 +281,9 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
 
 def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
-    R2 and R2' (and eval_values R1 and R2 from L and P), given the R2 of
-    closedform.assemble_R2; shellmatch.match_shell forms them once per match
-    and keeps them in its MatchResult.
+    R2 and R2', given the R2 of closedform.assemble_R2;
+    shellmatch.match_shell forms them once per match and keeps them in its
+    MatchResult.
 
     R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
     part, and d/dr maps that L to R1''s own L, so R2' from
@@ -294,29 +303,18 @@ def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float,
 
     Each value is eval_grid's value of that form at r, from the same float
     operations, and the pass raises what eval_grid raises first on R1, R1',
-    R2 and R2' in turn: _factors probes L and L', then P, then P'.
+    R2 and R2' in turn: _factors probes L, then P, then P'.  L' is not
+    probed: it has L's top power and, like L, no negative power, so its
+    probe fails exactly where L's has already failed.
     """
     ell, ell_d, p, p_d = runs
-    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), (ell, ell_d), p, (p_d,))
+    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), ell, p, p_d)
     v1 = horner(ell, r) * decay
     d1 = horner(ell_d, r) * decay
     # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
     # form lacks there, kept so that a zero comes out with the same sign
     return (v1 + 0.0, d1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value,
             horner(p_d, r) * grow + 0.0 + d1 * ei_value)
-
-
-def eval_values(kappa: float, runs: tuple, rs) -> list[tuple[float, float]]:
-    """(R1, R2) at every r of rs from the runs (L, P) alone: eval_pair's R1
-    and R2 bit for bit, from two Horner passes per point.  The first point
-    that cannot be evaluated raises what eval_grid raises first on R1 and
-    then R2 there (_factors probes L, then P)."""
-    ell, p = runs
-    rows = []
-    for r, grow, decay, ei_value, _ in _factors(kappa, rs, (ell,), p, ()):
-        v1 = horner(ell, r) * decay
-        rows.append((v1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value))
-    return rows
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

@@ -241,17 +241,18 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    the shell samples take R1 and R2 from one numeval.eval_values grid over
-    the result's L and P runs, the exterior ones q from numeval.horner."""
+    each shell sample takes R1 and R2 from one numeval.eval_pair pass over
+    the result's runs, the exterior ones q from numeval.horner.  No shell
+    sample raises: match_shell has run eval_pair's probes at a and b_star,
+    and each probed power and factor is largest at one of them."""
     a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
-    shell_rs = [r for r in rs if a <= r <= b]
-    out += [(r, c1 * v1 + c2 * v2)
-            for r, (v1, v2) in zip(shell_rs, numeval.eval_values(kappa, result.runs[::2], shell_rs))]
+    out += [(r, c1 * v1 + c2 * v2) for r in rs if a <= r <= b
+            for v1, _, v2, _ in [numeval.eval_pair(kappa, result.runs, r)]]
     out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

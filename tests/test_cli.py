@@ -859,21 +859,16 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
 
 
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
-    # one pass, with one Ei, at a and at each mismatch evaluation (lo, hi,
-    # then two Brent steps) by eval_pair over R1, R1', R2 and R2', and at
-    # each of the grid's 33 shell samples, in one eval_values grid over R1
-    # and R2 alone; b* reuses its last evaluation, and no form goes through
-    # eval_grid; the mismatch evaluations are the eval_pair passes after the one at a
+    # one eval_pair pass over R1, R1', R2 and R2', with one Ei, at a, at each
+    # mismatch evaluation (lo, hi, then two Brent steps) and at each of the
+    # grid's 33 shell samples; b* reuses its last evaluation, and no form
+    # goes through eval_grid
     passes, counts = [], {"eval_grid": 0, "ei_with_error": 0}
-    eval_pair, eval_values = numeval.eval_pair, numeval.eval_values
+    eval_pair = numeval.eval_pair
 
     def counting_eval_pair(kappa, runs, r):
-        passes.append((r, "pair"))
+        passes.append(r)
         return eval_pair(kappa, runs, r)
-
-    def counting_eval_values(kappa, runs, rs):
-        passes.extend((r, "values") for r in rs)
-        return eval_values(kappa, runs, rs)
 
     def counted(name):
         original = getattr(numeval, name)
@@ -884,7 +879,6 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
         monkeypatch.setattr(numeval, name, wrapper)
 
     monkeypatch.setattr(numeval, "eval_pair", counting_eval_pair)
-    monkeypatch.setattr(numeval, "eval_values", counting_eval_values)
     counted("eval_grid")
     counted("ei_with_error")
     code, out, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
@@ -893,9 +887,9 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     doc = json.loads(out)
     shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
     assert len(shell_samples) == 33
-    mismatches = [r for r, kind in passes if kind == "pair"][1:]
+    mismatches = passes[1:-len(shell_samples)]
     assert mismatches[:2] == [0.5, 1.5] and mismatches[-1] == doc["b_star"]
-    assert passes == [(r, "pair") for r in [1e-4] + mismatches] + [(r, "values") for r in shell_samples]
+    assert passes == [1e-4] + mismatches + shell_samples
     assert counts == {"eval_grid": 0, "ei_with_error": len(passes)}
     assert len(mismatches) == 4 and len(passes) == 38
 

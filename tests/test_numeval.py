@@ -22,7 +22,6 @@ from coulombwf.numeval import (
     eval_form_extended,
     eval_grid,
     eval_pair,
-    eval_values,
     envelope,
     horner,
     laurent_run,
@@ -462,7 +461,7 @@ _EDGE_R = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
 
 def test_eval_pair_matches_four_grid_calls():
     # 12 seeded states with n <= 12 and the corners: the same values by repr,
-    # and the same first exception, for eval_pair and for eval_values
+    # and the same first exception
     rng = random.Random(41)
     states = [(n, rng.randrange(n)) for n in (rng.randint(1, 12) for _ in range(12))]
     kinds = set()
@@ -474,9 +473,6 @@ def test_eval_pair_matches_four_grid_calls():
         for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
             want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
             assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
-            # R1 and R2 alone: their values, or what their grids raise first
-            assert _pair_outcome(lambda *a: eval_values(*a)[0], kappa, runs[::2], [r]) == \
-                _pair_outcome(refvals.pair_by_four_grids, forms[::2], r), (n, l, r)
             if isinstance(want[0], type):
                 kinds.add((want[0], want[1].split(" ")[0][:4]))
             elif "0.0" in want:
@@ -488,39 +484,26 @@ def test_eval_pair_matches_four_grid_calls():
 def test_eval_pair_gives_a_zero_eval_grids_sign():
     # no state reaches it, but a negative L e^{-kr} that underflows is -0.0,
     # which eval_grid's sum 0.0 + b + 0.0 of R1's three terms turns into
-    # 0.0, in eval_pair and in eval_values
+    # 0.0, and so does eval_pair
     qn, ell = QuantumNumbers(1, 0), RatPoly(0, [Fraction(-1, 10**300)])
     r1, r2 = Radial(qn, ell), Radial(qn, ell, RatPoly(0, [1]))
     want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
     assert want[0] == "0.0"
     assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
-    assert _pair_outcome(lambda *a: eval_values(*a)[0], 1.0, pair_runs(r2)[::2], [100.0]) == want[::2]
 
 
-@pytest.mark.parametrize("state, bad_r, message", [
-    ((1, 0), -1.0, "eval_grid requires r > 0, got -1.0"),
-    ((1, 0), 1e-320, "conditioning envelope overflows double precision at r = 1e-320"),
-    ((1, 0), 710.0, "exp(710.0) overflows double precision"),
-    ((1, 0), 360.0, "Ei(1, -x) overflows double precision at x=720.0"),
-    # R1's L is probed before e^{kappa r} and Ei, unlike in eval_grid's R2
+@pytest.mark.parametrize("state, r, message", [
+    # R1's L is probed before e^{kappa r} and Ei, unlike in eval_grid's R2,
+    # so its envelope's overflow is raised though e^{kappa r} or Ei overflows too
     ((3, 0), 1e200, "conditioning envelope overflows double precision at r = 1e+200"),
     ((71, 0), 27000.0, "conditioning envelope overflows double precision at r = 27000.0"),
 ])
-@pytest.mark.parametrize("k", [0, 3])
-def test_eval_values_grid_is_its_one_point_rows(state, bad_r, message, k):
-    # a grid's rows are its points' one-point rows, and a grid whose k-th
-    # point fails raises that point's text, though later points fail too
+def test_eval_pair_probes_L_before_the_growing_factors(state, r, message):
     qn = QuantumNumbers(*state)
-    kappa, runs = float(qn.kappa), pair_runs(assemble_R2(qn))[::2]
-    good = [0.5, 1.0, 30.0, 200.0]
-    assert [tuple(map(repr, row)) for row in eval_values(kappa, runs, good)] == \
-        [tuple(map(repr, eval_values(kappa, runs, [r])[0])) for r in good]
-    with pytest.raises((DomainError, OverflowSignal)) as want:
-        eval_values(kappa, runs, [bad_r])
-    assert str(want.value) == message
-    with pytest.raises(type(want.value)) as got:
-        eval_values(kappa, runs, good[:k] + [bad_r] + good[k:] + [-1.0, 1e-320])
-    assert str(got.value) == message
+    r2 = assemble_R2(qn)
+    want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(Radial(qn, r2.L), r2), r)
+    assert want == (OverflowSignal, message)
+    assert _pair_outcome(eval_pair, float(qn.kappa), pair_runs(r2), r) == want
 
 
 def test_pair_runs_names_an_overflowing_bucket_as_eval_grid_does():
@@ -568,7 +551,7 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     # R1 for n = 30 has no growing bucket, but its r^29 term overflows at 1e12
     ((30, 0), "r1", 1e12, "conditioning envelope overflows double precision at r = 1000000000000.0"),
     # R2 probes L only after e^{kappa r} and Ei, though L's envelope overflows
-    # at both points too (where eval_values, probing L first, raises that)
+    # at both points too (where eval_pair, probing L first, raises that)
     ((3, 0), "r2", 1e200, "exp(3.333333333333333e+199) overflows double precision"),
     ((71, 0), "r2", 27000.0, "Ei(1, -x) overflows double precision at x=760.5633802816901"),
 ])

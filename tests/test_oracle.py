@@ -143,12 +143,12 @@ def test_wronskian_ground_state_value():
 
 def test_x_wronskian_of_the_records_every_state_to_n60():
     # the records hold L and P in x = 2 kappa r, where x^2 W_x(R1, R2) is
-    # -(n+l)!/n_r!, and r^2 W = n x^2 W_x / 2
+    # -(n+l)!/n_r!, and r^2 W = n x^2 W_x / 2; the integer sum is held to
+    # the reference x^2 W_x on any records by the test below
     for qn in all_qn(60):
         r1, r2 = r1_r2(qn)
-        x2w = wronskian_x_constant(r1, r2)
-        assert x2w == F(-math.factorial(qn.n + qn.l), math.factorial(qn.n_r)), qn
-        assert wronskian_symbolic(r1, r2, True)[0] == qn.n * x2w / 2, qn
+        want = F(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
+        assert wronskian_symbolic(r1, r2, True)[0] == want, qn
 
 
 _polys = st.builds(RatPoly.from_nums, st.integers(-6, 6),
