@@ -70,12 +70,49 @@ def _json_rats(q: RatPoly, qn: QuantumNumbers, pad: str) -> str:
     return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
 
 
-def _write(out_path: str | None, text: str) -> None:
+# Every command computes its whole result before it writes, so that a command
+# that fails writes nothing, then hands _write a generator of pieces, each the
+# text of at most _RUN rows or reports (or of one table record), so that no
+# document is held whole: the output's memory is one piece's text.
+_RUN = 256
+
+
+def _runs(items: list, text, sep: str = ""):
+    """sep.join of text(run) over the runs of at most _RUN items of items, in
+    pieces: one per run, each after the first led by sep."""
+    for i in range(0, len(items), _RUN):
+        yield (sep if i else "") + text(items[i:i + _RUN])
+
+
+def _write(out_path: str | None, pieces) -> None:
+    """The one sink: writes each text piece as it comes, to sys.stdout as it
+    is at the call, or to out_path, opened only now."""
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        out = sys.stdout
+        for piece in pieces:
+            out.write(piece)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
+
+
+def _json_floats(text: str) -> str:
+    """text with repr's non-finite floats inf and nan written as json writes
+    them, Infinity and NaN; no key or fixed token of the eval and shell
+    documents holds either word."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _json_rows(rows: list, template: str):
+    """The pieces of json.dumps(rows, indent=2), nested at indent 2, of a list
+    of float rows, each written by template."""
+    if not rows:
+        yield "[]"
+        return
+    yield "[\n"
+    yield from _runs(rows, lambda run: _json_floats(",\n".join([template % row for row in run])), ",\n")
+    yield "\n  ]"
 
 
 def _header() -> str:
@@ -166,11 +203,12 @@ def _coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly, qn: QuantumNumbers) -> str:
 def cmd_coeffs(args) -> int:
     r2 = assemble_R2(QuantumNumbers(args.n, args.l))
     if args.format == "json":
-        _write(args.out, _coeffs_json(r2, "") + "\n")
+        text = _coeffs_json(r2, "") + "\n"
     elif args.format == "csv":
-        _write(args.out, _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L, r2.qn))
+        text = _header() + "power,q_plus,q_ei\n" + _coeffs_csv_rows(r2.P, r2.L, r2.qn)
     else:
-        _write(args.out, _header() + _latex_R2(r2) + "\n")
+        text = _header() + _latex_R2(r2) + "\n"
+    _write(args.out, [text])
     return EXIT_OK
 
 
@@ -201,31 +239,54 @@ def _parse_grid(grid_arg: str) -> list[float]:
 
 
 # one row of json.dumps(doc, indent=2): indent selects the pure-Python
-# encoder, about 3.5 times slower than this template on a 2000-point grid;
-# repr writes the non-finite floats as inf and nan, which json writes as
-# Infinity and NaN
+# encoder, about 3.5 times slower than this template on a 2000-point grid
 _JSON_ROW = '    {\n      "r": %r,\n      "value": %r,\n      "est_rel_error": %r\n    }'
+
+
+def _eval_json(qn: QuantumNumbers, which: str, rows: list):
+    yield f'{{\n  "n": {qn.n},\n  "l": {qn.l},\n  "which": {json.dumps(which)},\n  "rows": '
+    yield from _json_rows(rows, _JSON_ROW)
+    yield "\n}\n"
+
+
+def _eval_csv(rows: list):
+    yield _header() + "r,value,est_rel_error\n"
+    yield from _runs(rows, lambda run: "".join([f"{r!r},{v!r},{e!r}\n" for r, v, e in run]))
 
 
 def cmd_eval(args) -> int:
     qn = QuantumNumbers(args.n, args.l)
     grid = _parse_grid(args.grid)
     rows = numeval.eval_grid(assemble_R1(qn) if args.which == "R1" else assemble_R2(qn), grid)
-    if args.format == "json":
-        body = ",\n".join([_JSON_ROW % row for row in rows])
-        # no other token of a row holds the letters "inf" or "nan"
-        body = body.replace("inf", "Infinity").replace("nan", "NaN")
-        body = f"[\n{body}\n  ]" if rows else "[]"
-        _write(args.out, f'{{\n  "n": {qn.n},\n  "l": {qn.l},\n  "which": {json.dumps(args.which)},\n'
-                         f'  "rows": {body}\n}}\n')
-    else:
-        lines = [_header(), "r,value,est_rel_error\n"]
-        lines += [f"{r!r},{v!r},{e!r}\n" for r, v, e in rows]
-        _write(args.out, "".join(lines))
+    _write(args.out, _eval_json(qn, args.which, rows) if args.format == "json" else _eval_csv(rows))
     return EXIT_OK
 
 
 # -- table ---------------------------------------------------------------------
+
+
+# A table record is one piece: its text alone is about 3n rows, a hundred at
+# n = 30.
+def _table_json(forms: list):
+    for i, r2 in enumerate(forms):
+        yield ("[\n  " if i == 0 else ",\n  ") + _coeffs_json(r2, "  ", table=True)
+    yield "\n]\n"
+
+
+def _table_csv(forms: list):
+    yield _header() + "n,l,part,power,coeff\n"
+    for r2 in forms:
+        n, l = r2.qn.n, r2.qn.l
+        ell, p = _rat_texts(r2.L, r2.qn), _rat_texts(r2.P, r2.qn)
+        yield "".join([f"{n},{l},{part},{k},{text}\n"
+                       for part, texts in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell))
+                       for k, text in texts.items()])
+
+
+def _table_latex(forms: list):
+    yield _header()
+    for r2 in forms:
+        yield _latex_R2(r2) + "\n"
 
 
 def cmd_table(args) -> int:
@@ -233,21 +294,8 @@ def cmd_table(args) -> int:
         raise InvalidQuantumNumbers("n_max must be >= 1")
     # R2's L is R1's polynomial, so its text, reduced once, is written as r1_q_minus too
     forms = [assemble_R2(QuantumNumbers(n, l)) for n in range(1, args.nmax + 1) for l in range(n)]
-    if args.format == "json":
-        docs = ",\n".join(["  " + _coeffs_json(r2, "  ", table=True) for r2 in forms])
-        _write(args.out, f"[\n{docs}\n]\n")
-    elif args.format == "csv":
-        lines = [_header(), "n,l,part,power,coeff\n"]
-        for r2 in forms:
-            n, l = r2.qn.n, r2.qn.l
-            ell, p = _rat_texts(r2.L, r2.qn), _rat_texts(r2.P, r2.qn)
-            for part, texts in (("r1_q_minus", ell), ("q_plus", p), ("q_ei", ell)):
-                lines += [f"{n},{l},{part},{k},{text}\n" for k, text in texts.items()]
-        _write(args.out, "".join(lines))
-    else:
-        lines = [_header()]
-        lines += [_latex_R2(r2) + "\n" for r2 in forms]
-        _write(args.out, "".join(lines))
+    writer = {"json": _table_json, "csv": _table_csv}.get(args.format, _table_latex)
+    _write(args.out, writer(forms))
     return EXIT_OK
 
 
@@ -276,6 +324,22 @@ def run_verify(n_max: int, checks: set[str]) -> list[dict]:
     return reports
 
 
+def _verify_json(reports: list[dict]):
+    return _runs(reports, lambda run: "".join([json.dumps(rep) + "\n" for rep in run]))
+
+
+def _verify_csv_row(rep: dict) -> str:
+    return (f"{rep['n'] if rep['n'] is not None else ''},"
+            f"{rep['l'] if rep['l'] is not None else ''},"
+            f"{rep['check']},{rep['passed']},{rep['residual_norm']!r},{rep['exact']},"
+            f"\"{rep['details']}\"\n")
+
+
+def _verify_csv(reports: list[dict]):
+    yield _header() + "n,l,check,passed,residual_norm,exact,details\n"
+    yield from _runs(reports, lambda run: "".join(map(_verify_csv_row, run)))
+
+
 def cmd_verify(args) -> int:
     if args.nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {args.nmax}")
@@ -284,19 +348,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; choose from {ALL_CHECKS}")
     reports = run_verify(args.nmax, checks)
-    if args.format == "json":
-        text = "".join(json.dumps(rep) + "\n" for rep in reports)
-    else:
-        lines = [_header(), "n,l,check,passed,residual_norm,exact,details\n"]
-        lines += [
-            f"{rep['n'] if rep['n'] is not None else ''},"
-            f"{rep['l'] if rep['l'] is not None else ''},"
-            f"{rep['check']},{rep['passed']},{rep['residual_norm']!r},{rep['exact']},"
-            f"\"{rep['details']}\"\n"
-            for rep in reports
-        ]
-        text = "".join(lines)
-    _write(args.out, text)
+    _write(args.out, _verify_json(reports) if args.format == "json" else _verify_csv(reports))
     n_failed = sum(1 for rep in reports if not rep["passed"])
     if n_failed:
         print(f"{n_failed} of {len(reports)} checks FAILED", file=sys.stderr)
@@ -311,19 +363,31 @@ def cmd_verify(args) -> int:
 _SHELL_GRID_ROW = "    [\n      %r,\n      %r\n    ]"
 
 
-def _shell_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) + "\n" of a shell document, from a template
-    as cmd_eval writes its rows, since indent selects json's pure-Python
-    encoder: n and l, five floats, the four continuity floats and, when
-    present, the [r, u] grid rows."""
+def _shell_json(doc: dict):
+    """The pieces of json.dumps(doc, indent=2) + "\n" of a shell document,
+    from a template as cmd_eval writes its rows, since indent selects json's
+    pure-Python encoder: n and l, five floats, the four continuity floats
+    and, when present, the (r, u) grid rows."""
     fields = [f'"{key}": {doc[key]!r}' for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
     continuity = ",\n".join([f'    "{key}": {v!r}' for key, v in doc["continuity"].items()])
     fields.append(f'"continuity": {{\n{continuity}\n  }}')
+    head = _json_floats("{\n  " + ",\n  ".join(fields))
+    if "grid" not in doc:
+        yield head + "\n}\n"
+        return
+    yield head + ',\n  "grid": '
+    yield from _json_rows(doc["grid"], _SHELL_GRID_ROW)
+    yield "\n}\n"
+
+
+def _shell_csv(doc: dict):
+    lines = [_header(), "key,value\n"]
+    lines += [f"{key},{doc[key]!r}\n" for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
+    lines += [f"continuity_{key},{val!r}\n" for key, val in doc["continuity"].items()]
     if "grid" in doc:
-        rows = ",\n".join([_SHELL_GRID_ROW % (r, u) for r, u in doc["grid"]])
-        fields.append(f'"grid": [\n{rows}\n  ]')
-    # no key holds the letters "inf" or "nan"
-    return ("{\n  " + ",\n  ".join(fields) + "\n}\n").replace("inf", "Infinity").replace("nan", "NaN")
+        lines.append("r,u\n")
+    yield "".join(lines)
+    yield from _runs(doc.get("grid", []), lambda run: "".join([f"{r!r},{u!r}\n" for r, u in run]))
 
 
 def cmd_shell(args) -> int:
@@ -350,20 +414,8 @@ def cmd_shell(args) -> int:
         "continuity": result.continuity,
     }
     if args.grid_points:
-        doc["grid"] = [[r, u] for r, u in
-                       shellmatch.piecewise_grid(result, args.grid_points)]
-    if args.format == "json":
-        _write(args.out, _shell_json(doc))
-    else:
-        lines = [_header(), "key,value\n"]
-        for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch"):
-            lines.append(f"{key},{doc[key]!r}\n")
-        for key, val in doc["continuity"].items():
-            lines.append(f"continuity_{key},{val!r}\n")
-        if args.grid_points:
-            lines.append("r,u\n")
-            lines += [f"{r!r},{u!r}\n" for r, u in doc["grid"]]
-        _write(args.out, "".join(lines))
+        doc["grid"] = shellmatch.piecewise_grid(result, args.grid_points)
+    _write(args.out, _shell_json(doc) if args.format == "json" else _shell_csv(doc))
     return EXIT_OK
 
 

@@ -174,14 +174,16 @@ def horner(run: tuple, r):
     return value + dvalue * y
 
 
-def _float_run(name: str, q: RatPoly, scale: Fraction) -> tuple:
+def _float_run(name: str, q: RatPoly, scale: Fraction, of: str = "") -> tuple:
     """The float laurent_run of q(scale x), a record's polynomial of bucket
     ``name`` in r for scale = qn.x_per_r; raises OverflowSignal, naming
-    the bucket, when a coefficient is beyond double range."""
+    the bucket, and the form ``of`` when one is given, when a coefficient is
+    beyond double range."""
     try:
         return laurent_run(q, scale=scale)
     except OverflowError as exc:
-        raise OverflowSignal(f"the {name} coefficients exceed double precision") from exc
+        form = f" of {of}" if of else ""
+        raise OverflowSignal(f"the {name} coefficients{form} exceed double precision") from exc
 
 
 def _factors(kappa: float, rs, first, plus, last):
@@ -289,11 +291,13 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     part, and d/dr maps that L to R1''s own L, so R2' from
     closedform.derivative is the one derivative formed.  The coefficients
     are converted in r, and an overflow named after its bucket, as
-    eval_grid does over R1, R1', R2 and R2' in turn.
+    eval_grid does over R1, R1', R2 and R2' in turn; a derivative's bucket
+    is named with its form, since R2''s P leaves double range one state
+    before R2's own.
     """
     d, scale = derivative(r2), r2.qn.x_per_r
-    return (_float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale),
-            _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale))
+    return (_float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale, "R1'"),
+            _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale, "R2'"))
 
 
 def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -286,6 +287,7 @@ def test_parse_grid_is_the_per_point_comprehension_bit_for_bit():
     (6, 0, "R2", "200:240:161"),  # R2 cancels to 0.0 at r = 218.25: an infinite estimate
     (3, 1, "R1", "0.5:2:0"),
     (3, 1, "R2", "0.5:2:1"),
+    (6, 0, "R2", "200:240:513"),  # three runs of rows, the last of one row
 ])
 def test_eval_json_bytes_match_json_dumps(capsys, n, l, which, grid):
     code, out, _ = run(capsys, "eval", "--n", str(n), "--l", str(l), "--which", which,
@@ -352,13 +354,16 @@ def test_eval_coefficients_beyond_double_range_is_a_one_line_failure(capsys):
 
 def test_coefficient_overflow_limits_of_eval_and_shell(capsys):
     # R2's P in r leaves double range from (65, 64) on; shell converts R2''s
-    # P as well, whose coefficients leave it one state earlier
+    # P as well, whose coefficients leave it one state earlier, and names it
     overflow = "coulombwf: failure: the q_plus coefficients exceed double precision\n"
     code, out, err = run(capsys, "eval", "--n", "64", "--l", "63", "--which", "R2", "--grid", "1:2:3")
     assert (code, err) == (0, "") and out
     code, out, err = run(capsys, "eval", "--n", "65", "--l", "64", "--which", "R2", "--grid", "1:2:3")
     assert (code, out, err) == (1, "", overflow)
     code, out, err = run(capsys, "shell", "--n", "64", "--l", "63", "--a", "1", "--b-range", "2:3")
+    assert (code, out, err) == (
+        1, "", "coulombwf: failure: the q_plus coefficients of R2' exceed double precision\n")
+    code, out, err = run(capsys, "shell", "--n", "65", "--l", "64", "--a", "1", "--b-range", "2:3")
     assert (code, out, err) == (1, "", overflow)
 
 
@@ -928,8 +933,8 @@ def test_shell_json_template_is_json_dumps(n, l, values, grid):
     doc = dict(zip(("n", "l", "a", "b_star", "c1", "c2", "mismatch"), [n, l, *values[:5]]))
     doc["continuity"] = dict(zip(("value_a", "deriv_a", "value_b", "deriv_b"), values[5:]))
     if grid is not None:
-        doc["grid"] = [[r, u] for r, u in grid]
-    assert cli._shell_json(doc) == json.dumps(doc, indent=2) + "\n"
+        doc["grid"] = grid  # (r, u) tuples, as shellmatch.piecewise_grid returns them
+    assert "".join(cli._shell_json(doc)) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_shell_huge_a_fails_fast(capsys):
@@ -969,6 +974,105 @@ def test_shell_envelope_overflow_is_a_one_line_failure(capsys):
     assert code == 1
     assert out == ""
     assert err == "coulombwf: failure: conditioning envelope overflows double precision at r = 1e-60\n"
+
+
+# -- the output sink -------------------------------------------------------------
+
+class _RecordingStdout:
+    """A stdout that keeps each write's size and the running sha256 of the
+    text, or only discards it."""
+
+    def __init__(self, keep: bool = True):
+        self.keep, self.sizes, self.digest = keep, [], hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        if self.keep:
+            data = text.encode()
+            self.sizes.append(len(data))
+            self.digest.update(data)
+        return len(text)
+
+
+# sha256 of stdout for large requests, as written when each command built its
+# whole document before one write
+_LARGE_OUTPUTS = {
+    "eval --n 10 --l 3 --which R2 --grid 1:300:20000 --format json":
+        "b7cda0f780804d44fca0d5718284b5a975291f04d7985cb275bb4b4548927d1c",
+    "eval --n 10 --l 3 --which R2 --grid 1:300:20000 --format csv":
+        "cf6a4ae3dc0f66218ddfd161a81ea9d93f11680d0c913c673b776b1545ab0c93",
+    "table --nmax 30 --format json":
+        "b022cbc90cedce0ebddae3caa9172f7e2b99af54c7e4cd5404c27cac74cc7344",
+    "table --nmax 30 --format csv":
+        "4a4437f464d78c923f380e60708bbd8f2f57e857e6169b60fb90204683bedb7c",
+    "table --nmax 30 --format latex":
+        "83629767e831484bc5caad641a5cf17933d4e562fd5995901f356597fb35f7b0",
+    "verify --nmax 40 --checks ode,wronskian --format json":
+        "83042c56f3fd24580e0e4d709d1180078e7315bf5c4121eb714cac7e1cdfc6b4",
+    "verify --nmax 40 --checks ode,wronskian --format csv":
+        "51aab2a710d0b86a2d653452d6b08b5492d1e29007f5e7e820ffcfc7fc7de7eb",
+    "shell --n 2 --l 0 --a 1e-4 --b-range 0.5:1.5 --grid-points 20000 --format json":
+        "53ea6ceb9c1d7271900202a87780d0958493a7651f8702456432d6544c0e33f5",
+    "shell --n 2 --l 0 --a 1e-4 --b-range 0.5:1.5 --grid-points 20000 --format csv":
+        "0591513fc66efab9def63eaaf591968539fd78206b20095889b3dcd172d22bc1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LARGE_OUTPUTS))
+def test_large_documents_are_written_in_bounded_pieces(capsys, monkeypatch, command):
+    # the document arrives in many writes, none above 64 KiB, whose text is
+    # the whole document byte for byte
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(command.split()) == 0
+    assert len(stdout.sizes) > 1 and max(stdout.sizes) <= 64 * 1024
+    assert stdout.digest.hexdigest() == _LARGE_OUTPUTS[command]
+
+
+def test_eval_output_memory_is_bounded_by_the_rows(monkeypatch):
+    # 20 000 rows of three floats take about 3 MiB; the whole JSON document
+    # is 2.2 MiB more, and a list of its row strings more again
+    monkeypatch.setattr(sys, "stdout", _RecordingStdout(keep=False))
+    argv = "eval --n 10 --l 3 --which R2 --grid 1:300:20000 --format json".split()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_a_failing_command_writes_nothing(capsys, tmp_path):
+    # Ei(1, -x) overflows at the grid's fifth point, after four rows were
+    # computed: stdout stays empty, and --out is never created
+    argv = ["eval", "--n", "1", "--l", "0", "--which", "R2", "--grid", "350:362:7"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("coulombwf: failure: Ei(1, -x) overflows double precision")
+    target = tmp_path / "rows.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_pipe_is_a_one_line_failure(unbuffered):
+    # the reader takes 10 bytes of a 1.2 MB document and closes the pipe: a
+    # later write fails, whether stdout is buffered or writes straight through
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "coulombwf", "eval", "--n", "10", "--l", "3",
+                             "--grid", "1:300:20000"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"coulombwf: failure: [Errno 32] Broken pipe\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -395,13 +395,14 @@ def test_eval_grid_with_coefficients_beyond_double_range():
 
 def _reference_runs(named) -> list | tuple:
     """The float runs of each (bucket, polynomial in r) in turn, or the
-    OverflowSignal that the first coefficient beyond double range raises."""
+    OverflowSignal that the first coefficient beyond double range raises;
+    a bucket is named by the words before "exceed" in its message."""
     runs = []
     for name, q in named:
         try:
             runs.append(laurent_run(q))
         except OverflowError:
-            return OverflowSignal, f"the {name} coefficients exceed double precision"
+            return OverflowSignal, f"the {name} exceed double precision"
     return runs
 
 
@@ -427,17 +428,20 @@ def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
         r1 = Radial(r2.qn, r2.L)
         d = derivative(r2)
         (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
-        assert _package_runs(lambda: pair_runs(r2)) == _reference_runs(
-            [("q_minus", ell), ("q_minus", d_ell), ("q_plus", p), ("q_plus", d_p)]), (n, l)
+        pair = _package_runs(lambda: pair_runs(r2))
+        assert pair == _reference_runs(
+            [("q_minus coefficients", ell), ("q_minus coefficients of R1'", d_ell),
+             ("q_plus coefficients", p), ("q_plus coefficients of R2'", d_p)]), (n, l)
         # eval_grid's, P before L
         c = 2 * r1.qn.kappa
         assert _package_runs(lambda: [_float_run("q_minus", r1.L, c)]) == \
-            _reference_runs([("q_minus", ell)]), (n, l)
+            _reference_runs([("q_minus coefficients", ell)]), (n, l)
         got = _package_runs(lambda: [_float_run("q_plus", r2.P, c), _float_run("q_ei", r2.L, c)])
-        assert got == _reference_runs([("q_plus", p), ("q_ei", ell)]), (n, l)
-        outcomes[n, l] = got
-    assert outcomes[65, 64] == (OverflowSignal, "the q_plus coefficients exceed double precision")
-    assert isinstance(outcomes[64, 63], list)
+        assert got == _reference_runs([("q_plus coefficients", p), ("q_ei coefficients", ell)]), (n, l)
+        outcomes[n, l] = got, pair
+    assert outcomes[65, 64][0] == (OverflowSignal, "the q_plus coefficients exceed double precision")
+    assert isinstance(outcomes[64, 63][0], list)
+    assert outcomes[64, 63][1] == (OverflowSignal, "the q_plus coefficients of R2' exceed double precision")
 
 
 # -- the shell's one-point pass against four one-point grids --------------------------
