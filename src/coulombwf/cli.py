@@ -13,6 +13,7 @@ scan, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -89,8 +90,18 @@ def _write(out_path: str | None, pieces) -> None:
     is at the call, or to out_path, opened only now."""
     if out_path in (None, "-"):
         out = sys.stdout
+        raw = getattr(out, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            for piece in pieces:
+                out.write(piece)
+            return
+        # unbuffered stdout writes straight through to a raw file, whose short
+        # count the text layer drops: the rest is written again, so that a
+        # closed pipe fails the next write
         for piece in pieces:
-            out.write(piece)
+            data = memoryview(piece.encode(out.encoding, out.errors))
+            while data:
+                data = data[raw.write(data):]
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             for piece in pieces:
@@ -305,37 +316,36 @@ def cmd_table(args) -> int:
 ALL_CHECKS = ("ode", "wronskian", "golden", "pv", "split", "integral")
 
 
-def run_verify(n_max: int, checks: set[str]) -> list[dict]:
-    reports: list[dict] = []
+def run_verify(n_max: int, checks: set[str]) -> list[oracle.VerificationReport]:
+    reports: list[oracle.VerificationReport] = []
     if "golden" in checks:
-        reports += [rep.to_dict() for rep in oracle.golden_table_check()]
+        reports += oracle.golden_table_check()
     if checks & {"ode", "wronskian"}:
         for n in range(1, n_max + 1):
             for l in range(n):
-                reports += [rep.to_dict() for rep in oracle.symbolic_checks(QuantumNumbers(n, l), checks)]
+                reports += oracle.symbolic_checks(QuantumNumbers(n, l), checks)
     if checks & {"pv", "split"}:
         # one pass per sample; every pv row is written before any split row
         per_sample = [oracle.pv_checks(QuantumNumbers(n, l), xs, checks) for n, l, xs in PV_SAMPLES]
         for column in zip(*per_sample):
-            reports += [rep.to_dict() for rep in column]
+            reports += column
     if "integral" in checks:
         for n_r, m in ((0, 1), (1, 1), (0, 3), (2, 1), (1, 3)):
-            reports.append(oracle.first_integral_closed_form_check(n_r, m).to_dict())
+            reports.append(oracle.first_integral_closed_form_check(n_r, m))
     return reports
 
 
-def _verify_json(reports: list[dict]):
-    return _runs(reports, lambda run: "".join([json.dumps(rep) + "\n" for rep in run]))
+# a report's fields are the row's keys and columns, in order
+def _verify_json(reports: list):
+    return _runs(reports, lambda run: "".join([json.dumps(vars(rep)) + "\n" for rep in run]))
 
 
-def _verify_csv_row(rep: dict) -> str:
-    return (f"{rep['n'] if rep['n'] is not None else ''},"
-            f"{rep['l'] if rep['l'] is not None else ''},"
-            f"{rep['check']},{rep['passed']},{rep['residual_norm']!r},{rep['exact']},"
-            f"\"{rep['details']}\"\n")
+def _verify_csv_row(rep) -> str:
+    return (f"{rep.n if rep.n is not None else ''},{rep.l if rep.l is not None else ''},"
+            f"{rep.check},{rep.passed},{rep.residual_norm!r},{rep.exact},\"{rep.details}\"\n")
 
 
-def _verify_csv(reports: list[dict]):
+def _verify_csv(reports: list):
     yield _header() + "n,l,check,passed,residual_norm,exact,details\n"
     yield from _runs(reports, lambda run: "".join(map(_verify_csv_row, run)))
 
@@ -349,7 +359,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown checks: {sorted(unknown)}; choose from {ALL_CHECKS}")
     reports = run_verify(args.nmax, checks)
     _write(args.out, _verify_json(reports) if args.format == "json" else _verify_csv(reports))
-    n_failed = sum(1 for rep in reports if not rep["passed"])
+    n_failed = sum(1 for rep in reports if not rep.passed)
     if n_failed:
         print(f"{n_failed} of {len(reports)} checks FAILED", file=sys.stderr)
         return EXIT_FAIL
@@ -361,33 +371,35 @@ def cmd_verify(args) -> int:
 
 
 _SHELL_GRID_ROW = "    [\n      %r,\n      %r\n    ]"
+_SHELL_FLOATS = ("a", "b_star", "c1", "c2", "mismatch")
 
 
-def _shell_json(doc: dict):
-    """The pieces of json.dumps(doc, indent=2) + "\n" of a shell document,
-    from a template as cmd_eval writes its rows, since indent selects json's
-    pure-Python encoder: n and l, five floats, the four continuity floats
-    and, when present, the (r, u) grid rows."""
-    fields = [f'"{key}": {doc[key]!r}' for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
-    continuity = ",\n".join([f'    "{key}": {v!r}' for key, v in doc["continuity"].items()])
+def _shell_json(result, grid):
+    """The pieces of json.dumps(doc, indent=2) + "\n" of the shell document
+    of a MatchResult, from a template as cmd_eval writes its rows, since
+    indent selects json's pure-Python encoder: n and l, five floats, the four
+    continuity floats and, unless grid is None, its (r, u) rows."""
+    fields = [f'"n": {result.qn.n}', f'"l": {result.qn.l}']
+    fields += [f'"{key}": {getattr(result, key)!r}' for key in _SHELL_FLOATS]
+    continuity = ",\n".join([f'    "{key}": {v!r}' for key, v in result.continuity.items()])
     fields.append(f'"continuity": {{\n{continuity}\n  }}')
     head = _json_floats("{\n  " + ",\n  ".join(fields))
-    if "grid" not in doc:
+    if grid is None:
         yield head + "\n}\n"
         return
     yield head + ',\n  "grid": '
-    yield from _json_rows(doc["grid"], _SHELL_GRID_ROW)
+    yield from _json_rows(grid, _SHELL_GRID_ROW)
     yield "\n}\n"
 
 
-def _shell_csv(doc: dict):
-    lines = [_header(), "key,value\n"]
-    lines += [f"{key},{doc[key]!r}\n" for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
-    lines += [f"continuity_{key},{val!r}\n" for key, val in doc["continuity"].items()]
-    if "grid" in doc:
+def _shell_csv(result, grid):
+    lines = [_header(), "key,value\n", f"n,{result.qn.n}\n", f"l,{result.qn.l}\n"]
+    lines += [f"{key},{getattr(result, key)!r}\n" for key in _SHELL_FLOATS]
+    lines += [f"continuity_{key},{val!r}\n" for key, val in result.continuity.items()]
+    if grid is not None:
         lines.append("r,u\n")
     yield "".join(lines)
-    yield from _runs(doc.get("grid", []), lambda run: "".join([f"{r!r},{u!r}\n" for r, u in run]))
+    yield from _runs(grid or [], lambda run: "".join([f"{r!r},{u!r}\n" for r, u in run]))
 
 
 def cmd_shell(args) -> int:
@@ -407,15 +419,8 @@ def cmd_shell(args) -> int:
         for b, f in exc.scan:
             sys.stderr.write(f"{b!r},{f!r}\n")
         return EXIT_NO_ROOT
-    doc = {
-        "n": qn.n, "l": qn.l, "a": result.a,
-        "b_star": result.b_star, "c1": result.c1, "c2": result.c2,
-        "mismatch": result.mismatch,
-        "continuity": result.continuity,
-    }
-    if args.grid_points:
-        doc["grid"] = shellmatch.piecewise_grid(result, args.grid_points)
-    _write(args.out, _shell_json(doc) if args.format == "json" else _shell_csv(doc))
+    grid = shellmatch.piecewise_grid(result, args.grid_points) if args.grid_points else None
+    _write(args.out, (_shell_json if args.format == "json" else _shell_csv)(result, grid))
     return EXIT_OK
 
 

@@ -115,7 +115,7 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
 
         P_j (j+n_r+1) = (m+2k) G_k - (j+1) k P_{j+1},
 
-    run downwards from P_{n_r+m} = 0.  Degree n_r + m - 1, all coefficients
+    run downwards from P_{n_r+m} = 0 to P_0.  Degree n_r + m - 1, all coefficients
     integers, leading coefficient (-1)^{n_r}.
     """
     if n_r < 0:
@@ -124,18 +124,13 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
         raise ValueError("p2_recurrence needs m >= 1")
     nums = [0] * (n_r + m)
     g, p = (-1) ** n_r, 0  # G_{n_r} and P_{n_r+m}
-    for j in range(n_r + m - 1, m - 2, -1):
+    for j in range(n_r + m - 1, -1, -1):
         k = j - m + 1
         p, rem = divmod((m + 2 * k) * g - (j + 1) * k * p, j + n_r + 1)
-        # G_{k-1} = -G_k k (m+k)/(n_r-k+1), which is 0 from k = 0 down
+        # G_{k-1} = -G_k k (m+k)/(n_r-k+1), which is 0 from k = 0 down, so
+        # below k = 0 the step is P_j (j+n_r+1) = (j+1)(m-1-j) P_{j+1}
         g, g_rem = divmod(-g * k * (m + k), n_r - k + 1)
         if rem or g_rem:
-            raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
-        nums[j] = p
-    # below k = 0, G is 0: P_j (j+n_r+1) = (j+1)(m-1-j) P_{j+1}
-    for j in range(m - 2, -1, -1):
-        p, rem = divmod((j + 1) * (m - 1 - j) * p, j + n_r + 1)
-        if rem:
             raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
         nums[j] = p
     return _make(0, nums, 1)

@@ -39,23 +39,15 @@ class QuadratureFailure(ArithmeticError):
 
 @dataclass
 class VerificationReport:
-    subject: QuantumNumbers | None
-    check_name: str
+    """One verify row: its fields are the document's columns, in order; n
+    and l are None for a check that covers no single state."""
+    n: int | None
+    l: int | None
+    check: str
     passed: bool
     residual_norm: float
     exact: bool = False
     details: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.subject.n if self.subject else None,
-            "l": self.subject.l if self.subject else None,
-            "check": self.check_name,
-            "passed": self.passed,
-            "residual_norm": self.residual_norm,
-            "exact": self.exact,
-            "details": self.details,
-        }
 
 
 # -- symbolic checks ---------------------------------------------------------
@@ -67,14 +59,14 @@ def ode_residual_symbolic(residual: Radial, which: str) -> VerificationReport:
     and Ei parts in r, and its norm is their largest |coefficient|."""
     qn = residual.qn
     if residual.is_zero():
-        return VerificationReport(qn, f"ode_residual_{which}", True, 0.0, exact=True)
+        return VerificationReport(qn.n, qn.l, f"ode_residual_{which}", True, 0.0, exact=True)
     ell = list(residual.L.ratio_terms(qn.x_per_r))
     p = None if residual.P is None else list(residual.P.ratio_terms(qn.x_per_r))
     plus, minus, ei = ("0", terms_text(ell), "0") if p is None else (terms_text(p), "0", terms_text(ell))
     # int / int rounds correctly, and rounding is monotone, so this is the
     # largest |float(c)| over the coefficients in r
     norm = max(abs(num) / den for _, num, den in ell + (p or []))
-    return VerificationReport(qn, f"ode_residual_{which}", False, norm,
+    return VerificationReport(qn.n, qn.l, f"ode_residual_{which}", False, norm,
                               details=f"nonzero residual buckets: plus={plus}, minus={minus}, ei={ei}")
 
 
@@ -100,7 +92,7 @@ def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, 
     """
     qn = r2.qn
     if not solves:
-        return Fraction(0), VerificationReport(qn, "wronskian", False, math.inf,
+        return Fraction(0), VerificationReport(qn.n, qn.l, "wronskian", False, math.inf,
                                                details="a form does not solve the radial equation")
     n, m1, p, e = qn.n, r1.L, r2.P, r2.L
     total = sum(x * (e.den * (_num(p, -2 - a) - (2 * a + 1) * _num(p, -1 - a))
@@ -110,8 +102,9 @@ def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, 
     r2w = Fraction(n * total, 2 * m1.den * p.den * e.den)
     expected = Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
     if r2w == expected:
-        return r2w, VerificationReport(qn, "wronskian", True, 0.0, exact=True, details=f"r^2 W = {r2w}")
-    return r2w, VerificationReport(qn, "wronskian", False, float(abs(r2w - expected)),
+        return r2w, VerificationReport(qn.n, qn.l, "wronskian", True, 0.0, exact=True,
+                                       details=f"r^2 W = {r2w}")
+    return r2w, VerificationReport(qn.n, qn.l, "wronskian", False, float(abs(r2w - expected)),
                                    details=f"r^2 W = {r2w}, expected {expected}")
 
 
@@ -272,7 +265,8 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             rhs = math.exp(x) / x**m * integral + ei_part
             worst["split"] = max(worst["split"], abs(pv - rhs) / max(abs(pv), abs(rhs)))
     details = f"max relative deviation over {len(xs)} points"
-    return [VerificationReport(None, f"{name}[{n_r},{m}]", worst[key] <= tol, worst[key], details=details)
+    return [VerificationReport(None, None, f"{name}[{n_r},{m}]", worst[key] <= tol, worst[key],
+                               details=details)
             for key, name, tol in (("pv", "pv_closedform", 1e-6), ("split", "pole_split", 1e-8))
             if key in checks]
 
@@ -309,7 +303,7 @@ def first_integral_closed_form_check(n_r: int, m: int) -> VerificationReport:
             if err > 1e-9 * abs(expected):
                 raise QuadratureFailure(f"first-integral quadrature error {err:.2e} too large")
     ok = worst <= 1e-8
-    return VerificationReport(None, f"first_integral[{n_r},{m}]", ok, worst,
+    return VerificationReport(None, None, f"first_integral[{n_r},{m}]", ok, worst,
                               details=f"powers {m}..{m + n_r} at x in {list(FIRST_INTEGRAL_XS)}")
 
 
@@ -351,6 +345,6 @@ def golden_table_check() -> list[VerificationReport]:
                if {k: F(a, b) for k, a, b in q.ratio_terms(qn.x_per_r)} != expected[name]]
         ok = not bad
         reports.append(VerificationReport(
-            qn, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,
+            n, l, "golden_table", ok, 0.0 if ok else math.inf, exact=ok,
             details="exact match" if ok else f"mismatch in {', '.join(bad)}"))
     return reports

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -748,6 +749,18 @@ def test_unwritable_out_is_a_one_line_failure(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_verify_rows_are_the_report_fields_in_order(capsys):
+    # a report is a verify row: each json row's keys and the csv column line
+    # are VerificationReport's field names, in their order
+    names = [f.name for f in dataclasses.fields(oracle.VerificationReport)]
+    code, out, _ = run(capsys, "verify", "--nmax", "2")
+    assert code == 0
+    assert all(list(json.loads(ln)) == names for ln in out.splitlines())
+    code, out, _ = run(capsys, "verify", "--nmax", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == ",".join(names)
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "--nmax", "2", "--checks", "wronskian",
                        "--format", "csv")
@@ -924,17 +937,43 @@ def test_shell_converts_each_polynomial_once(capsys, monkeypatch):
 _json_floats = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]))
 
 
+def _shell_doc(n, l, values, grid):
+    """A MatchResult with (n, l) and the floats drawn, its grid, and the dict
+    that the shell document writes."""
+    result = shellmatch.MatchResult(SimpleNamespace(n=n, l=l), *values[:5],
+                                    dict(zip(("value_a", "deriv_a", "value_b", "deriv_b"), values[5:])),
+                                    1.0, 1.0, (), ())
+    doc = dict(zip(("n", "l", "a", "b_star", "c1", "c2", "mismatch"), [n, l, *values[:5]]))
+    doc["continuity"] = result.continuity
+    if grid is not None:
+        doc["grid"] = grid  # (r, u) tuples, as shellmatch.piecewise_grid returns them
+    return result, doc
+
+
+_shell_draws = given(st.integers(1, 99), st.integers(0, 98), st.lists(_json_floats, min_size=9, max_size=9),
+                     st.none() | st.lists(st.tuples(_json_floats, _json_floats), min_size=1, max_size=6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 99), st.integers(0, 98), st.lists(_json_floats, min_size=9, max_size=9),
-       st.none() | st.lists(st.tuples(_json_floats, _json_floats), min_size=1, max_size=6))
+@_shell_draws
 def test_shell_json_template_is_json_dumps(n, l, values, grid):
     # the template writes what json.dumps(doc, indent=2) writes, inf, -inf,
     # nan, -0.0 and subnormals included, with the grid absent and present
-    doc = dict(zip(("n", "l", "a", "b_star", "c1", "c2", "mismatch"), [n, l, *values[:5]]))
-    doc["continuity"] = dict(zip(("value_a", "deriv_a", "value_b", "deriv_b"), values[5:]))
+    result, doc = _shell_doc(n, l, values, grid)
+    assert "".join(cli._shell_json(result, grid)) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@_shell_draws
+def test_shell_csv_is_the_json_documents_fields(n, l, values, grid):
+    # the csv document is the json document's fields as key,value rows, the
+    # continuity keys prefixed, then the grid's (r, u) rows under r,u
+    result, doc = _shell_doc(n, l, values, grid)
+    rows = [f"{key},{doc[key]!r}" for key in ("n", "l", "a", "b_star", "c1", "c2", "mismatch")]
+    rows += [f"continuity_{key},{v!r}" for key, v in doc["continuity"].items()]
     if grid is not None:
-        doc["grid"] = grid  # (r, u) tuples, as shellmatch.piecewise_grid returns them
-    assert "".join(cli._shell_json(doc)) == json.dumps(doc, indent=2) + "\n"
+        rows += ["r,u"] + [f"{r!r},{u!r}" for r, u in doc["grid"]]
+    assert "".join(cli._shell_csv(result, grid)) == cli._header() + "key,value\n" + "\n".join(rows) + "\n"
 
 
 def test_shell_huge_a_fails_fast(capsys):
@@ -1057,22 +1096,24 @@ def test_a_failing_command_writes_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_a_closed_stdout_pipe_is_a_one_line_failure(unbuffered):
-    # the reader takes 10 bytes of a 1.2 MB document and closes the pipe: a
-    # later write fails, whether stdout is buffered or writes straight through
+    # the reader takes 10 bytes of a 1.2 MB document written in runs, or of a
+    # 179 KB one written in one piece, and closes the pipe: a later write
+    # fails, whether stdout is buffered or writes straight through
     src = os.path.dirname(os.path.dirname(os.path.abspath(coulombwf.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen([sys.executable, "-m", "coulombwf", "eval", "--n", "10", "--l", "3",
-                             "--grid", "1:300:20000"],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b"coulombwf: failure: [Errno 32] Broken pipe\n"
+    for argv in (["eval", "--n", "10", "--l", "3", "--grid", "1:300:20000"],
+                 ["coeffs", "--n", "200", "--l", "0"]):
+        proc = subprocess.Popen([sys.executable, "-m", "coulombwf", *argv],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, argv
+        assert err == b"coulombwf: failure: [Errno 32] Broken pipe\n", argv
 
 
 def test_cli_import_leaves_scipy_unloaded():

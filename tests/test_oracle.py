@@ -210,9 +210,9 @@ def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
     assert not rep.passed and not rep.exact
     monkeypatch.setattr(oracle_mod, "assemble_R2", lambda q: corrupt_r2(*r1_r2(q))[1])
     *odes, rep = symbolic_checks(qn, checks)
-    assert [(o.check_name, o.passed) for o in odes] == (
+    assert [(o.check, o.passed) for o in odes] == (
         [("ode_residual_R1", True), ("ode_residual_R2", False)] if "ode" in checks else [])
-    assert rep.check_name == "wronskian"
+    assert rep.check == "wronskian"
     assert not rep.passed and not rep.exact
     assert rep.residual_norm == float("inf")
     assert rep.details == "a form does not solve the radial equation"
@@ -220,10 +220,10 @@ def test_wronskian_fails_when_a_form_does_not_solve(monkeypatch, checks):
 
 def test_symbolic_checks_select_in_order():
     qn = QuantumNumbers(3, 1)
-    names = [rep.check_name for rep in symbolic_checks(qn, {"wronskian", "ode"})]
+    names = [rep.check for rep in symbolic_checks(qn, {"wronskian", "ode"})]
     assert names == ["ode_residual_R1", "ode_residual_R2", "wronskian"]
-    assert [rep.check_name for rep in symbolic_checks(qn, {"ode"})] == names[:2]
-    assert [rep.check_name for rep in symbolic_checks(qn, {"wronskian"})] == names[2:]
+    assert [rep.check for rep in symbolic_checks(qn, {"ode"})] == names[:2]
+    assert [rep.check for rep in symbolic_checks(qn, {"wronskian"})] == names[2:]
 
 
 def test_wronskian_constants_match_recorded_artifact():
@@ -377,7 +377,7 @@ def test_golden_table_detects_corruption(monkeypatch):
     reports = golden_table_check()
     failed = [rep for rep in reports if not rep.passed]
     assert len(failed) == 1
-    assert (failed[0].subject.n, failed[0].subject.l) == (2, 0)
+    assert (failed[0].n, failed[0].l) == (2, 0)
     assert "q_plus" in failed[0].details
 
 
