@@ -7,9 +7,10 @@ bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
 oracle's tail bound) read it as that same loop over ``envelope(run)``, the
 run of the |c_k|.  There are two double-precision evaluators, one per job:
 ``eval_grid`` evaluates one form over a grid with error estimates, and
-``eval_pair`` gives the shell's R1, R1', R2 and R2' at one point, with no
-estimate.  Both take every point's guards, e^{kr}, e^{-kr} and Ei from one
-generator, ``_factors``, so one function decides what a point raises.
+``eval_pair`` gives the shell's R1 and R2, and R1' and R2' when asked, at
+one point, with no estimate.  Both take every point's guards, e^{kr},
+e^{-kr} and Ei from one generator, ``_factors``, so one function decides
+what a point raises.
 ``ei_with_error`` is the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
@@ -190,7 +191,7 @@ def _factors(kappa: float, rs, first, plus, last):
     """The one guard pass of the double-precision evaluators: for each r of
     rs in turn, (r, e^{kr}, e^{-kr}, Ei(1, -2kr), Ei's absolute error), the
     growing factors 0.0 when ``plus`` is None.  Before it yields a point it
-    raises DomainError for r <= 0 or nan, then OverflowSignal from the
+    raises DomainError unless 0 < r < inf, then OverflowSignal from the
     envelope probe of the ``first`` run, e^{kr}, the probe of the ``plus``
     run, Ei and the probe of the ``last`` run, in that order; a run that is
     None is not probed.  A run's probe, r ** top (r > 1) or r ** bottom
@@ -198,8 +199,8 @@ def _factors(kappa: float, rs, first, plus, last):
     nonzero coefficient's power k; every other failure is already an
     OverflowSignal."""
     for r in rs:
-        if not r > 0:
-            raise DomainError(f"eval_grid requires r > 0, got {r!r}")
+        if not 0 < r < math.inf:
+            raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
         k = 2 if r > 1.0 else 3
         grow = ei_value = ei_abs_err = 0.0
         try:
@@ -281,9 +282,9 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     return rows
 
 
-def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
-    """The float runs (L, L', P, P') from which eval_pair evaluates R1, R1',
-    R2 and R2', given the R2 of closedform.assemble_R2;
+def pair_runs(r2: Radial) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple]]:
+    """The float runs ((L, P), (L', P')) from which eval_pair evaluates
+    (R1, R2) and (R1', R2'), given the R2 of closedform.assemble_R2;
     shellmatch.match_shell forms them once per match and keeps them in its
     MatchResult.
 
@@ -296,29 +297,32 @@ def pair_runs(r2: Radial) -> tuple[tuple, tuple, tuple, tuple]:
     before R2's own.
     """
     d, scale = derivative(r2), r2.qn.x_per_r
-    return (_float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale, "R1'"),
-            _float_run("q_plus", r2.P, scale), _float_run("q_plus", d.P, scale, "R2'"))
+    ell, ell_d = _float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale, "R1'")
+    return ((ell, _float_run("q_plus", r2.P, scale)),
+            (ell_d, _float_run("q_plus", d.P, scale, "R2'")))
 
 
-def eval_pair(kappa: float, runs: tuple, r: float) -> tuple[float, float, float, float]:
-    """(R1, R1', R2, R2') at r from the runs (L, L', P, P') of pair_runs in
-    one pass: four Horner passes, one e^{kr}, one e^{-kr} and one
-    Ei(1, -2kr), and no error estimate.
+def eval_pair(kappa: float, runs: tuple, r: float) -> list[tuple[float, float]]:
+    """(R1, R2) at r of each (L, P) pair of runs, the pairs of pair_runs or
+    the first alone, in one pass: two Horner passes per pair, one e^{kr},
+    one e^{-kr} and one Ei(1, -2kr), and no error estimate.
 
     Each value is eval_grid's value of that form at r, from the same float
     operations, and the pass raises what eval_grid raises first on R1, R1',
-    R2 and R2' in turn: _factors probes L, then P, then P'.  L' is not
-    probed: it has L's top power and, like L, no negative power, so its
-    probe fails exactly where L's has already failed.
+    R2 and R2' in turn: _factors probes L, then P, then the last pair's P
+    when there are two.  L' is not probed: it has L's top power and, like
+    L, no negative power, so its probe fails exactly where L's has already
+    failed.
     """
-    ell, ell_d, p, p_d = runs
-    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), ell, p, p_d)
-    v1 = horner(ell, r) * decay
-    d1 = horner(ell_d, r) * decay
-    # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
-    # form lacks there, kept so that a zero comes out with the same sign
-    return (v1 + 0.0, d1 + 0.0, horner(p, r) * grow + 0.0 + v1 * ei_value,
-            horner(p_d, r) * grow + 0.0 + d1 * ei_value)
+    (ell, p), *rest = runs
+    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), ell, p, rest[-1][1] if rest else None)
+    values = []
+    for ell, p in runs:
+        v = horner(ell, r) * decay
+        # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
+        # form lacks there, kept so that a zero comes out with the same sign
+        values.append((v + 0.0, horner(p, r) * grow + 0.0 + v * ei_value))
+    return values
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

@@ -51,7 +51,7 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 class MatchResult:
     """The matched piecewise solution: the shell is c1 R1 + c2 R2 on [a, b_star],
     the interior and exterior solutions times their scales outside it.  ``runs``
-    are the float runs (L, L', P, P') of numeval.pair_runs and ``q`` the float
+    are the float runs ((L, P), (L', P')) of numeval.pair_runs and ``q`` the float
     run of the exterior polynomial, each coefficient converted once, so that
     piecewise_grid converts none."""
 
@@ -150,8 +150,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     _require_in_range("interior u, u'", a, (u_a, du_a), (u_a, du_a))
     kappa, runs, ext = float(qn.kappa), numeval.pair_runs(assemble_R2(qn)), _exterior_q(qn)
     q_run, qd_run = numeval.laurent_run(ext), numeval.laurent_run(ext.derivative())
-    v1, d1, v2, d2 = pair = numeval.eval_pair(kappa, runs, a)
-    c1, c2 = mixing_from_inner_match(pair, a, du_a / u_a)
+    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, a)
+    c1, c2 = mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
 
@@ -169,7 +169,7 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
     def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
         """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
-        v1, d1, v2, d2 = numeval.eval_pair(kappa, runs, b)
+        (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, b)
         u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
         q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
         outer = du * q
@@ -242,9 +242,10 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
     each shell sample takes R1 and R2 from one numeval.eval_pair pass over
-    the result's runs, the exterior ones q from numeval.horner.  No shell
-    sample raises: match_shell has run eval_pair's probes at a and b_star,
-    and each probed power and factor is largest at one of them."""
+    the first pair of the result's runs, (L, P), the exterior ones q from
+    numeval.horner.  No shell sample raises: match_shell has run
+    eval_pair's probes at a and b_star, and each probed power and factor is
+    largest at one of them."""
     a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
@@ -252,7 +253,7 @@ def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
     out += [(r, c1 * v1 + c2 * v2) for r in rs if a <= r <= b
-            for v1, _, v2, _ in [numeval.eval_pair(kappa, result.runs, r)]]
+            for [(v1, v2)] in [numeval.eval_pair(kappa, result.runs[:1], r)]]
     out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

@@ -1,37 +1,31 @@
 """Independent reference oracles used only by the tests.
 
-These deliberately avoid the code paths they are used to check: the
-exponential-integral reference integrates the defining principal-value
-integral with mpmath quadrature (and the package's two Ei summation loops
-are checked against the integer-counter loops they replaced), the
-free-particle reference sums the modified spherical Bessel series
-directly, the shell-match reference integrates the force-free radial
-equation with fixed-step RK4 (and its root finder is checked against the
-bisection it replaced, the shell's one-point pass is checked against four
-one-point grid evaluations, and its exterior polynomial against the DLMF
-coefficients in Fractions), the
-one Laurent Horner loop is checked against the fused value-and-envelope
-loop it replaced, the
-polynomial references multiply, substitute and evaluate coefficient by
-coefficient on ``fractions.Fraction``, not on the common-denominator
-integers ``RatPoly`` stores (and so do the Laguerre and 1F1 factors and the
-coefficient writers of the CLI documents), the polynomial P is built from
-its double sum and from its split form, independently of the package's
-recurrence and of each other, the radial operator is composed in r from
-the derivative of the general three-bucket form (ExpEiForm below, into which
-``buckets`` writes the package's R1 and R2 records, held in x = 2 kappa r,
-through ``in_r``, which substitutes x = 2 kappa r one Fraction per
-coefficient where the package reads RatPoly.ratio_terms), Laurent products
-and sums, which the package does not have, not written from the
-coefficient formula in x, the
-derivatives that the tests evaluate are that three-bucket derivative, read
-back into x coefficient by coefficient (``derivative_form``), not the
-package's one-pass kernel, the Wronskian of R1 and R2 is read from one
-coefficient of each Fraction Laurent product in x, not from the package's
-integer sum, and the double-precision form evaluator converts every
-coefficient of the three buckets again at every point and sums the envelope
-term by term: the grid kernel must reproduce its values bit for bit and its
-estimates within the rounding of the envelope.
+Each avoids the code path it checks:
+- Ei(1, -x): the defining principal-value integral by mpmath quadrature,
+  and the integer-counter loops that the package's two Ei loops over float
+  indices must reproduce bit for bit;
+- the free solutions: the modified spherical Bessel series summed term by
+  term, and mpmath's Bessel I;
+- the shell match: the force-free radial equation integrated by fixed-step
+  RK4, the bisection that Brent's method replaced, one one-point eval_grid
+  call per form for the shell's one-point pass, and the exterior
+  polynomial's DLMF coefficients in Fractions;
+- polynomials: products, substitutions and Laurent Horner on one
+  fractions.Fraction per coefficient, not on the common-denominator
+  integers RatPoly stores, the Laguerre and 1F1 factors from their
+  factorial formulas, and P from its double sum and from its split form,
+  independently of the package's recurrence and of each other;
+- the radial operator: composed in r from the derivative of the general
+  three-bucket form (ExpEiForm), into which ``buckets`` writes the
+  package's records, held in x = 2 kappa r, through ``in_r``, one Fraction
+  per coefficient, with Laurent products and sums that the package does not
+  have; the derivatives the tests evaluate are that three-bucket derivative
+  read back into x (``derivative_form``), not the package's one-pass kernel;
+- the Wronskian: one coefficient of each Fraction Laurent product in x;
+- double-precision evaluation: ``eval_form`` converts every coefficient of
+  the three buckets again at every point and sums the envelope term by
+  term; the grid kernel must reproduce its values bit for bit and its
+  estimates within the rounding of the envelope.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from scipy.optimize import brentq
 from coulombwf import numeval
 from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
 from coulombwf.numeval import _EPS, EULER_GAMMA, DomainError, OverflowSignal, ei_with_error, eval_grid
-from coulombwf.ratpoly import RatPoly, ZeroDenominator
+from coulombwf.ratpoly import RatPoly
 
 
 def ei_pv_reference(x, dps: int = 50):
@@ -407,7 +401,7 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
 
 
 def shell_runs(qn) -> tuple:
-    """(kappa, the (L, L', P, P') runs, the q run, the q' run): the float runs
+    """(kappa, the ((L, P), (L', P')) runs, the q run, the q' run): the float runs
     that shellmatch.match_shell evaluates, from numeval.pair_runs and the
     exterior polynomial."""
     from coulombwf.shellmatch import _exterior_q
@@ -422,14 +416,15 @@ def shell_mixing(qn, runs: tuple, a: float) -> tuple[float, float]:
     from coulombwf.shellmatch import integrate_interior, mixing_from_inner_match
 
     u_a, du_a = integrate_interior(qn, a)
-    return mixing_from_inner_match(numeval.eval_pair(runs[0], runs[1], a), a, du_a / u_a)
+    (v1, v2), (d1, d2) = numeval.eval_pair(runs[0], runs[1], a)
+    return mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
 
 
 def shell_probe(runs: tuple, c1: float, c2: float, b: float) -> tuple[float, float]:
     """(mismatch(b), M(b)) of match_shell for the mixing (c1, c2), from
     shell_runs' runs by match_shell's float operations."""
     kappa, pair, q_run, qd_run = runs
-    v1, d1, v2, d2 = numeval.eval_pair(kappa, pair, b)
+    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, pair, b)
     u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
     outer, inner = du * q, u * (qd - kappa * q)
@@ -477,12 +472,12 @@ def four_grid_forms(r1: Radial, r2: Radial) -> tuple:
     return r1, derivative_form(r1), r2, derivative_form(r2)
 
 
-def pair_by_four_grids(forms: tuple, r: float) -> tuple[float, ...]:
-    """(R1, R1', R2, R2') at r, or the values of any other forms, from one
-    one-point eval_grid call per form in that order, each converting its
-    form's coefficients again, so the first form that cannot be evaluated
-    raises."""
-    return tuple(eval_grid(f, (r,))[0][1] for f in forms)
+def pair_by_four_grids(forms: tuple, r: float) -> tuple[tuple[float, float], ...]:
+    """((R1, R2), (R1', R2')) at r from one one-point eval_grid call per form
+    of four_grid_forms, in its order, each converting its form's
+    coefficients again, so the first form that cannot be evaluated raises."""
+    v1, d1, v2, d2 = (eval_grid(f, (r,))[0][1] for f in forms)
+    return (v1, v2), (d1, d2)
 
 
 def exterior_q_reference(l: int, kappa: Fraction) -> RatPoly:
@@ -541,30 +536,6 @@ def float_horner(p: RatPoly, x: float) -> float:
             down = down * y + c
         down = down * y
     return up + down
-
-
-def fused_horner(run: tuple, r) -> tuple:
-    """(value, envelope sum |c_k| r^k) of a numeval.laurent_run at r from
-    one fused Laurent Horner pass, the value and the envelope interleaved
-    step by step; numeval.horner must give the value, and horner over
-    numeval.envelope(run) the envelope, bit for bit on every scalar type.
-    Raises ZeroDenominator for negative powers at r = 0."""
-    up, down, _, _, zero = run
-    value = env = zero
-    for c in up:
-        value = value * r + c
-        env = env * r + abs(c)
-    if not down:
-        return value + zero, env
-    try:
-        y = 1 / r
-    except ZeroDivisionError as exc:
-        raise ZeroDenominator("negative powers evaluated at x = 0") from exc
-    dvalue = denv = zero
-    for c in down:
-        dvalue = dvalue * y + c
-        denv = denv * y + abs(c)
-    return value + dvalue * y, env + denv * y
 
 
 # -- closed-form factors, one Fraction per coefficient ------------------------------
@@ -662,56 +633,6 @@ def p2_simplified(n_r: int, m: int) -> RatPoly:
     return poly_from_terms(terms)
 
 
-# -- coefficient documents written through one Fraction per coefficient -----------
-
-
-def rat_dict(p: RatPoly) -> dict[str, str]:
-    return {str(k): str(c) for k, c in p.terms()}
-
-
-def poly_from_rat_dict(d: dict[str, str]) -> RatPoly:
-    """The polynomial a "power": "num/den" document describes."""
-    return poly_from_terms({int(k): Fraction(v) for k, v in d.items()})
-
-
-def coeffs_csv_rows(q_plus: RatPoly, q_ei: RatPoly) -> str:
-    """The rows of ``coeffs --format csv`` after its header."""
-    plus, ei = dict(q_plus.terms()), dict(q_ei.terms())
-    return "".join(f"{k},{plus.get(k, '')},{ei.get(k, '')}\n" for k in sorted(plus.keys() | ei.keys()))
-
-
-def table_csv_rows(n: int, l: int, part: str, poly: RatPoly) -> str:
-    """The rows of ``table --format csv`` for one polynomial."""
-    return "".join(f"{n},{l},{part},{k},{c}\n" for k, c in poly.terms())
-
-
-def _latex_coeff_times_power(c: Fraction, k: int) -> str:
-    num, den = abs(c.numerator), c.denominator
-    if k == 0:
-        return str(num) if den == 1 else rf"\frac{{{num}}}{{{den}}}"
-    r_pow = "r" if abs(k) == 1 else rf"r^{{{abs(k)}}}"
-    if k < 0:
-        top = str(num)
-        bottom = r_pow if den == 1 else f"{den}{r_pow}"
-        return rf"\frac{{{top}}}{{{bottom}}}"
-    if den == 1:
-        return r_pow if num == 1 else f"{num}{r_pow}"
-    return rf"\frac{{{num}}}{{{den}}}{r_pow}"
-
-
-def latex_poly(p: RatPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k, c in p.terms():
-        term = _latex_coeff_times_power(c, k)
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if c > 0 else f"-{term}")
-    return "".join(parts)
-
-
 # -- double-precision form evaluation, converting coefficients at every point -----
 
 
@@ -743,8 +664,8 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     rounding of subnormal results and of a subnormal e^{-kappa r}.  Returns
     (value, est_rel_error).
     """
-    if not r > 0:
-        raise DomainError(f"eval_grid requires r > 0, got {r!r}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
     f = buckets(f)
     kappa = float(f.kappa)
     width = 2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))

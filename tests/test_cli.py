@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import coulombwf
 from coulombwf import cli, closedform, numeval, oracle, quadpack, shellmatch
-from coulombwf.closedform import QuantumNumbers, assemble_R1, assemble_R2
+from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
 from coulombwf.ratpoly import RatPoly
 
@@ -71,99 +71,33 @@ def test_coeffs_rejects_invalid_quantum_numbers(capsys):
     assert "l=5" in err
 
 
-def test_coeffs_json_round_trip(capsys):
-    for n, l in GOLDEN_R2:
-        _, out, _ = run(capsys, "coeffs", "--n", str(n), "--l", str(l))
-        doc = json.loads(out)
-        form = assemble_R2(QuantumNumbers(n, l))
-        ell, p = refvals.in_r(form)
-        assert refvals.poly_from_rat_dict(doc["q_plus"]) == p
-        assert refvals.poly_from_rat_dict(doc["q_ei"]) == ell
-        assert Fraction(doc["ei_arg_scale"]) == -2 * form.qn.kappa
-
-
 def test_coeffs_output_deterministic(capsys):
     _, first, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
     _, second, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
     assert first == second
 
 
-# numerators and denominators from 1 to far beyond one machine word, so that
-# every branch of the writers runs: integer and fractional coefficients, unit
-# numerators, negative powers and zero gaps inside the run
-_writer_nums = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-10**80, 10**80))
-_writer_dens = st.one_of(st.just(1), st.integers(1, 4), st.integers(1, 10**80))
-
-
-@st.composite
-def writer_polys(draw):
-    low = draw(st.integers(-40, 40))
-    coeffs = draw(st.lists(st.builds(Fraction, _writer_nums, _writer_dens), max_size=12))
-    return RatPoly(low, tuple(coeffs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(writer_polys(), writer_polys(), st.integers(1, 60))
-def test_integer_writers_match_fraction_writers(p, q, n):
-    # the writers take polynomials in x = 2 kappa r, kappa = 1/n, and print
-    # them in r
-    qn = QuantumNumbers(n, 0)
-    p_r, q_r = (refvals.fraction_scale_arg(f, Fraction(2, n)) for f in (p, q))
-    for pad in ("", "    "):
-        want = json.dumps(refvals.rat_dict(p_r), indent=2).replace("\n", "\n" + pad)
-        assert cli._json_rats(p, qn, pad) == want
-    assert cli._latex_poly(p, qn) == refvals.latex_poly(p_r)
-    assert cli._coeffs_csv_rows(p, q, qn) == refvals.coeffs_csv_rows(p_r, q_r)
-
-
 def _states(nmax: int) -> list[QuantumNumbers]:
     return [QuantumNumbers(n, l) for n in range(1, nmax + 1) for l in range(n)]
 
 
-def _coeffs_doc(qn, r2, r1=None) -> dict:
-    ell, p = refvals.in_r(r2)
-    doc = {"n": qn.n, "l": qn.l, "q_plus": refvals.rat_dict(p),
-           "q_ei": refvals.rat_dict(ell), "ei_arg_scale": str(-2 * qn.kappa)}
-    if r1 is not None:
-        doc["r1_q_minus"] = refvals.rat_dict(refvals.in_r(r1)[0])
-    return doc
+# every coeffs state the bench draws (n <= 40), every table of nmax 1 to 6,
+# one eval document with an infinite estimate and one shell document
+_JSON_DOCUMENTS = (
+    [["coeffs", "--n", str(qn.n), "--l", str(qn.l)] for qn in _states(40)]
+    + [["table", "--nmax", str(nmax)] for nmax in range(1, 7)]
+    + [["eval", "--n", "6", "--l", "0", "--which", "R2", "--grid", "200:240:161", "--format", "json"],
+       ["shell", "--n", "2", "--l", "0", "--a", "1e-4", "--b-range", "0.5:1.5", "--grid-points", "50"]])
 
 
-def test_coeffs_json_bytes_match_json_dumps(capsys):
-    # every state the bench's coeffs requests draw, in each format, against
-    # the Fraction writers on the polynomials in r
-    for qn in _states(40):
-        r2 = assemble_R2(qn)
-        ell, p = refvals.in_r(r2)
-        argv = ["coeffs", "--n", str(qn.n), "--l", str(qn.l), "--format"]
-        code, out, _ = run(capsys, *argv, "json")
-        assert code == 0
-        assert out == json.dumps(_coeffs_doc(qn, r2), indent=2) + "\n"
-        code, out, _ = run(capsys, *argv, "csv")
-        assert code == 0
-        assert out == cli._header() + "power,q_plus,q_ei\n" + refvals.coeffs_csv_rows(p, ell)
-        code, out, _ = run(capsys, *argv, "latex")
-        assert code == 0
-        assert re.findall(r"\\left\((.*?)\\right\)", out) == [refvals.latex_poly(p), refvals.latex_poly(ell)]
-
-
-@pytest.mark.parametrize("nmax", range(1, 7))
-def test_table_json_bytes_match_json_dumps(capsys, nmax):
-    code, out, _ = run(capsys, "table", "--nmax", str(nmax), "--format", "json")
-    assert code == 0
-    docs = [_coeffs_doc(qn, assemble_R2(qn), assemble_R1(qn)) for qn in _states(nmax)]
-    assert out == json.dumps(docs, indent=2) + "\n"
-
-
-def test_table_csv_matches_fraction_writer(capsys):
-    code, out, _ = run(capsys, "table", "--nmax", "6", "--format", "csv")
-    assert code == 0
-    rows = "".join(
-        refvals.table_csv_rows(qn.n, qn.l, part, poly)
-        for qn in _states(6)
-        for (m1, _), (ell, p) in [(refvals.in_r(assemble_R1(qn)), refvals.in_r(assemble_R2(qn)))]
-        for part, poly in (("r1_q_minus", m1), ("q_plus", p), ("q_ei", ell)))
-    assert out == cli._header() + "n,l,part,power,coeff\n" + rows
+def test_json_documents_are_what_json_dumps_writes(capsys):
+    # the templates write each document as json.dumps(doc, indent=2) writes
+    # the document it parses to; the texts in it are held by the recorded
+    # digests and the golden table
+    for argv in _JSON_DOCUMENTS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def _count_assemble_R2(monkeypatch) -> dict:
@@ -1304,19 +1238,31 @@ def test_package_exports_resolve():
     assert missing == []
 
 
-def test_declared_dependencies_are_the_imported_ones():
-    # a runtime dependency that is never imported, or an import that is not
-    # declared, fails here
-    tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parents[1]
-    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
-    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in project["dependencies"]}
+def _third_party_imports(paths) -> set[str]:
     imported = set()
-    for path in (root / "src" / "coulombwf").glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"coulombwf"}
-    assert declared == third_party
+    return imported - set(sys.stdlib_module_names) - {"coulombwf"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # a declared dependency that is never imported, or an import that is not
+    # declared, fails here: the package's imports are its dependencies, and
+    # the tests' are those and the test extra
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(deps) -> set[str]:
+        return {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in deps}
+
+    declared = names(project["dependencies"])
+    assert _third_party_imports((root / "src" / "coulombwf").glob("*.py")) == declared
+    tests = [*(root / "tests").glob("*.py"), *(root / "tests" / "data").glob("*.py")]
+    local = {path.stem for path in tests}
+    test_extra = names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(tests) - local == declared | test_extra

@@ -31,7 +31,6 @@ from refvals import (
     ExpEiForm,
     buckets,
     central_diff,
-    derivative_form,
     fraction_hyp1f1_terminating,
     fraction_laguerre_L1,
     fraction_scale_arg,
@@ -447,17 +446,6 @@ def test_operator_matches_derivative_composition(f):
 def test_decay_derivative_is_q_prime_minus_q(q):
     # the PV oracle's D: p -> p' - p
     assert decay_derivative(q) == poly_sub(q.derivative(), q)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_forms())
-@example(_ZERO_R1)
-@example(_ZERO_L)
-@example(_EI_ONLY)
-def test_one_pass_derivative_matches_the_three_bucket_derivative(f):
-    d = derivative(f)
-    assert (d.P is None) == (f.P is None) and d.qn is f.qn
-    assert d == derivative_form(f)
 
 
 def test_forms_add_only_in_the_reference_sum():

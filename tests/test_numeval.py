@@ -150,54 +150,49 @@ def _mp_ratio(num: int, den: int):
     return mpmath.mpf(num) / den
 
 
-@settings(max_examples=300, deadline=None)
-@given(_laurent_polys, _horner_points)
-# x^-2 at 3.6e-194 and x^2 at 1e200 overflow to inf: the loop returns inf as
-# the reference does, and only eval_grid turns that into an error
-@example(RatPoly(-2, (Fraction(1),)), 3.6e-194)
-@example(RatPoly(0, (Fraction(1), Fraction(0), Fraction(-3, 7))), 1e200)
-def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
-    exact_x = Fraction(x)
-    terms = list(p.terms())
-    want = sum((c * exact_x**k for k, c in terms), Fraction(0))
-    want_env = sum((abs(c) * exact_x**k for k, c in terms), Fraction(0))
-    # an exact run stays exact: value and envelope are the Fraction sums
-    run = laurent_run(p, Fraction)
-    value, env = horner(run, exact_x), horner(envelope(run), exact_x)
-    assert type(value) is Fraction and type(env) is Fraction
-    assert (value, env) == (want, want_env)
-    # a float run is the reference Horner bit for bit, inf and nan included
-    assert repr(horner(laurent_run(p), x)) == repr(refvals.float_horner(p, x))
-    # an mpmath run stays in extended precision
-    with mpmath.workprec(300):
-        run = laurent_run(p, _mp_ratio)
-        value, env = horner(run, mpmath.mpf(x)), horner(envelope(run), mpmath.mpf(x))
-        assert type(value) is mpmath.mpf and type(env) is mpmath.mpf
-        bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
-        error = abs(value - _mp_ratio(want.numerator, want.denominator))
-        assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
+def _abs_poly(p: RatPoly) -> RatPoly:
+    return RatPoly(p.low, tuple(map(abs, p.coeffs)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_laurent_polys, st.one_of(_horner_points, st.sampled_from([0.0, -0.0])))
+# x^-2 at 3.6e-194 and x^2 at 1e200 overflow to inf: the loop returns inf as
+# the reference does, and only eval_grid turns that into an error
+@example(RatPoly(-2, (Fraction(1),)), 3.6e-194)
+@example(RatPoly(0, (Fraction(1), Fraction(0), Fraction(-3, 7))), 1e200)
 # r = 0 with a negative power
 @example(RatPoly(-2, (Fraction(1), Fraction(0), Fraction(3))), 0.0)
-def test_value_only_loop_is_the_fused_value_bit_for_bit(p, x):
-    # float, exact and mpmath runs: the one loop gives the fused reference's
-    # value, and over the envelope run its envelope, or the same ZeroDenominator
+def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
+    # each run and its envelope run, on exact, float and mpmath scalars
+    exact_x = Fraction(x)
     with mpmath.workprec(300):
-        for conv, point in ((operator.truediv, x), (Fraction, Fraction(x)), (_mp_ratio, mpmath.mpf(x))):
-            run = laurent_run(p, conv)
-            try:
-                want = refvals.fused_horner(run, point)
-            except ZeroDenominator as exc:
+        points = [(Fraction, exact_x), (operator.truediv, x), (_mp_ratio, mpmath.mpf(x))]
+        runs = [(laurent_run(p, conv), point) for conv, point in points]
+        if x == 0.0 and p.low < 0:
+            # negative powers at r = 0 raise, for the value and the envelope alike
+            for run, point in runs:
                 for each in (run, envelope(run)):
-                    with pytest.raises(ZeroDenominator, match=f"^{exc}$"):
+                    with pytest.raises(ZeroDenominator, match="^negative powers evaluated at x = 0$"):
                         horner(each, point)
-                continue
-            got = horner(run, point), horner(envelope(run), point)
-            for g, w in zip(got, want):
-                assert type(g) is type(w) and repr(g) == repr(w)
+            return
+        (exact_run, _), (float_run, _), (mp_run, mp_x) = runs
+        terms = list(p.terms())
+        want = sum((c * exact_x**k for k, c in terms), Fraction(0))
+        want_env = sum((abs(c) * exact_x**k for k, c in terms), Fraction(0))
+        # an exact run stays exact: value and envelope are the Fraction sums
+        value, env = horner(exact_run, exact_x), horner(envelope(exact_run), exact_x)
+        assert type(value) is Fraction and type(env) is Fraction
+        assert (value, env) == (want, want_env)
+        # a float run and its envelope are the reference Horner bit for bit,
+        # inf and nan and the sign of a zero included
+        assert repr(horner(float_run, x)) == repr(refvals.float_horner(p, x))
+        assert repr(horner(envelope(float_run), x)) == repr(refvals.float_horner(_abs_poly(p), x))
+        # an mpmath run stays in extended precision
+        bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
+        for got, exact in ((horner(mp_run, mp_x), want), (horner(envelope(mp_run), mp_x), want_env)):
+            assert type(got) is mpmath.mpf
+            error = abs(got - _mp_ratio(exact.numerator, exact.denominator))
+            assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
 
 
 # -- form evaluation ----------------------------------------------------------------
@@ -222,11 +217,12 @@ def test_eval_irregular_large_r_sign_and_growth():
 
 
 def test_eval_domain_error():
-    f = assemble_R1(QuantumNumbers(1, 0))
-    with pytest.raises(DomainError):
-        eval_grid(f, (0.0,))
-    with pytest.raises(DomainError):
-        eval_grid(f, (-1.0,))
+    # r <= 0 and r = inf, for R1 and R2 alike
+    r2 = assemble_R2(QuantumNumbers(3, 1))
+    for f in (Radial(r2.qn, r2.L), r2):
+        for r in (0.0, -1.0, math.inf):
+            with pytest.raises(DomainError, match=f"^eval_grid requires a finite r > 0, got {r!r}$"):
+                eval_grid(f, (r,))
 
 
 def test_eval_regular_decays_and_is_finite_at_origin():
@@ -428,7 +424,8 @@ def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
         r1 = Radial(r2.qn, r2.L)
         d = derivative(r2)
         (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
-        pair = _package_runs(lambda: pair_runs(r2))
+        # pair_runs converts L, L', P and P' in turn
+        pair = _package_runs(lambda: [run for runs in zip(*pair_runs(r2)) for run in runs])
         assert pair == _reference_runs(
             [("q_minus coefficients", ell), ("q_minus coefficients of R1'", d_ell),
              ("q_plus coefficients", p), ("q_plus coefficients of R2'", d_p)]), (n, l)
@@ -447,9 +444,9 @@ def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
 # -- the shell's one-point pass against four one-point grids --------------------------
 
 def _pair_outcome(fn, *args):
-    """The repr of each of the four values, or the type and text of the exception raised."""
+    """The repr of each value of each pair, or the type and text of the exception raised."""
     try:
-        return tuple(map(repr, fn(*args)))
+        return tuple(repr(v) for values in fn(*args) for v in values)
     except Exception as exc:
         return type(exc), str(exc)
 

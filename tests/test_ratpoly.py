@@ -6,14 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from coulombwf.closedform import QuantumNumbers, assemble_R2, derivative
 from coulombwf.numeval import horner, laurent_run
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
 from refvals import (
-    float_horner,
     fraction_mul,
     fraction_scale_arg,
-    in_r,
     laurent_mul as mul,
     poly_add as add,
     poly_from_terms as P,
@@ -234,27 +231,6 @@ def test_ratio_terms_negative_c_and_negative_powers():
         want = fraction_scale_arg(p, F(c))
         assert list(p.ratio_terms(c)) == list(want.ratio_terms())
     assert list(P({-1: 1}).ratio_terms(F(-1, 2))) == [(-1, -2, 1)]
-
-
-def _same_float(a: float, b: float) -> bool:
-    return repr(a) == repr(b)
-
-
-@given(big_polys(), st.floats(-60.0, 60.0, allow_nan=False).filter(lambda x: x != 0.0))
-def test_horner_of_laurent_run_bit_identical_to_fraction_horner(p, x):
-    assert _same_float(horner(laurent_run(p), x), float_horner(p, x))
-
-
-def test_laurent_run_bit_identical_on_large_forms():
-    # the runs in r read from the records in x, against the polynomials in r
-    # substituted one Fraction per coefficient
-    form = assemble_R2(QuantumNumbers(30, 7))
-    d, c = derivative(form), 2 * form.qn.kappa
-    for q, poly in ((form.P, in_r(form)[1]), (form.L, in_r(form)[0]), (d.P, in_r(d)[1])):
-        assert poly.den > 1
-        run = laurent_run(q, scale=c)
-        for r in (1e-3, 0.37, 1.0, 17.25, 300.0, 2500.0):
-            assert _same_float(horner(run, r), float_horner(poly, r))
 
 
 @given(big_polys())

@@ -41,7 +41,8 @@ RK4_STEPS = (0.01, 0.005)
 def shell_pair(qn, r):
     """(R1, R1', R2, R2') at r, from the runs match_shell evaluates."""
     kappa, runs, _, _ = shell_runs(qn)
-    return numeval.eval_pair(kappa, runs, r)
+    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, r)
+    return v1, d1, v2, d2
 
 
 def recording_eval_pair(monkeypatch):
@@ -271,7 +272,7 @@ def test_bracket_with_a_root_and_a_node_finds_the_root():
     qn = QuantumNumbers(2, 0)
     result = match_shell(qn, 0.5, (1.0, 3.0))
     u_lo, u_hi = (result.c1 * v1 + result.c2 * v2
-                  for v1, _, v2, _ in (numeval.eval_pair(float(qn.kappa), result.runs, b) for b in (1.0, 3.0)))
+                  for (v1, v2), _ in (numeval.eval_pair(float(qn.kappa), result.runs, b) for b in (1.0, 3.0)))
     assert u_lo > 0 > u_hi
     assert abs(result.mismatch) < 1e-8
     # both stop once |mismatch| < 1e-8, which pins b_star to about 1e-8 here
@@ -347,8 +348,26 @@ def test_piecewise_grid_samples_the_matched_forms():
         inside = [(r, u) for r, u in grid if a <= r <= result.b_star]
         assert len(inside) > 10
         for r, u in inside:
-            v1, _, v2, _ = numeval.eval_pair(float(qn.kappa), result.runs, r)
+            (v1, v2), _ = numeval.eval_pair(float(qn.kappa), result.runs, r)
             assert repr(u) == repr(result.c1 * v1 + result.c2 * v2)
+
+
+def test_piecewise_grid_evaluates_R1_and_R2_alone_in_the_shell(monkeypatch):
+    # two Horner passes at each shell sample, over L and P, and one at each
+    # exterior sample, over q: no shell sample forms R1' or R2'
+    qn, a = QuantumNumbers(2, 0), 0.05
+    result = match_shell(qn, a, (0.5, 1.5))
+    seen, horner = [], numeval.horner
+
+    def counted(run, r):
+        seen.append(r)
+        return horner(run, r)
+
+    monkeypatch.setattr(numeval, "horner", counted)
+    grid = piecewise_grid(result, 40)
+    want = {r: 2 if r <= result.b_star else 1 for r, _ in grid if r >= a}
+    assert sum(count == 2 for count in want.values()) > 10
+    assert collections.Counter(seen) == want
 
 
 def test_match_result_hides_its_runs():
