@@ -81,23 +81,32 @@ def _states(nmax: int) -> list[QuantumNumbers]:
     return [QuantumNumbers(n, l) for n in range(1, nmax + 1) for l in range(n)]
 
 
-# every coeffs state the bench draws (n <= 40), every table of nmax 1 to 6,
-# one eval document with an infinite estimate and one shell document
-_JSON_DOCUMENTS = (
-    [["coeffs", "--n", str(qn.n), "--l", str(qn.l)] for qn in _states(40)]
-    + [["table", "--nmax", str(nmax)] for nmax in range(1, 7)]
-    + [["eval", "--n", "6", "--l", "0", "--which", "R2", "--grid", "200:240:161", "--format", "json"],
-       ["shell", "--n", "2", "--l", "0", "--a", "1e-4", "--b-range", "0.5:1.5", "--grid-points", "50"]])
-
-
-def test_json_documents_are_what_json_dumps_writes(capsys):
+def _assert_json_dumps_writes(capsys, *argv):
     # the templates write each document as json.dumps(doc, indent=2) writes
     # the document it parses to; the texts in it are held by the recorded
     # digests and the golden table
-    for argv in _JSON_DOCUMENTS:
-        code, out, _ = run(capsys, *argv)
-        assert code == 0, argv
-        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, argv
+    assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_coeffs_json_bytes_match_json_dumps(capsys):
+    # every state the bench's coeffs requests draw
+    for qn in _states(40):
+        _assert_json_dumps_writes(capsys, "coeffs", "--n", str(qn.n), "--l", str(qn.l))
+
+
+@pytest.mark.parametrize("nmax", range(1, 7))
+def test_table_json_bytes_match_json_dumps(capsys, nmax):
+    _assert_json_dumps_writes(capsys, "table", "--nmax", str(nmax), "--format", "json")
+
+
+def test_json_documents_are_what_json_dumps_writes(capsys):
+    # one eval document with an infinite estimate and one shell document
+    _assert_json_dumps_writes(capsys, "eval", "--n", "6", "--l", "0", "--which", "R2",
+                              "--grid", "200:240:161", "--format", "json")
+    _assert_json_dumps_writes(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
+                              "--b-range", "0.5:1.5", "--grid-points", "50")
 
 
 def _count_assemble_R2(monkeypatch) -> dict:

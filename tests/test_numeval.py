@@ -154,45 +154,61 @@ def _abs_poly(p: RatPoly) -> RatPoly:
     return RatPoly(p.low, tuple(map(abs, p.coeffs)))
 
 
+def _exact_sum(p: RatPoly, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in p.terms()), Fraction(0))
+
+
+def _assert_mp_within_rounding(got, p: RatPoly, x: Fraction) -> None:
+    assert type(got) is mpmath.mpf
+    want = _exact_sum(p, x)
+    bound = _exact_sum(_abs_poly(p), abs(x))
+    error = abs(got - _mp_ratio(want.numerator, want.denominator))
+    assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_laurent_polys, st.one_of(_horner_points, st.sampled_from([0.0, -0.0])))
+@given(_laurent_polys, _horner_points)
 # x^-2 at 3.6e-194 and x^2 at 1e200 overflow to inf: the loop returns inf as
 # the reference does, and only eval_grid turns that into an error
 @example(RatPoly(-2, (Fraction(1),)), 3.6e-194)
 @example(RatPoly(0, (Fraction(1), Fraction(0), Fraction(-3, 7))), 1e200)
+def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
+    exact_x = Fraction(x)
+    # an exact run stays exact: the value is the Fraction sum
+    value = horner(laurent_run(p, Fraction), exact_x)
+    assert type(value) is Fraction and value == _exact_sum(p, exact_x)
+    # a float run is the reference Horner bit for bit, inf and nan included
+    assert repr(horner(laurent_run(p), x)) == repr(refvals.float_horner(p, x))
+    # an mpmath run stays in extended precision
+    with mpmath.workprec(300):
+        _assert_mp_within_rounding(horner(laurent_run(p, _mp_ratio), mpmath.mpf(x)), p, exact_x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_polys, st.one_of(_horner_points, st.sampled_from([0.0, -0.0])))
 # r = 0 with a negative power
 @example(RatPoly(-2, (Fraction(1), Fraction(0), Fraction(3))), 0.0)
-def test_one_horner_for_exact_float_and_mpmath_runs(p, x):
-    # each run and its envelope run, on exact, float and mpmath scalars
+def test_value_only_loop_is_the_fused_value_bit_for_bit(p, x):
+    # the value-only loop over the envelope run gives the envelope a fused
+    # loop gives beside the value: the Horner of |p| on exact, float and
+    # mpmath scalars; at r = 0 with a negative power the value and the
+    # envelope raise alike
     exact_x = Fraction(x)
     with mpmath.workprec(300):
         points = [(Fraction, exact_x), (operator.truediv, x), (_mp_ratio, mpmath.mpf(x))]
         runs = [(laurent_run(p, conv), point) for conv, point in points]
+        (exact_run, _), (float_run, _), (mp_run, mp_x) = runs
         if x == 0.0 and p.low < 0:
-            # negative powers at r = 0 raise, for the value and the envelope alike
             for run, point in runs:
                 for each in (run, envelope(run)):
                     with pytest.raises(ZeroDenominator, match="^negative powers evaluated at x = 0$"):
                         horner(each, point)
             return
-        (exact_run, _), (float_run, _), (mp_run, mp_x) = runs
-        terms = list(p.terms())
-        want = sum((c * exact_x**k for k, c in terms), Fraction(0))
-        want_env = sum((abs(c) * exact_x**k for k, c in terms), Fraction(0))
-        # an exact run stays exact: value and envelope are the Fraction sums
-        value, env = horner(exact_run, exact_x), horner(envelope(exact_run), exact_x)
-        assert type(value) is Fraction and type(env) is Fraction
-        assert (value, env) == (want, want_env)
-        # a float run and its envelope are the reference Horner bit for bit,
-        # inf and nan and the sign of a zero included
-        assert repr(horner(float_run, x)) == repr(refvals.float_horner(p, x))
+        env = horner(envelope(exact_run), exact_x)
+        assert type(env) is Fraction and env == _exact_sum(_abs_poly(p), exact_x)
+        # the sign of a zero included
         assert repr(horner(envelope(float_run), x)) == repr(refvals.float_horner(_abs_poly(p), x))
-        # an mpmath run stays in extended precision
-        bound = sum((abs(c) * abs(exact_x) ** k for k, c in terms), Fraction(0))
-        for got, exact in ((horner(mp_run, mp_x), want), (horner(envelope(mp_run), mp_x), want_env)):
-            assert type(got) is mpmath.mpf
-            error = abs(got - _mp_ratio(exact.numerator, exact.denominator))
-            assert error <= mpmath.mpf(2) ** -280 * _mp_ratio(bound.numerator, bound.denominator)
+        _assert_mp_within_rounding(horner(envelope(mp_run), mp_x), _abs_poly(p), exact_x)
 
 
 # -- form evaluation ----------------------------------------------------------------

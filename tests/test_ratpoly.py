@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from coulombwf.numeval import horner, laurent_run
 from coulombwf.ratpoly import RatPoly, ZeroDenominator
 from refvals import (
+    float_horner,
     fraction_mul,
     fraction_scale_arg,
     laurent_mul as mul,
@@ -231,6 +232,11 @@ def test_ratio_terms_negative_c_and_negative_powers():
         want = fraction_scale_arg(p, F(c))
         assert list(p.ratio_terms(c)) == list(want.ratio_terms())
     assert list(P({-1: 1}).ratio_terms(F(-1, 2))) == [(-1, -2, 1)]
+
+
+@given(big_polys(), st.floats(-60.0, 60.0, allow_nan=False).filter(lambda x: x != 0.0))
+def test_horner_of_laurent_run_bit_identical_to_fraction_horner(p, x):
+    assert repr(horner(laurent_run(p), x)) == repr(float_horner(p, x))
 
 
 @given(big_polys())
