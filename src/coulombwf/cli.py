@@ -65,10 +65,10 @@ def _rat_texts(q: RatPoly, qn: QuantumNumbers) -> dict[int, str]:
 
 def _json_rats(q: RatPoly, qn: QuantumNumbers, pad: str) -> str:
     """json.dumps({"power": "num/den", ...}, indent=2) of the nonzero
-    coefficients of q in r, nested at indent pad; the keys and texts are
-    digits, "-" and "/", which json writes unescaped."""
+    coefficients in r of a nonzero q (as P and L are for every state), nested
+    at indent pad; keys and texts are digits, "-" and "/", written unescaped."""
     items = [f'{pad}  "{k}": "{_rat_text(num, den)}"' for k, num, den in q.ratio_terms(qn.x_per_r)]
-    return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}"
 
 
 # Every command computes its whole result before it writes, so that a command

@@ -5,12 +5,12 @@ coefficients converted once) and one Laurent Horner loop, ``horner``, on
 float, exact and extended-precision scalars alike.  The two callers that
 bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
 oracle's tail bound) read it as that same loop over ``envelope(run)``, the
-run of the |c_k|.  There are two double-precision evaluators, one per job:
-``eval_grid`` evaluates one form over a grid with error estimates, and
-``eval_pair`` gives the shell's R1 and R2, and R1' and R2' when asked, at
-one point, with no estimate.  Both take every point's guards, e^{kr},
-e^{-kr} and Ei from one generator, ``_factors``, so one function decides
-what a point raises.
+run of the |c_k|.  There is one double-precision evaluator, ``eval_runs``,
+over the (L, P) run pairs of ``float_runs``: ``eval_grid`` asks it for one
+form over a grid with error estimates, and the shell for R1 and R2, and R1'
+and R2' when asked, with no estimate.  It runs each point's guards, e^{kr},
+e^{-kr} and Ei itself, in an order its caller gives as runs, so one
+function decides what a point raises.
 ``ei_with_error`` is the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
@@ -19,8 +19,8 @@ coefficient in r straight from RatPoly.ratio_terms(qn.x_per_r), x_per_r =
 2k, and no polynomial in r is built.  Double precision genuinely loses
 digits where R2's growing exponential part cancels against its Ei part, so
 every eval_grid row carries an error estimate instead of hiding the loss
-(eval_pair's callers take values only); callers that need more digits use
-the extended-precision evaluator.
+(the shell takes values only); callers that need more digits use the
+extended-precision evaluator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .closedform import Radial, derivative
+from .closedform import Radial
 from .ratpoly import RationalLike, RatPoly, ZeroDenominator
 
 # Euler-Mascheroni constant, 30 significant digits.
@@ -175,29 +175,47 @@ def horner(run: tuple, r):
     return value + dvalue * y
 
 
-def _float_run(name: str, q: RatPoly, scale: Fraction, of: str = "") -> tuple:
-    """The float laurent_run of q(scale x), a record's polynomial of bucket
-    ``name`` in r for scale = qn.x_per_r; raises OverflowSignal, naming
-    the bucket, and the form ``of`` when one is given, when a coefficient is
-    beyond double range."""
-    try:
-        return laurent_run(q, scale=scale)
-    except OverflowError as exc:
-        form = f" of {of}" if of else ""
-        raise OverflowSignal(f"the {name} coefficients{form} exceed double precision") from exc
+def float_runs(f: Radial, of: str = "") -> tuple:
+    """(L, P): the polynomials of f as float laurent_runs in r, P None for an
+    R1, each coefficient converted once, P before L.  A coefficient beyond
+    double range raises OverflowSignal naming its bucket (q_plus for P,
+    q_minus for R1's L, q_ei for R2's), and the form ``of`` when one is given.
+    """
+    def run(name: str, q: RatPoly) -> tuple:
+        try:
+            return laurent_run(q, scale=f.qn.x_per_r)
+        except OverflowError as exc:
+            form = f" of {of}" if of else ""
+            raise OverflowSignal(f"the {name} coefficients{form} exceed double precision") from exc
+
+    p = None if f.P is None else run("q_plus", f.P)
+    return run("q_minus" if p is None else "q_ei", f.L), p
 
 
-def _factors(kappa: float, rs, first, plus, last):
-    """The one guard pass of the double-precision evaluators: for each r of
-    rs in turn, (r, e^{kr}, e^{-kr}, Ei(1, -2kr), Ei's absolute error), the
-    growing factors 0.0 when ``plus`` is None.  Before it yields a point it
-    raises DomainError unless 0 < r < inf, then OverflowSignal from the
-    envelope probe of the ``first`` run, e^{kr}, the probe of the ``plus``
-    run, Ei and the probe of the ``last`` run, in that order; a run that is
-    None is not probed.  A run's probe, r ** top (r > 1) or r ** bottom
-    (r < 1), raises a bare OverflowError exactly when r^k overflows for some
-    nonzero coefficient's power k; every other failure is already an
-    OverflowSignal."""
+def eval_runs(kappa: float, pairs, rs, first, plus, last, envelopes=None):
+    """The one double-precision kernel: for each r of rs in turn, it yields
+    the row [r, R1, R2, ...] of the values at r of each (L, P) pair of
+    float_runs, R1 = L e^{-kr} and, unless P is None, R2 = P e^{kr} +
+    L e^{-kr} Ei(1, -2kr), from one Horner pass per run and one e^{kr},
+    e^{-kr} and Ei(1, -2kr) per point (the growing factors 0.0 when ``plus``
+    is None).  Each + 0.0 is the term of a bucket the form lacks, so that a
+    value that underflows to -0.0 comes out as 0.0, as eval and shell write it.
+
+    Before it evaluates a point it raises DomainError unless 0 < r < inf,
+    then OverflowSignal from the envelope probe of the ``first`` run,
+    e^{kr}, the probe of the ``plus`` run, Ei and the probe of the ``last``
+    run, in that order; a run that is None is not probed.  A run's probe,
+    r ** top (r > 1) or r ** bottom (r < 1), raises a bare OverflowError
+    exactly when r^k overflows for some nonzero coefficient's power k; every
+    other failure is already an OverflowSignal.
+
+    With envelopes = (two_width, L's envelope run, P's or None) of a single
+    pair, each row is instead eval_grid's (r, value, est_rel_error) of that
+    pair's form, R1 when its P is None and R2 otherwise.
+    """
+    if envelopes is not None:
+        two_width, env_ell, env_p = envelopes
+        underflow = (two_width + 6) * 2.0 ** -1074
     for r in rs:
         if not 0 < r < math.inf:
             raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
@@ -219,22 +237,45 @@ def _factors(kappa: float, rs, first, plus, last):
             raise
         except OverflowError as exc:
             raise OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}") from exc
-        yield r, grow, math.exp(-kappa * r), ei_value, ei_abs_err
+        decay = math.exp(-kappa * r)
+        row = [r]
+        for ell, p in pairs:
+            v = horner(ell, r) * decay
+            row.append(v + 0.0)
+            if p is not None:
+                row.append(horner(p, r) * grow + 0.0 + v * ei_value)
+        if envelopes is not None:
+            round_factor = (two_width + kappa * r + 6) * _EPS
+            abs_err = underflow
+            env = horner(env_ell, r)
+            if env_p is None:
+                abs_err += env * decay * round_factor
+                if decay < _NORMAL_MIN:
+                    # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
+                    # an absolute rounding of up to 2^-1074 (R2 raises before:
+                    # its Ei overflows from kappa r = 354)
+                    abs_err += env * 2.0 ** -1074
+            else:
+                abs_err += horner(env_p, r) * grow * round_factor
+                # x*eps, x = 2 kappa r, covers the argument-rounding sensitivity
+                ei_abs_err += abs(ei_value) * (2.0 * kappa * r) * _EPS
+                abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
+            value = row[-1]
+            row = r, value, abs_err / abs(value) if value != 0.0 else math.inf
+        yield row
 
 
 def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     """Evaluate R1 or R2 (or a derivative) in double precision at every r of
     rs, as one (r, value, est_rel_error) row per point.
 
-    Each polynomial of f is converted to a float laurent_run in r once, P
-    before L, and its envelope run (numeval.envelope) built once, so that at
-    each r one Horner pass over each run yields its value and one its
-    envelope sum |c_k| r^k; a coefficient beyond double range raises
-    OverflowSignal naming its bucket (q_plus for P, q_minus for R1's L, q_ei
-    for R2's).  est_rel_error is abs_err / |value|, where abs_err adds these
-    terms, E being each part's envelope sum times its factor (e^{kr} for P,
-    e^{-kr} for R1's L, e^{-kr} |Ei| for R2's), width the most coefficients
-    of f's polynomials and x = 2 kappa r:
+    f is converted by float_runs once, and its envelope runs
+    (numeval.envelope) built once, so that at each r the kernel eval_runs
+    takes one Horner pass over each run for its value and one for its
+    envelope sum |c_k| r^k.  est_rel_error is abs_err / |value|, where
+    abs_err adds these terms, E being each part's envelope sum times its
+    factor (e^{kr} for P, e^{-kr} for R1's L, e^{-kr} |Ei| for R2's), width
+    the most coefficients of f's polynomials and x = 2 kappa r:
       - E (2 width + 6) eps: Horner's a-priori bound (Higham §5.1);
       - E kappa r eps: the rounding of e^{+-kr}'s argument;
       - L's envelope times e^{-kr} x eps |Ei|: the rounding of Ei's argument;
@@ -244,85 +285,14 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
         and for R1 L's envelope times 2^-1074 where e^{-kr} is subnormal.
     The envelopes dominate the plain |A| + |C| cancellation penalty between
     the growing-exponential and Ei parts.  The first point that cannot be
-    evaluated raises what _factors raises there; R2's L is probed after
-    e^{kr}, P and Ei.
+    evaluated raises what eval_runs raises there; R1's L is probed, and
+    R2's only after e^{kr}, P and Ei.
     """
-    ell, p, scale = f.L, f.P, f.qn.x_per_r
-    plus = None if p is None else _float_run("q_plus", p, scale)
-    decaying = _float_run("q_minus" if p is None else "q_ei", ell, scale)
-    plus_env = None if plus is None else envelope(plus)
-    decaying_env = envelope(decaying)
-    kappa = float(f.qn.kappa)
-    two_width = 2 * max(len(q.nums) for q in (ell, p) if q is not None)
-    underflow = (two_width + 6) * 2.0 ** -1074
-    guards = (decaying, None, None) if plus is None else (None, plus, decaying)
-    rows = []
-    for r, grow, decay, ei_value, ei_abs_err in _factors(kappa, rs, *guards):
-        round_factor = (two_width + kappa * r + 6) * _EPS
-        a = b = c = 0.0
-        abs_err = underflow
-        value, env = horner(decaying, r), horner(decaying_env, r)
-        if plus is None:
-            b = value * decay
-            abs_err += env * decay * round_factor
-            if decay < _NORMAL_MIN:
-                # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
-                # an absolute rounding of up to 2^-1074 (R2 raises before:
-                # its Ei overflows from kappa r = 354)
-                abs_err += env * 2.0 ** -1074
-        else:
-            a = horner(plus, r) * grow
-            abs_err += horner(plus_env, r) * grow * round_factor
-            # x*eps, x = 2 kappa r, covers the argument-rounding sensitivity
-            ei_abs_err += abs(ei_value) * (2.0 * kappa * r) * _EPS
-            c = value * decay * ei_value
-            abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
-        value = a + b + c
-        rows.append((r, value, abs_err / abs(value) if value != 0.0 else math.inf))
-    return rows
-
-
-def pair_runs(r2: Radial) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple]]:
-    """The float runs ((L, P), (L', P')) from which eval_pair evaluates
-    (R1, R2) and (R1', R2'), given the R2 of closedform.assemble_R2;
-    shellmatch.match_shell forms them once per match and keeps them in its
-    MatchResult.
-
-    R2 = P e^{x/2} + L e^{-x/2} Ei(1, -x) carries R1 = L e^{-x/2} in its Ei
-    part, and d/dr maps that L to R1''s own L, so R2' from
-    closedform.derivative is the one derivative formed.  The coefficients
-    are converted in r, and an overflow named after its bucket, as
-    eval_grid does over R1, R1', R2 and R2' in turn; a derivative's bucket
-    is named with its form, since R2''s P leaves double range one state
-    before R2's own.
-    """
-    d, scale = derivative(r2), r2.qn.x_per_r
-    ell, ell_d = _float_run("q_minus", r2.L, scale), _float_run("q_minus", d.L, scale, "R1'")
-    return ((ell, _float_run("q_plus", r2.P, scale)),
-            (ell_d, _float_run("q_plus", d.P, scale, "R2'")))
-
-
-def eval_pair(kappa: float, runs: tuple, r: float) -> list[tuple[float, float]]:
-    """(R1, R2) at r of each (L, P) pair of runs, the pairs of pair_runs or
-    the first alone, in one pass: two Horner passes per pair, one e^{kr},
-    one e^{-kr} and one Ei(1, -2kr), and no error estimate.
-
-    Each value is eval_grid's value of that form at r, from the same float
-    operations, and the pass raises what eval_grid raises first on R1, R1',
-    R2 and R2' in turn: _factors probes L, then P, then the last pair's P
-    when there are two.  L' is not probed: it has L's top power and, like
-    L, no negative power, so its probe fails exactly where L's has already
-    failed.
-    """
-    (ell, p), *rest = runs
-    [(_, grow, decay, ei_value, _)] = _factors(kappa, (r,), ell, p, rest[-1][1] if rest else None)
-    values = []
-    for ell, p in runs:
-        v = horner(ell, r) * decay
-        # eval_grid sums its three terms as a + b + c; each + 0.0 is a term the
-        # form lacks there, kept so that a zero comes out with the same sign
-        values.append((v + 0.0, horner(p, r) * grow + 0.0 + v * ei_value))
-    return values
+    ell, p = float_runs(f)
+    two_width = 2 * max(len(q.nums) for q in (f.L, f.P) if q is not None)
+    envelopes = (two_width, envelope(ell), None if p is None else envelope(p))
+    guards = (ell, None, None) if p is None else (None, p, ell)
+    return list(eval_runs(float(f.qn.kappa), [(ell, p)], rs, *guards, envelopes))
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import numeval
-from .closedform import QuantumNumbers, assemble_R2
+from .closedform import QuantumNumbers, assemble_R2, derivative
 from .ratpoly import RatPoly, _make
 
 
@@ -51,9 +51,9 @@ def _exterior_q(qn: QuantumNumbers) -> RatPoly:
 class MatchResult:
     """The matched piecewise solution: the shell is c1 R1 + c2 R2 on [a, b_star],
     the interior and exterior solutions times their scales outside it.  ``runs``
-    are the float runs ((L, P), (L', P')) of numeval.pair_runs and ``q`` the float
-    run of the exterior polynomial, each coefficient converted once, so that
-    piecewise_grid converts none."""
+    are the float run pairs ((L, P), (L', P')) of R2 and R2' by
+    numeval.float_runs and ``q`` the float run of the exterior polynomial, each
+    coefficient converted once, so that piecewise_grid converts none."""
 
     qn: QuantumNumbers
     a: float
@@ -138,8 +138,11 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     attached) when M keeps its sign over the bracket, and MatchNotResolved
     when the bracket closes to 1e-13 max(1, |b|) before the mismatch falls
     below 1e-8.  Each value at a and at b_star is computed once: R1, R1', R2
-    and R2' by one numeval.eval_pair pass over the runs of numeval.pair_runs,
-    q and q' by numeval.horner over their float runs.
+    and R2' by one numeval.eval_runs call over both run pairs, which probes
+    L, then e^{kappa r}, P and Ei, then P' (L' is not probed: it has L's top
+    power and, like L, no negative power, so its probe fails exactly where
+    L's has already failed), and q and q' by numeval.horner over their float
+    runs.
     """
     b_min, b_max = b_range
     if not all(map(math.isfinite, (a, b_min, b_max))):
@@ -148,9 +151,11 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
         raise ValueError(f"need 0 < a < b_min < b_max, got a={a}, b_range={b_range}")
     u_a, du_a = integrate_interior(qn, a)
     _require_in_range("interior u, u'", a, (u_a, du_a), (u_a, du_a))
-    kappa, runs, ext = float(qn.kappa), numeval.pair_runs(assemble_R2(qn)), _exterior_q(qn)
+    kappa, r2, ext = float(qn.kappa), assemble_R2(qn), _exterior_q(qn)
+    runs = (numeval.float_runs(r2), numeval.float_runs(derivative(r2), "R2'"))
+    guards = (*runs[0], runs[1][1])
     q_run, qd_run = numeval.laurent_run(ext), numeval.laurent_run(ext.derivative())
-    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, a)
+    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (a,), *guards))
     c1, c2 = mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
@@ -169,7 +174,7 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
     def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
         """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
-        (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, b)
+        _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (b,), *guards))
         u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
         q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
         outer = du * q
@@ -241,19 +246,20 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    each shell sample takes R1 and R2 from one numeval.eval_pair pass over
-    the first pair of the result's runs, (L, P), the exterior ones q from
-    numeval.horner.  No shell sample raises: match_shell has run
-    eval_pair's probes at a and b_star, and each probed power and factor is
-    largest at one of them."""
+    the shell samples take R1 and R2 from one numeval.eval_runs call over
+    all of them and the first pair of the result's runs, (L, P), the
+    exterior ones q from numeval.horner.  No shell sample raises:
+    match_shell has run the same probes at a and b_star, and each probed
+    power and factor is largest at one of them."""
     a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
-    out += [(r, c1 * v1 + c2 * v2) for r in rs if a <= r <= b
-            for [(v1, v2)] in [numeval.eval_pair(kappa, result.runs[:1], r)]]
+    pair = result.runs[0]
+    out += [(r, c1 * v1 + c2 * v2) for r, v1, v2 in
+            numeval.eval_runs(kappa, [pair], [r for r in rs if a <= r <= b], *pair, None)]
     out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

@@ -7,9 +7,11 @@ Each avoids the code path it checks:
 - the free solutions: the modified spherical Bessel series summed term by
   term, and mpmath's Bessel I;
 - the shell match: the force-free radial equation integrated by fixed-step
-  RK4, the bisection that Brent's method replaced, one one-point eval_grid
-  call per form for the shell's one-point pass, and the exterior
-  polynomial's DLMF coefficients in Fractions;
+  RK4, the bisection that Brent's method replaced, and the exterior
+  polynomial's DLMF coefficients in Fractions (``shell_runs``,
+  ``shell_values``, ``shell_mixing`` and ``shell_probe`` are no reference:
+  they redo match_shell's float operations, so that a test can check a
+  value match_shell returned against a fresh evaluation of the same kernel);
 - polynomials: products, substitutions and Laurent Horner on one
   fractions.Fraction per coefficient, not on the common-denominator
   integers RatPoly stores, the Laguerre and 1F1 factors from their
@@ -40,8 +42,8 @@ import mpmath as mp
 from scipy.optimize import brentq
 
 from coulombwf import numeval
-from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2
-from coulombwf.numeval import _EPS, EULER_GAMMA, DomainError, OverflowSignal, ei_with_error, eval_grid
+from coulombwf.closedform import KAPPA0, Radial, assemble_R1, assemble_R2, derivative
+from coulombwf.numeval import _EPS, EULER_GAMMA, DomainError, OverflowSignal, ei_with_error
 from coulombwf.ratpoly import RatPoly
 
 
@@ -402,13 +404,20 @@ def rk4_b_star(qn, a: float, b_range: tuple[float, float], h: float) -> float:
 
 def shell_runs(qn) -> tuple:
     """(kappa, the ((L, P), (L', P')) runs, the q run, the q' run): the float runs
-    that shellmatch.match_shell evaluates, from numeval.pair_runs and the
-    exterior polynomial."""
+    that shellmatch.match_shell evaluates, from numeval.float_runs of R2 and
+    R2' and the exterior polynomial."""
     from coulombwf.shellmatch import _exterior_q
 
-    q = _exterior_q(qn)
-    return (float(qn.kappa), numeval.pair_runs(assemble_R2(qn)), numeval.laurent_run(q),
-            numeval.laurent_run(q.derivative()))
+    q, r2 = _exterior_q(qn), assemble_R2(qn)
+    return (float(qn.kappa), (numeval.float_runs(r2), numeval.float_runs(derivative(r2), "R2'")),
+            numeval.laurent_run(q), numeval.laurent_run(q.derivative()))
+
+
+def shell_values(kappa: float, pairs: tuple, r: float) -> tuple[float, float, float, float]:
+    """(R1, R2, R1', R2') at r from the ((L, P), (L', P')) runs by one
+    numeval.eval_runs call, with match_shell's probes: L, then P, then P'."""
+    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, pairs, (r,), *pairs[0], pairs[1][1]))
+    return v1, v2, d1, d2
 
 
 def shell_mixing(qn, runs: tuple, a: float) -> tuple[float, float]:
@@ -416,15 +425,15 @@ def shell_mixing(qn, runs: tuple, a: float) -> tuple[float, float]:
     from coulombwf.shellmatch import integrate_interior, mixing_from_inner_match
 
     u_a, du_a = integrate_interior(qn, a)
-    (v1, v2), (d1, d2) = numeval.eval_pair(runs[0], runs[1], a)
+    v1, v2, d1, d2 = shell_values(*runs[:2], a)
     return mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
 
 
 def shell_probe(runs: tuple, c1: float, c2: float, b: float) -> tuple[float, float]:
     """(mismatch(b), M(b)) of match_shell for the mixing (c1, c2), from
     shell_runs' runs by match_shell's float operations."""
-    kappa, pair, q_run, qd_run = runs
-    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, pair, b)
+    kappa, pairs, q_run, qd_run = runs
+    v1, v2, d1, d2 = shell_values(kappa, pairs, b)
     u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
     outer, inner = du * q, u * (qd - kappa * q)
@@ -465,19 +474,6 @@ def bisection_match(qn, a: float, b_range: tuple[float, float]) -> tuple[float, 
         if hi - lo < 1e-13 * max(1.0, abs(mid)):
             break
     raise MatchNotResolved(f"bisection closed at b = {mid!r} with mismatch {f_mid:.3e}")
-
-
-def four_grid_forms(r1: Radial, r2: Radial) -> tuple:
-    """R1, R1', R2 and R2', each differentiated on its own."""
-    return r1, derivative_form(r1), r2, derivative_form(r2)
-
-
-def pair_by_four_grids(forms: tuple, r: float) -> tuple[tuple[float, float], ...]:
-    """((R1, R2), (R1', R2')) at r from one one-point eval_grid call per form
-    of four_grid_forms, in its order, each converting its form's
-    coefficients again, so the first form that cannot be evaluated raises."""
-    v1, d1, v2, d2 = (eval_grid(f, (r,))[0][1] for f in forms)
-    return (v1, v2), (d1, d2)
 
 
 def exterior_q_reference(l: int, kappa: Fraction) -> RatPoly:

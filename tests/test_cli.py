@@ -311,6 +311,22 @@ def test_coefficient_overflow_limits_of_eval_and_shell(capsys):
     assert (code, out, err) == (1, "", overflow)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # eval's R2 probes e^{kappa r}, P and Ei before its L, and the shell probes
+    # L first, so at the same points the two commands fail with different texts
+    ("eval --n 71 --l 0 --which R2 --grid 27000:27001:2",
+     "Ei(1, -x) overflows double precision at x=760.5633802816901"),
+    ("eval --n 3 --l 0 --which R2 --grid 1e200:1e201:2",
+     "exp(3.333333333333333e+199) overflows double precision"),
+    ("shell --n 71 --l 0 --a 1 --b-range 2:27000",
+     "conditioning envelope overflows double precision at r = 27000.0"),
+    ("shell --n 3 --l 0 --a 1 --b-range 2:1e200",
+     "conditioning envelope overflows double precision at r = 1e+200"),
+])
+def test_eval_and_shell_guard_their_points_in_their_own_order(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (1, "", f"coulombwf: failure: {message}\n")
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_json_enumerates(capsys):
@@ -398,7 +414,7 @@ def test_verify_exact_checks_differentiate_and_multiply_nothing(capsys, monkeypa
         calls["mul"] += 1
         return mul(self, other)
 
-    for module in (closedform, numeval):
+    for module in (closedform, shellmatch):
         monkeypatch.setattr(module, "derivative", counted_derivative)
     for module in (closedform, oracle):
         monkeypatch.setattr(module, "decay_derivative", counted_decay)
@@ -800,36 +816,36 @@ def test_shell_rejects_negative_grid_points(capsys):
 def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
     # the match, its continuity residuals and the grid share the interior
     # solution and (R1, R1', R2, R2') at a; no grid point lies below a here
-    calls = {"interior": 0, "pair_at_a": 0}
-    interior, eval_pair = shellmatch.integrate_interior, numeval.eval_pair
+    calls = {"interior": 0, "values_at_a": 0}
+    interior, eval_runs = shellmatch.integrate_interior, numeval.eval_runs
 
     def counting_interior(qn, a):
         calls["interior"] += 1
         return interior(qn, a)
 
-    def counting_pair(kappa, runs, r):
-        calls["pair_at_a"] += r == 1e-4
-        return eval_pair(kappa, runs, r)
+    def counting_eval_runs(kappa, pairs, rs, *guards):
+        calls["values_at_a"] += rs.count(1e-4)
+        return eval_runs(kappa, pairs, rs, *guards)
 
     monkeypatch.setattr(shellmatch, "integrate_interior", counting_interior)
-    monkeypatch.setattr(numeval, "eval_pair", counting_pair)
+    monkeypatch.setattr(numeval, "eval_runs", counting_eval_runs)
     code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
                      "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
-    assert calls == {"interior": 1, "pair_at_a": 1}
+    assert calls == {"interior": 1, "values_at_a": 1}
 
 
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
-    # one eval_pair pass over R1, R1', R2 and R2', with one Ei, at a, at each
-    # mismatch evaluation (lo, hi, then two Brent steps) and at each of the
-    # grid's 33 shell samples; b* reuses its last evaluation, and no form
-    # goes through eval_grid
-    passes, counts = [], {"eval_grid": 0, "ei_with_error": 0}
-    eval_pair = numeval.eval_pair
+    # one eval_runs call over R1, R1', R2 and R2', with one Ei, at a and at
+    # each mismatch evaluation (lo, hi, then two Brent steps), and one over
+    # R1 and R2 alone at all of the grid's 33 shell samples; b* reuses its
+    # last evaluation, and no form goes through eval_grid
+    calls, counts = [], {"eval_grid": 0, "ei_with_error": 0}
+    eval_runs = numeval.eval_runs
 
-    def counting_eval_pair(kappa, runs, r):
-        passes.append(r)
-        return eval_pair(kappa, runs, r)
+    def recording_eval_runs(kappa, pairs, rs, *guards):
+        calls.append((len(pairs), list(rs)))
+        return eval_runs(kappa, pairs, rs, *guards)
 
     def counted(name):
         original = getattr(numeval, name)
@@ -839,7 +855,7 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
             return original(*args)
         monkeypatch.setattr(numeval, name, wrapper)
 
-    monkeypatch.setattr(numeval, "eval_pair", counting_eval_pair)
+    monkeypatch.setattr(numeval, "eval_runs", recording_eval_runs)
     counted("eval_grid")
     counted("ei_with_error")
     code, out, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
@@ -848,32 +864,35 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     doc = json.loads(out)
     shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
     assert len(shell_samples) == 33
-    mismatches = passes[1:-len(shell_samples)]
-    assert mismatches[:2] == [0.5, 1.5] and mismatches[-1] == doc["b_star"]
-    assert passes == [1e-4] + mismatches + shell_samples
-    assert counts == {"eval_grid": 0, "ei_with_error": len(passes)}
-    assert len(mismatches) == 4 and len(passes) == 38
+    *points, grid_call = calls
+    mismatches = [rs for _, rs in points[1:]]
+    assert mismatches[:2] == [[0.5], [1.5]] and mismatches[-1] == [doc["b_star"]]
+    assert points == [(2, [1e-4])] + [(2, rs) for rs in mismatches]
+    assert grid_call == (1, shell_samples)
+    assert counts == {"eval_grid": 0, "ei_with_error": len(points) + len(shell_samples)}
+    assert len(mismatches) == 4
 
 
 def test_shell_converts_each_polynomial_once(capsys, monkeypatch):
     # L, L', P and P' of R2 and R2' and the exterior q and q' are converted
     # to float runs once per request, with R2' the one derivative formed
-    counts = {"laurent_run": 0, "pair_runs": 0, "derivative": 0}
+    counts = {"laurent_run": 0, "float_runs": 0, "derivative": 0}
 
-    def counted(name):
-        original = getattr(numeval, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(numeval, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in counts:
-        counted(name)
+    counted(numeval, "laurent_run")
+    counted(numeval, "float_runs")
+    counted(shellmatch, "derivative")
     code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
                      "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
-    assert counts == {"laurent_run": 6, "pair_runs": 1, "derivative": 1}
+    assert counts == {"laurent_run": 6, "float_runs": 2, "derivative": 1}
 
 
 # any double, with the values json writes specially weighted in

@@ -17,15 +17,13 @@ from coulombwf.numeval import (
     _EPS,
     _asymptotic_sum,
     _ei_series,
-    _float_run,
     ei_with_error,
     eval_form_extended,
     eval_grid,
-    eval_pair,
     envelope,
+    float_runs,
     horner,
     laurent_run,
-    pair_runs,
 )
 
 import refvals
@@ -427,6 +425,11 @@ def _package_runs(build) -> list | tuple:
         return OverflowSignal, str(exc)
 
 
+def _converted(*forms) -> list:
+    """The float runs of each (form, of) by float_runs in turn, P before L."""
+    return [run for f, of in forms for run in reversed(float_runs(f, of)) if run is not None]
+
+
 def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
     # each coefficient read in r from the record in x is the same rational as
     # the one substituted a Fraction at a time, so every float run, and every
@@ -440,105 +443,32 @@ def test_runs_read_from_the_records_in_x_equal_the_runs_in_r():
         r1 = Radial(r2.qn, r2.L)
         d = derivative(r2)
         (ell, p), (d_ell, d_p) = refvals.in_r(r2), refvals.in_r(d)
-        # pair_runs converts L, L', P and P' in turn
-        pair = _package_runs(lambda: [run for runs in zip(*pair_runs(r2)) for run in runs])
-        assert pair == _reference_runs(
-            [("q_minus coefficients", ell), ("q_minus coefficients of R1'", d_ell),
-             ("q_plus coefficients", p), ("q_plus coefficients of R2'", d_p)]), (n, l)
-        # eval_grid's, P before L
-        c = 2 * r1.qn.kappa
-        assert _package_runs(lambda: [_float_run("q_minus", r1.L, c)]) == \
+        # float_runs converts P before L, and the shell R2 before R2'
+        assert _package_runs(lambda: _converted((r1, ""))) == \
             _reference_runs([("q_minus coefficients", ell)]), (n, l)
-        got = _package_runs(lambda: [_float_run("q_plus", r2.P, c), _float_run("q_ei", r2.L, c)])
+        got = _package_runs(lambda: _converted((r2, "")))
         assert got == _reference_runs([("q_plus coefficients", p), ("q_ei coefficients", ell)]), (n, l)
+        pair = _package_runs(lambda: _converted((r2, ""), (d, "R2'")))
+        assert pair == _reference_runs(
+            [("q_plus coefficients", p), ("q_ei coefficients", ell),
+             ("q_plus coefficients of R2'", d_p), ("q_ei coefficients of R2'", d_ell)]), (n, l)
         outcomes[n, l] = got, pair
     assert outcomes[65, 64][0] == (OverflowSignal, "the q_plus coefficients exceed double precision")
     assert isinstance(outcomes[64, 63][0], list)
     assert outcomes[64, 63][1] == (OverflowSignal, "the q_plus coefficients of R2' exceed double precision")
 
 
-# -- the shell's one-point pass against four one-point grids --------------------------
-
-def _pair_outcome(fn, *args):
-    """The repr of each value of each pair, or the type and text of the exception raised."""
-    try:
-        return tuple(repr(v) for values in fn(*args) for v in values)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# r log-spaced over 1e-300..1e6 for the envelope probes at small r and the
-# exp overflow at large r, and kappa r log-spaced over 1e-3..1e3 for both Ei
-# branches, the cancellations to 0.0 and the Ei overflow past 2 kappa r = 708
-_WIDE_R = [10 ** (-300 + 306 * i / 199) for i in range(200)]
-_KAPPA_R = [10 ** (-3 + 6 * i / 99) for i in range(100)]
-# r = 1e300 overflows e^{kappa r} and, for every top power past 1, the envelope
-_EDGE_R = [0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
-
-
-def test_eval_pair_matches_four_grid_calls():
-    # 12 seeded states with n <= 12 and the corners: the same values by repr,
-    # and the same first exception
-    rng = random.Random(41)
-    states = [(n, rng.randrange(n)) for n in (rng.randint(1, 12) for _ in range(12))]
-    kinds = set()
-    for n, l in states + [(1, 0), (12, 0), (12, 11)]:
-        qn = QuantumNumbers(n, l)
-        r2 = assemble_R2(qn)
-        r1 = Radial(qn, r2.L)
-        forms, kappa, runs = refvals.four_grid_forms(r1, r2), float(qn.kappa), pair_runs(r2)
-        for r in _WIDE_R + [n * x for x in _KAPPA_R] + _EDGE_R:
-            want = _pair_outcome(refvals.pair_by_four_grids, forms, r)
-            assert _pair_outcome(eval_pair, kappa, runs, r) == want, (n, l, r)
-            if isinstance(want[0], type):
-                kinds.add((want[0], want[1].split(" ")[0][:4]))
-            elif "0.0" in want:
-                kinds.add("zero")
-    assert kinds == {(DomainError, "eval"), (OverflowSignal, "cond"), (OverflowSignal, "exp("),
-                     (OverflowSignal, "Ei(1"), "zero"}
-
-
-def test_eval_pair_gives_a_zero_eval_grids_sign():
-    # no state reaches it, but a negative L e^{-kr} that underflows is -0.0,
-    # which eval_grid's sum 0.0 + b + 0.0 of R1's three terms turns into
-    # 0.0, and so does eval_pair
-    qn, ell = QuantumNumbers(1, 0), RatPoly(0, [Fraction(-1, 10**300)])
-    r1, r2 = Radial(qn, ell), Radial(qn, ell, RatPoly(0, [1]))
-    want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(r1, r2), 100.0)
-    assert want[0] == "0.0"
-    assert _pair_outcome(eval_pair, 1.0, pair_runs(r2), 100.0) == want
-
-
-@pytest.mark.parametrize("state, r, message", [
-    # R1's L is probed before e^{kappa r} and Ei, unlike in eval_grid's R2,
-    # so its envelope's overflow is raised though e^{kappa r} or Ei overflows too
-    ((3, 0), 1e200, "conditioning envelope overflows double precision at r = 1e+200"),
-    ((71, 0), 27000.0, "conditioning envelope overflows double precision at r = 27000.0"),
-])
-def test_eval_pair_probes_L_before_the_growing_factors(state, r, message):
-    qn = QuantumNumbers(*state)
-    r2 = assemble_R2(qn)
-    want = _pair_outcome(refvals.pair_by_four_grids, refvals.four_grid_forms(Radial(qn, r2.L), r2), r)
-    assert want == (OverflowSignal, message)
-    assert _pair_outcome(eval_pair, float(qn.kappa), pair_runs(r2), r) == want
-
-
-def test_pair_runs_names_an_overflowing_bucket_as_eval_grid_does():
-    # n = 70, l = 69: P does not fit a double, so the runs cannot be
-    # converted, and the text is eval_grid's for the same form
-    r2 = assemble_R2(QuantumNumbers(70, 69))
-    for convert in (pair_runs, lambda f: eval_grid(f, [])):
-        with pytest.raises(OverflowSignal, match="^the q_plus coefficients exceed double precision$"):
-            convert(r2)
-
-
 def test_eval_grid_names_the_bucket_of_an_overflowing_L():
     # no state reaches it, since P overflows first, but an L beyond double
-    # range is named as the bucket it fills: q_minus in R1, q_ei in R2
+    # range is named as the bucket it fills: q_minus in R1, q_ei in R2, and
+    # q_ei in the R2' that the shell converts by the same float_runs
     qn, huge = QuantumNumbers(1, 0), RatPoly(0, [10**400])
-    for f, name in ((Radial(qn, huge), "q_minus"), (Radial(qn, huge, RatPoly(0, [1])), "q_ei")):
+    r2 = Radial(qn, huge, RatPoly(0, [1]))
+    for f, name in ((Radial(qn, huge), "q_minus"), (r2, "q_ei")):
         with pytest.raises(OverflowSignal, match=f"^the {name} coefficients exceed double precision$"):
             eval_grid(f, [1.0])
+    with pytest.raises(OverflowSignal, match="^the q_ei coefficients of R2' exceed double precision$"):
+        float_runs(r2, "R2'")
 
 
 # -- the grid kernel ------------------------------------------------------------------
@@ -568,7 +498,7 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     # R1 for n = 30 has no growing bucket, but its r^29 term overflows at 1e12
     ((30, 0), "r1", 1e12, "conditioning envelope overflows double precision at r = 1000000000000.0"),
     # R2 probes L only after e^{kappa r} and Ei, though L's envelope overflows
-    # at both points too (where eval_pair, probing L first, raises that)
+    # at both points too (where the shell, probing L first, raises that)
     ((3, 0), "r2", 1e200, "exp(3.333333333333333e+199) overflows double precision"),
     ((71, 0), "r2", 27000.0, "Ei(1, -x) overflows double precision at x=760.5633802816901"),
 ])

@@ -30,6 +30,7 @@ from refvals import (
     shell_mixing,
     shell_probe,
     shell_runs,
+    shell_values,
     sph_in_logderiv_mp,
     sph_in_series,
 )
@@ -41,20 +42,20 @@ RK4_STEPS = (0.01, 0.005)
 def shell_pair(qn, r):
     """(R1, R1', R2, R2') at r, from the runs match_shell evaluates."""
     kappa, runs, _, _ = shell_runs(qn)
-    (v1, v2), (d1, d2) = numeval.eval_pair(kappa, runs, r)
+    v1, v2, d1, d2 = shell_values(kappa, runs, r)
     return v1, d1, v2, d2
 
 
-def recording_eval_pair(monkeypatch):
-    """Record the r of every numeval.eval_pair pass; match_shell's first is
-    at a, and the mismatch points are the passes after it."""
-    seen, eval_pair = [], numeval.eval_pair
+def recording_eval_runs(monkeypatch):
+    """Record every r that numeval.eval_runs evaluates; match_shell's first
+    is a, and the mismatch points are the ones after it."""
+    seen, eval_runs = [], numeval.eval_runs
 
-    def recording(kappa, runs, r):
-        seen.append(r)
-        return eval_pair(kappa, runs, r)
+    def recording(kappa, pairs, rs, *guards):
+        seen.extend(rs)
+        return eval_runs(kappa, pairs, rs, *guards)
 
-    monkeypatch.setattr(numeval, "eval_pair", recording)
+    monkeypatch.setattr(numeval, "eval_runs", recording)
     return seen
 
 
@@ -221,7 +222,7 @@ def test_no_root_reports_scan():
 def test_no_root_scan_reuses_the_endpoint_values(monkeypatch, b_range, evals):
     lo, hi = b_range
     assert (lo + 16 * (hi - lo) / 16 == hi) == (evals == 17)
-    seen = recording_eval_pair(monkeypatch)
+    seen = recording_eval_runs(monkeypatch)
     with pytest.raises(NoRootInRange) as err:
         match_shell(QuantumNumbers(1, 0), 1e-4, b_range)
     assert len(seen[1:]) == evals
@@ -272,7 +273,7 @@ def test_bracket_with_a_root_and_a_node_finds_the_root():
     qn = QuantumNumbers(2, 0)
     result = match_shell(qn, 0.5, (1.0, 3.0))
     u_lo, u_hi = (result.c1 * v1 + result.c2 * v2
-                  for (v1, v2), _ in (numeval.eval_pair(float(qn.kappa), result.runs, b) for b in (1.0, 3.0)))
+                  for v1, v2, _, _ in (shell_values(float(qn.kappa), result.runs, b) for b in (1.0, 3.0)))
     assert u_lo > 0 > u_hi
     assert abs(result.mismatch) < 1e-8
     # both stop once |mismatch| < 1e-8, which pins b_star to about 1e-8 here
@@ -348,7 +349,7 @@ def test_piecewise_grid_samples_the_matched_forms():
         inside = [(r, u) for r, u in grid if a <= r <= result.b_star]
         assert len(inside) > 10
         for r, u in inside:
-            (v1, v2), _ = numeval.eval_pair(float(qn.kappa), result.runs, r)
+            v1, v2, _, _ = shell_values(float(qn.kappa), result.runs, r)
             assert repr(u) == repr(result.c1 * v1 + result.c2 * v2)
 
 
@@ -445,14 +446,14 @@ def test_brent_matches_the_bisection_reference_on_seeded_brackets(monkeypatch):
     # kappa b ~ 10, where the rounding noise of the mismatch is above the
     # 1e-8 tolerance and only a lucky evaluation meets it, for Brent's steps
     # and for the bisection's alike
-    evals = recording_eval_pair(monkeypatch)
+    evals = recording_eval_runs(monkeypatch)
     outcomes, narrow_evals, apart = collections.Counter(), [], collections.Counter()
     for n, l, a, bracket, narrow in _seeded_brackets(1000, "brent-against-bisection"):
         qn = QuantumNumbers(n, l)
         runs = shell_runs(qn)
         evals.clear()
         want = _outcome(bisection_match, qn, a, bracket)
-        # past the passes at a, lo and hi
+        # past the points a, lo and hi
         reference_evals = len(evals) - 3
         evals.clear()
         got = _outcome(match_shell, qn, a, bracket)
@@ -494,7 +495,7 @@ def test_unresolved_match_stops_once_the_bracket_closes(monkeypatch):
     # step of at least a quarter of the bracket leaves above a quarter of
     # that: the narrowest sign change of M among the evaluated points
     qn, a = QuantumNumbers(8, 2), 0.031218547948655875
-    seen = recording_eval_pair(monkeypatch)
+    seen = recording_eval_runs(monkeypatch)
     with pytest.raises(MatchNotResolved) as err:
         match_shell(qn, a, (197.2183249463177, 279.3309622590942))
     b = float(str(err.value).split("b = ")[1].split(" ")[0])
