@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__, numeval, oracle, shellmatch
 from .closedform import (
@@ -111,7 +112,7 @@ def _write(out_path: str | None, pieces) -> None:
 def _json_floats(text: str) -> str:
     """text with repr's non-finite floats inf and nan written as json writes
     them, Infinity and NaN; no key or fixed token of the eval and shell
-    documents holds either word."""
+    documents holds either word, and a verify row passes it its float alone."""
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
@@ -335,14 +336,31 @@ def run_verify(n_max: int, checks: set[str]) -> list[oracle.VerificationReport]:
     return reports
 
 
-# a report's fields are the row's keys and columns, in order
+# A report's fields are the row's keys and columns, in order.  Each row is
+# written from a template, as the eval and coeffs writers are: json.dumps of
+# vars(rep) took about 3.5 times as long.
+def _verify_json_row(rep) -> str:
+    """json.dumps(vars(rep)) + "\n" of one report, whose passed and exact
+    are bools and residual_norm a float."""
+    n, l = rep.n, rep.l
+    return (f'{{"n": {"null" if n is None else n}, "l": {"null" if l is None else l}, '
+            f'"check": {_json_str(rep.check)}, "passed": {"true" if rep.passed else "false"}, '
+            f'"residual_norm": {_json_floats(repr(rep.residual_norm))}, '
+            f'"exact": {"true" if rep.exact else "false"}, "details": {_json_str(rep.details)}}}\n')
+
+
 def _verify_json(reports: list):
-    return _runs(reports, lambda run: "".join([json.dumps(vars(rep)) + "\n" for rep in run]))
+    return _runs(reports, lambda run: "".join(map(_verify_json_row, run)))
+
+
+_VERIFY_CSV_ROW = '%s,%s,%s,%s,%r,%s,"%s"\n'
 
 
 def _verify_csv_row(rep) -> str:
-    return (f"{rep.n if rep.n is not None else ''},{rep.l if rep.l is not None else ''},"
-            f"{rep.check},{rep.passed},{rep.residual_norm!r},{rep.exact},\"{rep.details}\"\n")
+    n, l = rep.n, rep.l
+    return _VERIFY_CSV_ROW % ("" if n is None else n, "" if l is None else l, rep.check,
+                              "True" if rep.passed else "False", rep.residual_norm,
+                              "True" if rep.exact else "False", rep.details)
 
 
 def _verify_csv(reports: list):

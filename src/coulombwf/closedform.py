@@ -118,22 +118,35 @@ def p2_recurrence(n_r: int, m: int) -> RatPoly:
     run downwards from P_{n_r+m} = 0 to P_0.  Degree n_r + m - 1, all coefficients
     integers, leading coefficient (-1)^{n_r}.
     """
+    return _make(0, _p2_nums(n_r, m), 1)
+
+
+def _p2_nums(n_r: int, m: int) -> list[int]:
+    """P's integer coefficients from x^0 up, as p2_recurrence builds them."""
     if n_r < 0:
         raise ValueError("p2_recurrence needs n_r >= 0")
     if m < 1:
         raise ValueError("p2_recurrence needs m >= 1")
     nums = [0] * (n_r + m)
     g, p = (-1) ** n_r, 0  # G_{n_r} and P_{n_r+m}
-    for j in range(n_r + m - 1, -1, -1):
+    for j in range(n_r + m - 1, m - 1, -1):
         k = j - m + 1
         p, rem = divmod((m + 2 * k) * g - (j + 1) * k * p, j + n_r + 1)
-        # G_{k-1} = -G_k k (m+k)/(n_r-k+1), which is 0 from k = 0 down, so
-        # below k = 0 the step is P_j (j+n_r+1) = (j+1)(m-1-j) P_{j+1}
+        # G_{k-1} = -G_k k (m+k)/(n_r-k+1), needed while k >= 1
         g, g_rem = divmod(-g * k * (m + k), n_r - k + 1)
         if rem or g_rem:
             raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
         nums[j] = p
-    return _make(0, nums, 1)
+    # from k = 0 down G_{k-1} = 0, so the step is P_j (j+n_r+1) = (j+1)(m-1-j)
+    # P_{j+1}, plus m G_0 at k = 0 (j = m-1), where (m-1-j) vanishes
+    top = m * g
+    for j in range(m - 1, -1, -1):
+        p, rem = divmod(top, j + n_r + 1)
+        if rem:
+            raise ArithmeticError(f"inexact P recurrence at n_r={n_r}, m={m}, j={j}")
+        nums[j] = p
+        top = j * (m - j) * p
+    return nums
 
 
 # -- symbolic radial solutions ----------------------------------------------
@@ -178,26 +191,32 @@ def assemble_R2(qn: QuantumNumbers) -> Radial:
     so that where both forms are needed R1 is Radial(qn, r2.L).
     """
     # P's integer coefficients, from x^0 up, are the numerators of P/n_r!
-    p = _make(-qn.l - 1, p2_recurrence(qn.n_r, qn.m).nums, math.factorial(qn.n_r))
+    p = _make(-qn.l - 1, _p2_nums(qn.n_r, qn.m), math.factorial(qn.n_r))
     return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l), p)
 
 
-def _one_pass(f: Radial, run, ei, shift: int, den: int) -> Radial:
+def _one_pass(f: Radial, run, ei: tuple[int, int], shift: int, den: int) -> Radial:
     """The record whose L numerators are run(L, -1) and whose P numerators are
-    run(P, +1) less ei(k) L_k, run giving the x^(k+shift) numerator over den
-    q.den for k from q.low to q.degree + 1; each polynomial reduced by one gcd."""
+    run(P, +1) less (a k + b) L_k, (a, b) = ei, run giving the x^(k+shift)
+    numerator over den q.den for k from q.low to q.degree + 1; each polynomial
+    reduced by one gcd."""
     p, e = f.P, f.L
     decay = _make(e.low + shift, run(e, -1), den * e.den)
     if p is None:
         return Radial(f.qn, decay)
-    # the e^{+x/2} part over den p.den e.den: P's own run and -ei(k) L_k
+    # the e^{+x/2} part over den lcm(p.den, e.den): P's own run times ed and
+    # -(a k + b) L_k times pd, the two cofactors, which are 1 when the
+    # denominators agree, as they do for every assembled R2
+    g = math.gcd(p.den, e.den)
+    ed, pd = e.den // g, p.den // g
+    a, b = ei[0] * pd, ei[1] * pd
     low = min(p.low, e.low)
-    plus = [0] * (max(p.degree + 2, e.degree + 1) - low)
-    for i, u in enumerate(run(p, 1), p.low - low):
-        plus[i] = u * e.den
-    for k, u in enumerate(e.nums, e.low):
-        plus[k - low] -= p.den * ei(k) * u
-    return Radial(f.qn, decay, _make(low + shift, plus, den * p.den * e.den))
+    i, j = e.low - low, e.degree + 1 - low
+    head = run(p, 1)
+    plus = [0] * (p.low - low) + (head if ed == 1 else [u * ed for u in head])
+    plus += [0] * (j - len(plus))
+    plus[i:j] = [x - (a * k + b) * u for x, k, u in zip(plus[i:j], range(e.low, e.degree + 1), e.nums)]
+    return Radial(f.qn, decay, _make(low + shift, plus, den * pd * e.den))
 
 
 def derivative(f: Radial) -> Radial:
@@ -210,7 +229,7 @@ def derivative(f: Radial) -> Radial:
     """
     a, b = f.qn.kappa.as_integer_ratio()
     return _one_pass(f, lambda q, s: [a * (2 * k * u + s * v) for k, u, v in _steps(q)],
-                     lambda k: 2 * a, -1, b)
+                     (0, 2 * a), -1, b)
 
 
 def apply_radial_operator(f: Radial) -> Radial:
@@ -226,4 +245,4 @@ def apply_radial_operator(f: Radial) -> Radial:
     n, l = f.qn.n, f.qn.l
     return _one_pass(f, lambda q, s: [(k - l) * (k + l + 1) * u + (s * k + n) * v
                                       for k, u, v in _steps(q)],
-                     lambda k: 2 * k + 1, 0, 1)
+                     (2, 1), 0, 1)

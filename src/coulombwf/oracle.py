@@ -99,11 +99,17 @@ def wronskian_symbolic(r1: Radial, r2: Radial, solves: bool) -> tuple[Fraction, 
                      - p.den * _num(e, -1 - a))
                 # each term reads p or e at -1-a or -2-a, zero below min(p.low, e.low)
                 for a, x in zip(range(m1.low, -min(p.low, e.low)), m1.nums))
-    r2w = Fraction(n * total, 2 * m1.den * p.den * e.den)
-    expected = Fraction(-qn.n * math.factorial(qn.n + qn.l), 2 * math.factorial(qn.n_r))
-    if r2w == expected:
+    # both sides as reduced integer pairs, so that a pass builds one Fraction
+    num, den = n * total, 2 * m1.den * p.den * e.den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    e_num, e_den = -n * math.factorial(n + qn.l), 2 * math.factorial(qn.n_r)
+    g = math.gcd(e_num, e_den)
+    if num == e_num // g and den == e_den // g:
+        r2w = Fraction(num, den)
         return r2w, VerificationReport(qn.n, qn.l, "wronskian", True, 0.0, exact=True,
                                        details=f"r^2 W = {r2w}")
+    r2w, expected = Fraction(num, den), Fraction(e_num, e_den)
     return r2w, VerificationReport(qn.n, qn.l, "wronskian", False, float(abs(r2w - expected)),
                                    details=f"r^2 W = {r2w}, expected {expected}")
 
@@ -172,10 +178,16 @@ def _pv_weighted_integral(runs: tuple[tuple, tuple, tuple], x: float, delta: flo
     h's in ``runs``.
     """
     h, d1, d3 = runs
-    horner = numeval.horner
+    horner, exp = numeval.horner, math.exp
+    up = h[0]  # h = s^m F has no negative powers: its whole run is ``up``
 
     def integrand(s: float) -> float:
-        return math.exp(-s) * horner(h, s) / (s - x)
+        # horner(h, s) inline, since this runs at every abscissa; its closing
+        # + 0.0 is left out, as no step v s + c gives -0.0 when c is not -0.0
+        value = 0.0
+        for c in up:
+            value = value * s + c
+        return exp(-s) * value / (s - x)
 
     left, err_l = _quad(integrand, 0.0, x - delta)
     right, err_r = _quad(integrand, x + delta, cutoff)
@@ -254,10 +266,13 @@ def pv_checks(qn: QuantumNumbers, xs: Sequence[float], checks: set[str]) -> list
             for c in h_head:
                 b = b * x + c
                 sums.append(b)
-            quotient = (tuple(sums), (), 0, 0, 0.0)
 
             def smooth(s: float) -> float:
-                return math.exp(-s) * horner(quotient, s)
+                # the quotient's Horner sum at s, inline as in _pv_weighted_integral
+                value = 0.0
+                for c in sums:
+                    value = value * s + c
+                return math.exp(-s) * value
 
             integral, err = _quad(smooth, 0.0, _upper_cutoff(n_r, m, x))
             if err > 1e-9 * max(1.0, abs(integral)):
@@ -286,13 +301,15 @@ def first_integral_closed_form_check(n_r: int, m: int) -> VerificationReport:
     for k in range(n_r + 1):
         power = m + k
         for x in FIRST_INTEGRAL_XS:
+            # (s^N - x^N)/(s - x) = sum_j x^{N-1-j} s^j, the powers of x formed
+            # once per (N, x) rather than at every abscissa
+            x_powers = [x ** (power - 1 - j) for j in range(power)]
 
             def integrand(s: float) -> float:
-                # (s^N - x^N)/(s - x) = sum_j x^{N-1-j} s^j
                 total = 0.0
                 sj = 1.0
-                for j in range(power):
-                    total += x ** (power - 1 - j) * sj
+                for xp in x_powers:
+                    total += xp * sj
                     sj *= s
                 return math.exp(-s) * total
 

@@ -49,13 +49,13 @@ def _raw(low: int, nums: tuple[int, ...], den: int) -> RatPoly:
 def _make(low: int, nums, den: int) -> RatPoly:
     """A canonical RatPoly from integer numerators over den > 0, unchecked:
     zeros trimmed from both ends, and numerators and den divided by their gcd."""
-    start, end = 0, len(nums)
-    while start < end and not nums[start]:
-        start += 1
-    while end > start and not nums[end - 1]:
-        end -= 1
-    if start == end:
+    if not any(nums):
         return _raw(0, (), 1)
+    start, end = 0, len(nums)
+    while not nums[start]:
+        start += 1
+    while not nums[end - 1]:
+        end -= 1
     nums = nums[start:end]
     g = math.gcd(den, *nums)
     if g != 1:

@@ -666,6 +666,43 @@ def test_verify_default_row_sequence_is_pinned(capsys):
     assert len(expected) == 61
 
 
+def _verify_row_references(reports):
+    # json.dumps of the report's fields, and the csv row as an f-string writes it
+    csv = "".join(f"{'' if r.n is None else r.n},{'' if r.l is None else r.l},{r.check},"
+                  f"{r.passed},{r.residual_norm!r},{r.exact},\"{r.details}\"\n" for r in reports)
+    return ("".join(json.dumps(vars(r)) + "\n" for r in reports),
+            cli._header() + "n,l,check,passed,residual_norm,exact,details\n" + csv)
+
+
+def test_verify_rows_are_json_dumps_of_the_reports(monkeypatch):
+    # every report of the exact and default runs, and the failing shapes:
+    # a corrupted R2 (residual inf), a corrupted golden table, rows whose n
+    # and l are null, non-finite norms and details that json must escape
+    reports = cli.run_verify(30, {"ode", "wronskian"}) + cli.run_verify(4, set(cli.ALL_CHECKS))
+    original = oracle.assemble_R2
+
+    def corrupted(qn):
+        r2 = original(qn)
+        return dataclasses.replace(r2, P=refvals.poly_add(r2.P, RatPoly(0, (1,))))
+
+    corrupt = {k: {"q_plus": dict(v["q_plus"]), "q_ei": dict(v["q_ei"])} for k, v in GOLDEN_R2.items()}
+    corrupt[(3, 1)]["q_ei"][1] = Fraction(123)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "assemble_R2", corrupted)
+        patch.setattr(oracle, "GOLDEN_R2", corrupt)
+        failing = cli.run_verify(3, {"ode", "wronskian", "golden"})
+    VR = oracle.VerificationReport
+    failing += [VR(None, None, "pv_closedform[0,1]", False, math.nan, details="\u00e9 \"quoted\"\\ \t"),
+                VR(2, None, "split", False, -math.inf, details="infinite"),
+                VR(None, 1, "integral", True, -0.0, exact=True), VR(1, 0, "x", False, 1e300)]
+    assert any(r.residual_norm == math.inf for r in failing)
+    assert any(not r.passed and r.check == "golden_table" for r in failing)
+    assert [r.n for r in reports if r.check.startswith(("pv_", "pole_", "first_"))] == [None] * 21
+    for batch in (reports, failing):
+        written = "".join(cli._verify_json(batch)), "".join(cli._verify_csv(batch))
+        assert written == _verify_row_references(batch)
+
+
 # written by data/regenerate.py: sha256 of stdout of integer-only commands
 EXACT_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "exact_outputs.json").read_text())

@@ -254,6 +254,11 @@ def test_p2_forms_agree_exactly():
         for l in range(9):
             m = 2 * l + 1
             assert p2_recurrence(n_r, m) == p2_doublesum(n_r, m) == p2_simplified(n_r, m)
+    # the long tail below x^(m-1), where G_k = 0 and each step is one
+    # division, is most of P at small n_r and large l
+    for n_r in range(4):
+        for l in range(9, 30):
+            assert p2_recurrence(n_r, 2 * l + 1) == p2_doublesum(n_r, 2 * l + 1)
 
 
 @pytest.mark.parametrize("build", [p2_recurrence, p2_doublesum, p2_simplified])
