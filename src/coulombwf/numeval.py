@@ -8,9 +8,9 @@ oracle's tail bound) read it as that same loop over ``envelope(run)``, the
 run of the |c_k|.  There is one double-precision evaluator, ``eval_runs``,
 over the (L, P) run pairs of ``float_runs``: ``eval_grid`` asks it for one
 form over a grid with error estimates, and the shell for R1 and R2, and R1'
-and R2' when asked, with no estimate.  It runs each point's guards, e^{kr},
-e^{-kr} and Ei itself, in an order its caller gives as runs, so one
-function decides what a point raises.
+and R2' when asked, with no estimate.  It works out each point's guards from
+the runs it is given and runs them, e^{kr}, e^{-kr} and Ei itself, in one
+order for every caller, so one function decides what a point raises.
 ``ei_with_error`` is the one Ei(1, -x).
 
 The forms are closedform.Radial records, held in x = 2kr, and every
@@ -129,12 +129,10 @@ def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> t
     Fraction with ``conv=Fraction``, or to an extended-precision scalar.
     A record in x = 2kr passes scale = qn.x_per_r to be evaluated at r.
 
-    The run is ``(up, down, top, bottom, zero)``.  ``up`` holds the
-    coefficients c_k for the powers max(degree, -1) down to 0 and ``down``
-    for the powers min(low, 0) up to -1, padded with the run's own ``zero``
-    = conv(0, 1).
-    ``top`` and ``bottom`` are the highest and the lowest power of p clipped
-    at 0: the only powers whose r^k can overflow, for r > 1 and for r < 1.
+    The run is ``(up, down, zero)``.  ``up`` holds the coefficients c_k for
+    the powers max(degree, -1) down to 0 and ``down`` for the powers
+    min(low, 0) up to -1, padded with the run's own ``zero`` = conv(0, 1), so
+    len(up) - 1 and -len(down) are its highest and lowest powers.
     Raises OverflowError when a float coefficient is beyond double range.
     """
     zero = conv(0, 1)
@@ -142,14 +140,14 @@ def laurent_run(p: RatPoly, conv=operator.truediv, scale: RationalLike = 1) -> t
     cs = [zero] * (hi + 1 - lo)
     for k, num, den in p.ratio_terms(scale):
         cs[k - lo] = conv(num, den)
-    return tuple(reversed(cs[-lo:])), tuple(cs[:-lo]), max(p.degree, 0), lo, zero
+    return tuple(reversed(cs[-lo:])), tuple(cs[:-lo]), zero
 
 
 def envelope(run: tuple) -> tuple:
     """The laurent_run whose coefficients are the absolute values of run's:
     horner(envelope(run), r) is the envelope sum |c_k| r^k of run at r."""
-    up, down, top, bottom, zero = run
-    return tuple(map(abs, up)), tuple(map(abs, down)), top, bottom, zero
+    up, down, zero = run
+    return tuple(map(abs, up)), tuple(map(abs, down)), zero
 
 
 def horner(run: tuple, r):
@@ -159,7 +157,7 @@ def horner(run: tuple, r):
     every sum starts from the run's own zero, so an exact run stays exact.
     Raises ZeroDenominator for negative powers at r = 0.
     """
-    up, down, _, _, zero = run
+    up, down, zero = run
     value = zero
     for c in up:
         value = value * r + c
@@ -192,51 +190,48 @@ def float_runs(f: Radial, of: str = "") -> tuple:
     return run("q_minus" if p is None else "q_ei", f.L), p
 
 
-def eval_runs(kappa: float, pairs, rs, first, plus, last, envelopes=None):
+def eval_runs(kappa: float, pairs, rs, envelopes=None):
     """The one double-precision kernel: for each r of rs in turn, it yields
     the row [r, R1, R2, ...] of the values at r of each (L, P) pair of
     float_runs, R1 = L e^{-kr} and, unless P is None, R2 = P e^{kr} +
     L e^{-kr} Ei(1, -2kr), from one Horner pass per run and one e^{kr},
-    e^{-kr} and Ei(1, -2kr) per point (the growing factors 0.0 when ``plus``
-    is None).  Each + 0.0 is the term of a bucket the form lacks, so that a
+    e^{-kr} and Ei(1, -2kr) per point (e^{kr} and Ei only when some pair
+    has a P).  Each + 0.0 is the term of a bucket the form lacks, so that a
     value that underflows to -0.0 comes out as 0.0, as eval and shell write it.
 
     Before it evaluates a point it raises DomainError unless 0 < r < inf,
-    then OverflowSignal from the envelope probe of the ``first`` run,
-    e^{kr}, the probe of the ``plus`` run, Ei and the probe of the ``last``
-    run, in that order; a run that is None is not probed.  A run's probe,
-    r ** top (r > 1) or r ** bottom (r < 1), raises a bare OverflowError
-    exactly when r^k overflows for some nonzero coefficient's power k; every
-    other failure is already an OverflowSignal.
+    then OverflowSignal from the conditioning probe, e^{kr} and Ei, in that
+    order, whoever calls.  The probe is r ** top (r > 1) or r ** bottom
+    (r < 1), top and bottom the highest and the lowest power of any run of
+    any pair: as r^k is monotone in k, it overflows exactly when some run's
+    r^k does.
 
     With envelopes = (two_width, L's envelope run, P's or None) of a single
     pair, each row is instead eval_grid's (r, value, est_rel_error) of that
     pair's form, R1 when its P is None and R2 otherwise.
     """
+    runs = [run for pair in pairs for run in pair if run is not None]
+    top = max([len(up) for up, _, _ in runs]) - 1
+    bottom = -max([len(down) for _, down, _ in runs])
+    # every pair has an L, so some pair has a P when there are more runs
+    grows = len(runs) > len(pairs)
     if envelopes is not None:
         two_width, env_ell, env_p = envelopes
         underflow = (two_width + 6) * 2.0 ** -1074
     for r in rs:
         if not 0 < r < math.inf:
             raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
-        k = 2 if r > 1.0 else 3
-        grow = ei_value = ei_abs_err = 0.0
         try:
-            if first is not None:
-                r ** first[k]
-            if plus is not None:
-                try:
-                    grow = math.exp(kappa * r)
-                except OverflowError as exc:
-                    raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
-                r ** plus[k]
-                ei_value, ei_abs_err = ei_with_error(2.0 * kappa * r)
-            if last is not None:
-                r ** last[k]
-        except OverflowSignal:
-            raise
+            r ** (top if r > 1.0 else bottom)
         except OverflowError as exc:
             raise OverflowSignal(f"conditioning envelope overflows double precision at r = {r!r}") from exc
+        grow = ei_value = ei_abs_err = 0.0
+        if grows:
+            try:
+                grow = math.exp(kappa * r)
+            except OverflowError as exc:
+                raise OverflowSignal(f"exp({kappa * r}) overflows double precision") from exc
+            ei_value, ei_abs_err = ei_with_error(2.0 * kappa * r)
         decay = math.exp(-kappa * r)
         row = [r]
         for ell, p in pairs:
@@ -285,14 +280,12 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
         and for R1 L's envelope times 2^-1074 where e^{-kr} is subnormal.
     The envelopes dominate the plain |A| + |C| cancellation penalty between
     the growing-exponential and Ei parts.  The first point that cannot be
-    evaluated raises what eval_runs raises there; R1's L is probed, and
-    R2's only after e^{kr}, P and Ei.
+    evaluated raises what eval_runs raises there, in its one order.
     """
     ell, p = float_runs(f)
     two_width = 2 * max(len(q.nums) for q in (f.L, f.P) if q is not None)
     envelopes = (two_width, envelope(ell), None if p is None else envelope(p))
-    guards = (ell, None, None) if p is None else (None, p, ell)
-    return list(eval_runs(float(f.qn.kappa), [(ell, p)], rs, *guards, envelopes))
+    return list(eval_runs(float(f.qn.kappa), [(ell, p)], rs, envelopes))
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

@@ -138,10 +138,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     attached) when M keeps its sign over the bracket, and MatchNotResolved
     when the bracket closes to 1e-13 max(1, |b|) before the mismatch falls
     below 1e-8.  Each value at a and at b_star is computed once: R1, R1', R2
-    and R2' by one numeval.eval_runs call over both run pairs, which probes
-    L, then e^{kappa r}, P and Ei, then P' (L' is not probed: it has L's top
-    power and, like L, no negative power, so its probe fails exactly where
-    L's has already failed), and q and q' by numeval.horner over their float
+    and R2' by one numeval.eval_runs call over both run pairs, with its
+    guards and in its order, and q and q' by numeval.horner over their float
     runs.
     """
     b_min, b_max = b_range
@@ -153,9 +151,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     _require_in_range("interior u, u'", a, (u_a, du_a), (u_a, du_a))
     kappa, r2, ext = float(qn.kappa), assemble_R2(qn), _exterior_q(qn)
     runs = (numeval.float_runs(r2), numeval.float_runs(derivative(r2), "R2'"))
-    guards = (*runs[0], runs[1][1])
     q_run, qd_run = numeval.laurent_run(ext), numeval.laurent_run(ext.derivative())
-    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (a,), *guards))
+    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (a,)))
     c1, c2 = mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
@@ -174,7 +171,7 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
     def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
         """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
-        _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (b,), *guards))
+        _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (b,)))
         u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
         q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
         outer = du * q
@@ -249,17 +246,17 @@ def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]
     the shell samples take R1 and R2 from one numeval.eval_runs call over
     all of them and the first pair of the result's runs, (L, P), the
     exterior ones q from numeval.horner.  No shell sample raises:
-    match_shell has run the same probes at a and b_star, and each probed
-    power and factor is largest at one of them."""
+    match_shell has run eval_runs' guards at a and b_star over both pairs,
+    whose powers include (L, P)'s, and each guarded power and factor is
+    largest at one of them."""
     a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
     # the interior series shares the normalization u ~ r^l at every r, so the
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
-    pair = result.runs[0]
     out += [(r, c1 * v1 + c2 * v2) for r, v1, v2 in
-            numeval.eval_runs(kappa, [pair], [r for r in rs if a <= r <= b], *pair, None)]
+            numeval.eval_runs(kappa, result.runs[:1], [r for r in rs if a <= r <= b])]
     out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

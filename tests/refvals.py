@@ -415,8 +415,8 @@ def shell_runs(qn) -> tuple:
 
 def shell_values(kappa: float, pairs: tuple, r: float) -> tuple[float, float, float, float]:
     """(R1, R2, R1', R2') at r from the ((L, P), (L', P')) runs by one
-    numeval.eval_runs call, with match_shell's probes: L, then P, then P'."""
-    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, pairs, (r,), *pairs[0], pairs[1][1]))
+    numeval.eval_runs call, as match_shell makes it."""
+    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, pairs, (r,)))
     return v1, v2, d1, d2
 
 
@@ -658,7 +658,8 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     between the growing-exponential and Ei buckets), the rounding of the
     exponential arguments, the Ei evaluation error and the absolute
     rounding of subnormal results and of a subnormal e^{-kappa r}.  Returns
-    (value, est_rel_error).
+    (value, est_rel_error).  Every bucket's envelope sum is formed before
+    any exponential or Ei, so a point fails in the grid kernel's order.
     """
     if not 0 < r < math.inf:
         raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
@@ -666,23 +667,24 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
     kappa = float(f.kappa)
     width = 2 * max(len(f.q_plus.nums), len(f.q_minus.nums), len(f.q_ei.nums))
     round_factor = (width + kappa * r + 6) * _EPS
+    env_plus, env, env_ei = (None if q.is_zero() else _poly_abs_eval(q, r)
+                             for q in (f.q_plus, f.q_minus, f.q_ei))
     a = b = c = 0.0
     # each of the width + 6 rounding steps can lose 2^-1074 where its result
     # is subnormal
     abs_err = (width + 6) * 2.0 ** -1074
-    if not f.q_plus.is_zero():
+    if env_plus is not None:
         grow = _float_exp(kappa * r)
         a = float_horner(f.q_plus, r) * grow
-        abs_err += _poly_abs_eval(f.q_plus, r) * grow * round_factor
-    if not f.q_minus.is_zero():
+        abs_err += env_plus * grow * round_factor
+    if env is not None:
         decay = _float_exp(-kappa * r)
         b = float_horner(f.q_minus, r) * decay
-        env = _poly_abs_eval(f.q_minus, r)
         abs_err += env * decay * round_factor
         if decay < 2.0 ** -1022:
             # a subnormal e^{-kappa r} is off by up to 2^-1074 absolute
             abs_err += env * 2.0 ** -1074
-    if not f.q_ei.is_zero():
+    if env_ei is not None:
         x = 2.0 * kappa * r
         ei_value, ei_err = ei_with_error(x)
         # through Ei's relative error, as this reference has always rounded it
@@ -692,7 +694,7 @@ def eval_form(f: Radial, r: float) -> tuple[float, float]:
         ei_abs_err = abs(ei_value) * (ei_rel + x * _EPS)
         decay = _float_exp(-kappa * r)
         c = float_horner(f.q_ei, r) * decay * ei_value
-        poly_env = _poly_abs_eval(f.q_ei, r) * decay
+        poly_env = env_ei * decay
         abs_err += poly_env * (abs(ei_value) * round_factor + ei_abs_err)
     value = a + b + c
     return value, abs_err / abs(value) if value != 0.0 else math.inf

@@ -311,19 +311,17 @@ def test_coefficient_overflow_limits_of_eval_and_shell(capsys):
     assert (code, out, err) == (1, "", overflow)
 
 
-@pytest.mark.parametrize("argv, message", [
-    # eval's R2 probes e^{kappa r}, P and Ei before its L, and the shell probes
-    # L first, so at the same points the two commands fail with different texts
-    ("eval --n 71 --l 0 --which R2 --grid 27000:27001:2",
-     "Ei(1, -x) overflows double precision at x=760.5633802816901"),
-    ("eval --n 3 --l 0 --which R2 --grid 1e200:1e201:2",
-     "exp(3.333333333333333e+199) overflows double precision"),
-    ("shell --n 71 --l 0 --a 1 --b-range 2:27000",
-     "conditioning envelope overflows double precision at r = 27000.0"),
-    ("shell --n 3 --l 0 --a 1 --b-range 2:1e200",
-     "conditioning envelope overflows double precision at r = 1e+200"),
+@pytest.mark.parametrize("argv, r", [
+    # L's envelope and Ei overflow at both points, and at 1e200 e^{kappa r}
+    # too; eval's R2 and the shell guard a point in one order, the envelope
+    # probe first, so at each point both commands print the same text
+    ("eval --n 71 --l 0 --which R2 --grid 27000:27001:2", "27000.0"),
+    ("eval --n 3 --l 0 --which R2 --grid 1e200:1e201:2", "1e+200"),
+    ("shell --n 71 --l 0 --a 1 --b-range 2:27000", "27000.0"),
+    ("shell --n 3 --l 0 --a 1 --b-range 2:1e200", "1e+200"),
 ])
-def test_eval_and_shell_guard_their_points_in_their_own_order(capsys, argv, message):
+def test_eval_and_shell_guard_their_points_in_one_order(capsys, argv, r):
+    message = f"conditioning envelope overflows double precision at r = {r}"
     assert run(capsys, *argv.split()) == (1, "", f"coulombwf: failure: {message}\n")
 
 
@@ -860,9 +858,9 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
         calls["interior"] += 1
         return interior(qn, a)
 
-    def counting_eval_runs(kappa, pairs, rs, *guards):
+    def counting_eval_runs(kappa, pairs, rs, *args):
         calls["values_at_a"] += rs.count(1e-4)
-        return eval_runs(kappa, pairs, rs, *guards)
+        return eval_runs(kappa, pairs, rs, *args)
 
     monkeypatch.setattr(shellmatch, "integrate_interior", counting_interior)
     monkeypatch.setattr(numeval, "eval_runs", counting_eval_runs)
@@ -880,9 +878,9 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     calls, counts = [], {"eval_grid": 0, "ei_with_error": 0}
     eval_runs = numeval.eval_runs
 
-    def recording_eval_runs(kappa, pairs, rs, *guards):
+    def recording_eval_runs(kappa, pairs, rs, *args):
         calls.append((len(pairs), list(rs)))
-        return eval_runs(kappa, pairs, rs, *guards)
+        return eval_runs(kappa, pairs, rs, *args)
 
     def counted(name):
         original = getattr(numeval, name)

@@ -2,6 +2,8 @@ import functools
 import math
 import operator
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +22,7 @@ from coulombwf.numeval import (
     ei_with_error,
     eval_form_extended,
     eval_grid,
+    eval_runs,
     envelope,
     float_runs,
     horner,
@@ -497,10 +500,10 @@ def test_fused_envelope_within_rounding_of_exact(state, which, log_r):
     ((1, 0), "r2", 710.0, "exp(710.0) overflows double precision"),
     # R1 for n = 30 has no growing bucket, but its r^29 term overflows at 1e12
     ((30, 0), "r1", 1e12, "conditioning envelope overflows double precision at r = 1000000000000.0"),
-    # R2 probes L only after e^{kappa r} and Ei, though L's envelope overflows
-    # at both points too (where the shell, probing L first, raises that)
-    ((3, 0), "r2", 1e200, "exp(3.333333333333333e+199) overflows double precision"),
-    ((71, 0), "r2", 27000.0, "Ei(1, -x) overflows double precision at x=760.5633802816901"),
+    # Ei overflows at both points too, and e^{kappa r} at 1e200, but the
+    # envelope probe comes first
+    ((3, 0), "r2", 1e200, "conditioning envelope overflows double precision at r = 1e+200"),
+    ((71, 0), "r2", 27000.0, "conditioning envelope overflows double precision at r = 27000.0"),
 ])
 @pytest.mark.parametrize("k", [0, 3])
 def test_grid_raises_at_its_first_failing_point(state, which, bad_r, message, k):
@@ -517,6 +520,62 @@ def test_grid_raises_at_its_first_failing_point(state, which, bad_r, message, k)
     with pytest.raises(OverflowSignal) as got:
         eval_grid(form, rs)
     assert str(got.value) == message
+
+
+def _overflows(r: float, k: int) -> bool:
+    try:
+        r ** k
+    except OverflowError:
+        return True
+    return False
+
+
+def _bits(r: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", r))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_overflow(k: int) -> float | None:
+    """The double r, on k's side of 1, nearest 1 at which r ** k overflows:
+    the smallest for k > 0 and the largest for k < 0; None if there is none."""
+    inside, outside = _bits(1.0), _bits(sys.float_info.max if k > 0 else 5e-324)
+    if not _overflows(_double(outside), k):
+        return None
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        inside, outside = (inside, mid) if _overflows(_double(mid), k) else (mid, outside)
+    return _double(outside)
+
+
+_probe_states = sorted(random.Random(1729).sample(
+    [(n, l) for n in range(1, 71) for l in range(n)], 8)) + [(1, 0), (5, 4), (71, 0)]
+
+
+@pytest.mark.parametrize("state", _probe_states)
+def test_one_probe_raises_where_some_run_probe_overflows(state):
+    # eval_runs makes one probe per point over every run of R2 and R2': at
+    # each run's first overflowing r, for its top power above 1 and its
+    # bottom power below, and at the double just before, it raises the
+    # conditioning text exactly when some run's own r ** k overflows
+    kappa, pairs, _, _ = refvals.shell_runs(QuantumNumbers(*state))
+    runs = [run for pair in pairs for run in pair]
+    for up, down, _ in runs:
+        for k in (len(up) - 1, -len(down)):
+            first = _first_overflow(k)
+            if first is None:
+                continue
+            for r in (first, math.nextafter(first, 1.0)):
+                own = [_overflows(r, len(u) - 1 if r > 1.0 else -len(d)) for u, d, _ in runs]
+                try:
+                    next(eval_runs(kappa, pairs, (r,)))
+                    raised = ""
+                except OverflowSignal as exc:
+                    raised = str(exc)
+                probed = raised == f"conditioning envelope overflows double precision at r = {r!r}"
+                assert probed == any(own), (state, k, r, own, raised)
 
 
 def test_eval_grid_of_no_points_is_empty():

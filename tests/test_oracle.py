@@ -321,14 +321,13 @@ def test_pole_split_identity(n_r, m, xs):
 
 def test_pole_split_difference_quotient_is_smooth():
     # the bracketed difference has a removable singularity at s = x with
-    # limit e^{-x} d/ds [s^m F(s)] at s = x
     # limit e^{-x} d/ds [s^m F(s)] at s = x; the quotient's coefficients,
     # highest power first, are the partial sums of Horner's rule for h at x
     n_r, m, x = 1, 1, 1.5
     h = _confluent_parts(qn_of(n_r, m))[1].shift(m)
     run = laurent_run(h)
     up = run[0]
-    q = [horner((up[:k], (), 0, 0, 0.0), x) for k in range(len(up) - 1, 0, -1)]
+    q = [horner((up[:k], (), 0.0), x) for k in range(len(up) - 1, 0, -1)]
     at_pole = sum(c * x**i for i, c in enumerate(q))
     slope = float(horner(laurent_run(h.derivative(), F), F(3, 2)))
     assert at_pole == pytest.approx(slope, rel=1e-12)

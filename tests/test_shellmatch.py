@@ -51,9 +51,9 @@ def recording_eval_runs(monkeypatch):
     is a, and the mismatch points are the ones after it."""
     seen, eval_runs = [], numeval.eval_runs
 
-    def recording(kappa, pairs, rs, *guards):
+    def recording(kappa, pairs, rs, *args):
         seen.extend(rs)
-        return eval_runs(kappa, pairs, rs, *guards)
+        return eval_runs(kappa, pairs, rs, *args)
 
     monkeypatch.setattr(numeval, "eval_runs", recording)
     return seen
