@@ -6,8 +6,9 @@ n_max), ``verify`` (oracle suite with exit code), ``shell`` (piecewise
 matching demo).  Rational coefficients are always serialized as "num/den"
 strings so exactness survives the pipe.
 
-Exit codes: 0 success, 1 verification/runtime failure, 2 no root in the shell
-scan, 64 usage error.
+Exit codes: 0 success, 1 verification/runtime failure (any ArithmeticError,
+such as QuadratureFailure or ZeroDenominator, or OSError), 2 no root in the
+shell scan, 64 usage error (any ValueError).
 """
 
 from __future__ import annotations
@@ -509,10 +510,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidQuantumNumbers, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"coulombwf: error: {exc}\n")
         return EXIT_USAGE
-    except (OverflowError, OSError, oracle.QuadratureFailure, shellmatch.MatchNotResolved) as exc:
+    except (ArithmeticError, OSError) as exc:
         sys.stderr.write(f"coulombwf: failure: {exc}\n")
         return EXIT_FAIL
 

@@ -188,9 +188,10 @@ def assemble_R2(qn: QuantumNumbers) -> Radial:
 
         1/n_r! x^{-l-1} e^{x/2} P(n_r, 2l+1, x) + x^l e^{-x/2} L(n_r, 2l+1, x) Ei(1, -x),
 
-    so that where both forms are needed R1 is Radial(qn, r2.L).
+    so that where both forms are needed R1 is Radial(qn, r2.L).  Both are
+    integer numerators over n_r! (P's from x^0 up); L's x^(n_r) one and P's
+    leading one are (-1)^(n_r), so the gcd leaves P.den == L.den == n_r!.
     """
-    # P's integer coefficients, from x^0 up, are the numerators of P/n_r!
     p = _make(-qn.l - 1, _p2_nums(qn.n_r, qn.m), math.factorial(qn.n_r))
     return Radial(qn, laguerre_L1(qn.n_r, qn.m).shift(qn.l), p)
 

@@ -64,7 +64,8 @@ _INDEX = tuple(map(float, range(1, 1001)))
 def _ei_series(x: float, log_x: float) -> tuple[float, float]:
     """-(gamma + ln x + sum_k x^k/(k k!)) for log_x = math.log(x), stopped at
     the first term after the third below 1e-18 |partial sum| (or the 1000th),
-    with (k + 4) eps, the rounding accumulated over k terms."""
+    with (k + 4) eps, the rounding accumulated over k terms; the k > 3 guard
+    sets only that count's floor, 8 eps, where tiny x would stop at k = 2."""
     total = EULER_GAMMA + log_x
     term = 1.0
     if total >= 0.0:

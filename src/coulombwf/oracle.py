@@ -146,13 +146,12 @@ def _tail_bound(run: tuple, cutoff: float, x: float) -> float:
 
 
 def _quad(fn, lo, hi) -> tuple[float, float]:
-    # QUADPACK's QAGS to 1e-13 absolute or 1e-11 relative on at most 400
-    # subintervals; imported here, since only the pv, split and integral
-    # checks integrate.  Any nonzero QUADPACK code fails loudly: its error
-    # estimate is then no bound
+    # QUADPACK's QAGS at its one setting (quadpack.EPSABS, EPSREL, LIMIT),
+    # imported here, since only the pv, split and integral checks integrate.
+    # Any nonzero QUADPACK code fails loudly: its estimate is then no bound
     from .quadpack import IER, qags
 
-    value, err, ier = qags(fn, lo, hi, 1e-13, 1e-11, 400)
+    value, err, ier = qags(fn, lo, hi)
     if ier:
         raise QuadratureFailure(f"quadrature over [{lo}, {hi}] ended with QUADPACK code {ier}: {IER[ier]}")
     return value, err

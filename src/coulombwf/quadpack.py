@@ -17,9 +17,11 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
 
+EPSABS, EPSREL, LIMIT = 1e-13, 1e-11, 400  # the one setting qags runs at
+
 IER = ("converged", "subdivision limit reached", "roundoff error detected",
        "extremely bad integrand behaviour", "roundoff error in the extrapolation table",
-       "integral probably divergent or slowly convergent", "invalid tolerances")
+       "integral probably divergent or slowly convergent")
 
 # 21-point Kronrod abscissae, of which _XGK[1::2] are the 10-point Gauss
 # ones, their weights and the Gauss weights, as QUADPACK states them.
@@ -80,7 +82,7 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _qpsrt(last, maxerr, elist, iord, nrmax):
     """dqpsrt: keep iord in descending order of elist, as far as later
     bisections can still reach; returns (maxerr, errmax, nrmax)."""
     if last <= 2:
@@ -93,7 +95,7 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
                 break
             iord[nrmax] = isucc
             nrmax -= 1
-        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        jupbn = LIMIT + 3 - last if last > LIMIT // 2 + 2 else last
         errmin = elist[last]
         jbnd = jupbn - 1
         for i in range(nrmax + 1, jbnd + 1):
@@ -172,34 +174,30 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def qags(f, a, b, epsabs, epsrel, limit):
-    """dqagse: integral of f over [a, b] to max(epsabs, epsrel |I|) on at
-    most ``limit`` >= 1 subintervals; returns (result, abserr, ier).
+def qags(f, a, b):
+    """dqagse: integral of f over [a, b] to max(EPSABS, EPSREL |I|) on at
+    most LIMIT subintervals; returns (result, abserr, ier).
 
     ier is QUADPACK's code, which IER spells out; the error estimate is
     trustworthy only at ier = 0.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 6
     ier = ierro = 0
     result, abserr, defabs, resabs = _qk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(EPSABS, EPSREL * dres)
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier
-    alist, blist = [0.0, a] + [0.0] * limit, [0.0, b] + [0.0] * limit
-    rlist, elist = [0.0, result] + [0.0] * limit, [0.0, abserr] + [0.0] * limit
-    iord, rlist2, res3la = [0, 1] + [0] * limit, [0.0, result] + [0.0] * 51, [0.0] * 4
+    alist, blist = [0.0, a] + [0.0] * LIMIT, [0.0, b] + [0.0] * LIMIT
+    rlist, elist = [0.0, result] + [0.0] * LIMIT, [0.0, abserr] + [0.0] * LIMIT
+    iord, rlist2, res3la = [0, 1] + [0] * LIMIT, [0.0, result] + [0.0] * 51, [0.0] * 4
     errmax, maxerr, area, errsum, abserr = abserr, 1, result, abserr, _OFLOW
     nrmax, nres, numrl2, ktmin, iroff1, iroff2, iroff3 = 1, 0, 2, 0, 0, 0, 0
     extrap = noext = summed = False
     small = erlarg = ertest = correc = 0.0
     ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    for last in range(2, limit + 1):
+    for last in range(2, LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1, b2, erlast = alist[maxerr], blist[maxerr], errmax
         a2 = b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -217,12 +215,12 @@ def qags(f, a, b, epsabs, epsrel, limit):
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
         rlist[maxerr], rlist[last] = area1, area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(EPSABS, EPSREL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -233,7 +231,7 @@ def qags(f, a, b, epsabs, epsrel, limit):
         else:
             alist[last], blist[maxerr], blist[last] = a2, b1, b2
             elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             summed = True
             break
@@ -255,7 +253,7 @@ def qags(f, a, b, epsabs, epsrel, limit):
         if not (ierro == 3 or erlarg <= ertest):
             # first bisect the larger intervals while they hold large errors
             large = False
-            for _ in range(nrmax, (last if last <= 2 + limit // 2 else limit + 3 - last) + 1):
+            for _ in range(nrmax, (last if last <= 2 + LIMIT // 2 else LIMIT + 3 - last) + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
                 large = abs(blist[maxerr] - alist[maxerr]) > small
@@ -272,7 +270,7 @@ def qags(f, a, b, epsabs, epsrel, limit):
             ier = 5
         if not abseps >= abserr:
             ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(EPSABS, EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
         if numrl2 == 1:

@@ -23,7 +23,7 @@ import coulombwf
 from coulombwf import cli, closedform, numeval, oracle, quadpack, shellmatch
 from coulombwf.closedform import QuantumNumbers, assemble_R2
 from coulombwf.oracle import GOLDEN_R2
-from coulombwf.ratpoly import RatPoly
+from coulombwf.ratpoly import RatPoly, ZeroDenominator
 
 import refvals
 
@@ -69,6 +69,17 @@ def test_coeffs_rejects_invalid_quantum_numbers(capsys):
     code, _, err = run(capsys, "coeffs", "--n", "5", "--l", "5")
     assert code == 64
     assert "l=5" in err
+
+
+@pytest.mark.parametrize("error", [ZeroDenominator, ArithmeticError])
+def test_an_exact_layer_failure_is_a_one_line_failure(capsys, monkeypatch, error):
+    # any ArithmeticError exits 1 with one line, a zero denominator or the
+    # inexact P recurrence of _p2_nums among them, not a traceback
+    def assemble_R2(qn):
+        raise error("exact arithmetic failed")
+
+    monkeypatch.setattr(cli, "assemble_R2", assemble_R2)
+    assert run(capsys, "coeffs", "--n", "3", "--l", "1") == (1, "", "coulombwf: failure: exact arithmetic failed\n")
 
 
 def test_coeffs_output_deterministic(capsys):

@@ -321,11 +321,12 @@ def test_records_hold_x_forms_with_integer_numerators_over_n_r_factorial():
     assert r2.L == P({1: 10, 2: -5, 3: F(1, 2)})
     # P(2, 3, x) = 4 + 6x + 12x^2 - 9x^3 + x^4, over 2!
     assert r2.P == P({-2: 4, -1: 6, 0: 12, 1: -9, 2: 1}) * F(1, 2)
+    # and the two share the denominator n_r! itself: L's x^(n_r) numerator
+    # and P's leading one are (-1)^(n_r), so no gcd reduces either
     for n in range(1, 61):
         for l in range(n):
             r2 = assemble_R2(QuantumNumbers(n, l))
-            assert math.factorial(n - l - 1) % r2.L.den == 0
-            assert math.factorial(n - l - 1) % r2.P.den == 0
+            assert r2.P.den == r2.L.den == math.factorial(n - l - 1)
 
 
 def _r_references(qn: QuantumNumbers) -> tuple[RatPoly, RatPoly]:

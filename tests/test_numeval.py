@@ -98,6 +98,16 @@ def test_ei_estimate_bounds_the_error_through_its_zero():
             assert err <= abs_err, x
 
 
+def test_ei_series_counts_at_least_four_terms_of_rounding():
+    # at x = 1e-12 the second term is already below 1e-18 of the sum, so the
+    # loop would stop at k = 2; the k > 3 guard runs it to k = 4, and the
+    # estimate carries (4 + 4) eps |value| on top of the absolute floor
+    x = 1e-12
+    value, est = _ei_series(x, math.log(x))
+    assert est == 8 * _EPS
+    assert ei_with_error(x) == (value, abs(value) * 8 * _EPS + _EPS * (1.0 + abs(math.log(x))))
+
+
 def _ei_sample() -> list[float]:
     # x log-uniform on [5e-324, 708], a band around the sign change of
     # gamma + ln x near 0.5615, the neighbours of 40.0 (the branch split)
