@@ -240,8 +240,6 @@ def _parse_grid(grid_arg: str) -> list[float]:
         raise ValueError("grid count must be >= 0")
     if start <= 0 or stop < start:
         raise ValueError("grid must be positive and increasing")
-    if count == 0:
-        return []
     if count == 1:
         return [start]
     span, last = stop - start, count - 1
@@ -508,6 +506,12 @@ def main(argv: list[str] | None = None) -> int:
         args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # exact documents of large states print integers past the default 4300
+    # digits: lift the limit only while the command runs, so that it still
+    # guards the parsed argv (0 means no limit, as before Python 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -516,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, OSError) as exc:
         sys.stderr.write(f"coulombwf: failure: {exc}\n")
         return EXIT_FAIL
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

@@ -5,11 +5,11 @@ coefficients converted once) and one Laurent Horner loop, ``horner``, on
 float, exact and extended-precision scalars alike.  The two callers that
 bound an error with the envelope sum |c_k| r^k (``eval_grid`` and the
 oracle's tail bound) read it as that same loop over ``envelope(run)``, the
-run of the |c_k|.  There is one double-precision evaluator, ``eval_runs``,
-over the (L, P) run pairs of ``float_runs``: ``eval_grid`` asks it for one
-form over a grid with error estimates, and the shell for R1 and R2, and R1'
-and R2' when asked, with no estimate.  It works out each point's guards from
-the runs it is given and runs them, e^{kr}, e^{-kr} and Ei itself, in one
+run of the |c_k|.  There is one double-precision evaluator, ``evaluator``,
+prepared once per set of (L, P) run pairs of ``float_runs``: ``eval_grid``
+maps its point over a grid with error estimates, and the shell asks it for
+R1 and R2, and R1' and R2', with no estimate.  It works out the guards from
+its runs once and runs them, e^{kr}, e^{-kr} and Ei at each point, in one
 order for every caller, so one function decides what a point raises.
 ``ei_with_error`` is the one Ei(1, -x).
 
@@ -191,21 +191,21 @@ def float_runs(f: Radial, of: str = "") -> tuple:
     return run("q_minus" if p is None else "q_ei", f.L), p
 
 
-def eval_runs(kappa: float, pairs, rs, envelopes=None):
-    """The one double-precision kernel: for each r of rs in turn, it yields
-    the row [r, R1, R2, ...] of the values at r of each (L, P) pair of
-    float_runs, R1 = L e^{-kr} and, unless P is None, R2 = P e^{kr} +
+def evaluator(kappa: float, pairs, envelopes=None):
+    """The one double-precision kernel, prepared once over (L, P) pairs of
+    float_runs: its point(r) returns the row [r, R1, R2, ...] of each pair's
+    values at r, R1 = L e^{-kr} and, unless P is None, R2 = P e^{kr} +
     L e^{-kr} Ei(1, -2kr), from one Horner pass per run and one e^{kr},
     e^{-kr} and Ei(1, -2kr) per point (e^{kr} and Ei only when some pair
     has a P).  Each + 0.0 is the term of a bucket the form lacks, so that a
     value that underflows to -0.0 comes out as 0.0, as eval and shell write it.
 
-    Before it evaluates a point it raises DomainError unless 0 < r < inf,
-    then OverflowSignal from the conditioning probe, e^{kr} and Ei, in that
+    Before point evaluates r it raises DomainError unless 0 < r < inf, then
+    OverflowSignal from the conditioning probe, e^{kr} and Ei, in that
     order, whoever calls.  The probe is r ** top (r > 1) or r ** bottom
     (r < 1), top and bottom the highest and the lowest power of any run of
-    any pair: as r^k is monotone in k, it overflows exactly when some run's
-    r^k does.
+    any pair, worked out here once: as r^k is monotone in k, it overflows
+    exactly when some run's r^k does.
 
     With envelopes = (two_width, L's envelope run, P's or None) of a single
     pair, each row is instead eval_grid's (r, value, est_rel_error) of that
@@ -219,7 +219,8 @@ def eval_runs(kappa: float, pairs, rs, envelopes=None):
     if envelopes is not None:
         two_width, env_ell, env_p = envelopes
         underflow = (two_width + 6) * 2.0 ** -1074
-    for r in rs:
+
+    def point(r: float):
         if not 0 < r < math.inf:
             raise DomainError(f"eval_grid requires a finite r > 0, got {r!r}")
         try:
@@ -240,33 +241,35 @@ def eval_runs(kappa: float, pairs, rs, envelopes=None):
             row.append(v + 0.0)
             if p is not None:
                 row.append(horner(p, r) * grow + 0.0 + v * ei_value)
-        if envelopes is not None:
-            round_factor = (two_width + kappa * r + 6) * _EPS
-            abs_err = underflow
-            env = horner(env_ell, r)
-            if env_p is None:
-                abs_err += env * decay * round_factor
-                if decay < _NORMAL_MIN:
-                    # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
-                    # an absolute rounding of up to 2^-1074 (R2 raises before:
-                    # its Ei overflows from kappa r = 354)
-                    abs_err += env * 2.0 ** -1074
-            else:
-                abs_err += horner(env_p, r) * grow * round_factor
-                # x*eps, x = 2 kappa r, covers the argument-rounding sensitivity
-                ei_abs_err += abs(ei_value) * (2.0 * kappa * r) * _EPS
-                abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
-            value = row[-1]
-            row = r, value, abs_err / abs(value) if value != 0.0 else math.inf
-        yield row
+        if envelopes is None:
+            return row
+        round_factor = (two_width + kappa * r + 6) * _EPS
+        abs_err = underflow
+        env = horner(env_ell, r)
+        if env_p is None:
+            abs_err += env * decay * round_factor
+            if decay < _NORMAL_MIN:
+                # past kappa r ~ 708 e^{-kappa r} is subnormal and carries
+                # an absolute rounding of up to 2^-1074 (R2 raises before:
+                # its Ei overflows from kappa r = 354)
+                abs_err += env * 2.0 ** -1074
+        else:
+            abs_err += horner(env_p, r) * grow * round_factor
+            # x*eps, x = 2 kappa r, covers the argument-rounding sensitivity
+            ei_abs_err += abs(ei_value) * (2.0 * kappa * r) * _EPS
+            abs_err += env * decay * (abs(ei_value) * round_factor + ei_abs_err)
+        value = row[-1]
+        return r, value, abs_err / abs(value) if value != 0.0 else math.inf
+
+    return point
 
 
 def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
     """Evaluate R1 or R2 (or a derivative) in double precision at every r of
     rs, as one (r, value, est_rel_error) row per point.
 
-    f is converted by float_runs once, and its envelope runs
-    (numeval.envelope) built once, so that at each r the kernel eval_runs
+    f is converted by float_runs once, its envelope runs (numeval.envelope)
+    built once and its evaluator prepared once, so that at each r the point
     takes one Horner pass over each run for its value and one for its
     envelope sum |c_k| r^k.  est_rel_error is abs_err / |value|, where
     abs_err adds these terms, E being each part's envelope sum times its
@@ -281,12 +284,12 @@ def eval_grid(f: Radial, rs) -> list[tuple[float, float, float]]:
         and for R1 L's envelope times 2^-1074 where e^{-kr} is subnormal.
     The envelopes dominate the plain |A| + |C| cancellation penalty between
     the growing-exponential and Ei parts.  The first point that cannot be
-    evaluated raises what eval_runs raises there, in its one order.
+    evaluated raises what the kernel raises there, in its one order.
     """
     ell, p = float_runs(f)
     two_width = 2 * max(len(q.nums) for q in (f.L, f.P) if q is not None)
     envelopes = (two_width, envelope(ell), None if p is None else envelope(p))
-    return list(eval_runs(float(f.qn.kappa), [(ell, p)], rs, envelopes))
+    return list(map(evaluator(float(f.qn.kappa), [(ell, p)], envelopes), rs))
 
 
 def eval_form_extended(f: Radial, r, precision_bits: int = 256):

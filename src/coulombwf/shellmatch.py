@@ -138,9 +138,9 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     attached) when M keeps its sign over the bracket, and MatchNotResolved
     when the bracket closes to 1e-13 max(1, |b|) before the mismatch falls
     below 1e-8.  Each value at a and at b_star is computed once: R1, R1', R2
-    and R2' by one numeval.eval_runs call over both run pairs, with its
-    guards and in its order, and q and q' by numeval.horner over their float
-    runs.
+    and R2' by one point call of the numeval.evaluator prepared once per
+    match over both run pairs, with its guards and in its order, and q and
+    q' by numeval.horner over their float runs.
     """
     b_min, b_max = b_range
     if not all(map(math.isfinite, (a, b_min, b_max))):
@@ -152,7 +152,8 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
     kappa, r2, ext = float(qn.kappa), assemble_R2(qn), _exterior_q(qn)
     runs = (numeval.float_runs(r2), numeval.float_runs(derivative(r2), "R2'"))
     q_run, qd_run = numeval.laurent_run(ext), numeval.laurent_run(ext.derivative())
-    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (a,)))
+    values = numeval.evaluator(kappa, runs)
+    _, v1, v2, d1, d2 = values(a)
     c1, c2 = mixing_from_inner_match((v1, d1, v2, d2), a, du_a / u_a)
     u_sh_a, du_sh_a = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
     scale_in = u_sh_a / u_a
@@ -171,7 +172,7 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
     def probe(b: float) -> tuple[float, float, float, tuple[float, float, float, float]]:
         """(b, mismatch(b), M(b), the (u, u', q, q') at b they come from)."""
-        _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, runs, (b,)))
+        _, v1, v2, d1, d2 = values(b)
         u, du = c1 * v1 + c2 * v2, c1 * d1 + c2 * d2
         q, qd = numeval.horner(q_run, b), numeval.horner(qd_run, b)
         outer = du * q
@@ -243,12 +244,12 @@ def match_shell(qn: QuantumNumbers, a: float, b_range: tuple[float, float]) -> M
 
 def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]]:
     """Sampled (r, u) values of the matched piecewise solution, shell scale;
-    the shell samples take R1 and R2 from one numeval.eval_runs call over
-    all of them and the first pair of the result's runs, (L, P), the
-    exterior ones q from numeval.horner.  No shell sample raises:
-    match_shell has run eval_runs' guards at a and b_star over both pairs,
-    whose powers include (L, P)'s, and each guarded power and factor is
-    largest at one of them."""
+    the shell samples take R1 and R2 from one numeval.evaluator, prepared
+    over the first pair of the result's runs, (L, P), and called once per
+    sample, the exterior ones q from numeval.horner.  No shell sample
+    raises: match_shell has run the evaluator's guards at a and b_star over
+    both pairs, whose powers include (L, P)'s, and each guarded power and
+    factor is largest at one of them."""
     a, b, c1, c2, kappa = result.a, result.b_star, result.c1, result.c2, float(result.qn.kappa)
     r_max = 1.5 * b
     rs = [(i + 1) * r_max / points for i in range(points)]
@@ -256,7 +257,7 @@ def piecewise_grid(result: MatchResult, points: int) -> list[tuple[float, float]
     # matched interior scale applies directly
     out = [(r, result.interior_scale * integrate_interior(result.qn, r)[0]) for r in rs if r < a]
     out += [(r, c1 * v1 + c2 * v2) for r, v1, v2 in
-            numeval.eval_runs(kappa, result.runs[:1], [r for r in rs if a <= r <= b])]
+            map(numeval.evaluator(kappa, result.runs[:1]), [r for r in rs if a <= r <= b])]
     out += [(r, result.exterior_scale * math.exp(-kappa * (r - b)) * numeval.horner(result.q, r))
             for r in rs if r > b]
     return out

@@ -414,9 +414,9 @@ def shell_runs(qn) -> tuple:
 
 
 def shell_values(kappa: float, pairs: tuple, r: float) -> tuple[float, float, float, float]:
-    """(R1, R2, R1', R2') at r from the ((L, P), (L', P')) runs by one
-    numeval.eval_runs call, as match_shell makes it."""
-    _, v1, v2, d1, d2 = next(numeval.eval_runs(kappa, pairs, (r,)))
+    """(R1, R2, R1', R2') at r from the ((L, P), (L', P')) runs by one point
+    call of a numeval.evaluator over them, as match_shell makes it."""
+    _, v1, v2, d1, d2 = numeval.evaluator(kappa, pairs)(r)
     return v1, v2, d1, d2
 
 

@@ -82,6 +82,26 @@ def test_an_exact_layer_failure_is_a_one_line_failure(capsys, monkeypatch, error
     assert run(capsys, "coeffs", "--n", "3", "--l", "1") == (1, "", "coulombwf: failure: exact arithmetic failed\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str digit limit")
+def test_coeffs_of_a_large_state_writes_numerators_past_the_digit_limit(capsys):
+    # (561, 560)'s numerators are longer than Python's default 4300-digit
+    # int-to-str limit, which cli.main lifts only while a command runs: the
+    # limit is back after each request, and still guards the parsed argv
+    limit = sys.get_int_max_str_digits
+    before = limit()
+    code, out, err = run(capsys, "coeffs", "--n", "561", "--l", "560", "--format", "csv")
+    assert (code, err) == (0, "")
+    fields = [field for line in out.splitlines()[2:] for field in line.split(",")[1:]]
+    assert max(len(field.lstrip("-").split("/")[0]) for field in fields) > 4300
+    assert limit() == before
+    code, out, err = run(capsys, "coeffs", "--n", "1" * 5000, "--l", "0")
+    assert (code, out) == (64, "") and "invalid int value" in err
+    assert limit() == before
+    assert run(capsys, "coeffs", "--n", "5", "--l", "5")[0] == 64
+    assert limit() == before
+
+
 def test_coeffs_output_deterministic(capsys):
     _, first, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
     _, second, _ = run(capsys, "coeffs", "--n", "4", "--l", "2")
@@ -863,18 +883,22 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
     # the match, its continuity residuals and the grid share the interior
     # solution and (R1, R1', R2, R2') at a; no grid point lies below a here
     calls = {"interior": 0, "values_at_a": 0}
-    interior, eval_runs = shellmatch.integrate_interior, numeval.eval_runs
+    interior, evaluator = shellmatch.integrate_interior, numeval.evaluator
 
     def counting_interior(qn, a):
         calls["interior"] += 1
         return interior(qn, a)
 
-    def counting_eval_runs(kappa, pairs, rs, *args):
-        calls["values_at_a"] += rs.count(1e-4)
-        return eval_runs(kappa, pairs, rs, *args)
+    def counting_evaluator(kappa, pairs, *args):
+        point = evaluator(kappa, pairs, *args)
+
+        def counted(r):
+            calls["values_at_a"] += r == 1e-4
+            return point(r)
+        return counted
 
     monkeypatch.setattr(shellmatch, "integrate_interior", counting_interior)
-    monkeypatch.setattr(numeval, "eval_runs", counting_eval_runs)
+    monkeypatch.setattr(numeval, "evaluator", counting_evaluator)
     code, _, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
                      "--b-range", "0.5:1.5", "--grid-points", "50")
     assert code == 0
@@ -882,16 +906,22 @@ def test_shell_evaluates_each_boundary_value_once(capsys, monkeypatch):
 
 
 def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
-    # one eval_runs call over R1, R1', R2 and R2', with one Ei, at a and at
-    # each mismatch evaluation (lo, hi, then two Brent steps), and one over
-    # R1 and R2 alone at all of the grid's 33 shell samples; b* reuses its
-    # last evaluation, and no form goes through eval_grid
-    calls, counts = [], {"eval_grid": 0, "ei_with_error": 0}
-    eval_runs = numeval.eval_runs
+    # one evaluator prepared over R1, R1', R2 and R2' for the match, called
+    # once, with one Ei, at a and at each mismatch evaluation (lo, hi, then
+    # two Brent steps), and one over R1 and R2 alone for the grid, called at
+    # each of its 33 shell samples; b* reuses its last evaluation, and no
+    # form goes through eval_grid
+    prepared, counts = [], {"eval_grid": 0, "ei_with_error": 0}
+    evaluator = numeval.evaluator
 
-    def recording_eval_runs(kappa, pairs, rs, *args):
-        calls.append((len(pairs), list(rs)))
-        return eval_runs(kappa, pairs, rs, *args)
+    def recording_evaluator(kappa, pairs, *args):
+        point, rs = evaluator(kappa, pairs, *args), []
+        prepared.append((len(pairs), rs))
+
+        def recorded(r):
+            rs.append(r)
+            return point(r)
+        return recorded
 
     def counted(name):
         original = getattr(numeval, name)
@@ -901,7 +931,7 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
             return original(*args)
         monkeypatch.setattr(numeval, name, wrapper)
 
-    monkeypatch.setattr(numeval, "eval_runs", recording_eval_runs)
+    monkeypatch.setattr(numeval, "evaluator", recording_evaluator)
     counted("eval_grid")
     counted("ei_with_error")
     code, out, _ = run(capsys, "shell", "--n", "2", "--l", "0", "--a", "1e-4",
@@ -910,10 +940,10 @@ def test_shell_evaluates_the_forms_once_per_value(capsys, monkeypatch):
     doc = json.loads(out)
     shell_samples = [r for r, _ in doc["grid"] if 1e-4 <= r <= doc["b_star"]]
     assert len(shell_samples) == 33
-    *points, grid_call = calls
-    mismatches = [rs for _, rs in points[1:]]
-    assert mismatches[:2] == [[0.5], [1.5]] and mismatches[-1] == [doc["b_star"]]
-    assert points == [(2, [1e-4])] + [(2, rs) for rs in mismatches]
+    (match_pairs, points), grid_call = prepared
+    assert match_pairs == 2 and points[0] == 1e-4
+    mismatches = points[1:]
+    assert mismatches[:2] == [0.5, 1.5] and mismatches[-1] == doc["b_star"]
     assert grid_call == (1, shell_samples)
     assert counts == {"eval_grid": 0, "ei_with_error": len(points) + len(shell_samples)}
     assert len(mismatches) == 4

@@ -22,7 +22,7 @@ from coulombwf.numeval import (
     ei_with_error,
     eval_form_extended,
     eval_grid,
-    eval_runs,
+    evaluator,
     envelope,
     float_runs,
     horner,
@@ -566,12 +566,12 @@ _probe_states = sorted(random.Random(1729).sample(
 
 @pytest.mark.parametrize("state", _probe_states)
 def test_one_probe_raises_where_some_run_probe_overflows(state):
-    # eval_runs makes one probe per point over every run of R2 and R2': at
+    # evaluator makes one probe per point over every run of R2 and R2': at
     # each run's first overflowing r, for its top power above 1 and its
     # bottom power below, and at the double just before, it raises the
     # conditioning text exactly when some run's own r ** k overflows
     kappa, pairs, _, _ = refvals.shell_runs(QuantumNumbers(*state))
-    runs = [run for pair in pairs for run in pair]
+    runs, point = [run for pair in pairs for run in pair], evaluator(kappa, pairs)
     for up, down, _ in runs:
         for k in (len(up) - 1, -len(down)):
             first = _first_overflow(k)
@@ -580,7 +580,7 @@ def test_one_probe_raises_where_some_run_probe_overflows(state):
             for r in (first, math.nextafter(first, 1.0)):
                 own = [_overflows(r, len(u) - 1 if r > 1.0 else -len(d)) for u, d, _ in runs]
                 try:
-                    next(eval_runs(kappa, pairs, (r,)))
+                    point(r)
                     raised = ""
                 except OverflowSignal as exc:
                     raised = str(exc)

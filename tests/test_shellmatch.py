@@ -46,17 +46,23 @@ def shell_pair(qn, r):
     return v1, d1, v2, d2
 
 
-def recording_eval_runs(monkeypatch):
-    """Record every r that numeval.eval_runs evaluates; match_shell's first
-    is a, and the mismatch points are the ones after it."""
-    seen, eval_runs = [], numeval.eval_runs
+def recording_evaluator(monkeypatch):
+    """Record every numeval.evaluator preparation as the list of the r its
+    point evaluates, in order; match_shell prepares one, whose first r is a,
+    and the mismatch points are the ones after it."""
+    prepared, evaluator = [], numeval.evaluator
 
-    def recording(kappa, pairs, rs, *args):
-        seen.extend(rs)
-        return eval_runs(kappa, pairs, rs, *args)
+    def recording(kappa, pairs, *args):
+        point, seen = evaluator(kappa, pairs, *args), []
+        prepared.append(seen)
 
-    monkeypatch.setattr(numeval, "eval_runs", recording)
-    return seen
+        def recorded(r):
+            seen.append(r)
+            return point(r)
+        return recorded
+
+    monkeypatch.setattr(numeval, "evaluator", recording)
+    return prepared
 
 
 # -- configuration validation -----------------------------------------------------
@@ -222,9 +228,14 @@ def test_no_root_reports_scan():
 def test_no_root_scan_reuses_the_endpoint_values(monkeypatch, b_range, evals):
     lo, hi = b_range
     assert (lo + 16 * (hi - lo) / 16 == hi) == (evals == 17)
-    seen = recording_eval_runs(monkeypatch)
+    prepared = recording_evaluator(monkeypatch)
     with pytest.raises(NoRootInRange) as err:
         match_shell(QuantumNumbers(1, 0), 1e-4, b_range)
+    # one preparation per match, and each point evaluated once: a, lo, hi,
+    # then the scan's samples in order, past the endpoints it reuses
+    [seen] = prepared
+    samples = [b for b, _ in err.value.scan if b not in (lo, hi)]
+    assert seen == [1e-4, lo, hi] + samples
     assert len(seen[1:]) == evals
     # every sample's mismatch is the one a fresh evaluation gives
     runs = shell_runs(QuantumNumbers(1, 0))
@@ -446,17 +457,18 @@ def test_brent_matches_the_bisection_reference_on_seeded_brackets(monkeypatch):
     # kappa b ~ 10, where the rounding noise of the mismatch is above the
     # 1e-8 tolerance and only a lucky evaluation meets it, for Brent's steps
     # and for the bisection's alike
-    evals = recording_eval_runs(monkeypatch)
+    prepared = recording_evaluator(monkeypatch)
     outcomes, narrow_evals, apart = collections.Counter(), [], collections.Counter()
     for n, l, a, bracket, narrow in _seeded_brackets(1000, "brent-against-bisection"):
         qn = QuantumNumbers(n, l)
         runs = shell_runs(qn)
-        evals.clear()
+        prepared.clear()
         want = _outcome(bisection_match, qn, a, bracket)
         # past the points a, lo and hi
-        reference_evals = len(evals) - 3
-        evals.clear()
+        reference_evals = sum(map(len, prepared)) - 3
+        prepared.clear()
         got = _outcome(match_shell, qn, a, bracket)
+        [evals] = prepared
         steps = len(evals) - 3
         outcomes[got[0]] += 1
         if got[0] == "match":
@@ -495,11 +507,12 @@ def test_unresolved_match_stops_once_the_bracket_closes(monkeypatch):
     # step of at least a quarter of the bracket leaves above a quarter of
     # that: the narrowest sign change of M among the evaluated points
     qn, a = QuantumNumbers(8, 2), 0.031218547948655875
-    seen = recording_eval_runs(monkeypatch)
+    prepared = recording_evaluator(monkeypatch)
     with pytest.raises(MatchNotResolved) as err:
         match_shell(qn, a, (197.2183249463177, 279.3309622590942))
     b = float(str(err.value).split("b = ")[1].split(" ")[0])
     monkeypatch.undo()
+    [seen] = prepared
     points, runs = seen[1:], shell_runs(qn)
     c1, c2 = shell_mixing(qn, runs, a)
     signs = sorted((r, math.copysign(1.0, shell_probe(runs, c1, c2, r)[1])) for r in points)
