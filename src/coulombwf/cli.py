@@ -242,7 +242,10 @@ def _parse_grid(grid_arg: str) -> list[float]:
         raise ValueError("grid must be positive and increasing")
     if count == 1:
         return [start]
-    span, last = stop - start, count - 1
+    try:
+        span, last = stop - start, float(count - 1)
+    except OverflowError:
+        raise ValueError("grid count overflows double precision") from None
     grid = [start + i * span / last for i in range(count)]
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"grid points overflow double precision, got {grid_arg!r}")

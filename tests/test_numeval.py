@@ -84,6 +84,10 @@ def test_ei_domain_and_overflow():
         ei_with_error(-3.0)
     with pytest.raises(OverflowSignal, match=r"^Ei\(1, -x\) overflows double precision at x=720\.0$"):
         ei_with_error(720.0)
+    # 708.0 is the last argument in range, and the next double is not
+    assert math.isfinite(ei_with_error(708.0)[0])
+    with pytest.raises(OverflowSignal):
+        ei_with_error(math.nextafter(708.0, math.inf))
 
 
 def test_ei_estimate_bounds_the_error_through_its_zero():

@@ -1,9 +1,7 @@
 import dataclasses
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +32,6 @@ from refvals import (
 )
 
 F = Fraction
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 def r1_r2(qn):
@@ -224,15 +220,6 @@ def test_symbolic_checks_select_in_order():
     assert names == ["ode_residual_R1", "ode_residual_R2", "wronskian"]
     assert [rep.check for rep in symbolic_checks(qn, {"ode"})] == names[:2]
     assert [rep.check for rep in symbolic_checks(qn, {"wronskian"})] == names[2:]
-
-
-def test_wronskian_constants_match_recorded_artifact():
-    # regenerated by the exact engine; see data/regenerate.py
-    recorded = json.loads((DATA_DIR / "wronskian_r2w.json").read_text())
-    for key, value in recorded.items():
-        n, l = (int(s) for s in key.split(","))
-        r2w, _ = wronskian(*r1_r2(QuantumNumbers(n, l)))
-        assert str(r2w) == value
 
 
 # -- principal-value integral oracle ---------------------------------------------------
